@@ -6,15 +6,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
 
-from .counters import Counters
 from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
-                     TerminationRule, default_termination, run, true_metrics)
+                     TerminationRule, default_termination, run)
 from .errors import ConfigError
 from .problems import (Dataset, ProblemSpec, Expectation, build_logreg_problem,
                        eval_constraints)
@@ -164,7 +163,7 @@ def method_driver_config(method: str, problem: ProblemSpec,
 
     sampling = SamplingRule(kind=config.sampling,
                             initial_size=config.initial_size,
-                            beta=config.beta, beta_tilde=config.beta)
+                            beta=config.beta)
     common = dict(sampling=sampling,
                   stop_violation=config.stop_violation,
                   stop_stationarity=config.stop_stationarity)
@@ -204,10 +203,8 @@ def method_driver_config(method: str, problem: ProblemSpec,
         full = SamplingRule(kind="full", initial_size=config.initial_size)
     # halve the inner metric per outer pass so progress is recorded (and
     # stop thresholds are checked) at a useful granularity
-    if solver == "equality":
-        term = TerminationRule(kind="kkt", gamma=0.5, eps=1e-12)
-    else:
-        term = TerminationRule(kind="robust_dnorm", gamma=0.5, eps=1e-12)
+    term = TerminationRule(kind="kkt" if solver == "equality"
+                           else "robust_dnorm", gamma=0.5, eps=1e-12)
     return DriverConfig(solver=solver, dual_mode="reinit", termination=term,
                         robust=RobustSqpConfig(mode="linf"),
                         sampling=full,
@@ -227,12 +224,6 @@ def run_config(config: RunConfig) -> SolveOutcome:
 # ------------------------------------------------------------------
 # metrics and success rules
 # ------------------------------------------------------------------
-
-def metrics_eval(problem: ProblemSpec, x: np.ndarray, solver_kind: str):
-    """(violation_inf, stationarity) on the true problem."""
-    v, s, _ = true_metrics(problem, x, solver_kind)
-    return v, s
-
 
 def success_test(metric_init: float, metric_out: float,
                  eps_tol: float) -> bool:

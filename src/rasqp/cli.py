@@ -8,12 +8,10 @@ import csv
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RunConfig,
-                    active_set_report, build_problem, method_driver_config,
-                    performance_profile, profile_curve, result_row,
-                    run_config, sweep, write_results_csv, write_trace_csv)
+                    active_set_report, build_problem, performance_profile,
+                    profile_curve, run_config, sweep, write_results_csv,
+                    write_trace_csv)
 from .errors import ConfigError, RasqpError
 
 

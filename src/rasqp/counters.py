@@ -13,7 +13,3 @@ class Counters:
     function_evals: int = 0
     minres_iters: int = 0
     barrier_iters: int = 0
-
-    def copy(self):
-        return Counters(self.gradient_evals, self.function_evals,
-                        self.minres_iters, self.barrier_iters)

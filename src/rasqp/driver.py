@@ -1,6 +1,18 @@
 """Outer loop of the retrospective-approximation solver: batch sizing,
 inner-loop termination rules, dual initialization, budget enforcement,
-and trace recording."""
+and trace recording.
+
+Both inner solvers run under one loop, `_inner_loop`. A solver supplies
+`iterate(ctx, stop) -> (kind, ctx, moved)`, one inner iteration from the
+context ctx. Before changing anything it calls `stop(current, first)` with
+its rule's progress measure and the value the rule compares against when
+this is the first inner iteration, and returns ("terminated", ctx, _) if
+that returns True. Otherwise it returns ("updated", new_ctx, moved), moved
+telling whether x changed, or ("infeasible_stationary", ctx, _). It raises
+MeritCollapse or LineSearchFailure to abandon the batch. The loop owns the
+budget check, the first-iteration snapshot, the inner cap, the mapping of
+these outcomes to `OuterRecord.term_cause`, and the iteration counts.
+"""
 
 from __future__ import annotations
 
@@ -18,18 +30,26 @@ from .linalg import LbfgsModel, least_squares_dual
 from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
-from .sqp_eq import (EqEvaluator, EqInnerContext, EqSqpConfig, compute_step,
-                     inner_iteration, model_decrease, trial_tau, update_tau)
+from .sqp_eq import (TAU_BAR, EqEvaluator, EqInnerContext, EqSqpConfig,
+                     compute_step, inner_iteration, merit_plan)
 from .sqp_ineq import (RobustEvaluator, RobustInnerContext, RobustSqpConfig,
                        direction_step, feasibility_step, robust_inner_iteration,
                        sigma_bounds, violation_norms)
 
-INNER_CAP = 500
+INNER_CAP = 500                # inner iterations per outer iteration
+KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
+THETA = 0.5                    # adaptive sampling: norm-test constant
+BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
+MC_METRIC_SAMPLES = 10 ** 5    # Monte Carlo true-gradient surrogate size
 
 
 # ------------------------------------------------------------------
 # configuration types
 # ------------------------------------------------------------------
+
+# inner-loop progress rules each solver accepts
+RULES = {"equality": ("kkt", "dnorm", "dl"), "robust": ("robust_dnorm",)}
+
 
 @dataclass
 class TerminationRule:
@@ -37,19 +57,20 @@ class TerminationRule:
     snapshot0 is the rule's metric at the first inner iteration.
 
     kind selects the metric: "kkt" (KKT error norm), "dnorm" (step norm),
-    "dl" (merit model decrease, snapshot clipped at kappa_d * ||d0||^2),
+    "dl" (merit model decrease, snapshot clipped at KAPPA_D * ||d0||^2),
     "robust_dnorm" (step norm of the robust solver).
     """
     kind: str = "kkt"
     gamma: float = 0.5
     eps: float = 1e-6
-    kappa_d: float = 1e8
 
     def __post_init__(self):
+        if not any(self.kind in kinds for kinds in RULES.values()):
+            raise ConfigError(f"unknown termination kind {self.kind!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must be in [0, 1)")
-        if self.eps < 0.0 or self.kappa_d <= 0.0:
-            raise ConfigError("eps must be >= 0 and kappa_d > 0")
+        if self.eps < 0.0:
+            raise ConfigError("eps must be >= 0")
 
 
 def default_termination(kind: str) -> TerminationRule:
@@ -60,21 +81,19 @@ def default_termination(kind: str) -> TerminationRule:
 @dataclass
 class SamplingRule:
     """Batch-size schedule: "adaptive" (variance-based norm test with
-    growth factor beta_hat), "geometric" (fixed-rate growth), "full"
-    (whole dataset every outer iteration), or "fixed" (initial_size every
-    outer iteration)."""
+    growth factor BETA_HAT), "geometric" (fixed-rate growth: the finite-sum
+    gap to the full dataset shrinks by beta per outer iteration, and an
+    expectation batch grows by 1 / beta^2), "full" (whole dataset every
+    outer iteration), or "fixed" (initial_size every outer iteration)."""
     kind: str = "adaptive"
-    theta: float = 0.5
-    beta_hat: float = 5.0
     initial_size: int = 32
-    beta: float = 0.5         # geometric, finite-sum
-    beta_tilde: float = 0.5   # geometric, expectation
+    beta: float = 0.5
 
     def __post_init__(self):
-        if self.theta <= 0 or self.beta_hat <= 1:
-            raise ConfigError("theta > 0 and beta_hat > 1 required")
-        if not 0.0 < self.beta < 1.0 or not 0.0 < self.beta_tilde < 1.0:
-            raise ConfigError("beta and beta_tilde must be in (0, 1)")
+        if self.kind not in ("adaptive", "geometric", "full", "fixed"):
+            raise ConfigError(f"unknown sampling kind {self.kind!r}")
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError("beta must be in (0, 1)")
         if self.initial_size < 1:
             raise ConfigError("initial_size must be >= 1")
 
@@ -95,12 +114,13 @@ class DriverConfig:
     eq: EqSqpConfig = field(default_factory=EqSqpConfig)
     robust: RobustSqpConfig = field(default_factory=RobustSqpConfig)
     use_lbfgs: bool = False
-    inner_cap: int = INNER_CAP
-    tau_bar: float = 1.0
     # optional metric-threshold stopping (both must hold); None = budget only
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
-    mc_metric_samples: int = 10 ** 5
+
+    def __post_init__(self):
+        if self.dual_mode not in ("carryover", "reinit"):
+            raise ConfigError(f"unknown dual mode {self.dual_mode!r}")
 
 
 @dataclass
@@ -185,7 +205,7 @@ def geometric_batch_size(k: int, rule: SamplingRule,
                          dataset_cap: Optional[int],
                          prev_size: Optional[int] = None) -> int:
     """Finite-sum: ceil((1 - beta^k) |S|); expectation: grow the previous
-    size by 1 / beta_tilde^2. Clipped to [1, cap] and non-decreasing."""
+    size by 1 / beta^2. Clipped to [1, cap] and non-decreasing."""
     if dataset_cap is not None:
         size = math.ceil((1.0 - rule.beta ** k) * dataset_cap)
         size = min(max(size, 1), dataset_cap)
@@ -193,21 +213,10 @@ def geometric_batch_size(k: int, rule: SamplingRule,
         if k == 0 or prev_size is None:
             size = rule.initial_size
         else:
-            size = math.ceil(prev_size / (rule.beta_tilde ** 2))
+            size = math.ceil(prev_size / (rule.beta ** 2))
     if prev_size is not None:
         size = max(size, prev_size)
     return int(size)
-
-
-def epsilon_schedule(mode: str, variance_est: float, batch_size: int,
-                     omega: float = 1.0, fixed: float = 1e-6) -> float:
-    """Additive termination tolerance: a constant, or a multiple of the
-    subsampled-gradient standard error."""
-    if mode == "fixed":
-        return fixed
-    if mode == "variance":
-        return omega * math.sqrt(max(variance_est, 0.0) / batch_size)
-    raise ConfigError(f"unknown epsilon mode {mode!r}")
 
 
 @dataclass
@@ -247,24 +256,13 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
         degenerate = False
 
     c_E, c_I, J_E, J_I = eval_constraints(problem, x)
-    rule = config.termination.kind
     if config.solver == "equality":
         ctx = EqInnerContext(x=x, lam=lam, F_S=vsum / m, g_S=gbar, c=c_E,
-                             J=J_E, tau_prev=config.tau_bar, hessian=hessian)
-        if rule == "kkt":
-            Z = float(np.linalg.norm(ctx.kkt_vector()))
-        else:
-            step = compute_step(ctx, config.eq, counters)
-            if rule == "dnorm":
-                Z = float(np.linalg.norm(step.d))
-            elif rule == "dl":
-                try:
-                    tau, dl = plan_merit(ctx, config.eq, step)
-                    Z = max(dl, 0.0)
-                except MeritCollapse:
-                    Z = 0.0
-            else:
-                raise ConfigError(f"unknown termination kind {rule!r}")
+                             J=J_E, tau_prev=TAU_BAR, hessian=hessian)
+        try:
+            Z = max(_eq_progress(ctx, config, counters)[0], 0.0)
+        except MeritCollapse:
+            Z = 0.0
     else:
         v_inf, v_l1 = violation_norms(c_E, c_I)
         mode = config.robust.mode
@@ -283,28 +281,29 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
                              degenerate=degenerate)
 
 
-def plan_merit(ctx: EqInnerContext, eq_config: EqSqpConfig, step):
-    """Merit parameter and model decrease the inner iteration will use for a
-    given step, without performing the iteration."""
-    gTd = float(ctx.g_S @ step.d)
-    c_l1 = float(np.linalg.norm(ctx.c, 1))
-    r_l1 = float(np.linalg.norm(step.r, 1))
-    if step.acceptance == "inexact_cond1":
-        tau = ctx.tau_prev
-    else:
-        dHd = float(step.d @ ctx.h_apply(step.d))
-        tau_tr = trial_tau(gTd, dHd, float(step.d @ step.d), c_l1, r_l1,
-                           eq_config.eps_sigma, eq_config.eps_d)
-        tau = update_tau(ctx.tau_prev, tau_tr, eq_config.eps_tau)
-    return tau, model_decrease(tau, gTd, c_l1, r_l1)
+def _eq_progress(ctx: EqInnerContext, config: DriverConfig,
+                 counters: Counters):
+    """The equality rule's progress measure at ctx: (current value, value
+    to snapshot at the first inner iteration, KKT step or None). The step is
+    solved here only when the measure needs it; "dl" raises MeritCollapse
+    when the merit parameter would collapse."""
+    kind = config.termination.kind
+    if kind == "kkt":
+        current = float(np.linalg.norm(ctx.kkt_vector()))
+        return current, current, None
+    step = compute_step(ctx, config.eq, counters)
+    dnorm = float(np.linalg.norm(step.d))
+    if kind == "dnorm":
+        return dnorm, dnorm, step
+    _, dl = merit_plan(ctx, step)
+    return dl, min(dl, KAPPA_D * dnorm * dnorm), step
 
 
 # ------------------------------------------------------------------
 # true-problem metrics
 # ------------------------------------------------------------------
 
-def true_gradient_at(problem: ProblemSpec, x: np.ndarray,
-                     mc_samples: int) -> tuple:
+def true_gradient_at(problem: ProblemSpec, x: np.ndarray) -> tuple:
     """Gradient of the underlying objective at x, outside any budget: the
     analytic gradient when known, the full-dataset average for finite sums,
     or a fixed-seed Monte Carlo surrogate (flagged) otherwise."""
@@ -315,19 +314,18 @@ def true_gradient_at(problem: ProblemSpec, x: np.ndarray,
         _, g = eval_subsampled(problem, x, full, counters=None)
         return g, False
     rng = np.random.default_rng(987654321)
-    S = draw_samples(problem, mc_samples, rng)
+    S = draw_samples(problem, MC_METRIC_SAMPLES, rng)
     _, g = eval_subsampled(problem, x, S, counters=None)
     return g, True
 
 
-def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
-                 mc_samples: int = 10 ** 5):
+def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str):
     """(violation_inf, stationarity, monte_carlo_flag) for the underlying
     problem: max-norm violation of (c_E, [c_I]_+), and either the best-dual
     Lagrangian gradient norm (equality) or the KKT residual (general)."""
     c_E, c_I, J_E, J_I = eval_constraints(problem, x)
     v_inf, _ = violation_norms(c_E, c_I)
-    g, mc = true_gradient_at(problem, x, mc_samples)
+    g, mc = true_gradient_at(problem, x)
     if solver == "equality":
         if problem.m_E == 0:
             stat = float(np.linalg.norm(g, np.inf))
@@ -353,32 +351,35 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     evaluations on subsampled problems are budgeted; metric evaluations are
     not.
     """
+    if config.solver not in RULES:
+        raise ConfigError(f"unknown solver {config.solver!r}")
+    if config.termination.kind not in RULES[config.solver]:
+        raise ConfigError(f"the {config.solver} solver cannot use the "
+                          f"{config.termination.kind!r} termination rule")
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
-    if config.solver not in ("equality", "robust"):
-        raise ConfigError(f"unknown solver {config.solver!r}")
+    cap = (problem.mode.dataset_size
+           if isinstance(problem.mode, FiniteSum) else None)
+    if config.sampling.kind == "full" and cap is None:
+        raise ConfigError("full sampling requires a finite-sum problem")
 
     counters = Counters()
     x = np.asarray(problem.x_init, dtype=float).copy()
     lam = np.zeros(problem.m_E)
     hessian = (LbfgsModel(dim=problem.n, capacity=min(problem.n, 10))
                if config.use_lbfgs else None)
-    cap = (problem.mode.dataset_size
-           if isinstance(problem.mode, FiniteSum) else None)
 
     trace = []
-    v0, s0, mc0 = true_metrics(problem, x, config.solver,
-                               config.mc_metric_samples)
+    v0, s0, mc0 = true_metrics(problem, x, config.solver)
     trace.append(OuterRecord(
         k=-1, batch_size=0, inner_iterations=0, updates=0, estimation_size=0,
         violation_inf=v0, stationarity=s0,
         grad_evals_cum=counters.gradient_evals,
         minres_iters_cum=counters.minres_iters,
         barrier_iters_cum=counters.barrier_iters,
-        tau_exit=config.tau_bar, term_cause="initial", metric_mc=mc0,
+        tau_exit=TAU_BAR, term_cause="initial", metric_mc=mc0,
         x=x.copy()))
 
-    status = "BudgetExhausted"
     prev_S: Optional[SampleSet] = None
     start = time.monotonic()
     k = 0
@@ -392,14 +393,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         # batch sizing
         estimate = None
         if config.sampling.kind == "full":
-            if cap is None:
-                raise ConfigError("full sampling requires a finite-sum problem")
             size = cap
-        elif config.sampling.kind == "fixed":
-            size = config.sampling.initial_size
-            if cap is not None:
-                size = min(size, cap)
-        elif prev_S is None:
+        elif config.sampling.kind == "fixed" or prev_S is None:
             size = config.sampling.initial_size
             if cap is not None:
                 size = min(size, cap)
@@ -408,12 +403,9 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                                                  config, hessian, rng,
                                                  counters)
             size = adaptive_batch_size(prev_S.size, estimate.variance,
-                                       estimate.Z, config.sampling.theta,
-                                       config.sampling.beta_hat, cap)
-        elif config.sampling.kind == "geometric":
-            size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
+                                       estimate.Z, THETA, BETA_HAT, cap)
         else:
-            raise ConfigError(f"unknown sampling kind {config.sampling.kind!r}")
+            size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
 
         S = draw_samples(problem, size, rng,
                          superset_of=None if estimate is None
@@ -434,20 +426,16 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         else:
             F_S, g_S = eval_subsampled(problem, x, S, counters)
 
-        c_E, c_I, J_E, J_I = eval_constraints(problem, x)
         est_size = 0 if estimate is None else estimate.fresh_set.size
-
+        iterate, ctx = _inner_solver(problem, S, config, x, lam, F_S, g_S,
+                                     hessian, counters)
+        ctx, inner_iters, updates, term_cause = _inner_loop(
+            iterate, ctx, config.termination, budget, counters)
+        x, hessian = ctx.x, ctx.hessian
         if config.solver == "equality":
-            result = _equality_outer(problem, config, budget, S, x, lam,
-                                     F_S, g_S, c_E, J_E, hessian, counters)
-        else:
-            result = _robust_outer(problem, config, budget, S, x,
-                                   F_S, g_S, c_E, c_I, J_E, J_I, hessian,
-                                   counters)
-        x, lam, hessian, tau_exit, inner_iters, updates, term_cause = result
+            lam = ctx.lam
 
-        v, s, mc = true_metrics(problem, x, config.solver,
-                                config.mc_metric_samples)
+        v, s, mc = true_metrics(problem, x, config.solver)
         trace.append(OuterRecord(
             k=k, batch_size=S.size, inner_iterations=inner_iters,
             updates=updates, estimation_size=est_size,
@@ -455,7 +443,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             grad_evals_cum=counters.gradient_evals,
             minres_iters_cum=counters.minres_iters,
             barrier_iters_cum=counters.barrier_iters,
-            tau_exit=tau_exit, term_cause=term_cause, metric_mc=mc,
+            tau_exit=ctx.tau_prev, term_cause=term_cause, metric_mc=mc,
             x=x.copy()))
 
         if term_cause == "infeasible_stationary":
@@ -476,106 +464,76 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                         trace=trace, counters=counters)
 
 
-def _eq_constraints(problem, x):
-    c_E, _, J_E, _ = eval_constraints(problem, x)
-    return c_E, J_E
+def _inner_loop(iterate, ctx, rule: TerminationRule, budget: Budget,
+                counters: Counters):
+    """Run `iterate` (see the module docstring) from ctx until it stops,
+    raises, or the gradient budget or INNER_CAP is reached.
 
-
-def _equality_outer(problem, config, budget, S, x, lam, F_S, g_S, c_E, J_E,
-                    hessian, counters):
-    lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)
-    ctx = EqInnerContext(x=x, lam=lam, F_S=F_S, g_S=g_S, c=c_E, J=J_E,
-                         tau_prev=config.tau_bar, hessian=hessian)
-    evaluator = EqEvaluator(
-        value=lambda xt: eval_subsampled_value(problem, xt, S, counters),
-        value_grad=lambda xt: eval_subsampled(problem, xt, S, counters),
-        constraints=lambda xt: _eq_constraints(problem, xt))
-
-    rule = config.termination
+    Returns (ctx, inner iterations, updates, term_cause).
+    """
     snapshot = None
+
+    def stop(current, first):
+        nonlocal snapshot
+        if snapshot is None:
+            snapshot = first
+        return termination_check(rule, snapshot, current)
+
     updates = 0
-    inner_iters = 0
-    term_cause = "inner_cap"
-    for j in range(config.inner_cap):
+    for j in range(INNER_CAP):
         if counters.gradient_evals >= budget.max_gradient_evals:
-            term_cause = "budget"
-            break
-        step = None
+            return ctx, j, updates, "budget"
         try:
-            if rule.kind == "kkt":
-                current = float(np.linalg.norm(ctx.kkt_vector()))
-                snap_val = current
-            else:
-                step = compute_step(ctx, config.eq, counters)
-                dnorm = float(np.linalg.norm(step.d))
-                if rule.kind == "dnorm":
-                    current, snap_val = dnorm, dnorm
-                else:
-                    _, dl = plan_merit(ctx, config.eq, step)
-                    current = dl
-                    snap_val = min(dl, rule.kappa_d * dnorm * dnorm)
-            if snapshot is None:
-                snapshot = snap_val
-            if termination_check(rule, snapshot, current):
-                term_cause = "terminated"
-                break
-            ctx, step, alpha = inner_iteration(ctx, config.eq, evaluator,
-                                               counters, step=step)
+            kind, ctx, moved = iterate(ctx, stop)
         except MeritCollapse:
-            term_cause = "merit_collapse"
-            break
+            return ctx, j, updates, "merit_collapse"
         except LineSearchFailure:
-            term_cause = "line_search_failure"
-            break
-        inner_iters = j + 1
-        if alpha > 0.0:
-            updates += 1
-    return (ctx.x, ctx.lam, ctx.hessian, ctx.tau_prev, inner_iters, updates,
-            term_cause)
+            return ctx, j, updates, "line_search_failure"
+        if kind != "updated":
+            return ctx, j, updates, kind
+        updates += moved
+    return ctx, INNER_CAP, updates, "inner_cap"
 
 
-def _robust_outer(problem, config, budget, S, x, F_S, g_S, c_E, c_I, J_E,
-                  J_I, hessian, counters):
-    ctx = RobustInnerContext(x=x, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I,
-                             J_E=J_E, J_I=J_I, tau_prev=config.tau_bar,
-                             hessian=hessian)
-    evaluator = RobustEvaluator(
-        value=lambda xt: eval_subsampled_value(problem, xt, S, counters),
-        value_grad=lambda xt: eval_subsampled(problem, xt, S, counters),
-        constraints=lambda xt: eval_constraints(problem, xt))
+def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
+                  x, lam, F_S, g_S, hessian, counters: Counters):
+    """(iterate, start context) of the configured solver on the batch S,
+    warm-started at x; the equality solver's duals are initialized here."""
+    c_E, c_I, J_E, J_I = eval_constraints(problem, x)
 
-    rule = config.termination
-    state = {"snapshot": None}
+    # the evaluation functions are looked up at call time, so wrappers
+    # installed on this module's names see every call
+    def value(xt):
+        return eval_subsampled_value(problem, xt, S, counters)
 
-    def term_cb(dnorm):
-        if state["snapshot"] is None:
-            state["snapshot"] = dnorm
-        return termination_check(rule, state["snapshot"], dnorm)
+    def value_grad(xt):
+        return eval_subsampled(problem, xt, S, counters)
 
-    updates = 0
-    inner_iters = 0
-    term_cause = "inner_cap"
-    for j in range(config.inner_cap):
-        if counters.gradient_evals >= budget.max_gradient_evals:
-            term_cause = "budget"
-            break
-        try:
+    if config.solver == "robust":
+        evaluator = RobustEvaluator(
+            value, value_grad, lambda xt: eval_constraints(problem, xt))
+
+        def iterate(ctx, stop):
             out = robust_inner_iteration(ctx, config.robust, evaluator,
-                                         term_cb, counters)
-        except MeritCollapse:
-            term_cause = "merit_collapse"
-            break
-        except LineSearchFailure:
-            term_cause = "line_search_failure"
-            break
-        if out.kind == "termination":
-            term_cause = "terminated"
-            break
-        if out.kind == "infeasible_stationary":
-            term_cause = "infeasible_stationary"
-            break
-        ctx = out.ctx
-        inner_iters = j + 1
-        updates += 1
-    return (ctx.x, None, ctx.hessian, ctx.tau_prev, inner_iters, updates,
-            term_cause)
+                                         lambda dnorm: stop(dnorm, dnorm),
+                                         counters)
+            return out.kind, out.ctx, True
+        return iterate, RobustInnerContext(
+            x=x, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I,
+            tau_prev=TAU_BAR, hessian=hessian)
+
+    # (c_E, J_E) out of (c_E, c_I, J_E, J_I)
+    evaluator = EqEvaluator(
+        value, value_grad, lambda xt: eval_constraints(problem, xt)[::2])
+
+    def iterate(ctx, stop):
+        current, first, step = _eq_progress(ctx, config, counters)
+        if stop(current, first):
+            return "terminated", ctx, False
+        ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator, counters,
+                                        step=step)
+        return "updated", ctx, alpha > 0.0
+
+    lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)
+    return iterate, EqInnerContext(x=x, lam=lam, F_S=F_S, g_S=g_S, c=c_E,
+                                   J=J_E, tau_prev=TAU_BAR, hessian=hessian)

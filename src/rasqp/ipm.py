@@ -9,7 +9,7 @@ are comparable across subproblem families.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,24 +47,22 @@ class ConvexProgram:
 class ProgramSolution:
     x: np.ndarray
     objective: float
-    duals: dict
     iterations: int
     status: str  # "optimal" | "infeasible" | "max_iter"
 
 
 def _assemble(prog: ConvexProgram):
-    """Fold bounds into inequality rows; return (H, g, A, b, C, d, groups)."""
+    """Fold bounds into inequality rows; return (H, g, A, b, C, d)."""
     n, p, q = prog.dims()
     g = np.asarray(prog.g, dtype=float)
     H = np.zeros((n, n)) if prog.H is None else np.asarray(prog.H, dtype=float)
     A = np.zeros((p, n)) if p == 0 else np.atleast_2d(np.asarray(prog.A_eq, float))
     b = np.zeros(p) if p == 0 else np.atleast_1d(np.asarray(prog.b_eq, float))
 
-    rows, rhs, groups = [], [], []
+    rows, rhs = [], []
     if q:
         rows.append(np.atleast_2d(np.asarray(prog.A_in, float)))
         rhs.append(np.atleast_1d(np.asarray(prog.b_in, float)))
-        groups += [("in", i) for i in range(q)]
     if prog.lower is not None:
         lo = np.asarray(prog.lower, dtype=float)
         idx = np.where(np.isfinite(lo))[0]
@@ -73,7 +71,6 @@ def _assemble(prog: ConvexProgram):
             E[np.arange(idx.size), idx] = -1.0
             rows.append(E)
             rhs.append(-lo[idx])
-            groups += [("lb", int(i)) for i in idx]
     if prog.upper is not None:
         up = np.asarray(prog.upper, dtype=float)
         idx = np.where(np.isfinite(up))[0]
@@ -82,10 +79,9 @@ def _assemble(prog: ConvexProgram):
             E[np.arange(idx.size), idx] = 1.0
             rows.append(E)
             rhs.append(up[idx])
-            groups += [("ub", int(i)) for i in idx]
     C = np.vstack(rows) if rows else np.zeros((0, n))
     d = np.concatenate(rhs) if rhs else np.zeros(0)
-    return H, g, A, b, C, d, groups
+    return H, g, A, b, C, d
 
 
 def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
@@ -96,7 +92,7 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
     when the dual iterates diverge while the primal residual stays bounded
     away from zero.
     """
-    H, g, A, b, C, d, groups = _assemble(prog)
+    H, g, A, b, C, d = _assemble(prog)
     n = len(g)
     p, q = A.shape[0], C.shape[0]
 
@@ -203,18 +199,8 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
     if counters is not None:
         counters.barrier_iters += it
 
-    duals = {"eq": y.copy(), "in": np.zeros(0), "lb": {}, "ub": {}}
-    if q:
-        n_in = sum(1 for kind, _ in groups if kind == "in")
-        duals["in"] = np.zeros(n_in)
-        for zi, (kind, i) in zip(z, groups):
-            if kind == "in":
-                duals["in"][i] = zi
-            else:
-                duals[kind][i] = zi
     obj = float(0.5 * x @ (H @ x) + g @ x)
-    return ProgramSolution(x=x, objective=obj, duals=duals,
-                           iterations=it, status=status)
+    return ProgramSolution(x=x, objective=obj, iterations=it, status=status)
 
 
 def _max_step(v, dv):

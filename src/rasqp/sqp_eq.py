@@ -4,15 +4,33 @@ management, and Armijo backtracking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .counters import Counters
 from .errors import LineSearchFailure, MeritCollapse
-from .linalg import (KrylovReport, LbfgsModel, SymmetricOperator, lbfgs_apply,
-                     lbfgs_update, make_kkt_operator, minres_solve)
+from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
+                     minres_solve)
+
+TAU_BAR = 1.0        # merit parameter at the start of every inner loop
+MINRES_TOL = 1e-6
+# inexactness conditions
+KAPPA_T = 1e-1
+KAPPA_PRIME = 1e3
+EPS_FEAS = 1e-4
+EPS_OPT = 1e-4
+# merit parameter / line search
+EPS_SIGMA = 0.5
+EPS_TAU = 0.01
+# lower bound on the model curvature relative to ||d||^2; must stay below
+# the smallest Rayleigh quotient of the Hessian model or the merit parameter
+# collapses on quasi-Newton models
+EPS_D = 1e-4
+ETA = 1e-4
+EPS_ALPHA = 0.5
+ALPHA_MIN = 1e-12
 
 
 @dataclass
@@ -40,30 +58,12 @@ class EqStepResult:
     rho: np.ndarray
     r: np.ndarray
     acceptance: str  # "exact" | "inexact_cond1" | "inexact_cond2"
-    minres_iterations: int = 0
 
 
 @dataclass
 class EqSqpConfig:
     exact: bool = True
-    minres_tol: float = 1e-6
     minres_max_iter: int = 2000
-    # inexactness conditions
-    kappa_T: float = 1e-1
-    kappa_prime: float = 1e3
-    eps_feas: float = 1e-4
-    eps_opt: float = 1e-4
-    # merit parameter / line search
-    eps_sigma: float = 0.5
-    eps_tau: float = 0.01
-    # lower bound on the model curvature relative to ||d||^2; must stay
-    # below the smallest Rayleigh quotient of the Hessian model or the
-    # merit parameter collapses on quasi-Newton models
-    eps_d: float = 1e-4
-    eta: float = 1e-4
-    eps_alpha: float = 0.5
-    alpha_min: float = 1e-12
-    tau_init: float = 1.0
 
 
 def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
@@ -88,35 +88,35 @@ def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
         r1 = np.linalg.norm(r, 1)
         # condition II: decrease in the linear constraint model
         cnorm = np.linalg.norm(ctx.c)
-        if (np.linalg.norm(r) <= config.eps_feas * cnorm
-                and np.linalg.norm(rho) <= config.eps_opt * cnorm):
+        if (np.linalg.norm(r) <= EPS_FEAS * cnorm
+                and np.linalg.norm(rho) <= EPS_OPT * cnorm):
             acceptance_kind["kind"] = "inexact_cond2"
             return True
         # condition I: sufficient decrease in the merit model at tau_prev
         gTd = float(ctx.g_S @ d)
         dHd = float(d @ ctx.h_apply(d))
-        curv = max(dHd, config.eps_d * float(d @ d))
+        curv = max(dHd, EPS_D * float(d @ d))
         dl = -ctx.tau_prev * gTd + c1 - r1
-        bound = (config.eps_sigma * (1 - config.eps_feas)
+        bound = (EPS_SIGMA * (1 - EPS_FEAS)
                  * max(c1, np.linalg.norm(r) - c1)
-                 + config.eps_sigma * (1 - config.eps_feas)
+                 + EPS_SIGMA * (1 - EPS_FEAS)
                  * ctx.tau_prev * curv)
         resid_norm = np.linalg.norm(np.concatenate([rho, r]))
         if (dl >= bound
-                and resid_norm <= config.kappa_T * min(np.linalg.norm(T),
-                                                       np.linalg.norm(d))
-                and np.linalg.norm(rho) <= config.kappa_prime
+                and resid_norm <= KAPPA_T * min(np.linalg.norm(T),
+                                                np.linalg.norm(d))
+                and np.linalg.norm(rho) <= KAPPA_PRIME
                 * max(np.linalg.norm(ctx.J), np.linalg.norm(ctx.g_S))):
             acceptance_kind["kind"] = "inexact_cond1"
             return True
         return False
 
     callback = None if config.exact else accept
-    report = minres_solve(K, rhs, config.minres_tol, config.minres_max_iter,
+    report = minres_solve(K, rhs, MINRES_TOL, config.minres_max_iter,
                           acceptance=callback, counters=counters)
     if not config.exact and report.stop_reason == "max_iter":
         # no iterate passed the inexactness tests; continue to the exact tol
-        report = minres_solve(K, rhs, config.minres_tol,
+        report = minres_solve(K, rhs, MINRES_TOL,
                               10 * config.minres_max_iter, counters=counters)
 
     z = report.solution
@@ -126,8 +126,7 @@ def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
     else:
         kind = "exact"
     return EqStepResult(d=z[:n], delta=z[n:], rho=-resid_vec[:n],
-                        r=-resid_vec[n:], acceptance=kind,
-                        minres_iterations=report.iterations)
+                        r=-resid_vec[n:], acceptance=kind)
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
@@ -154,6 +153,24 @@ def update_tau(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
 def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:
     """Reduction of the linear merit model: -tau g'd + ||c||_1 - ||r||_1."""
     return -tau * gTd + c_l1 - r_l1
+
+
+def merit_plan(ctx: EqInnerContext, step: EqStepResult):
+    """(tau, model decrease) for `step` at ctx: the merit parameter the inner
+    iteration takes it with, and the decrease of the linear merit model."""
+    d = step.d
+    gTd = float(ctx.g_S @ d)
+    c_l1 = float(np.linalg.norm(ctx.c, 1))
+    r_l1 = float(np.linalg.norm(step.r, 1))
+    if step.acceptance == "inexact_cond1":
+        # condition I certifies descent at the previous merit parameter
+        tau = ctx.tau_prev
+    else:
+        dHd = float(d @ ctx.h_apply(d))
+        tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1, EPS_SIGMA,
+                           EPS_D)
+        tau = update_tau(ctx.tau_prev, tau_tr, EPS_TAU)
+    return tau, model_decrease(tau, gTd, c_l1, r_l1)
 
 
 def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
@@ -201,29 +218,16 @@ def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
     if np.linalg.norm(d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
         return ctx, step, 0.0
 
-    gTd = float(ctx.g_S @ d)
-    c_l1 = float(np.linalg.norm(ctx.c, 1))
-    r_l1 = float(np.linalg.norm(step.r, 1))
-
-    if step.acceptance == "inexact_cond1":
-        # condition I certifies descent at the previous merit parameter
-        tau = ctx.tau_prev
-    else:
-        dHd = float(d @ ctx.h_apply(d))
-        tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1,
-                           config.eps_sigma, config.eps_d)
-        tau = update_tau(ctx.tau_prev, tau_tr, config.eps_tau)
-
-    delta_l = model_decrease(tau, gTd, c_l1, r_l1)
-    phi0 = tau * ctx.F_S + c_l1
+    tau, delta_l = merit_plan(ctx, step)
+    phi0 = tau * ctx.F_S + float(np.linalg.norm(ctx.c, 1))
 
     def merit_eval(alpha):
         xt = ctx.x + alpha * d
         ct, _ = evaluator.constraints(xt)
         return tau * evaluator.value(xt) + float(np.linalg.norm(ct, 1))
 
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l, config.eta,
-                             config.eps_alpha, config.alpha_min)
+    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
+                             ALPHA_MIN)
 
     x_new = ctx.x + alpha * d
     lam_new = ctx.lam + alpha * delta

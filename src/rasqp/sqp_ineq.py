@@ -13,7 +13,8 @@ from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import ConvexProgram, solve_program
 from .linalg import LbfgsModel, lbfgs_update
-from .sqp_eq import armijo_backtrack
+from .sqp_eq import (ALPHA_MIN, EPS_ALPHA, EPS_SIGMA, EPS_TAU, ETA,
+                     armijo_backtrack)
 
 LINF = "linf"
 L1 = "l1"
@@ -138,7 +139,9 @@ def detect_infeasible_stationary(feas: FeasibilityResult, violation: float,
 
     When the minimizing p is non-unique an interior-point solver returns a
     centered solution, so the equivalent certificate "the LP cannot reduce
-    the linearized violation" is accepted as well.
+    the linearized violation" is accepted as well. tol_v must sit above the
+    interior-point solver's objective noise floor or near-feasible points
+    get flagged.
     """
     if violation <= tol_v:
         return False
@@ -151,7 +154,6 @@ def detect_infeasible_stationary(feas: FeasibilityResult, violation: float,
 class RobustStepResult:
     d: np.ndarray
     delta_c: float
-    qp_objective: float
 
 
 def direction_step(g_S, H: Optional[np.ndarray], c_E, c_I, J_E, J_I,
@@ -223,9 +225,7 @@ def direction_step(g_S, H: Optional[np.ndarray], c_E, c_I, J_E, J_I,
     else:
         raise ValueError(f"unknown norm mode {mode!r}")
 
-    delta_c = max(0.0, violation - lp_objective)
-    qp_obj = float(g_S @ d + 0.5 * d @ (Hm @ d))
-    return RobustStepResult(d=d, delta_c=delta_c, qp_objective=qp_obj)
+    return RobustStepResult(d=d, delta_c=max(0.0, violation - lp_objective))
 
 
 def trial_tau_ineq(gTd: float, dHd: float, delta_c: float,
@@ -251,18 +251,9 @@ def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float,
 
 @dataclass
 class RobustSqpConfig:
+    """Line-search and merit constants are shared with the equality solver
+    (`sqp_eq.EPS_SIGMA` and the rest)."""
     mode: str = LINF
-    eps_sigma: float = 0.5
-    eps_tau: float = 0.01
-    eta: float = 1e-4
-    eps_alpha: float = 0.5
-    alpha_min: float = 1e-12
-    tau_init: float = 1.0
-    tol_p: float = 1e-9
-    # the violation threshold must sit above the interior-point solver's
-    # objective noise floor or near-feasible points get flagged
-    tol_v: float = 1e-5
-    use_lbfgs: bool = False
 
 
 @dataclass
@@ -287,10 +278,9 @@ class RobustEvaluator:
 
 @dataclass
 class RobustOutcome:
-    kind: str  # "updated" | "infeasible_stationary" | "termination"
+    kind: str  # "updated" | "infeasible_stationary" | "terminated"
     ctx: RobustInnerContext
     step: Optional[RobustStepResult] = None
-    feasibility: Optional[FeasibilityResult] = None
     alpha: float = 0.0
 
 
@@ -313,10 +303,8 @@ def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
 
     feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p,
                             config.mode, counters=counters)
-    if detect_infeasible_stationary(feas, violation, config.tol_p,
-                                    config.tol_v):
-        return RobustOutcome(kind="infeasible_stationary", ctx=ctx,
-                             feasibility=feas)
+    if detect_infeasible_stationary(feas, violation):
+        return RobustOutcome(kind="infeasible_stationary", ctx=ctx)
 
     H = None if ctx.hessian is None else ctx.hessian.as_matrix()
     step = direction_step(ctx.g_S, H, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
@@ -325,13 +313,12 @@ def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
     d = step.d
 
     if termination_check(float(np.linalg.norm(d))):
-        return RobustOutcome(kind="termination", ctx=ctx, step=step,
-                             feasibility=feas)
+        return RobustOutcome(kind="terminated", ctx=ctx, step=step)
 
     gTd = float(ctx.g_S @ d)
     dHd = float(d @ d) if H is None else float(d @ (H @ d))
-    tau_tr = trial_tau_ineq(gTd, dHd, step.delta_c, config.eps_sigma)
-    tau = update_tau_ineq(ctx.tau_prev, tau_tr, config.eps_tau)
+    tau_tr = trial_tau_ineq(gTd, dHd, step.delta_c, EPS_SIGMA)
+    tau = update_tau_ineq(ctx.tau_prev, tau_tr, EPS_TAU)
 
     delta_l = -tau * gTd + step.delta_c
     phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, config.mode)
@@ -341,8 +328,8 @@ def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
         cE, cI, _, _ = evaluator.constraints(xt)
         return merit_value(evaluator.value(xt), cE, cI, tau, config.mode)
 
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l, config.eta,
-                             config.eps_alpha, config.alpha_min)
+    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
+                             ALPHA_MIN)
 
     x_new = ctx.x + alpha * d
     F_new, g_new = evaluator.value_grad(x_new)
@@ -356,5 +343,4 @@ def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
     new_ctx = RobustInnerContext(x=x_new, F_S=F_new, g_S=g_new, c_E=cE,
                                  c_I=cI, J_E=JE, J_I=JI, tau_prev=tau,
                                  hessian=hessian)
-    return RobustOutcome(kind="updated", ctx=new_ctx, step=step,
-                         feasibility=feas, alpha=alpha)
+    return RobustOutcome(kind="updated", ctx=new_ctx, step=step, alpha=alpha)

@@ -12,19 +12,18 @@ import pytest
 
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
-from rasqp.counters import Counters
 from rasqp.driver import adaptive_batch_size
 from rasqp.errors import MeritCollapse
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
 from rasqp.linalg import (LbfgsModel, SymmetricOperator, lbfgs_apply,
                           lbfgs_update, minres_solve)
-from rasqp.sqp_eq import (EqEvaluator, EqInnerContext, EqSqpConfig,
+from rasqp.sqp_eq import (ETA, EqEvaluator, EqInnerContext, EqSqpConfig,
                           compute_step, inner_iteration, model_decrease,
                           trial_tau, update_tau)
 from rasqp.sqp_ineq import (RobustEvaluator, RobustInnerContext,
                             RobustSqpConfig, direction_step,
                             robust_inner_iteration, sigma_bounds,
-                            trial_tau_ineq, update_tau_ineq, violation_norms)
+                            trial_tau_ineq, update_tau_ineq)
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -251,7 +250,7 @@ def test_criterion_4_merit_line_search_invariants():
                 xt = ctx.x + alpha * step.d
                 ct, _ = ev.constraints(xt)
                 phi = tau * ev.value(xt) + np.linalg.norm(ct, 1)
-                if phi > phi0 - config.eta * alpha * dl + 1e-10:
+                if phi > phi0 - ETA * alpha * dl + 1e-10:
                     violations += 1
                 taus.append(tau)
             ctx = new_ctx

@@ -2,13 +2,12 @@
 config files, and the command-line entry points."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
-from rasqp.bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RunConfig,
-                         active_set, build_problem, cost_to_success, jaccard,
+from rasqp.bench import (METHODS, PROBLEMS, RunConfig, build_problem,
+                         cost_to_success, jaccard,
                          make_synthetic_dataset, method_driver_config,
                          performance_profile, profile_curve, read_trace_csv,
                          result_row, run_config, success_test, sweep,

@@ -1,18 +1,19 @@
 """Outer-loop driver: dual warm starts, termination rules, batch schedules,
-tolerance schedules, condition estimation, and full solves."""
+config validation, condition estimation, the shared inner loop, and full
+solves."""
 
 import numpy as np
 import pytest
 
+from rasqp.bench import RunConfig, run_config
 from rasqp.counters import Counters
-from rasqp.driver import (Budget, DriverConfig, SamplingRule, TerminationRule,
-                          adaptive_batch_size, default_termination,
-                          dual_initialize, epsilon_schedule,
+from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
+                          TerminationRule, _inner_loop, adaptive_batch_size,
+                          default_termination, dual_initialize,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
-from rasqp.errors import ConfigError
+from rasqp.errors import ConfigError, LineSearchFailure
 from rasqp.problems import build_augmented_problem
-from rasqp.sqp_eq import EqSqpConfig
 
 
 class TestDualInitialize:
@@ -103,7 +104,7 @@ class TestBatchSchedules:
         assert geometric_batch_size(50, rule, 100) == 100
 
     def test_geometric_expectation(self):
-        rule = SamplingRule(kind="geometric", beta_tilde=0.5, initial_size=32)
+        rule = SamplingRule(kind="geometric", beta=0.5, initial_size=32)
         assert geometric_batch_size(0, rule, None) == 32
         assert geometric_batch_size(1, rule, None, prev_size=32) == 128
 
@@ -113,27 +114,52 @@ class TestBatchSchedules:
 
     def test_invalid_sampling_config(self):
         with pytest.raises(ConfigError):
-            SamplingRule(beta_hat=1.0)
-        with pytest.raises(ConfigError):
             SamplingRule(beta=1.5)
         with pytest.raises(ConfigError):
             SamplingRule(initial_size=0)
 
 
-class TestEpsilonSchedule:
-    def test_fixed(self):
-        assert epsilon_schedule("fixed", 100.0, 4) == 1e-6
+class TestConfigValidation:
+    """Bad enum values fail when the config is built, before a solve spends
+    any gradient evaluations."""
 
-    def test_variance(self):
-        # omega = 1, var = 4, batch = 4 -> sqrt(4/4) = 1
-        assert epsilon_schedule("variance", 4.0, 4) == pytest.approx(1.0)
-
-    def test_variance_zero(self):
-        assert epsilon_schedule("variance", 0.0, 10) == 0.0
-
-    def test_unknown_mode(self):
+    def test_unknown_termination_kind(self):
         with pytest.raises(ConfigError):
-            epsilon_schedule("other", 1.0, 1)
+            TerminationRule(kind="bogus")
+
+    def test_unknown_sampling_kind(self):
+        with pytest.raises(ConfigError):
+            SamplingRule(kind="adaptiv")
+
+    def test_unknown_dual_mode(self):
+        with pytest.raises(ConfigError):
+            DriverConfig(dual_mode="warm")
+
+    @pytest.mark.parametrize("solver,kind", [("robust", "kkt"),
+                                             ("robust", "dl"),
+                                             ("equality", "robust_dnorm")])
+    def test_solver_rule_mismatch_before_any_evaluation(self, solver, kind):
+        calls = []
+
+        def constraints(x):
+            calls.append("constraints")
+            return np.array([x[0] - 1.0]), np.zeros(0)
+
+        def grad(x):
+            calls.append("gradient")
+            return 2.0 * x
+
+        prob = build_augmented_problem(
+            value_fn=lambda x: float(x @ x), grad_fn=grad,
+            constraint_eval=constraints,
+            jacobian_eval=lambda x: (np.array([[1.0]]), np.zeros((0, 1))),
+            m_E=1, m_I=0, x_init=np.zeros(1), noise_level=0.1)
+        config = DriverConfig(solver=solver,
+                              termination=TerminationRule(kind=kind))
+        with pytest.raises(ConfigError):
+            run(prob, config, Budget(max_gradient_evals=500),
+                np.random.default_rng(0))
+        assert calls == []
 
 
 def make_eq_quadratic(noise=0.5, n=4):
@@ -304,6 +330,78 @@ class TestRun:
         out = run(prob, config, Budget(max_gradient_evals=10 ** 6),
                   np.random.default_rng(5))
         assert out.status == "Converged"
+
+
+class TestInnerLoop:
+    """Every exit cause of the inner loop shared by both solvers."""
+
+    RULE = TerminationRule(kind="dnorm")
+
+    def test_line_search_failure(self):
+        def iterate(ctx, stop):
+            raise LineSearchFailure("stub")
+
+        out = _inner_loop(iterate, "ctx", self.RULE, Budget(), Counters())
+        assert out == ("ctx", 0, 0, "line_search_failure")
+
+    def test_inner_cap(self):
+        # alternately moving and not moving: only the moves count as updates
+        def iterate(ctx, stop):
+            assert not stop(1.0, 1.0)
+            return "updated", ctx + 1, ctx % 2 == 0
+
+        out = _inner_loop(iterate, 0, self.RULE, Budget(), Counters())
+        assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
+
+    def test_snapshot_is_first_value(self):
+        # only the first call's snapshot counts: stop fires once
+        # 10 - ctx <= 0.5 * 10 + 1e-6, although later snapshots would
+        # have fired it at ctx = 1
+        def iterate(ctx, stop):
+            if stop(10.0 - ctx, 10.0 + 10.0 * ctx):
+                return "terminated", ctx, False
+            return "updated", ctx + 1, True
+
+        out = _inner_loop(iterate, 0, self.RULE, Budget(), Counters())
+        assert out == (5, 5, 5, "terminated")
+
+    def test_budget(self):
+        def iterate(ctx, stop):
+            raise AssertionError("no iteration once the budget is spent")
+
+        out = _inner_loop(iterate, "ctx", self.RULE,
+                          Budget(max_gradient_evals=10),
+                          Counters(gradient_evals=10))
+        assert out == ("ctx", 0, 0, "budget")
+
+
+def _causes(problem, method, budget, **kw):
+    out = run_config(RunConfig(problem=problem, method=method, seed=0,
+                               max_gradient_evals=budget, **kw))
+    return out, [rec.term_cause for rec in out.trace[1:]]
+
+
+class TestTermCauses:
+    """Solves whose outer iterations end with each solver-reported cause."""
+
+    def test_robust_terminated_merit_collapse_budget(self):
+        out, causes = _causes("synth-logreg-ineq", "ra-sqp-linf", 60_000)
+        assert {"terminated", "merit_collapse", "budget"} <= set(causes)
+        assert causes[-1] == "budget"
+        assert out.status == "BudgetExhausted"
+
+    def test_robust_infeasible_stationary(self):
+        out, causes = _causes("infeasible-1d", "ra-sqp-linf", 10_000)
+        assert causes == ["infeasible_stationary"]
+        assert out.status == "InfeasibleStationary"
+
+    def test_equality_merit_collapse(self):
+        # the equality solver has no infeasibility test: the "dl" rule's
+        # merit parameter collapses at the first inner iteration
+        out, causes = _causes("infeasible-1d", "ra-sqp-dl", 10_000,
+                              max_outer=3)
+        assert causes == ["merit_collapse"] * 3
+        assert all(rec.inner_iterations == 0 for rec in out.trace[1:])
 
 
 class TestTrueMetrics:

@@ -4,7 +4,6 @@ oracles, and the KKT-residual metric."""
 import itertools
 
 import numpy as np
-import pytest
 
 from rasqp.counters import Counters
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program

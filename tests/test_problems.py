@@ -1,16 +1,14 @@
 """Dataset parsing, subsampled evaluation, sampling, and the concrete
 problem families."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rasqp.counters import Counters
 from rasqp.errors import ConfigError, ParseError
-from rasqp.problems import (Dataset, Expectation, FiniteSum, SampleSet,
-                            build_augmented_problem, build_logreg_problem,
+from rasqp.problems import (Dataset, SampleSet, build_augmented_problem,
+                            build_logreg_problem,
                             draw_samples, eval_constraints, eval_subsampled,
                             eval_subsampled_value, gradient_stats,
                             parse_libsvm, serialize_libsvm)

@@ -6,7 +6,7 @@ import pytest
 
 from rasqp.errors import LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel
-from rasqp.sqp_eq import (EqEvaluator, EqInnerContext, EqSqpConfig,
+from rasqp.sqp_eq import (TAU_BAR, EqEvaluator, EqInnerContext, EqSqpConfig,
                           armijo_backtrack, compute_step, inner_iteration,
                           model_decrease, trial_tau, update_tau)
 
@@ -152,7 +152,7 @@ def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
     c, J = evaluator.constraints(x0)
     hess = LbfgsModel(dim=x0.size, capacity=20) if use_lbfgs else None
     ctx = EqInnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c=c, J=J,
-                         tau_prev=config.tau_init, hessian=hess)
+                         tau_prev=TAU_BAR, hessian=hess)
     history = []
     for _ in range(iters):
         new_ctx, step, alpha = inner_iteration(ctx, config, evaluator)

@@ -190,7 +190,7 @@ class TestRobustInnerIteration:
         ctx = make_robust_ctx(ev, rng.standard_normal(4))
         out = robust_inner_iteration(ctx, RobustSqpConfig(), ev,
                                      termination_check=lambda dn: True)
-        assert out.kind == "termination"
+        assert out.kind == "terminated"
         assert out.ctx is ctx  # no update happened
         assert out.step is not None
 
@@ -269,7 +269,7 @@ class TestRobustInnerIteration:
                 break
             ctx = out.ctx
         _, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
-        assert out.kind == "termination"
+        assert out.kind == "terminated"
         assert v_l1 <= 1e-5
 
     def test_step_nonexpansive_in_gradient(self):
