@@ -68,40 +68,33 @@ def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
         return Q @ x
 
     def sampler(gen, count):
-        return tuple(gen.uniform(-noise, noise, size=count))
+        return gen.uniform(-noise, noise, size=count)
 
-    def batch_stats(x, samples):
-        xi = np.fromiter(samples, dtype=float, count=len(samples))
-        cnt = len(samples)
-        v, g = f(x), gf(x)
-        gg = float(g @ g)
-        vsum = v * float(np.sum(1.0 + xi))
-        gsum = g * float(np.sum(1.0 + xi))
-        sqsum = gg * float(np.sum((1.0 + xi) ** 2))
-        return vsum, gsum, sqsum
+    def sums(x, xi, order):
+        w = 1.0 + xi
+        total = float(np.sum(w))
+        if order == 0:
+            return (f(x) * total,)
+        g = gf(x)
+        if order == 1:
+            return f(x) * total, g * total
+        return f(x) * total, g * total, float(g @ g) * float(np.sum(w ** 2))
 
     return ProblemSpec(
-        n=n, m_E=m, m_I=0, mode=Expectation(sampler),
-        objective_eval=lambda x, xi: (1.0 + xi) * f(x),
-        gradient_eval=lambda x, xi: (1.0 + xi) * gf(x),
+        n=n, m_E=m, m_I=0, mode=Expectation(sampler), sums=sums,
         constraint_eval=lambda x: (J @ x - b, np.zeros(0)),
         jacobian_eval=lambda x: (J, np.zeros((0, n))),
-        x_init=np.ones(n),
-        batch_eval=lambda x, s: batch_stats(x, s)[:2],
-        batch_stats=batch_stats,
-        true_value=f, true_gradient=gf, name="synth-eq-quad")
+        x_init=np.ones(n), true_value=f, true_gradient=gf,
+        name="synth-eq-quad")
 
 
 def make_infeasible_1d() -> ProblemSpec:
     """1-D problem whose two equality constraints x = 0 and x = 1 cannot be
     met; the constant objective makes every point penalty-stationary."""
-    def sampler(gen, count):
-        return tuple(0.0 for _ in range(count))
-
     return ProblemSpec(
-        n=1, m_E=2, m_I=0, mode=Expectation(sampler),
-        objective_eval=lambda x, xi: 0.0,
-        gradient_eval=lambda x, xi: np.zeros(1),
+        n=1, m_E=2, m_I=0,
+        mode=Expectation(lambda gen, count: np.zeros(count)),
+        sums=lambda x, items, order: (0.0, np.zeros(1), 0.0)[:order + 1],
         constraint_eval=lambda x: (np.array([x[0], x[0] - 1.0]), np.zeros(0)),
         jacobian_eval=lambda x: (np.array([[1.0], [1.0]]), np.zeros((0, 1))),
         x_init=np.array([0.3]),

@@ -284,19 +284,22 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
 def _eq_progress(ctx: EqInnerContext, config: DriverConfig,
                  counters: Counters):
     """The equality rule's progress measure at ctx: (current value, value
-    to snapshot at the first inner iteration, KKT step or None). The step is
-    solved here only when the measure needs it; "dl" raises MeritCollapse
-    when the merit parameter would collapse."""
+    to snapshot at the first inner iteration, KKT step or None, merit plan
+    (tau, model decrease) or None). The step is solved here only when the
+    measure needs it, and the plan only for "dl", which raises MeritCollapse
+    when the merit parameter would collapse; the inner iteration reuses
+    both."""
     kind = config.termination.kind
     if kind == "kkt":
         current = float(np.linalg.norm(ctx.kkt_vector()))
-        return current, current, None
+        return current, current, None, None
     step = compute_step(ctx, config.eq, counters)
     dnorm = float(np.linalg.norm(step.d))
     if kind == "dnorm":
-        return dnorm, dnorm, step
-    _, dl = merit_plan(ctx, step)
-    return dl, min(dl, KAPPA_D * dnorm * dnorm), step
+        return dnorm, dnorm, step, None
+    plan = merit_plan(ctx, step)
+    dl = plan[1]
+    return dl, min(dl, KAPPA_D * dnorm * dnorm), step, plan
 
 
 # ------------------------------------------------------------------
@@ -310,7 +313,7 @@ def true_gradient_at(problem: ProblemSpec, x: np.ndarray) -> tuple:
     if problem.true_gradient is not None:
         return problem.true_gradient(x), False
     if isinstance(problem.mode, FiniteSum):
-        full = SampleSet(tuple(range(problem.mode.dataset_size)))
+        full = SampleSet(np.arange(problem.mode.dataset_size))
         _, g = eval_subsampled(problem, x, full, counters=None)
         return g, False
     rng = np.random.default_rng(987654321)
@@ -411,14 +414,14 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                          superset_of=None if estimate is None
                          else estimate.fresh_set)
 
-        # subsampled objective at the warm-start point, reusing fresh-set sums
-        if estimate is not None and S.items[:estimate.fresh_set.size] \
-                == estimate.fresh_set.items:
+        # subsampled objective at the warm-start point, reusing the sums
+        # over the fresh set, which draw_samples kept as the prefix of S
+        if estimate is not None:
             tail = S.items[estimate.fresh_set.size:]
-            if tail:
+            if tail.size:
                 t_v, t_g = _sums_over(problem, x, tail)
-                counters.gradient_evals += len(tail)
-                counters.function_evals += len(tail)
+                counters.gradient_evals += tail.size
+                counters.function_evals += tail.size
             else:
                 t_v, t_g = 0.0, np.zeros(problem.n)
             F_S = (estimate.value_sum + t_v) / S.size
@@ -527,11 +530,11 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         value, value_grad, lambda xt: eval_constraints(problem, xt)[::2])
 
     def iterate(ctx, stop):
-        current, first, step = _eq_progress(ctx, config, counters)
+        current, first, step, plan = _eq_progress(ctx, config, counters)
         if stop(current, first):
             return "terminated", ctx, False
         ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator, counters,
-                                        step=step)
+                                        step=step, plan=plan)
         return "updated", ctx, alpha > 0.0
 
     lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)

@@ -9,7 +9,7 @@ constraints. Constraint evaluators are always deterministic functions of x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,23 +29,27 @@ class FiniteSum:
 
 @dataclass(frozen=True)
 class Expectation:
-    # sampler(rng, count) -> sequence of noise realizations
-    sampler: Callable[[np.random.Generator, int], Sequence]
+    # sampler(rng, count) -> 1-D float64 ndarray of noise realizations
+    sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass
 class SampleSet:
-    """An ordered, immutable-by-convention collection of samples.
+    """An ordered, immutable-by-convention 1-D array of samples.
 
-    For finite-sum problems the items are dataset row ids; for expectation
-    problems they are the drawn noise realizations themselves, so that
-    re-evaluating over the same SampleSet is deterministic.
+    For finite-sum problems the items are int64 dataset row ids; for
+    expectation problems they are the drawn float64 noise realizations
+    themselves, so that re-evaluating over the same SampleSet is
+    deterministic.
     """
-    items: tuple
+    items: np.ndarray
+
+    def __post_init__(self):
+        self.items = np.asarray(self.items)
 
     @property
     def size(self) -> int:
-        return len(self.items)
+        return self.items.size
 
 
 @dataclass
@@ -54,16 +58,13 @@ class ProblemSpec:
     m_E: int
     m_I: int
     mode: FiniteSum | Expectation
-    objective_eval: Callable  # (x, sample) -> float
-    gradient_eval: Callable   # (x, sample) -> (n,) array
+    # sums(x, items, order) over the samples `items` (a 1-D ndarray):
+    # order 0 -> (value sum,), 1 -> (value sum, gradient sum),
+    # 2 -> (value sum, gradient sum, sum of squared per-sample gradient norms)
+    sums: Callable
     constraint_eval: Callable  # x -> (c_E, c_I)
     jacobian_eval: Callable    # x -> (J_E, J_I)
     x_init: np.ndarray
-    # optional vectorized path: (x, samples) -> (sum of values, sum of gradients)
-    batch_eval: Optional[Callable] = None
-    # optional richer path: (x, samples) -> (value sum, gradient sum,
-    # sum of squared per-sample gradient norms), used by variance estimates
-    batch_stats: Optional[Callable] = None
     # analytically known noiseless objective/gradient, when available
     true_value: Optional[Callable] = None
     true_gradient: Optional[Callable] = None
@@ -74,43 +75,23 @@ class ProblemSpec:
 # subsampled evaluation
 # ------------------------------------------------------------------
 
-def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: Sequence):
+def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray):
     """Sum of per-sample objective values and gradients over `samples`."""
-    if problem.batch_eval is not None:
-        return problem.batch_eval(x, samples)
-    vsum = 0.0
-    gsum = np.zeros(problem.n)
-    for xi in samples:
-        v = problem.objective_eval(x, xi)
-        g = problem.gradient_eval(x, xi)
-        if not (np.isfinite(v) and np.all(np.isfinite(g))):
-            raise NumericalFailure(f"non-finite objective/gradient at sample {xi!r}")
-        vsum += v
-        gsum += g
-    return vsum, gsum
+    return problem.sums(x, samples, 1)
 
 
-def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: Sequence,
+def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
                    counters: Optional[Counters] = None):
     """Per-sample gradient statistics over `samples`: (value sum, gradient
     sum, sum of squared gradient norms). Counts one gradient evaluation per
     sample."""
-    if problem.batch_stats is not None:
-        vsum, gsum, sqsum = problem.batch_stats(x, samples)
-    else:
-        vsum, sqsum = 0.0, 0.0
-        gsum = np.zeros(problem.n)
-        for xi in samples:
-            vsum += problem.objective_eval(x, xi)
-            g = problem.gradient_eval(x, xi)
-            gsum += g
-            sqsum += float(g @ g)
+    vsum, gsum, sqsum = problem.sums(x, samples, 2)
     if not (np.isfinite(vsum) and np.all(np.isfinite(gsum))
             and np.isfinite(sqsum)):
         raise NumericalFailure("non-finite gradient statistics")
     if counters is not None:
-        counters.gradient_evals += len(samples)
-        counters.function_evals += len(samples)
+        counters.gradient_evals += samples.size
+        counters.function_evals += samples.size
     return vsum, gsum, sqsum
 
 
@@ -136,12 +117,7 @@ def eval_subsampled(problem: ProblemSpec, x: np.ndarray, S: SampleSet,
 def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray, S: SampleSet,
                           counters: Optional[Counters] = None) -> float:
     """Sample-average objective only (used by line searches; no gradient cost)."""
-    if problem.batch_eval is not None:
-        vsum, _ = problem.batch_eval(x, S.items)
-    else:
-        vsum = 0.0
-        for xi in S.items:
-            vsum += problem.objective_eval(x, xi)
+    (vsum,) = problem.sums(x, S.items, 0)
     if not np.isfinite(vsum):
         raise NumericalFailure("non-finite subsampled objective")
     if counters is not None:
@@ -167,25 +143,31 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
 
 def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
                  superset_of: Optional[SampleSet] = None) -> SampleSet:
-    """Draw a sample set, optionally containing a previous one as a prefix."""
-    base = superset_of.items if superset_of is not None else ()
-    if size < len(base):
+    """Draw a sample set, optionally containing a previous one as a prefix.
+
+    Finite-sum draws pick, without replacement, from the sorted row ids not
+    in the prefix; expectation draws call the sampler once for the rest.
+    """
+    n_base = 0 if superset_of is None else superset_of.size
+    if size < n_base:
         raise ConfigError("requested size smaller than the set to contain")
-    if isinstance(problem.mode, FiniteSum):
-        total = problem.mode.dataset_size
-        if size > total:
-            raise ConfigError(f"size {size} exceeds dataset size {total}")
-        if size == len(base):
-            return superset_of
-        taken = set(base)
-        pool = np.array([i for i in range(total) if i not in taken])
-        extra = rng.choice(pool, size=size - len(base), replace=False)
-        return SampleSet(tuple(base) + tuple(int(i) for i in extra))
+    finite = isinstance(problem.mode, FiniteSum)
+    if finite and size > problem.mode.dataset_size:
+        raise ConfigError(f"size {size} exceeds dataset size "
+                          f"{problem.mode.dataset_size}")
+    if superset_of is not None and size == n_base:
+        return superset_of
+    if finite:
+        free = np.ones(problem.mode.dataset_size, dtype=bool)
+        if superset_of is not None:
+            free[superset_of.items] = False
+        extra = rng.choice(np.flatnonzero(free), size=size - n_base,
+                           replace=False)
     else:
-        if size == len(base):
-            return superset_of
-        extra = tuple(problem.mode.sampler(rng, size - len(base)))
-        return SampleSet(tuple(base) + extra)
+        extra = np.asarray(problem.mode.sampler(rng, size - n_base))
+    if superset_of is None:
+        return SampleSet(extra)
+    return SampleSet(np.concatenate([superset_of.items, extra]))
 
 
 # ------------------------------------------------------------------
@@ -324,57 +306,26 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     X = dataset.to_csr()
     labels = dataset.labels
 
-    def per_sample_scores(x, i):
-        W = x.reshape(K, nf)
-        yi = X[i].toarray().ravel()
-        return W @ yi, yi
-
-    def objective_eval(x, i):
-        a, _ = per_sample_scores(x, i)
+    def sums(x, items, order):
+        Xs = X[items]
+        A = Xs @ x.reshape(K, nf).T       # (|S|, K) scores
+        lab = labels[items]
+        a_lab = A[np.arange(items.size), lab]
         # one-hot label: only the labelled class contributes
-        return float(np.logaddexp(0.0, -a[labels[i]]))
-
-    def gradient_eval(x, i):
-        a, yi = per_sample_scores(x, i)
-        g = np.zeros((K, nf))
-        k = labels[i]
-        g[k] = (_sigmoid(a[k:k + 1])[0] - 1.0) * yi
-        return g.ravel()
-
-    def batch_eval(x, samples):
-        idx = np.fromiter(samples, dtype=np.int64, count=len(samples))
-        Xs = X[idx]
-        W = x.reshape(K, nf)
-        A = Xs @ W.T                      # (|S|, K) scores
-        lab = labels[idx]
-        a_lab = A[np.arange(len(idx)), lab]
         vsum = float(np.sum(np.logaddexp(0.0, -a_lab)))
+        if order == 0:
+            return (vsum,)
         coef = _sigmoid(a_lab) - 1.0      # (|S|,)
         gsum = np.zeros((K, nf))
         for k in range(K):
             mask = lab == k
             if np.any(mask):
                 gsum[k] = (Xs[mask].T @ coef[mask])
-        return vsum, gsum.ravel()
-
-    def batch_stats(x, samples):
-        idx = np.fromiter(samples, dtype=np.int64, count=len(samples))
-        Xs = X[idx]
-        W = x.reshape(K, nf)
-        A = Xs @ W.T
-        lab = labels[idx]
-        a_lab = A[np.arange(len(idx)), lab]
-        vsum = float(np.sum(np.logaddexp(0.0, -a_lab)))
-        coef = _sigmoid(a_lab) - 1.0
-        gsum = np.zeros((K, nf))
-        for k in range(K):
-            mask = lab == k
-            if np.any(mask):
-                gsum[k] = (Xs[mask].T @ coef[mask])
+        if order == 1:
+            return vsum, gsum.ravel()
         # each per-sample gradient lives in one class block: coef_i * row_i
         row_sq = np.asarray(Xs.multiply(Xs).sum(axis=1)).ravel()
-        sqsum = float(np.sum(coef * coef * row_sq))
-        return vsum, gsum.ravel(), sqsum
+        return vsum, gsum.ravel(), float(np.sum(coef * coef * row_sq))
 
     m = K
 
@@ -397,24 +348,21 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     m_E = m if constraint_kind == "equality" else 0
     m_I = m if constraint_kind == "inequality" else 0
 
-    full = SampleSet(tuple(range(len(dataset))))
+    full = np.arange(len(dataset))
 
     def true_value(x):
-        vsum, _ = batch_eval(x, full.items)
-        return vsum / len(dataset)
+        return sums(x, full, 0)[0] / len(dataset)
 
     def true_gradient(x):
-        _, gsum = batch_eval(x, full.items)
-        return gsum / len(dataset)
+        return sums(x, full, 1)[1] / len(dataset)
 
     return ProblemSpec(
         n=n, m_E=m_E, m_I=m_I, mode=FiniteSum(len(dataset)),
-        objective_eval=objective_eval, gradient_eval=gradient_eval,
-        constraint_eval=constraint_eval, jacobian_eval=jacobian_eval,
+        sums=sums, constraint_eval=constraint_eval,
+        jacobian_eval=jacobian_eval,
         # start on the constraint boundary: a zero start would zero out the
         # norm-constraint Jacobian and leave the solver without a direction
         x_init=np.full(n, 1.0 / np.sqrt(nf)),
-        batch_eval=batch_eval, batch_stats=batch_stats,
         true_value=true_value, true_gradient=true_gradient,
         name=f"logreg-{constraint_kind}")
 
@@ -435,40 +383,26 @@ def build_augmented_problem(value_fn, grad_fn, constraint_eval, jacobian_eval,
     shift = x_init + np.ones(n)
 
     def sampler(rng, count):
-        return tuple(rng.uniform(-noise_level, noise_level, size=count))
+        return rng.uniform(-noise_level, noise_level, size=count)
 
-    def objective_eval(x, xi):
+    def sums(x, xi, order):
         d = x - shift
-        return value_fn(x) + xi * float(d @ d)
-
-    def gradient_eval(x, xi):
-        return grad_fn(x) + 2.0 * xi * (x - shift)
-
-    def batch_eval(x, samples):
-        d = x - shift
-        dd = float(d @ d)
-        s = float(np.sum(np.fromiter(samples, dtype=float, count=len(samples))))
-        m = len(samples)
-        vsum = m * value_fn(x) + s * dd
-        gsum = m * grad_fn(x) + 2.0 * s * d
-        return vsum, gsum
-
-    def batch_stats(x, samples):
-        d = x - shift
-        xi = np.fromiter(samples, dtype=float, count=len(samples))
-        m = len(samples)
+        m = xi.size
+        s = float(np.sum(xi))
+        vsum = m * value_fn(x) + s * float(d @ d)
+        if order == 0:
+            return (vsum,)
         g0 = grad_fn(x)
-        vsum = m * value_fn(x) + float(np.sum(xi)) * float(d @ d)
-        gsum = m * g0 + 2.0 * float(np.sum(xi)) * d
+        gsum = m * g0 + 2.0 * s * d
+        if order == 1:
+            return vsum, gsum
         # ||g0 + 2 xi d||^2 expanded over the sample vector xi
         sqsum = (m * float(g0 @ g0)
-                 + 4.0 * float(np.sum(xi)) * float(g0 @ d)
+                 + 4.0 * s * float(g0 @ d)
                  + 4.0 * float(np.sum(xi * xi)) * float(d @ d))
         return vsum, gsum, sqsum
 
     return ProblemSpec(
-        n=n, m_E=m_E, m_I=m_I, mode=Expectation(sampler),
-        objective_eval=objective_eval, gradient_eval=gradient_eval,
+        n=n, m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,
         constraint_eval=constraint_eval, jacobian_eval=jacobian_eval,
-        x_init=x_init, batch_eval=batch_eval, batch_stats=batch_stats,
-        true_value=value_fn, true_gradient=grad_fn, name=name)
+        x_init=x_init, true_value=value_fn, true_gradient=grad_fn, name=name)

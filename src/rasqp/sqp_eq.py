@@ -201,12 +201,14 @@ class EqEvaluator:
 def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
                     evaluator: EqEvaluator,
                     counters: Optional[Counters] = None,
-                    step: Optional[EqStepResult] = None):
+                    step: Optional[EqStepResult] = None,
+                    plan: Optional[tuple] = None):
     """One SQP inner iteration: step, merit update, Armijo line search,
     primal/dual update, quasi-Newton update.
 
     Returns (new_ctx, step_result, alpha). `step` may be passed in when the
-    caller already solved the KKT system for a termination probe.
+    caller already solved the KKT system for a termination probe, and
+    `plan` when it already took merit_plan(ctx, step).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.
@@ -218,7 +220,7 @@ def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
     if np.linalg.norm(d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
         return ctx, step, 0.0
 
-    tau, delta_l = merit_plan(ctx, step)
+    tau, delta_l = merit_plan(ctx, step) if plan is None else plan
     phi0 = tau * ctx.F_S + float(np.linalg.norm(ctx.c, 1))
 
     def merit_eval(alpha):

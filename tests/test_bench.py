@@ -200,6 +200,35 @@ class TestSweep:
         assert results[1][3] is not None and results[1][1] is None
 
 
+# (status, gradient evals, MINRES iterations, barrier iterations, batch size
+# of each outer iteration) of four short solves, recorded from the code they
+# guard. Work counters are the solver's cost measure and repeat exactly for
+# a seed, so a change to the arithmetic or to the sample stream moves them.
+WORK_COUNTERS = [
+    (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
+               sampling="geometric", max_outer=4),
+     ("BudgetExhausted", 21536, 308, 0, (32, 128, 512, 2048))),
+    (RunConfig(problem="synth-logreg-eq", method="ra-sqp-dl-lbfgs",
+               max_gradient_evals=30000),
+     ("BudgetExhausted", 32134, 574, 0, (32, 125, 625, 3125))),
+    (RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
+               max_gradient_evals=30000),
+     ("BudgetExhausted", 32730, 0, 433,
+      (32, 33, 72, 155, 404, 1241, 1682, 5000))),
+    (RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
+     ("InfeasibleStationary", 64, 0, 15, (32,))),
+]
+
+
+@pytest.mark.parametrize("config,expected", WORK_COUNTERS,
+                         ids=[c.problem for c, _ in WORK_COUNTERS])
+def test_work_counters_unchanged(config, expected):
+    out = run_config(config)
+    c = out.counters
+    assert (out.status, c.gradient_evals, c.minres_iters, c.barrier_iters,
+            tuple(r.batch_size for r in out.trace[1:])) == expected
+
+
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):
         p = tmp_path / "cfg"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rasqp.bench import make_infeasible_1d, make_noisy_quadratic
 from rasqp.counters import Counters
 from rasqp.errors import ConfigError, ParseError
 from rasqp.problems import (Dataset, SampleSet, build_augmented_problem,
@@ -82,51 +83,111 @@ def make_quadratic_problem(noise=0.5):
         m_E=1, m_I=0, x_init=np.zeros(n), noise_level=noise)
 
 
+# Per-sample reference functions: (value(x, sample), gradient(x, sample)).
+# `sums` must agree with a loop over these.
+
+def logreg_reference(dataset):
+    """logaddexp(0, -w_y . x_i), with its gradient in class block y."""
+    X = dataset.to_csr().toarray()
+    nf, K = dataset.n_features, dataset.n_classes
+
+    def value(x, i):
+        y = dataset.labels[i]
+        return float(np.logaddexp(0.0, -(x.reshape(K, nf)[y] @ X[i])))
+
+    def gradient(x, i):
+        y = dataset.labels[i]
+        a = x.reshape(K, nf)[y] @ X[i]
+        g = np.zeros((K, nf))
+        g[y] = -X[i] / (1.0 + np.exp(a))  # (sigmoid(a) - 1) x_i
+        return g.ravel()
+    return value, gradient
+
+
+def augmented_reference(value_fn, grad_fn, x_init):
+    """f(x) + xi ||x - shift||^2 with shift = x_init + 1."""
+    shift = x_init + 1.0
+    return (lambda x, xi: value_fn(x) + xi * float((x - shift) @ (x - shift)),
+            lambda x, xi: grad_fn(x) + 2.0 * xi * (x - shift))
+
+
+def _sums_cases():
+    ds = _tiny_dataset()
+    aug = make_quadratic_problem()
+    quad = make_noisy_quadratic()
+    f, gf = quad.true_value, quad.true_gradient
+    return {
+        "logreg": (build_logreg_problem(ds, "equality"),
+                   logreg_reference(ds), np.array([0, 2, 5, 11, 2])),
+        "augmented": (aug, augmented_reference(lambda x: float(x @ x),
+                                               lambda x: 2.0 * x,
+                                               np.zeros(3)),
+                      np.array([0.3, -0.1, 0.05])),
+        "synth-eq-quad": (quad, (lambda x, xi: (1.0 + xi) * f(x),
+                                 lambda x, xi: (1.0 + xi) * gf(x)),
+                          np.array([0.004, -0.009, 0.0, 0.01])),
+        "infeasible-1d": (make_infeasible_1d(),
+                          (lambda x, xi: 0.0, lambda x, xi: np.zeros(1)),
+                          np.zeros(3)),
+    }
+
+
 class TestEvaluation:
     def test_counts_gradient_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        S = SampleSet((0.1, -0.2, 0.0))
+        S = SampleSet(np.array([0.1, -0.2, 0.0]))
         eval_subsampled(prob, np.ones(3), S, ct)
         assert ct.gradient_evals == 3
 
     def test_value_only_counts_function_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        eval_subsampled_value(prob, np.ones(3), SampleSet((0.1, 0.2)), ct)
+        eval_subsampled_value(prob, np.ones(3), SampleSet(np.array([0.1, 0.2])),
+                              ct)
         assert ct.gradient_evals == 0
         assert ct.function_evals == 2
 
     def test_zero_noise_matches_true(self):
         prob = make_quadratic_problem(noise=0.0)
         x = np.array([1.0, 2.0, 3.0])
-        v, g = eval_subsampled(prob, x, SampleSet((0.0, 0.0)), None)
+        v, g = eval_subsampled(prob, x, SampleSet(np.zeros(2)), None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x))
 
-    def test_batch_eval_matches_loop(self):
-        prob = make_quadratic_problem()
-        x = np.array([0.5, -1.0, 2.0])
-        samples = (0.3, -0.1, 0.05)
-        vsum = sum(prob.objective_eval(x, s) for s in samples)
-        gsum = sum(prob.gradient_eval(x, s) for s in samples)
-        bv, bg = prob.batch_eval(x, samples)
-        assert bv == pytest.approx(vsum)
-        np.testing.assert_allclose(bg, gsum, atol=1e-12)
+    @pytest.mark.parametrize("case", ["logreg", "augmented", "synth-eq-quad",
+                                      "infeasible-1d"])
+    def test_sums_match_reference_loop(self, case):
+        prob, (value, gradient), items = _sums_cases()[case]
+        x = np.random.default_rng(2).standard_normal(prob.n)
+        vsum = sum(value(x, s) for s in items)
+        grads = [gradient(x, s) for s in items]
+        gsum = np.sum(grads, axis=0)
+        sq = sum(float(g @ g) for g in grads)
+        out0, out1, out2 = (prob.sums(x, items, k) for k in (0, 1, 2))
+        assert (len(out0), len(out1), len(out2)) == (1, 2, 3)
+        for out in (out0, out1, out2):
+            assert out[0] == pytest.approx(vsum, rel=1e-12, abs=1e-12)
+        for out in (out1, out2):
+            np.testing.assert_allclose(out[1], gsum, rtol=1e-12, atol=1e-12)
+        assert out2[2] == pytest.approx(sq, rel=1e-12, abs=1e-12)
 
     def test_gradient_stats_matches_loop(self):
         prob = make_quadratic_problem()
+        _, gradient = augmented_reference(lambda x: float(x @ x),
+                                          lambda x: 2.0 * x, np.zeros(3))
         x = np.array([0.5, -1.0, 2.0])
-        samples = (0.3, -0.1, 0.05)
-        sq = sum(float(prob.gradient_eval(x, s) @ prob.gradient_eval(x, s))
-                 for s in samples)
-        _, _, sqsum = gradient_stats(prob, x, samples)
+        samples = np.array([0.3, -0.1, 0.05])
+        sq = sum(float(gradient(x, s) @ gradient(x, s)) for s in samples)
+        ct = Counters()
+        _, _, sqsum = gradient_stats(prob, x, samples, ct)
         assert sqsum == pytest.approx(sq)
+        assert ct.gradient_evals == 3
 
     def test_empty_sample_set_rejected(self):
         prob = make_quadratic_problem()
         with pytest.raises(ConfigError):
-            eval_subsampled(prob, np.zeros(3), SampleSet(()), None)
+            eval_subsampled(prob, np.zeros(3), SampleSet(np.zeros(0)), None)
 
 
 class TestDrawSamples:
@@ -141,8 +202,27 @@ class TestDrawSamples:
         rng = np.random.default_rng(0)
         S0 = draw_samples(prob, 4, rng)
         S1 = draw_samples(prob, 9, rng, superset_of=S0)
-        assert S1.items[:4] == S0.items
+        assert np.array_equal(S1.items[:4], S0.items)
         assert len(set(S1.items)) == 9
+
+    def test_finite_sum_rng_stream(self):
+        # the exact draws: a change to how the pool is built or sampled
+        # changes every trace that follows
+        prob = build_logreg_problem(_tiny_dataset(), "equality")
+        rng = np.random.default_rng(0)
+        S0 = draw_samples(prob, 4, rng)
+        S1 = draw_samples(prob, 9, rng, superset_of=S0)
+        assert S0.items.dtype == np.int64
+        assert S0.items.tolist() == [3, 5, 7, 6]
+        assert S1.items.tolist() == [3, 5, 7, 6, 0, 8, 10, 11, 9]
+
+    def test_expectation_rng_stream(self):
+        S = draw_samples(make_quadratic_problem(), 5,
+                         np.random.default_rng(3))
+        assert S.items.dtype == np.float64
+        assert S.items.tolist() == [
+            -0.41435083285637564, -0.2631894934039003, 0.3012744652063969,
+            0.08216203606436778, -0.4058713577596008]
 
     def test_oversized_request_rejected(self):
         prob = build_logreg_problem(_tiny_dataset(), "equality")
@@ -184,30 +264,15 @@ class TestLogreg:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(prob.n)
         for i in (0, 3, 7):
-            g = prob.gradient_eval(x, i)
+            row = np.array([i])
+            g = prob.sums(x, row, 1)[1]
             h = 1e-6
             for j in range(0, prob.n, 3):
                 e = np.zeros(prob.n)
                 e[j] = h
-                fd = (prob.objective_eval(x + e, i)
-                      - prob.objective_eval(x - e, i)) / (2 * h)
+                fd = (prob.sums(x + e, row, 0)[0]
+                      - prob.sums(x - e, row, 0)[0]) / (2 * h)
                 assert g[j] == pytest.approx(fd, abs=1e-5)
-
-    def test_batch_eval_matches_per_sample(self):
-        prob = build_logreg_problem(_tiny_dataset(), "equality")
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(prob.n)
-        samples = (0, 2, 5, 11)
-        vsum = sum(prob.objective_eval(x, i) for i in samples)
-        gsum = sum(prob.gradient_eval(x, i) for i in samples)
-        bv, bg = prob.batch_eval(x, samples)
-        assert bv == pytest.approx(vsum)
-        np.testing.assert_allclose(bg, gsum, atol=1e-10)
-        bv2, bg2, sq = prob.batch_stats(x, samples)
-        assert bv2 == pytest.approx(vsum)
-        sq_loop = sum(float(prob.gradient_eval(x, i) @ prob.gradient_eval(x, i))
-                      for i in samples)
-        assert sq == pytest.approx(sq_loop)
 
     def test_constraints_per_class_norm(self):
         ds = _tiny_dataset()
@@ -235,15 +300,16 @@ class TestLogreg:
         k = int(ds.labels[0])
         x_good = np.zeros(prob.n)
         x_good[k * nf:(k + 1) * nf] = ds.to_csr()[0].toarray().ravel()
-        assert prob.objective_eval(x_good, 0) < prob.objective_eval(
-            np.zeros(prob.n), 0)
+        row = np.array([0])
+        assert prob.sums(x_good, row, 0)[0] < prob.sums(np.zeros(prob.n),
+                                                        row, 0)[0]
 
 
 class TestAugmented:
     def test_noise_averages_out(self):
         prob = make_quadratic_problem(noise=0.1)
         x = np.array([1.0, -2.0, 0.5])
-        xi_pairs = (0.07, -0.07)
+        xi_pairs = np.array([0.07, -0.07])
         v, g = eval_subsampled(prob, x, SampleSet(xi_pairs), None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x), atol=1e-12)
