@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -40,15 +39,10 @@ def make_synthetic_dataset(n_samples: int = 5000, n_features: int = 10,
     n_features counts the appended constant bias feature."""
     rng = np.random.default_rng(data_seed)
     raw = n_features - 1
-    rows, labels = [], []
-    for i in range(n_samples):
-        k = i % n_classes
-        v = rng.standard_normal(raw)
-        v[k % raw] += 2.0
-        rows.append([(j, float(v[j])) for j in range(raw)] + [(raw, 1.0)])
-        labels.append(k)
-    return Dataset(rows=rows, labels=np.array(labels, dtype=np.int64),
-                   n_features=n_features, n_classes=n_classes)
+    labels = np.arange(n_samples) % n_classes
+    V = rng.standard_normal((n_samples, raw))
+    V[np.arange(n_samples), labels % raw] += 2.0
+    return Dataset.from_dense(V, labels, n_classes)
 
 
 def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
@@ -386,11 +380,9 @@ def _run_one(config: RunConfig):
         return config, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(configs, workers: Optional[int] = None):
-    """Run a list of RunConfigs, optionally in a process pool sized by the
-    RA_SQP_THREADS environment variable, collecting result rows serially."""
-    if workers is None:
-        workers = int(os.environ.get("RA_SQP_THREADS", "1"))
+def sweep(configs, workers: int = 1):
+    """Run a list of RunConfigs, in a process pool of `workers` processes
+    when more than one, collecting result rows serially."""
     results = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

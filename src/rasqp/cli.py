@@ -189,7 +189,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", help="e.g. 0-9 or 1,2,5")
     p_sweep.add_argument("--out", default="results.csv")
     p_sweep.add_argument("--trace-dir", dest="trace_dir")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profile", help="Dolan-More performance profile")

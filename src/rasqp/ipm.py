@@ -25,22 +25,14 @@ _FRACTION = 0.995     # fraction-to-boundary
 
 @dataclass
 class ConvexProgram:
-    """min 1/2 x'Hx + g'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,
-    lower <= x <= upper. H is symmetric PSD (None or zeros for an LP)."""
+    """min 1/2 x'Hx + g'x  s.t.  A_in x <= b_in,  lower <= x <= upper.
+    H is symmetric PSD (None or zeros for an LP)."""
     g: np.ndarray
     H: Optional[np.ndarray] = None
-    A_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
     A_in: Optional[np.ndarray] = None
     b_in: Optional[np.ndarray] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-
-    def dims(self):
-        n = len(self.g)
-        p = 0 if self.A_eq is None else np.atleast_2d(self.A_eq).shape[0]
-        q = 0 if self.A_in is None else np.atleast_2d(self.A_in).shape[0]
-        return n, p, q
 
 
 @dataclass
@@ -52,36 +44,28 @@ class ProgramSolution:
 
 
 def _assemble(prog: ConvexProgram):
-    """Fold bounds into inequality rows; return (H, g, A, b, C, d)."""
-    n, p, q = prog.dims()
+    """Fold bounds into inequality rows; return (H, g, C, d)."""
     g = np.asarray(prog.g, dtype=float)
+    n = len(g)
     H = np.zeros((n, n)) if prog.H is None else np.asarray(prog.H, dtype=float)
-    A = np.zeros((p, n)) if p == 0 else np.atleast_2d(np.asarray(prog.A_eq, float))
-    b = np.zeros(p) if p == 0 else np.atleast_1d(np.asarray(prog.b_eq, float))
 
     rows, rhs = [], []
-    if q:
+    if prog.A_in is not None:
         rows.append(np.atleast_2d(np.asarray(prog.A_in, float)))
         rhs.append(np.atleast_1d(np.asarray(prog.b_in, float)))
-    if prog.lower is not None:
-        lo = np.asarray(prog.lower, dtype=float)
-        idx = np.where(np.isfinite(lo))[0]
+    for bound, sign in ((prog.lower, -1.0), (prog.upper, 1.0)):
+        if bound is None:
+            continue
+        bound = np.asarray(bound, dtype=float)
+        idx = np.where(np.isfinite(bound))[0]
         if idx.size:
             E = np.zeros((idx.size, n))
-            E[np.arange(idx.size), idx] = -1.0
+            E[np.arange(idx.size), idx] = sign
             rows.append(E)
-            rhs.append(-lo[idx])
-    if prog.upper is not None:
-        up = np.asarray(prog.upper, dtype=float)
-        idx = np.where(np.isfinite(up))[0]
-        if idx.size:
-            E = np.zeros((idx.size, n))
-            E[np.arange(idx.size), idx] = 1.0
-            rows.append(E)
-            rhs.append(up[idx])
+            rhs.append(sign * bound[idx])
     C = np.vstack(rows) if rows else np.zeros((0, n))
     d = np.concatenate(rhs) if rhs else np.zeros(0)
-    return H, g, A, b, C, d
+    return H, g, C, d
 
 
 def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
@@ -92,108 +76,90 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
     when the dual iterates diverge while the primal residual stays bounded
     away from zero.
     """
-    H, g, A, b, C, d = _assemble(prog)
-    n = len(g)
-    p, q = A.shape[0], C.shape[0]
+    H, g, C, d = _assemble(prog)
+    n, q = len(g), C.shape[0]
 
     x = np.zeros(n)
-    if p:
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-    y = np.zeros(p)
     if q:
-        slack0 = d - C @ x
-        s = np.maximum(1.0, np.abs(slack0))
+        s = np.maximum(1.0, np.abs(d))
         z = np.ones(q)
     else:
         s = np.zeros(0)
         z = np.zeros(0)
 
     scale = 1.0 + max(np.linalg.norm(g, np.inf) if n else 0.0,
-                      np.linalg.norm(b, np.inf) if p else 0.0,
                       np.linalg.norm(d, np.inf) if q else 0.0)
 
     Hreg = H + _REG * np.eye(n)
     status = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
-        rd = Hreg @ x + g + (A.T @ y if p else 0.0) + (C.T @ z if q else 0.0)
-        rp = A @ x - b if p else np.zeros(0)
+        rd = Hreg @ x + g + (C.T @ z if q else 0.0)
         ri = C @ x + s - d if q else np.zeros(0)
         mu = float(s @ z / q) if q else 0.0
 
         feas = max(np.linalg.norm(rd, np.inf) if n else 0.0,
-                   np.linalg.norm(rp, np.inf) if p else 0.0,
                    np.linalg.norm(ri, np.inf) if q else 0.0)
         if feas <= tol * scale and mu <= tol * scale:
             status = "optimal"
             it -= 1  # this pass performed no Newton step
             break
-        if q and max(np.linalg.norm(z, np.inf),
-                     np.linalg.norm(y, np.inf) if p else 0.0) > _DIVERGE:
+        if q and np.linalg.norm(z, np.inf) > _DIVERGE:
             status = "infeasible"
             break
 
-        # KKT matrix with inequalities eliminated through the slacks
+        # Newton matrix with the inequalities eliminated through the slacks
         if q:
             zs = z / s
             M = Hreg + C.T @ (zs[:, None] * C)
         else:
             M = Hreg
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = M
-        if p:
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            K[n:, n:] = -_REG * np.eye(p)
 
         def newton(t):
             # t is the complementarity target vector (length q)
             if q:
-                top = -rd - C.T @ ((t + z * ri) / s)
+                rhs = -rd - C.T @ ((t + z * ri) / s)
             else:
-                top = -rd
-            rhs = np.concatenate([top, -rp])
+                rhs = -rd
             try:
                 # the system turns near-singular by design as the barrier
                 # shrinks; the conditioning warning carries no information
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore",
                                           scipy.linalg.LinAlgWarning)
-                    sol = scipy.linalg.solve(K, rhs, assume_a="sym")
+                    dx = scipy.linalg.solve(M, rhs, assume_a="sym")
             except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
                 # singular when the optimal face is a subspace; take the
                 # minimum-norm Newton step instead
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            dx, dy = sol[:n], sol[n:]
+                dx = np.linalg.lstsq(M, rhs, rcond=None)[0]
             if q:
                 ds = -ri - C @ dx
                 dz = (t - z * ds) / s
             else:
                 ds = np.zeros(0)
                 dz = np.zeros(0)
-            return dx, dy, ds, dz
+            return dx, ds, dz
 
         if q:
             # predictor
-            dxa, dya, dsa, dza = newton(-s * z)
+            dxa, dsa, dza = newton(-s * z)
             a_p = _max_step(s, dsa)
             a_d = _max_step(z, dza)
             mu_aff = float((s + a_p * dsa) @ (z + a_d * dza) / q)
             sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
             # corrector
             t = -s * z - dsa * dza + sigma * mu * np.ones(q)
-            dx, dy, ds, dz = newton(t)
+            dx, ds, dz = newton(t)
             a_p = _FRACTION * _max_step(s, ds)
             a_d = _FRACTION * _max_step(z, dz)
         else:
-            dx, dy, ds, dz = newton(np.zeros(0))
+            dx, ds, dz = newton(np.zeros(0))
             a_p = a_d = 1.0
 
-        if not all(np.all(np.isfinite(v)) for v in (dx, dy, ds, dz)):
+        if not all(np.all(np.isfinite(v)) for v in (dx, ds, dz)):
             raise NumericalFailure("interior-point step is non-finite")
         x = x + a_p * dx
         s = s + a_p * ds
-        y = y + a_d * dy
         z = z + a_d * dz
 
     if counters is not None:

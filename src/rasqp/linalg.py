@@ -42,7 +42,7 @@ def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> SymmetricOperator:
 @dataclass
 class KrylovReport:
     solution: np.ndarray
-    residual_norm: float
+    residual: np.ndarray  # b - A @ solution, formed once at exit
     iterations: int
     stop_reason: str  # "exact_tol" | "inexactness_accepted" | "max_iter"
 
@@ -62,7 +62,7 @@ def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
 
     beta1 = np.linalg.norm(b)
     if beta1 == 0.0:
-        return KrylovReport(x, 0.0, 0, "exact_tol")
+        return KrylovReport(x, b.copy(), 0, "exact_tol")
 
     # Lanczos + QR recurrence (Paige & Saunders)
     r1 = b.copy()
@@ -121,8 +121,7 @@ def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
 
     if counters is not None:
         counters.minres_iters += itn
-    resid_norm = float(np.linalg.norm(b - A.apply(x)))
-    return KrylovReport(x, resid_norm, itn, stop)
+    return KrylovReport(x, b - A.apply(x), itn, stop)
 
 
 # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ constraints. Constraint evaluators are always deterministic functions of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,32 +178,33 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
 class Dataset:
     """Sparse classification dataset with an implicit constant bias feature.
 
-    `rows[i]` is a list of (feature index, value) pairs; index
-    n_features - 1 is the bias feature with value 1.0. Labels are class
-    indices in 0..n_classes-1.
+    `X` is the samples-by-features CSR matrix; its last column is the bias
+    feature, 1.0 in every row. Labels are class indices in 0..n_classes-1.
     """
-    rows: list
+    X: sp.csr_matrix
     labels: np.ndarray
-    n_features: int
     n_classes: int
-    _csr: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
+
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
 
     def __len__(self):
-        return len(self.rows)
+        return self.X.shape[0]
 
-    def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            data, indices, indptr = [], [], [0]
-            for row in self.rows:
-                for idx, val in row:
-                    indices.append(idx)
-                    data.append(val)
-                indptr.append(len(data))
-            self._csr = sp.csr_matrix(
-                (np.array(data), np.array(indices, dtype=np.int64),
-                 np.array(indptr, dtype=np.int64)),
-                shape=(len(self.rows), self.n_features))
-        return self._csr
+    @staticmethod
+    def from_dense(features: np.ndarray, labels, n_classes: int) -> "Dataset":
+        """Every entry of `features` (samples x raw features) is stored,
+        zeros included, followed by the bias feature."""
+        n_samples, n_raw = features.shape
+        nf = n_raw + 1
+        data = np.hstack([features, np.ones((n_samples, 1))]).ravel()
+        X = sp.csr_matrix(
+            (data, np.tile(np.arange(nf, dtype=np.int64), n_samples),
+             np.arange(0, n_samples * nf + 1, nf, dtype=np.int64)),
+            shape=(n_samples, nf))
+        return Dataset(X=X, labels=np.asarray(labels, dtype=np.int64),
+                       n_classes=n_classes)
 
 
 def parse_libsvm(stream) -> Dataset:
@@ -217,7 +218,8 @@ def parse_libsvm(stream) -> Dataset:
     else:
         lines = [ln.decode() if isinstance(ln, bytes) else ln for ln in stream]
 
-    raw_rows, raw_labels = [], []
+    # feature entries of all rows, each row closed by a bias placeholder
+    indices, data, raw_labels = [], [], []
     max_idx = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -228,7 +230,6 @@ def parse_libsvm(stream) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", line=lineno)
-        feats = []
         prev_idx = 0
         for tok in tokens[1:]:
             if ":" not in tok:
@@ -242,34 +243,41 @@ def parse_libsvm(stream) -> Dataset:
             if idx <= prev_idx:
                 raise ParseError(f"feature index {idx} not increasing", line=lineno)
             prev_idx = idx
-            feats.append((idx, val))
+            indices.append(idx - 1)
+            data.append(val)
             max_idx = max(max_idx, idx)
-        raw_rows.append(feats)
+        indices.append(-1)
+        data.append(1.0)
         raw_labels.append(label)
 
-    if not raw_rows:
+    if not raw_labels:
         raise ParseError("empty dataset")
 
     classes = sorted(set(raw_labels))
     label_map = {lab: i for i, lab in enumerate(classes)}
     n_raw = max_idx  # highest 1-based raw index; bias gets slot n_raw (0-based)
-    rows = []
-    for feats in raw_rows:
-        row = [(idx - 1, val) for idx, val in feats]
-        row.append((n_raw, 1.0))
-        rows.append(row)
+    indices = np.array(indices, dtype=np.int64)
+    bias = np.flatnonzero(indices < 0)
+    indices[bias] = n_raw
+    X = sp.csr_matrix(
+        (np.array(data), indices,
+         np.concatenate([[0], bias + 1]).astype(np.int64)),
+        shape=(len(raw_labels), n_raw + 1))
     labels = np.array([label_map[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(rows=rows, labels=labels, n_features=n_raw + 1,
-                   n_classes=len(classes))
+    return Dataset(X=X, labels=labels, n_classes=len(classes))
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
     """Inverse of parse_libsvm on valid datasets (bias feature dropped)."""
-    lines = []
+    X = dataset.X
     bias = dataset.n_features - 1
-    for row, label in zip(dataset.rows, dataset.labels):
+    lines = []
+    for i, label in enumerate(dataset.labels):
+        span = slice(X.indptr[i], X.indptr[i + 1])
         parts = [str(int(label))]
-        parts += [f"{idx + 1}:{val:.17g}" for idx, val in row if idx != bias]
+        parts += [f"{idx + 1}:{val:.17g}"
+                  for idx, val in zip(X.indices[span], X.data[span])
+                  if idx != bias]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -303,7 +311,7 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     nf = dataset.n_features
     K = dataset.n_classes
     n = nf * K
-    X = dataset.to_csr()
+    X = dataset.X
     labels = dataset.labels
 
     def sums(x, items, order):

@@ -120,7 +120,7 @@ def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
                               10 * config.minres_max_iter, counters=counters)
 
     z = report.solution
-    resid_vec = rhs - K.apply(z)
+    resid_vec = report.residual
     if report.stop_reason == "inexactness_accepted":
         kind = acceptance_kind.get("kind", "inexact_cond1")
     else:

@@ -44,92 +44,81 @@ def sigma_bounds(violation_inf: float, violation_l1: float, mode: str,
 @dataclass
 class FeasibilityResult:
     p: np.ndarray
-    relaxation: object  # float y (linf) or (y_E, y_I) arrays (l1)
+    relaxation: np.ndarray  # per constraint, ordered (E, I); shared y in linf
     lp_objective: float
+
+
+def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
+                        g_S=None, H=None, relaxation=None) -> ConvexProgram:
+    """The feasibility LP (no relaxation given) or the direction QP.
+
+    Variables are [p, t (l1 only), y (LP only)]. The rows are +J_E, -J_E,
+    J_I, each relaxed by y in the LP (one shared y in linf, one per
+    constraint in l1) or by the given relaxation in the QP, then in l1 mode
+    +-p - t <= 0 and sum t <= sigma. In linf mode |p| <= sigma is a bound;
+    t and y are nonnegative. The LP minimizes sum y, the QP the objective
+    model with gradient g_S and Hessian H (the identity when None).
+    """
+    if mode not in (LINF, L1):
+        raise ValueError(f"unknown norm mode {mode!r}")
+    m_E, n = J_E.shape
+    m_I = J_I.shape[0]
+    m = m_E + m_I
+    n_t = n if mode == L1 else 0
+    n_y = 0 if relaxation is not None else (1 if mode == LINF else m)
+    nv = n + n_t + n_y
+
+    rows = np.zeros((m_E + m, nv))
+    rows[:, :n] = np.vstack([J_E, -J_E, J_I])
+    rhs = -np.concatenate([c_E, -c_E, c_I])
+    g = np.zeros(nv)
+    if relaxation is None:
+        g[n + n_t:] = 1.0
+        y_col = 0 if mode == LINF else np.concatenate([np.arange(m_E),
+                                                        np.arange(m)])
+        rows[np.arange(m_E + m), n + n_t + y_col] = -1.0
+        Hfull = None
+    else:
+        g[:n] = g_S
+        Hfull = np.zeros((nv, nv))
+        Hfull[:n, :n] = np.eye(n) if H is None else np.asarray(H, dtype=float)
+        r = np.broadcast_to(np.asarray(relaxation, dtype=float), (m,))
+        rhs = np.concatenate([r[:m_E], r]) + rhs
+    if mode == L1:
+        eye = np.eye(n)
+        box = np.zeros((2 * n + 1, nv))
+        box[:n, :n], box[n:2 * n, :n] = eye, -eye
+        box[:2 * n, n:2 * n] = np.vstack([-eye, -eye])
+        box[2 * n, n:2 * n] = 1.0
+        rows = np.vstack([rows, box])
+        rhs = np.concatenate([rhs, np.zeros(2 * n), [sigma]])
+
+    lower = np.full(nv, -np.inf)
+    upper = np.full(nv, np.inf)
+    if mode == LINF:
+        lower[:n], upper[:n] = -sigma, sigma
+    lower[n:] = 0.0
+    return ConvexProgram(g=g, H=Hfull, A_in=rows, b_in=rhs, lower=lower,
+                         upper=upper)
+
+
+def _solve(prog: ConvexProgram, what: str, counters: Optional[Counters]):
+    sol = solve_program(prog, counters=counters)
+    if sol.status != "optimal":
+        raise NumericalFailure(f"{what} ended with status {sol.status}")
+    return sol
 
 
 def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
                      counters: Optional[Counters] = None) -> FeasibilityResult:
     """LP minimizing the linearized constraint violation within ||p|| <= sigma_p."""
-    m_E, n = J_E.shape
-    m_I = J_I.shape[0]
-    if mode == LINF:
-        # variables [p, y]
-        nv = n + 1
-        g = np.zeros(nv)
-        g[-1] = 1.0
-        rows, rhs = [], []
-        ye = np.zeros((1, nv))
-        ye[0, -1] = 1.0
-        for sign in (1.0, -1.0):
-            if m_E:
-                R = np.zeros((m_E, nv))
-                R[:, :n] = sign * J_E
-                R[:, -1] = -1.0
-                rows.append(R)
-                rhs.append(-sign * c_E)
-        if m_I:
-            R = np.zeros((m_I, nv))
-            R[:, :n] = J_I
-            R[:, -1] = -1.0
-            rows.append(R)
-            rhs.append(-c_I)
-        lower = np.full(nv, -sigma_p)
-        upper = np.full(nv, sigma_p)
-        lower[-1], upper[-1] = 0.0, np.inf
-        prog = ConvexProgram(g=g,
-                             A_in=np.vstack(rows) if rows else None,
-                             b_in=np.concatenate(rhs) if rows else None,
-                             lower=lower, upper=upper)
-        sol = solve_program(prog, counters=counters)
-        if sol.status != "optimal":
-            raise NumericalFailure(
-                f"feasibility LP ended with status {sol.status}")
-        y = max(0.0, float(sol.x[-1]))
-        return FeasibilityResult(p=sol.x[:n], relaxation=y,
-                                 lp_objective=max(0.0, sol.objective))
-    elif mode == L1:
-        # variables [p, t, y_E, y_I]; t bounds |p| with sum t <= sigma_p
-        nv = 2 * n + m_E + m_I
-        g = np.zeros(nv)
-        g[2 * n:] = 1.0
-        rows, rhs = [], []
-        for sign in (1.0, -1.0):
-            if m_E:
-                R = np.zeros((m_E, nv))
-                R[:, :n] = sign * J_E
-                R[np.arange(m_E), 2 * n + np.arange(m_E)] = -1.0
-                rows.append(R)
-                rhs.append(-sign * c_E)
-        if m_I:
-            R = np.zeros((m_I, nv))
-            R[:, :n] = J_I
-            R[np.arange(m_I), 2 * n + m_E + np.arange(m_I)] = -1.0
-            rows.append(R)
-            rhs.append(-c_I)
-        for sign in (1.0, -1.0):
-            R = np.zeros((n, nv))
-            R[:, :n] = sign * np.eye(n)
-            R[:, n:2 * n] = -np.eye(n)
-            rows.append(R)
-            rhs.append(np.zeros(n))
-        R = np.zeros((1, nv))
-        R[0, n:2 * n] = 1.0
-        rows.append(R)
-        rhs.append(np.array([sigma_p]))
-        lower = np.full(nv, -np.inf)
-        lower[n:] = 0.0
-        prog = ConvexProgram(g=g, A_in=np.vstack(rows),
-                             b_in=np.concatenate(rhs), lower=lower)
-        sol = solve_program(prog, counters=counters)
-        if sol.status != "optimal":
-            raise NumericalFailure(
-                f"feasibility LP ended with status {sol.status}")
-        y_E = np.maximum(sol.x[2 * n:2 * n + m_E], 0.0)
-        y_I = np.maximum(sol.x[2 * n + m_E:], 0.0)
-        return FeasibilityResult(p=sol.x[:n], relaxation=(y_E, y_I),
-                                 lp_objective=max(0.0, sol.objective))
-    raise ValueError(f"unknown norm mode {mode!r}")
+    prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_p, mode)
+    sol = _solve(prog, "feasibility LP", counters)
+    n = J_E.shape[1]
+    y = np.maximum(sol.x[n + (n if mode == L1 else 0):], 0.0)
+    m = J_E.shape[0] + J_I.shape[0]
+    return FeasibilityResult(p=sol.x[:n], relaxation=np.full(m, y),
+                             lp_objective=max(0.0, sol.objective))
 
 
 def detect_infeasible_stationary(feas: FeasibilityResult, violation: float,
@@ -161,71 +150,13 @@ def direction_step(g_S, H: Optional[np.ndarray], c_E, c_I, J_E, J_I,
                    lp_objective: float,
                    counters: Optional[Counters] = None) -> RobustStepResult:
     """QP minimizing the quadratic objective model subject to the relaxed
-    linearized constraints and ||d|| <= sigma_d. H defaults to the identity."""
-    m_E, n = J_E.shape
-    m_I = J_I.shape[0]
-    Hm = np.eye(n) if H is None else np.asarray(H, dtype=float)
-
-    if mode == LINF:
-        y = float(relaxation)
-        rows, rhs = [], []
-        for sign in (1.0, -1.0):
-            if m_E:
-                rows.append(sign * J_E)
-                rhs.append(y * np.ones(m_E) - sign * c_E)
-        if m_I:
-            rows.append(J_I)
-            rhs.append(y * np.ones(m_I) - c_I)
-        prog = ConvexProgram(g=np.asarray(g_S, float), H=Hm,
-                             A_in=np.vstack(rows) if rows else None,
-                             b_in=np.concatenate(rhs) if rows else None,
-                             lower=np.full(n, -sigma_d),
-                             upper=np.full(n, sigma_d))
-        sol = solve_program(prog, counters=counters)
-        if sol.status != "optimal":
-            raise NumericalFailure(f"direction QP ended with status {sol.status}")
-        d = sol.x
-    elif mode == L1:
-        y_E, y_I = relaxation
-        nv = 2 * n
-        Hfull = np.zeros((nv, nv))
-        Hfull[:n, :n] = Hm
-        g = np.zeros(nv)
-        g[:n] = g_S
-        rows, rhs = [], []
-        for sign in (1.0, -1.0):
-            if m_E:
-                R = np.zeros((m_E, nv))
-                R[:, :n] = sign * J_E
-                rows.append(R)
-                rhs.append(y_E - sign * c_E)
-        if m_I:
-            R = np.zeros((m_I, nv))
-            R[:, :n] = J_I
-            rows.append(R)
-            rhs.append(y_I - c_I)
-        for sign in (1.0, -1.0):
-            R = np.zeros((n, nv))
-            R[:, :n] = sign * np.eye(n)
-            R[:, n:] = -np.eye(n)
-            rows.append(R)
-            rhs.append(np.zeros(n))
-        R = np.zeros((1, nv))
-        R[0, n:] = 1.0
-        rows.append(R)
-        rhs.append(np.array([sigma_d]))
-        lower = np.full(nv, -np.inf)
-        lower[n:] = 0.0
-        prog = ConvexProgram(g=g, H=Hfull, A_in=np.vstack(rows),
-                             b_in=np.concatenate(rhs), lower=lower)
-        sol = solve_program(prog, counters=counters)
-        if sol.status != "optimal":
-            raise NumericalFailure(f"direction QP ended with status {sol.status}")
-        d = sol.x[:n]
-    else:
-        raise ValueError(f"unknown norm mode {mode!r}")
-
-    return RobustStepResult(d=d, delta_c=max(0.0, violation - lp_objective))
+    linearized constraints and ||d|| <= sigma_d. H defaults to the identity;
+    `relaxation` is a per-constraint array or one value for all."""
+    prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g_S,
+                               H=H, relaxation=relaxation)
+    sol = _solve(prog, "direction QP", counters)
+    return RobustStepResult(d=sol.x[:J_E.shape[1]],
+                            delta_c=max(0.0, violation - lp_objective))
 
 
 def trial_tau_ineq(gTd: float, dHd: float, delta_c: float,

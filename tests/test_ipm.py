@@ -53,13 +53,6 @@ class TestSolveProgram:
         sol = solve_program(prog)
         np.testing.assert_allclose(sol.x, [0.5], atol=1e-7)
 
-    def test_equality_constrained_qp(self):
-        prog = ConvexProgram(g=np.zeros(2), H=np.eye(2),
-                             A_eq=np.array([[1.0, 1.0]]),
-                             b_eq=np.array([2.0]))
-        sol = solve_program(prog)
-        np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-6)
-
     def test_infeasible_detected(self):
         prog = ConvexProgram(g=np.array([0.0]),
                              A_in=np.array([[1.0], [-1.0]]),

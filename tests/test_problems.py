@@ -28,8 +28,11 @@ class TestParseLibsvm:
 
     def test_bias_feature_appended(self):
         ds = parse_libsvm(SAMPLE_TEXT)
-        for row in ds.rows:
-            assert (3, 1.0) in row
+        X = ds.X
+        for i in range(len(ds)):
+            # the bias is each row's last stored entry
+            last = X.indptr[i + 1] - 1
+            assert (X.indices[last], X.data[last]) == (3, 1.0)
 
     def test_labels_remapped_sorted(self):
         ds = parse_libsvm(SAMPLE_TEXT)
@@ -38,7 +41,8 @@ class TestParseLibsvm:
 
     def test_one_based_indices(self):
         ds = parse_libsvm("0 1:7.0\n")
-        assert (0, 7.0) in ds.rows[0]
+        np.testing.assert_array_equal(ds.X.indices, [0, 1])
+        np.testing.assert_array_equal(ds.X.data, [7.0, 1.0])
 
     def test_bad_label(self):
         with pytest.raises(ParseError) as err:
@@ -63,11 +67,13 @@ class TestParseLibsvm:
         again = parse_libsvm(serialize_libsvm(ds))
         assert again.n_features == ds.n_features
         np.testing.assert_array_equal(again.labels, ds.labels)
-        assert again.rows == ds.rows
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(again.X, name),
+                                          getattr(ds.X, name))
 
     def test_csr_matches_rows(self):
         ds = parse_libsvm(SAMPLE_TEXT)
-        X = ds.to_csr().toarray()
+        X = ds.X.toarray()
         assert X.shape == (3, 4)
         assert X[0, 0] == 0.5 and X[0, 2] == 2.0 and X[0, 3] == 1.0
 
@@ -88,7 +94,7 @@ def make_quadratic_problem(noise=0.5):
 
 def logreg_reference(dataset):
     """logaddexp(0, -w_y . x_i), with its gradient in class block y."""
-    X = dataset.to_csr().toarray()
+    X = dataset.X.toarray()
     nf, K = dataset.n_features, dataset.n_classes
 
     def value(x, i):
@@ -240,14 +246,8 @@ class TestDrawSamples:
 
 def _tiny_dataset(n_samples=12, n_raw=3, n_classes=2, seed=0):
     rng = np.random.default_rng(seed)
-    rows, labels = [], []
-    for i in range(n_samples):
-        k = i % n_classes
-        v = rng.standard_normal(n_raw)
-        rows.append([(j, float(v[j])) for j in range(n_raw)] + [(n_raw, 1.0)])
-        labels.append(k)
-    return Dataset(rows=rows, labels=np.array(labels), n_features=n_raw + 1,
-                   n_classes=n_classes)
+    return Dataset.from_dense(rng.standard_normal((n_samples, n_raw)),
+                              np.arange(n_samples) % n_classes, n_classes)
 
 
 class TestLogreg:
@@ -299,7 +299,7 @@ class TestLogreg:
         nf = ds.n_features
         k = int(ds.labels[0])
         x_good = np.zeros(prob.n)
-        x_good[k * nf:(k + 1) * nf] = ds.to_csr()[0].toarray().ravel()
+        x_good[k * nf:(k + 1) * nf] = ds.X[0].toarray().ravel()
         row = np.array([0])
         assert prob.sums(x_good, row, 0)[0] < prob.sums(np.zeros(prob.n),
                                                         row, 0)[0]

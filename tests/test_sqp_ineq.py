@@ -68,6 +68,21 @@ class TestFeasibilityStep:
         assert feas.lp_objective <= 1e-6
         assert feas.p[0] <= -2.0 + 1e-5
 
+    def test_relaxation_per_constraint(self):
+        # c_E = (p + 0.3, p - 0.7) and c_I = p + 1 at p = 0: three constraints
+        args = (np.array([0.3, -0.7]), np.array([1.0]),
+                np.array([[1.0], [1.0]]), np.array([[1.0]]), 100.0)
+        linf = feasibility_step(*args, "linf")
+        assert linf.relaxation.shape == (3,)
+        # the max-norm LP has one y shared by every constraint
+        assert np.all(linf.relaxation == linf.relaxation[0])
+        assert linf.relaxation[0] == pytest.approx(linf.lp_objective)
+        l1 = feasibility_step(*args, "l1")
+        assert l1.relaxation.shape == (3,)
+        assert np.all(l1.relaxation >= 0.0)
+        assert np.sum(l1.relaxation) == pytest.approx(l1.lp_objective,
+                                                      abs=1e-6)
+
     def test_trust_region_limits_progress(self):
         # violation 10 but p capped at 1 leaves objective near 9
         feas = feasibility_step(np.array([-10.0]), np.zeros(0),
@@ -118,10 +133,19 @@ class TestDirectionStep:
     def test_l1_mode_step(self):
         step = direction_step(np.array([0.0]), None, np.array([-1.0]),
                               np.zeros(0), np.array([[1.0]]),
-                              np.zeros((0, 1)),
-                              (np.zeros(1), np.zeros(0)),
+                              np.zeros((0, 1)), np.zeros(1),
                               200.0, "l1", 1.0, 0.0)
         np.testing.assert_allclose(step.d, [1.0], atol=1e-5)
+
+    def test_scalar_relaxation_broadcasts(self):
+        args = (np.array([1.0, -0.5]), None, np.array([-1.0]),
+                np.array([0.5, -2.0]), np.array([[1.0, 0.0]]),
+                np.array([[0.0, 1.0], [1.0, 1.0]]))
+        for mode in ("linf", "l1"):
+            one = direction_step(*args, 0.25, 400.0, mode, 1.5, 1.25)
+            each = direction_step(*args, np.full(3, 0.25), 400.0, mode, 1.5,
+                                  1.25)
+            np.testing.assert_array_equal(one.d, each.d)
 
 
 class TestMeritParameter:
