@@ -24,9 +24,10 @@ METHODS = ("ra-sqp-kkt", "ra-sqp-dnorm", "ra-sqp-dl", "ra-sqp-dl-lbfgs",
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
-TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "grad_evals_cum",
-                 "minres_iters_cum", "barrier_iters_cum", "violation_inf",
-                 "stationarity", "tau_exit", "term_cause")
+TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "updates",
+                 "estimation_size", "grad_evals_cum", "minres_iters_cum",
+                 "barrier_iters_cum", "violation_inf", "stationarity",
+                 "tau_exit", "term_cause", "metric_mc")
 
 
 # ------------------------------------------------------------------
@@ -314,19 +315,20 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray,
 # ------------------------------------------------------------------
 
 def write_trace_csv(path: str, outcome: SolveOutcome):
-    """One row per outer iteration plus the k = -1 initial row. The first
-    line is a timestamp comment excluded from determinism comparisons."""
+    """One row per outer iteration plus the k = -1 initial row, with every
+    scalar `OuterRecord` field (`metric_mc` as True/False). The first line
+    is a timestamp comment excluded from determinism comparisons."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in outcome.trace:
             writer.writerow([
-                rec.k, rec.batch_size, rec.inner_iterations,
-                rec.grad_evals_cum, rec.minres_iters_cum,
-                rec.barrier_iters_cum, f"{rec.violation_inf:.17g}",
-                f"{rec.stationarity:.17g}", f"{rec.tau_exit:.17g}",
-                rec.term_cause])
+                rec.k, rec.batch_size, rec.inner_iterations, rec.updates,
+                rec.estimation_size, rec.grad_evals_cum,
+                rec.minres_iters_cum, rec.barrier_iters_cum,
+                f"{rec.violation_inf:.17g}", f"{rec.stationarity:.17g}",
+                f"{rec.tau_exit:.17g}", rec.term_cause, rec.metric_mc])
 
 
 def read_trace_csv(path: str):

@@ -100,6 +100,16 @@ class SamplingRule:
 
 @dataclass
 class Budget:
+    """Stopping budgets for `run`; a soft limit on gradient evaluations.
+
+    `max_gradient_evals` is checked before each outer iteration's sampling
+    and before each inner iteration, never inside them. The sampling of an
+    outer iteration with batch S and each of its inner iterations spend at
+    most |S| gradient evaluations, so a run that ends on this budget
+    overshoots it by less than the `batch_size` of its last outer record.
+    `max_outer` and `wall_clock` are checked before each outer iteration
+    only.
+    """
     max_gradient_evals: int = 10 ** 6
     max_outer: int = 10 ** 9
     wall_clock: float = math.inf

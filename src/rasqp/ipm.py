@@ -8,12 +8,11 @@ are comparable across subproblem families.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .counters import Counters
 from .errors import NumericalFailure
@@ -87,8 +86,8 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
         s = np.zeros(0)
         z = np.zeros(0)
 
-    scale = 1.0 + max(np.linalg.norm(g, np.inf) if n else 0.0,
-                      np.linalg.norm(d, np.inf) if q else 0.0)
+    scale = 1.0 + max(np.abs(g).max() if n else 0.0,
+                      np.abs(d).max() if q else 0.0)
 
     Hreg = H + _REG * np.eye(n)
     status = "max_iter"
@@ -98,22 +97,24 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
         ri = C @ x + s - d if q else np.zeros(0)
         mu = float(s @ z / q) if q else 0.0
 
-        feas = max(np.linalg.norm(rd, np.inf) if n else 0.0,
-                   np.linalg.norm(ri, np.inf) if q else 0.0)
+        feas = max(np.abs(rd).max() if n else 0.0,
+                   np.abs(ri).max() if q else 0.0)
         if feas <= tol * scale and mu <= tol * scale:
             status = "optimal"
             it -= 1  # this pass performed no Newton step
             break
-        if q and np.linalg.norm(z, np.inf) > _DIVERGE:
+        if q and np.abs(z).max() > _DIVERGE:
             status = "infeasible"
             break
 
-        # Newton matrix with the inequalities eliminated through the slacks
+        # Newton matrix with the inequalities eliminated through the slacks;
+        # SPD, so one Cholesky factor serves predictor and corrector
         if q:
             zs = z / s
             M = Hreg + C.T @ (zs[:, None] * C)
         else:
             M = Hreg
+        factor, info = dpotrf(M)
 
         def newton(t):
             # t is the complementarity target vector (length q)
@@ -121,16 +122,11 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
                 rhs = -rd - C.T @ ((t + z * ri) / s)
             else:
                 rhs = -rd
-            try:
-                # the system turns near-singular by design as the barrier
-                # shrinks; the conditioning warning carries no information
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore",
-                                          scipy.linalg.LinAlgWarning)
-                    dx = scipy.linalg.solve(M, rhs, assume_a="sym")
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                # singular when the optimal face is a subspace; take the
-                # minimum-norm Newton step instead
+            if info == 0:
+                dx = dpotrs(factor, rhs)[0]
+            else:
+                # not numerically positive definite when the optimal face
+                # is a subspace; take the minimum-norm Newton step instead
                 dx = np.linalg.lstsq(M, rhs, rcond=None)[0]
             if q:
                 ds = -ri - C @ dx
@@ -148,7 +144,7 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
             mu_aff = float((s + a_p * dsa) @ (z + a_d * dza) / q)
             sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
             # corrector
-            t = -s * z - dsa * dza + sigma * mu * np.ones(q)
+            t = -s * z - dsa * dza + sigma * mu
             dx, ds, dz = newton(t)
             a_p = _FRACTION * _max_step(s, ds)
             a_d = _FRACTION * _max_step(z, dz)
@@ -156,7 +152,8 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
             dx, ds, dz = newton(np.zeros(0))
             a_p = a_d = 1.0
 
-        if not all(np.all(np.isfinite(v)) for v in (dx, ds, dz)):
+        if not (np.isfinite(dx).all() and np.isfinite(ds).all()
+                and np.isfinite(dz).all()):
             raise NumericalFailure("interior-point step is non-finite")
         x = x + a_p * dx
         s = s + a_p * ds
@@ -171,9 +168,9 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
 
 def _max_step(v, dv):
     neg = dv < 0
-    if not np.any(neg):
+    if not neg.any():
         return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
 def kkt_residual(x: np.ndarray, grad_f: np.ndarray, c_I: np.ndarray,

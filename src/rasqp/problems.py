@@ -267,21 +267,6 @@ def parse_libsvm(stream) -> Dataset:
     return Dataset(X=X, labels=labels, n_classes=len(classes))
 
 
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of parse_libsvm on valid datasets (bias feature dropped)."""
-    X = dataset.X
-    bias = dataset.n_features - 1
-    lines = []
-    for i, label in enumerate(dataset.labels):
-        span = slice(X.indptr[i], X.indptr[i + 1])
-        parts = [str(int(label))]
-        parts += [f"{idx + 1}:{val:.17g}"
-                  for idx, val in zip(X.indices[span], X.data[span])
-                  if idx != bias]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 # ------------------------------------------------------------------
 # problem families
 # ------------------------------------------------------------------

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rasqp.bench import (METHODS, PROBLEMS, RunConfig, build_problem,
-                         cost_to_success, jaccard,
+from rasqp.bench import (METHODS, PROBLEMS, TRACE_COLUMNS, RunConfig,
+                         build_problem, cost_to_success, jaccard,
                          make_synthetic_dataset, method_driver_config,
                          performance_profile, profile_curve, read_trace_csv,
                          result_row, run_config, success_test, sweep,
@@ -289,8 +289,18 @@ class TestCli:
                      "ra-sqp-dl", "--seed", "0", "--max-gradient-evals",
                      "2000", "--output", str(out)])
         assert code == 0
-        assert out.exists()
         assert "synth-eq-quad ra-sqp-dl" in capsys.readouterr().out
+        rows = read_trace_csv(str(out))
+        assert tuple(rows[0]) == TRACE_COLUMNS
+        ref = run_config(RunConfig(problem="synth-eq-quad",
+                                   method="ra-sqp-dl", seed=0,
+                                   max_gradient_evals=2000))
+        assert len(rows) == len(ref.trace)
+        for row, rec in zip(rows, ref.trace):
+            assert int(row["k"]) == rec.k
+            assert int(row["updates"]) == rec.updates
+            assert int(row["estimation_size"]) == rec.estimation_size
+            assert row["metric_mc"] == str(rec.metric_mc)
 
     def test_unknown_method_exits_2(self, capsys):
         assert main(["run", "--problem", "synth-eq-quad", "--method",

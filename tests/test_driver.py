@@ -271,6 +271,21 @@ class TestRun:
         # the recorded cumulative gradient count only reflects solver work
         assert out.counters.gradient_evals <= 200 + 5 * 32
 
+    @pytest.mark.parametrize("problem,method,budget", [
+        ("synth-logreg-eq", "ra-sqp-dl", 100_000),
+        ("synth-logreg-ineq", "ra-sqp-linf", 30_000),
+        ("synth-logreg-ineq", "ra-sqp-l1", 30_000),
+        ("synth-eq-quad", "ra-sqp-dnorm", 50_000),
+        ("synth-logreg-ineq", "det-sqp", 200_000),
+    ])
+    def test_budget_overshoot_below_last_batch(self, problem, method, budget):
+        # the bound stated in Budget's docstring
+        out = run_config(RunConfig(problem=problem, method=method, seed=0,
+                                   max_gradient_evals=budget))
+        assert out.status == "BudgetExhausted"
+        over = out.counters.gradient_evals - budget
+        assert 0 <= over < out.trace[-1].batch_size
+
     def test_gradient_conservation(self):
         # every counted gradient comes from sizing the batch (once per
         # member) or from an accepted update over the whole batch
