@@ -3,6 +3,7 @@ CSV trace emission, metrics, performance profiles, and active-set reports."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -18,9 +19,6 @@ from .problems import (Dataset, ProblemSpec, Expectation, build_logreg_problem,
                        eval_constraints)
 from .sqp_eq import EqSqpConfig
 from .sqp_ineq import RobustSqpConfig
-
-METHODS = ("ra-sqp-kkt", "ra-sqp-dnorm", "ra-sqp-dl", "ra-sqp-dl-lbfgs",
-           "ra-sqp-dl-inexact", "ra-sqp-linf", "ra-sqp-l1", "det-sqp")
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -136,68 +134,63 @@ class RunConfig:
     output: Optional[str] = None
 
 
+# method -> DriverConfig fields. "det-sqp" takes the solver the problem
+# needs (solver None here) and the full batch, or a large fixed batch on an
+# expectation problem, every outer iteration: no subsampling benefit.
+METHODS = {
+    "ra-sqp-kkt": dict(solver="equality", dual_mode="reinit",
+                       termination=default_termination("kkt")),
+    "ra-sqp-dnorm": dict(solver="equality",
+                         termination=default_termination("dnorm")),
+    "ra-sqp-dl": dict(solver="equality",
+                      termination=default_termination("dl")),
+    "ra-sqp-dl-lbfgs": dict(solver="equality",
+                            termination=default_termination("dl"),
+                            use_lbfgs=True),
+    "ra-sqp-dl-inexact": dict(solver="equality",
+                              termination=default_termination("dl"),
+                              eq=EqSqpConfig(exact=False,
+                                             minres_max_iter=200)),
+    "ra-sqp-linf": dict(solver="robust",
+                        termination=default_termination("robust_dnorm"),
+                        robust=RobustSqpConfig(mode="linf")),
+    "ra-sqp-l1": dict(solver="robust",
+                      termination=default_termination("robust_dnorm"),
+                      robust=RobustSqpConfig(mode="l1")),
+    "det-sqp": dict(solver=None, dual_mode="reinit"),
+}
+
+
 def method_driver_config(method: str, problem: ProblemSpec,
                          config: RunConfig) -> DriverConfig:
     """Translate a method label into a driver configuration for a problem."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    equality_only = ("ra-sqp-kkt", "ra-sqp-dnorm", "ra-sqp-dl",
-                     "ra-sqp-dl-lbfgs", "ra-sqp-dl-inexact")
-    if method in equality_only and problem.m_I > 0:
+    fields = copy.deepcopy(METHODS[method])
+    solver = fields.pop("solver") or ("robust" if problem.m_I > 0
+                                      else "equality")
+    if solver == "equality" and problem.m_I > 0:
         raise ConfigError(f"{method} requires a problem without inequalities")
-    if method in ("ra-sqp-linf", "ra-sqp-l1") and problem.m_I == 0 \
-            and problem.m_E == 0:
+    if solver == "robust" and problem.m_I == 0 and problem.m_E == 0:
         raise ConfigError(f"{method} requires a constrained problem")
 
     sampling = SamplingRule(kind=config.sampling,
                             initial_size=config.initial_size,
                             beta=config.beta)
-    common = dict(sampling=sampling,
-                  stop_violation=config.stop_violation,
-                  stop_stationarity=config.stop_stationarity)
-
-    if method == "ra-sqp-kkt":
-        return DriverConfig(solver="equality", dual_mode="reinit",
-                            termination=default_termination("kkt"), **common)
-    if method == "ra-sqp-dnorm":
-        return DriverConfig(solver="equality", dual_mode="carryover",
-                            termination=default_termination("dnorm"), **common)
-    if method == "ra-sqp-dl":
-        return DriverConfig(solver="equality", dual_mode="carryover",
-                            termination=default_termination("dl"), **common)
-    if method == "ra-sqp-dl-lbfgs":
-        return DriverConfig(solver="equality", dual_mode="carryover",
-                            termination=default_termination("dl"),
-                            use_lbfgs=True, **common)
-    if method == "ra-sqp-dl-inexact":
-        return DriverConfig(solver="equality", dual_mode="carryover",
-                            termination=default_termination("dl"),
-                            eq=EqSqpConfig(exact=False, minres_max_iter=200),
-                            **common)
-    if method == "ra-sqp-linf":
-        return DriverConfig(solver="robust",
-                            termination=default_termination("robust_dnorm"),
-                            robust=RobustSqpConfig(mode="linf"), **common)
-    if method == "ra-sqp-l1":
-        return DriverConfig(solver="robust",
-                            termination=default_termination("robust_dnorm"),
-                            robust=RobustSqpConfig(mode="l1"), **common)
-    # det-sqp: full batch every outer iteration (a large fixed batch when
-    # the problem is an expectation), no subsampling benefit
-    solver = "robust" if problem.m_I > 0 else "equality"
-    if isinstance(problem.mode, Expectation):
-        full = SamplingRule(kind="fixed", initial_size=10 ** 4)
-    else:
-        full = SamplingRule(kind="full", initial_size=config.initial_size)
-    # halve the inner metric per outer pass so progress is recorded (and
-    # stop thresholds are checked) at a useful granularity
-    term = TerminationRule(kind="kkt" if solver == "equality"
-                           else "robust_dnorm", gamma=0.5, eps=1e-12)
-    return DriverConfig(solver=solver, dual_mode="reinit", termination=term,
-                        robust=RobustSqpConfig(mode="linf"),
-                        sampling=full,
+    if method == "det-sqp":
+        if isinstance(problem.mode, Expectation):
+            sampling = SamplingRule(kind="fixed", initial_size=10 ** 4)
+        else:
+            sampling = SamplingRule(kind="full",
+                                    initial_size=config.initial_size)
+        # halve the inner metric per outer pass so progress is recorded (and
+        # stop thresholds are checked) at a useful granularity
+        fields["termination"] = TerminationRule(
+            kind="kkt" if solver == "equality" else "robust_dnorm",
+            gamma=0.5, eps=1e-12)
+    return DriverConfig(solver=solver, sampling=sampling,
                         stop_violation=config.stop_violation,
-                        stop_stationarity=config.stop_stationarity)
+                        stop_stationarity=config.stop_stationarity, **fields)
 
 
 def run_config(config: RunConfig) -> SolveOutcome:

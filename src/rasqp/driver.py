@@ -17,7 +17,6 @@ these outcomes to `OuterRecord.term_cause`, and the iteration counts.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,11 +29,11 @@ from .linalg import LbfgsModel, least_squares_dual
 from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
-from .sqp_eq import (TAU_BAR, EqEvaluator, EqInnerContext, EqSqpConfig,
+from .sqp_eq import (TAU_BAR, EqInnerContext, EqSqpConfig, Evaluator,
                      compute_step, inner_iteration, merit_plan)
-from .sqp_ineq import (RobustEvaluator, RobustInnerContext, RobustSqpConfig,
-                       direction_step, feasibility_step, robust_inner_iteration,
-                       sigma_bounds, violation_norms)
+from .sqp_ineq import (RobustInnerContext, RobustSqpConfig, direction_step,
+                       feasibility_step, robust_inner_iteration, sigma_bounds,
+                       violation_norms)
 
 INNER_CAP = 500                # inner iterations per outer iteration
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
@@ -107,12 +106,10 @@ class Budget:
     outer iteration with batch S and each of its inner iterations spend at
     most |S| gradient evaluations, so a run that ends on this budget
     overshoots it by less than the `batch_size` of its last outer record.
-    `max_outer` and `wall_clock` are checked before each outer iteration
-    only.
+    `max_outer` is checked before each outer iteration only.
     """
     max_gradient_evals: int = 10 ** 6
     max_outer: int = 10 ** 9
-    wall_clock: float = math.inf
 
 
 @dataclass
@@ -394,12 +391,10 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         x=x.copy()))
 
     prev_S: Optional[SampleSet] = None
-    start = time.monotonic()
     k = 0
     while True:
         if (counters.gradient_evals >= budget.max_gradient_evals
-                or k >= budget.max_outer
-                or time.monotonic() - start >= budget.wall_clock):
+                or k >= budget.max_outer):
             status = "BudgetExhausted"
             break
 
@@ -516,16 +511,12 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
 
     # the evaluation functions are looked up at call time, so wrappers
     # installed on this module's names see every call
-    def value(xt):
-        return eval_subsampled_value(problem, xt, S, counters)
-
-    def value_grad(xt):
-        return eval_subsampled(problem, xt, S, counters)
+    evaluator = Evaluator(
+        lambda xt: eval_subsampled_value(problem, xt, S, counters),
+        lambda xt: eval_subsampled(problem, xt, S, counters),
+        lambda xt: eval_constraints(problem, xt))
 
     if config.solver == "robust":
-        evaluator = RobustEvaluator(
-            value, value_grad, lambda xt: eval_constraints(problem, xt))
-
         def iterate(ctx, stop):
             out = robust_inner_iteration(ctx, config.robust, evaluator,
                                          lambda dnorm: stop(dnorm, dnorm),
@@ -534,10 +525,6 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         return iterate, RobustInnerContext(
             x=x, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I,
             tau_prev=TAU_BAR, hessian=hessian)
-
-    # (c_E, J_E) out of (c_E, c_I, J_E, J_I)
-    evaluator = EqEvaluator(
-        value, value_grad, lambda xt: eval_constraints(problem, xt)[::2])
 
     def iterate(ctx, stop):
         current, first, step, plan = _eq_progress(ctx, config, counters)

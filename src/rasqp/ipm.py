@@ -20,6 +20,8 @@ from .errors import NumericalFailure
 _REG = 1e-10          # diagonal regularization (makes pure LPs nonsingular)
 _DIVERGE = 1e8        # dual blow-up threshold for infeasibility detection
 _FRACTION = 0.995     # fraction-to-boundary
+_TOL = 1e-9           # residual and complementarity tolerance, relative
+_MAX_ITER = 100       # barrier iterations before status "max_iter"
 
 
 @dataclass
@@ -67,7 +69,7 @@ def _assemble(prog: ConvexProgram):
     return H, g, C, d
 
 
-def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
+def solve_program(prog: ConvexProgram,
                   counters: Optional[Counters] = None) -> ProgramSolution:
     """Mehrotra predictor-corrector on the folded program.
 
@@ -92,14 +94,14 @@ def solve_program(prog: ConvexProgram, tol: float = 1e-9, max_iter: int = 100,
     Hreg = H + _REG * np.eye(n)
     status = "max_iter"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rd = Hreg @ x + g + (C.T @ z if q else 0.0)
         ri = C @ x + s - d if q else np.zeros(0)
         mu = float(s @ z / q) if q else 0.0
 
         feas = max(np.abs(rd).max() if n else 0.0,
                    np.abs(ri).max() if q else 0.0)
-        if feas <= tol * scale and mu <= tol * scale:
+        if feas <= _TOL * scale and mu <= _TOL * scale:
             status = "optimal"
             it -= 1  # this pass performed no Newton step
             break

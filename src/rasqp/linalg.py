@@ -15,20 +15,9 @@ from .errors import NumericalFailure, RankDeficient
 CURVATURE_THRESHOLD = 1e-8
 
 
-@dataclass
-class SymmetricOperator:
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def from_matrix(A: np.ndarray) -> "SymmetricOperator":
-        A = np.asarray(A, dtype=float)
-        return SymmetricOperator(dim=A.shape[0], apply=lambda v: A @ v)
-
-
-def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> SymmetricOperator:
-    """Symmetric indefinite operator [[H, J^T], [J, 0]] acting on (d, delta)."""
-    m, n = J.shape
+def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> Callable:
+    """Product with the symmetric indefinite [[H, J^T], [J, 0]] on (d, delta)."""
+    n = J.shape[1]
 
     def apply(z):
         d, delta = z[:n], z[n:]
@@ -36,7 +25,7 @@ def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> SymmetricOperator:
         bot = J @ d
         return np.concatenate([top, bot])
 
-    return SymmetricOperator(dim=n + m, apply=apply)
+    return apply
 
 
 @dataclass
@@ -47,17 +36,20 @@ class KrylovReport:
     stop_reason: str  # "exact_tol" | "inexactness_accepted" | "max_iter"
 
 
-def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
-                 max_iter: int, acceptance: Optional[Callable] = None,
+def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
+                 tol: float, max_iter: int,
+                 acceptance: Optional[Callable] = None,
                  counters: Optional[Counters] = None) -> KrylovReport:
-    """MINRES on a symmetric (possibly indefinite) system A z = b.
+    """MINRES on a symmetric (possibly indefinite) system A z = b, where
+    apply(v) returns A v.
 
     Stops at the first of: relative residual <= tol, acceptance callback
     returning True for the current iterate (checked every iteration with an
-    explicitly recomputed residual vector), or max_iter.
+    explicitly recomputed residual vector, which is then the reported
+    residual), or max_iter.
     """
-    n = A.dim
     b = np.asarray(b, dtype=float)
+    n = b.size
     x = np.zeros(n)
 
     beta1 = np.linalg.norm(b)
@@ -82,7 +74,7 @@ def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
     while itn < max_iter:
         itn += 1
         v = y / beta
-        y = A.apply(v)
+        y = apply(v)
         if itn >= 2:
             y -= (beta / oldb) * r1
         alfa = float(v @ y)
@@ -110,7 +102,7 @@ def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
             stop = "exact_tol"
             break
         if acceptance is not None:
-            resid = b - A.apply(x)
+            resid = b - apply(x)
             if acceptance(x, resid):
                 stop = "inexactness_accepted"
                 break
@@ -121,7 +113,9 @@ def minres_solve(A: SymmetricOperator, b: np.ndarray, tol: float,
 
     if counters is not None:
         counters.minres_iters += itn
-    return KrylovReport(x, b - A.apply(x), itn, stop)
+    if stop != "inexactness_accepted":
+        resid = b - apply(x)
+    return KrylovReport(x, resid, itn, stop)
 
 
 # ------------------------------------------------------------------
@@ -134,25 +128,15 @@ class LbfgsModel:
 
     B is built from gamma*I and the stored (s, y) pairs via the direct
     BFGS update; pairs failing the curvature test are skipped, which keeps
-    B symmetric positive definite.
+    B symmetric positive definite. `terms` holds (a_i, s_i'a_i, y_i,
+    s_i'y_i) per pair, a_i = B_{i-1} s_i, so B v is a flat sum of rank-one
+    terms; `lbfgs_update` builds them with the model.
     """
     dim: int
     capacity: int
     gamma: float = 1.0
     pairs: list = field(default_factory=list)
-    _cache: Optional[list] = field(default=None, repr=False)
-
-    def _refresh(self):
-        # cache a_i = B_{i-1} s_i so apply() is a flat sum
-        if self._cache is not None:
-            return
-        cache = []
-        for s, yv in self.pairs:
-            a = self.gamma * s
-            for aj, saj, yj, syj in cache:
-                a = a - (aj @ s / saj) * aj + (yj @ s / syj) * yj
-            cache.append((a, float(s @ a), yv, float(s @ yv)))
-        self._cache = cache
+    terms: list = field(default_factory=list, repr=False)
 
     def as_matrix(self) -> np.ndarray:
         eye = np.eye(self.dim)
@@ -160,9 +144,8 @@ class LbfgsModel:
 
 
 def lbfgs_apply(model: LbfgsModel, v: np.ndarray) -> np.ndarray:
-    model._refresh()
     q = model.gamma * v
-    for a, sa, yv, sy in model._cache:
+    for a, sa, yv, sy in model.terms:
         q = q - (a @ v / sa) * a + (yv @ v / sy) * yv
     return q
 
@@ -177,8 +160,15 @@ def lbfgs_update(model: LbfgsModel, s: np.ndarray, y: np.ndarray) -> LbfgsModel:
         return model
     pairs = model.pairs[-(model.capacity - 1):] if model.capacity > 1 else []
     pairs = list(pairs) + [(s.copy(), y.copy())]
-    return LbfgsModel(dim=model.dim, capacity=model.capacity,
-                      gamma=float(y @ y) / sy, pairs=pairs)
+    gamma = float(y @ y) / sy
+    terms = []
+    for sp, yp in pairs:
+        a = gamma * sp
+        for aj, saj, yj, syj in terms:
+            a = a - (aj @ sp / saj) * aj + (yj @ sp / syj) * yj
+        terms.append((a, float(sp @ a), yp, float(sp @ yp)))
+    return LbfgsModel(dim=model.dim, capacity=model.capacity, gamma=gamma,
+                      pairs=pairs, terms=terms)
 
 
 # ------------------------------------------------------------------

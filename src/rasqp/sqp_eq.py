@@ -190,16 +190,16 @@ def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
 
 
 @dataclass
-class EqEvaluator:
-    """Evaluation hooks the inner iteration needs beyond the context values:
+class Evaluator:
+    """Evaluation hooks both inner iterations need beyond the context values:
     subsampled objective (value only, and value+gradient) and constraints."""
     value: Callable[[np.ndarray], float]
     value_grad: Callable[[np.ndarray], tuple]
-    constraints: Callable[[np.ndarray], tuple]  # x -> (c, J)
+    constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
 
 
 def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
-                    evaluator: EqEvaluator,
+                    evaluator: Evaluator,
                     counters: Optional[Counters] = None,
                     step: Optional[EqStepResult] = None,
                     plan: Optional[tuple] = None):
@@ -225,7 +225,7 @@ def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
 
     def merit_eval(alpha):
         xt = ctx.x + alpha * d
-        ct, _ = evaluator.constraints(xt)
+        ct = evaluator.constraints(xt)[0]
         return tau * evaluator.value(xt) + float(np.linalg.norm(ct, 1))
 
     alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
@@ -234,7 +234,7 @@ def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
     x_new = ctx.x + alpha * d
     lam_new = ctx.lam + alpha * delta
     F_new, g_new = evaluator.value_grad(x_new)
-    c_new, J_new = evaluator.constraints(x_new)
+    c_new, _, J_new, _ = evaluator.constraints(x_new)
 
     hessian = ctx.hessian
     if hessian is not None:

@@ -14,10 +14,15 @@ from .errors import MeritCollapse, NumericalFailure
 from .ipm import ConvexProgram, solve_program
 from .linalg import LbfgsModel, lbfgs_update
 from .sqp_eq import (ALPHA_MIN, EPS_ALPHA, EPS_SIGMA, EPS_TAU, ETA,
-                     armijo_backtrack)
+                     Evaluator, armijo_backtrack)
 
 LINF = "linf"
 L1 = "l1"
+# infeasible-stationary certificate: a step norm that counts as p = 0, and
+# a violation tolerance above the interior-point objective noise floor
+INFEAS_TOL_P = 1e-9
+INFEAS_TOL_V = 1e-5
+TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 
 
 def violation_norms(c_E: np.ndarray, c_I: np.ndarray):
@@ -121,22 +126,22 @@ def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
                              lp_objective=max(0.0, sol.objective))
 
 
-def detect_infeasible_stationary(feas: FeasibilityResult, violation: float,
-                                 tol_p: float = 1e-9,
-                                 tol_v: float = 1e-5) -> bool:
+def detect_infeasible_stationary(feas: FeasibilityResult,
+                                 violation: float) -> bool:
     """Numerical version of "p = 0 with positive residual violation".
 
     When the minimizing p is non-unique an interior-point solver returns a
     centered solution, so the equivalent certificate "the LP cannot reduce
-    the linearized violation" is accepted as well. tol_v must sit above the
-    interior-point solver's objective noise floor or near-feasible points
-    get flagged.
+    the linearized violation" is accepted as well. INFEAS_TOL_V must sit
+    above the interior-point solver's objective noise floor or near-feasible
+    points get flagged.
     """
-    if violation <= tol_v:
+    if violation <= INFEAS_TOL_V:
         return False
-    if np.linalg.norm(feas.p) <= tol_p:
+    if np.linalg.norm(feas.p) <= INFEAS_TOL_P:
         return True
-    return violation - feas.lp_objective <= tol_v * max(1.0, violation)
+    return (violation - feas.lp_objective
+            <= INFEAS_TOL_V * max(1.0, violation))
 
 
 @dataclass
@@ -169,13 +174,12 @@ def trial_tau_ineq(gTd: float, dHd: float, delta_c: float,
     return (1.0 - eps_sigma) * max(delta_c, 0.0) / denom
 
 
-def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float,
-                    tau_floor: float = 1e-12) -> float:
+def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
     if tau_prev <= tau_tr:
         tau = tau_prev
     else:
         tau = min((1.0 - eps_tau) * tau_prev, tau_tr)
-    if tau < tau_floor:
+    if tau < TAU_FLOOR:
         raise MeritCollapse(f"merit parameter collapsed to {tau:g}")
     return tau
 
@@ -201,13 +205,6 @@ class RobustInnerContext:
 
 
 @dataclass
-class RobustEvaluator:
-    value: Callable[[np.ndarray], float]
-    value_grad: Callable[[np.ndarray], tuple]
-    constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
-
-
-@dataclass
 class RobustOutcome:
     kind: str  # "updated" | "infeasible_stationary" | "terminated"
     ctx: RobustInnerContext
@@ -221,7 +218,7 @@ def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
 
 
 def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
-                           evaluator: RobustEvaluator,
+                           evaluator: Evaluator,
                            termination_check: Callable[[float], bool],
                            counters: Optional[Counters] = None) -> RobustOutcome:
     """One robust-SQP iteration: feasibility LP, infeasible-stationary check,

@@ -236,6 +236,25 @@ WORK_COUNTERS = [
                            max_gradient_evals=30000),
                  ("BudgetExhausted", 32134, 574, 0, (32, 125, 625, 3125)),
                  id="synth-logreg-eq"),
+    pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-kkt",
+                           max_gradient_evals=30000),
+                 ("BudgetExhausted", 33181, 161, 0,
+                  (32, 33, 74, 120, 259, 873, 3243)),
+                 id="synth-logreg-eq-ra-sqp-kkt"),
+    pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-dnorm",
+                           max_gradient_evals=30000),
+                 ("BudgetExhausted", 31457, 212, 0,
+                  (32, 35, 66, 151, 554, 1355, 2923)),
+                 id="synth-logreg-eq-ra-sqp-dnorm"),
+    pytest.param(RunConfig(problem="synth-logreg-eq",
+                           method="ra-sqp-dl-inexact",
+                           max_gradient_evals=30000),
+                 ("BudgetExhausted", 31264, 86, 0, (32, 160, 800, 4000)),
+                 id="synth-logreg-eq-ra-sqp-dl-inexact"),
+    pytest.param(RunConfig(problem="synth-logreg-eq", method="det-sqp",
+                           max_gradient_evals=30000),
+                 ("BudgetExhausted", 30000, 16, 0, (5000, 5000)),
+                 id="synth-logreg-eq-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
                  ("BudgetExhausted", 32730, 0, 433,

@@ -2,10 +2,13 @@
 config validation, condition estimation, the shared inner loop, and full
 solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rasqp.bench import RunConfig, run_config
+from rasqp.bench import (RunConfig, build_problem, method_driver_config,
+                         read_trace_csv, run_config, write_trace_csv)
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           TerminationRule, _inner_loop, adaptive_batch_size,
@@ -431,3 +434,32 @@ class TestTrueMetrics:
         prob = make_eq_quadratic()
         v, _, _ = true_metrics(prob, np.zeros(4), "equality")
         assert v == pytest.approx(1.0)
+
+    def test_finite_sum_fallback_matches_analytic(self):
+        # without an analytic gradient, a finite sum averages the dataset
+        prob = build_problem("synth-logreg-eq")
+        bare = dataclasses.replace(prob, true_gradient=None)
+        rng = np.random.default_rng(5)
+        for x in (prob.x_init, 0.3 * rng.standard_normal(prob.n)):
+            v, s, mc = true_metrics(prob, x, "equality")
+            v_b, s_b, mc_b = true_metrics(bare, x, "equality")
+            assert v_b == v
+            assert s_b == pytest.approx(s, rel=1e-12, abs=1e-12)
+            assert not mc and not mc_b
+
+    def test_expectation_fallback_is_flagged_in_trace(self, tmp_path):
+        # an expectation problem falls back to the fixed-seed Monte Carlo
+        # surrogate, which every record and the trace CSV flag
+        bare = dataclasses.replace(build_problem("synth-eq-quad"),
+                                   true_gradient=None)
+        _, _, mc = true_metrics(bare, bare.x_init, "equality")
+        assert mc
+        cfg = RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
+                        max_outer=2)
+        out = run(bare, method_driver_config(cfg.method, bare, cfg),
+                  Budget(max_outer=2), np.random.default_rng(0))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), out)
+        rows = read_trace_csv(str(path))
+        assert len(rows) == 3
+        assert [row["metric_mc"] for row in rows] == ["True"] * 3

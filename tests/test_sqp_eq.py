@@ -6,7 +6,7 @@ import pytest
 
 from rasqp.errors import LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel
-from rasqp.sqp_eq import (TAU_BAR, EqEvaluator, EqInnerContext, EqSqpConfig,
+from rasqp.sqp_eq import (TAU_BAR, EqInnerContext, EqSqpConfig, Evaluator,
                           armijo_backtrack, compute_step, inner_iteration,
                           model_decrease, trial_tau, update_tau)
 
@@ -140,16 +140,16 @@ def quadratic_instance(rng, n=5, m=2):
         return value(x), Q @ x + b
 
     def constraints(x):
-        return J @ x - target, J
+        return J @ x - target, np.zeros(0), J, np.zeros((0, n))
 
-    return EqEvaluator(value=value, value_grad=value_grad,
-                       constraints=constraints)
+    return Evaluator(value=value, value_grad=value_grad,
+                     constraints=constraints)
 
 
 def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
     config = config or EqSqpConfig(exact=True)
     F, g = evaluator.value_grad(x0)
-    c, J = evaluator.constraints(x0)
+    c, _, J, _ = evaluator.constraints(x0)
     hess = LbfgsModel(dim=x0.size, capacity=20) if use_lbfgs else None
     ctx = EqInnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c=c, J=J,
                          tau_prev=TAU_BAR, hessian=hess)
@@ -195,7 +195,7 @@ class TestInnerIterationInvariants:
                 assert dl > 0
                 phi0 = tau * ctx.F_S + np.linalg.norm(ctx.c, 1)
                 xt = ctx.x + alpha * step.d
-                ct, _ = ev.constraints(xt)
+                ct = ev.constraints(xt)[0]
                 phi = tau * ev.value(xt) + np.linalg.norm(ct, 1)
                 assert phi <= phi0 - 1e-4 * alpha * dl + 1e-10
 

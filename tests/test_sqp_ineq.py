@@ -5,10 +5,10 @@ iteration invariants in both norm modes."""
 import numpy as np
 import pytest
 
-from rasqp.sqp_ineq import (FeasibilityResult, RobustEvaluator,
-                            RobustInnerContext, RobustSqpConfig,
-                            detect_infeasible_stationary, direction_step,
-                            feasibility_step, merit_value,
+from rasqp.sqp_eq import Evaluator
+from rasqp.sqp_ineq import (FeasibilityResult, RobustInnerContext,
+                            RobustSqpConfig, detect_infeasible_stationary,
+                            direction_step, feasibility_step, merit_value,
                             robust_inner_iteration, sigma_bounds,
                             trial_tau_ineq, update_tau_ineq, violation_norms)
 from rasqp.errors import MeritCollapse
@@ -196,8 +196,8 @@ def quadratic_general_instance(rng, n=4, m_e=1, m_i=2):
     def constraints(x):
         return J_E @ x - t_E, J_I @ x - t_I, J_E, J_I
 
-    return RobustEvaluator(value=value, value_grad=value_grad,
-                           constraints=constraints)
+    return Evaluator(value=value, value_grad=value_grad,
+                     constraints=constraints)
 
 
 def make_robust_ctx(evaluator, x0, tau=1.0):
@@ -224,9 +224,9 @@ class TestRobustInnerIteration:
             return (np.array([x[0], x[0] - 1.0]), np.zeros(0),
                     np.array([[1.0], [1.0]]), np.zeros((0, 1)))
 
-        ev = RobustEvaluator(value=lambda x: float(x @ x),
-                             value_grad=lambda x: (float(x @ x), 2.0 * x),
-                             constraints=lambda x: constraints(x))
+        ev = Evaluator(value=lambda x: float(x @ x),
+                       value_grad=lambda x: (float(x @ x), 2.0 * x),
+                       constraints=lambda x: constraints(x))
         for mode in ("linf", "l1"):
             ctx = make_robust_ctx(ev, np.array([0.3]))
             for _ in range(20):
