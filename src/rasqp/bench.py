@@ -17,8 +17,7 @@ from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
 from .errors import ConfigError
 from .problems import (Dataset, ProblemSpec, Expectation, build_logreg_problem,
                        eval_constraints)
-from .sqp_eq import EqSqpConfig
-from .sqp_ineq import RobustSqpConfig
+from .sqp_eq import EqSqpConfig, violation_norms
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -153,10 +152,10 @@ METHODS = {
                                              minres_max_iter=200)),
     "ra-sqp-linf": dict(solver="robust",
                         termination=default_termination("robust_dnorm"),
-                        robust=RobustSqpConfig(mode="linf")),
+                        norm="linf"),
     "ra-sqp-l1": dict(solver="robust",
                       termination=default_termination("robust_dnorm"),
-                      robust=RobustSqpConfig(mode="l1")),
+                      norm="l1"),
     "det-sqp": dict(solver=None, dual_mode="reinit"),
 }
 
@@ -297,9 +296,7 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray,
     for x in xs:
         a = active_set(problem, x, tol)
         c_E, c_I, _, _ = eval_constraints(problem, x)
-        v = np.concatenate([c_E, np.maximum(c_I, 0.0)])
-        viol = float(np.linalg.norm(v, np.inf)) if v.size else 0.0
-        report.append((a, jaccard(a, ref), viol))
+        report.append((a, jaccard(a, ref), violation_norms(c_E, c_I)[0]))
     return report
 
 

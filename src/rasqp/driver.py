@@ -2,16 +2,18 @@
 inner-loop termination rules, dual initialization, budget enforcement,
 and trace recording.
 
-Both inner solvers run under one loop, `_inner_loop`. A solver supplies
-`iterate(ctx, stop) -> (kind, ctx, moved)`, one inner iteration from the
-context ctx. Before changing anything it calls `stop(current, first)` with
-its rule's progress measure and the value the rule compares against when
-this is the first inner iteration, and returns ("terminated", ctx, _) if
-that returns True. Otherwise it returns ("updated", new_ctx, moved), moved
-telling whether x changed, or ("infeasible_stationary", ctx, _). It raises
-MeritCollapse or LineSearchFailure to abandon the batch. The loop owns the
-budget check, the first-iteration snapshot, the inner cap, the mapping of
-these outcomes to `OuterRecord.term_cause`, and the iteration counts.
+Both inner solvers run under one loop, `_inner_loop`, on one context type,
+`sqp_eq.InnerContext`. Each inner iteration is a progress probe, the
+termination test, then an update. A solver supplies the probe,
+`progress(ctx) -> (current, first, step, plan)` or None, and the update,
+`update(ctx, step, plan) -> (new ctx, alpha)`. The probe returns its rule's
+progress measure, the value the rule compares against when this is the
+first inner iteration, and the step and merit plan (or None) the update
+reuses; it returns None at a certified infeasible stationary point. The
+update changes x only when alpha > 0. Either raises MeritCollapse or
+LineSearchFailure to abandon the batch. The loop owns the budget check, the
+first-iteration snapshot, the inner cap, the mapping of these outcomes to
+`OuterRecord.term_cause`, and the iteration counts.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .linalg import LbfgsModel, least_squares_dual
 from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
-from .sqp_eq import (TAU_BAR, EqInnerContext, EqSqpConfig, Evaluator,
-                     compute_step, inner_iteration, merit_plan)
-from .sqp_ineq import (RobustInnerContext, RobustSqpConfig, direction_step,
-                       feasibility_step, robust_inner_iteration, sigma_bounds,
-                       violation_norms)
+from .sqp_eq import (L1, LINF, TAU_BAR, EqSqpConfig, Evaluator,
+                     InnerContext, compute_step, inner_iteration, merit_plan,
+                     violation_norms)
+from .sqp_ineq import (detect_infeasible_stationary, direction_step,
+                       feasibility_step, robust_inner_iteration, sigma_bounds)
 
 INNER_CAP = 500                # inner iterations per outer iteration
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
@@ -119,8 +121,8 @@ class DriverConfig:
     sampling: SamplingRule = field(default_factory=SamplingRule)
     dual_mode: str = "carryover"       # "carryover" | "reinit"
     eq: EqSqpConfig = field(default_factory=EqSqpConfig)
-    robust: RobustSqpConfig = field(default_factory=RobustSqpConfig)
-    use_lbfgs: bool = False
+    norm: str = LINF                   # robust solver: "linf" | "l1"
+    use_lbfgs: bool = False            # equality solver only
     # optional metric-threshold stopping (both must hold); None = budget only
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
@@ -128,6 +130,8 @@ class DriverConfig:
     def __post_init__(self):
         if self.dual_mode not in ("carryover", "reinit"):
             raise ConfigError(f"unknown dual mode {self.dual_mode!r}")
+        if self.norm not in (LINF, L1):
+            raise ConfigError(f"unknown norm mode {self.norm!r}")
 
 
 @dataclass
@@ -233,7 +237,6 @@ class ConditionEstimate:
     fresh_set: SampleSet
     value_sum: float
     gradient_sum: np.ndarray
-    degenerate: bool = False
 
 
 def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
@@ -245,10 +248,11 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
     """Variance and progress estimates on a fresh sample set of the previous
     batch size, drawn independently of the current iterate.
 
-    The progress measure Z matches the termination rule: the KKT error norm
-    directly, or the step norm / model decrease from one probe step solve
-    that performs no updates. Per-sample gradient sums are retained so the
-    fresh set can be folded into the next batch at no extra gradient cost.
+    The progress measure Z is the termination rule's, from the solver's
+    progress probe, which performs no updates; Z is 0 where the probe finds
+    no progress to make (merit collapse, or an infeasible stationary point).
+    Per-sample gradient sums are retained so the fresh set can be folded
+    into the next batch at no extra gradient cost.
     """
     if prev_batch.size < 1:
         raise ConfigError("previous batch is empty")
@@ -256,39 +260,24 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
     vsum, gsum, sqsum = gradient_stats(problem, x, fresh.items, counters)
     m = fresh.size
     gbar = gsum / m
-    if m == 1:
-        variance, degenerate = 0.0, True
-    else:
-        variance = max(0.0, (sqsum - m * float(gbar @ gbar)) / (m - 1))
-        degenerate = False
+    variance = (0.0 if m == 1 else
+                max(0.0, (sqsum - m * float(gbar @ gbar)) / (m - 1)))
 
     c_E, c_I, J_E, J_I = eval_constraints(problem, x)
-    if config.solver == "equality":
-        ctx = EqInnerContext(x=x, lam=lam, F_S=vsum / m, g_S=gbar, c=c_E,
-                             J=J_E, tau_prev=TAU_BAR, hessian=hessian)
-        try:
-            Z = max(_eq_progress(ctx, config, counters)[0], 0.0)
-        except MeritCollapse:
-            Z = 0.0
-    else:
-        v_inf, v_l1 = violation_norms(c_E, c_I)
-        mode = config.robust.mode
-        violation = v_inf if mode == "linf" else v_l1
-        sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, x.size)
-        feas = feasibility_step(c_E, c_I, J_E, J_I, sigma_p, mode,
-                                counters=counters)
-        H = None if hessian is None else hessian.as_matrix()
-        step = direction_step(gbar, H, c_E, c_I, J_E, J_I, feas.relaxation,
-                              sigma_d, mode, violation, feas.lp_objective,
-                              counters=counters)
-        Z = float(np.linalg.norm(step.d))
+    ctx = InnerContext(x=x, lam=lam, F_S=vsum / m, g_S=gbar, c_E=c_E,
+                       c_I=c_I, J_E=J_E, J_I=J_I, tau_prev=TAU_BAR,
+                       hessian=hessian)
+    try:
+        probe = _PROGRESS[config.solver](ctx, config, counters)
+    except MeritCollapse:
+        probe = None
+    Z = 0.0 if probe is None else max(probe[0], 0.0)
 
     return ConditionEstimate(variance=variance, Z=Z, fresh_set=fresh,
-                             value_sum=vsum, gradient_sum=gsum,
-                             degenerate=degenerate)
+                             value_sum=vsum, gradient_sum=gsum)
 
 
-def _eq_progress(ctx: EqInnerContext, config: DriverConfig,
+def _eq_progress(ctx: InnerContext, config: DriverConfig,
                  counters: Counters):
     """The equality rule's progress measure at ctx: (current value, value
     to snapshot at the first inner iteration, KKT step or None, merit plan
@@ -307,6 +296,30 @@ def _eq_progress(ctx: EqInnerContext, config: DriverConfig,
     plan = merit_plan(ctx, step)
     dl = plan[1]
     return dl, min(dl, KAPPA_D * dnorm * dnorm), step, plan
+
+
+def _robust_progress(ctx: InnerContext, config: DriverConfig,
+                     counters: Counters):
+    """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
+    (||d||, ||d||, direction step, None) from the feasibility LP and the
+    direction QP, or None, with no QP solved, when the LP certifies an
+    infeasible stationary point."""
+    mode = config.norm
+    v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
+    violation = v_inf if mode == LINF else v_l1
+    sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, ctx.x.size)
+    feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p,
+                            mode, counters=counters)
+    if detect_infeasible_stationary(feas, violation):
+        return None
+    step = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
+                          feas.relaxation, sigma_d, mode, violation,
+                          feas.lp_objective, counters=counters)
+    dnorm = float(np.linalg.norm(step.d))
+    return dnorm, dnorm, step, None
+
+
+_PROGRESS = {"equality": _eq_progress, "robust": _robust_progress}
 
 
 # ------------------------------------------------------------------
@@ -368,6 +381,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                           f"{config.termination.kind!r} termination rule")
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
+    if config.solver == "robust" and config.use_lbfgs:
+        raise ConfigError("the robust solver has no L-BFGS Hessian model")
     cap = (problem.mode.dataset_size
            if isinstance(problem.mode, FiniteSum) else None)
     if config.sampling.kind == "full" and cap is None:
@@ -435,13 +450,11 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             F_S, g_S = eval_subsampled(problem, x, S, counters)
 
         est_size = 0 if estimate is None else estimate.fresh_set.size
-        iterate, ctx = _inner_solver(problem, S, config, x, lam, F_S, g_S,
-                                     hessian, counters)
+        progress, update, ctx = _inner_solver(problem, S, config, x, lam,
+                                              F_S, g_S, hessian, counters)
         ctx, inner_iters, updates, term_cause = _inner_loop(
-            iterate, ctx, config.termination, budget, counters)
-        x, hessian = ctx.x, ctx.hessian
-        if config.solver == "equality":
-            lam = ctx.lam
+            progress, update, ctx, config.termination, budget, counters)
+        x, lam, hessian = ctx.x, ctx.lam, ctx.hessian
 
         v, s, mc = true_metrics(problem, x, config.solver)
         trace.append(OuterRecord(
@@ -472,41 +485,42 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                         trace=trace, counters=counters)
 
 
-def _inner_loop(iterate, ctx, rule: TerminationRule, budget: Budget,
-                counters: Counters):
-    """Run `iterate` (see the module docstring) from ctx until it stops,
+def _inner_loop(progress, update, ctx, rule: TerminationRule,
+                budget: Budget, counters: Counters):
+    """Probe, test and update (see the module docstring) from ctx until the
+    rule fires, the probe finds an infeasible stationary point, a step
     raises, or the gradient budget or INNER_CAP is reached.
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
     snapshot = None
-
-    def stop(current, first):
-        nonlocal snapshot
-        if snapshot is None:
-            snapshot = first
-        return termination_check(rule, snapshot, current)
-
     updates = 0
     for j in range(INNER_CAP):
         if counters.gradient_evals >= budget.max_gradient_evals:
             return ctx, j, updates, "budget"
         try:
-            kind, ctx, moved = iterate(ctx, stop)
+            probe = progress(ctx)
+            if probe is None:
+                return ctx, j, updates, "infeasible_stationary"
+            current, first, step, plan = probe
+            if snapshot is None:
+                snapshot = first
+            if termination_check(rule, snapshot, current):
+                return ctx, j, updates, "terminated"
+            ctx, alpha = update(ctx, step, plan)
         except MeritCollapse:
             return ctx, j, updates, "merit_collapse"
         except LineSearchFailure:
             return ctx, j, updates, "line_search_failure"
-        if kind != "updated":
-            return ctx, j, updates, kind
-        updates += moved
+        updates += alpha > 0.0
     return ctx, INNER_CAP, updates, "inner_cap"
 
 
 def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
                   x, lam, F_S, g_S, hessian, counters: Counters):
-    """(iterate, start context) of the configured solver on the batch S,
-    warm-started at x; the equality solver's duals are initialized here."""
+    """(progress, update, start context) of the configured solver on the
+    batch S, warm-started at x; the equality solver's duals are initialized
+    here."""
     c_E, c_I, J_E, J_I = eval_constraints(problem, x)
 
     # the evaluation functions are looked up at call time, so wrappers
@@ -517,23 +531,19 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         lambda xt: eval_constraints(problem, xt))
 
     if config.solver == "robust":
-        def iterate(ctx, stop):
-            out = robust_inner_iteration(ctx, config.robust, evaluator,
-                                         lambda dnorm: stop(dnorm, dnorm),
-                                         counters)
-            return out.kind, out.ctx, True
-        return iterate, RobustInnerContext(
-            x=x, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I,
-            tau_prev=TAU_BAR, hessian=hessian)
+        def update(ctx, step, plan):
+            return robust_inner_iteration(ctx, config.norm, evaluator, step)
+    else:
+        lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)
 
-    def iterate(ctx, stop):
-        current, first, step, plan = _eq_progress(ctx, config, counters)
-        if stop(current, first):
-            return "terminated", ctx, False
-        ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator, counters,
-                                        step=step, plan=plan)
-        return "updated", ctx, alpha > 0.0
+        def update(ctx, step, plan):
+            ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator,
+                                            counters, step=step, plan=plan)
+            return ctx, alpha
 
-    lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)
-    return iterate, EqInnerContext(x=x, lam=lam, F_S=F_S, g_S=g_S, c=c_E,
-                                   J=J_E, tau_prev=TAU_BAR, hessian=hessian)
+    def progress(ctx):
+        return _PROGRESS[config.solver](ctx, config, counters)
+
+    return progress, update, InnerContext(
+        x=x, lam=lam, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I,
+        tau_prev=TAU_BAR, hessian=hessian)

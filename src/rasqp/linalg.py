@@ -138,10 +138,6 @@ class LbfgsModel:
     pairs: list = field(default_factory=list)
     terms: list = field(default_factory=list, repr=False)
 
-    def as_matrix(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        return np.column_stack([lbfgs_apply(self, eye[:, i]) for i in range(self.dim)])
-
 
 def lbfgs_apply(model: LbfgsModel, v: np.ndarray) -> np.ndarray:
     q = model.gamma * v

@@ -1,6 +1,7 @@
 """One inner iteration of the line-search SQP method for equality-constrained
-subsampled problems: KKT step (exact or truncated-MINRES), merit-parameter
-management, and Armijo backtracking."""
+subsampled problems: KKT step (exact or truncated-MINRES) and merit-parameter
+management; and the context, merit function and line search that both SQP
+solvers share."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import LineSearchFailure, MeritCollapse
+from .errors import ConfigError, LineSearchFailure, MeritCollapse
 from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
                      minres_solve)
 
@@ -31,16 +32,24 @@ EPS_D = 1e-4
 ETA = 1e-4
 EPS_ALPHA = 0.5
 ALPHA_MIN = 1e-12
+# merit norm modes: max-norm or 1-norm of the constraint violation
+LINF = "linf"
+L1 = "l1"
 
 
 @dataclass
-class EqInnerContext:
+class InnerContext:
+    """An inner iterate on the subsampled problem with what both solvers
+    read at it. The robust solver takes no dual steps, so its `lam` stays
+    at the start value."""
     x: np.ndarray
     lam: np.ndarray
     F_S: float
     g_S: np.ndarray
-    c: np.ndarray
-    J: np.ndarray
+    c_E: np.ndarray
+    c_I: np.ndarray
+    J_E: np.ndarray
+    J_I: np.ndarray
     tau_prev: float
     hessian: Optional[LbfgsModel] = None  # None means identity
 
@@ -48,7 +57,7 @@ class EqInnerContext:
         return v if self.hessian is None else lbfgs_apply(self.hessian, v)
 
     def kkt_vector(self):
-        return np.concatenate([self.g_S + self.J.T @ self.lam, self.c])
+        return np.concatenate([self.g_S + self.J_E.T @ self.lam, self.c_E])
 
 
 @dataclass
@@ -65,8 +74,12 @@ class EqSqpConfig:
     exact: bool = True
     minres_max_iter: int = 2000
 
+    def __post_init__(self):
+        if self.minres_max_iter < 1:
+            raise ConfigError("minres_max_iter must be >= 1")
 
-def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
+
+def compute_step(ctx: InnerContext, config: EqSqpConfig,
                  counters: Optional[Counters] = None) -> EqStepResult:
     """Solve the SQP KKT system [[H, J'], [J, 0]] (d, delta) = -T + (rho, r).
 
@@ -77,17 +90,17 @@ def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
     """
     n = ctx.x.size
     T = ctx.kkt_vector()
-    K = make_kkt_operator(ctx.h_apply, ctx.J)
+    K = make_kkt_operator(ctx.h_apply, ctx.J_E)
     rhs = -T
 
     acceptance_kind = {}
 
     def accept(z, resid):
         d, rho, r = z[:n], -resid[:n], -resid[n:]
-        c1 = np.linalg.norm(ctx.c, 1)
+        c1 = np.linalg.norm(ctx.c_E, 1)
         r1 = np.linalg.norm(r, 1)
         # condition II: decrease in the linear constraint model
-        cnorm = np.linalg.norm(ctx.c)
+        cnorm = np.linalg.norm(ctx.c_E)
         if (np.linalg.norm(r) <= EPS_FEAS * cnorm
                 and np.linalg.norm(rho) <= EPS_OPT * cnorm):
             acceptance_kind["kind"] = "inexact_cond2"
@@ -106,7 +119,7 @@ def compute_step(ctx: EqInnerContext, config: EqSqpConfig,
                 and resid_norm <= KAPPA_T * min(np.linalg.norm(T),
                                                 np.linalg.norm(d))
                 and np.linalg.norm(rho) <= KAPPA_PRIME
-                * max(np.linalg.norm(ctx.J), np.linalg.norm(ctx.g_S))):
+                * max(np.linalg.norm(ctx.J_E), np.linalg.norm(ctx.g_S))):
             acceptance_kind["kind"] = "inexact_cond1"
             return True
         return False
@@ -155,12 +168,12 @@ def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:
     return -tau * gTd + c_l1 - r_l1
 
 
-def merit_plan(ctx: EqInnerContext, step: EqStepResult):
+def merit_plan(ctx: InnerContext, step: EqStepResult):
     """(tau, model decrease) for `step` at ctx: the merit parameter the inner
     iteration takes it with, and the decrease of the linear merit model."""
     d = step.d
     gTd = float(ctx.g_S @ d)
-    c_l1 = float(np.linalg.norm(ctx.c, 1))
+    c_l1 = float(np.linalg.norm(ctx.c_E, 1))
     r_l1 = float(np.linalg.norm(step.r, 1))
     if step.acceptance == "inexact_cond1":
         # condition I certifies descent at the previous merit parameter
@@ -198,15 +211,71 @@ class Evaluator:
     constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
 
 
-def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
+def violation_norms(c_E: np.ndarray, c_I: np.ndarray):
+    """(max-norm, 1-norm) of the stacked violation (c_E, [c_I]_+)."""
+    v = np.concatenate([c_E, np.maximum(c_I, 0.0)])
+    if v.size == 0:
+        return 0.0, 0.0
+    return float(np.linalg.norm(v, np.inf)), float(np.linalg.norm(v, 1))
+
+
+def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
+    """tau F_S plus the `mode` norm of (c_E, [c_I]_+); only that norm is
+    computed. With no inequalities and mode L1 this is the equality
+    solver's merit tau F + ||c_E||_1."""
+    v = np.concatenate([c_E, np.maximum(c_I, 0.0)]) if c_I.size else c_E
+    violation = (float(np.linalg.norm(v, np.inf if mode == LINF else 1))
+                 if v.size else 0.0)
+    return tau * F_S + violation
+
+
+def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
+                     evaluator: Evaluator, mode: str):
+    """Armijo backtracking on the merit `merit_value(., tau, mode)` along d
+    from ctx, then the update x + alpha d, lam + alpha delta, the subsampled
+    values at the new point and, with a Hessian model, its L-BFGS update
+    from Lagrangian-gradient differences. Returns (new context, alpha).
+
+    Raises LineSearchFailure when no step above ALPHA_MIN gives sufficient
+    decrease.
+    """
+    phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, mode)
+
+    def merit_eval(alpha):
+        xt = ctx.x + alpha * d
+        c_E, c_I, _, _ = evaluator.constraints(xt)
+        return merit_value(evaluator.value(xt), c_E, c_I, tau, mode)
+
+    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
+                             ALPHA_MIN)
+
+    x_new = ctx.x + alpha * d
+    lam_new = ctx.lam + alpha * delta
+    F_new, g_new = evaluator.value_grad(x_new)
+    c_E, c_I, J_E, J_I = evaluator.constraints(x_new)
+
+    hessian = ctx.hessian
+    if hessian is not None:
+        s = x_new - ctx.x
+        y = (g_new + J_E.T @ lam_new) - (ctx.g_S + ctx.J_E.T @ lam_new)
+        hessian = lbfgs_update(hessian, s, y)
+
+    new_ctx = InnerContext(x=x_new, lam=lam_new, F_S=F_new, g_S=g_new,
+                           c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I, tau_prev=tau,
+                           hessian=hessian)
+    return new_ctx, alpha
+
+
+def inner_iteration(ctx: InnerContext, config: EqSqpConfig,
                     evaluator: Evaluator,
                     counters: Optional[Counters] = None,
                     step: Optional[EqStepResult] = None,
                     plan: Optional[tuple] = None):
-    """One SQP inner iteration: step, merit update, Armijo line search,
-    primal/dual update, quasi-Newton update.
+    """One equality SQP inner iteration: KKT step, merit update, then the
+    shared line search and update on the l1 merit tau F + ||c_E||_1.
 
-    Returns (new_ctx, step_result, alpha). `step` may be passed in when the
+    Returns (new_ctx, step_result, alpha); alpha is 0 and ctx is returned
+    unchanged when the step is zero. `step` may be passed in when the
     caller already solved the KKT system for a termination probe, and
     `plan` when it already took merit_plan(ctx, step).
 
@@ -215,33 +284,11 @@ def inner_iteration(ctx: EqInnerContext, config: EqSqpConfig,
     """
     if step is None:
         step = compute_step(ctx, config, counters=counters)
-    d, delta = step.d, step.delta
 
-    if np.linalg.norm(d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
+    if np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
         return ctx, step, 0.0
 
     tau, delta_l = merit_plan(ctx, step) if plan is None else plan
-    phi0 = tau * ctx.F_S + float(np.linalg.norm(ctx.c, 1))
-
-    def merit_eval(alpha):
-        xt = ctx.x + alpha * d
-        ct = evaluator.constraints(xt)[0]
-        return tau * evaluator.value(xt) + float(np.linalg.norm(ct, 1))
-
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
-                             ALPHA_MIN)
-
-    x_new = ctx.x + alpha * d
-    lam_new = ctx.lam + alpha * delta
-    F_new, g_new = evaluator.value_grad(x_new)
-    c_new, _, J_new, _ = evaluator.constraints(x_new)
-
-    hessian = ctx.hessian
-    if hessian is not None:
-        s = x_new - ctx.x
-        y = (g_new + J_new.T @ lam_new) - (ctx.g_S + ctx.J.T @ lam_new)
-        hessian = lbfgs_update(hessian, s, y)
-
-    new_ctx = EqInnerContext(x=x_new, lam=lam_new, F_S=F_new, g_S=g_new,
-                             c=c_new, J=J_new, tau_prev=tau, hessian=hessian)
+    new_ctx, alpha = line_search_step(ctx, step.d, step.delta, tau, delta_l,
+                                      evaluator, L1)
     return new_ctx, step, alpha

@@ -1,36 +1,30 @@
-"""One inner iteration of the robust-SQP method for general constraints:
-feasibility LP, direction QP, infeasible-stationary detection, merit
-management, and line search, in both max-norm and 1-norm modes."""
+"""The robust-SQP method for general constraints: feasibility LP,
+direction QP, infeasible-stationary detection and the merit-parameter rule,
+in both max-norm and 1-norm modes. The driver's robust progress probe
+solves the two subproblems; `robust_inner_iteration` takes the step."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import ConvexProgram, solve_program
-from .linalg import LbfgsModel, lbfgs_update
-from .sqp_eq import (ALPHA_MIN, EPS_ALPHA, EPS_SIGMA, EPS_TAU, ETA,
-                     Evaluator, armijo_backtrack)
+from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
+                     line_search_step)
+# nothing here calls these two; perfbench/layers.py TARGETS wraps them by
+# this module's names, so they stay importable until the benchmark drops them
+from .linalg import lbfgs_update  # noqa: F401
+from .sqp_eq import armijo_backtrack  # noqa: F401
 
-LINF = "linf"
-L1 = "l1"
 # infeasible-stationary certificate: a step norm that counts as p = 0, and
 # a violation tolerance above the interior-point objective noise floor
 INFEAS_TOL_P = 1e-9
 INFEAS_TOL_V = 1e-5
 TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
-
-
-def violation_norms(c_E: np.ndarray, c_I: np.ndarray):
-    """(max-norm, 1-norm) of the stacked violation (c_E, [c_I]_+)."""
-    v = np.concatenate([c_E, np.maximum(c_I, 0.0)])
-    if v.size == 0:
-        return 0.0, 0.0
-    return float(np.linalg.norm(v, np.inf)), float(np.linalg.norm(v, 1))
 
 
 def sigma_bounds(violation_inf: float, violation_l1: float, mode: str,
@@ -54,7 +48,7 @@ class FeasibilityResult:
 
 
 def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
-                        g_S=None, H=None, relaxation=None) -> ConvexProgram:
+                        g_S=None, relaxation=None) -> ConvexProgram:
     """The feasibility LP (no relaxation given) or the direction QP.
 
     Variables are [p, t (l1 only), y (LP only)]. The rows are +J_E, -J_E,
@@ -62,7 +56,7 @@ def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
     constraint in l1) or by the given relaxation in the QP, then in l1 mode
     +-p - t <= 0 and sum t <= sigma. In linf mode |p| <= sigma is a bound;
     t and y are nonnegative. The LP minimizes sum y, the QP the objective
-    model with gradient g_S and Hessian H (the identity when None).
+    model with gradient g_S and the identity Hessian.
     """
     if mode not in (LINF, L1):
         raise ValueError(f"unknown norm mode {mode!r}")
@@ -86,7 +80,7 @@ def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
     else:
         g[:n] = g_S
         Hfull = np.zeros((nv, nv))
-        Hfull[:n, :n] = np.eye(n) if H is None else np.asarray(H, dtype=float)
+        Hfull[:n, :n] = np.eye(n)
         r = np.broadcast_to(np.asarray(relaxation, dtype=float), (m,))
         rhs = np.concatenate([r[:m_E], r]) + rhs
     if mode == L1:
@@ -150,15 +144,14 @@ class RobustStepResult:
     delta_c: float
 
 
-def direction_step(g_S, H: Optional[np.ndarray], c_E, c_I, J_E, J_I,
-                   relaxation, sigma_d: float, mode: str, violation: float,
-                   lp_objective: float,
+def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
+                   mode: str, violation: float, lp_objective: float,
                    counters: Optional[Counters] = None) -> RobustStepResult:
-    """QP minimizing the quadratic objective model subject to the relaxed
-    linearized constraints and ||d|| <= sigma_d. H defaults to the identity;
-    `relaxation` is a per-constraint array or one value for all."""
+    """QP minimizing the quadratic objective model g_S'd + d'd/2 subject to
+    the relaxed linearized constraints and ||d|| <= sigma_d; `relaxation`
+    is a per-constraint array or one value for all."""
     prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g_S,
-                               H=H, relaxation=relaxation)
+                               relaxation=relaxation)
     sol = _solve(prog, "direction QP", counters)
     return RobustStepResult(d=sol.x[:J_E.shape[1]],
                             delta_c=max(0.0, violation - lp_objective))
@@ -184,91 +177,18 @@ def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
     return tau
 
 
-@dataclass
-class RobustSqpConfig:
-    """Line-search and merit constants are shared with the equality solver
-    (`sqp_eq.EPS_SIGMA` and the rest)."""
-    mode: str = LINF
+def robust_inner_iteration(ctx: InnerContext, mode: str,
+                           evaluator: Evaluator, step: RobustStepResult):
+    """One robust-SQP update along the probe's direction step: the merit
+    parameter rule, then the shared line search on the `mode` merit, with
+    no dual step. Returns (new context, alpha).
 
-
-@dataclass
-class RobustInnerContext:
-    x: np.ndarray
-    F_S: float
-    g_S: np.ndarray
-    c_E: np.ndarray
-    c_I: np.ndarray
-    J_E: np.ndarray
-    J_I: np.ndarray
-    tau_prev: float
-    hessian: Optional[LbfgsModel] = None  # None means identity
-
-
-@dataclass
-class RobustOutcome:
-    kind: str  # "updated" | "infeasible_stationary" | "terminated"
-    ctx: RobustInnerContext
-    step: Optional[RobustStepResult] = None
-    alpha: float = 0.0
-
-
-def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
-    v_inf, v_l1 = violation_norms(c_E, c_I)
-    return tau * F_S + (v_inf if mode == LINF else v_l1)
-
-
-def robust_inner_iteration(ctx: RobustInnerContext, config: RobustSqpConfig,
-                           evaluator: Evaluator,
-                           termination_check: Callable[[float], bool],
-                           counters: Optional[Counters] = None) -> RobustOutcome:
-    """One robust-SQP iteration: feasibility LP, infeasible-stationary check,
-    direction QP, termination probe on ||d|| before any update, then merit
-    update, line search, and the iterate update."""
-    n = ctx.x.size
-    v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
-    violation = v_inf if config.mode == LINF else v_l1
-    sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, config.mode, n)
-
-    feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p,
-                            config.mode, counters=counters)
-    if detect_infeasible_stationary(feas, violation):
-        return RobustOutcome(kind="infeasible_stationary", ctx=ctx)
-
-    H = None if ctx.hessian is None else ctx.hessian.as_matrix()
-    step = direction_step(ctx.g_S, H, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
-                          feas.relaxation, sigma_d, config.mode, violation,
-                          feas.lp_objective, counters=counters)
+    Raises MeritCollapse or LineSearchFailure, which the outer loop treats
+    as a signal to resample.
+    """
     d = step.d
-
-    if termination_check(float(np.linalg.norm(d))):
-        return RobustOutcome(kind="terminated", ctx=ctx, step=step)
-
     gTd = float(ctx.g_S @ d)
-    dHd = float(d @ d) if H is None else float(d @ (H @ d))
-    tau_tr = trial_tau_ineq(gTd, dHd, step.delta_c, EPS_SIGMA)
+    tau_tr = trial_tau_ineq(gTd, float(d @ d), step.delta_c, EPS_SIGMA)
     tau = update_tau_ineq(ctx.tau_prev, tau_tr, EPS_TAU)
-
     delta_l = -tau * gTd + step.delta_c
-    phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, config.mode)
-
-    def merit_eval(alpha):
-        xt = ctx.x + alpha * d
-        cE, cI, _, _ = evaluator.constraints(xt)
-        return merit_value(evaluator.value(xt), cE, cI, tau, config.mode)
-
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
-                             ALPHA_MIN)
-
-    x_new = ctx.x + alpha * d
-    F_new, g_new = evaluator.value_grad(x_new)
-    cE, cI, JE, JI = evaluator.constraints(x_new)
-
-    hessian = ctx.hessian
-    if hessian is not None:
-        # pairs from objective-gradient differences; no duals in this solver
-        hessian = lbfgs_update(hessian, x_new - ctx.x, g_new - ctx.g_S)
-
-    new_ctx = RobustInnerContext(x=x_new, F_S=F_new, g_S=g_new, c_E=cE,
-                                 c_I=cI, J_E=JE, J_I=JI, tau_prev=tau,
-                                 hessian=hessian)
-    return RobustOutcome(kind="updated", ctx=new_ctx, step=step, alpha=alpha)
+    return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator, mode)

@@ -12,15 +12,14 @@ import pytest
 
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
-from rasqp.driver import adaptive_batch_size
+from rasqp.driver import DriverConfig, _robust_progress, adaptive_batch_size
 from rasqp.errors import MeritCollapse
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
-from rasqp.sqp_eq import (ETA, EqInnerContext, EqSqpConfig, Evaluator,
+from rasqp.sqp_eq import (ETA, EqSqpConfig, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
                           trial_tau, update_tau)
-from rasqp.sqp_ineq import (RobustInnerContext, RobustSqpConfig,
-                            direction_step, robust_inner_iteration,
+from rasqp.sqp_ineq import (direction_step, robust_inner_iteration,
                             sigma_bounds, trial_tau_ineq, update_tau_ineq)
 
 
@@ -227,9 +226,9 @@ def test_criterion_4_merit_line_search_invariants():
         ev = _eq_instance(rng)
         x = rng.standard_normal(5)
         F, g = ev.value_grad(x)
-        c, _, J, _ = ev.constraints(x)
-        ctx = EqInnerContext(x=x, lam=np.zeros(c.size), F_S=F, g_S=g, c=c,
-                             J=J, tau_prev=1.0)
+        c, c_I, J, J_I = ev.constraints(x)
+        ctx = InnerContext(x=x, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
+                           c_I=c_I, J_E=J, J_I=J_I, tau_prev=1.0)
         taus = []
         for _ in range(6):
             try:
@@ -240,11 +239,11 @@ def test_criterion_4_merit_line_search_invariants():
                 tau = new_ctx.tau_prev
                 gTd = float(ctx.g_S @ step.d)
                 dl = model_decrease(tau, gTd,
-                                    float(np.linalg.norm(ctx.c, 1)),
+                                    float(np.linalg.norm(ctx.c_E, 1)),
                                     float(np.linalg.norm(step.r, 1)))
                 if dl <= 0 or tau <= 0:
                     violations += 1
-                phi0 = tau * ctx.F_S + np.linalg.norm(ctx.c, 1)
+                phi0 = tau * ctx.F_S + np.linalg.norm(ctx.c_E, 1)
                 xt = ctx.x + alpha * step.d
                 ct = ev.constraints(xt)[0]
                 phi = tau * ev.value(xt) + np.linalg.norm(ct, 1)
@@ -255,30 +254,32 @@ def test_criterion_4_merit_line_search_invariants():
         if any(a < b - 1e-15 for a, b in zip(taus, taus[1:])):
             violations += 1
 
-    rob_config = RobustSqpConfig()
+    rob_config = DriverConfig(solver="robust")
     for _ in range(50):
         ev = _general_instance(rng)
         x = rng.standard_normal(4)
         F, g = ev.value_grad(x)
         cE, cI, JE, JI = ev.constraints(x)
-        ctx = RobustInnerContext(x=x, F_S=F, g_S=g, c_E=cE, c_I=cI, J_E=JE,
-                                 J_I=JI, tau_prev=1.0)
+        ctx = InnerContext(x=x, lam=np.zeros(cE.size), F_S=F, g_S=g, c_E=cE,
+                           c_I=cI, J_E=JE, J_I=JI, tau_prev=1.0)
         taus = []
         for _ in range(6):
+            probe = _robust_progress(ctx, rob_config, None)
+            if probe is None:
+                break
+            step = probe[2]
             try:
-                out = robust_inner_iteration(ctx, rob_config, ev,
-                                             termination_check=lambda dn: False)
+                new_ctx, alpha = robust_inner_iteration(ctx, rob_config.norm,
+                                                        ev, step)
             except MeritCollapse:
                 break
-            if out.kind != "updated":
-                break
-            tau = out.ctx.tau_prev
-            gTd = float(ctx.g_S @ out.step.d)
-            dl = -tau * gTd + out.step.delta_c
-            if tau <= 0 or dl <= 0 or out.alpha <= 0:
+            tau = new_ctx.tau_prev
+            gTd = float(ctx.g_S @ step.d)
+            dl = -tau * gTd + step.delta_c
+            if tau <= 0 or dl <= 0 or alpha <= 0:
                 violations += 1
             taus.append(tau)
-            ctx = out.ctx
+            ctx = new_ctx
         if any(a < b - 1e-15 for a, b in zip(taus, taus[1:])):
             violations += 1
 
@@ -303,8 +304,9 @@ def test_criterion_5_step_error_bounds():
         c = rng.standard_normal(m)
         steps = []
         for g in (g1, g2):
-            ctx = EqInnerContext(x=np.zeros(n), lam=np.zeros(m), F_S=0.0,
-                                 g_S=g, c=c, J=J, tau_prev=1.0)
+            ctx = InnerContext(x=np.zeros(n), lam=np.zeros(m), F_S=0.0,
+                               g_S=g, c_E=c, c_I=np.zeros(0), J_E=J,
+                               J_I=np.zeros((0, n)), tau_prev=1.0)
             ctx.h_apply = lambda v, H=H: H @ v
             s = compute_step(ctx, EqSqpConfig(exact=True))
             steps.append(np.concatenate([s.d, s.delta]))
@@ -322,7 +324,7 @@ def test_criterion_5_step_error_bounds():
         g2 = g1 + rng.standard_normal(n) * 0.1
         d = []
         for g in (g1, g2):
-            step = direction_step(g, None, np.zeros(0), c_I,
+            step = direction_step(g, np.zeros(0), c_I,
                                   np.zeros((0, n)), J_I,
                                   float(max(np.max(np.maximum(c_I, 0.0)),
                                             0.0)),

@@ -9,13 +9,14 @@ import pytest
 
 from rasqp.bench import (RunConfig, build_problem, method_driver_config,
                          read_trace_csv, run_config, write_trace_csv)
+from rasqp import driver
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           TerminationRule, _inner_loop, adaptive_batch_size,
                           default_termination, dual_initialize,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
-from rasqp.errors import ConfigError, LineSearchFailure
+from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
 from rasqp.problems import build_augmented_problem
 
 
@@ -138,10 +139,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DriverConfig(dual_mode="warm")
 
-    @pytest.mark.parametrize("solver,kind", [("robust", "kkt"),
-                                             ("robust", "dl"),
-                                             ("equality", "robust_dnorm")])
-    def test_solver_rule_mismatch_before_any_evaluation(self, solver, kind):
+    def test_unknown_norm(self):
+        with pytest.raises(ConfigError):
+            DriverConfig(norm="l2")
+
+    @staticmethod
+    def assert_rejected_before_any_evaluation(config):
         calls = []
 
         def constraints(x):
@@ -157,12 +160,22 @@ class TestConfigValidation:
             constraint_eval=constraints,
             jacobian_eval=lambda x: (np.array([[1.0]]), np.zeros((0, 1))),
             m_E=1, m_I=0, x_init=np.zeros(1), noise_level=0.1)
-        config = DriverConfig(solver=solver,
-                              termination=TerminationRule(kind=kind))
         with pytest.raises(ConfigError):
             run(prob, config, Budget(max_gradient_evals=500),
                 np.random.default_rng(0))
         assert calls == []
+
+    @pytest.mark.parametrize("solver,kind", [("robust", "kkt"),
+                                             ("robust", "dl"),
+                                             ("equality", "robust_dnorm")])
+    def test_solver_rule_mismatch_before_any_evaluation(self, solver, kind):
+        self.assert_rejected_before_any_evaluation(DriverConfig(
+            solver=solver, termination=TerminationRule(kind=kind)))
+
+    def test_robust_lbfgs_before_any_evaluation(self):
+        self.assert_rejected_before_any_evaluation(DriverConfig(
+            solver="robust", termination=TerminationRule(kind="robust_dnorm"),
+            use_lbfgs=True))
 
 
 def make_eq_quadratic(noise=0.5, n=4):
@@ -225,7 +238,24 @@ class TestConditionEstimation:
                                         np.random.default_rng(0), Counters())
         # T = (g, c) = ((-2, -2), -1): norm sqrt(9)
         assert est.Z == pytest.approx(3.0)
-        assert est.degenerate  # single sample cannot estimate a variance
+        assert est.variance == 0.0  # one sample cannot estimate a variance
+
+    def test_robust_infeasible_stationary_gives_zero(self, monkeypatch):
+        # at x = 0.5 the feasibility LP certifies x = 0 and x = 1
+        # inconsistent: no progress to make, and no direction QP solved
+        prob = make_infeasible_problem()
+        from rasqp.problems import SampleSet
+
+        def no_qp(*args, **kwargs):
+            raise AssertionError("direction QP solved")
+
+        monkeypatch.setattr(driver, "direction_step", no_qp)
+        config = DriverConfig(solver="robust",
+                              termination=TerminationRule(kind="robust_dnorm"))
+        est = estimate_condition_inputs(prob, np.array([0.5]), np.zeros(2),
+                                        SampleSet((0.1, -0.1)), config, None,
+                                        np.random.default_rng(0), Counters())
+        assert est.Z == 0.0
 
     def test_probe_does_not_count_updates(self):
         prob = make_eq_quadratic(noise=0.5, n=2)
@@ -355,39 +385,61 @@ class TestInnerLoop:
 
     RULE = TerminationRule(kind="dnorm")
 
+    @staticmethod
+    def no_update(ctx, step, plan):
+        raise AssertionError("no update expected")
+
     def test_line_search_failure(self):
-        def iterate(ctx, stop):
+        def update(ctx, step, plan):
             raise LineSearchFailure("stub")
 
-        out = _inner_loop(iterate, "ctx", self.RULE, Budget(), Counters())
+        out = _inner_loop(lambda ctx: (1.0, 1.0, None, None), update, "ctx",
+                          self.RULE, Budget(), Counters())
         assert out == ("ctx", 0, 0, "line_search_failure")
 
-    def test_inner_cap(self):
-        # alternately moving and not moving: only the moves count as updates
-        def iterate(ctx, stop):
-            assert not stop(1.0, 1.0)
-            return "updated", ctx + 1, ctx % 2 == 0
+    def test_merit_collapse_in_probe(self):
+        def progress(ctx):
+            raise MeritCollapse("stub")
 
-        out = _inner_loop(iterate, 0, self.RULE, Budget(), Counters())
+        out = _inner_loop(progress, self.no_update, "ctx", self.RULE,
+                          Budget(), Counters())
+        assert out == ("ctx", 0, 0, "merit_collapse")
+
+    def test_inner_cap(self):
+        # alternately moving and not moving: only the moves count as
+        # updates; each update gets the step and plan its probe returned
+        def update(ctx, step, plan):
+            assert (step, plan) == (("step", ctx), ("plan", ctx))
+            return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
+
+        out = _inner_loop(lambda ctx: (1.0, 1.0, ("step", ctx), ("plan", ctx)),
+                          update, 0, self.RULE, Budget(), Counters())
         assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
 
     def test_snapshot_is_first_value(self):
-        # only the first call's snapshot counts: stop fires once
+        # only the first probe's snapshot counts: the rule fires once
         # 10 - ctx <= 0.5 * 10 + 1e-6, although later snapshots would
         # have fired it at ctx = 1
-        def iterate(ctx, stop):
-            if stop(10.0 - ctx, 10.0 + 10.0 * ctx):
-                return "terminated", ctx, False
-            return "updated", ctx + 1, True
-
-        out = _inner_loop(iterate, 0, self.RULE, Budget(), Counters())
+        out = _inner_loop(lambda ctx: (10.0 - ctx, 10.0 + 10.0 * ctx, None,
+                                       None),
+                          lambda ctx, step, plan: (ctx + 1, 1.0), 0,
+                          self.RULE, Budget(), Counters())
         assert out == (5, 5, 5, "terminated")
 
+    def test_infeasible_stationary(self):
+        # the probe's None ends the loop before any update at that point
+        def progress(ctx):
+            return None if ctx == 3 else (1.0, 1.0, None, None)
+
+        out = _inner_loop(progress, lambda ctx, step, plan: (ctx + 1, 1.0),
+                          0, self.RULE, Budget(), Counters())
+        assert out == (3, 3, 3, "infeasible_stationary")
+
     def test_budget(self):
-        def iterate(ctx, stop):
+        def progress(ctx):
             raise AssertionError("no iteration once the budget is spent")
 
-        out = _inner_loop(iterate, "ctx", self.RULE,
+        out = _inner_loop(progress, self.no_update, "ctx", self.RULE,
                           Budget(max_gradient_evals=10),
                           Counters(gradient_evals=10))
         assert out == ("ctx", 0, 0, "budget")

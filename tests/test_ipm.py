@@ -8,8 +8,8 @@ import numpy as np
 from rasqp import ipm
 from rasqp.counters import Counters
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
-from rasqp.sqp_ineq import (L1, LINF, _linearized_program, feasibility_step,
-                            sigma_bounds, violation_norms)
+from rasqp.sqp_eq import L1, LINF, violation_norms
+from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
 
 
 def brute_force_qp(H, g, C, d, tol=1e-9):
@@ -170,7 +170,8 @@ def regression_set():
     """(iterations, status) of solve_program on a fixed seeded set:
     feasibility LPs and direction QPs from sqp_ineq._linearized_program in
     both norm modes (some with c_E entries exactly 0, some at feasible
-    points), each QP relaxed by its LP's solution, plus KKT-residual LPs."""
+    points), each QP relaxed by its LP's solution and half of them given a
+    non-identity Hessian block, plus KKT-residual LPs."""
     rng = np.random.default_rng(11)
     out = {}
     for k in range(12):
@@ -193,9 +194,11 @@ def regression_set():
                                                mode))
         out[f"lp-{mode}-{k}"] = (lp.iterations, lp.status)
         feas = feasibility_step(c_E, c_I, J_E, J_I, sigma_p, mode)
-        qp = solve_program(_linearized_program(
-            c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g, H=H,
-            relaxation=feas.relaxation))
+        prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g,
+                                   relaxation=feas.relaxation)
+        if H is not None:
+            prog.H[:n, :n] = H
+        qp = solve_program(prog)
         out[f"qp-{mode}-{k}"] = (qp.iterations, qp.status)
     for k in range(6):
         n = (3, 10, 30)[k % 3]

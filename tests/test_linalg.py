@@ -109,7 +109,9 @@ class TestLbfgs:
             v = rng.standard_normal(n)
             err = np.linalg.norm(lbfgs_apply(model, v) - B @ v)
             worst = max(worst, err / max(1.0, np.linalg.norm(B @ v)))
-            np.testing.assert_allclose(model.as_matrix(), B, rtol=1e-10,
+            dense = np.column_stack([lbfgs_apply(model, e)
+                                     for e in np.eye(n)])
+            np.testing.assert_allclose(dense, B, rtol=1e-10,
                                        atol=1e-10 * np.abs(B).max())
         assert worst <= 1e-10
 

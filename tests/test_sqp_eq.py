@@ -4,18 +4,21 @@ line search, and the iteration invariants."""
 import numpy as np
 import pytest
 
-from rasqp.errors import LineSearchFailure, MeritCollapse
-from rasqp.linalg import LbfgsModel
-from rasqp.sqp_eq import (TAU_BAR, EqInnerContext, EqSqpConfig, Evaluator,
-                          armijo_backtrack, compute_step, inner_iteration,
+from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
+from rasqp.linalg import LbfgsModel, lbfgs_update
+from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, EqSqpConfig,
+                          Evaluator, InnerContext, armijo_backtrack,
+                          compute_step, inner_iteration, merit_value,
                           model_decrease, trial_tau, update_tau)
 
 
 def make_ctx(x, lam, g, c, J, tau=1.0, F=0.0, hessian=None):
-    return EqInnerContext(x=np.asarray(x, float), lam=np.asarray(lam, float),
-                          F_S=F, g_S=np.asarray(g, float),
-                          c=np.asarray(c, float), J=np.asarray(J, float),
-                          tau_prev=tau, hessian=hessian)
+    J = np.asarray(J, float)
+    return InnerContext(x=np.asarray(x, float), lam=np.asarray(lam, float),
+                        F_S=F, g_S=np.asarray(g, float),
+                        c_E=np.asarray(c, float), c_I=np.zeros(0), J_E=J,
+                        J_I=np.zeros((0, J.shape[1])), tau_prev=tau,
+                        hessian=hessian)
 
 
 class TestComputeStep:
@@ -60,19 +63,31 @@ class TestComputeStep:
         np.testing.assert_allclose(K_top, step.rho, atol=1e-8)
 
     def test_cond2_residual_bounds(self):
-        # force condition II by making the constraint dominate
+        # g = -J'c and lam = 0 make g'd = ||c||^2 for every step with
+        # J d = -c, so the merit model decrease of condition I is negative
+        # and only condition II can accept; an L-BFGS model keeps MINRES
+        # from reaching the exact tolerance first, as it does with H = I
         rng = np.random.default_rng(21)
         n, m = 30, 4
-        J = rng.standard_normal((m, n))
-        ctx = make_ctx(rng.standard_normal(n), np.zeros(m),
-                       1e-6 * rng.standard_normal(n),
-                       10.0 * rng.standard_normal(m), J)
-        config = EqSqpConfig(exact=False)
-        step = compute_step(ctx, config)
-        if step.acceptance == "inexact_cond2":
-            cnorm = np.linalg.norm(ctx.c)
-            assert np.linalg.norm(step.r) <= config.eps_feas * cnorm + 1e-12
-            assert np.linalg.norm(step.rho) <= config.eps_opt * cnorm + 1e-12
+        for _ in range(20):
+            model = LbfgsModel(dim=n, capacity=5)
+            for _ in range(5):
+                s = rng.standard_normal(n)
+                model = lbfgs_update(model, s,
+                                     s + 0.5 * rng.standard_normal(n))
+            J = rng.standard_normal((m, n))
+            c = 10.0 * rng.standard_normal(m)
+            ctx = make_ctx(rng.standard_normal(n), np.zeros(m), -J.T @ c, c,
+                           J, hessian=model)
+            step = compute_step(ctx, EqSqpConfig(exact=False))
+            assert step.acceptance == "inexact_cond2"
+            cnorm = np.linalg.norm(c)
+            assert np.linalg.norm(step.r) <= EPS_FEAS * cnorm
+            assert np.linalg.norm(step.rho) <= EPS_OPT * cnorm
+
+    def test_minres_max_iter_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            EqSqpConfig(minres_max_iter=0)
 
 
 class TestMeritParameter:
@@ -102,6 +117,18 @@ class TestMeritParameter:
 
     def test_model_decrease(self):
         assert model_decrease(0.5, -2.0, 3.0, 1.0) == pytest.approx(3.0)
+
+
+class TestMerit:
+    def test_equality_merit_is_l1_without_inequalities(self):
+        # the shared line search's merit is tau F + ||c_E||_1 bit for bit,
+        # also with no constraints at all
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            c = rng.standard_normal(int(rng.integers(0, 5)))
+            F, tau = float(rng.standard_normal()), float(rng.uniform())
+            assert (merit_value(F, c, np.zeros(0), tau, L1)
+                    == tau * F + float(np.linalg.norm(c, 1)))
 
 
 class TestArmijo:
@@ -149,10 +176,11 @@ def quadratic_instance(rng, n=5, m=2):
 def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
     config = config or EqSqpConfig(exact=True)
     F, g = evaluator.value_grad(x0)
-    c, _, J, _ = evaluator.constraints(x0)
+    c, c_I, J, J_I = evaluator.constraints(x0)
     hess = LbfgsModel(dim=x0.size, capacity=20) if use_lbfgs else None
-    ctx = EqInnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c=c, J=J,
-                         tau_prev=TAU_BAR, hessian=hess)
+    ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
+                       c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR,
+                       hessian=hess)
     history = []
     for _ in range(iters):
         new_ctx, step, alpha = inner_iteration(ctx, config, evaluator)
@@ -190,10 +218,10 @@ class TestInnerIterationInvariants:
                 tau = new_ctx.tau_prev
                 gTd = float(ctx.g_S @ step.d)
                 dl = model_decrease(tau, gTd,
-                                    float(np.linalg.norm(ctx.c, 1)),
+                                    float(np.linalg.norm(ctx.c_E, 1)),
                                     float(np.linalg.norm(step.r, 1)))
                 assert dl > 0
-                phi0 = tau * ctx.F_S + np.linalg.norm(ctx.c, 1)
+                phi0 = tau * ctx.F_S + np.linalg.norm(ctx.c_E, 1)
                 xt = ctx.x + alpha * step.d
                 ct = ev.constraints(xt)[0]
                 phi = tau * ev.value(xt) + np.linalg.norm(ct, 1)

@@ -5,12 +5,13 @@ iteration invariants in both norm modes."""
 import numpy as np
 import pytest
 
-from rasqp.sqp_eq import Evaluator
-from rasqp.sqp_ineq import (FeasibilityResult, RobustInnerContext,
-                            RobustSqpConfig, detect_infeasible_stationary,
-                            direction_step, feasibility_step, merit_value,
+from rasqp.driver import DriverConfig, _robust_progress
+from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext, merit_value,
+                          violation_norms)
+from rasqp.sqp_ineq import (FeasibilityResult, detect_infeasible_stationary,
+                            direction_step, feasibility_step,
                             robust_inner_iteration, sigma_bounds,
-                            trial_tau_ineq, update_tau_ineq, violation_norms)
+                            trial_tau_ineq, update_tau_ineq)
 from rasqp.errors import MeritCollapse
 
 
@@ -117,28 +118,28 @@ class TestDetection:
 class TestDirectionStep:
     def test_unconstrained_newton_step(self):
         # H = I, g = (2, 0), no constraints: d = -g
-        step = direction_step(np.array([2.0, 0.0]), None, np.zeros(0),
+        step = direction_step(np.array([2.0, 0.0]), np.zeros(0),
                               np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
                               0.0, 100.0, "linf", 0.0, 0.0)
         np.testing.assert_allclose(step.d, [-2.0, 0.0], atol=1e-6)
 
     def test_relaxed_equality_respected(self):
         # c = x - 1 at x = 0 with y = 0: the step must land on c + J d = 0
-        step = direction_step(np.array([0.0]), None, np.array([-1.0]),
+        step = direction_step(np.array([0.0]), np.array([-1.0]),
                               np.zeros(0), np.array([[1.0]]),
                               np.zeros((0, 1)), 0.0, 100.0, "linf", 1.0, 0.0)
         np.testing.assert_allclose(step.d, [1.0], atol=1e-5)
         assert step.delta_c == pytest.approx(1.0)
 
     def test_l1_mode_step(self):
-        step = direction_step(np.array([0.0]), None, np.array([-1.0]),
+        step = direction_step(np.array([0.0]), np.array([-1.0]),
                               np.zeros(0), np.array([[1.0]]),
                               np.zeros((0, 1)), np.zeros(1),
                               200.0, "l1", 1.0, 0.0)
         np.testing.assert_allclose(step.d, [1.0], atol=1e-5)
 
     def test_scalar_relaxation_broadcasts(self):
-        args = (np.array([1.0, -0.5]), None, np.array([-1.0]),
+        args = (np.array([1.0, -0.5]), np.array([-1.0]),
                 np.array([0.5, -2.0]), np.array([[1.0, 0.0]]),
                 np.array([[0.0, 1.0], [1.0, 1.0]]))
         for mode in ("linf", "l1"):
@@ -176,6 +177,7 @@ class TestMeritParameter:
         c_I = np.array([0.5])
         assert merit_value(3.0, c_E, c_I, 0.5, "linf") == pytest.approx(3.5)
         assert merit_value(3.0, c_E, c_I, 0.5, "l1") == pytest.approx(5.0)
+        assert merit_value(3.0, np.zeros(0), np.zeros(0), 0.5, "linf") == 1.5
 
 
 def quadratic_general_instance(rng, n=4, m_e=1, m_i=2):
@@ -203,20 +205,43 @@ def quadratic_general_instance(rng, n=4, m_e=1, m_i=2):
 def make_robust_ctx(evaluator, x0, tau=1.0):
     F, g = evaluator.value_grad(x0)
     cE, cI, JE, JI = evaluator.constraints(x0)
-    return RobustInnerContext(x=x0, F_S=F, g_S=g, c_E=cE, c_I=cI, J_E=JE,
-                              J_I=JI, tau_prev=tau)
+    return InnerContext(x=x0, lam=np.zeros(cE.size), F_S=F, g_S=g, c_E=cE,
+                        c_I=cI, J_E=JE, J_I=JI, tau_prev=tau)
+
+
+def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
+    """One robust inner iteration as the driver runs it: the progress probe,
+    the stop test on ||d||, then the update. Returns (kind, ctx, step,
+    alpha) with kind "updated", "terminated" or "infeasible_stationary"."""
+    probe = _robust_progress(ctx, DriverConfig(norm=mode), None)
+    if probe is None:
+        return "infeasible_stationary", ctx, None, 0.0
+    dnorm, _, step, _ = probe
+    if stop(dnorm):
+        return "terminated", ctx, step, 0.0
+    new_ctx, alpha = robust_inner_iteration(ctx, mode, evaluator, step)
+    return "updated", new_ctx, step, alpha
 
 
 class TestRobustInnerIteration:
     def test_termination_probe_before_update(self):
+        # the probe solves the two subprograms at ctx and evaluates nothing
         rng = np.random.default_rng(0)
         ev = quadratic_general_instance(rng)
         ctx = make_robust_ctx(ev, rng.standard_normal(4))
-        out = robust_inner_iteration(ctx, RobustSqpConfig(), ev,
-                                     termination_check=lambda dn: True)
-        assert out.kind == "terminated"
-        assert out.ctx is ctx  # no update happened
-        assert out.step is not None
+        before = (ctx.x.copy(), ctx.F_S, ctx.tau_prev)
+        calls = []
+        spy = Evaluator(value=lambda x: calls.append(x),
+                        value_grad=lambda x: calls.append(x),
+                        constraints=lambda x: calls.append(x))
+        current, first, step, plan = _robust_progress(ctx, DriverConfig(),
+                                                      None)
+        assert current == first == float(np.linalg.norm(step.d)) > 0.0
+        assert plan is None
+        np.testing.assert_array_equal(ctx.x, before[0])
+        assert (ctx.F_S, ctx.tau_prev) == before[1:]
+        kind, out, _, _ = robust_iterate(ctx, spy, stop=lambda dn: True)
+        assert kind == "terminated" and out is ctx and calls == []
 
     def test_infeasible_instance_detected(self):
         # x = 0 and x = 1 simultaneously: stationary for the infeasibility
@@ -227,16 +252,13 @@ class TestRobustInnerIteration:
         ev = Evaluator(value=lambda x: float(x @ x),
                        value_grad=lambda x: (float(x @ x), 2.0 * x),
                        constraints=lambda x: constraints(x))
-        for mode in ("linf", "l1"):
+        for mode in (LINF, L1):
             ctx = make_robust_ctx(ev, np.array([0.3]))
             for _ in range(20):
-                out = robust_inner_iteration(ctx, RobustSqpConfig(mode=mode),
-                                             ev,
-                                             termination_check=lambda dn: False)
-                if out.kind != "updated":
+                kind, ctx, _, _ = robust_iterate(ctx, ev, mode)
+                if kind != "updated":
                     break
-                ctx = out.ctx
-            assert out.kind == "infeasible_stationary"
+            assert kind == "infeasible_stationary"
 
     def test_converges_and_invariants(self):
         # merit collapse near feasibility is an expected resample signal in
@@ -247,19 +269,18 @@ class TestRobustInnerIteration:
             ev = quadratic_general_instance(rng)
             ctx = make_robust_ctx(ev, rng.standard_normal(4))
             taus = []
-            out = None
             for _ in range(300):
                 try:
-                    out = robust_inner_iteration(
-                        ctx, RobustSqpConfig(), ev,
-                        termination_check=lambda dn: dn <= 1e-5)
+                    kind, new_ctx, _, alpha = robust_iterate(
+                        ctx, ev, stop=lambda dn: dn <= 1e-5)
                 except MeritCollapse:
                     break
-                if out.kind != "updated":
+                if kind != "updated":
                     break
-                assert out.alpha > 0.0
-                taus.append(out.ctx.tau_prev)
-                ctx = out.ctx
+                assert alpha > 0.0
+                np.testing.assert_array_equal(new_ctx.lam, ctx.lam)
+                taus.append(new_ctx.tau_prev)
+                ctx = new_ctx
             assert all(t > 0 for t in taus)
             assert all(a >= b - 1e-15 for a, b in zip(taus, taus[1:]))
             v_inf, _ = violation_norms(ctx.c_E, ctx.c_I)
@@ -271,31 +292,25 @@ class TestRobustInnerIteration:
         rng = np.random.default_rng(5)
         ev = quadratic_general_instance(rng)
         ctx = make_robust_ctx(ev, rng.standard_normal(4))
-        out = robust_inner_iteration(ctx, RobustSqpConfig(), ev,
-                                     termination_check=lambda dn: False)
-        assert out.kind == "updated"
-        tau = out.ctx.tau_prev
-        before = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, "linf")
-        after = merit_value(out.ctx.F_S, out.ctx.c_E, out.ctx.c_I, tau,
-                            "linf")
+        kind, out, _, _ = robust_iterate(ctx, ev)
+        assert kind == "updated"
+        tau = out.tau_prev
+        before = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, LINF)
+        after = merit_value(out.F_S, out.c_E, out.c_I, tau, LINF)
         assert after < before
 
     def test_l1_mode_converges(self):
         rng = np.random.default_rng(7)
         ev = quadratic_general_instance(rng)
         ctx = make_robust_ctx(ev, rng.standard_normal(4))
-        out = None
         for _ in range(60):
-            out = robust_inner_iteration(
-                ctx, RobustSqpConfig(mode="l1"), ev,
-                termination_check=lambda dn: dn <= 1e-5)
-            if out.kind != "updated":
+            kind, ctx, _, _ = robust_iterate(ctx, ev, L1,
+                                             stop=lambda dn: dn <= 1e-5)
+            if kind != "updated":
                 break
-            ctx = out.ctx
         _, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
-        assert out.kind == "terminated"
+        assert kind == "terminated"
         assert v_l1 <= 1e-5
-
     def test_step_nonexpansive_in_gradient(self):
         # with the identity Hessian and no active constraints the QP solution
         # map is a projection composition, nonexpansive in the gradient
@@ -309,7 +324,7 @@ class TestRobustInnerIteration:
             g2 = g1 + 0.1 * rng.standard_normal(n)
             d = []
             for g in (g1, g2):
-                step = direction_step(g, None, np.zeros(0), c_I, J_E, J_I,
+                step = direction_step(g, np.zeros(0), c_I, J_E, J_I,
                                       0.0, 100.0, "linf", 0.0, 0.0)
                 d.append(step.d)
             assert (np.linalg.norm(d[0] - d[1])
