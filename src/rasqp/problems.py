@@ -299,26 +299,44 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     X = dataset.X
     labels = dataset.labels
 
-    def sums(x, items, order):
-        Xs = X[items]
-        A = Xs @ x.reshape(K, nf).T       # (|S|, K) scores
-        lab = labels[items]
-        a_lab = A[np.arange(items.size), lab]
-        # one-hot label: only the labelled class contributes
+    # a per-sample gradient is a multiple of its row placed in its label's
+    # class block, so its squared norm needs only the row's
+    row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+
+    def rows_sums(Xs, lab, sq, x, order):
+        """`sums` over the rows of `Xs`, labelled `lab`, squared norms `sq`."""
+        # one-hot label: only the labelled class's score contributes
+        a_lab = (Xs @ x.reshape(K, nf).T)[np.arange(lab.size), lab]
         vsum = float(np.sum(np.logaddexp(0.0, -a_lab)))
         if order == 0:
             return (vsum,)
-        coef = _sigmoid(a_lab) - 1.0      # (|S|,)
-        gsum = np.zeros((K, nf))
-        for k in range(K):
-            mask = lab == k
-            if np.any(mask):
-                gsum[k] = (Xs[mask].T @ coef[mask])
+        coef = _sigmoid(a_lab) - 1.0
+        # entry (i, j) adds coef_i * X_ij at lab_i * nf + j, row by row: the
+        # same products in the same order as one CSC product per class.
+        # Built in place, so a batch needs two temporaries per entry, not four
+        cnt = np.diff(Xs.indptr)
+        bins = np.repeat(lab * nf, cnt)
+        bins += Xs.indices
+        weights = np.repeat(coef, cnt)
+        weights *= Xs.data
+        gsum = np.bincount(bins, weights=weights, minlength=n)
         if order == 1:
-            return vsum, gsum.ravel()
-        # each per-sample gradient lives in one class block: coef_i * row_i
-        row_sq = np.asarray(Xs.multiply(Xs).sum(axis=1)).ravel()
-        return vsum, gsum.ravel(), float(np.sum(coef * coef * row_sq))
+            return vsum, gsum
+        return vsum, gsum, float(np.sum(coef * coef * sq))
+
+    # (items, rows, labels, squared norms) of the last sample set: an inner
+    # solve evaluates one set many times, so it gathers once per set. The
+    # set is compared by content with a private copy, so a caller that
+    # refills its array in place still gets its own rows
+    last = None
+
+    def sums(x, items, order):
+        nonlocal last
+        batch = last
+        if batch is None or not np.array_equal(items, batch[0]):
+            items = np.array(items)
+            batch = last = (items, X[items], labels[items], row_sq[items])
+        return rows_sums(*batch[1:], x, order)
 
     m = K
 
@@ -329,11 +347,11 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
             return c, np.zeros(0)
         return np.zeros(0), c
 
+    r = np.arange(K)
+
     def jacobian_eval(x):
-        W = x.reshape(K, nf)
         J = np.zeros((K, n))
-        for k in range(K):
-            J[k, k * nf:(k + 1) * nf] = 2.0 * W[k]
+        J.reshape(K, K, nf)[r, r] = 2.0 * x.reshape(K, nf)
         if constraint_kind == "equality":
             return J, np.zeros((0, n))
         return np.zeros((0, n)), J
@@ -341,13 +359,12 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     m_E = m if constraint_kind == "equality" else 0
     m_I = m if constraint_kind == "inequality" else 0
 
-    full = np.arange(len(dataset))
-
+    # the full data set needs no gather: X[arange(N)] is X
     def true_value(x):
-        return sums(x, full, 0)[0] / len(dataset)
+        return rows_sums(X, labels, row_sq, x, 0)[0] / len(dataset)
 
     def true_gradient(x):
-        return sums(x, full, 1)[1] / len(dataset)
+        return rows_sums(X, labels, row_sq, x, 1)[1] / len(dataset)
 
     return ProblemSpec(
         n=n, m_E=m_E, m_I=m_I, mode=FiniteSum(len(dataset)),

@@ -3,16 +3,18 @@ problem families."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rasqp.bench import make_infeasible_1d, make_noisy_quadratic
+from rasqp.bench import (make_infeasible_1d, make_noisy_quadratic,
+                         make_synthetic_dataset)
 from rasqp.counters import Counters
 from rasqp.errors import ConfigError, ParseError
 from rasqp.problems import (Dataset, SampleSet, build_augmented_problem,
                             build_logreg_problem,
                             draw_samples, eval_constraints, eval_subsampled,
                             eval_subsampled_value, gradient_stats,
-                            parse_libsvm)
+                            parse_libsvm, _sigmoid)
 
 
 SAMPLE_TEXT = "1 1:0.5 3:2.0\n-1 2:1.0\n1 1:-1.0 2:0.25 3:1.5\n"
@@ -303,6 +305,117 @@ class TestLogreg:
         row = np.array([0])
         assert prob.sums(x_good, row, 0)[0] < prob.sums(np.zeros(prob.n),
                                                         row, 0)[0]
+
+    @pytest.mark.parametrize("kind", ["equality", "inequality"])
+    def test_jacobian_is_block_diagonal(self, kind):
+        ds = _tiny_dataset(n_classes=3)
+        prob = build_logreg_problem(ds, kind)
+        x = np.random.default_rng(4).standard_normal(prob.n)
+        _, _, J_E, J_I = eval_constraints(prob, x)
+        J = J_E if kind == "equality" else J_I
+        expected = scipy.linalg.block_diag(*(2.0 * x.reshape(3, -1)))
+        assert np.array_equal(J, expected)
+
+
+def per_class_sums(dataset, x, items, order):
+    """Logreg `sums` with one row gather and one transposed (CSC) product
+    per class. The problem's own `sums` must match it bit for bit."""
+    X, labels = dataset.X, dataset.labels
+    nf, K = dataset.n_features, dataset.n_classes
+    Xs = X[items]
+    A = Xs @ x.reshape(K, nf).T
+    lab = labels[items]
+    a_lab = A[np.arange(items.size), lab]
+    vsum = float(np.sum(np.logaddexp(0.0, -a_lab)))
+    if order == 0:
+        return (vsum,)
+    coef = _sigmoid(a_lab) - 1.0
+    gsum = np.zeros((K, nf))
+    for k in range(K):
+        mask = lab == k
+        if np.any(mask):
+            gsum[k] = Xs[mask].T @ coef[mask]
+    if order == 1:
+        return vsum, gsum.ravel()
+    row_sq = np.asarray(Xs.multiply(Xs).sum(axis=1)).ravel()
+    return vsum, gsum.ravel(), float(np.sum(coef * coef * row_sq))
+
+
+def assert_same(out, ref):
+    assert len(out) == len(ref)
+    for a, b in zip(out, ref):
+        assert np.array_equal(a, b)
+
+
+# rows of 0 to 6 features, row 1 holds the bias only, 7 raw features
+LIBSVM_TEXT = """2 1:0.5 4:-1.25 7:3.0
+0
+1 2:2.0
+2 1:-0.75 2:0.125 3:1.5 5:-2.0 6:0.3 7:0.9
+0 3:1.0 7:-0.6
+1 4:0.45 5:1.1
+2 6:-1.7
+"""
+
+
+def _logreg_sums_cases():
+    synth = make_synthetic_dataset()
+    libsvm = parse_libsvm(LIBSVM_TEXT)
+    picked = np.random.default_rng(6).choice(len(synth), 700, replace=False)
+    return {
+        "synthetic": (synth, picked),
+        # class 1 has no row in the batch
+        "libsvm": (libsvm, np.array([0, 1, 3, 4, 6])),
+        "one-row": (synth, np.array([17])),
+        "duplicates": (synth, np.array([3, 9, 3, 4000, 9, 3])),
+        "full-synthetic": (synth, np.arange(len(synth))),
+        "full-libsvm": (libsvm, np.arange(len(libsvm))),
+    }
+
+
+class TestLogregSums:
+    @pytest.mark.parametrize("case", list(_logreg_sums_cases()))
+    def test_bit_equal_to_per_class_products(self, case):
+        ds, items = _logreg_sums_cases()[case]
+        prob = build_logreg_problem(ds, "equality")
+        rng = np.random.default_rng(7)
+        for scale in (0.1, 1.0, 5.0):
+            x = scale * rng.standard_normal(prob.n)
+            for order in (0, 1, 2):
+                assert_same(prob.sums(x, items, order),
+                            per_class_sums(ds, x, items, order))
+
+    def test_cached_batch_follows_items_content(self):
+        ds = make_synthetic_dataset(n_samples=300)
+        x = np.random.default_rng(8).standard_normal(ds.n_features * 3)
+        prob = build_logreg_problem(ds, "equality")
+
+        def fresh(items, order):
+            return build_logreg_problem(ds, "equality").sums(x, items, order)
+
+        items = np.array([5, 8, 13, 21])
+        prob.sums(x, items, 1)
+        items[1:3] = [34, 55]  # refilled in place
+        assert_same(prob.sums(x, items, 1), fresh(items.copy(), 1))
+
+        a, b = np.arange(0, 50), np.arange(100, 180)
+        for items in (a, b, a, b):
+            for order in (0, 1, 2):
+                assert_same(prob.sums(x, items, order),
+                            fresh(items.copy(), order))
+        # a different array with the cached content
+        assert_same(prob.sums(x, b.copy(), 2), fresh(b, 2))
+
+    @pytest.mark.parametrize("kind", ["equality", "inequality"])
+    def test_true_metrics_are_full_sums(self, kind):
+        ds = make_synthetic_dataset()
+        prob = build_logreg_problem(ds, kind)
+        N = len(ds)
+        full = np.arange(N)
+        x = np.random.default_rng(9).standard_normal(prob.n)
+        assert prob.true_value(x) == prob.sums(x, full, 0)[0] / N
+        assert np.array_equal(prob.true_gradient(x),
+                              prob.sums(x, full, 1)[1] / N)
 
 
 class TestAugmented:
