@@ -3,7 +3,10 @@ inner-loop termination rules, dual initialization, budget enforcement,
 and trace recording.
 
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
-`sqp_eq.InnerContext`. Each inner iteration is a progress probe, the
+`sqp_eq.InnerContext`. The constraints are deterministic, and one context
+carries an iterate's constraint values and Jacobians from `x_init` to the
+last outer iteration, so only the true-problem metrics evaluate an iterate
+twice. Each inner iteration is a progress probe, the
 termination test, then an update. A solver supplies the probe,
 `progress(ctx) -> (current, first, step, plan)` or None, and the update,
 `update(ctx, step, plan) -> (new ctx, alpha)`. The probe returns its rule's
@@ -19,7 +22,7 @@ first-iteration snapshot, the inner cap, the mapping of these outcomes to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -178,14 +181,11 @@ def dual_initialize(mode: str, lam_prev: np.ndarray, g_S: np.ndarray,
     if mode != "reinit":
         raise ConfigError(f"unknown dual mode {mode!r}")
     try:
-        lam_ls, _ = least_squares_dual(J, g_S)
+        lam_ls, kkt_ls = least_squares_dual(J, g_S, c)
     except RankDeficient:
         return lam_prev
-
-    def kkt_norm(lam):
-        return np.linalg.norm(np.concatenate([g_S + J.T @ lam, c]))
-
-    return lam_ls if kkt_norm(lam_ls) <= kkt_norm(lam_prev) else lam_prev
+    kkt_prev = np.linalg.norm(np.concatenate([g_S + J.T @ lam_prev, c]))
+    return lam_ls if kkt_ls <= kkt_prev else lam_prev
 
 
 def termination_check(rule: TerminationRule, snapshot0: float,
@@ -239,14 +239,12 @@ class ConditionEstimate:
     gradient_sum: np.ndarray
 
 
-def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
-                              lam: np.ndarray, prev_batch: SampleSet,
-                              config: DriverConfig,
-                              hessian: Optional[LbfgsModel],
+def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
+                              prev_batch: SampleSet, config: DriverConfig,
                               rng: np.random.Generator,
                               counters: Counters) -> ConditionEstimate:
-    """Variance and progress estimates on a fresh sample set of the previous
-    batch size, drawn independently of the current iterate.
+    """Variance and progress estimates at the iterate ctx on a fresh sample
+    set of the previous batch size, drawn independently of the iterate.
 
     The progress measure Z is the termination rule's, from the solver's
     progress probe, which performs no updates; Z is 0 where the probe finds
@@ -257,16 +255,13 @@ def estimate_condition_inputs(problem: ProblemSpec, x: np.ndarray,
     if prev_batch.size < 1:
         raise ConfigError("previous batch is empty")
     fresh = draw_samples(problem, prev_batch.size, rng)
-    vsum, gsum, sqsum = gradient_stats(problem, x, fresh.items, counters)
+    vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh.items, counters)
     m = fresh.size
     gbar = gsum / m
     variance = (0.0 if m == 1 else
                 max(0.0, (sqsum - m * float(gbar @ gbar)) / (m - 1)))
 
-    c_E, c_I, J_E, J_I = eval_constraints(problem, x)
-    ctx = InnerContext(x=x, lam=lam, F_S=vsum / m, g_S=gbar, c_E=c_E,
-                       c_I=c_I, J_E=J_E, J_I=J_I, tau_prev=TAU_BAR,
-                       hessian=hessian)
+    ctx = replace(ctx, F_S=vsum / m, g_S=gbar, tau_prev=TAU_BAR)
     try:
         probe = _PROGRESS[config.solver](ctx, config, counters)
     except MeritCollapse:
@@ -390,20 +385,30 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
     counters = Counters()
     x = np.asarray(problem.x_init, dtype=float).copy()
-    lam = np.zeros(problem.m_E)
-    hessian = (LbfgsModel(dim=problem.n, capacity=min(problem.n, 10))
-               if config.use_lbfgs else None)
+    # no batch yet: each outer iteration sets F_S and g_S on its batch
+    ctx = InnerContext(
+        x, np.zeros(problem.m_E), np.nan, np.full(problem.n, np.nan),
+        *eval_constraints(problem, x), tau_prev=TAU_BAR,
+        hessian=(LbfgsModel(dim=problem.n, capacity=min(problem.n, 10))
+                 if config.use_lbfgs else None))
 
     trace = []
-    v0, s0, mc0 = true_metrics(problem, x, config.solver)
-    trace.append(OuterRecord(
-        k=-1, batch_size=0, inner_iterations=0, updates=0, estimation_size=0,
-        violation_inf=v0, stationarity=s0,
-        grad_evals_cum=counters.gradient_evals,
-        minres_iters_cum=counters.minres_iters,
-        barrier_iters_cum=counters.barrier_iters,
-        tau_exit=TAU_BAR, term_cause="initial", metric_mc=mc0,
-        x=x.copy()))
+
+    def record(ctx, k, batch_size, est_size, inner_iters, updates,
+               term_cause):
+        v, s, mc = true_metrics(problem, ctx.x, config.solver)
+        trace.append(OuterRecord(
+            k=k, batch_size=batch_size, inner_iterations=inner_iters,
+            updates=updates, estimation_size=est_size,
+            violation_inf=v, stationarity=s,
+            grad_evals_cum=counters.gradient_evals,
+            minres_iters_cum=counters.minres_iters,
+            barrier_iters_cum=counters.barrier_iters,
+            tau_exit=ctx.tau_prev, term_cause=term_cause, metric_mc=mc,
+            x=ctx.x.copy()))
+        return v, s
+
+    record(ctx, -1, 0, 0, 0, 0, "initial")
 
     prev_S: Optional[SampleSet] = None
     k = 0
@@ -422,9 +427,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             if cap is not None:
                 size = min(size, cap)
         elif config.sampling.kind == "adaptive":
-            estimate = estimate_condition_inputs(problem, x, lam, prev_S,
-                                                 config, hessian, rng,
-                                                 counters)
+            estimate = estimate_condition_inputs(problem, ctx, prev_S,
+                                                 config, rng, counters)
             size = adaptive_batch_size(prev_S.size, estimate.variance,
                                        estimate.Z, THETA, BETA_HAT, cap)
         else:
@@ -439,7 +443,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         if estimate is not None:
             tail = S.items[estimate.fresh_set.size:]
             if tail.size:
-                t_v, t_g = _sums_over(problem, x, tail)
+                t_v, t_g = _sums_over(problem, ctx.x, tail)
                 counters.gradient_evals += tail.size
                 counters.function_evals += tail.size
             else:
@@ -447,25 +451,15 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             F_S = (estimate.value_sum + t_v) / S.size
             g_S = (estimate.gradient_sum + t_g) / S.size
         else:
-            F_S, g_S = eval_subsampled(problem, x, S, counters)
+            F_S, g_S = eval_subsampled(problem, ctx.x, S, counters)
 
         est_size = 0 if estimate is None else estimate.fresh_set.size
-        progress, update, ctx = _inner_solver(problem, S, config, x, lam,
-                                              F_S, g_S, hessian, counters)
+        progress, update, ctx = _inner_solver(problem, S, config, ctx, F_S,
+                                              g_S, counters)
         ctx, inner_iters, updates, term_cause = _inner_loop(
             progress, update, ctx, config.termination, budget, counters)
-        x, lam, hessian = ctx.x, ctx.lam, ctx.hessian
-
-        v, s, mc = true_metrics(problem, x, config.solver)
-        trace.append(OuterRecord(
-            k=k, batch_size=S.size, inner_iterations=inner_iters,
-            updates=updates, estimation_size=est_size,
-            violation_inf=v, stationarity=s,
-            grad_evals_cum=counters.gradient_evals,
-            minres_iters_cum=counters.minres_iters,
-            barrier_iters_cum=counters.barrier_iters,
-            tau_exit=ctx.tau_prev, term_cause=term_cause, metric_mc=mc,
-            x=x.copy()))
+        v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
+                      term_cause)
 
         if term_cause == "infeasible_stationary":
             status = "InfeasibleStationary"
@@ -480,8 +474,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         prev_S = S
         k += 1
 
-    return SolveOutcome(status=status, x=x,
-                        lam=lam if config.solver == "equality" else None,
+    return SolveOutcome(status=status, x=ctx.x,
+                        lam=ctx.lam if config.solver == "equality" else None,
                         trace=trace, counters=counters)
 
 
@@ -517,11 +511,11 @@ def _inner_loop(progress, update, ctx, rule: TerminationRule,
 
 
 def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
-                  x, lam, F_S, g_S, hessian, counters: Counters):
+                  ctx: InnerContext, F_S, g_S, counters: Counters):
     """(progress, update, start context) of the configured solver on the
-    batch S, warm-started at x; the equality solver's duals are initialized
-    here."""
-    c_E, c_I, J_E, J_I = eval_constraints(problem, x)
+    batch S, warm-started at the iterate ctx, whose subsampled objective on
+    S is (F_S, g_S); the equality solver's duals are initialized here."""
+    lam = ctx.lam
 
     # the evaluation functions are looked up at call time, so wrappers
     # installed on this module's names see every call
@@ -534,7 +528,7 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         def update(ctx, step, plan):
             return robust_inner_iteration(ctx, config.norm, evaluator, step)
     else:
-        lam = dual_initialize(config.dual_mode, lam, g_S, c_E, J_E)
+        lam = dual_initialize(config.dual_mode, lam, g_S, ctx.c_E, ctx.J_E)
 
         def update(ctx, step, plan):
             ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator,
@@ -544,6 +538,5 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
     def progress(ctx):
         return _PROGRESS[config.solver](ctx, config, counters)
 
-    return progress, update, InnerContext(
-        x=x, lam=lam, F_S=F_S, g_S=g_S, c_E=c_E, c_I=c_I, J_E=J_E, J_I=J_I,
-        tau_prev=TAU_BAR, hessian=hessian)
+    return progress, update, replace(ctx, lam=lam, F_S=F_S, g_S=g_S,
+                                     tau_prev=TAU_BAR)

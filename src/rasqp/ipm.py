@@ -27,7 +27,8 @@ _MAX_ITER = 100       # barrier iterations before status "max_iter"
 @dataclass
 class ConvexProgram:
     """min 1/2 x'Hx + g'x  s.t.  A_in x <= b_in,  lower <= x <= upper.
-    H is symmetric PSD (None or zeros for an LP)."""
+    H is symmetric PSD (None or zeros for an LP). At least one row of A_in
+    or one finite bound is required."""
     g: np.ndarray
     H: Optional[np.ndarray] = None
     A_in: Optional[np.ndarray] = None
@@ -79,80 +80,61 @@ def solve_program(prog: ConvexProgram,
     """
     H, g, C, d = _assemble(prog)
     n, q = len(g), C.shape[0]
+    if not q:
+        raise ValueError("a program needs an inequality row or a finite "
+                         "bound")
 
     x = np.zeros(n)
-    if q:
-        s = np.maximum(1.0, np.abs(d))
-        z = np.ones(q)
-    else:
-        s = np.zeros(0)
-        z = np.zeros(0)
-
-    scale = 1.0 + max(np.abs(g).max() if n else 0.0,
-                      np.abs(d).max() if q else 0.0)
+    s = np.maximum(1.0, np.abs(d))
+    z = np.ones(q)
+    scale = 1.0 + max(np.abs(g).max(), np.abs(d).max())
 
     Hreg = H + _REG * np.eye(n)
     status = "max_iter"
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        rd = Hreg @ x + g + (C.T @ z if q else 0.0)
-        ri = C @ x + s - d if q else np.zeros(0)
-        mu = float(s @ z / q) if q else 0.0
+        rd = Hreg @ x + g + C.T @ z
+        ri = C @ x + s - d
+        mu = float(s @ z / q)
 
-        feas = max(np.abs(rd).max() if n else 0.0,
-                   np.abs(ri).max() if q else 0.0)
+        feas = max(np.abs(rd).max(), np.abs(ri).max())
         if feas <= _TOL * scale and mu <= _TOL * scale:
             status = "optimal"
             it -= 1  # this pass performed no Newton step
             break
-        if q and np.abs(z).max() > _DIVERGE:
+        if np.abs(z).max() > _DIVERGE:
             status = "infeasible"
             break
 
         # Newton matrix with the inequalities eliminated through the slacks;
         # SPD, so one Cholesky factor serves predictor and corrector
-        if q:
-            zs = z / s
-            M = Hreg + C.T @ (zs[:, None] * C)
-        else:
-            M = Hreg
+        M = Hreg + C.T @ ((z / s)[:, None] * C)
         factor, info = dpotrf(M)
 
         def newton(t):
             # t is the complementarity target vector (length q)
-            if q:
-                rhs = -rd - C.T @ ((t + z * ri) / s)
-            else:
-                rhs = -rd
+            rhs = -rd - C.T @ ((t + z * ri) / s)
             if info == 0:
                 dx = dpotrs(factor, rhs)[0]
             else:
                 # not numerically positive definite when the optimal face
                 # is a subspace; take the minimum-norm Newton step instead
                 dx = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            if q:
-                ds = -ri - C @ dx
-                dz = (t - z * ds) / s
-            else:
-                ds = np.zeros(0)
-                dz = np.zeros(0)
+            ds = -ri - C @ dx
+            dz = (t - z * ds) / s
             return dx, ds, dz
 
-        if q:
-            # predictor
-            dxa, dsa, dza = newton(-s * z)
-            a_p = _max_step(s, dsa)
-            a_d = _max_step(z, dza)
-            mu_aff = float((s + a_p * dsa) @ (z + a_d * dza) / q)
-            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-            # corrector
-            t = -s * z - dsa * dza + sigma * mu
-            dx, ds, dz = newton(t)
-            a_p = _FRACTION * _max_step(s, ds)
-            a_d = _FRACTION * _max_step(z, dz)
-        else:
-            dx, ds, dz = newton(np.zeros(0))
-            a_p = a_d = 1.0
+        # predictor
+        dxa, dsa, dza = newton(-s * z)
+        a_p = _max_step(s, dsa)
+        a_d = _max_step(z, dza)
+        mu_aff = float((s + a_p * dsa) @ (z + a_d * dza) / q)
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+        # corrector
+        t = -s * z - dsa * dza + sigma * mu
+        dx, ds, dz = newton(t)
+        a_p = _FRACTION * _max_step(s, ds)
+        a_d = _FRACTION * _max_step(z, dz)
 
         if not (np.isfinite(dx).all() and np.isfinite(ds).all()
                 and np.isfinite(dz).all()):

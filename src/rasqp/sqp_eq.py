@@ -240,19 +240,22 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     decrease.
     """
     phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, mode)
+    x_new = cons = None
 
     def merit_eval(alpha):
-        xt = ctx.x + alpha * d
-        c_E, c_I, _, _ = evaluator.constraints(xt)
-        return merit_value(evaluator.value(xt), c_E, c_I, tau, mode)
+        nonlocal x_new, cons
+        x_new = ctx.x + alpha * d
+        cons = evaluator.constraints(x_new)
+        return merit_value(evaluator.value(x_new), cons[0], cons[1], tau, mode)
 
+    # the backtrack returns right after the trial it accepts, so x_new and
+    # cons hold that trial's point and constraint values
     alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
                              ALPHA_MIN)
 
-    x_new = ctx.x + alpha * d
     lam_new = ctx.lam + alpha * delta
     F_new, g_new = evaluator.value_grad(x_new)
-    c_E, c_I, J_E, J_I = evaluator.constraints(x_new)
+    c_E, c_I, J_E, J_I = cons
 
     hessian = ctx.hessian
     if hessian is not None:

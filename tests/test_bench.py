@@ -260,6 +260,10 @@ WORK_COUNTERS = [
                  ("BudgetExhausted", 32730, 0, 433,
                   (32, 33, 72, 155, 404, 1241, 1682, 5000)),
                  id="synth-logreg-ineq"),
+    pytest.param(RunConfig(problem="synth-logreg-ineq", method="det-sqp",
+                           max_gradient_evals=30000),
+                 ("BudgetExhausted", 30000, 0, 46, (5000, 5000)),
+                 id="synth-logreg-ineq-det-sqp"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
                  ("InfeasibleStationary", 64, 0, 15, (32,)),
                  id="infeasible-1d"),

@@ -2,6 +2,7 @@
 config validation, condition estimation, the shared inner loop, and full
 solves."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -17,7 +18,8 @@ from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
-from rasqp.problems import build_augmented_problem
+from rasqp.problems import build_augmented_problem, eval_constraints
+from rasqp.sqp_eq import TAU_BAR, InnerContext
 
 
 class TestDualInitialize:
@@ -208,6 +210,15 @@ def make_infeasible_problem():
         m_E=2, m_I=0, x_init=np.array([0.3]), noise_level=0.1)
 
 
+def iterate(problem, x, lam):
+    """An iterate's context with its constraint values; the estimate sets
+    the subsampled objective itself."""
+    x = np.asarray(x, dtype=float)
+    return InnerContext(x, np.asarray(lam, dtype=float), np.nan,
+                        np.full(x.size, np.nan),
+                        *eval_constraints(problem, x), tau_prev=TAU_BAR)
+
+
 class TestConditionEstimation:
     def test_variance_two_samples(self):
         # gradients 2(x-1)(1+xi): at x = 0 the per-sample gradients are
@@ -219,9 +230,11 @@ class TestConditionEstimation:
         config = DriverConfig(termination=TerminationRule(kind="kkt"))
         counters = Counters()
         rng = np.random.default_rng(0)
-        est = estimate_condition_inputs(prob, np.zeros(1), np.zeros(1),
-                                        SampleSet((0.0, 0.0)), config, None,
-                                        rng, counters)
+        est = estimate_condition_inputs(prob,
+                                        iterate(prob, np.zeros(1),
+                                                np.zeros(1)),
+                                        SampleSet((0.0, 0.0)), config, rng,
+                                        counters)
         xi = np.array(est.fresh_set.items)
         grads = -2.0 * (1.0 + xi)
         expect = float(np.var(grads, ddof=1))
@@ -233,8 +246,10 @@ class TestConditionEstimation:
         from rasqp.problems import SampleSet
 
         config = DriverConfig(termination=TerminationRule(kind="kkt"))
-        est = estimate_condition_inputs(prob, np.zeros(2), np.zeros(1),
-                                        SampleSet((0.0,)), config, None,
+        est = estimate_condition_inputs(prob,
+                                        iterate(prob, np.zeros(2),
+                                                np.zeros(1)),
+                                        SampleSet((0.0,)), config,
                                         np.random.default_rng(0), Counters())
         # T = (g, c) = ((-2, -2), -1): norm sqrt(9)
         assert est.Z == pytest.approx(3.0)
@@ -252,8 +267,10 @@ class TestConditionEstimation:
         monkeypatch.setattr(driver, "direction_step", no_qp)
         config = DriverConfig(solver="robust",
                               termination=TerminationRule(kind="robust_dnorm"))
-        est = estimate_condition_inputs(prob, np.array([0.5]), np.zeros(2),
-                                        SampleSet((0.1, -0.1)), config, None,
+        est = estimate_condition_inputs(prob,
+                                        iterate(prob, np.array([0.5]),
+                                                np.zeros(2)),
+                                        SampleSet((0.1, -0.1)), config,
                                         np.random.default_rng(0), Counters())
         assert est.Z == 0.0
 
@@ -263,10 +280,9 @@ class TestConditionEstimation:
 
         config = DriverConfig(termination=TerminationRule(kind="dnorm"))
         x = np.array([0.3, -0.2])
-        est = estimate_condition_inputs(prob, x, np.zeros(1),
+        est = estimate_condition_inputs(prob, iterate(prob, x, np.zeros(1)),
                                         SampleSet((0.1, -0.1, 0.0)), config,
-                                        None, np.random.default_rng(1),
-                                        Counters())
+                                        np.random.default_rng(1), Counters())
         assert est.Z > 0.0
         np.testing.assert_array_equal(x, [0.3, -0.2])  # x untouched
 
@@ -472,6 +488,27 @@ class TestTermCauses:
                               max_outer=3)
         assert causes == ["merit_collapse"] * 3
         assert all(rec.inner_iterations == 0 for rec in out.trace[1:])
+
+
+@pytest.mark.parametrize("problem,method", [
+    ("synth-logreg-eq", "ra-sqp-dl"), ("synth-logreg-ineq", "ra-sqp-linf")])
+def test_each_iterate_constraints_evaluated_once(monkeypatch, problem,
+                                                 method):
+    # true_metrics evaluates each trace record's iterate again; every other
+    # point is evaluated once, by the context that carries it
+    seen = collections.Counter()
+    original = driver.eval_constraints
+
+    def counted(problem, x):
+        seen[x.tobytes()] += 1
+        return original(problem, x)
+
+    monkeypatch.setattr(driver, "eval_constraints", counted)
+    out = run_config(RunConfig(problem=problem, method=method, seed=0,
+                               max_gradient_evals=30000))
+    records = collections.Counter(r.x.tobytes() for r in out.trace)
+    assert len(out.trace) > 2
+    assert dict(seen) == {key: 1 + records[key] for key in seen}
 
 
 class TestTrueMetrics:

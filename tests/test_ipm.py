@@ -4,6 +4,7 @@ oracles, and the KKT-residual metric."""
 import itertools
 
 import numpy as np
+import pytest
 
 from rasqp import ipm
 from rasqp.counters import Counters
@@ -243,3 +244,12 @@ PINNED = {
 
 def test_iterations_and_status_pinned():
     assert regression_set() == PINNED
+
+
+def test_program_without_rows_rejected():
+    # no inequality row and no finite bound leaves the barrier nothing to
+    # act on; every program the solvers build has at least one
+    prog = ConvexProgram(g=np.array([1.0, 0.0]), H=np.eye(2),
+                         lower=np.array([-np.inf, -np.inf]))
+    with pytest.raises(ValueError):
+        solve_program(prog)

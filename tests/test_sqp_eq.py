@@ -8,8 +8,9 @@ from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
 from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, EqSqpConfig,
                           Evaluator, InnerContext, armijo_backtrack,
-                          compute_step, inner_iteration, merit_value,
-                          model_decrease, trial_tau, update_tau)
+                          compute_step, inner_iteration, line_search_step,
+                          merit_plan, merit_value, model_decrease, trial_tau,
+                          update_tau)
 
 
 def make_ctx(x, lam, g, c, J, tau=1.0, F=0.0, hessian=None):
@@ -187,6 +188,41 @@ def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
         history.append((ctx, new_ctx, step, alpha))
         ctx = new_ctx
     return ctx, history
+
+
+class TestLineSearchStep:
+    def test_constraints_evaluated_once_per_trial(self):
+        # a step eight times too long makes the backtrack try several
+        # points; the accepted one's constraint values are reused
+        rng = np.random.default_rng(3)
+        ev = quadratic_instance(rng)
+        calls = {"value": 0, "constraints": 0}
+
+        def counted(name, fn):
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        counting = Evaluator(value=counted("value", ev.value),
+                             value_grad=ev.value_grad,
+                             constraints=counted("constraints",
+                                                 ev.constraints))
+        x0 = rng.standard_normal(5)
+        F, g = ev.value_grad(x0)
+        c, c_I, J, J_I = ev.constraints(x0)
+        ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
+                           c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
+        step = compute_step(ctx, EqSqpConfig())
+        tau, delta_l = merit_plan(ctx, step)
+        new, alpha = line_search_step(ctx, 8.0 * step.d, step.delta, tau,
+                                      delta_l, counting, L1)
+        assert alpha < 1.0
+        # merit_eval takes one value per Armijo trial
+        assert calls["constraints"] == calls["value"] > 1
+        for got, want in zip((new.c_E, new.c_I, new.J_E, new.J_I),
+                             ev.constraints(new.x)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestInnerIterationInvariants:
