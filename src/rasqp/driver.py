@@ -337,11 +337,16 @@ def true_gradient_at(problem: ProblemSpec, x: np.ndarray) -> tuple:
     return g, True
 
 
-def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str):
+def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
+                 constraints: Optional[tuple] = None):
     """(violation_inf, stationarity, monte_carlo_flag) for the underlying
     problem: max-norm violation of (c_E, [c_I]_+), and either the best-dual
-    Lagrangian gradient norm (equality) or the KKT residual (general)."""
-    c_E, c_I, J_E, J_I = eval_constraints(problem, x)
+    Lagrangian gradient norm (equality) or the KKT residual (general).
+
+    `constraints` is (c_E, c_I, J_E, J_I) at x when the caller holds them;
+    otherwise they are evaluated here."""
+    c_E, c_I, J_E, J_I = (eval_constraints(problem, x) if constraints is None
+                          else constraints)
     v_inf, _ = violation_norms(c_E, c_I)
     g, mc = true_gradient_at(problem, x)
     if solver == "equality":
@@ -396,7 +401,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
     def record(ctx, k, batch_size, est_size, inner_iters, updates,
                term_cause):
-        v, s, mc = true_metrics(problem, ctx.x, config.solver)
+        v, s, mc = true_metrics(problem, ctx.x, config.solver,
+                                (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iterations=inner_iters,
             updates=updates, estimation_size=est_size,

@@ -4,6 +4,7 @@ least-squares dual estimator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -13,6 +14,7 @@ from .counters import Counters
 from .errors import NumericalFailure, RankDeficient
 
 CURVATURE_THRESHOLD = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> Callable:
@@ -52,7 +54,7 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     n = b.size
     x = np.zeros(n)
 
-    beta1 = np.linalg.norm(b)
+    beta1 = math.sqrt(float(b @ b))
     if beta1 == 0.0:
         return KrylovReport(x, b.copy(), 0, "exact_tol")
 
@@ -80,8 +82,8 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         alfa = float(v @ y)
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
-        oldb, beta = beta, np.linalg.norm(y)
-        if not np.isfinite(alfa) or not np.isfinite(beta):
+        oldb, beta = beta, math.sqrt(float(y @ y))
+        if not math.isfinite(alfa) or not math.isfinite(beta):
             raise NumericalFailure("MINRES breakdown (non-finite recurrence)")
 
         oldeps = epsln
@@ -89,7 +91,7 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        gamma = max(np.hypot(gbar, beta), EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
@@ -106,7 +108,7 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             if acceptance(x, resid):
                 stop = "inexactness_accepted"
                 break
-        if beta <= np.finfo(float).eps * beta1:
+        if beta <= EPS * beta1:
             # Krylov space exhausted; solution is as exact as it gets
             stop = "exact_tol" if phibar <= tol * beta1 else "max_iter"
             break
@@ -128,43 +130,56 @@ class LbfgsModel:
 
     B is built from gamma*I and the stored (s, y) pairs via the direct
     BFGS update; pairs failing the curvature test are skipped, which keeps
-    B symmetric positive definite. `terms` holds (a_i, s_i'a_i, y_i,
-    s_i'y_i) per pair, a_i = B_{i-1} s_i, so B v is a flat sum of rank-one
-    terms; `lbfgs_update` builds them with the model.
+    B symmetric positive definite. The p stored pairs are the rows of S and
+    Y (p x n); row i of A is a_i = B_{i-1} s_i, sa = diag(S A') and
+    sy = diag(S Y'), so B v = gamma v - ((A v)/sa) A + ((Y v)/sy) Y, the
+    compact form of Byrd, Nocedal and Schnabel (1994). `lbfgs_update`
+    builds A, sa and sy with the model.
     """
     dim: int
     capacity: int
     gamma: float = 1.0
-    pairs: list = field(default_factory=list)
-    terms: list = field(default_factory=list, repr=False)
+    S: Optional[np.ndarray] = None
+    Y: Optional[np.ndarray] = None
+    A: Optional[np.ndarray] = field(default=None, repr=False)
+    sa: Optional[np.ndarray] = field(default=None, repr=False)
+    sy: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.S is None:
+            # no pair yet: every stack has zero rows and B = gamma I
+            self.S = self.Y = self.A = np.zeros((0, self.dim))
+            self.sa = self.sy = np.zeros(0)
 
 
 def lbfgs_apply(model: LbfgsModel, v: np.ndarray) -> np.ndarray:
-    q = model.gamma * v
-    for a, sa, yv, sy in model.terms:
-        q = q - (a @ v / sa) * a + (yv @ v / sy) * yv
-    return q
+    A, Y = model.A, model.Y
+    return (model.gamma * v - ((A @ v) / model.sa) @ A
+            + ((Y @ v) / model.sy) @ Y)
 
 
 def lbfgs_update(model: LbfgsModel, s: np.ndarray, y: np.ndarray) -> LbfgsModel:
     """Append (s, y) if it passes the curvature test; otherwise return the
-    model unchanged. Accepted updates reset gamma to y'y / s'y."""
+    model unchanged. Accepted updates reset gamma to y'y / s'y and rebuild
+    A and sa, since every a_i depends on gamma."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy = float(s @ y)
-    if sy <= CURVATURE_THRESHOLD * np.linalg.norm(s) * np.linalg.norm(y):
+    s_y = float(s @ y)
+    if s_y <= CURVATURE_THRESHOLD * np.linalg.norm(s) * np.linalg.norm(y):
         return model
-    pairs = model.pairs[-(model.capacity - 1):] if model.capacity > 1 else []
-    pairs = list(pairs) + [(s.copy(), y.copy())]
-    gamma = float(y @ y) / sy
-    terms = []
-    for sp, yp in pairs:
-        a = gamma * sp
-        for aj, saj, yj, syj in terms:
-            a = a - (aj @ sp / saj) * aj + (yj @ sp / syj) * yj
-        terms.append((a, float(sp @ a), yp, float(sp @ yp)))
+    first = max(model.S.shape[0] - (model.capacity - 1), 0)
+    S = np.vstack([model.S[first:], s])
+    Y = np.vstack([model.Y[first:], y])
+    gamma = float(y @ y) / s_y
+    sy = np.einsum("ij,ij->i", S, Y)
+    A = np.empty_like(S)
+    sa = np.empty(S.shape[0])
+    for i, si in enumerate(S):
+        A[i] = (gamma * si - ((A[:i] @ si) / sa[:i]) @ A[:i]
+                + ((Y[:i] @ si) / sy[:i]) @ Y[:i])
+        sa[i] = si @ A[i]
     return LbfgsModel(dim=model.dim, capacity=model.capacity, gamma=gamma,
-                      pairs=pairs, terms=terms)
+                      S=S, Y=Y, A=A, sa=sa, sy=sy)
 
 
 # ------------------------------------------------------------------

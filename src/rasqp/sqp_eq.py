@@ -79,6 +79,46 @@ class EqSqpConfig:
             raise ConfigError("minres_max_iter must be >= 1")
 
 
+def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
+                        acceptance_kind: dict) -> Callable:
+    """MINRES acceptance callback of the inexact mode: True at the first
+    iterate passing condition II or I, whose name it stores in
+    acceptance_kind["kind"]. What the tests read of ctx alone is taken
+    once here, not at every MINRES iteration."""
+    n = ctx.x.size
+    c1 = np.linalg.norm(ctx.c_E, 1)
+    cnorm = np.linalg.norm(ctx.c_E)
+    t_norm = np.linalg.norm(T)
+    rho_cap = KAPPA_PRIME * max(np.linalg.norm(ctx.J_E),
+                                np.linalg.norm(ctx.g_S))
+    sigma = EPS_SIGMA * (1 - EPS_FEAS)
+
+    def accept(z, resid):
+        # (rho, r) = -resid, so ||(rho, r)|| = ||resid||
+        d = z[:n]
+        r_norm = np.linalg.norm(resid[n:])
+        rho_norm = np.linalg.norm(resid[:n])
+        # condition II: decrease in the linear constraint model
+        if r_norm <= EPS_FEAS * cnorm and rho_norm <= EPS_OPT * cnorm:
+            acceptance_kind["kind"] = "inexact_cond2"
+            return True
+        # condition I: sufficient decrease in the merit model at tau_prev
+        gTd = float(ctx.g_S @ d)
+        dHd = float(d @ ctx.h_apply(d))
+        curv = max(dHd, EPS_D * float(d @ d))
+        dl = -ctx.tau_prev * gTd + c1 - np.linalg.norm(resid[n:], 1)
+        bound = sigma * max(c1, r_norm - c1) + sigma * ctx.tau_prev * curv
+        if (dl >= bound
+                and np.linalg.norm(resid) <= KAPPA_T * min(t_norm,
+                                                           np.linalg.norm(d))
+                and rho_norm <= rho_cap):
+            acceptance_kind["kind"] = "inexact_cond1"
+            return True
+        return False
+
+    return accept
+
+
 def compute_step(ctx: InnerContext, config: EqSqpConfig,
                  counters: Optional[Counters] = None) -> EqStepResult:
     """Solve the SQP KKT system [[H, J'], [J, 0]] (d, delta) = -T + (rho, r).
@@ -94,37 +134,8 @@ def compute_step(ctx: InnerContext, config: EqSqpConfig,
     rhs = -T
 
     acceptance_kind = {}
-
-    def accept(z, resid):
-        d, rho, r = z[:n], -resid[:n], -resid[n:]
-        c1 = np.linalg.norm(ctx.c_E, 1)
-        r1 = np.linalg.norm(r, 1)
-        # condition II: decrease in the linear constraint model
-        cnorm = np.linalg.norm(ctx.c_E)
-        if (np.linalg.norm(r) <= EPS_FEAS * cnorm
-                and np.linalg.norm(rho) <= EPS_OPT * cnorm):
-            acceptance_kind["kind"] = "inexact_cond2"
-            return True
-        # condition I: sufficient decrease in the merit model at tau_prev
-        gTd = float(ctx.g_S @ d)
-        dHd = float(d @ ctx.h_apply(d))
-        curv = max(dHd, EPS_D * float(d @ d))
-        dl = -ctx.tau_prev * gTd + c1 - r1
-        bound = (EPS_SIGMA * (1 - EPS_FEAS)
-                 * max(c1, np.linalg.norm(r) - c1)
-                 + EPS_SIGMA * (1 - EPS_FEAS)
-                 * ctx.tau_prev * curv)
-        resid_norm = np.linalg.norm(np.concatenate([rho, r]))
-        if (dl >= bound
-                and resid_norm <= KAPPA_T * min(np.linalg.norm(T),
-                                                np.linalg.norm(d))
-                and np.linalg.norm(rho) <= KAPPA_PRIME
-                * max(np.linalg.norm(ctx.J_E), np.linalg.norm(ctx.g_S))):
-            acceptance_kind["kind"] = "inexact_cond1"
-            return True
-        return False
-
-    callback = None if config.exact else accept
+    callback = (None if config.exact
+                else _inexact_acceptance(ctx, T, acceptance_kind))
     report = minres_solve(K, rhs, MINRES_TOL, config.minres_max_iter,
                           acceptance=callback, counters=counters)
     if not config.exact and report.stop_reason == "max_iter":
@@ -236,9 +247,15 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     values at the new point and, with a Hessian model, its L-BFGS update
     from Lagrangian-gradient differences. Returns (new context, alpha).
 
+    A model decrease delta_l <= 0 (a direction at the rounding scale can
+    give one) admits no Armijo step: ctx is returned with alpha 0, as for
+    a zero step, and nothing is evaluated.
+
     Raises LineSearchFailure when no step above ALPHA_MIN gives sufficient
     decrease.
     """
+    if delta_l <= 0.0:
+        return ctx, 0.0
     phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, mode)
     x_new = cons = None
 
@@ -278,9 +295,10 @@ def inner_iteration(ctx: InnerContext, config: EqSqpConfig,
     shared line search and update on the l1 merit tau F + ||c_E||_1.
 
     Returns (new_ctx, step_result, alpha); alpha is 0 and ctx is returned
-    unchanged when the step is zero. `step` may be passed in when the
-    caller already solved the KKT system for a termination probe, and
-    `plan` when it already took merit_plan(ctx, step).
+    unchanged when the step is zero or its model decrease is not positive.
+    `step` may be passed in when the caller already solved the KKT system
+    for a termination probe, and `plan` when it already took
+    merit_plan(ctx, step).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.

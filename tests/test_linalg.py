@@ -90,7 +90,15 @@ class TestLbfgs:
     def test_curvature_skip(self):
         model = LbfgsModel(dim=2, capacity=5)
         out = lbfgs_update(model, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        assert out.pairs == model.pairs == []
+        assert out is model
+        assert out.S.shape == out.Y.shape == (0, 2)
+
+    def test_no_pair_applies_gamma_v(self):
+        v = np.array([1.5, -2.0, 0.25])
+        model = LbfgsModel(dim=3, capacity=4, gamma=3.0)
+        np.testing.assert_array_equal(lbfgs_apply(model, v), 3.0 * v)
+        skipped = lbfgs_update(model, v, -v)
+        np.testing.assert_array_equal(lbfgs_apply(skipped, v), 3.0 * v)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -116,11 +124,40 @@ class TestLbfgs:
         assert worst <= 1e-10
 
     def test_capacity_drops_oldest(self):
-        model = LbfgsModel(dim=2, capacity=2)
-        for i in range(4):
-            s = np.array([1.0, float(i)])
-            model = lbfgs_update(model, s, 2.0 * s)
-        assert len(model.pairs) == 2
+        # 8 pairs into 3 slots, one failing the curvature test: the model
+        # is the oracle's on the 3 newest accepted pairs
+        rng = np.random.default_rng(21)
+        n = 6
+        H = random_symmetric(rng, n) + (n + 1) * np.eye(n)
+        model = LbfgsModel(dim=n, capacity=3)
+        accepted = []
+        for i in range(8):
+            s = rng.standard_normal(n)
+            y = -s if i == 5 else H @ s
+            if i != 5:
+                accepted.append((s, y))
+            model = lbfgs_update(model, s, y)
+        retained = accepted[-3:]
+        np.testing.assert_array_equal(model.S, [s for s, _ in retained])
+        np.testing.assert_array_equal(model.Y, [y for _, y in retained])
+        B = dense_bfgs_oracle_scaled(n, retained)
+        dense = np.column_stack([lbfgs_apply(model, e) for e in np.eye(n)])
+        np.testing.assert_allclose(dense, B, rtol=1e-10,
+                                   atol=1e-10 * np.abs(B).max())
+
+    def test_apply_is_symmetric(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 31))
+            H = random_symmetric(rng, n) + (n + 1) * np.eye(n)
+            model = LbfgsModel(dim=n, capacity=10)
+            for _ in range(12):
+                s = rng.standard_normal(n)
+                model = lbfgs_update(model, s, H @ s)
+            u, v = rng.standard_normal(n), rng.standard_normal(n)
+            uBv = u @ lbfgs_apply(model, v)
+            vBu = v @ lbfgs_apply(model, u)
+            assert abs(uBv - vBu) <= 1e-12 * max(abs(uBv), abs(vBu))
 
 
 def dense_bfgs_oracle_scaled(n, pairs):

@@ -224,6 +224,29 @@ class TestLineSearchStep:
                              ev.constraints(new.x)):
             np.testing.assert_array_equal(got, want)
 
+    def test_nonpositive_model_decrease_takes_no_step(self):
+        # a step at the rounding scale can have a model decrease below
+        # zero (-6.4e-24 with ||d|| = 3.3e-14 on an L-BFGS run); no Armijo
+        # step exists, so the context stays and nothing is evaluated
+        rng = np.random.default_rng(3)
+        ev = quadratic_instance(rng)
+
+        def never(x):
+            raise AssertionError("evaluated at a rejected step")
+
+        x0 = rng.standard_normal(5)
+        F, g = ev.value_grad(x0)
+        c, c_I, J, J_I = ev.constraints(x0)
+        ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
+                           c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
+        step = compute_step(ctx, EqSqpConfig())
+        tau, _ = merit_plan(ctx, step)
+        new, _, alpha = inner_iteration(
+            ctx, EqSqpConfig(), Evaluator(never, never, never), step=step,
+            plan=(tau, -6.367665870026323e-24))
+        assert new is ctx
+        assert alpha == 0.0
+
 
 class TestInnerIterationInvariants:
     def test_solves_equality_qp(self):

@@ -1,0 +1,60 @@
+"""tools/work_digest.py: one JSON line per solve of a benchmark solve list,
+and the comparison that tells a work change from a rounding change."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "work_digest.py"
+
+
+def tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def write(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def test_smoke_list_digest_and_compare(tmp_path):
+    a = tmp_path / "a.jsonl"
+    run = tool("--workload", "eq-logreg", "--smoke", "--src", ROOT / "src",
+               "--out", a)
+    assert run.returncode == 0, run.stderr
+    rows = [json.loads(line) for line in a.read_text().splitlines()]
+    # five RA methods and det-sqp on one solver seed
+    assert [r["method"] for r in rows][-1] == "det-sqp"
+    assert len(rows) == 6
+    for r in rows:
+        assert r["status"] in ("Converged", "BudgetExhausted")
+        assert r["counters"]["gradient_evals"] > 0
+        assert len(r["batch_sizes"]) > 0
+        assert len(r["digest"]) == 64
+
+    same = tool("--compare", a, a)
+    assert same.returncode == 0
+    assert "0 with different work, 0 more" in same.stdout
+
+    # a moved digest alone is a rounding change: listed, exit 0
+    b = tmp_path / "b.jsonl"
+    write(b, [dict(r, digest="0" * 64) if r["index"] == 1 else r
+              for r in rows])
+    rounding = tool("--compare", a, b)
+    assert rounding.returncode == 0
+    assert rounding.stdout.count("DIGEST") == 1
+
+    # a moved counter is a work change: exit 1
+    c = tmp_path / "c.jsonl"
+    moved = dict(rows[2]["counters"], minres_iters=-1)
+    write(c, [dict(r, counters=moved) if r["index"] == 2 else r
+              for r in rows])
+    work = tool("--compare", a, c)
+    assert work.returncode == 1
+    assert work.stdout.count("WORK") == 1
+
+    # a different solve list cannot be compared
+    write(c, rows[:-1])
+    assert tool("--compare", a, c).returncode == 1

@@ -1,0 +1,154 @@
+"""Per-solve work counters and result digests of a benchmark solve list.
+
+    python3 tools/work_digest.py --workload eq-logreg --seed 0 1 2 3 > a.jsonl
+    python3 tools/work_digest.py --workload eq-logreg --seed 0 1 2 3 \\
+        --src ../parent/src > b.jsonl
+    python3 tools/work_digest.py --compare b.jsonl a.jsonl
+
+The first form runs every solve of `perfbench/workloads.py` `solve_list`
+for each seed, in order, and writes one JSON line per solve: its place in
+the list, method and solver seed, status, the four `Counters`, the batch
+sizes, and a sha256 over every `OuterRecord` field (floats and iterates as
+IEEE bytes) and the final x. `--src` picks the `src/` tree rasqp is
+imported from, so this one copy of the tool also runs against another
+checkout, such as the parent commit's. BLAS runs on one thread, as in the
+benchmark.
+
+`--compare A B` lists the solves whose work (status, counters, batch sizes)
+or digest differs between two such files. It exits 1 when any work differs
+or the two files do not hold the same solve list, and 0 otherwise: a digest
+difference alone means a change moved rounding, not the work done.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COUNTERS = ("gradient_evals", "function_evals", "minres_iters",
+            "barrier_iters")
+
+
+def digest(outcome) -> str:
+    """sha256 over every field of every OuterRecord, then the final x."""
+    import numpy as np
+
+    h = hashlib.sha256()
+
+    def put(value):
+        if isinstance(value, np.ndarray):
+            h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        elif isinstance(value, float):
+            h.update(struct.pack("<d", value))
+        else:
+            h.update(repr(value).encode())
+
+    for rec in outcome.trace:
+        for f in dataclasses.fields(rec):
+            put(getattr(rec, f.name))
+    put(np.asarray(outcome.x, dtype=float))
+    return h.hexdigest()
+
+
+def solve_rows(workload: str, seeds, smoke: bool):
+    """One dict per solve of the workload's lists for `seeds`, in order."""
+    from perfbench.workloads import solve_list
+    from rasqp.bench import run_config
+
+    configs = [(seed, config) for seed in seeds
+               for config in solve_list(workload, seed, smoke=smoke)]
+    for index, (seed, config) in enumerate(configs):
+        row = {"index": index, "workload": workload, "list_seed": seed,
+               "method": config.method, "seed": config.seed}
+        try:
+            outcome = run_config(config)
+        except Exception as exc:  # a raising solve is a result too
+            row.update(status="Error", error=f"{type(exc).__name__}: {exc}")
+            yield row
+            continue
+        row.update(
+            status=outcome.status,
+            counters={c: getattr(outcome.counters, c) for c in COUNTERS},
+            batch_sizes=[rec.batch_size for rec in outcome.trace[1:]],
+            digest=digest(outcome))
+        yield row
+
+
+def work(row) -> tuple:
+    return (row["status"], row.get("counters"), row.get("batch_sizes"),
+            row.get("error"))
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print each solve whose work or digest differs; 1 on a work
+    difference or mismatched solve lists, else 0."""
+    rows = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            rows.append([json.loads(line) for line in fh if line.strip()])
+    a, b = rows
+    key = ("workload", "list_seed", "method", "seed")
+    if [[r[k] for k in key] for r in a] != [[r[k] for k in key] for r in b]:
+        print(f"the two files hold different solve lists "
+              f"({len(a)} and {len(b)} solves)")
+        return 1
+    work_diff = digest_diff = 0
+    for ra, rb in zip(a, b):
+        label = (f"#{ra['index']} {ra['workload']} seed {ra['list_seed']} "
+                 f"{ra['method']} solver seed {ra['seed']}")
+        if work(ra) != work(rb):
+            work_diff += 1
+            print(f"WORK   {label}: {work(ra)} != {work(rb)}")
+        elif ra.get("digest") != rb.get("digest"):
+            digest_diff += 1
+            print(f"DIGEST {label}")
+    print(f"{len(a)} solves: {work_diff} with different work, "
+          f"{digest_diff} more with equal work and a different digest")
+    return 1 if work_diff else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload",
+                        choices=("eq-logreg", "quad-geometric", "ineq-logreg"))
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="the short solve lists the tests use")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src/ tree to import rasqp from")
+    parser.add_argument("--out", help="output file (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.workload is None:
+        parser.error("--workload or --compare is required")
+    if min(args.seed) < 0:
+        parser.error("--seed must be >= 0")
+    src = Path(args.src).resolve()
+    if not (src / "rasqp" / "bench.py").is_file():
+        parser.error(f"no rasqp sources under {src}")
+    sys.path[:0] = [str(src), str(ROOT)]
+
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        for row in solve_rows(args.workload, args.seed, args.smoke):
+            print(json.dumps(row), file=out, flush=True)
+    finally:
+        if args.out:
+            out.close()
+    return 0
+
+
+if __name__ == "__main__":
+    # one BLAS thread, as in perfbench; numpy is first imported in main
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.exit(main())
