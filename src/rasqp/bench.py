@@ -13,11 +13,11 @@ from typing import Optional
 import numpy as np
 
 from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
-                     TerminationRule, default_termination, run)
+                     TerminationRule, run)
 from .errors import ConfigError
 from .problems import (Dataset, ProblemSpec, Expectation, build_logreg_problem,
                        eval_constraints)
-from .sqp_eq import EqSqpConfig, violation_norms
+from .sqp_eq import violation_norms
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -138,23 +138,21 @@ class RunConfig:
 # expectation problem, every outer iteration: no subsampling benefit.
 METHODS = {
     "ra-sqp-kkt": dict(solver="equality", dual_mode="reinit",
-                       termination=default_termination("kkt")),
+                       termination=TerminationRule("kkt")),
     "ra-sqp-dnorm": dict(solver="equality",
-                         termination=default_termination("dnorm")),
-    "ra-sqp-dl": dict(solver="equality",
-                      termination=default_termination("dl")),
+                         termination=TerminationRule("dnorm")),
+    "ra-sqp-dl": dict(solver="equality", termination=TerminationRule("dl")),
     "ra-sqp-dl-lbfgs": dict(solver="equality",
-                            termination=default_termination("dl"),
+                            termination=TerminationRule("dl"),
                             use_lbfgs=True),
     "ra-sqp-dl-inexact": dict(solver="equality",
-                              termination=default_termination("dl"),
-                              eq=EqSqpConfig(exact=False,
-                                             minres_max_iter=200)),
+                              termination=TerminationRule("dl"),
+                              exact=False),
     "ra-sqp-linf": dict(solver="robust",
-                        termination=default_termination("robust_dnorm"),
+                        termination=TerminationRule("robust_dnorm"),
                         norm="linf"),
     "ra-sqp-l1": dict(solver="robust",
-                      termination=default_termination("robust_dnorm"),
+                      termination=TerminationRule("robust_dnorm"),
                       norm="l1"),
     "det-sqp": dict(solver=None, dual_mode="reinit"),
 }
@@ -185,8 +183,7 @@ def method_driver_config(method: str, problem: ProblemSpec,
         # halve the inner metric per outer pass so progress is recorded (and
         # stop thresholds are checked) at a useful granularity
         fields["termination"] = TerminationRule(
-            kind="kkt" if solver == "equality" else "robust_dnorm",
-            gamma=0.5, eps=1e-12)
+            kind="kkt" if solver == "equality" else "robust_dnorm", eps=1e-12)
     return DriverConfig(solver=solver, sampling=sampling,
                         stop_violation=config.stop_violation,
                         stop_stationarity=config.stop_stationarity, **fields)

@@ -40,7 +40,7 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _apply_config(args, parser) -> RunConfig:
+def _apply_config(args) -> RunConfig:
     """RunConfig from file values overridden by explicitly passed flags."""
     base = {}
     if getattr(args, "config", None):
@@ -74,8 +74,8 @@ def _add_run_flags(p):
     p.add_argument("--output", help="trace CSV path")
 
 
-def cmd_run(args, parser) -> int:
-    cfg = _apply_config(args, parser)
+def cmd_run(args) -> int:
+    cfg = _apply_config(args)
     outcome = run_config(cfg)
     path = cfg.output or f"trace_{cfg.problem}_{cfg.method}_{cfg.seed}.csv"
     write_trace_csv(path, outcome)
@@ -87,8 +87,8 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    base = _apply_config(args, parser)
+def cmd_sweep(args) -> int:
+    base = _apply_config(args)
     problems = args.problems.split(",") if args.problems else [base.problem]
     methods = args.methods.split(",") if args.methods else [base.method]
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.seed]
@@ -128,7 +128,7 @@ def _parse_seeds(text: str):
     return seeds
 
 
-def cmd_profile(args, parser) -> int:
+def cmd_profile(args) -> int:
     with open(args.inputs) as fh:
         rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
     column = ("cost" if args.metric == "grad_evals" else "iters")
@@ -151,8 +151,8 @@ def cmd_profile(args, parser) -> int:
     return 0
 
 
-def cmd_active_set(args, parser) -> int:
-    cfg = _apply_config(args, parser)
+def cmd_active_set(args) -> int:
+    cfg = _apply_config(args)
     problem = build_problem(cfg.problem, cfg.data_seed)
     if problem.m_I == 0:
         raise ConfigError("active-set reports need inequality constraints")
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -31,11 +31,11 @@ from .counters import Counters
 from .errors import ConfigError, LineSearchFailure, MeritCollapse, RankDeficient
 from .ipm import kkt_residual
 from .linalg import LbfgsModel, least_squares_dual
-from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
-                       draw_samples, eval_constraints, eval_subsampled,
+from .problems import (FiniteSum, ProblemSpec, _sums_over, draw_samples,
+                       eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
-from .sqp_eq import (L1, LINF, TAU_BAR, EqSqpConfig, Evaluator,
-                     InnerContext, compute_step, inner_iteration, merit_plan,
+from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
+                     compute_step, inner_iteration, merit_plan,
                      violation_norms)
 from .sqp_ineq import (detect_infeasible_stationary, direction_step,
                        feasibility_step, robust_inner_iteration, sigma_bounds)
@@ -62,24 +62,22 @@ class TerminationRule:
 
     kind selects the metric: "kkt" (KKT error norm), "dnorm" (step norm),
     "dl" (merit model decrease, snapshot clipped at KAPPA_D * ||d0||^2),
-    "robust_dnorm" (step norm of the robust solver).
+    "robust_dnorm" (step norm of the robust solver). The kind also sets
+    gamma.
     """
     kind: str = "kkt"
-    gamma: float = 0.5
     eps: float = 1e-6
 
     def __post_init__(self):
         if not any(self.kind in kinds for kinds in RULES.values()):
             raise ConfigError(f"unknown termination kind {self.kind!r}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must be in [0, 1)")
         if self.eps < 0.0:
             raise ConfigError("eps must be >= 0")
 
-
-def default_termination(kind: str) -> TerminationRule:
-    gamma = 0.1 if kind == "dl" else 0.5
-    return TerminationRule(kind=kind, gamma=gamma)
+    @property
+    def gamma(self) -> float:
+        """0.1 for "dl", 0.5 for the other kinds."""
+        return 0.1 if self.kind == "dl" else 0.5
 
 
 @dataclass
@@ -123,7 +121,7 @@ class DriverConfig:
     termination: TerminationRule = field(default_factory=TerminationRule)
     sampling: SamplingRule = field(default_factory=SamplingRule)
     dual_mode: str = "carryover"       # "carryover" | "reinit"
-    eq: EqSqpConfig = field(default_factory=EqSqpConfig)
+    exact: bool = True                 # equality solver: exact or inexact step
     norm: str = LINF                   # robust solver: "linf" | "l1"
     use_lbfgs: bool = False            # equality solver only
     # optional metric-threshold stopping (both must hold); None = budget only
@@ -131,6 +129,13 @@ class DriverConfig:
     stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
+        if self.solver not in RULES:
+            raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.termination.kind not in RULES[self.solver]:
+            raise ConfigError(f"the {self.solver} solver cannot use the "
+                              f"{self.termination.kind!r} termination rule")
+        if self.solver == "robust" and self.use_lbfgs:
+            raise ConfigError("the robust solver has no L-BFGS Hessian model")
         if self.dual_mode not in ("carryover", "reinit"):
             raise ConfigError(f"unknown dual mode {self.dual_mode!r}")
         if self.norm not in (LINF, L1):
@@ -234,13 +239,13 @@ def geometric_batch_size(k: int, rule: SamplingRule,
 class ConditionEstimate:
     variance: float
     Z: float
-    fresh_set: SampleSet
+    fresh_set: np.ndarray
     value_sum: float
     gradient_sum: np.ndarray
 
 
 def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
-                              prev_batch: SampleSet, config: DriverConfig,
+                              prev_batch: np.ndarray, config: DriverConfig,
                               rng: np.random.Generator,
                               counters: Counters) -> ConditionEstimate:
     """Variance and progress estimates at the iterate ctx on a fresh sample
@@ -255,7 +260,7 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     if prev_batch.size < 1:
         raise ConfigError("previous batch is empty")
     fresh = draw_samples(problem, prev_batch.size, rng)
-    vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh.items, counters)
+    vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh, counters)
     m = fresh.size
     gbar = gsum / m
     variance = (0.0 if m == 1 else
@@ -284,7 +289,7 @@ def _eq_progress(ctx: InnerContext, config: DriverConfig,
     if kind == "kkt":
         current = float(np.linalg.norm(ctx.kkt_vector()))
         return current, current, None, None
-    step = compute_step(ctx, config.eq, counters)
+    step = compute_step(ctx, config.exact, counters)
     dnorm = float(np.linalg.norm(step.d))
     if kind == "dnorm":
         return dnorm, dnorm, step, None
@@ -328,7 +333,7 @@ def true_gradient_at(problem: ProblemSpec, x: np.ndarray) -> tuple:
     if problem.true_gradient is not None:
         return problem.true_gradient(x), False
     if isinstance(problem.mode, FiniteSum):
-        full = SampleSet(np.arange(problem.mode.dataset_size))
+        full = np.arange(problem.mode.dataset_size)
         _, g = eval_subsampled(problem, x, full, counters=None)
         return g, False
     rng = np.random.default_rng(987654321)
@@ -374,15 +379,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     evaluations on subsampled problems are budgeted; metric evaluations are
     not.
     """
-    if config.solver not in RULES:
-        raise ConfigError(f"unknown solver {config.solver!r}")
-    if config.termination.kind not in RULES[config.solver]:
-        raise ConfigError(f"the {config.solver} solver cannot use the "
-                          f"{config.termination.kind!r} termination rule")
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
-    if config.solver == "robust" and config.use_lbfgs:
-        raise ConfigError("the robust solver has no L-BFGS Hessian model")
     cap = (problem.mode.dataset_size
            if isinstance(problem.mode, FiniteSum) else None)
     if config.sampling.kind == "full" and cap is None:
@@ -416,7 +414,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
     record(ctx, -1, 0, 0, 0, 0, "initial")
 
-    prev_S: Optional[SampleSet] = None
+    prev_S: Optional[np.ndarray] = None
     k = 0
     while True:
         if (counters.gradient_evals >= budget.max_gradient_evals
@@ -440,18 +438,17 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         else:
             size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
 
+        # the prefix goes by position: perfbench/layers.py reads a keyword
+        # prefix with `or`, which an ndarray cannot answer
         S = draw_samples(problem, size, rng,
-                         superset_of=None if estimate is None
-                         else estimate.fresh_set)
+                         None if estimate is None else estimate.fresh_set)
 
         # subsampled objective at the warm-start point, reusing the sums
         # over the fresh set, which draw_samples kept as the prefix of S
         if estimate is not None:
-            tail = S.items[estimate.fresh_set.size:]
+            tail = S[estimate.fresh_set.size:]
             if tail.size:
-                t_v, t_g = _sums_over(problem, ctx.x, tail)
-                counters.gradient_evals += tail.size
-                counters.function_evals += tail.size
+                t_v, t_g = _sums_over(problem, ctx.x, tail, counters)
             else:
                 t_v, t_g = 0.0, np.zeros(problem.n)
             F_S = (estimate.value_sum + t_v) / S.size
@@ -516,7 +513,7 @@ def _inner_loop(progress, update, ctx, rule: TerminationRule,
     return ctx, INNER_CAP, updates, "inner_cap"
 
 
-def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
+def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
                   ctx: InnerContext, F_S, g_S, counters: Counters):
     """(progress, update, start context) of the configured solver on the
     batch S, warm-started at the iterate ctx, whose subsampled objective on
@@ -537,7 +534,7 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         lam = dual_initialize(config.dual_mode, lam, g_S, ctx.c_E, ctx.J_E)
 
         def update(ctx, step, plan):
-            ctx, _, alpha = inner_iteration(ctx, config.eq, evaluator,
+            ctx, _, alpha = inner_iteration(ctx, config.exact, evaluator,
                                             counters, step=step, plan=plan)
             return ctx, alpha
 

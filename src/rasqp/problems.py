@@ -34,25 +34,6 @@ class Expectation:
 
 
 @dataclass
-class SampleSet:
-    """An ordered, immutable-by-convention 1-D array of samples.
-
-    For finite-sum problems the items are int64 dataset row ids; for
-    expectation problems they are the drawn float64 noise realizations
-    themselves, so that re-evaluating over the same SampleSet is
-    deterministic.
-    """
-    items: np.ndarray
-
-    def __post_init__(self):
-        self.items = np.asarray(self.items)
-
-    @property
-    def size(self) -> int:
-        return self.items.size
-
-
-@dataclass
 class ProblemSpec:
     n: int
     m_E: int
@@ -75,9 +56,25 @@ class ProblemSpec:
 # subsampled evaluation
 # ------------------------------------------------------------------
 
-def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray):
-    """Sum of per-sample objective values and gradients over `samples`."""
-    return problem.sums(x, samples, 1)
+def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
+               counters: Optional[Counters] = None, order: int = 1):
+    """`problem.sums(x, samples, order)`, checked finite. Counts one
+    function evaluation per sample, and one gradient evaluation per sample
+    when order >= 1.
+
+    Order 0, which line searches call most, checks the value sum alone; the
+    higher orders also check the iterate and every sum."""
+    if order >= 1 and not np.all(np.isfinite(x)):
+        raise NumericalFailure("non-finite iterate")
+    out = problem.sums(x, samples, order)
+    if not np.isfinite(out[0]) or (order >= 1 and not all(
+            np.all(np.isfinite(s)) for s in out[1:])):
+        raise NumericalFailure("non-finite subsampled sums")
+    if counters is not None:
+        counters.function_evals += samples.size
+        if order >= 1:
+            counters.gradient_evals += samples.size
+    return out
 
 
 def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
@@ -85,44 +82,25 @@ def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
     """Per-sample gradient statistics over `samples`: (value sum, gradient
     sum, sum of squared gradient norms). Counts one gradient evaluation per
     sample."""
-    vsum, gsum, sqsum = problem.sums(x, samples, 2)
-    if not (np.isfinite(vsum) and np.all(np.isfinite(gsum))
-            and np.isfinite(sqsum)):
-        raise NumericalFailure("non-finite gradient statistics")
-    if counters is not None:
-        counters.gradient_evals += samples.size
-        counters.function_evals += samples.size
-    return vsum, gsum, sqsum
+    return _sums_over(problem, x, samples, counters, order=2)
 
 
-def eval_subsampled(problem: ProblemSpec, x: np.ndarray, S: SampleSet,
+def eval_subsampled(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
                     counters: Optional[Counters] = None):
-    """Sample-average objective value and gradient over S.
-
-    Increments the gradient-evaluation counter by S.size.
-    """
-    if S.size < 1:
+    """Sample-average objective value and gradient over `samples`. Counts
+    one gradient evaluation per sample."""
+    if samples.size < 1:
         raise ConfigError("empty sample set")
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailure("non-finite iterate")
-    vsum, gsum = _sums_over(problem, x, S.items)
-    if not (np.isfinite(vsum) and np.all(np.isfinite(gsum))):
-        raise NumericalFailure("non-finite subsampled objective/gradient")
-    if counters is not None:
-        counters.gradient_evals += S.size
-        counters.function_evals += S.size
-    return vsum / S.size, gsum / S.size
+    vsum, gsum = _sums_over(problem, x, samples, counters)
+    return vsum / samples.size, gsum / samples.size
 
 
-def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray, S: SampleSet,
+def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray,
+                          samples: np.ndarray,
                           counters: Optional[Counters] = None) -> float:
     """Sample-average objective only (used by line searches; no gradient cost)."""
-    (vsum,) = problem.sums(x, S.items, 0)
-    if not np.isfinite(vsum):
-        raise NumericalFailure("non-finite subsampled objective")
-    if counters is not None:
-        counters.function_evals += S.size
-    return vsum / S.size
+    (vsum,) = _sums_over(problem, x, samples, counters, order=0)
+    return vsum / samples.size
 
 
 def eval_constraints(problem: ProblemSpec, x: np.ndarray):
@@ -142,11 +120,14 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
 
 
 def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
-                 superset_of: Optional[SampleSet] = None) -> SampleSet:
-    """Draw a sample set, optionally containing a previous one as a prefix.
+                 superset_of: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw a sample set, a 1-D ndarray, optionally with a previous set as
+    its prefix.
 
-    Finite-sum draws pick, without replacement, from the sorted row ids not
-    in the prefix; expectation draws call the sampler once for the rest.
+    Finite-sum sets hold int64 dataset row ids, drawn without replacement
+    from the sorted ids not in the prefix. Expectation sets hold the float64
+    noise realizations themselves, from one sampler call for the rest, so
+    that re-evaluating over the same set is deterministic.
     """
     n_base = 0 if superset_of is None else superset_of.size
     if size < n_base:
@@ -160,14 +141,14 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
     if finite:
         free = np.ones(problem.mode.dataset_size, dtype=bool)
         if superset_of is not None:
-            free[superset_of.items] = False
+            free[superset_of] = False
         extra = rng.choice(np.flatnonzero(free), size=size - n_base,
                            replace=False)
     else:
         extra = np.asarray(problem.mode.sampler(rng, size - n_base))
     if superset_of is None:
-        return SampleSet(extra)
-    return SampleSet(np.concatenate([superset_of.items, extra]))
+        return extra
+    return np.concatenate([superset_of, extra])
 
 
 # ------------------------------------------------------------------

@@ -11,12 +11,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import ConfigError, LineSearchFailure, MeritCollapse
+from .errors import LineSearchFailure, MeritCollapse
 from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
                      minres_solve)
 
 TAU_BAR = 1.0        # merit parameter at the start of every inner loop
 MINRES_TOL = 1e-6
+# MINRES iteration cap of a step; the inexact mode's first pass takes a
+# tenth of it before it falls back to the exact tolerance
+MINRES_MAX_ITER = 2000
 # inexactness conditions
 KAPPA_T = 1e-1
 KAPPA_PRIME = 1e3
@@ -69,16 +72,6 @@ class EqStepResult:
     acceptance: str  # "exact" | "inexact_cond1" | "inexact_cond2"
 
 
-@dataclass
-class EqSqpConfig:
-    exact: bool = True
-    minres_max_iter: int = 2000
-
-    def __post_init__(self):
-        if self.minres_max_iter < 1:
-            raise ConfigError("minres_max_iter must be >= 1")
-
-
 def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
                         acceptance_kind: dict) -> Callable:
     """MINRES acceptance callback of the inexact mode: True at the first
@@ -119,7 +112,7 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
     return accept
 
 
-def compute_step(ctx: InnerContext, config: EqSqpConfig,
+def compute_step(ctx: InnerContext, exact: bool,
                  counters: Optional[Counters] = None) -> EqStepResult:
     """Solve the SQP KKT system [[H, J'], [J, 0]] (d, delta) = -T + (rho, r).
 
@@ -134,14 +127,15 @@ def compute_step(ctx: InnerContext, config: EqSqpConfig,
     rhs = -T
 
     acceptance_kind = {}
-    callback = (None if config.exact
+    callback = (None if exact
                 else _inexact_acceptance(ctx, T, acceptance_kind))
-    report = minres_solve(K, rhs, MINRES_TOL, config.minres_max_iter,
+    report = minres_solve(K, rhs, MINRES_TOL,
+                          MINRES_MAX_ITER if exact else MINRES_MAX_ITER // 10,
                           acceptance=callback, counters=counters)
-    if not config.exact and report.stop_reason == "max_iter":
+    if not exact and report.stop_reason == "max_iter":
         # no iterate passed the inexactness tests; continue to the exact tol
-        report = minres_solve(K, rhs, MINRES_TOL,
-                              10 * config.minres_max_iter, counters=counters)
+        report = minres_solve(K, rhs, MINRES_TOL, MINRES_MAX_ITER,
+                              counters=counters)
 
     z = report.solution
     resid_vec = report.residual
@@ -286,7 +280,7 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     return new_ctx, alpha
 
 
-def inner_iteration(ctx: InnerContext, config: EqSqpConfig,
+def inner_iteration(ctx: InnerContext, exact: bool,
                     evaluator: Evaluator,
                     counters: Optional[Counters] = None,
                     step: Optional[EqStepResult] = None,
@@ -304,7 +298,7 @@ def inner_iteration(ctx: InnerContext, config: EqSqpConfig,
     as a signal to resample.
     """
     if step is None:
-        step = compute_step(ctx, config, counters=counters)
+        step = compute_step(ctx, exact, counters=counters)
 
     if np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
         return ctx, step, 0.0

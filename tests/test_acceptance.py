@@ -12,11 +12,12 @@ import pytest
 
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
-from rasqp.driver import DriverConfig, _robust_progress, adaptive_batch_size
+from rasqp.driver import (DriverConfig, TerminationRule, _robust_progress,
+                          adaptive_batch_size)
 from rasqp.errors import MeritCollapse
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
-from rasqp.sqp_eq import (ETA, EqSqpConfig, Evaluator, InnerContext,
+from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
                           trial_tau, update_tau)
 from rasqp.sqp_ineq import (direction_step, robust_inner_iteration,
@@ -221,7 +222,6 @@ def _general_instance(rng, n=4, m_e=1, m_i=2):
 def test_criterion_4_merit_line_search_invariants():
     rng = np.random.default_rng(404)
     violations = 0
-    config = EqSqpConfig(exact=True)
     for _ in range(50):
         ev = _eq_instance(rng)
         x = rng.standard_normal(5)
@@ -232,7 +232,7 @@ def test_criterion_4_merit_line_search_invariants():
         taus = []
         for _ in range(6):
             try:
-                new_ctx, step, alpha = inner_iteration(ctx, config, ev)
+                new_ctx, step, alpha = inner_iteration(ctx, True, ev)
             except MeritCollapse:
                 break
             if alpha > 0.0:
@@ -254,7 +254,8 @@ def test_criterion_4_merit_line_search_invariants():
         if any(a < b - 1e-15 for a, b in zip(taus, taus[1:])):
             violations += 1
 
-    rob_config = DriverConfig(solver="robust")
+    rob_config = DriverConfig(solver="robust",
+                              termination=TerminationRule("robust_dnorm"))
     for _ in range(50):
         ev = _general_instance(rng)
         x = rng.standard_normal(4)
@@ -308,7 +309,7 @@ def test_criterion_5_step_error_bounds():
                                g_S=g, c_E=c, c_I=np.zeros(0), J_E=J,
                                J_I=np.zeros((0, n)), tau_prev=1.0)
             ctx.h_apply = lambda v, H=H: H @ v
-            s = compute_step(ctx, EqSqpConfig(exact=True))
+            s = compute_step(ctx, True)
             steps.append(np.concatenate([s.d, s.delta]))
         if (np.linalg.norm(steps[0] - steps[1])
                 > bound * np.linalg.norm(g1 - g2) + 1e-7):

@@ -14,7 +14,7 @@ from rasqp import driver
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           TerminationRule, _inner_loop, adaptive_batch_size,
-                          default_termination, dual_initialize,
+                          dual_initialize,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
@@ -58,24 +58,21 @@ class TestDualInitialize:
 
 class TestTerminationRule:
     def test_check_below_threshold(self):
-        rule = TerminationRule(kind="kkt", gamma=0.5, eps=1e-6)
+        rule = TerminationRule(kind="kkt", eps=1e-6)
         assert termination_check(rule, 2.0, 0.9)
         assert not termination_check(rule, 2.0, 1.1)
 
     def test_eps_floor(self):
-        rule = TerminationRule(kind="kkt", gamma=0.0, eps=1e-6)
-        assert termination_check(rule, 5.0, 1e-7)
+        rule = TerminationRule(kind="kkt", eps=1e-6)
+        assert termination_check(rule, 0.0, 1e-7)
+        assert not termination_check(rule, 0.0, 2e-6)
 
     def test_defaults_per_kind(self):
-        assert default_termination("dl").gamma == 0.1
-        assert default_termination("kkt").gamma == 0.5
-        assert default_termination("dnorm").gamma == 0.5
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ConfigError):
-            TerminationRule(gamma=1.0)
-        with pytest.raises(ConfigError):
-            TerminationRule(gamma=-0.1)
+        assert TerminationRule("dl").gamma == 0.1
+        for kind in ("kkt", "dnorm", "robust_dnorm"):
+            assert TerminationRule(kind).gamma == 0.5
+        with pytest.raises(AttributeError):
+            TerminationRule("dl").gamma = 0.5
 
 
 class TestBatchSchedules:
@@ -146,7 +143,7 @@ class TestConfigValidation:
             DriverConfig(norm="l2")
 
     @staticmethod
-    def assert_rejected_before_any_evaluation(config):
+    def assert_rejected_before_any_evaluation(make_config):
         calls = []
 
         def constraints(x):
@@ -163,7 +160,7 @@ class TestConfigValidation:
             jacobian_eval=lambda x: (np.array([[1.0]]), np.zeros((0, 1))),
             m_E=1, m_I=0, x_init=np.zeros(1), noise_level=0.1)
         with pytest.raises(ConfigError):
-            run(prob, config, Budget(max_gradient_evals=500),
+            run(prob, make_config(), Budget(max_gradient_evals=500),
                 np.random.default_rng(0))
         assert calls == []
 
@@ -171,11 +168,11 @@ class TestConfigValidation:
                                              ("robust", "dl"),
                                              ("equality", "robust_dnorm")])
     def test_solver_rule_mismatch_before_any_evaluation(self, solver, kind):
-        self.assert_rejected_before_any_evaluation(DriverConfig(
+        self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
             solver=solver, termination=TerminationRule(kind=kind)))
 
     def test_robust_lbfgs_before_any_evaluation(self):
-        self.assert_rejected_before_any_evaluation(DriverConfig(
+        self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
             solver="robust", termination=TerminationRule(kind="robust_dnorm"),
             use_lbfgs=True))
 
@@ -224,7 +221,6 @@ class TestConditionEstimation:
         # gradients 2(x-1)(1+xi): at x = 0 the per-sample gradients are
         # -2(1+xi) per coordinate, so two noise draws give a known variance
         prob = make_eq_quadratic(noise=0.5, n=1)
-        from rasqp.problems import SampleSet
         from rasqp.driver import estimate_condition_inputs
 
         config = DriverConfig(termination=TerminationRule(kind="kkt"))
@@ -233,9 +229,9 @@ class TestConditionEstimation:
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.zeros(1),
                                                 np.zeros(1)),
-                                        SampleSet((0.0, 0.0)), config, rng,
+                                        np.array([0.0, 0.0]), config, rng,
                                         counters)
-        xi = np.array(est.fresh_set.items)
+        xi = est.fresh_set
         grads = -2.0 * (1.0 + xi)
         expect = float(np.var(grads, ddof=1))
         assert est.variance == pytest.approx(expect, rel=1e-10)
@@ -243,13 +239,12 @@ class TestConditionEstimation:
 
     def test_kkt_progress_measure(self):
         prob = make_eq_quadratic(noise=0.0, n=2)
-        from rasqp.problems import SampleSet
 
         config = DriverConfig(termination=TerminationRule(kind="kkt"))
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.zeros(2),
                                                 np.zeros(1)),
-                                        SampleSet((0.0,)), config,
+                                        np.array([0.0]), config,
                                         np.random.default_rng(0), Counters())
         # T = (g, c) = ((-2, -2), -1): norm sqrt(9)
         assert est.Z == pytest.approx(3.0)
@@ -259,7 +254,6 @@ class TestConditionEstimation:
         # at x = 0.5 the feasibility LP certifies x = 0 and x = 1
         # inconsistent: no progress to make, and no direction QP solved
         prob = make_infeasible_problem()
-        from rasqp.problems import SampleSet
 
         def no_qp(*args, **kwargs):
             raise AssertionError("direction QP solved")
@@ -270,18 +264,17 @@ class TestConditionEstimation:
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.array([0.5]),
                                                 np.zeros(2)),
-                                        SampleSet((0.1, -0.1)), config,
+                                        np.array([0.1, -0.1]), config,
                                         np.random.default_rng(0), Counters())
         assert est.Z == 0.0
 
     def test_probe_does_not_count_updates(self):
         prob = make_eq_quadratic(noise=0.5, n=2)
-        from rasqp.problems import SampleSet
 
         config = DriverConfig(termination=TerminationRule(kind="dnorm"))
         x = np.array([0.3, -0.2])
         est = estimate_condition_inputs(prob, iterate(prob, x, np.zeros(1)),
-                                        SampleSet((0.1, -0.1, 0.0)), config,
+                                        np.array([0.1, -0.1, 0.0]), config,
                                         np.random.default_rng(1), Counters())
         assert est.Z > 0.0
         np.testing.assert_array_equal(x, [0.3, -0.2])  # x untouched
@@ -389,7 +382,7 @@ class TestRun:
     def test_lbfgs_variant_converges(self):
         prob = make_eq_quadratic(noise=0.2)
         config = DriverConfig(use_lbfgs=True,
-                              termination=default_termination("dl"),
+                              termination=TerminationRule("dl"),
                               stop_violation=1e-6, stop_stationarity=1e-4)
         out = run(prob, config, Budget(max_gradient_evals=10 ** 6),
                   np.random.default_rng(5))

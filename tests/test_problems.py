@@ -1,6 +1,8 @@
 """Dataset parsing, subsampled evaluation, sampling, and the concrete
 problem families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from rasqp.bench import (make_infeasible_1d, make_noisy_quadratic,
                          make_synthetic_dataset)
 from rasqp.counters import Counters
-from rasqp.errors import ConfigError, ParseError
-from rasqp.problems import (Dataset, SampleSet, build_augmented_problem,
+from rasqp.errors import ConfigError, NumericalFailure, ParseError
+from rasqp.problems import (Dataset, build_augmented_problem,
                             build_logreg_problem,
                             draw_samples, eval_constraints, eval_subsampled,
                             eval_subsampled_value, gradient_stats,
-                            parse_libsvm, _sigmoid)
+                            parse_libsvm, _sigmoid, _sums_over)
 
 
 SAMPLE_TEXT = "1 1:0.5 3:2.0\n-1 2:1.0\n1 1:-1.0 2:0.25 3:1.5\n"
@@ -144,22 +146,21 @@ class TestEvaluation:
     def test_counts_gradient_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        S = SampleSet(np.array([0.1, -0.2, 0.0]))
+        S = np.array([0.1, -0.2, 0.0])
         eval_subsampled(prob, np.ones(3), S, ct)
         assert ct.gradient_evals == 3
 
     def test_value_only_counts_function_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        eval_subsampled_value(prob, np.ones(3), SampleSet(np.array([0.1, 0.2])),
-                              ct)
+        eval_subsampled_value(prob, np.ones(3), np.array([0.1, 0.2]), ct)
         assert ct.gradient_evals == 0
         assert ct.function_evals == 2
 
     def test_zero_noise_matches_true(self):
         prob = make_quadratic_problem(noise=0.0)
         x = np.array([1.0, 2.0, 3.0])
-        v, g = eval_subsampled(prob, x, SampleSet(np.zeros(2)), None)
+        v, g = eval_subsampled(prob, x, np.zeros(2), None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x))
 
@@ -195,7 +196,49 @@ class TestEvaluation:
     def test_empty_sample_set_rejected(self):
         prob = make_quadratic_problem()
         with pytest.raises(ConfigError):
-            eval_subsampled(prob, np.zeros(3), SampleSet(np.zeros(0)), None)
+            eval_subsampled(prob, np.zeros(3), np.zeros(0), None)
+
+
+class TestSumsOver:
+    """The one checked and counted path of every subsampled sum."""
+
+    SAMPLES = np.array([0.1, -0.2, 0.0])
+
+    @pytest.mark.parametrize("order,grads", [(0, 0), (1, 3), (2, 3)])
+    def test_counts_per_order(self, order, grads):
+        prob = make_quadratic_problem()
+        x = np.array([1.0, -2.0, 0.5])
+        ct = Counters(gradient_evals=5, function_evals=7)
+        out = _sums_over(prob, x, self.SAMPLES, ct, order=order)
+        assert (ct.gradient_evals, ct.function_evals) == (5 + grads, 7 + 3)
+        ref = prob.sums(x, self.SAMPLES, order)
+        assert len(out) == len(ref) == order + 1
+        for got, want in zip(out, ref):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_non_finite_iterate_raises(self, order):
+        ct = Counters()
+        with pytest.raises(NumericalFailure):
+            _sums_over(make_quadratic_problem(), np.array([0.0, np.inf, 0.0]),
+                       self.SAMPLES, ct, order=order)
+        assert ct == Counters()
+
+    @pytest.mark.parametrize("order,bad", [(0, 0), (1, 0), (1, 1), (2, 0),
+                                           (2, 1), (2, 2)])
+    def test_non_finite_sum_raises(self, order, bad):
+        prob = make_quadratic_problem()
+
+        def sums(x, items, k):
+            out = list(prob.sums(x, items, k))
+            out[bad] = out[bad] * np.nan
+            return tuple(out)
+
+        ct = Counters()
+        with pytest.raises(NumericalFailure):
+            _sums_over(dataclasses.replace(prob, sums=sums), np.ones(3),
+                       self.SAMPLES, ct, order=order)
+        assert ct == Counters()
 
 
 class TestDrawSamples:
@@ -203,15 +246,15 @@ class TestDrawSamples:
         prob = build_logreg_problem(_tiny_dataset(), "equality")
         rng = np.random.default_rng(0)
         S = draw_samples(prob, 8, rng)
-        assert len(set(S.items)) == 8
+        assert len(set(S)) == 8
 
     def test_superset_prefix(self):
         prob = build_logreg_problem(_tiny_dataset(), "equality")
         rng = np.random.default_rng(0)
         S0 = draw_samples(prob, 4, rng)
         S1 = draw_samples(prob, 9, rng, superset_of=S0)
-        assert np.array_equal(S1.items[:4], S0.items)
-        assert len(set(S1.items)) == 9
+        assert np.array_equal(S1[:4], S0)
+        assert len(set(S1)) == 9
 
     def test_finite_sum_rng_stream(self):
         # the exact draws: a change to how the pool is built or sampled
@@ -220,15 +263,15 @@ class TestDrawSamples:
         rng = np.random.default_rng(0)
         S0 = draw_samples(prob, 4, rng)
         S1 = draw_samples(prob, 9, rng, superset_of=S0)
-        assert S0.items.dtype == np.int64
-        assert S0.items.tolist() == [3, 5, 7, 6]
-        assert S1.items.tolist() == [3, 5, 7, 6, 0, 8, 10, 11, 9]
+        assert S0.dtype == np.int64
+        assert S0.tolist() == [3, 5, 7, 6]
+        assert S1.tolist() == [3, 5, 7, 6, 0, 8, 10, 11, 9]
 
     def test_expectation_rng_stream(self):
         S = draw_samples(make_quadratic_problem(), 5,
                          np.random.default_rng(3))
-        assert S.items.dtype == np.float64
-        assert S.items.tolist() == [
+        assert S.dtype == np.float64
+        assert S.tolist() == [
             -0.41435083285637564, -0.2631894934039003, 0.3012744652063969,
             0.08216203606436778, -0.4058713577596008]
 
@@ -243,7 +286,7 @@ class TestDrawSamples:
         prob = make_quadratic_problem()
         S = draw_samples(prob, size, np.random.default_rng(seed))
         assert S.size == size
-        assert all(-0.5 <= xi <= 0.5 for xi in S.items)
+        assert all(-0.5 <= xi <= 0.5 for xi in S)
 
 
 def _tiny_dataset(n_samples=12, n_raw=3, n_classes=2, seed=0):
@@ -423,7 +466,7 @@ class TestAugmented:
         prob = make_quadratic_problem(noise=0.1)
         x = np.array([1.0, -2.0, 0.5])
         xi_pairs = np.array([0.07, -0.07])
-        v, g = eval_subsampled(prob, x, SampleSet(xi_pairs), None)
+        v, g = eval_subsampled(prob, x, xi_pairs, None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x), atol=1e-12)
 

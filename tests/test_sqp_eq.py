@@ -4,13 +4,12 @@ line search, and the iteration invariants."""
 import numpy as np
 import pytest
 
-from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
+from rasqp.errors import LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
-from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, EqSqpConfig,
-                          Evaluator, InnerContext, armijo_backtrack,
-                          compute_step, inner_iteration, line_search_step,
-                          merit_plan, merit_value, model_decrease, trial_tau,
-                          update_tau)
+from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, Evaluator,
+                          InnerContext, armijo_backtrack, compute_step,
+                          inner_iteration, line_search_step, merit_plan,
+                          merit_value, model_decrease, trial_tau, update_tau)
 
 
 def make_ctx(x, lam, g, c, J, tau=1.0, F=0.0, hessian=None):
@@ -27,7 +26,7 @@ class TestComputeStep:
         # H = I, J = [1 0], g = (0, 1), c = (0): the step is pure descent in
         # the nullspace of J and the multiplier does not move
         ctx = make_ctx([0.0, 0.0], [0.0], [0.0, 1.0], [0.0], [[1.0, 0.0]])
-        step = compute_step(ctx, EqSqpConfig(exact=True))
+        step = compute_step(ctx, True)
         np.testing.assert_allclose(step.d, [0.0, -1.0], atol=1e-8)
         np.testing.assert_allclose(step.delta, [0.0], atol=1e-8)
         assert step.acceptance == "exact"
@@ -42,7 +41,7 @@ class TestComputeStep:
             ctx = make_ctx(rng.standard_normal(n), rng.standard_normal(m),
                            rng.standard_normal(n), rng.standard_normal(m), J)
             ctx.h_apply = lambda v, H=H: H @ v
-            step = compute_step(ctx, EqSqpConfig(exact=True))
+            step = compute_step(ctx, True)
             T = ctx.kkt_vector()
             resid = np.linalg.norm(np.concatenate([step.rho, step.r]))
             assert resid <= 1e-6 * np.linalg.norm(T) + 1e-12
@@ -56,7 +55,7 @@ class TestComputeStep:
         ctx = make_ctx(rng.standard_normal(n), rng.standard_normal(m),
                        rng.standard_normal(n), rng.standard_normal(m), J)
         ctx.h_apply = lambda v, H=H: H @ v
-        step = compute_step(ctx, EqSqpConfig(exact=False))
+        step = compute_step(ctx, False)
         assert step.acceptance in ("inexact_cond1", "inexact_cond2")
         # the accepted iterate still satisfies the KKT system approximately
         # through its reported residual split
@@ -80,15 +79,11 @@ class TestComputeStep:
             c = 10.0 * rng.standard_normal(m)
             ctx = make_ctx(rng.standard_normal(n), np.zeros(m), -J.T @ c, c,
                            J, hessian=model)
-            step = compute_step(ctx, EqSqpConfig(exact=False))
+            step = compute_step(ctx, False)
             assert step.acceptance == "inexact_cond2"
             cnorm = np.linalg.norm(c)
             assert np.linalg.norm(step.r) <= EPS_FEAS * cnorm
             assert np.linalg.norm(step.rho) <= EPS_OPT * cnorm
-
-    def test_minres_max_iter_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            EqSqpConfig(minres_max_iter=0)
 
 
 class TestMeritParameter:
@@ -174,8 +169,7 @@ def quadratic_instance(rng, n=5, m=2):
                      constraints=constraints)
 
 
-def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
-    config = config or EqSqpConfig(exact=True)
+def run_inner(evaluator, x0, iters, exact=True, use_lbfgs=False):
     F, g = evaluator.value_grad(x0)
     c, c_I, J, J_I = evaluator.constraints(x0)
     hess = LbfgsModel(dim=x0.size, capacity=20) if use_lbfgs else None
@@ -184,7 +178,7 @@ def run_inner(evaluator, x0, iters, config=None, use_lbfgs=False):
                        hessian=hess)
     history = []
     for _ in range(iters):
-        new_ctx, step, alpha = inner_iteration(ctx, config, evaluator)
+        new_ctx, step, alpha = inner_iteration(ctx, exact, evaluator)
         history.append((ctx, new_ctx, step, alpha))
         ctx = new_ctx
     return ctx, history
@@ -213,7 +207,7 @@ class TestLineSearchStep:
         c, c_I, J, J_I = ev.constraints(x0)
         ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
                            c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
-        step = compute_step(ctx, EqSqpConfig())
+        step = compute_step(ctx, True)
         tau, delta_l = merit_plan(ctx, step)
         new, alpha = line_search_step(ctx, 8.0 * step.d, step.delta, tau,
                                       delta_l, counting, L1)
@@ -239,10 +233,10 @@ class TestLineSearchStep:
         c, c_I, J, J_I = ev.constraints(x0)
         ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
                            c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
-        step = compute_step(ctx, EqSqpConfig())
+        step = compute_step(ctx, True)
         tau, _ = merit_plan(ctx, step)
         new, _, alpha = inner_iteration(
-            ctx, EqSqpConfig(), Evaluator(never, never, never), step=step,
+            ctx, True, Evaluator(never, never, never), step=step,
             plan=(tau, -6.367665870026323e-24))
         assert new is ctx
         assert alpha == 0.0
@@ -295,8 +289,7 @@ class TestInnerIterationInvariants:
     def test_inexact_variant_converges(self):
         rng = np.random.default_rng(14)
         ev = quadratic_instance(rng, n=12, m=3)
-        ctx, _ = run_inner(ev, rng.standard_normal(12), 400,
-                           config=EqSqpConfig(exact=False))
+        ctx, _ = run_inner(ev, rng.standard_normal(12), 400, exact=False)
         assert np.linalg.norm(ctx.kkt_vector()) <= 1e-5
 
     def test_step_nonexpansive_in_gradient(self):
@@ -317,7 +310,7 @@ class TestInnerIterationInvariants:
                 ctx = make_ctx(np.zeros(n), np.zeros(m), g,
                                rng.standard_normal(m) * 0 + 0.3, J)
                 ctx.h_apply = lambda v, H=H: H @ v
-                s = compute_step(ctx, EqSqpConfig(exact=True))
+                s = compute_step(ctx, True)
                 steps.append(np.concatenate([s.d, s.delta]))
             diff = np.linalg.norm(steps[0] - steps[1])
             assert diff <= bound * np.linalg.norm(g1 - g2) + 1e-9
