@@ -3,7 +3,6 @@ CSV trace emission, metrics, performance profiles, and active-set reports."""
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -15,8 +14,8 @@ import numpy as np
 from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
                      TerminationRule, run)
 from .errors import ConfigError
-from .problems import (Dataset, ProblemSpec, Expectation, build_logreg_problem,
-                       eval_constraints)
+from .problems import (Dataset, FiniteSum, ProblemSpec, Expectation,
+                       build_logreg_problem, eval_constraints)
 from .sqp_eq import violation_norms
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -95,22 +94,23 @@ def make_infeasible_1d() -> ProblemSpec:
         name="infeasible-1d")
 
 
+# problem name -> builder of data_seed. The builders look the module's
+# functions up at call time, so wrappers installed on these names see them.
+PROBLEMS = {
+    "synth-logreg-eq": lambda data_seed: build_logreg_problem(
+        make_synthetic_dataset(data_seed=data_seed), "equality"),
+    "synth-logreg-ineq": lambda data_seed: build_logreg_problem(
+        make_synthetic_dataset(data_seed=data_seed), "inequality"),
+    "synth-eq-quad": lambda data_seed: make_noisy_quadratic(
+        data_seed=data_seed),
+    "infeasible-1d": lambda data_seed: make_infeasible_1d(),
+}
+
+
 def build_problem(name: str, data_seed: int = 0) -> ProblemSpec:
-    if name == "synth-logreg-eq":
-        return build_logreg_problem(make_synthetic_dataset(data_seed=data_seed),
-                                    "equality")
-    if name == "synth-logreg-ineq":
-        return build_logreg_problem(make_synthetic_dataset(data_seed=data_seed),
-                                    "inequality")
-    if name == "synth-eq-quad":
-        return make_noisy_quadratic(data_seed=data_seed)
-    if name == "infeasible-1d":
-        return make_infeasible_1d()
-    raise ConfigError(f"unknown problem {name!r}")
-
-
-PROBLEMS = ("synth-logreg-eq", "synth-logreg-ineq", "synth-eq-quad",
-            "infeasible-1d")
+    if name not in PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}")
+    return PROBLEMS[name](data_seed)
 
 
 # ------------------------------------------------------------------
@@ -133,28 +133,22 @@ class RunConfig:
     output: Optional[str] = None
 
 
-# method -> DriverConfig fields. "det-sqp" takes the solver the problem
-# needs (solver None here) and the full batch, or a large fixed batch on an
-# expectation problem, every outer iteration: no subsampling benefit.
+# method -> DriverConfig fields; the termination rule picks the solver.
+# "det-sqp" takes the rule of the solver the problem needs and the whole
+# dataset, or a large fixed batch on an expectation problem, every outer
+# iteration: no subsampling benefit.
 METHODS = {
-    "ra-sqp-kkt": dict(solver="equality", dual_mode="reinit",
-                       termination=TerminationRule("kkt")),
-    "ra-sqp-dnorm": dict(solver="equality",
-                         termination=TerminationRule("dnorm")),
-    "ra-sqp-dl": dict(solver="equality", termination=TerminationRule("dl")),
-    "ra-sqp-dl-lbfgs": dict(solver="equality",
-                            termination=TerminationRule("dl"),
+    "ra-sqp-kkt": dict(dual_mode="reinit", termination=TerminationRule("kkt")),
+    "ra-sqp-dnorm": dict(termination=TerminationRule("dnorm")),
+    "ra-sqp-dl": dict(termination=TerminationRule("dl")),
+    "ra-sqp-dl-lbfgs": dict(termination=TerminationRule("dl"),
                             use_lbfgs=True),
-    "ra-sqp-dl-inexact": dict(solver="equality",
-                              termination=TerminationRule("dl"),
-                              exact=False),
-    "ra-sqp-linf": dict(solver="robust",
-                        termination=TerminationRule("robust_dnorm"),
+    "ra-sqp-dl-inexact": dict(termination=TerminationRule("dl"), exact=False),
+    "ra-sqp-linf": dict(termination=TerminationRule("robust_dnorm"),
                         norm="linf"),
-    "ra-sqp-l1": dict(solver="robust",
-                      termination=TerminationRule("robust_dnorm"),
+    "ra-sqp-l1": dict(termination=TerminationRule("robust_dnorm"),
                       norm="l1"),
-    "det-sqp": dict(solver=None, dual_mode="reinit"),
+    "det-sqp": dict(dual_mode="reinit"),
 }
 
 
@@ -163,30 +157,28 @@ def method_driver_config(method: str, problem: ProblemSpec,
     """Translate a method label into a driver configuration for a problem."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    fields = copy.deepcopy(METHODS[method])
-    solver = fields.pop("solver") or ("robust" if problem.m_I > 0
-                                      else "equality")
-    if solver == "equality" and problem.m_I > 0:
-        raise ConfigError(f"{method} requires a problem without inequalities")
-    if solver == "robust" and problem.m_I == 0 and problem.m_E == 0:
-        raise ConfigError(f"{method} requires a constrained problem")
-
+    fields = dict(METHODS[method])
     sampling = SamplingRule(kind=config.sampling,
                             initial_size=config.initial_size,
                             beta=config.beta)
     if method == "det-sqp":
-        if isinstance(problem.mode, Expectation):
-            sampling = SamplingRule(kind="fixed", initial_size=10 ** 4)
-        else:
-            sampling = SamplingRule(kind="full",
-                                    initial_size=config.initial_size)
+        sampling = SamplingRule(kind="fixed", initial_size=(
+            problem.mode.dataset_size if isinstance(problem.mode, FiniteSum)
+            else 10 ** 4))
         # halve the inner metric per outer pass so progress is recorded (and
         # stop thresholds are checked) at a useful granularity
         fields["termination"] = TerminationRule(
-            kind="kkt" if solver == "equality" else "robust_dnorm", eps=1e-12)
-    return DriverConfig(solver=solver, sampling=sampling,
-                        stop_violation=config.stop_violation,
-                        stop_stationarity=config.stop_stationarity, **fields)
+            kind="robust_dnorm" if problem.m_I > 0 else "kkt", eps=1e-12)
+    driver_cfg = DriverConfig(sampling=sampling,
+                              stop_violation=config.stop_violation,
+                              stop_stationarity=config.stop_stationarity,
+                              **fields)
+    if driver_cfg.solver == "equality" and problem.m_I > 0:
+        raise ConfigError(f"{method} requires a problem without inequalities")
+    if (driver_cfg.solver == "robust" and problem.m_I == 0
+            and problem.m_E == 0):
+        raise ConfigError(f"{method} requires a constrained problem")
+    return driver_cfg
 
 
 def run_config(config: RunConfig) -> SolveOutcome:
@@ -274,7 +266,10 @@ def profile_curve(ratio_list, taus):
 
 def active_set(problem: ProblemSpec, x: np.ndarray,
                tol: float = 1e-6) -> frozenset:
-    _, c_I, _, _ = eval_constraints(problem, x)
+    return _active(eval_constraints(problem, x)[1], tol)
+
+
+def _active(c_I: np.ndarray, tol: float) -> frozenset:
     return frozenset(int(i) for i in np.where(c_I >= -tol)[0])
 
 
@@ -291,8 +286,8 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray,
     ref = active_set(problem, x_ref, tol)
     report = []
     for x in xs:
-        a = active_set(problem, x, tol)
         c_E, c_I, _, _ = eval_constraints(problem, x)
+        a = _active(c_I, tol)
         report.append((a, jaccard(a, ref), violation_norms(c_E, c_I)[0]))
     return report
 

@@ -12,7 +12,8 @@ termination test, then an update. A solver supplies the probe,
 `update(ctx, step, plan) -> (new ctx, alpha)`. The probe returns its rule's
 progress measure, the value the rule compares against when this is the
 first inner iteration, and the step and merit plan (or None) the update
-reuses; it returns None at a certified infeasible stationary point. The
+reuses (the robust solver's plan is the linearized violation decrease); it
+returns None at a certified infeasible stationary point. The
 update changes x only when alpha > 0. Either raises MeritCollapse or
 LineSearchFailure to abandon the batch. The loop owns the budget check, the
 first-iteration snapshot, the inner cap, the mapping of these outcomes to
@@ -51,11 +52,12 @@ MC_METRIC_SAMPLES = 10 ** 5    # Monte Carlo true-gradient surrogate size
 # configuration types
 # ------------------------------------------------------------------
 
-# inner-loop progress rules each solver accepts
-RULES = {"equality": ("kkt", "dnorm", "dl"), "robust": ("robust_dnorm",)}
+# termination kind -> the solver whose progress measure it is
+SOLVERS = {"kkt": "equality", "dnorm": "equality", "dl": "equality",
+           "robust_dnorm": "robust"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TerminationRule:
     """Inner-loop stopping test: current <= gamma * snapshot0 + eps, where
     snapshot0 is the rule's metric at the first inner iteration.
@@ -63,13 +65,13 @@ class TerminationRule:
     kind selects the metric: "kkt" (KKT error norm), "dnorm" (step norm),
     "dl" (merit model decrease, snapshot clipped at KAPPA_D * ||d0||^2),
     "robust_dnorm" (step norm of the robust solver). The kind also sets
-    gamma.
+    gamma and the solver (`SOLVERS`).
     """
     kind: str = "kkt"
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not any(self.kind in kinds for kinds in RULES.values()):
+        if self.kind not in SOLVERS:
             raise ConfigError(f"unknown termination kind {self.kind!r}")
         if self.eps < 0.0:
             raise ConfigError("eps must be >= 0")
@@ -80,19 +82,19 @@ class TerminationRule:
         return 0.1 if self.kind == "dl" else 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingRule:
     """Batch-size schedule: "adaptive" (variance-based norm test with
     growth factor BETA_HAT), "geometric" (fixed-rate growth: the finite-sum
     gap to the full dataset shrinks by beta per outer iteration, and an
-    expectation batch grows by 1 / beta^2), "full" (whole dataset every
-    outer iteration), or "fixed" (initial_size every outer iteration)."""
+    expectation batch grows by 1 / beta^2), or "fixed" (initial_size every
+    outer iteration, clipped to a finite sum's dataset size)."""
     kind: str = "adaptive"
     initial_size: int = 32
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("adaptive", "geometric", "full", "fixed"):
+        if self.kind not in ("adaptive", "geometric", "fixed"):
             raise ConfigError(f"unknown sampling kind {self.kind!r}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must be in (0, 1)")
@@ -117,7 +119,6 @@ class Budget:
 
 @dataclass
 class DriverConfig:
-    solver: str = "equality"           # "equality" | "robust"
     termination: TerminationRule = field(default_factory=TerminationRule)
     sampling: SamplingRule = field(default_factory=SamplingRule)
     dual_mode: str = "carryover"       # "carryover" | "reinit"
@@ -129,17 +130,18 @@ class DriverConfig:
     stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
-        if self.solver not in RULES:
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.termination.kind not in RULES[self.solver]:
-            raise ConfigError(f"the {self.solver} solver cannot use the "
-                              f"{self.termination.kind!r} termination rule")
         if self.solver == "robust" and self.use_lbfgs:
             raise ConfigError("the robust solver has no L-BFGS Hessian model")
         if self.dual_mode not in ("carryover", "reinit"):
             raise ConfigError(f"unknown dual mode {self.dual_mode!r}")
         if self.norm not in (LINF, L1):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
+
+    @property
+    def solver(self) -> str:
+        """"equality" or "robust": the solver the termination rule's
+        progress measure belongs to."""
+        return SOLVERS[self.termination.kind]
 
 
 @dataclass
@@ -301,9 +303,9 @@ def _eq_progress(ctx: InnerContext, config: DriverConfig,
 def _robust_progress(ctx: InnerContext, config: DriverConfig,
                      counters: Counters):
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
-    (||d||, ||d||, direction step, None) from the feasibility LP and the
-    direction QP, or None, with no QP solved, when the LP certifies an
-    infeasible stationary point."""
+    (||d||, ||d||, direction d, linearized violation decrease delta_c) from
+    the feasibility LP and the direction QP, or None, with no QP solved,
+    when the LP certifies an infeasible stationary point."""
     mode = config.norm
     v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
     violation = v_inf if mode == LINF else v_l1
@@ -312,11 +314,10 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
                             mode, counters=counters)
     if detect_infeasible_stationary(feas, violation):
         return None
-    step = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
-                          feas.relaxation, sigma_d, mode, violation,
-                          feas.lp_objective, counters=counters)
-    dnorm = float(np.linalg.norm(step.d))
-    return dnorm, dnorm, step, None
+    d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
+                       feas.relaxation, sigma_d, mode, counters=counters)
+    dnorm = float(np.linalg.norm(d))
+    return dnorm, dnorm, d, max(0.0, violation - feas.lp_objective)
 
 
 _PROGRESS = {"equality": _eq_progress, "robust": _robust_progress}
@@ -361,7 +362,7 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
             lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
             stat = float(np.linalg.norm(g + J_E.T @ lam, np.inf))
     else:
-        stat = kkt_residual(x, g, c_I, J_E, J_I, counters=None)
+        stat = kkt_residual(g, c_I, J_E, J_I, counters=None)
     return v_inf, stat, mc
 
 
@@ -383,8 +384,6 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         raise ConfigError("equality solver requires a problem with m_I = 0")
     cap = (problem.mode.dataset_size
            if isinstance(problem.mode, FiniteSum) else None)
-    if config.sampling.kind == "full" and cap is None:
-        raise ConfigError("full sampling requires a finite-sum problem")
 
     counters = Counters()
     x = np.asarray(problem.x_init, dtype=float).copy()
@@ -424,9 +423,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
         # batch sizing
         estimate = None
-        if config.sampling.kind == "full":
-            size = cap
-        elif config.sampling.kind == "fixed" or prev_S is None:
+        if config.sampling.kind == "fixed" or prev_S is None:
             size = config.sampling.initial_size
             if cap is not None:
                 size = min(size, cap)
@@ -528,8 +525,9 @@ def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
         lambda xt: eval_constraints(problem, xt))
 
     if config.solver == "robust":
-        def update(ctx, step, plan):
-            return robust_inner_iteration(ctx, config.norm, evaluator, step)
+        def update(ctx, d, delta_c):
+            return robust_inner_iteration(ctx, config.norm, evaluator, d,
+                                          delta_c)
     else:
         lam = dual_initialize(config.dual_mode, lam, g_S, ctx.c_E, ctx.J_E)
 

@@ -157,8 +157,8 @@ def _max_step(v, dv):
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def kkt_residual(x: np.ndarray, grad_f: np.ndarray, c_I: np.ndarray,
-                 J_E: np.ndarray, J_I: np.ndarray,
+def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
+                 J_I: np.ndarray,
                  counters: Optional[Counters] = None) -> float:
     """Smallest t such that some multipliers put the stationarity residual
     and the complementarity products within t in the max norm.

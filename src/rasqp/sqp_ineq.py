@@ -138,23 +138,16 @@ def detect_infeasible_stationary(feas: FeasibilityResult,
             <= INFEAS_TOL_V * max(1.0, violation))
 
 
-@dataclass
-class RobustStepResult:
-    d: np.ndarray
-    delta_c: float
-
-
 def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
-                   mode: str, violation: float, lp_objective: float,
-                   counters: Optional[Counters] = None) -> RobustStepResult:
-    """QP minimizing the quadratic objective model g_S'd + d'd/2 subject to
-    the relaxed linearized constraints and ||d|| <= sigma_d; `relaxation`
-    is a per-constraint array or one value for all."""
+                   mode: str,
+                   counters: Optional[Counters] = None) -> np.ndarray:
+    """The step d of the QP minimizing the quadratic objective model
+    g_S'd + d'd/2 subject to the relaxed linearized constraints and
+    ||d|| <= sigma_d; `relaxation` is a per-constraint array or one value
+    for all."""
     prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g_S,
                                relaxation=relaxation)
-    sol = _solve(prog, "direction QP", counters)
-    return RobustStepResult(d=sol.x[:J_E.shape[1]],
-                            delta_c=max(0.0, violation - lp_objective))
+    return _solve(prog, "direction QP", counters).x[:J_E.shape[1]]
 
 
 def trial_tau_ineq(gTd: float, dHd: float, delta_c: float,
@@ -178,17 +171,18 @@ def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
 
 
 def robust_inner_iteration(ctx: InnerContext, mode: str,
-                           evaluator: Evaluator, step: RobustStepResult):
-    """One robust-SQP update along the probe's direction step: the merit
-    parameter rule, then the shared line search on the `mode` merit, with
-    no dual step. Returns (new context, alpha).
+                           evaluator: Evaluator, d: np.ndarray,
+                           delta_c: float):
+    """One robust-SQP update along the probe's direction d, whose linearized
+    violation decrease is delta_c = max(0, violation - LP objective): the
+    merit parameter rule, then the shared line search on the `mode` merit,
+    with no dual step. Returns (new context, alpha).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.
     """
-    d = step.d
     gTd = float(ctx.g_S @ d)
-    tau_tr = trial_tau_ineq(gTd, float(d @ d), step.delta_c, EPS_SIGMA)
+    tau_tr = trial_tau_ineq(gTd, float(d @ d), delta_c, EPS_SIGMA)
     tau = update_tau_ineq(ctx.tau_prev, tau_tr, EPS_TAU)
-    delta_l = -tau * gTd + step.delta_c
+    delta_l = -tau * gTd + delta_c
     return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator, mode)

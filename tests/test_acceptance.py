@@ -150,7 +150,7 @@ def test_criterion_2_subproblem_oracles():
         lam_e = rng.standard_normal(m_e)
         lam_i = rng.uniform(0.1, 2.0, m_i)
         grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
-        t = kkt_residual(np.zeros(n), grad, np.zeros(m_i), J_E, J_I)
+        t = kkt_residual(grad, np.zeros(m_i), J_E, J_I)
         worst_kkt = max(worst_kkt, t)
 
     report(2, "interior-point subproblem solver matches enumeration",
@@ -254,8 +254,7 @@ def test_criterion_4_merit_line_search_invariants():
         if any(a < b - 1e-15 for a, b in zip(taus, taus[1:])):
             violations += 1
 
-    rob_config = DriverConfig(solver="robust",
-                              termination=TerminationRule("robust_dnorm"))
+    rob_config = DriverConfig(termination=TerminationRule("robust_dnorm"))
     for _ in range(50):
         ev = _general_instance(rng)
         x = rng.standard_normal(4)
@@ -268,15 +267,15 @@ def test_criterion_4_merit_line_search_invariants():
             probe = _robust_progress(ctx, rob_config, None)
             if probe is None:
                 break
-            step = probe[2]
+            d, delta_c = probe[2], probe[3]
             try:
                 new_ctx, alpha = robust_inner_iteration(ctx, rob_config.norm,
-                                                        ev, step)
+                                                        ev, d, delta_c)
             except MeritCollapse:
                 break
             tau = new_ctx.tau_prev
-            gTd = float(ctx.g_S @ step.d)
-            dl = -tau * gTd + step.delta_c
+            gTd = float(ctx.g_S @ d)
+            dl = -tau * gTd + delta_c
             if tau <= 0 or dl <= 0 or alpha <= 0:
                 violations += 1
             taus.append(tau)
@@ -325,12 +324,11 @@ def test_criterion_5_step_error_bounds():
         g2 = g1 + rng.standard_normal(n) * 0.1
         d = []
         for g in (g1, g2):
-            step = direction_step(g, np.zeros(0), c_I,
-                                  np.zeros((0, n)), J_I,
-                                  float(max(np.max(np.maximum(c_I, 0.0)),
-                                            0.0)),
-                                  100.0, "linf", 0.0, 0.0)
-            d.append(step.d)
+            d.append(direction_step(g, np.zeros(0), c_I,
+                                    np.zeros((0, n)), J_I,
+                                    float(max(np.max(np.maximum(c_I, 0.0)),
+                                              0.0)),
+                                    100.0, "linf"))
         if np.linalg.norm(d[0] - d[1]) > np.linalg.norm(g1 - g2) + 1e-5:
             violations += 1
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rasqp.bench import (METHODS, PROBLEMS, TRACE_COLUMNS, RunConfig,
-                         build_problem, cost_to_success, jaccard,
-                         make_synthetic_dataset, method_driver_config,
+                         active_set_report, build_problem, cost_to_success,
+                         jaccard, make_synthetic_dataset, method_driver_config,
                          performance_profile, profile_curve, read_trace_csv,
                          result_row, run_config, success_test, sweep,
                          write_results_csv, write_trace_csv)
@@ -17,6 +17,7 @@ from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
 from rasqp.counters import Counters
 from rasqp.errors import ConfigError
+from rasqp.problems import build_augmented_problem
 
 
 class TestSuccessRule:
@@ -51,6 +52,27 @@ class TestJaccard:
 
     def test_one_empty(self):
         assert jaccard(frozenset({1}), frozenset()) == 0.0
+
+
+class TestActiveSetReport:
+    def test_rows_and_one_evaluation_per_iterate(self):
+        # x0 + x1 = 1 and the bounds x >= 0 written as -x <= 0
+        calls = []
+
+        def constraints(x):
+            calls.append(x.copy())
+            return np.array([x[0] + x[1] - 1.0]), -x
+
+        prob = build_augmented_problem(
+            lambda x: float(x @ x), lambda x: 2.0 * x, constraints,
+            lambda x: (np.ones((1, 2)), -np.eye(2)), 1, 2, np.zeros(2), 0.0)
+        xs = [np.array([0.5, 0.5]), np.array([1.0, 0.0]),
+              np.array([-0.5, 1.0])]
+        report = active_set_report(prob, xs, np.array([1.0, 0.0]))
+        assert report == [(frozenset(), 0.0, 0.0),
+                          (frozenset({1}), 1.0, 0.0),
+                          (frozenset({0}), 0.0, 0.5)]
+        assert len(calls) == 1 + len(xs)  # the reference, then each iterate
 
 
 class TestPerformanceProfile:
@@ -170,9 +192,11 @@ class TestMethodTable:
                                  RunConfig())
 
     def test_det_sqp_full_batch_on_finite_sum(self):
+        # a fixed batch of the dataset size: run clips nothing
         prob = build_problem("synth-logreg-eq")
         cfg = method_driver_config("det-sqp", prob, RunConfig())
-        assert cfg.sampling.kind == "full"
+        assert cfg.sampling.kind == "fixed"
+        assert cfg.sampling.initial_size == 5000
 
     def test_det_sqp_fixed_batch_on_expectation(self):
         prob = build_problem("synth-eq-quad")
@@ -255,6 +279,10 @@ WORK_COUNTERS = [
                            max_gradient_evals=30000),
                  ("BudgetExhausted", 30000, 16, 0, (5000, 5000)),
                  id="synth-logreg-eq-det-sqp"),
+    pytest.param(RunConfig(problem="synth-eq-quad", method="det-sqp",
+                           max_gradient_evals=50000),
+                 ("BudgetExhausted", 50000, 33, 0, (10000, 10000)),
+                 id="synth-eq-quad-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
                  ("BudgetExhausted", 32730, 0, 433,

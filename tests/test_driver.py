@@ -4,6 +4,8 @@ solves."""
 
 import collections
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +136,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SamplingRule(kind="adaptiv")
 
+    def test_full_sampling_kind_is_gone(self):
+        # a fixed batch of the dataset size is the full batch
+        with pytest.raises(ConfigError):
+            SamplingRule(kind="full")
+
+    def test_rule_decides_solver(self):
+        for kind in ("kkt", "dnorm", "dl"):
+            assert DriverConfig(
+                termination=TerminationRule(kind)).solver == "equality"
+        config = DriverConfig(termination=TerminationRule("robust_dnorm"))
+        assert config.solver == "robust"
+        with pytest.raises(AttributeError):
+            config.solver = "equality"
+        assert "solver" not in {f.name for f in dataclasses.fields(config)}
+
+    def test_readme_counts_the_settable_values(self):
+        # DriverConfig's two nested rules count through their own fields
+        count = sum(sum(f.init for f in dataclasses.fields(cls))
+                    for cls in (TerminationRule, SamplingRule, Budget,
+                                DriverConfig)) - 2
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        documented = re.search(r"settable configuration is these (\d+) "
+                               r"values", readme)
+        assert documented is not None
+        assert int(documented.group(1)) == count
+
+    def test_rules_are_frozen(self):
+        with pytest.raises(AttributeError):
+            TerminationRule().eps = 0.0
+        with pytest.raises(AttributeError):
+            SamplingRule().initial_size = 64
+
     def test_unknown_dual_mode(self):
         with pytest.raises(ConfigError):
             DriverConfig(dual_mode="warm")
@@ -164,17 +199,9 @@ class TestConfigValidation:
                 np.random.default_rng(0))
         assert calls == []
 
-    @pytest.mark.parametrize("solver,kind", [("robust", "kkt"),
-                                             ("robust", "dl"),
-                                             ("equality", "robust_dnorm")])
-    def test_solver_rule_mismatch_before_any_evaluation(self, solver, kind):
-        self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
-            solver=solver, termination=TerminationRule(kind=kind)))
-
     def test_robust_lbfgs_before_any_evaluation(self):
         self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
-            solver="robust", termination=TerminationRule(kind="robust_dnorm"),
-            use_lbfgs=True))
+            termination=TerminationRule(kind="robust_dnorm"), use_lbfgs=True))
 
 
 def make_eq_quadratic(noise=0.5, n=4):
@@ -259,8 +286,7 @@ class TestConditionEstimation:
             raise AssertionError("direction QP solved")
 
         monkeypatch.setattr(driver, "direction_step", no_qp)
-        config = DriverConfig(solver="robust",
-                              termination=TerminationRule(kind="robust_dnorm"))
+        config = DriverConfig(termination=TerminationRule(kind="robust_dnorm"))
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.array([0.5]),
                                                 np.zeros(2)),
@@ -342,8 +368,7 @@ class TestRun:
 
     def test_infeasible_detected(self):
         prob = make_infeasible_problem()
-        config = DriverConfig(solver="robust",
-                              termination=TerminationRule(kind="robust_dnorm"))
+        config = DriverConfig(termination=TerminationRule(kind="robust_dnorm"))
         out = run(prob, config, Budget(max_gradient_evals=10 ** 5),
                   np.random.default_rng(0))
         assert out.status == "InfeasibleStationary"
@@ -369,14 +394,7 @@ class TestRun:
                      lambda x: (np.zeros((0, 1)), np.array([[1.0]])),
                      0, 1, np.zeros(1), 0.0)
         with pytest.raises(ConfigError):
-            run(ineq, DriverConfig(solver="equality"), Budget(),
-                np.random.default_rng(0))
-
-    def test_full_sampling_requires_finite_sum(self):
-        prob = make_eq_quadratic()
-        config = DriverConfig(sampling=SamplingRule(kind="full"))
-        with pytest.raises(ConfigError):
-            run(prob, config, Budget(max_gradient_evals=100),
+            run(ineq, DriverConfig(), Budget(),
                 np.random.default_rng(0))
 
     def test_lbfgs_variant_converges(self):

@@ -126,26 +126,26 @@ class TestSolveProgram:
 class TestKktResidual:
     def test_stationary_point(self):
         # min x1^2 + x2^2 s.t. x1 + x2 = 2 at (1,1): grad (2,2), J_E (1,1)
-        t = kkt_residual(np.array([1.0, 1.0]), np.array([2.0, 2.0]),
+        t = kkt_residual(np.array([2.0, 2.0]),
                          np.zeros(0), np.array([[1.0, 1.0]]),
                          np.zeros((0, 2)))
         assert t <= 1e-6
 
     def test_unconstrained_nonstationary(self):
-        t = kkt_residual(np.array([0.0]), np.array([1.0]), np.zeros(0),
+        t = kkt_residual(np.array([1.0]), np.zeros(0),
                          np.zeros((0, 1)), np.zeros((0, 1)))
         np.testing.assert_allclose(t, 1.0, atol=1e-7)
 
     def test_active_inequality_cancels(self):
         # min x s.t. -x <= 0 at x = 0: grad 1, J_I = [-1], lambda = 1 -> t = 0
-        t = kkt_residual(np.array([0.0]), np.array([1.0]), np.array([0.0]),
+        t = kkt_residual(np.array([1.0]), np.array([0.0]),
                          np.zeros((0, 1)), np.array([[-1.0]]))
         assert t <= 1e-6
 
     def test_inactive_inequality_complementarity(self):
         # strictly feasible c_I = -1: any multiplier mass costs |lam| in the
         # complementarity rows, so the optimum balances both terms
-        t = kkt_residual(np.array([0.0]), np.array([1.0]), np.array([-1.0]),
+        t = kkt_residual(np.array([1.0]), np.array([-1.0]),
                          np.zeros((0, 1)), np.array([[-1.0]]))
         np.testing.assert_allclose(t, 0.5, atol=1e-6)
 
@@ -163,7 +163,7 @@ class TestKktResidual:
             # inequalities active so complementarity is free
             grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
             c_I = np.zeros(m_i)
-            t = kkt_residual(np.zeros(n), grad, c_I, J_E, J_I)
+            t = kkt_residual(grad, c_I, J_E, J_I)
             assert t <= 1e-6
 
 
@@ -215,7 +215,7 @@ def regression_set():
                                   + J_I.T @ rng.uniform(0.1, 2.0, m_I))
         ct = Counters()
         # kkt_residual raises on any status but "optimal"
-        kkt_residual(np.zeros(n), grad, c_I, J_E, J_I, counters=ct)
+        kkt_residual(grad, c_I, J_E, J_I, counters=ct)
         out[f"kkt-{k}"] = (ct.barrier_iters, "optimal")
     return out
 

@@ -118,35 +118,32 @@ class TestDetection:
 class TestDirectionStep:
     def test_unconstrained_newton_step(self):
         # H = I, g = (2, 0), no constraints: d = -g
-        step = direction_step(np.array([2.0, 0.0]), np.zeros(0),
-                              np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
-                              0.0, 100.0, "linf", 0.0, 0.0)
-        np.testing.assert_allclose(step.d, [-2.0, 0.0], atol=1e-6)
+        d = direction_step(np.array([2.0, 0.0]), np.zeros(0), np.zeros(0),
+                           np.zeros((0, 2)), np.zeros((0, 2)), 0.0, 100.0,
+                           "linf")
+        np.testing.assert_allclose(d, [-2.0, 0.0], atol=1e-6)
 
     def test_relaxed_equality_respected(self):
         # c = x - 1 at x = 0 with y = 0: the step must land on c + J d = 0
-        step = direction_step(np.array([0.0]), np.array([-1.0]),
-                              np.zeros(0), np.array([[1.0]]),
-                              np.zeros((0, 1)), 0.0, 100.0, "linf", 1.0, 0.0)
-        np.testing.assert_allclose(step.d, [1.0], atol=1e-5)
-        assert step.delta_c == pytest.approx(1.0)
+        d = direction_step(np.array([0.0]), np.array([-1.0]), np.zeros(0),
+                           np.array([[1.0]]), np.zeros((0, 1)), 0.0, 100.0,
+                           "linf")
+        np.testing.assert_allclose(d, [1.0], atol=1e-5)
 
     def test_l1_mode_step(self):
-        step = direction_step(np.array([0.0]), np.array([-1.0]),
-                              np.zeros(0), np.array([[1.0]]),
-                              np.zeros((0, 1)), np.zeros(1),
-                              200.0, "l1", 1.0, 0.0)
-        np.testing.assert_allclose(step.d, [1.0], atol=1e-5)
+        d = direction_step(np.array([0.0]), np.array([-1.0]), np.zeros(0),
+                           np.array([[1.0]]), np.zeros((0, 1)), np.zeros(1),
+                           200.0, "l1")
+        np.testing.assert_allclose(d, [1.0], atol=1e-5)
 
     def test_scalar_relaxation_broadcasts(self):
         args = (np.array([1.0, -0.5]), np.array([-1.0]),
                 np.array([0.5, -2.0]), np.array([[1.0, 0.0]]),
                 np.array([[0.0, 1.0], [1.0, 1.0]]))
         for mode in ("linf", "l1"):
-            one = direction_step(*args, 0.25, 400.0, mode, 1.5, 1.25)
-            each = direction_step(*args, np.full(3, 0.25), 400.0, mode, 1.5,
-                                  1.25)
-            np.testing.assert_array_equal(one.d, each.d)
+            one = direction_step(*args, 0.25, 400.0, mode)
+            each = direction_step(*args, np.full(3, 0.25), 400.0, mode)
+            np.testing.assert_array_equal(one, each)
 
 
 class TestMeritParameter:
@@ -211,16 +208,16 @@ def make_robust_ctx(evaluator, x0, tau=1.0):
 
 def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
     """One robust inner iteration as the driver runs it: the progress probe,
-    the stop test on ||d||, then the update. Returns (kind, ctx, step,
-    alpha) with kind "updated", "terminated" or "infeasible_stationary"."""
+    the stop test on ||d||, then the update. Returns (kind, ctx, d, alpha)
+    with kind "updated", "terminated" or "infeasible_stationary"."""
     probe = _robust_progress(ctx, DriverConfig(norm=mode), None)
     if probe is None:
         return "infeasible_stationary", ctx, None, 0.0
-    dnorm, _, step, _ = probe
+    dnorm, _, d, delta_c = probe
     if stop(dnorm):
-        return "terminated", ctx, step, 0.0
-    new_ctx, alpha = robust_inner_iteration(ctx, mode, evaluator, step)
-    return "updated", new_ctx, step, alpha
+        return "terminated", ctx, d, 0.0
+    new_ctx, alpha = robust_inner_iteration(ctx, mode, evaluator, d, delta_c)
+    return "updated", new_ctx, d, alpha
 
 
 class TestRobustInnerIteration:
@@ -234,10 +231,14 @@ class TestRobustInnerIteration:
         spy = Evaluator(value=lambda x: calls.append(x),
                         value_grad=lambda x: calls.append(x),
                         constraints=lambda x: calls.append(x))
-        current, first, step, plan = _robust_progress(ctx, DriverConfig(),
-                                                      None)
-        assert current == first == float(np.linalg.norm(step.d)) > 0.0
-        assert plan is None
+        current, first, d, delta_c = _robust_progress(ctx, DriverConfig(),
+                                                       None)
+        assert current == first == float(np.linalg.norm(d)) > 0.0
+        # the plan slot carries the LP's linearized violation decrease
+        v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
+        feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
+                                sigma_bounds(v_inf, v_l1, LINF, 4)[0], LINF)
+        assert delta_c == max(0.0, v_inf - feas.lp_objective)
         np.testing.assert_array_equal(ctx.x, before[0])
         assert (ctx.F_S, ctx.tau_prev) == before[1:]
         kind, out, _, _ = robust_iterate(ctx, spy, stop=lambda dn: True)
@@ -324,8 +325,7 @@ class TestRobustInnerIteration:
             g2 = g1 + 0.1 * rng.standard_normal(n)
             d = []
             for g in (g1, g2):
-                step = direction_step(g, np.zeros(0), c_I, J_E, J_I,
-                                      0.0, 100.0, "linf", 0.0, 0.0)
-                d.append(step.d)
+                d.append(direction_step(g, np.zeros(0), c_I, J_E, J_I,
+                                        0.0, 100.0, "linf"))
             assert (np.linalg.norm(d[0] - d[1])
                     <= np.linalg.norm(g1 - g2) + 1e-6)
