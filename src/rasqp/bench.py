@@ -72,26 +72,23 @@ def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
         return f(x) * total, g * total, float(g @ g) * float(np.sum(w ** 2))
 
     return ProblemSpec(
-        n=n, m_E=m, m_I=0, mode=Expectation(sampler), sums=sums,
-        constraint_eval=lambda x: (J @ x - b, np.zeros(0)),
-        jacobian_eval=lambda x: (J, np.zeros((0, n))),
-        x_init=np.ones(n), true_value=f, true_gradient=gf,
-        name="synth-eq-quad")
+        m_E=m, m_I=0, mode=Expectation(sampler), sums=sums,
+        constraints=lambda x: (J @ x - b, np.zeros(0), J, np.zeros((0, n))),
+        x_init=np.ones(n), true_value=f, true_gradient=gf)
 
 
 def make_infeasible_1d() -> ProblemSpec:
     """1-D problem whose two equality constraints x = 0 and x = 1 cannot be
     met; the constant objective makes every point penalty-stationary."""
     return ProblemSpec(
-        n=1, m_E=2, m_I=0,
+        m_E=2, m_I=0,
         mode=Expectation(lambda gen, count: np.zeros(count)),
         sums=lambda x, items, order: (0.0, np.zeros(1), 0.0)[:order + 1],
-        constraint_eval=lambda x: (np.array([x[0], x[0] - 1.0]), np.zeros(0)),
-        jacobian_eval=lambda x: (np.array([[1.0], [1.0]]), np.zeros((0, 1))),
+        constraints=lambda x: (np.array([x[0], x[0] - 1.0]), np.zeros(0),
+                               np.ones((2, 1)), np.zeros((0, 1))),
         x_init=np.array([0.3]),
         true_value=lambda x: 0.0,
-        true_gradient=lambda x: np.zeros(1),
-        name="infeasible-1d")
+        true_gradient=lambda x: np.zeros(1))
 
 
 # problem name -> builder of data_seed. The builders look the module's
@@ -169,16 +166,9 @@ def method_driver_config(method: str, problem: ProblemSpec,
         # stop thresholds are checked) at a useful granularity
         fields["termination"] = TerminationRule(
             kind="robust_dnorm" if problem.m_I > 0 else "kkt", eps=1e-12)
-    driver_cfg = DriverConfig(sampling=sampling,
-                              stop_violation=config.stop_violation,
-                              stop_stationarity=config.stop_stationarity,
-                              **fields)
-    if driver_cfg.solver == "equality" and problem.m_I > 0:
-        raise ConfigError(f"{method} requires a problem without inequalities")
-    if (driver_cfg.solver == "robust" and problem.m_I == 0
-            and problem.m_E == 0):
-        raise ConfigError(f"{method} requires a constrained problem")
-    return driver_cfg
+    return DriverConfig(sampling=sampling,
+                        stop_violation=config.stop_violation,
+                        stop_stationarity=config.stop_stationarity, **fields)
 
 
 def run_config(config: RunConfig) -> SolveOutcome:
@@ -297,20 +287,18 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray,
 # ------------------------------------------------------------------
 
 def write_trace_csv(path: str, outcome: SolveOutcome):
-    """One row per outer iteration plus the k = -1 initial row, with every
-    scalar `OuterRecord` field (`metric_mc` as True/False). The first line
-    is a timestamp comment excluded from determinism comparisons."""
+    """One row per outer iteration plus the k = -1 initial row, holding the
+    `OuterRecord` field named by each of `TRACE_COLUMNS` (floats as .17g,
+    `metric_mc` as True/False). The first line is a timestamp comment
+    excluded from determinism comparisons."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in outcome.trace:
-            writer.writerow([
-                rec.k, rec.batch_size, rec.inner_iterations, rec.updates,
-                rec.estimation_size, rec.grad_evals_cum,
-                rec.minres_iters_cum, rec.barrier_iters_cum,
-                f"{rec.violation_inf:.17g}", f"{rec.stationarity:.17g}",
-                f"{rec.tau_exit:.17g}", rec.term_cause, rec.metric_mc])
+            row = [getattr(rec, name) for name in TRACE_COLUMNS]
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
 
 
 def read_trace_csv(path: str):

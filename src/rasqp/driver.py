@@ -125,11 +125,15 @@ class DriverConfig:
     exact: bool = True                 # equality solver: exact or inexact step
     norm: str = LINF                   # robust solver: "linf" | "l1"
     use_lbfgs: bool = False            # equality solver only
-    # optional metric-threshold stopping (both must hold); None = budget only
+    # optional metric-threshold stopping: both set, and both must hold, or
+    # neither set, which stops on the budget only
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
+        if (self.stop_violation is None) != (self.stop_stationarity is None):
+            raise ConfigError("stop_violation and stop_stationarity are set "
+                              "together or not at all")
         if self.solver == "robust" and self.use_lbfgs:
             raise ConfigError("the robust solver has no L-BFGS Hessian model")
         if self.dual_mode not in ("carryover", "reinit"):
@@ -148,7 +152,7 @@ class DriverConfig:
 class OuterRecord:
     k: int
     batch_size: int
-    inner_iterations: int
+    inner_iters: int
     updates: int                      # inner iterations that moved x
     estimation_size: int              # fresh-set size used for batch sizing
     violation_inf: float
@@ -382,6 +386,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     """
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
+    if config.solver == "robust" and problem.m_E + problem.m_I == 0:
+        raise ConfigError("robust solver requires a constrained problem")
     cap = (problem.mode.dataset_size
            if isinstance(problem.mode, FiniteSum) else None)
 
@@ -401,7 +407,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         v, s, mc = true_metrics(problem, ctx.x, config.solver,
                                 (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
         trace.append(OuterRecord(
-            k=k, batch_size=batch_size, inner_iterations=inner_iters,
+            k=k, batch_size=batch_size, inner_iters=inner_iters,
             updates=updates, estimation_size=est_size,
             violation_inf=v, stationarity=s,
             grad_evals_cum=counters.gradient_evals,
@@ -465,7 +471,6 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             status = "InfeasibleStationary"
             break
         if (config.stop_violation is not None
-                and config.stop_stationarity is not None
                 and v <= config.stop_violation
                 and s <= config.stop_stationarity):
             status = "Converged"

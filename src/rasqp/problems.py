@@ -35,7 +35,6 @@ class Expectation:
 
 @dataclass
 class ProblemSpec:
-    n: int
     m_E: int
     m_I: int
     mode: FiniteSum | Expectation
@@ -43,13 +42,15 @@ class ProblemSpec:
     # order 0 -> (value sum,), 1 -> (value sum, gradient sum),
     # 2 -> (value sum, gradient sum, sum of squared per-sample gradient norms)
     sums: Callable
-    constraint_eval: Callable  # x -> (c_E, c_I)
-    jacobian_eval: Callable    # x -> (J_E, J_I)
+    constraints: Callable  # x -> (c_E, c_I, J_E, J_I)
     x_init: np.ndarray
     # analytically known noiseless objective/gradient, when available
     true_value: Optional[Callable] = None
     true_gradient: Optional[Callable] = None
-    name: str = ""
+
+    @property
+    def n(self) -> int:
+        return self.x_init.size
 
 
 # ------------------------------------------------------------------
@@ -107,8 +108,7 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
     """Deterministic constraint values and Jacobians at x."""
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("non-finite iterate")
-    c_E, c_I = problem.constraint_eval(x)
-    J_E, J_I = problem.jacobian_eval(x)
+    c_E, c_I, J_E, J_I = problem.constraints(x)
     c_E = np.atleast_1d(np.asarray(c_E, dtype=float))
     c_I = np.atleast_1d(np.asarray(c_I, dtype=float))
     J_E = np.asarray(J_E, dtype=float).reshape(problem.m_E, problem.n)
@@ -319,26 +319,18 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
             batch = last = (items, X[items], labels[items], row_sq[items])
         return rows_sums(*batch[1:], x, order)
 
-    m = K
-
-    def constraint_eval(x):
-        W = x.reshape(K, nf)
-        c = np.sum(W * W, axis=1) - 1.0
-        if constraint_kind == "equality":
-            return c, np.zeros(0)
-        return np.zeros(0), c
-
     r = np.arange(K)
 
-    def jacobian_eval(x):
+    def constraints(x):
+        W = x.reshape(K, nf)
+        c = np.sum(W * W, axis=1) - 1.0
         J = np.zeros((K, n))
-        J.reshape(K, K, nf)[r, r] = 2.0 * x.reshape(K, nf)
+        J.reshape(K, K, nf)[r, r] = 2.0 * W
         if constraint_kind == "equality":
-            return J, np.zeros((0, n))
-        return np.zeros((0, n)), J
+            return c, np.zeros(0), J, np.zeros((0, n))
+        return np.zeros(0), c, np.zeros((0, n)), J
 
-    m_E = m if constraint_kind == "equality" else 0
-    m_I = m if constraint_kind == "inequality" else 0
+    m_E = K if constraint_kind == "equality" else 0
 
     # the full data set needs no gather: X[arange(N)] is X
     def true_value(x):
@@ -348,19 +340,16 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
         return rows_sums(X, labels, row_sq, x, 1)[1] / len(dataset)
 
     return ProblemSpec(
-        n=n, m_E=m_E, m_I=m_I, mode=FiniteSum(len(dataset)),
-        sums=sums, constraint_eval=constraint_eval,
-        jacobian_eval=jacobian_eval,
+        m_E=m_E, m_I=K - m_E, mode=FiniteSum(len(dataset)),
+        sums=sums, constraints=constraints,
         # start on the constraint boundary: a zero start would zero out the
         # norm-constraint Jacobian and leave the solver without a direction
         x_init=np.full(n, 1.0 / np.sqrt(nf)),
-        true_value=true_value, true_gradient=true_gradient,
-        name=f"logreg-{constraint_kind}")
+        true_value=true_value, true_gradient=true_gradient)
 
 
-def build_augmented_problem(value_fn, grad_fn, constraint_eval, jacobian_eval,
-                            m_E, m_I, x_init, noise_level,
-                            name="augmented") -> ProblemSpec:
+def build_augmented_problem(value_fn, grad_fn, constraints, m_E, m_I, x_init,
+                            noise_level) -> ProblemSpec:
     """Expectation-mode problem F(x, xi) = f(x) + xi * ||x - x_init - e||^2
     with xi uniform on [-noise_level, noise_level], so E[F] = f.
 
@@ -370,8 +359,7 @@ def build_augmented_problem(value_fn, grad_fn, constraint_eval, jacobian_eval,
     if noise_level < 0:
         raise ConfigError("noise_level must be nonnegative")
     x_init = np.asarray(x_init, dtype=float)
-    n = x_init.size
-    shift = x_init + np.ones(n)
+    shift = x_init + 1.0
 
     def sampler(rng, count):
         return rng.uniform(-noise_level, noise_level, size=count)
@@ -394,6 +382,6 @@ def build_augmented_problem(value_fn, grad_fn, constraint_eval, jacobian_eval,
         return vsum, gsum, sqsum
 
     return ProblemSpec(
-        n=n, m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,
-        constraint_eval=constraint_eval, jacobian_eval=jacobian_eval,
-        x_init=x_init, true_value=value_fn, true_gradient=grad_fn, name=name)
+        m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,
+        constraints=constraints, x_init=x_init, true_value=value_fn,
+        true_gradient=grad_fn)

@@ -17,9 +17,7 @@ from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
 
 TAU_BAR = 1.0        # merit parameter at the start of every inner loop
 MINRES_TOL = 1e-6
-# MINRES iteration cap of a step; the inexact mode's first pass takes a
-# tenth of it before it falls back to the exact tolerance
-MINRES_MAX_ITER = 2000
+MINRES_MAX_ITER = 2000  # MINRES iteration cap of a step
 # inexactness conditions
 KAPPA_T = 1e-1
 KAPPA_PRIME = 1e3
@@ -117,34 +115,22 @@ def compute_step(ctx: InnerContext, exact: bool,
     """Solve the SQP KKT system [[H, J'], [J, 0]] (d, delta) = -T + (rho, r).
 
     Exact mode truncates MINRES at the relative-residual tolerance; inexact
-    mode accepts the first iterate passing inexactness condition I (merit
-    model decrease) or II (linearized-constraint decrease), falling back to
-    the exact tolerance if neither triggers.
+    mode runs the same pass and also accepts the first iterate passing
+    inexactness condition I (merit model decrease) or II
+    (linearized-constraint decrease).
     """
     n = ctx.x.size
     T = ctx.kkt_vector()
-    K = make_kkt_operator(ctx.h_apply, ctx.J_E)
-    rhs = -T
-
-    acceptance_kind = {}
+    acceptance_kind = {"kind": "exact"}
     callback = (None if exact
                 else _inexact_acceptance(ctx, T, acceptance_kind))
-    report = minres_solve(K, rhs, MINRES_TOL,
-                          MINRES_MAX_ITER if exact else MINRES_MAX_ITER // 10,
-                          acceptance=callback, counters=counters)
-    if not exact and report.stop_reason == "max_iter":
-        # no iterate passed the inexactness tests; continue to the exact tol
-        report = minres_solve(K, rhs, MINRES_TOL, MINRES_MAX_ITER,
-                              counters=counters)
-
+    report = minres_solve(make_kkt_operator(ctx.h_apply, ctx.J_E), -T,
+                          MINRES_TOL, MINRES_MAX_ITER, acceptance=callback,
+                          counters=counters)
     z = report.solution
     resid_vec = report.residual
-    if report.stop_reason == "inexactness_accepted":
-        kind = acceptance_kind.get("kind", "inexact_cond1")
-    else:
-        kind = "exact"
     return EqStepResult(d=z[:n], delta=z[n:], rho=-resid_vec[:n],
-                        r=-resid_vec[n:], acceptance=kind)
+                        r=-resid_vec[n:], acceptance=acceptance_kind["kind"])
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,

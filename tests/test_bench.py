@@ -1,6 +1,7 @@
 """Benchmark harness: success rules, profiles, active sets, CSV emission,
 config files, and the command-line entry points."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -61,11 +62,12 @@ class TestActiveSetReport:
 
         def constraints(x):
             calls.append(x.copy())
-            return np.array([x[0] + x[1] - 1.0]), -x
+            return (np.array([x[0] + x[1] - 1.0]), -x, np.ones((1, 2)),
+                    -np.eye(2))
 
         prob = build_augmented_problem(
-            lambda x: float(x @ x), lambda x: 2.0 * x, constraints,
-            lambda x: (np.ones((1, 2)), -np.eye(2)), 1, 2, np.zeros(2), 0.0)
+            lambda x: float(x @ x), lambda x: 2.0 * x, constraints, 1, 2,
+            np.zeros(2), 0.0)
         xs = [np.array([0.5, 0.5]), np.array([1.0, 0.0]),
               np.array([-0.5, 1.0])]
         report = active_set_report(prob, xs, np.array([1.0, 0.0]))
@@ -104,7 +106,7 @@ def fake_outcome(metrics, grads=None):
     trace = []
     for i, (v, s) in enumerate(metrics):
         trace.append(OuterRecord(
-            k=i - 1, batch_size=0 if i == 0 else 32, inner_iterations=i,
+            k=i - 1, batch_size=0 if i == 0 else 32, inner_iters=i,
             updates=i, estimation_size=0, violation_inf=v, stationarity=s,
             grad_evals_cum=(grads[i] if grads else 100 * i),
             minres_iters_cum=10 * i, barrier_iters_cum=i,
@@ -182,9 +184,9 @@ class TestMethodTable:
             assert cfg.solver in ("equality", "robust")
 
     def test_equality_method_rejects_inequalities(self):
-        prob = build_problem("synth-logreg-ineq")
         with pytest.raises(ConfigError):
-            method_driver_config("ra-sqp-dl", prob, RunConfig())
+            run_config(RunConfig(problem="synth-logreg-ineq",
+                                 method="ra-sqp-dl"))
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -223,6 +225,11 @@ class TestCsvRoundtrips:
         rows = read_trace_csv(str(paths[0]))
         assert rows[0]["k"] == "-1"
         assert int(rows[-1]["grad_evals_cum"]) > 0
+
+    def test_columns_are_the_scalar_record_fields(self):
+        # every OuterRecord field but the iterate, each once
+        assert sorted(TRACE_COLUMNS) == sorted(
+            f.name for f in dataclasses.fields(OuterRecord) if f.name != "x")
 
     def test_result_row_columns(self, tmp_path):
         out = fake_outcome([(2.0, 2.0), (0.001, 0.001)])
@@ -352,6 +359,11 @@ class TestCli:
             assert int(row["updates"]) == rec.updates
             assert int(row["estimation_size"]) == rec.estimation_size
             assert row["metric_mc"] == str(rec.metric_mc)
+
+    def test_lone_stop_threshold_exits_2(self, capsys):
+        assert main(["run", "--problem", "synth-eq-quad", "--method",
+                     "ra-sqp-dl", "--stop-violation", "1e-3"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_method_exits_2(self, capsys):
         assert main(["run", "--problem", "synth-eq-quad", "--method",

@@ -177,13 +177,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DriverConfig(norm="l2")
 
+    def test_lone_stop_threshold(self):
+        # one threshold alone would never stop the run
+        with pytest.raises(ConfigError):
+            DriverConfig(stop_violation=1e-3)
+        with pytest.raises(ConfigError):
+            DriverConfig(stop_stationarity=1e-3)
+
     @staticmethod
-    def assert_rejected_before_any_evaluation(make_config):
+    def assert_rejected_before_any_evaluation(make_config, m_E=1):
         calls = []
 
         def constraints(x):
             calls.append("constraints")
-            return np.array([x[0] - 1.0]), np.zeros(0)
+            return (np.array([x[0] - 1.0])[:m_E], np.zeros(0),
+                    np.array([[1.0]])[:m_E], np.zeros((0, 1)))
 
         def grad(x):
             calls.append("gradient")
@@ -191,9 +199,8 @@ class TestConfigValidation:
 
         prob = build_augmented_problem(
             value_fn=lambda x: float(x @ x), grad_fn=grad,
-            constraint_eval=constraints,
-            jacobian_eval=lambda x: (np.array([[1.0]]), np.zeros((0, 1))),
-            m_E=1, m_I=0, x_init=np.zeros(1), noise_level=0.1)
+            constraints=constraints, m_E=m_E, m_I=0, x_init=np.zeros(1),
+            noise_level=0.1)
         with pytest.raises(ConfigError):
             run(prob, make_config(), Budget(max_gradient_evals=500),
                 np.random.default_rng(0))
@@ -202,6 +209,10 @@ class TestConfigValidation:
     def test_robust_lbfgs_before_any_evaluation(self):
         self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
             termination=TerminationRule(kind="robust_dnorm"), use_lbfgs=True))
+
+    def test_robust_unconstrained_before_any_evaluation(self):
+        self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
+            termination=TerminationRule(kind="robust_dnorm")), m_E=0)
 
 
 def make_eq_quadratic(noise=0.5, n=4):
@@ -216,22 +227,20 @@ def make_eq_quadratic(noise=0.5, n=4):
 
     return build_augmented_problem(
         value_fn=value, grad_fn=grad,
-        constraint_eval=lambda x: (np.array([x @ ones - 1.0]), np.zeros(0)),
-        jacobian_eval=lambda x: (ones[None, :].copy(), np.zeros((0, n))),
+        constraints=lambda x: (np.array([x @ ones - 1.0]), np.zeros(0),
+                               ones[None, :].copy(), np.zeros((0, n))),
         m_E=1, m_I=0, x_init=np.zeros(n), noise_level=noise)
 
 
 def make_infeasible_problem():
     def constraints(x):
-        return np.array([x[0], x[0] - 1.0]), np.zeros(0)
-
-    def jacobians(x):
-        return np.array([[1.0], [1.0]]), np.zeros((0, 1))
+        return (np.array([x[0], x[0] - 1.0]), np.zeros(0),
+                np.array([[1.0], [1.0]]), np.zeros((0, 1)))
 
     return build_augmented_problem(
         value_fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x,
-        constraint_eval=constraints, jacobian_eval=jacobians,
-        m_E=2, m_I=0, x_init=np.array([0.3]), noise_level=0.1)
+        constraints=constraints, m_E=2, m_I=0, x_init=np.array([0.3]),
+        noise_level=0.1)
 
 
 def iterate(problem, x, lam):
@@ -390,8 +399,8 @@ class TestRun:
         from rasqp.problems import build_augmented_problem as build
 
         ineq = build(lambda x: float(x @ x), lambda x: 2.0 * x,
-                     lambda x: (np.zeros(0), np.array([x[0] - 1.0])),
-                     lambda x: (np.zeros((0, 1)), np.array([[1.0]])),
+                     lambda x: (np.zeros(0), np.array([x[0] - 1.0]),
+                                np.zeros((0, 1)), np.array([[1.0]])),
                      0, 1, np.zeros(1), 0.0)
         with pytest.raises(ConfigError):
             run(ineq, DriverConfig(), Budget(),
@@ -498,7 +507,7 @@ class TestTermCauses:
         out, causes = _causes("infeasible-1d", "ra-sqp-dl", 10_000,
                               max_outer=3)
         assert causes == ["merit_collapse"] * 3
-        assert all(rec.inner_iterations == 0 for rec in out.trace[1:])
+        assert all(rec.inner_iters == 0 for rec in out.trace[1:])
 
 
 @pytest.mark.parametrize("problem,method", [

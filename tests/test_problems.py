@@ -87,9 +87,8 @@ def make_quadratic_problem(noise=0.5):
     return build_augmented_problem(
         value_fn=lambda x: float(x @ x),
         grad_fn=lambda x: 2.0 * x,
-        constraint_eval=lambda x: (np.array([x[0] - 1.0]), np.zeros(0)),
-        jacobian_eval=lambda x: (np.array([[1.0, 0.0, 0.0]]),
-                                 np.zeros((0, n))),
+        constraints=lambda x: (np.array([x[0] - 1.0]), np.zeros(0),
+                               np.array([[1.0, 0.0, 0.0]]), np.zeros((0, n))),
         m_E=1, m_I=0, x_init=np.zeros(n), noise_level=noise)
 
 
@@ -473,7 +472,7 @@ class TestAugmented:
     def test_negative_noise_level_rejected(self):
         with pytest.raises(ConfigError):
             build_augmented_problem(lambda x: 0.0, lambda x: np.zeros(1),
-                                    lambda x: (np.zeros(0), np.zeros(0)),
-                                    lambda x: (np.zeros((0, 1)),
+                                    lambda x: (np.zeros(0), np.zeros(0),
+                                               np.zeros((0, 1)),
                                                np.zeros((0, 1))),
                                     0, 0, np.zeros(1), -0.5)

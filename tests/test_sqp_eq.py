@@ -4,6 +4,8 @@ line search, and the iteration invariants."""
 import numpy as np
 import pytest
 
+from rasqp import sqp_eq
+from rasqp.counters import Counters
 from rasqp.errors import LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
 from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, Evaluator,
@@ -61,6 +63,31 @@ class TestComputeStep:
         # through its reported residual split
         K_top = H @ step.d + J.T @ step.delta + ctx.g_S + J.T @ ctx.lam
         np.testing.assert_allclose(K_top, step.rho, atol=1e-8)
+
+    def test_inexact_rejecting_everything_is_one_exact_pass(self,
+                                                             monkeypatch):
+        # a cap the exact solve exceeds a tenth of, and no iterate accepted:
+        # the inexact step runs one pass to the exact tolerance, so it
+        # costs no more MINRES iterations than the exact step
+        monkeypatch.setattr(sqp_eq, "MINRES_MAX_ITER", 100)
+        monkeypatch.setattr(sqp_eq, "_inexact_acceptance",
+                            lambda ctx, T, kind: lambda z, resid: False)
+        rng = np.random.default_rng(9)
+        n, m = 40, 5
+        A = rng.standard_normal((n, n))
+        H = A @ A.T + np.eye(n)
+        J = rng.standard_normal((m, n))
+        ctx = make_ctx(rng.standard_normal(n), rng.standard_normal(m),
+                       rng.standard_normal(n), rng.standard_normal(m), J)
+        ctx.h_apply = lambda v, H=H: H @ v
+        iters = {}
+        for exact in (True, False):
+            counters = Counters()
+            step = compute_step(ctx, exact, counters)
+            assert step.acceptance == "exact"
+            iters[exact] = counters.minres_iters
+        assert 10 < iters[True] < 100
+        assert iters[False] <= iters[True]
 
     def test_cond2_residual_bounds(self):
         # g = -J'c and lam = 0 make g'd = ||c||^2 for every step with
