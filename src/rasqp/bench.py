@@ -45,7 +45,11 @@ def make_synthetic_dataset(n_samples: int = 5000, n_features: int = 10,
 def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
                          data_seed: int = 0) -> ProblemSpec:
     """Equality-constrained strongly convex quadratic whose sampled gradient
-    is the true gradient scaled by (1 + xi), xi uniform on [-noise, noise]."""
+    is the true gradient scaled by w = 1 + xi, xi uniform on [-noise, noise].
+
+    The sums over a set of N samples need only the moments of xi:
+    sum w = N + sum xi and sum w^2 = N + 2 sum xi + xi'xi, so no array of
+    the set's size is built."""
     rng = np.random.default_rng(data_seed)
     A = rng.standard_normal((n, n))
     Q = A @ A.T / n + np.eye(n)
@@ -62,14 +66,16 @@ def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
         return gen.uniform(-noise, noise, size=count)
 
     def sums(x, xi, order):
-        w = 1.0 + xi
-        total = float(np.sum(w))
+        s = float(np.sum(xi))
+        total = xi.size + s
+        vsum = f(x) * total
         if order == 0:
-            return (f(x) * total,)
+            return (vsum,)
         g = gf(x)
         if order == 1:
-            return f(x) * total, g * total
-        return f(x) * total, g * total, float(g @ g) * float(np.sum(w ** 2))
+            return vsum, g * total
+        return (vsum, g * total,
+                float(g @ g) * (xi.size + 2.0 * s + float(xi @ xi)))
 
     return ProblemSpec(
         m_E=m, m_I=0, mode=Expectation(sampler), sums=sums,

@@ -42,6 +42,7 @@ from .sqp_ineq import (detect_infeasible_stationary, direction_step,
                        feasibility_step, robust_inner_iteration, sigma_bounds)
 
 INNER_CAP = 500                # inner iterations per outer iteration
+MAX_BATCH = 2 ** 24            # largest expectation batch (8 bytes a draw)
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
 THETA = 0.5                    # adaptive sampling: norm-test constant
 BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
@@ -168,7 +169,8 @@ class OuterRecord:
 
 @dataclass
 class SolveOutcome:
-    status: str                       # Converged | InfeasibleStationary | BudgetExhausted
+    # Converged | InfeasibleStationary | BudgetExhausted | BatchLimit
+    status: str
     x: np.ndarray
     lam: Optional[np.ndarray]
     trace: list
@@ -382,7 +384,8 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     inner solver from the previous solution, runs it until the termination
     rule fires or a cap is hit, and records true-problem metrics. Gradient
     evaluations on subsampled problems are budgeted; metric evaluations are
-    not.
+    not. An expectation batch larger than MAX_BATCH ends the run with status
+    BatchLimit before it is drawn.
     """
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
@@ -440,6 +443,9 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                                        estimate.Z, THETA, BETA_HAT, cap)
         else:
             size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
+        if cap is None and size > MAX_BATCH:
+            status = "BatchLimit"
+            break
 
         # the prefix goes by position: perfbench/layers.py reads a keyword
         # prefix with `or`, which an ndarray cannot answer

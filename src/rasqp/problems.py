@@ -105,12 +105,18 @@ def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray,
 
 
 def eval_constraints(problem: ProblemSpec, x: np.ndarray):
-    """Deterministic constraint values and Jacobians at x."""
+    """Deterministic constraint values and Jacobians at x. A hook that
+    returns other than m_E equality and m_I inequality values raises
+    ConfigError."""
     if not np.all(np.isfinite(x)):
         raise NumericalFailure("non-finite iterate")
     c_E, c_I, J_E, J_I = problem.constraints(x)
     c_E = np.atleast_1d(np.asarray(c_E, dtype=float))
     c_I = np.atleast_1d(np.asarray(c_I, dtype=float))
+    if c_E.size != problem.m_E or c_I.size != problem.m_I:
+        raise ConfigError(f"constraint hook returned {c_E.size} equality and "
+                          f"{c_I.size} inequality values for m_E = "
+                          f"{problem.m_E}, m_I = {problem.m_I}")
     J_E = np.asarray(J_E, dtype=float).reshape(problem.m_E, problem.n)
     J_I = np.asarray(J_I, dtype=float).reshape(problem.m_I, problem.n)
     for arr in (c_E, c_I, J_E, J_I):
@@ -378,7 +384,7 @@ def build_augmented_problem(value_fn, grad_fn, constraints, m_E, m_I, x_init,
         # ||g0 + 2 xi d||^2 expanded over the sample vector xi
         sqsum = (m * float(g0 @ g0)
                  + 4.0 * s * float(g0 @ d)
-                 + 4.0 * float(np.sum(xi * xi)) * float(d @ d))
+                 + 4.0 * float(xi @ xi) * float(d @ d))
         return vsum, gsum, sqsum
 
     return ProblemSpec(

@@ -20,7 +20,8 @@ from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
-from rasqp.problems import build_augmented_problem, eval_constraints
+from rasqp.problems import (Expectation, build_augmented_problem,
+                            eval_constraints)
 from rasqp.sqp_eq import TAU_BAR, InnerContext
 
 
@@ -405,6 +406,39 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(ineq, DriverConfig(), Budget(),
                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampling", [
+        SamplingRule("geometric"), SamplingRule("adaptive"),
+        SamplingRule("fixed", initial_size=4096)])
+    def test_batch_limit_before_drawing(self, monkeypatch, sampling):
+        # an expectation batch above MAX_BATCH ends the run before any
+        # sampler call asks for it; a call that does ask allocates nothing
+        monkeypatch.setattr(driver, "MAX_BATCH", 2048)
+        prob = make_eq_quadratic(noise=0.5)
+        asked = []
+        sampler = prob.mode.sampler
+
+        def recording(rng, count):
+            asked.append(count)
+            if count > 2048:
+                raise MemoryError(f"asked for {count} draws")
+            return sampler(rng, count)
+
+        prob = dataclasses.replace(prob, mode=Expectation(recording))
+        config = DriverConfig(termination=TerminationRule("dl"),
+                              sampling=sampling)
+        out = run(prob, config, Budget(10 ** 9, max_outer=50),
+                  np.random.default_rng(0))
+        assert out.status == "BatchLimit"
+        assert max(asked, default=0) <= 2048
+
+    def test_batch_limit_spares_finite_sums(self, monkeypatch):
+        monkeypatch.setattr(driver, "MAX_BATCH", 16)
+        out = run_config(RunConfig(problem="synth-logreg-eq",
+                                   method="ra-sqp-dnorm", sampling="geometric",
+                                   max_gradient_evals=20_000))
+        assert out.status == "BudgetExhausted"
+        assert out.trace[-1].batch_size > 16
 
     def test_lbfgs_variant_converges(self):
         prob = make_eq_quadratic(noise=0.2)

@@ -2,6 +2,7 @@
 problem families."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rasqp.bench import (make_infeasible_1d, make_noisy_quadratic,
                          make_synthetic_dataset)
 from rasqp.counters import Counters
+from rasqp.driver import Budget, DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
 from rasqp.problems import (Dataset, build_augmented_problem,
                             build_logreg_problem,
@@ -460,6 +462,26 @@ class TestLogregSums:
                               prob.sums(x, full, 1)[1] / N)
 
 
+class TestSumsMemory:
+    @pytest.mark.parametrize("make", [make_noisy_quadratic,
+                                      make_quadratic_problem])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_no_sample_size_temporaries(self, make, order):
+        # the expectation sums come from the moments of xi: an 8 MB set
+        # allocates nothing near its own size
+        prob = make()
+        xi = np.random.default_rng(0).uniform(-0.01, 0.01, 2 ** 20)
+        x = np.random.default_rng(1).standard_normal(prob.n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            prob.sums(x, xi, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < xi.nbytes // 8
+
+
 class TestAugmented:
     def test_noise_averages_out(self):
         prob = make_quadratic_problem(noise=0.1)
@@ -468,6 +490,20 @@ class TestAugmented:
         v, g = eval_subsampled(prob, x, xi_pairs, None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x), atol=1e-12)
+
+    @pytest.mark.parametrize("c_E,c_I", [(np.zeros(2), np.zeros(0)),
+                                         (np.zeros(1), np.zeros(1))])
+    def test_constraint_count_mismatch_rejected(self, c_E, c_I):
+        # one value too many passes the Jacobian reshape: it is caught at
+        # the hook, not by a matmul inside the first KKT step
+        prob = build_augmented_problem(
+            lambda x: float(x @ x), lambda x: 2.0 * x,
+            lambda x: (c_E, c_I, np.ones((1, 2)), np.zeros((0, 2))),
+            1, 0, np.zeros(2), 0.1)
+        with pytest.raises(ConfigError, match="m_E = 1, m_I = 0"):
+            eval_constraints(prob, prob.x_init)
+        with pytest.raises(ConfigError):
+            run(prob, DriverConfig(), Budget(), np.random.default_rng(0))
 
     def test_negative_noise_level_rejected(self):
         with pytest.raises(ConfigError):
