@@ -5,8 +5,9 @@ and trace recording.
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
 `sqp_eq.InnerContext`. The constraints are deterministic, and one context
 carries an iterate's constraint values and Jacobians from `x_init` to the
-last outer iteration, so only the true-problem metrics evaluate an iterate
-twice. Each inner iteration is a progress probe, the
+last outer iteration, with the feasibility LP solved at them, and a trace
+record at an unchanged iterate reuses the last record's metrics. Each
+inner iteration is a progress probe, the
 termination test, then an update. A solver supplies the probe,
 `progress(ctx) -> (current, first, step, plan)` or None, and the update,
 `update(ctx, step, plan) -> (new ctx, alpha)`. The probe returns its rule's
@@ -311,13 +312,18 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
     (||d||, ||d||, direction d, linearized violation decrease delta_c) from
     the feasibility LP and the direction QP, or None, with no QP solved,
-    when the LP certifies an infeasible stationary point."""
+    when the LP certifies an infeasible stationary point. The LP is solved
+    once per iterate and kept in `InnerContext.feasibility`."""
     mode = config.norm
     v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
     violation = v_inf if mode == LINF else v_l1
     sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, ctx.x.size)
-    feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p,
-                            mode, counters=counters)
+    # the LP reads only the constraint values, so the context keeps it
+    feas = ctx.feasibility.get(mode)
+    if feas is None:
+        feas = ctx.feasibility[mode] = feasibility_step(
+            ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p, mode,
+            counters=counters)
     if detect_infeasible_stationary(feas, violation):
         return None
     d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
@@ -385,7 +391,9 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     rule fires or a cap is hit, and records true-problem metrics. Gradient
     evaluations on subsampled problems are budgeted; metric evaluations are
     not. An expectation batch larger than MAX_BATCH ends the run with status
-    BatchLimit before it is drawn.
+    BatchLimit before it is drawn; under adaptive sampling the estimate's
+    fresh set is spent before that check, so the counters of such a run can
+    exceed its last record's `grad_evals_cum` by one previous batch size.
     """
     if config.solver == "equality" and problem.m_I > 0:
         raise ConfigError("equality solver requires a problem with m_I = 0")
@@ -404,11 +412,17 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                  if config.use_lbfgs else None))
 
     trace = []
+    last_x = metrics = None    # the last record's iterate and its metrics
 
     def record(ctx, k, batch_size, est_size, inner_iters, updates,
                term_cause):
-        v, s, mc = true_metrics(problem, ctx.x, config.solver,
-                                (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
+        nonlocal last_x, metrics
+        # an inner loop with no update leaves the same x array in ctx
+        if ctx.x is not last_x:
+            last_x, metrics = ctx.x, true_metrics(
+                problem, ctx.x, config.solver,
+                (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
+        v, s, mc = metrics
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iters=inner_iters,
             updates=updates, estimation_size=est_size,

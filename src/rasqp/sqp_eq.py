@@ -5,7 +5,7 @@ solvers share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +42,9 @@ L1 = "l1"
 class InnerContext:
     """An inner iterate on the subsampled problem with what both solvers
     read at it. The robust solver takes no dual steps, so its `lam` stays
-    at the start value."""
+    at the start value. `feasibility` holds the robust solver's feasibility
+    LP result at these constraint values, by norm mode; `replace` shares it
+    between copies that keep the constraints."""
     x: np.ndarray
     lam: np.ndarray
     F_S: float
@@ -53,6 +55,7 @@ class InnerContext:
     J_I: np.ndarray
     tau_prev: float
     hessian: Optional[LbfgsModel] = None  # None means identity
+    feasibility: dict = field(default_factory=dict, repr=False)
 
     def h_apply(self, v):
         return v if self.hessian is None else lbfgs_apply(self.hessian, v)

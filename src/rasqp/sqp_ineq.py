@@ -126,7 +126,8 @@ def detect_infeasible_stationary(feas: FeasibilityResult,
 
     When the minimizing p is non-unique an interior-point solver returns a
     centered solution, so the equivalent certificate "the LP cannot reduce
-    the linearized violation" is accepted as well. INFEAS_TOL_V must sit
+    the linearized violation" is accepted as well: the LP objective keeps
+    all but a relative INFEAS_TOL_V of the violation. INFEAS_TOL_V must sit
     above the interior-point solver's objective noise floor or near-feasible
     points get flagged.
     """
@@ -134,8 +135,7 @@ def detect_infeasible_stationary(feas: FeasibilityResult,
         return False
     if np.linalg.norm(feas.p) <= INFEAS_TOL_P:
         return True
-    return (violation - feas.lp_objective
-            <= INFEAS_TOL_V * max(1.0, violation))
+    return violation - feas.lp_objective <= INFEAS_TOL_V * violation
 
 
 def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,

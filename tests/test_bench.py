@@ -292,19 +292,19 @@ WORK_COUNTERS = [
                  id="synth-eq-quad-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32730, 0, 433,
+                 ("BudgetExhausted", 32730, 0, 381,
                   (32, 33, 72, 155, 404, 1241, 1682, 5000)),
                  id="synth-logreg-ineq"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="det-sqp",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 30000, 0, 46, (5000, 5000)),
+                 ("BudgetExhausted", 30000, 0, 42, (5000, 5000)),
                  id="synth-logreg-ineq-det-sqp"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
                  ("InfeasibleStationary", 64, 0, 15, (32,)),
                  id="infeasible-1d"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-l1",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31457, 0, 459,
+                 ("BudgetExhausted", 31457, 0, 411,
                   (32, 35, 66, 151, 554, 1355, 2923)),
                  id="synth-logreg-ineq-ra-sqp-l1"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-l1"),

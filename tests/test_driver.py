@@ -565,6 +565,55 @@ def test_each_iterate_constraints_evaluated_once(monkeypatch, problem,
     assert set(seen.values()) == {1}
 
 
+@pytest.mark.parametrize("method", ["ra-sqp-linf", "ra-sqp-l1"])
+def test_each_feasibility_lp_solved_once(monkeypatch, method):
+    # the LP reads only the constraint values, so one context solves it
+    # once, for the estimate probe and the inner probes alike
+    seen = collections.Counter()
+    original = driver.feasibility_step
+
+    def counted(c_E, c_I, J_E, J_I, sigma_p, mode, counters=None):
+        key = (c_E.tobytes(), c_I.tobytes(), J_E.tobytes(), J_I.tobytes(),
+               sigma_p, mode)
+        seen[key] += 1
+        return original(c_E, c_I, J_E, J_I, sigma_p, mode, counters=counters)
+
+    monkeypatch.setattr(driver, "feasibility_step", counted)
+    out = run_config(RunConfig(problem="synth-logreg-ineq", method=method,
+                               seed=0, max_gradient_evals=30000))
+    assert len(out.trace) > 2
+    assert len(seen) > 10
+    assert set(seen.values()) == {1}
+
+
+@pytest.mark.parametrize("problem,method,max_outer", [
+    ("synth-logreg-ineq", "ra-sqp-linf", 10 ** 9),
+    ("infeasible-1d", "ra-sqp-dl", 3)])
+def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
+                                              max_outer):
+    # a record at the previous record's iterate (an outer iteration with no
+    # update) reuses its metrics, which equal the metrics evaluated afresh
+    seen = collections.Counter()
+    original = driver.true_metrics
+
+    def counted(problem, x, solver, constraints=None):
+        seen[x.tobytes()] += 1
+        return original(problem, x, solver, constraints)
+
+    monkeypatch.setattr(driver, "true_metrics", counted)
+    cfg = RunConfig(problem=problem, method=method, seed=0,
+                    max_gradient_evals=30000, max_outer=max_outer)
+    out = run_config(cfg)
+    assert len(out.trace) > len(seen)
+    assert set(seen.values()) == {1}
+    assert set(seen) == {r.x.tobytes() for r in out.trace}
+    prob = build_problem(problem)
+    solver = method_driver_config(method, prob, cfg).solver
+    for r in out.trace:
+        assert original(prob, r.x, solver) == (r.violation_inf,
+                                              r.stationarity, r.metric_mc)
+
+
 class TestTrueMetrics:
     def test_equality_quadratic_at_solution(self):
         prob = make_eq_quadratic()

@@ -114,6 +114,31 @@ class TestDetection:
                                  lp_objective=0.1)
         assert not detect_infeasible_stationary(feas, 0.5)
 
+    def test_small_violation_cut_by_lp_not_flagged(self):
+        # a point an l1 run once certified infeasible: the LP cuts the
+        # violation 1.0096e-5 to 1.92e-7, a decrease below INFEAS_TOL_V
+        # in absolute terms but 98% of the violation
+        c_I = np.array([1.609e-6, 5.088e-6, 3.399e-6])
+        _, v_l1 = violation_norms(np.zeros(0), c_I)
+        assert v_l1 == pytest.approx(1.0096e-5)
+        feas = FeasibilityResult(p=np.array([3e-6, -1e-6, 2e-6]),
+                                 relaxation=np.zeros(3), lp_objective=1.92e-7)
+        assert not detect_infeasible_stationary(feas, v_l1)
+        # the LP at those values with a full-rank Jacobian agrees
+        J_I = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.5, 0.0, 1.0]])
+        sigma_p, _ = sigma_bounds(float(c_I.max()), v_l1, L1, 3)
+        lp = feasibility_step(np.zeros(0), c_I, np.zeros((0, 3)), J_I,
+                              sigma_p, L1)
+        assert lp.lp_objective < 0.1 * v_l1
+        assert not detect_infeasible_stationary(lp, v_l1)
+
+    def test_certificate_is_relative_below_violation_one(self):
+        # an LP that keeps all but a relative 1e-6 of a small violation
+        # still certifies it
+        feas = FeasibilityResult(p=np.array([0.2]), relaxation=1.5e-5,
+                                 lp_objective=1.5e-5 * (1 - 1e-6))
+        assert detect_infeasible_stationary(feas, 1.5e-5)
+
 
 class TestDirectionStep:
     def test_unconstrained_newton_step(self):

@@ -1,10 +1,14 @@
 """tools/work_digest.py: one JSON line per solve of a benchmark solve list,
 and the comparison that tells a work change from a rounding change."""
 
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from rasqp.bench import RunConfig, run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "work_digest.py"
@@ -55,6 +59,48 @@ def test_smoke_list_digest_and_compare(tmp_path):
     assert work.returncode == 1
     assert work.stdout.count("WORK") == 1
 
+    # less work for the same results is still a work change, labelled
+    fewer = dict(rows[3]["counters"],
+                 barrier_iters=rows[3]["counters"]["barrier_iters"] + 1)
+    write(c, [dict(r, counters=fewer, digest="1" * 64) if r["index"] == 3
+              else r for r in rows])
+    labelled = tool("--compare", a, c)
+    assert labelled.returncode == 1
+    assert labelled.stdout.count("WORK") == 1
+    assert labelled.stdout.count("(same results)") == 1
+    assert "1 of the work differences have the same results" in labelled.stdout
+    write(c, [dict(r, counters=fewer, result_digest="1" * 64)
+              if r["index"] == 3 else r for r in rows])
+    moved = tool("--compare", a, c)
+    assert moved.returncode == 1
+    assert "(same results)" not in moved.stdout
+
     # a different solve list cannot be compared
     write(c, rows[:-1])
     assert tool("--compare", a, c).returncode == 1
+
+
+def test_result_digest_leaves_out_the_work_counters():
+    spec = importlib.util.spec_from_file_location("work_digest", TOOL)
+    wd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wd)
+    out = run_config(RunConfig(problem="synth-logreg-ineq",
+                               method="ra-sqp-linf", max_outer=2))
+    full, result = wd.digest(out), wd.digest(out, skip=wd.WORK_FIELDS)
+    assert full != result
+
+    # fewer programs solved for the same records: only the full digest moves
+    cheaper = dataclasses.replace(out, trace=[
+        dataclasses.replace(r, barrier_iters_cum=r.barrier_iters_cum - 1,
+                            grad_evals_cum=0, minres_iters_cum=7)
+        for r in out.trace])
+    assert wd.digest(cheaper) != full
+    assert wd.digest(cheaper, skip=wd.WORK_FIELDS) == result
+
+    # any other field, or the final x, is a result
+    moved = dataclasses.replace(out, trace=out.trace[:-1] + [
+        dataclasses.replace(out.trace[-1],
+                            stationarity=out.trace[-1].stationarity * 2)])
+    assert wd.digest(moved, skip=wd.WORK_FIELDS) != result
+    moved_x = dataclasses.replace(out, x=out.x + 1.0)
+    assert wd.digest(moved_x, skip=wd.WORK_FIELDS) != result

@@ -8,16 +8,20 @@
 The first form runs every solve of `perfbench/workloads.py` `solve_list`
 for each seed, in order, and writes one JSON line per solve: its place in
 the list, method and solver seed, status, the four `Counters`, the batch
-sizes, and a sha256 over every `OuterRecord` field (floats and iterates as
-IEEE bytes) and the final x. `--src` picks the `src/` tree rasqp is
+sizes, a sha256 over every `OuterRecord` field (floats and iterates as
+IEEE bytes) and the final x, and a result digest: the same sha256 without
+the `*_cum` work counters, so it holds what the solve found, not what it
+spent. `--src` picks the `src/` tree rasqp is
 imported from, so this one copy of the tool also runs against another
 checkout, such as the parent commit's. BLAS runs on one thread, as in the
 benchmark.
 
 `--compare A B` lists the solves whose work (status, counters, batch sizes)
-or digest differs between two such files. It exits 1 when any work differs
-or the two files do not hold the same solve list, and 0 otherwise: a digest
-difference alone means a change moved rounding, not the work done.
+or digest differs between two such files, and labels a work difference
+whose result digest and status are equal "same results": less (or more)
+work for the same answer. It exits 1 when any work differs or the two files
+do not hold the same solve list, and 0 otherwise: a digest difference alone
+means a change moved rounding, not the work done.
 """
 
 import argparse
@@ -32,10 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COUNTERS = ("gradient_evals", "function_evals", "minres_iters",
             "barrier_iters")
+# the OuterRecord fields that count work, left out of the result digest
+WORK_FIELDS = ("grad_evals_cum", "minres_iters_cum", "barrier_iters_cum")
 
 
-def digest(outcome) -> str:
-    """sha256 over every field of every OuterRecord, then the final x."""
+def digest(outcome, skip=()) -> str:
+    """sha256 over every field of every OuterRecord, except the fields
+    named in `skip`, then the final x."""
     import numpy as np
 
     h = hashlib.sha256()
@@ -50,7 +57,8 @@ def digest(outcome) -> str:
 
     for rec in outcome.trace:
         for f in dataclasses.fields(rec):
-            put(getattr(rec, f.name))
+            if f.name not in skip:
+                put(getattr(rec, f.name))
     put(np.asarray(outcome.x, dtype=float))
     return h.hexdigest()
 
@@ -75,7 +83,8 @@ def solve_rows(workload: str, seeds, smoke: bool):
             status=outcome.status,
             counters={c: getattr(outcome.counters, c) for c in COUNTERS},
             batch_sizes=[rec.batch_size for rec in outcome.trace[1:]],
-            digest=digest(outcome))
+            digest=digest(outcome),
+            result_digest=digest(outcome, skip=WORK_FIELDS))
         yield row
 
 
@@ -97,18 +106,24 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"the two files hold different solve lists "
               f"({len(a)} and {len(b)} solves)")
         return 1
-    work_diff = digest_diff = 0
+    work_diff = same_results = digest_diff = 0
     for ra, rb in zip(a, b):
         label = (f"#{ra['index']} {ra['workload']} seed {ra['list_seed']} "
                  f"{ra['method']} solver seed {ra['seed']}")
         if work(ra) != work(rb):
             work_diff += 1
-            print(f"WORK   {label}: {work(ra)} != {work(rb)}")
+            same = (ra["status"] == rb["status"]
+                    and ra.get("result_digest") is not None
+                    and ra.get("result_digest") == rb.get("result_digest"))
+            same_results += same
+            print(f"WORK   {label}{' (same results)' if same else ''}: "
+                  f"{work(ra)} != {work(rb)}")
         elif ra.get("digest") != rb.get("digest"):
             digest_diff += 1
             print(f"DIGEST {label}")
     print(f"{len(a)} solves: {work_diff} with different work, "
-          f"{digest_diff} more with equal work and a different digest")
+          f"{digest_diff} more with equal work and a different digest; "
+          f"{same_results} of the work differences have the same results")
     return 1 if work_diff else 0
 
 
