@@ -141,7 +141,7 @@ class RunConfig:
 # dataset, or a large fixed batch on an expectation problem, every outer
 # iteration: no subsampling benefit.
 METHODS = {
-    "ra-sqp-kkt": dict(dual_mode="reinit", termination=TerminationRule("kkt")),
+    "ra-sqp-kkt": dict(termination=TerminationRule("kkt")),
     "ra-sqp-dnorm": dict(termination=TerminationRule("dnorm")),
     "ra-sqp-dl": dict(termination=TerminationRule("dl")),
     "ra-sqp-dl-lbfgs": dict(termination=TerminationRule("dl"),
@@ -151,7 +151,7 @@ METHODS = {
                         norm="linf"),
     "ra-sqp-l1": dict(termination=TerminationRule("robust_dnorm"),
                       norm="l1"),
-    "det-sqp": dict(dual_mode="reinit"),
+    "det-sqp": dict(),
 }
 
 

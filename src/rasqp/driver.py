@@ -123,7 +123,6 @@ class Budget:
 class DriverConfig:
     termination: TerminationRule = field(default_factory=TerminationRule)
     sampling: SamplingRule = field(default_factory=SamplingRule)
-    dual_mode: str = "carryover"       # "carryover" | "reinit"
     exact: bool = True                 # equality solver: exact or inexact step
     norm: str = LINF                   # robust solver: "linf" | "l1"
     use_lbfgs: bool = False            # equality solver only
@@ -138,8 +137,6 @@ class DriverConfig:
                               "together or not at all")
         if self.solver == "robust" and self.use_lbfgs:
             raise ConfigError("the robust solver has no L-BFGS Hessian model")
-        if self.dual_mode not in ("carryover", "reinit"):
-            raise ConfigError(f"unknown dual mode {self.dual_mode!r}")
         if self.norm not in (LINF, L1):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
 
@@ -182,18 +179,13 @@ class SolveOutcome:
 # building blocks
 # ------------------------------------------------------------------
 
-def dual_initialize(mode: str, lam_prev: np.ndarray, g_S: np.ndarray,
-                    c: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Dual warm start for an outer iteration.
-
-    "carryover" keeps lam_prev. "reinit" computes the least-squares
-    multipliers and keeps them only if they give a KKT error no worse than
-    lam_prev; a rank-deficient Jacobian falls back to carryover.
+def dual_initialize(lam_prev: np.ndarray, g_S: np.ndarray, c: np.ndarray,
+                    J: np.ndarray) -> np.ndarray:
+    """Dual warm start of an equality inner solve on a new batch: the
+    least-squares multipliers for (g_S, J), as a deterministic SQP method
+    takes on a new problem, unless lam_prev gives a KKT error no larger.
+    A rank-deficient Jacobian keeps lam_prev.
     """
-    if mode == "carryover":
-        return lam_prev
-    if mode != "reinit":
-        raise ConfigError(f"unknown dual mode {mode!r}")
     try:
         lam_ls, kkt_ls = least_squares_dual(J, g_S, c)
     except RankDeficient:
@@ -275,6 +267,9 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     variance = (0.0 if m == 1 else
                 max(0.0, (sqsum - m * float(gbar @ gbar)) / (m - 1)))
 
+    # the probe keeps the duals the last inner loop ended with: a
+    # least-squares warm start here shrinks the "kkt" rule's Z and grows its
+    # batches (+7.8% ra-sqp-kkt gradient evaluations on eq-logreg seeds 10-19)
     ctx = replace(ctx, F_S=vsum / m, g_S=gbar, tau_prev=TAU_BAR)
     try:
         probe = _PROGRESS[config.solver](ctx, config, counters)
@@ -554,7 +549,7 @@ def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
             return robust_inner_iteration(ctx, config.norm, evaluator, d,
                                           delta_c)
     else:
-        lam = dual_initialize(config.dual_mode, lam, g_S, ctx.c_E, ctx.J_E)
+        lam = dual_initialize(lam, g_S, ctx.c_E, ctx.J_E)
 
         def update(ctx, step, plan):
             ctx, _, alpha = inner_iteration(ctx, config.exact, evaluator,

@@ -5,7 +5,7 @@ solvers share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -277,8 +277,9 @@ def inner_iteration(ctx: InnerContext, exact: bool,
     """One equality SQP inner iteration: KKT step, merit update, then the
     shared line search and update on the l1 merit tau F + ||c_E||_1.
 
-    Returns (new_ctx, step_result, alpha); alpha is 0 and ctx is returned
-    unchanged when the step is zero or its model decrease is not positive.
+    Returns (new_ctx, step_result, alpha). A zero primal step takes the
+    full dual step, lam + delta, at the same x with alpha 0; a step whose
+    model decrease is not positive returns ctx unchanged with alpha 0.
     `step` may be passed in when the caller already solved the KKT system
     for a termination probe, and `plan` when it already took
     merit_plan(ctx, step).
@@ -290,7 +291,7 @@ def inner_iteration(ctx: InnerContext, exact: bool,
         step = compute_step(ctx, exact, counters=counters)
 
     if np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
-        return ctx, step, 0.0
+        return replace(ctx, lam=ctx.lam + step.delta), step, 0.0
 
     tau, delta_l = merit_plan(ctx, step) if plan is None else plan
     new_ctx, alpha = line_search_step(ctx, step.d, step.delta, tau, delta_l,

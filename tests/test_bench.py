@@ -265,7 +265,7 @@ WORK_COUNTERS = [
     pytest.param(RunConfig(problem="synth-logreg-eq",
                            method="ra-sqp-dl-lbfgs",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32134, 574, 0, (32, 125, 625, 3125)),
+                 ("BudgetExhausted", 32395, 552, 0, (32, 119, 595, 2975)),
                  id="synth-logreg-eq"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-kkt",
                            max_gradient_evals=30000),
@@ -274,13 +274,13 @@ WORK_COUNTERS = [
                  id="synth-logreg-eq-ra-sqp-kkt"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-dnorm",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31457, 212, 0,
+                 ("BudgetExhausted", 31457, 205, 0,
                   (32, 35, 66, 151, 554, 1355, 2923)),
                  id="synth-logreg-eq-ra-sqp-dnorm"),
     pytest.param(RunConfig(problem="synth-logreg-eq",
                            method="ra-sqp-dl-inexact",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31264, 86, 0, (32, 160, 800, 4000)),
+                 ("BudgetExhausted", 33664, 85, 0, (32, 160, 800, 4000)),
                  id="synth-logreg-eq-ra-sqp-dl-inexact"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="det-sqp",
                            max_gradient_evals=30000),

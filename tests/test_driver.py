@@ -20,43 +20,47 @@ from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           estimate_condition_inputs, geometric_batch_size,
                           run, termination_check, true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
+from rasqp.linalg import least_squares_dual
 from rasqp.problems import (Expectation, build_augmented_problem,
-                            eval_constraints)
+                            draw_samples, eval_constraints, eval_subsampled)
 from rasqp.sqp_eq import TAU_BAR, InnerContext
 
 
 class TestDualInitialize:
-    def test_carryover(self):
-        lam = np.array([3.0])
-        out = dual_initialize("carryover", lam, np.array([1.0, 0.0]),
-                              np.array([0.0]), np.array([[1.0, 0.0]]))
-        assert out is lam
-
     def test_reinit_least_squares(self):
         # J = [1 0], g = (2, 0): least-squares multiplier -2 zeroes the
         # Lagrangian gradient, beating the zero warm start
-        out = dual_initialize("reinit", np.array([0.0]), np.array([2.0, 0.0]),
+        out = dual_initialize(np.array([0.0]), np.array([2.0, 0.0]),
                               np.array([0.0]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(out, [-2.0], atol=1e-10)
 
     def test_reinit_keeps_better_previous(self):
         # previous multiplier already optimal; the least-squares solve agrees
-        out = dual_initialize("reinit", np.array([-2.0]),
-                              np.array([2.0, 0.0]), np.array([0.0]),
-                              np.array([[1.0, 0.0]]))
+        out = dual_initialize(np.array([-2.0]), np.array([2.0, 0.0]),
+                              np.array([0.0]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(out, [-2.0], atol=1e-10)
 
     def test_reinit_rank_deficient_falls_back(self):
         lam = np.array([1.0, 2.0])
-        out = dual_initialize("reinit", lam, np.array([1.0, 0.0]),
-                              np.zeros(2),
+        out = dual_initialize(lam, np.array([1.0, 0.0]), np.zeros(2),
                               np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert out is lam
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            dual_initialize("other", np.zeros(1), np.zeros(1), np.zeros(1),
-                            np.zeros((1, 1)))
+    def test_inner_solver_starts_from_least_squares(self):
+        # a "dl" solve on a new batch starts from the least-squares
+        # multipliers for the batch gradient, not from the carried ones
+        prob = make_eq_quadratic(noise=0.5)
+        x = np.array([0.4, 0.1, 0.3, 0.2])
+        lam_prev = np.array([10.0])
+        S = draw_samples(prob, 8, np.random.default_rng(0))
+        F_S, g_S = eval_subsampled(prob, x, S, None)
+        config = DriverConfig(termination=TerminationRule(kind="dl"))
+        _, _, start = driver._inner_solver(prob, S, config,
+                                           iterate(prob, x, lam_prev), F_S,
+                                           g_S, Counters())
+        lam_ls, _ = least_squares_dual(start.J_E, g_S, start.c_E)
+        np.testing.assert_array_equal(start.lam, lam_ls)
+        assert not np.allclose(start.lam, lam_prev)
 
 
 class TestTerminationRule:
@@ -169,10 +173,6 @@ class TestConfigValidation:
             TerminationRule().eps = 0.0
         with pytest.raises(AttributeError):
             SamplingRule().initial_size = 64
-
-    def test_unknown_dual_mode(self):
-        with pytest.raises(ConfigError):
-            DriverConfig(dual_mode="warm")
 
     def test_unknown_norm(self):
         with pytest.raises(ConfigError):
@@ -347,7 +347,19 @@ class TestRun:
         out = run(prob, DriverConfig(), Budget(max_gradient_evals=200),
                   np.random.default_rng(2))
         # the recorded cumulative gradient count only reflects solver work
-        assert out.counters.gradient_evals <= 200 + 5 * 32
+        assert out.counters.gradient_evals == out.trace[-1].grad_evals_cum
+        # and the overshoot is the one Budget's docstring bounds
+        over = out.counters.gradient_evals - 200
+        assert 0 <= over < out.trace[-1].batch_size
+
+    def test_zero_primal_step_does_not_spin(self):
+        # the sampled minimiser of this quadratic is the true one, so after
+        # the first outer iteration every primal step is zero; the dual step
+        # it carries lets the "kkt" rule fire instead of spinning to the cap
+        out = run(make_eq_quadratic(noise=0.5), DriverConfig(),
+                  Budget(max_gradient_evals=2000), np.random.default_rng(0))
+        assert len(out.trace) > 3
+        assert all(r.term_cause != "inner_cap" for r in out.trace)
 
     @pytest.mark.parametrize("problem,method,budget", [
         ("synth-logreg-eq", "ra-sqp-dl", 100_000),

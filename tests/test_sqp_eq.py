@@ -268,6 +268,25 @@ class TestLineSearchStep:
         assert new is ctx
         assert alpha == 0.0
 
+    def test_zero_primal_step_takes_dual_step(self):
+        # J = 1', x = 1/4 (c = 0), g = -2.25, lam = 1: the exact step is
+        # d = 0, delta = 1.25, so x stays, nothing is evaluated, and the
+        # multiplier moves to 2.25, where the KKT error is 0 (2.5 at lam = 1)
+        def never(x):
+            raise AssertionError("evaluated at a zero step")
+
+        n = 4
+        ctx = make_ctx(np.full(n, 0.25), [1.0], np.full(n, -2.25), [0.0],
+                       np.ones((1, n)))
+        assert np.linalg.norm(ctx.kkt_vector()) == pytest.approx(2.5)
+        new, step, alpha = inner_iteration(ctx, True,
+                                           Evaluator(never, never, never))
+        assert np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x))
+        assert alpha == 0.0
+        assert new.x is ctx.x
+        np.testing.assert_allclose(new.lam, [2.25], atol=1e-12)
+        assert np.linalg.norm(new.kkt_vector()) <= 1e-12
+
 
 class TestInnerIterationInvariants:
     def test_solves_equality_qp(self):

@@ -104,3 +104,50 @@ def test_result_digest_leaves_out_the_work_counters():
     assert wd.digest(moved, skip=wd.WORK_FIELDS) != result
     moved_x = dataclasses.replace(out, x=out.x + 1.0)
     assert wd.digest(moved_x, skip=wd.WORK_FIELDS) != result
+
+
+def solve(index, method, seed, status, grads=None, minres=0, barrier=0):
+    row = {"index": index, "workload": "eq-logreg", "list_seed": 0,
+           "method": method, "seed": seed, "status": status,
+           "digest": "0" * 64, "result_digest": "1" * 64}
+    if grads is None:
+        row["error"] = "NumericalFailure: non-finite iterate"
+    else:
+        row.update(counters={"gradient_evals": grads, "function_evals": 1,
+                             "minres_iters": minres,
+                             "barrier_iters": barrier},
+                   batch_sizes=[32])
+    return row
+
+
+def test_compare_ends_with_method_totals(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write(a, [solve(0, "ra-sqp-dl", 0, "Converged", 1000, 12),
+              solve(1, "ra-sqp-dl", 1, "BudgetExhausted", 2500, 3),
+              solve(2, "ra-sqp-linf", 0, "Converged", 700, 0, 40),
+              solve(3, "det-sqp", 0, "Error")])
+    write(b, [solve(0, "ra-sqp-dl", 0, "Converged", 900, 10),
+              solve(1, "ra-sqp-dl", 1, "Converged", 1500, 3),
+              solve(2, "ra-sqp-linf", 0, "Converged", 700, 0, 40),
+              solve(3, "det-sqp", 0, "Converged", 5000, 16)])
+    out = tool("--compare", a, b)
+    # the table changes nothing of the exit code rule
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if line.split()[:1] == ["method"])
+    assert [line.split() for line in lines[head + 1:]] == [
+        ["ra-sqp-dl", "A", "3,500", "15", "0",
+         "BudgetExhausted", "1,", "Converged", "1"],
+        ["B", "2,400", "13", "0", "Converged", "2"],
+        ["ra-sqp-linf", "A", "700", "0", "40", "Converged", "1"],
+        ["B", "700", "0", "40", "Converged", "1"],
+        ["det-sqp", "A", "0", "0", "0", "Error", "1"],
+        ["B", "5,000", "16", "0", "Converged", "1"],
+    ]
+
+    # equal work: exit 0, and the table still ends the report
+    same = tool("--compare", a, a)
+    assert same.returncode == 0
+    assert same.stdout.splitlines()[-1].split() == [
+        "B", "0", "0", "0", "Error", "1"]

@@ -19,12 +19,15 @@ benchmark.
 `--compare A B` lists the solves whose work (status, counters, batch sizes)
 or digest differs between two such files, and labels a work difference
 whose result digest and status are equal "same results": less (or more)
-work for the same answer. It exits 1 when any work differs or the two files
+work for the same answer. It ends with a table of each method's summed
+gradient evaluations, MINRES and barrier iterations and count of each
+status, in A and in B. It exits 1 when any work differs or the two files
 do not hold the same solve list, and 0 otherwise: a digest difference alone
 means a change moved rounding, not the work done.
 """
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -93,6 +96,31 @@ def work(row) -> tuple:
             row.get("error"))
 
 
+def method_totals(rows) -> dict:
+    """method -> (Counter of its solves' summed counters, Counter of their
+    statuses), in order of first appearance."""
+    totals = {}
+    for r in rows:
+        work, statuses = totals.setdefault(
+            r["method"], (collections.Counter(), collections.Counter()))
+        work.update(r.get("counters") or {})  # a raising solve has none
+        statuses[r["status"]] += 1
+    return totals
+
+
+def print_totals(a, b):
+    """The per-method work table of two files holding one solve list."""
+    print(f"{'method':<20} {'gradient evals':>14} {'MINRES':>10} "
+          f"{'barrier':>10}  statuses")
+    ta, tb = method_totals(a), method_totals(b)
+    for method in ta:
+        for side, (work, statuses) in (("A", ta[method]), ("B", tb[method])):
+            counts = ", ".join(f"{s} {n}" for s, n in sorted(statuses.items()))
+            print(f"{method if side == 'A' else '':<18} {side} "
+                  f"{work['gradient_evals']:>14,} {work['minres_iters']:>10,} "
+                  f"{work['barrier_iters']:>10,}  {counts}")
+
+
 def compare(path_a: str, path_b: str) -> int:
     """Print each solve whose work or digest differs; 1 on a work
     difference or mismatched solve lists, else 0."""
@@ -124,6 +152,7 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{len(a)} solves: {work_diff} with different work, "
           f"{digest_diff} more with equal work and a different digest; "
           f"{same_results} of the work differences have the same results")
+    print_totals(a, b)
     return 1 if work_diff else 0
 
 
