@@ -85,63 +85,61 @@ def solve_program(prog: ConvexProgram,
                          "bound")
 
     x = np.zeros(n)
-    s = np.maximum(1.0, np.abs(d))
-    z = np.ones(q)
-    scale = 1.0 + max(np.abs(g).max(), np.abs(d).max())
+    # s and z are the halves of one array, and the step is one array
+    # [dx, ds, dz]: one ratio test sizes both step lengths, one check the step
+    v = np.concatenate((np.maximum(1.0, np.abs(d)), np.ones(q)))
+    s, z = v[:q], v[q:]
+    step = np.empty(n + 2 * q)
+    dx, dv, ds, dz = step[:n], step[n:], step[n:n + q], step[n + q:]
+    tol = _TOL * (1.0 + max(np.abs(g).max(), np.abs(d).max()))
 
-    Hreg = H + _REG * np.eye(n)
+    Hreg, Ct = H + _REG * np.eye(n), C.T
     status = "max_iter"
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
-        rd = Hreg @ x + g + C.T @ z
+    for it in range(_MAX_ITER):
+        rd = Hreg @ x + g + Ct @ z
         ri = C @ x + s - d
         mu = float(s @ z / q)
-
-        feas = max(np.abs(rd).max(), np.abs(ri).max())
-        if feas <= _TOL * scale and mu <= _TOL * scale:
+        if mu <= tol and max(np.abs(rd).max(), np.abs(ri).max()) <= tol:
             status = "optimal"
-            it -= 1  # this pass performed no Newton step
             break
-        if np.abs(z).max() > _DIVERGE:
+        if z.max() > _DIVERGE:  # z > 0 by fraction-to-boundary
             status = "infeasible"
             break
 
         # Newton matrix with the inequalities eliminated through the slacks;
         # SPD, so one Cholesky factor serves predictor and corrector
-        M = Hreg + C.T @ ((z / s)[:, None] * C)
+        M = Hreg + Ct @ ((z / s)[:, None] * C)
         factor, info = dpotrf(M)
+        nrd, nri, zri, sz = -rd, -ri, z * ri, s * z
 
         def newton(t):
             # t is the complementarity target vector (length q)
-            rhs = -rd - C.T @ ((t + z * ri) / s)
+            rhs = nrd - Ct @ ((t + zri) / s)
             if info == 0:
-                dx = dpotrs(factor, rhs)[0]
+                dx[:] = dpotrs(factor, rhs)[0]
             else:
                 # not numerically positive definite when the optimal face
                 # is a subspace; take the minimum-norm Newton step instead
-                dx = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            ds = -ri - C @ dx
-            dz = (t - z * ds) / s
-            return dx, ds, dz
+                dx[:] = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            np.subtract(nri, C @ dx, out=ds)
+            np.divide(t - z * ds, s, out=dz)
 
         # predictor
-        dxa, dsa, dza = newton(-s * z)
-        a_p = _max_step(s, dsa)
-        a_d = _max_step(z, dza)
-        mu_aff = float((s + a_p * dsa) @ (z + a_d * dza) / q)
+        newton(-sz)
+        a_p, a_d = _step_lengths(v, dv)
+        mu_aff = float((s + a_p * ds) @ (z + a_d * dz) / q)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
         # corrector
-        t = -s * z - dsa * dza + sigma * mu
-        dx, ds, dz = newton(t)
-        a_p = _FRACTION * _max_step(s, ds)
-        a_d = _FRACTION * _max_step(z, dz)
+        newton(-sz - ds * dz + sigma * mu)
+        a_p, a_d = (_FRACTION * a for a in _step_lengths(v, dv))
 
-        if not (np.isfinite(dx).all() and np.isfinite(ds).all()
-                and np.isfinite(dz).all()):
+        if not np.isfinite(step).all():
             raise NumericalFailure("interior-point step is non-finite")
-        x = x + a_p * dx
-        s = s + a_p * ds
-        z = z + a_d * dz
+        x += a_p * dx
+        s += a_p * ds
+        z += a_d * dz
+    else:
+        it = _MAX_ITER
 
     if counters is not None:
         counters.barrier_iters += it
@@ -150,11 +148,12 @@ def solve_program(prog: ConvexProgram,
     return ProgramSolution(x=x, objective=obj, iterations=it, status=status)
 
 
-def _max_step(v, dv):
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float((-v[neg] / dv[neg]).min()))
+def _step_lengths(v, dv):
+    """The largest steps in [0, 1] that keep each half of v + alpha dv
+    nonnegative: [primal, dual] for v = [s, z]."""
+    ratio = np.full(v.size, -np.inf)
+    np.divide(v, dv, out=ratio, where=dv < 0)
+    return [min(1.0, -r) for r in ratio.reshape(2, -1).max(axis=1).tolist()]
 
 
 def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,

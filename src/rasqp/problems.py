@@ -280,21 +280,21 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     if constraint_kind not in ("equality", "inequality"):
         raise ConfigError(f"unknown constraint kind {constraint_kind!r}")
 
-    nf = dataset.n_features
-    K = dataset.n_classes
+    nf, K = dataset.n_features, dataset.n_classes
     n = nf * K
-    X = dataset.X
-    labels = dataset.labels
+    X, labels, N = dataset.X, dataset.labels, len(dataset)
 
     # a per-sample gradient is a multiple of its row placed in its label's
     # class block, so its squared norm needs only the row's
     row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
 
-    def rows_sums(Xs, lab, sq, x, order):
-        """`sums` over the rows of `Xs`, labelled `lab`, squared norms `sq`."""
+    def scores(Xs, lab, x):
         # one-hot label: only the labelled class's score contributes
         a_lab = (Xs @ x.reshape(K, nf).T)[np.arange(lab.size), lab]
-        vsum = float(np.sum(np.logaddexp(0.0, -a_lab)))
+        return a_lab, float(np.sum(np.logaddexp(0.0, -a_lab)))
+
+    def rows_sums(Xs, lab, sq, a_lab, vsum, order):
+        """`sums` over rows `Xs`, labels `lab`, norms `sq`, from `scores`."""
         if order == 0:
             return (vsum,)
         coef = _sigmoid(a_lab) - 1.0
@@ -311,19 +311,20 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
             return vsum, gsum
         return vsum, gsum, float(np.sum(coef * coef * sq))
 
-    # (items, rows, labels, squared norms) of the last sample set: an inner
-    # solve evaluates one set many times, so it gathers once per set. The
-    # set is compared by content with a private copy, so a caller that
-    # refills its array in place still gets its own rows
-    last = None
+    # (items, rows, labels, squared norms) of the last sample set and (x,
+    # scores, value sum) of the last point on it: an inner solve evaluates
+    # one set many times, and its accepted line-search trial twice. Both are
+    # compared by content with private copies, as callers refill in place
+    last = point = None
 
     def sums(x, items, order):
-        nonlocal last
-        batch = last
-        if batch is None or not np.array_equal(items, batch[0]):
+        nonlocal last, point
+        if last is None or not np.array_equal(items, last[0]):
             items = np.array(items)
-            batch = last = (items, X[items], labels[items], row_sq[items])
-        return rows_sums(*batch[1:], x, order)
+            last, point = (items, X[items], labels[items], row_sq[items]), None
+        if point is None or not np.array_equal(x, point[0]):
+            point = (np.array(x), *scores(*last[1:3], x))
+        return rows_sums(*last[1:], *point[1:], order)
 
     r = np.arange(K)
 
@@ -340,13 +341,13 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
 
     # the full data set needs no gather: X[arange(N)] is X
     def true_value(x):
-        return rows_sums(X, labels, row_sq, x, 0)[0] / len(dataset)
+        return scores(X, labels, x)[1] / N
 
     def true_gradient(x):
-        return rows_sums(X, labels, row_sq, x, 1)[1] / len(dataset)
+        return rows_sums(X, labels, row_sq, *scores(X, labels, x), 1)[1] / N
 
     return ProblemSpec(
-        m_E=m_E, m_I=K - m_E, mode=FiniteSum(len(dataset)),
+        m_E=m_E, m_I=K - m_E, mode=FiniteSum(N),
         sums=sums, constraints=constraints,
         # start on the constraint boundary: a zero start would zero out the
         # norm-constraint Jacobian and leave the solver without a direction

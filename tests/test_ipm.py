@@ -8,7 +8,7 @@ import pytest
 
 from rasqp import ipm
 from rasqp.counters import Counters
-from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
+from rasqp.ipm import ConvexProgram, dpotrf, kkt_residual, solve_program
 from rasqp.sqp_eq import L1, LINF, violation_norms
 from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
 
@@ -121,6 +121,70 @@ class TestSolveProgram:
         prog = ConvexProgram(g=np.array([1.0]), lower=np.array([0.0]))
         sol = solve_program(prog, counters=ct)
         assert ct.barrier_iters == sol.iterations > 0
+
+    @pytest.mark.parametrize("status", ["optimal", "infeasible", "max_iter"])
+    def test_iterations_are_newton_steps(self, monkeypatch, status):
+        # every Newton step factors the Newton matrix once; a pass that
+        # stops before its step is not an iteration, whatever the exit
+        factored = []
+
+        def counting(M):
+            factored.append(M.shape)
+            return dpotrf(M)
+
+        monkeypatch.setattr(ipm, "dpotrf", counting)
+        prog = ConvexProgram(g=np.array([1.0, -1.0]),
+                             lower=np.array([-1.0, -1.0]),
+                             upper=np.array([1.0, 1.0]))
+        if status == "infeasible":
+            prog = ConvexProgram(g=np.array([0.0]),
+                                 A_in=np.array([[1.0], [-1.0]]),
+                                 b_in=np.array([-1.0, -1.0]))
+        if status == "max_iter":
+            monkeypatch.setattr(ipm, "_MAX_ITER", 2)
+        ct = Counters()
+        sol = solve_program(prog, counters=ct)
+        assert sol.status == status
+        assert sol.iterations == ct.barrier_iters == len(factored) > 0
+
+
+def max_step(v, dv):
+    """The per-vector ratio test the stacked one replaces."""
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float((-v[neg] / dv[neg]).min()))
+
+
+@pytest.mark.parametrize("ds,dz", [
+    # exact zeros of either sign never block a step
+    ([0.0, -0.0, -0.5], [-0.0, 0.0, 0.0]),
+    ([-0.0, -0.0, -0.0], [0.0, -2.0, -0.0]),
+    # no negative entry in either half: full steps
+    ([0.0, 1.0, 2.0], [3.0, -0.0, 0.5]),
+    # every ratio above 1 in one half, so its step is clipped to 1
+    ([-0.1, -0.2, 1.0], [-4.0, 4.0, -1e-3]),
+    # ratios near the ends of the float range
+    ([-1e300, 5.0, -1e-300], [-1e-300, -1e300, 7.0]),
+])
+def test_stacked_ratio_test_matches_each_half(ds, dz):
+    s, z = np.array([0.5, 1.0, 2.0]), np.array([0.25, 3.0, 1e-3])
+    ds, dz = np.array(ds), np.array(dz)
+    got = ipm._step_lengths(np.concatenate((s, z)), np.concatenate((ds, dz)))
+    assert np.array(got).tobytes() == np.array([max_step(s, ds),
+                                                max_step(z, dz)]).tobytes()
+
+
+def test_stacked_ratio_test_matches_each_half_at_random():
+    rng = np.random.default_rng(12)
+    for q in (1, 2, 7, 60):
+        for _ in range(50):
+            v = rng.uniform(1e-6, 2.0, 2 * q)
+            dv = rng.standard_normal(2 * q) * 10.0 ** rng.integers(-3, 3)
+            dv[rng.random(2 * q) < 0.2] = 0.0
+            got = ipm._step_lengths(v, dv)
+            assert np.array(got).tobytes() == np.array(
+                [max_step(v[:q], dv[:q]), max_step(v[q:], dv[q:])]).tobytes()
 
 
 class TestKktResidual:

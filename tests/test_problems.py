@@ -451,6 +451,43 @@ class TestLogregSums:
         assert_same(prob.sums(x, b.copy(), 2), fresh(b, 2))
 
     @pytest.mark.parametrize("kind", ["equality", "inequality"])
+    def test_reused_scores_are_byte_equal(self, kind, monkeypatch):
+        # the last point's scores on the current set are reused: each sum
+        # of the problem carrying them has the bytes of a fresh problem's,
+        # and only a new point or a new set computes scores again
+        ds = make_synthetic_dataset(n_samples=300)
+        prob = build_logreg_problem(ds, kind)
+        rng = np.random.default_rng(10)
+        x, x2 = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
+        items, other = np.arange(20, 120), np.arange(150, 230)
+        scored = []
+        logaddexp = np.logaddexp
+        monkeypatch.setattr(np, "logaddexp",
+                            lambda *a: scored.append(1) or logaddexp(*a))
+
+        def check(x, items, order, computes):
+            before = len(scored)
+            out = prob.sums(x, items, order)
+            assert len(scored) - before == computes
+            ref = build_logreg_problem(ds, kind).sums(x.copy(), items.copy(),
+                                                      order)
+            assert [np.asarray(v).tobytes() for v in out] == [
+                np.asarray(v).tobytes() for v in ref]
+
+        check(x, items, 0, 1)
+        check(x, items, 1, 0)  # the accepted trial, again with its gradient
+        check(x, items, 2, 0)
+        check(x2, items, 0, 1)
+        check(x2, items, 2, 0)
+        x2[:] = x  # refilled in place with another point
+        check(x2, items, 1, 1)
+        x2[:] = x  # refilled in place with the same point
+        check(x2, items, 0, 0)
+        check(x2, other, 1, 1)  # a new set at an unchanged point
+        check(x2, other, 0, 0)
+        check(x2, items, 2, 1)
+
+    @pytest.mark.parametrize("kind", ["equality", "inequality"])
     def test_true_metrics_are_full_sums(self, kind):
         ds = make_synthetic_dataset()
         prob = build_logreg_problem(ds, kind)

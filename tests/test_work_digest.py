@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rasqp.bench import RunConfig, run_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -151,3 +153,25 @@ def test_compare_ends_with_method_totals(tmp_path):
     assert same.returncode == 0
     assert same.stdout.splitlines()[-1].split() == [
         "B", "0", "0", "0", "Error", "1"]
+
+
+@pytest.mark.parametrize("moved,code", [("digest", 0), ("counters", 1)])
+def test_compare_survives_a_reader_that_stops_early(tmp_path, moved, code):
+    # a report far longer than a pipe buffer, read one line, as `| head -1`
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    rows = [solve(i, "ra-sqp-dl", i, "Converged", 1000, 12)
+            for i in range(3000)]
+    write(a, rows)
+    write(b, [dict(r, digest="2" * 64) if moved == "digest"
+              else dict(r, counters=dict(r["counters"], minres_iters=13))
+              for r in rows])
+    proc = subprocess.Popen([sys.executable, str(TOOL), "--compare", a, b],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert proc.stdout.readline().split()[0] in ("WORK", "DIGEST")
+    proc.stdout.close()
+    returncode = proc.wait(timeout=60)  # stderr holds a traceback at most
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert returncode == code
+    assert "BrokenPipeError" not in err and "Traceback" not in err

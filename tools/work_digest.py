@@ -23,13 +23,16 @@ work for the same answer. It ends with a table of each method's summed
 gradient evaluations, MINRES and barrier iterations and count of each
 status, in A and in B. It exits 1 when any work differs or the two files
 do not hold the same solve list, and 0 otherwise: a digest difference alone
-means a change moved rounding, not the work done.
+means a change moved rounding, not the work done. A reader that closes the
+pipe early (`| head`) cuts the report short, not the exit code.
 """
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
@@ -169,7 +172,16 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            code = compare(*args.compare)
+        try:
+            sys.stdout.write(report.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): the exit code still tells
+            # whether the work differs, and the flush at exit goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     if args.workload is None:
         parser.error("--workload or --compare is required")
     if min(args.seed) < 0:
