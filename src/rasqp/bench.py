@@ -358,16 +358,7 @@ def _run_one(config: RunConfig):
         return config, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(configs, workers: int = 1):
-    """Run a list of RunConfigs, in a process pool of `workers` processes
-    when more than one, collecting result rows serially."""
-    results = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cfg, row, outcome, err in pool.map(_run_one, configs):
-                results.append((cfg, row, outcome, err))
-    else:
-        for cfg in configs:
-            results.append(_run_one(cfg))
-    return results
+def sweep(configs):
+    """Run a list of RunConfigs in order: one (config, result row, outcome,
+    error) per config, where a raising solve has an error text and no row."""
+    return [_run_one(config) for config in configs]

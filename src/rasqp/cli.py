@@ -15,18 +15,10 @@ from .bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RunConfig,
 from .errors import ConfigError, RasqpError
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
 def load_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; keys use the CLI flag
-    names with '-' or '_'."""
+    names with '-' or '_'. Each value is converted and checked as its flag's
+    is, and a bad key or value raises ConfigError naming the line."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -35,27 +27,30 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = _parse_value(val.strip())
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            flag = _FILE_FLAGS.get(key)
+            if flag is None:
+                raise ConfigError(f"{path}:{lineno}: unknown config key "
+                                  f"{key!r}")
+            try:
+                value = flag.type(text) if flag.type else text
+                if flag.choices is not None and value not in flag.choices:
+                    raise ValueError
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: invalid {key} value "
+                                  f"{text!r}") from None
+            values[key] = value
     return values
 
 
 def _apply_config(args) -> RunConfig:
     """RunConfig from file values overridden by explicitly passed flags."""
-    base = {}
-    if getattr(args, "config", None):
-        base = load_config_file(args.config)
-    cfg = RunConfig()
-    names = {f.name for f in fields(RunConfig)}
-    for key, val in base.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, val)
-    for name in names:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    return cfg
+    values = load_config_file(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RunConfig(**values)
 
 
 def _add_run_flags(p):
@@ -72,6 +67,14 @@ def _add_run_flags(p):
     p.add_argument("--stop-violation", type=float, dest="stop_violation")
     p.add_argument("--stop-stationarity", type=float, dest="stop_stationarity")
     p.add_argument("--output", help="trace CSV path")
+    return p
+
+
+# RunConfig field -> the flag that sets it, whose type and choices a config
+# file's value passes too
+_FILE_FLAGS = {action.dest: action
+               for action in _add_run_flags(argparse.ArgumentParser())._actions
+               if action.dest in {f.name for f in fields(RunConfig)}}
 
 
 def cmd_run(args) -> int:
@@ -100,7 +103,7 @@ def cmd_sweep(args) -> int:
                                    "method": method, "seed": seed,
                                    "output": None})
                 configs.append(cfg)
-    results = sweep(configs, workers=args.workers)
+    results = sweep(configs)
     rows = []
     for cfg, row, outcome, err in results:
         if err is not None:
@@ -118,13 +121,19 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_seeds(text: str):
+    """Seeds from comma-separated parts, each N or an inclusive range LO-HI
+    with LO <= HI."""
     seeds = []
     for part in text.split(","):
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        lo, dash, hi = part.partition("-")
+        try:
+            span = range(int(lo), int(hi if dash else lo) + 1)
+            if not span:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"invalid --seeds part {part!r}: expected N or "
+                              f"LO-HI with LO <= HI") from None
+        seeds.extend(span)
     return seeds
 
 
@@ -189,7 +198,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", help="e.g. 0-9 or 1,2,5")
     p_sweep.add_argument("--out", default="results.csv")
     p_sweep.add_argument("--trace-dir", dest="trace_dir")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profile", help="Dolan-More performance profile")

@@ -1,7 +1,6 @@
 """Per-run cost counters.
 
-One Counters object belongs to one solver run; concurrent runs each own
-their counters and the harness merges results afterwards.
+One Counters object belongs to one solver run.
 """
 
 from dataclasses import dataclass

@@ -219,21 +219,17 @@ def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
 
 
 def geometric_batch_size(k: int, rule: SamplingRule,
-                         dataset_cap: Optional[int],
-                         prev_size: Optional[int] = None) -> int:
-    """Finite-sum: ceil((1 - beta^k) |S|); expectation: grow the previous
-    size by 1 / beta^2. Clipped to [1, cap] and non-decreasing."""
+                         dataset_cap: Optional[int], prev_size: int) -> int:
+    """Batch size of outer iteration k >= 1 after a batch of prev_size >= 1
+    (outer 0 takes `rule.initial_size`). Finite-sum: ceil((1 - beta^k) |S|),
+    clipped to the cap; expectation: grow the previous size by 1 / beta^2.
+    Never below prev_size."""
     if dataset_cap is not None:
-        size = math.ceil((1.0 - rule.beta ** k) * dataset_cap)
-        size = min(max(size, 1), dataset_cap)
+        size = min(math.ceil((1.0 - rule.beta ** k) * dataset_cap),
+                   dataset_cap)
     else:
-        if k == 0 or prev_size is None:
-            size = rule.initial_size
-        else:
-            size = math.ceil(prev_size / (rule.beta ** 2))
-    if prev_size is not None:
-        size = max(size, prev_size)
-    return int(size)
+        size = math.ceil(prev_size / (rule.beta ** 2))
+    return int(max(size, prev_size))
 
 
 @dataclass
@@ -363,11 +359,9 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
     v_inf, _ = violation_norms(c_E, c_I)
     g, mc = true_gradient_at(problem, x)
     if solver == "equality":
-        if problem.m_E == 0:
-            stat = float(np.linalg.norm(g, np.inf))
-        else:
-            lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
-            stat = float(np.linalg.norm(g + J_E.T @ lam, np.inf))
+        # with no equality constraints lam is empty and stat is ||g||_inf
+        lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
+        stat = float(np.linalg.norm(g + J_E.T @ lam, np.inf))
     else:
         stat = kkt_residual(g, c_I, J_E, J_I, counters=None)
     return v_inf, stat, mc
@@ -461,20 +455,17 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         S = draw_samples(problem, size, rng,
                          None if estimate is None else estimate.fresh_set)
 
-        # subsampled objective at the warm-start point, reusing the sums
-        # over the fresh set, which draw_samples kept as the prefix of S
-        if estimate is not None:
-            tail = S[estimate.fresh_set.size:]
-            if tail.size:
-                t_v, t_g = _sums_over(problem, ctx.x, tail, counters)
-            else:
-                t_v, t_g = 0.0, np.zeros(problem.n)
-            F_S = (estimate.value_sum + t_v) / S.size
-            g_S = (estimate.gradient_sum + t_g) / S.size
-        else:
-            F_S, g_S = eval_subsampled(problem, ctx.x, S, counters)
-
+        # subsampled objective at the warm-start point: the estimate's
+        # sums over the fresh set, which draw_samples kept as the prefix of
+        # S, plus the sums over the rest of S
         est_size = 0 if estimate is None else estimate.fresh_set.size
+        vsum, gsum = 0.0, np.zeros(problem.n)
+        if est_size < S.size:
+            vsum, gsum = _sums_over(problem, ctx.x, S[est_size:], counters)
+        if estimate is not None:
+            vsum = estimate.value_sum + vsum
+            gsum = estimate.gradient_sum + gsum
+        F_S, g_S = vsum / S.size, gsum / S.size
         progress, update, ctx = _inner_solver(problem, S, config, ctx, F_S,
                                               g_S, counters)
         ctx, inner_iters, updates, term_cause = _inner_loop(

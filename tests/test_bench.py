@@ -248,7 +248,8 @@ class TestSweep:
         good = RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                          max_gradient_evals=1500)
         bad = RunConfig(problem="synth-logreg-ineq", method="ra-sqp-dl")
-        results = sweep([good, bad], workers=1)
+        results = sweep([good, bad])
+        assert [r[0] for r in results] == [good, bad]
         assert results[0][3] is None and results[0][1] is not None
         assert results[1][3] is not None and results[1][1] is None
 
@@ -339,6 +340,22 @@ class TestConfigFile:
             load_config_file(str(p))
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("line,key", [
+        ("seed = abc", "seed"),            # not an int, as --seed needs
+        ("sampling = fixed", "sampling"),  # not among --sampling's choices
+        ("beta = half", "beta"),
+        ("problem = nope", "problem"),
+    ])
+    def test_bad_value_names_key_and_exits_2(self, tmp_path, capsys, line,
+                                             key):
+        p = tmp_path / "cfg"
+        p.write_text("method = ra-sqp-dl\n" + line + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config_file(str(p))
+        assert f":2: invalid {key} value" in str(err.value)
+        assert main(["run", "--config", str(p)]) == 2
+        assert f"invalid {key} value" in capsys.readouterr().err
+
 
 class TestCli:
     def test_run_writes_trace(self, tmp_path, capsys):
@@ -404,3 +421,54 @@ class TestCli:
             header = fh.readline().strip().split(",")
         assert header[0] == "tau"
         assert set(header[1:]) == {"ra-sqp-dl", "ra-sqp-kkt"}
+
+    @pytest.mark.parametrize("seeds", ["3-1", "a", "1,", "0-x"])
+    def test_bad_seeds_exit_2(self, tmp_path, capsys, seeds):
+        res = tmp_path / "results.csv"
+        assert main(["sweep", "--problems", "synth-eq-quad", "--seeds",
+                     seeds, "--out", str(res)]) == 2
+        assert "invalid --seeds part" in capsys.readouterr().err
+        assert not res.exists()
+
+    def test_sweep_reports_failures_and_writes_traces(self, tmp_path,
+                                                      capsys):
+        # the equality solver rejects the inequality problem; the sweep
+        # reports that solve and keeps the other one's row and trace
+        res, traces = tmp_path / "results.csv", tmp_path / "traces"
+        traces.mkdir()
+        code = main(["sweep", "--problems", "infeasible-1d,synth-logreg-ineq",
+                     "--methods", "ra-sqp-dl", "--max-gradient-evals",
+                     "2000", "--out", str(res), "--trace-dir", str(traces)])
+        assert code == 0
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if "FAILED" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("synth-logreg-ineq ra-sqp-dl seed=0: "
+                                    "FAILED (ConfigError: ")
+        rows = read_trace_csv(str(res))
+        assert [(r["problem"], r["method"], r["seed"]) for r in rows] == [
+            ("infeasible-1d", "ra-sqp-dl", "0")]
+        (path,) = traces.iterdir()
+        assert path.name == "trace_infeasible-1d_ra-sqp-dl_0.csv"
+        trace = read_trace_csv(str(path))
+        assert trace[-1]["grad_evals_cum"] == rows[0]["grad_evals"]
+
+    def test_active_set_report(self, tmp_path, capsys):
+        out = tmp_path / "as.csv"
+        assert main(["active-set", "--problem", "synth-logreg-ineq",
+                     "--method", "ra-sqp-linf", "--max-gradient-evals",
+                     "20000", "--out", str(out)]) == 0
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "k,jaccard,violation_inf,active_set"
+        ref = run_config(RunConfig(problem="synth-logreg-ineq",
+                                   method="ra-sqp-linf",
+                                   max_gradient_evals=20000))
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [
+            rec.k for rec in ref.trace]
+
+    def test_active_set_needs_inequalities(self, tmp_path, capsys):
+        assert main(["active-set", "--problem", "synth-logreg-eq", "--out",
+                     str(tmp_path / "as.csv")]) == 2
+        assert ("active-set reports need inequality constraints"
+                in capsys.readouterr().err)

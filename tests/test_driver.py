@@ -107,16 +107,16 @@ class TestBatchSchedules:
         assert adaptive_batch_size(400, 1e9, 1.0, 0.5, 5.0, 500) == 500
 
     def test_geometric_finite_sum(self):
+        # outer 0 takes initial_size; from outer 1 on, ceil((1 - beta^k) N)
         rule = SamplingRule(kind="geometric", beta=0.5)
-        assert geometric_batch_size(0, rule, 100) == 1
-        assert geometric_batch_size(1, rule, 100) == 50
-        assert geometric_batch_size(2, rule, 100) == 75
-        assert geometric_batch_size(50, rule, 100) == 100
+        assert geometric_batch_size(1, rule, 100, 1) == 50
+        assert geometric_batch_size(2, rule, 100, 50) == 75
+        assert geometric_batch_size(50, rule, 100, 75) == 100
 
     def test_geometric_expectation(self):
         rule = SamplingRule(kind="geometric", beta=0.5, initial_size=32)
-        assert geometric_batch_size(0, rule, None) == 32
-        assert geometric_batch_size(1, rule, None, prev_size=32) == 128
+        assert geometric_batch_size(1, rule, None, 32) == 128
+        assert geometric_batch_size(2, rule, None, 128) == 512
 
     def test_geometric_nondecreasing(self):
         rule = SamplingRule(kind="geometric", beta=0.5)
@@ -638,6 +638,20 @@ class TestTrueMetrics:
         prob = make_eq_quadratic()
         v, _, _ = true_metrics(prob, np.zeros(4), "equality")
         assert v == pytest.approx(1.0)
+
+    def test_unconstrained_stationarity_is_gradient_norm(self):
+        # no equality constraints: the least-squares multipliers are empty
+        # and the Lagrangian gradient is the gradient itself
+        n = 3
+        prob = build_augmented_problem(
+            value_fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x - 1.0,
+            constraints=lambda x: (np.zeros(0), np.zeros(0),
+                                   np.zeros((0, n)), np.zeros((0, n))),
+            m_E=0, m_I=0, x_init=np.zeros(n), noise_level=0.1)
+        x = np.array([0.3, -2.0, 0.5])
+        v, s, mc = true_metrics(prob, x, "equality")
+        assert v == 0.0 and not mc
+        assert s == np.linalg.norm(2.0 * x - 1.0, np.inf)
 
     def test_finite_sum_fallback_matches_analytic(self):
         # without an analytic gradient, a finite sum averages the dataset

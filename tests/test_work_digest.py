@@ -165,13 +165,30 @@ def test_compare_survives_a_reader_that_stops_early(tmp_path, moved, code):
     write(b, [dict(r, digest="2" * 64) if moved == "digest"
               else dict(r, counters=dict(r["counters"], minres_iters=13))
               for r in rows])
-    proc = subprocess.Popen([sys.executable, str(TOOL), "--compare", a, b],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
-    assert proc.stdout.readline().split()[0] in ("WORK", "DIGEST")
-    proc.stdout.close()
-    returncode = proc.wait(timeout=60)  # stderr holds a traceback at most
-    err = proc.stderr.read()
-    proc.stderr.close()
+    first, returncode, err = read_one_line(["--compare", a, b])
+    assert first.split()[0] in ("WORK", "DIGEST")
     assert returncode == code
     assert "BrokenPipeError" not in err and "Traceback" not in err
+
+
+def test_run_survives_a_reader_that_stops_early():
+    # the first solve's line, then the pipe closes: the run ends quietly
+    first, returncode, err = read_one_line(["--workload", "eq-logreg",
+                                            "--smoke"])
+    assert json.loads(first)["index"] == 0
+    assert returncode == 0
+    assert "BrokenPipeError" not in err and "Traceback" not in err
+
+
+def read_one_line(args):
+    """Run the tool, read one line of its output and close the pipe, as
+    `| head -1`; (that line, exit code, stderr)."""
+    proc = subprocess.Popen([sys.executable, str(TOOL), *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    returncode = proc.wait(timeout=300)  # stderr holds a traceback at most
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, returncode, err

@@ -24,7 +24,9 @@ gradient evaluations, MINRES and barrier iterations and count of each
 status, in A and in B. It exits 1 when any work differs or the two files
 do not hold the same solve list, and 0 otherwise: a digest difference alone
 means a change moved rounding, not the work done. A reader that closes the
-pipe early (`| head`) cuts the report short, not the exit code.
+pipe early (`| head`) cuts the report short, not the exit code; in the first
+form it ends the run, with exit 0, after the solve whose line found the pipe
+closed.
 """
 
 import argparse
@@ -178,9 +180,8 @@ def main(argv=None) -> int:
             sys.stdout.write(report.getvalue())
             sys.stdout.flush()
         except BrokenPipeError:
-            # the reader stopped early (`| head`): the exit code still tells
-            # whether the work differs, and the flush at exit goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            # the exit code still tells whether the work differs
+            _reader_gone()
         return code
     if args.workload is None:
         parser.error("--workload or --compare is required")
@@ -195,10 +196,18 @@ def main(argv=None) -> int:
     try:
         for row in solve_rows(args.workload, args.seed, args.smoke):
             print(json.dumps(row), file=out, flush=True)
+    except BrokenPipeError:
+        _reader_gone()  # no one reads the solves left
     finally:
         if args.out:
             out.close()
     return 0
+
+
+def _reader_gone():
+    """After a reader closed stdout early (`| head`): point stdout at
+    /dev/null, so the flush at exit goes nowhere instead of raising."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":
