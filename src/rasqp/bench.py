@@ -135,6 +135,12 @@ class RunConfig:
     stop_stationarity: Optional[float] = None
     output: Optional[str] = None
 
+    def __post_init__(self):
+        for name in ("seed", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got "
+                                  f"{getattr(self, name)}")
+
 
 # method -> DriverConfig fields; the termination rule picks the solver.
 # "det-sqp" takes the rule of the solver the problem needs and the whole

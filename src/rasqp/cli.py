@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import fields
 
@@ -77,10 +78,23 @@ _FILE_FLAGS = {action.dest: action
                if action.dest in {f.name for f in fields(RunConfig)}}
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless a file can be written at `path`. Called
+    before the solves, so that a bad output path costs none of them."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if not ok:
+        raise ConfigError(f"cannot write output file {path!r}")
+
+
 def cmd_run(args) -> int:
     cfg = _apply_config(args)
-    outcome = run_config(cfg)
     path = cfg.output or f"trace_{cfg.problem}_{cfg.method}_{cfg.seed}.csv"
+    _check_writable(path)
+    outcome = run_config(cfg)
     write_trace_csv(path, outcome)
     last = outcome.trace[-1]
     print(f"{cfg.problem} {cfg.method} seed={cfg.seed}: {outcome.status}, "
@@ -103,18 +117,20 @@ def cmd_sweep(args) -> int:
                                    "method": method, "seed": seed,
                                    "output": None})
                 configs.append(cfg)
+    traces = [f"{args.trace_dir}/trace_{cfg.problem}_{cfg.method}_"
+              f"{cfg.seed}.csv" for cfg in configs] if args.trace_dir else []
+    for path in [args.out] + traces:
+        _check_writable(path)
     results = sweep(configs)
     rows = []
-    for cfg, row, outcome, err in results:
+    for i, (cfg, row, outcome, err) in enumerate(results):
         if err is not None:
             print(f"{cfg.problem} {cfg.method} seed={cfg.seed}: FAILED ({err})",
                   file=sys.stderr)
             continue
         rows.append(row)
-        if args.trace_dir:
-            path = (f"{args.trace_dir}/trace_{cfg.problem}_{cfg.method}_"
-                    f"{cfg.seed}.csv")
-            write_trace_csv(path, outcome)
+        if traces:
+            write_trace_csv(traces[i], outcome)
     write_results_csv(args.out, rows)
     print(f"wrote {len(rows)} results to {args.out}")
     return 0
@@ -162,6 +178,7 @@ def cmd_profile(args) -> int:
 
 def cmd_active_set(args) -> int:
     cfg = _apply_config(args)
+    _check_writable(args.out)
     problem = build_problem(cfg.problem, cfg.data_seed)
     if problem.m_I == 0:
         raise ConfigError("active-set reports need inequality constraints")

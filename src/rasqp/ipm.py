@@ -4,6 +4,10 @@ arising in robust-SQP subproblems and the KKT-residual metric.
 A single Mehrotra-style predictor-corrector path handles both LPs (zero
 Hessian plus a tiny diagonal regularization) and QPs, so iteration counts
 are comparable across subproblem families.
+
+The Newton systems are factored by scipy's LAPACK Cholesky routines, which
+the first `solve_program` call imports: importing rasqp, and any solve that
+sets up no interior-point program, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .counters import Counters
 from .errors import NumericalFailure
@@ -22,6 +25,17 @@ _DIVERGE = 1e8        # dual blow-up threshold for infeasibility detection
 _FRACTION = 0.995     # fraction-to-boundary
 _TOL = 1e-9           # residual and complementarity tolerance, relative
 _MAX_ITER = 100       # barrier iterations before status "max_iter"
+
+# LAPACK's Cholesky factor and solve, bound by the first solve; module names,
+# so that a caller can replace either before or after that
+dpotrf = dpotrs = None
+
+
+def _bind_lapack():
+    global dpotrf, dpotrs
+    from scipy.linalg import lapack
+    dpotrf = dpotrf or lapack.dpotrf
+    dpotrs = dpotrs or lapack.dpotrs
 
 
 @dataclass
@@ -83,6 +97,8 @@ def solve_program(prog: ConvexProgram,
     if not q:
         raise ValueError("a program needs an inequality row or a finite "
                          "bound")
+    if dpotrf is None or dpotrs is None:
+        _bind_lapack()
 
     x = np.zeros(n)
     # s and z are the halves of one array, and the step is one array

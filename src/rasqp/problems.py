@@ -4,6 +4,8 @@ and dataset ingestion.
 A problem couples a sampled objective (finite-sum over a dataset or an
 expectation over a noise distribution) with deterministic nonlinear
 constraints. Constraint evaluators are always deterministic functions of x.
+A dataset is held as plain CSR arrays (`indptr`, `indices`, `data`), so
+this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .counters import Counters
 from .errors import ConfigError, NumericalFailure, ParseError
@@ -163,21 +164,23 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
 
 @dataclass
 class Dataset:
-    """Sparse classification dataset with an implicit constant bias feature.
+    """Sparse classification dataset in CSR form, with an implicit constant
+    bias feature.
 
-    `X` is the samples-by-features CSR matrix; its last column is the bias
-    feature, 1.0 in every row. Labels are class indices in 0..n_classes-1.
+    Row i stores the values `data[indptr[i]:indptr[i + 1]]` at the feature
+    columns `indices[indptr[i]:indptr[i + 1]]`, in increasing column order;
+    its last entry is the bias feature, column n_features - 1, with value
+    1.0. Labels are class indices in 0..n_classes-1.
     """
-    X: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_features: int
     labels: np.ndarray
     n_classes: int
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
     def __len__(self):
-        return self.X.shape[0]
+        return self.indptr.size - 1
 
     @staticmethod
     def from_dense(features: np.ndarray, labels, n_classes: int) -> "Dataset":
@@ -185,13 +188,12 @@ class Dataset:
         zeros included, followed by the bias feature."""
         n_samples, n_raw = features.shape
         nf = n_raw + 1
-        data = np.hstack([features, np.ones((n_samples, 1))]).ravel()
-        X = sp.csr_matrix(
-            (data, np.tile(np.arange(nf, dtype=np.int64), n_samples),
-             np.arange(0, n_samples * nf + 1, nf, dtype=np.int64)),
-            shape=(n_samples, nf))
-        return Dataset(X=X, labels=np.asarray(labels, dtype=np.int64),
-                       n_classes=n_classes)
+        return Dataset(
+            indptr=np.arange(0, n_samples * nf + 1, nf, dtype=np.int64),
+            indices=np.tile(np.arange(nf, dtype=np.int64), n_samples),
+            data=np.hstack([features, np.ones((n_samples, 1))]).ravel(),
+            n_features=nf, labels=np.asarray(labels, dtype=np.int64),
+            n_classes=n_classes)
 
 
 def parse_libsvm(stream) -> Dataset:
@@ -246,12 +248,11 @@ def parse_libsvm(stream) -> Dataset:
     indices = np.array(indices, dtype=np.int64)
     bias = np.flatnonzero(indices < 0)
     indices[bias] = n_raw
-    X = sp.csr_matrix(
-        (np.array(data), indices,
-         np.concatenate([[0], bias + 1]).astype(np.int64)),
-        shape=(len(raw_labels), n_raw + 1))
     labels = np.array([label_map[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(X=X, labels=labels, n_classes=len(classes))
+    return Dataset(indptr=np.concatenate([[0], bias + 1]).astype(np.int64),
+                   indices=indices, data=np.array(data, dtype=float),
+                   n_features=n_raw + 1, labels=labels,
+                   n_classes=len(classes))
 
 
 # ------------------------------------------------------------------
@@ -282,49 +283,94 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
 
     nf, K = dataset.n_features, dataset.n_classes
     n = nf * K
-    X, labels, N = dataset.X, dataset.labels, len(dataset)
+    indptr, data, labels, N = (dataset.indptr, dataset.data, dataset.labels,
+                               len(dataset))
+    counts = np.diff(indptr)
+    # one-hot labels: a row's score and gradient involve only its label's
+    # class block, so each stored entry has one index into x
+    at_all = np.repeat(labels * nf, counts)
+    at_all += dataset.indices
 
     # a per-sample gradient is a multiple of its row placed in its label's
-    # class block, so its squared norm needs only the row's
-    row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    # class block, so its squared norm needs only the row's. Summed as a
+    # CSR matrix's X.multiply(X).sum(axis=1) sums: zero products dropped,
+    # then one np.add.reduceat segment per nonempty row
+    sq = data * data
+    kept = sq != 0
+    kept_ptr = indptr - np.searchsorted(np.flatnonzero(~kept), indptr)
+    nonempty = np.flatnonzero(np.diff(kept_ptr))
+    row_sq = np.zeros(N)
+    row_sq[nonempty] = np.add.reduceat(sq[kept], kept_ptr[nonempty])
 
-    def scores(Xs, lab, x):
-        # one-hot label: only the labelled class's score contributes
-        a_lab = (Xs @ x.reshape(K, nf).T)[np.arange(lab.size), lab]
+    # the current set's values and indices into x, and each evaluation's
+    # scratch, live in arrays kept from set to set, sized for the whole data
+    # set and grown only for a set with repeated rows: a large array made
+    # per call can be mapped afresh and fault in every page it writes.
+    # np.take with mode="clip" (the indices are in range) writes into them
+    # unbuffered
+    space = np.empty((2, data.size)), np.empty(data.size, np.intp)
+
+    def entries(items):
+        """(values, indices into x, row ids, entries per row, squared row
+        norms, scratch) of the stored entries of rows `items`, row by row."""
+        nonlocal space
+        cnt = counts[items]
+        pos = np.repeat(indptr[items] - (np.cumsum(cnt) - cnt), cnt)
+        pos += np.arange(pos.size)
+        if space[1].size < pos.size:
+            space = None  # the old arrays go before the larger ones come
+            space = np.empty((2, pos.size)), np.empty(pos.size, np.intp)
+        (vals, work), at = space[0][:, :pos.size], space[1][:pos.size]
+        np.take(data, pos, out=vals, mode="clip")
+        np.take(at_all, pos, out=at, mode="clip")
+        return (vals, at, np.repeat(np.arange(items.size), cnt), cnt,
+                row_sq[items], work)
+
+    def full_entries():
+        # the full set needs no gather; its row ids are as large as its
+        # data, so they are derived per call, not kept
+        return (data, at_all, np.repeat(np.arange(N), counts), counts, row_sq,
+                space[0][1, :data.size])
+
+    def scores(ent, x):
+        # each row's labelled-class score sums its products in stored order,
+        # as a CSR matrix product does, so the sums are the same bits
+        vals, at, rows, cnt, _, work = ent
+        np.take(x, at, out=work, mode="clip")
+        work *= vals
+        a_lab = np.bincount(rows, weights=work, minlength=cnt.size)
         return a_lab, float(np.sum(np.logaddexp(0.0, -a_lab)))
 
-    def rows_sums(Xs, lab, sq, a_lab, vsum, order):
-        """`sums` over rows `Xs`, labels `lab`, norms `sq`, from `scores`."""
+    def rows_sums(ent, a_lab, vsum, order):
+        """`sums` over the entries `ent` from their `scores`."""
         if order == 0:
             return (vsum,)
+        vals, at, rows, _, sq, work = ent
         coef = _sigmoid(a_lab) - 1.0
         # entry (i, j) adds coef_i * X_ij at lab_i * nf + j, row by row: the
-        # same products in the same order as one CSC product per class.
-        # Built in place, so a batch needs two temporaries per entry, not four
-        cnt = np.diff(Xs.indptr)
-        bins = np.repeat(lab * nf, cnt)
-        bins += Xs.indices
-        weights = np.repeat(coef, cnt)
-        weights *= Xs.data
-        gsum = np.bincount(bins, weights=weights, minlength=n)
+        # same products in the same order as one CSC product per class
+        np.take(coef, rows, out=work, mode="clip")
+        work *= vals
+        gsum = np.bincount(at, weights=work, minlength=n)
         if order == 1:
             return vsum, gsum
         return vsum, gsum, float(np.sum(coef * coef * sq))
 
-    # (items, rows, labels, squared norms) of the last sample set and (x,
-    # scores, value sum) of the last point on it: an inner solve evaluates
-    # one set many times, and its accepted line-search trial twice. Both are
-    # compared by content with private copies, as callers refill in place
+    # (items, entries) of the last sample set and (x, scores, value sum) of
+    # the last point on it: an inner solve evaluates one set many times, and
+    # its accepted line-search trial twice. Both are compared by content
+    # with private copies, as callers refill in place
     last = point = None
 
     def sums(x, items, order):
         nonlocal last, point
         if last is None or not np.array_equal(items, last[0]):
+            last = point = None  # freed before the next set is gathered
             items = np.array(items)
-            last, point = (items, X[items], labels[items], row_sq[items]), None
+            last = (items, entries(items))
         if point is None or not np.array_equal(x, point[0]):
-            point = (np.array(x), *scores(*last[1:3], x))
-        return rows_sums(*last[1:], *point[1:], order)
+            point = (np.array(x), *scores(last[1], x))
+        return rows_sums(last[1], *point[1:], order)
 
     r = np.arange(K)
 
@@ -339,12 +385,12 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
 
     m_E = K if constraint_kind == "equality" else 0
 
-    # the full data set needs no gather: X[arange(N)] is X
     def true_value(x):
-        return scores(X, labels, x)[1] / N
+        return scores(full_entries(), x)[1] / N
 
     def true_gradient(x):
-        return rows_sums(X, labels, row_sq, *scores(X, labels, x), 1)[1] / N
+        ent = full_entries()
+        return rows_sums(ent, *scores(ent, x), 1)[1] / N
 
     return ProblemSpec(
         m_E=m_E, m_I=K - m_E, mode=FiniteSum(N),

@@ -4,6 +4,10 @@ config files, and the command-line entry points."""
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from rasqp.bench import (METHODS, PROBLEMS, TRACE_COLUMNS, RunConfig,
                          performance_profile, profile_curve, read_trace_csv,
                          result_row, run_config, success_test, sweep,
                          write_results_csv, write_trace_csv)
+from rasqp import cli
 from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
 from rasqp.counters import Counters
@@ -146,26 +151,25 @@ class TestProblemRegistry:
         a = make_synthetic_dataset(n_samples=10, data_seed=3)
         b = make_synthetic_dataset(n_samples=10, data_seed=3)
         for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(a.X, name),
-                                          getattr(b.X, name))
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_default_dataset_pinned(self):
         # recorded from the row-by-row construction the vectorised one
         # replaced: every entry stored, the bias last in each row
         ds = make_synthetic_dataset()
-        X = ds.X
-        assert X.shape == (5000, 10) and X.nnz == 50000
-        np.testing.assert_array_equal(X.indices, np.tile(np.arange(10), 5000))
-        np.testing.assert_array_equal(X.indptr, np.arange(0, 50001, 10))
+        assert (len(ds), ds.n_features, ds.data.size) == (5000, 10, 50000)
+        np.testing.assert_array_equal(ds.indices,
+                                      np.tile(np.arange(10), 5000))
+        np.testing.assert_array_equal(ds.indptr, np.arange(0, 50001, 10))
         np.testing.assert_array_equal(ds.labels, np.arange(5000) % 3)
         np.testing.assert_array_equal(
-            X.data[:12],
+            ds.data[:12],
             [2.1257302210933933, -0.1321048632913019, 0.6404226504432821,
              0.10490011715303971, -0.535669373161111, 0.36159505490948474,
              1.3040000451301372, 0.9470809631292422, -0.7037352358069926,
              1.0, -1.2654214710460525, 1.3767255374626477])
-        assert hashlib.sha256(X.data.tobytes()).hexdigest() == (
+        assert hashlib.sha256(ds.data.tobytes()).hexdigest() == (
             "4e52685113d29727125bbbe303f7d362491cf05790096f92f03fe91bf48abdc3")
 
     def test_unknown_problem(self):
@@ -472,3 +476,73 @@ class TestCli:
                      str(tmp_path / "as.csv")]) == 2
         assert ("active-set reports need inequality constraints"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,config", [
+        (["run", "--seed", "-1"], None),
+        (["run", "--data-seed", "-2"], None),
+        (["sweep", "--seed", "-1"], None),
+        (["active-set", "--problem", "synth-logreg-ineq", "--seed", "-1"],
+         None),
+        (["run", "--config"], "seed = -3\n"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   argv, config):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg").write_text(config)
+            argv = argv + ["cfg"]
+        assert main(argv) == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--output", "{missing}/t.csv"],
+        ["run", "--output", "{tmp}"],
+        ["sweep", "--out", "{missing}/r.csv"],
+        ["sweep", "--seeds", "0-1", "--trace-dir", "{missing}"],
+        ["active-set", "--problem", "synth-logreg-ineq",
+         "--out", "{missing}/a.csv"],
+    ])
+    def test_unwritable_output_fails_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        def no_solve(*args):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_config", no_solve)
+        monkeypatch.setattr(cli, "sweep", no_solve)
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+                for a in argv]
+        assert main(argv) == 2
+        assert "error: cannot write output file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNumpyOnlyStart:
+    def test_scipy_loads_with_the_first_interior_point_program(self):
+        # a fresh interpreter: importing rasqp, building every problem and
+        # solving without an interior-point program need numpy alone
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from rasqp.bench import PROBLEMS, RunConfig, build_problem, run_config
+            import rasqp.cli
+
+            def scipy_modules():
+                return [m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy.")]
+
+            for name in PROBLEMS:
+                build_problem(name)
+            for problem in ("synth-logreg-eq", "synth-eq-quad"):
+                run_config(RunConfig(problem=problem, method="ra-sqp-dl",
+                                     max_gradient_evals=3000))
+            assert scipy_modules() == [], scipy_modules()
+            run_config(RunConfig(problem="synth-logreg-ineq",
+                                 method="ra-sqp-linf",
+                                 max_gradient_evals=3000))
+            assert "scipy.linalg" in sys.modules
+        """)
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -5,10 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from rasqp import ipm
 from rasqp.counters import Counters
-from rasqp.ipm import ConvexProgram, dpotrf, kkt_residual, solve_program
+from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
 from rasqp.sqp_eq import L1, LINF, violation_norms
 from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from rasqp.bench import (make_infeasible_1d, make_noisy_quadratic,
@@ -24,6 +25,13 @@ from rasqp.problems import (Dataset, build_augmented_problem,
 SAMPLE_TEXT = "1 1:0.5 3:2.0\n-1 2:1.0\n1 1:-1.0 2:0.25 3:1.5\n"
 
 
+def csr(dataset):
+    """scipy's CSR matrix over the data set's arrays."""
+    return scipy.sparse.csr_matrix(
+        (dataset.data, dataset.indices, dataset.indptr),
+        shape=(len(dataset), dataset.n_features))
+
+
 class TestParseLibsvm:
     def test_basic_shape(self):
         ds = parse_libsvm(SAMPLE_TEXT)
@@ -34,11 +42,10 @@ class TestParseLibsvm:
 
     def test_bias_feature_appended(self):
         ds = parse_libsvm(SAMPLE_TEXT)
-        X = ds.X
         for i in range(len(ds)):
             # the bias is each row's last stored entry
-            last = X.indptr[i + 1] - 1
-            assert (X.indices[last], X.data[last]) == (3, 1.0)
+            last = ds.indptr[i + 1] - 1
+            assert (ds.indices[last], ds.data[last]) == (3, 1.0)
 
     def test_labels_remapped_sorted(self):
         ds = parse_libsvm(SAMPLE_TEXT)
@@ -47,8 +54,8 @@ class TestParseLibsvm:
 
     def test_one_based_indices(self):
         ds = parse_libsvm("0 1:7.0\n")
-        np.testing.assert_array_equal(ds.X.indices, [0, 1])
-        np.testing.assert_array_equal(ds.X.data, [7.0, 1.0])
+        np.testing.assert_array_equal(ds.indices, [0, 1])
+        np.testing.assert_array_equal(ds.data, [7.0, 1.0])
 
     def test_bad_label(self):
         with pytest.raises(ParseError) as err:
@@ -71,15 +78,15 @@ class TestParseLibsvm:
     def test_parse_pinned(self):
         ds = parse_libsvm(SAMPLE_TEXT)
         np.testing.assert_array_equal(
-            ds.X.data, [0.5, 2.0, 1.0, 1.0, 1.0, -1.0, 0.25, 1.5, 1.0])
-        np.testing.assert_array_equal(ds.X.indices,
+            ds.data, [0.5, 2.0, 1.0, 1.0, 1.0, -1.0, 0.25, 1.5, 1.0])
+        np.testing.assert_array_equal(ds.indices,
                                       [0, 2, 3, 1, 3, 0, 1, 2, 3])
-        np.testing.assert_array_equal(ds.X.indptr, [0, 3, 5, 9])
+        np.testing.assert_array_equal(ds.indptr, [0, 3, 5, 9])
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
 
     def test_csr_matches_rows(self):
         ds = parse_libsvm(SAMPLE_TEXT)
-        X = ds.X.toarray()
+        X = csr(ds).toarray()
         assert X.shape == (3, 4)
         assert X[0, 0] == 0.5 and X[0, 2] == 2.0 and X[0, 3] == 1.0
 
@@ -99,7 +106,7 @@ def make_quadratic_problem(noise=0.5):
 
 def logreg_reference(dataset):
     """logaddexp(0, -w_y . x_i), with its gradient in class block y."""
-    X = dataset.X.toarray()
+    X = csr(dataset).toarray()
     nf, K = dataset.n_features, dataset.n_classes
 
     def value(x, i):
@@ -345,7 +352,7 @@ class TestLogreg:
         nf = ds.n_features
         k = int(ds.labels[0])
         x_good = np.zeros(prob.n)
-        x_good[k * nf:(k + 1) * nf] = ds.X[0].toarray().ravel()
+        x_good[k * nf:(k + 1) * nf] = csr(ds)[0].toarray().ravel()
         row = np.array([0])
         assert prob.sums(x_good, row, 0)[0] < prob.sums(np.zeros(prob.n),
                                                         row, 0)[0]
@@ -364,7 +371,7 @@ class TestLogreg:
 def per_class_sums(dataset, x, items, order):
     """Logreg `sums` with one row gather and one transposed (CSC) product
     per class. The problem's own `sums` must match it bit for bit."""
-    X, labels = dataset.X, dataset.labels
+    X, labels = csr(dataset), dataset.labels
     nf, K = dataset.n_features, dataset.n_classes
     Xs = X[items]
     A = Xs @ x.reshape(K, nf).T
@@ -402,9 +409,22 @@ LIBSVM_TEXT = """2 1:0.5 4:-1.25 7:3.0
 """
 
 
+def _zeros_dataset():
+    """Rows of 13 stored entries, some of them zeros, over wide scales: a
+    row's squared norm, summed pairwise over 9 or more nonzero products,
+    has other bits when its zeros are summed too or it is summed in order."""
+    rng = np.random.default_rng(6)
+    features = rng.standard_normal((6, 12)) * np.array(
+        [1e-3, 1, 1e3, 1, 1e-2, 10, 1, 1e2, 1, 1e-1, 1, 3])
+    features[:, [1, 4, 8]] = 0.0
+    features[2, 5:] = 0.0
+    return Dataset.from_dense(features, np.arange(6) % 3, 3)
+
+
 def _logreg_sums_cases():
     synth = make_synthetic_dataset()
     libsvm = parse_libsvm(LIBSVM_TEXT)
+    zeros = _zeros_dataset()
     picked = np.random.default_rng(6).choice(len(synth), 700, replace=False)
     return {
         "synthetic": (synth, picked),
@@ -414,6 +434,10 @@ def _logreg_sums_cases():
         "duplicates": (synth, np.array([3, 9, 3, 4000, 9, 3])),
         "full-synthetic": (synth, np.arange(len(synth))),
         "full-libsvm": (libsvm, np.arange(len(libsvm))),
+        "stored-zeros": (zeros, np.arange(len(zeros))),
+        "bias-only": (libsvm, np.array([1])),
+        # more entries than the data set stores
+        "repeated-beyond-size": (libsvm, np.tile(np.arange(len(libsvm)), 3)),
     }
 
 
