@@ -140,6 +140,9 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got "
                                   f"{getattr(self, name)}")
+        # Budget checks its values; built here too, so that a sweep fails on
+        # a bad budget before its first solve
+        Budget(self.max_gradient_evals, self.max_outer)
 
 
 # method -> DriverConfig fields; the termination rule picks the solver.

@@ -11,8 +11,8 @@ from dataclasses import fields
 
 from .bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RunConfig,
                     active_set_report, build_problem, performance_profile,
-                    profile_curve, run_config, sweep, write_results_csv,
-                    write_trace_csv)
+                    profile_curve, read_trace_csv, run_config, sweep,
+                    write_results_csv, write_trace_csv)
 from .errors import ConfigError, RasqpError
 
 
@@ -109,6 +109,11 @@ def cmd_sweep(args) -> int:
     problems = args.problems.split(",") if args.problems else [base.problem]
     methods = args.methods.split(",") if args.methods else [base.method]
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.seed]
+    for kind, names, known in (("problem", problems, PROBLEMS),
+                               ("method", methods, METHODS)):
+        for name in names:
+            if name not in known:
+                raise ConfigError(f"unknown {kind} {name!r}")
     configs = []
     for prob in problems:
         for method in methods:
@@ -154,10 +159,12 @@ def _parse_seeds(text: str):
 
 
 def cmd_profile(args) -> int:
-    with open(args.inputs) as fh:
-        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    rows = read_trace_csv(args.inputs)
     column = ("cost" if args.metric == "grad_evals" else "iters")
     column = f"{column}@{args.tol:g}"
+    for name in ("problem", "method", "seed", column):
+        if rows and name not in rows[0]:
+            raise ConfigError(f"{args.inputs} has no {name!r} column")
     costs = {}
     for row in rows:
         inst = (row["problem"], row["seed"])

@@ -118,6 +118,12 @@ class Budget:
     max_gradient_evals: int = 10 ** 6
     max_outer: int = 10 ** 9
 
+    def __post_init__(self):
+        for name in ("max_gradient_evals", "max_outer"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got "
+                                  f"{getattr(self, name)}")
+
 
 @dataclass
 class DriverConfig:

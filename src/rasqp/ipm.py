@@ -40,15 +40,13 @@ def _bind_lapack():
 
 @dataclass
 class ConvexProgram:
-    """min 1/2 x'Hx + g'x  s.t.  A_in x <= b_in,  lower <= x <= upper.
-    H is symmetric PSD (None or zeros for an LP). At least one row of A_in
-    or one finite bound is required."""
+    """min 1/2 x'Hx + g'x  s.t.  Cx <= d.
+    H is symmetric PSD (None or zeros for an LP). A simple bound is a row of
+    C like any other; at least one row is required."""
     g: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
     H: Optional[np.ndarray] = None
-    A_in: Optional[np.ndarray] = None
-    b_in: Optional[np.ndarray] = None
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -59,44 +57,21 @@ class ProgramSolution:
     status: str  # "optimal" | "infeasible" | "max_iter"
 
 
-def _assemble(prog: ConvexProgram):
-    """Fold bounds into inequality rows; return (H, g, C, d)."""
-    g = np.asarray(prog.g, dtype=float)
-    n = len(g)
-    H = np.zeros((n, n)) if prog.H is None else np.asarray(prog.H, dtype=float)
-
-    rows, rhs = [], []
-    if prog.A_in is not None:
-        rows.append(np.atleast_2d(np.asarray(prog.A_in, float)))
-        rhs.append(np.atleast_1d(np.asarray(prog.b_in, float)))
-    for bound, sign in ((prog.lower, -1.0), (prog.upper, 1.0)):
-        if bound is None:
-            continue
-        bound = np.asarray(bound, dtype=float)
-        idx = np.where(np.isfinite(bound))[0]
-        if idx.size:
-            E = np.zeros((idx.size, n))
-            E[np.arange(idx.size), idx] = sign
-            rows.append(E)
-            rhs.append(sign * bound[idx])
-    C = np.vstack(rows) if rows else np.zeros((0, n))
-    d = np.concatenate(rhs) if rhs else np.zeros(0)
-    return H, g, C, d
-
-
 def solve_program(prog: ConvexProgram,
                   counters: Optional[Counters] = None) -> ProgramSolution:
-    """Mehrotra predictor-corrector on the folded program.
+    """Mehrotra predictor-corrector on Cx + s = d, s >= 0.
 
     Iterations are added to the barrier counter. Infeasibility is reported
     when the dual iterates diverge while the primal residual stays bounded
     away from zero.
     """
-    H, g, C, d = _assemble(prog)
+    g = np.asarray(prog.g, dtype=float)
+    C = np.asarray(prog.C, dtype=float)
+    d = np.asarray(prog.d, dtype=float)
     n, q = len(g), C.shape[0]
     if not q:
-        raise ValueError("a program needs an inequality row or a finite "
-                         "bound")
+        raise ValueError("a program needs at least one row of C")
+    H = np.zeros((n, n)) if prog.H is None else np.asarray(prog.H, dtype=float)
     if dpotrf is None or dpotrs is None:
         _bind_lapack()
 
@@ -189,37 +164,19 @@ def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
     m_E, m_I = J_E.shape[0], J_I.shape[0]
 
     nv = 1 + m_E + m_I  # [t, lambda_E, lambda_I]
-    gvec = np.zeros(nv)
-    gvec[0] = 1.0
-
-    rows, rhs = [], []
-    # |grad_f + J_E' lam_E + J_I' lam_I| <= t, componentwise
+    # |grad_f + J_E' lam_E + J_I' lam_I| <= t and |lam_I * c_I| <= t,
+    # componentwise, then t >= 0 and lambda_I >= 0; the objective is t
+    t = np.eye(1, nv)
     stat = np.zeros((n, nv))
     stat[:, 1:1 + m_E] = J_E.T
     stat[:, 1 + m_E:] = J_I.T
-    te = np.zeros((n, nv))
-    te[:, 0] = 1.0
-    rows.append(stat - te)
-    rhs.append(-grad_f)
-    rows.append(-stat - te)
-    rhs.append(grad_f)
-    # |lam_I * c_I| <= t, componentwise
-    if m_I:
-        comp = np.zeros((m_I, nv))
-        comp[np.arange(m_I), 1 + m_E + np.arange(m_I)] = c_I
-        tm = np.zeros((m_I, nv))
-        tm[:, 0] = 1.0
-        rows.append(comp - tm)
-        rhs.append(np.zeros(m_I))
-        rows.append(-comp - tm)
-        rhs.append(np.zeros(m_I))
-
-    lower = np.full(nv, -np.inf)
-    lower[0] = 0.0
-    lower[1 + m_E:] = 0.0  # lambda_I >= 0
-
-    prog = ConvexProgram(g=gvec, A_in=np.vstack(rows), b_in=np.concatenate(rhs),
-                         lower=lower)
+    comp = np.zeros((m_I, nv))
+    comp[np.arange(m_I), 1 + m_E + np.arange(m_I)] = c_I
+    bounded = np.r_[0, 1 + m_E:nv]
+    C = np.vstack([stat - t, -stat - t, comp - t, -comp - t,
+                   -np.eye(nv)[bounded]])
+    d = np.concatenate([-grad_f, grad_f, np.zeros(2 * m_I + bounded.size)])
+    prog = ConvexProgram(g=t[0], C=C, d=d)
     sol = solve_program(prog, counters=counters)
     if sol.status != "optimal":
         raise NumericalFailure(f"KKT-residual LP ended with status {sol.status}")

@@ -54,9 +54,10 @@ def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
     Variables are [p, t (l1 only), y (LP only)]. The rows are +J_E, -J_E,
     J_I, each relaxed by y in the LP (one shared y in linf, one per
     constraint in l1) or by the given relaxation in the QP, then in l1 mode
-    +-p - t <= 0 and sum t <= sigma. In linf mode |p| <= sigma is a bound;
-    t and y are nonnegative. The LP minimizes sum y, the QP the objective
-    model with gradient g_S and the identity Hessian.
+    +-p - t <= 0 and sum t <= sigma. The simple bounds follow as rows,
+    lower bounds (-x <= -lower) before upper ones: |p| <= sigma in linf
+    mode, and t and y nonnegative. The LP minimizes sum y, the QP the
+    objective model with gradient g_S and the identity Hessian.
     """
     if mode not in (LINF, L1):
         raise ValueError(f"unknown norm mode {mode!r}")
@@ -83,22 +84,21 @@ def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
         Hfull[:n, :n] = np.eye(n)
         r = np.broadcast_to(np.asarray(relaxation, dtype=float), (m,))
         rhs = np.concatenate([r[:m_E], r]) + rhs
+    bound = np.eye(nv)
     if mode == L1:
         eye = np.eye(n)
         box = np.zeros((2 * n + 1, nv))
         box[:n, :n], box[n:2 * n, :n] = eye, -eye
         box[:2 * n, n:2 * n] = np.vstack([-eye, -eye])
         box[2 * n, n:2 * n] = 1.0
-        rows = np.vstack([rows, box])
-        rhs = np.concatenate([rhs, np.zeros(2 * n), [sigma]])
-
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    if mode == LINF:
-        lower[:n], upper[:n] = -sigma, sigma
-    lower[n:] = 0.0
-    return ConvexProgram(g=g, H=Hfull, A_in=rows, b_in=rhs, lower=lower,
-                         upper=upper)
+        rows = np.vstack([rows, box, -bound[n:]])
+        rhs = np.concatenate([rhs, np.zeros(2 * n), [sigma],
+                              np.zeros(nv - n)])
+    else:
+        rows = np.vstack([rows, -bound, bound[:n]])
+        rhs = np.concatenate([rhs, np.full(n, sigma), np.zeros(nv - n),
+                              np.full(n, sigma)])
+    return ConvexProgram(g=g, C=rows, d=rhs, H=Hfull)
 
 
 def _solve(prog: ConvexProgram, what: str, counters: Optional[Counters]):

@@ -131,8 +131,8 @@ def test_criterion_2_subproblem_oracles():
         oracle = _brute_force_qp(H, g, C, d)
         if oracle is None:
             continue
-        sol = solve_program(ConvexProgram(g=g, H=H if is_qp else None,
-                                          A_in=C, b_in=d))
+        sol = solve_program(ConvexProgram(g=g, C=C, d=d,
+                                          H=H if is_qp else None))
         if sol.status != "optimal":
             report(2, "interior-point subproblem solver matches enumeration",
                    False, f"status {sol.status}")

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rasqp.bench import (METHODS, PROBLEMS, TRACE_COLUMNS, RunConfig,
-                         active_set_report, build_problem, cost_to_success,
-                         jaccard, make_synthetic_dataset, method_driver_config,
-                         performance_profile, profile_curve, read_trace_csv,
-                         result_row, run_config, success_test, sweep,
-                         write_results_csv, write_trace_csv)
+from rasqp.bench import (METHODS, PROBLEMS, RESULT_COLUMNS, TRACE_COLUMNS,
+                         RunConfig, active_set_report, build_problem,
+                         cost_to_success, jaccard, make_synthetic_dataset,
+                         method_driver_config, performance_profile,
+                         profile_curve, read_trace_csv, result_row,
+                         run_config, success_test, sweep, write_results_csv,
+                         write_trace_csv)
 from rasqp import cli
 from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
@@ -493,6 +494,41 @@ class TestCli:
             argv = argv + ["cfg"]
         assert main(argv) == 2
         assert "must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--problems", "synth-eq-quad,bogus"],
+         "unknown problem 'bogus'"),
+        (["sweep", "--methods", "ra-sqp-dl,ra-sqp-foo"],
+         "unknown method 'ra-sqp-foo'"),
+        (["run", "--max-outer", "-3"], "max_outer must be non-negative"),
+        (["run", "--max-gradient-evals", "-1"],
+         "max_gradient_evals must be non-negative"),
+        (["sweep", "--max-outer", "-1"], "max_outer must be non-negative"),
+    ])
+    def test_bad_config_fails_before_solving(self, tmp_path, capsys,
+                                             monkeypatch, argv, message):
+        def no_solve(*args):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli, "run_config", no_solve)
+        monkeypatch.setattr(cli, "sweep", no_solve)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("missing", ["problem", "method", "seed",
+                                         "cost@0.01"])
+    def test_profile_input_without_column_exits_2(self, tmp_path, capsys,
+                                                  missing):
+        columns = [c for c in RESULT_COLUMNS if c != missing]
+        res, prof = tmp_path / "results.csv", tmp_path / "profile.csv"
+        res.write_text(",".join(columns) + "\n"
+                       + ",".join("1" for _ in columns) + "\n")
+        assert main(["profile", "--inputs", str(res), "--out",
+                     str(prof)]) == 2
+        assert f"has no {missing!r} column" in capsys.readouterr().err
+        assert not prof.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--output", "{missing}/t.csv"],

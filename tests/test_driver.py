@@ -178,6 +178,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DriverConfig(norm="l2")
 
+    @pytest.mark.parametrize("field", ["max_gradient_evals", "max_outer"])
+    def test_negative_budget(self, field):
+        # a negative budget would end the run at once as BudgetExhausted;
+        # zero stays allowed
+        with pytest.raises(ConfigError, match=f"{field} must be "
+                           "non-negative"):
+            Budget(**{field: -1})
+        assert getattr(Budget(**{field: 0}), field) == 0
+
     def test_lone_stop_threshold(self):
         # one threshold alone would never stop the run
         with pytest.raises(ConfigError):

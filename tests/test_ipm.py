@@ -1,6 +1,7 @@
 """Interior-point LP/QP solver tests against brute-force enumeration
 oracles, and the KKT-residual metric."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -70,7 +71,7 @@ def check_against_oracle():
         oracle = brute_force_qp(H, g, C, d)
         if oracle is None:
             continue
-        prog = ConvexProgram(g=g, H=H if is_qp else None, A_in=C, b_in=d)
+        prog = ConvexProgram(g=g, C=C, d=d, H=H if is_qp else None)
         sol = solve_program(prog)
         assert sol.status == "optimal"
         assert abs(sol.objective - oracle[1]) <= 1e-6 * max(
@@ -79,25 +80,28 @@ def check_against_oracle():
     assert checked >= 150
 
 
+# -1 <= x <= 1 in two dimensions: the lower bound rows, then the upper
+BOX_C, BOX_D = np.vstack([-np.eye(2), np.eye(2)]), np.ones(4)
+# x <= -1 and -x <= -1
+INFEASIBLE_C, INFEASIBLE_D = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+
+
 class TestSolveProgram:
     def test_box_lp(self):
-        prog = ConvexProgram(g=np.array([1.0, -1.0]),
-                             lower=np.array([-1.0, -1.0]),
-                             upper=np.array([1.0, 1.0]))
+        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
         sol = solve_program(prog)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [-1.0, 1.0], atol=1e-7)
 
     def test_qp_with_active_bound(self):
-        prog = ConvexProgram(g=np.array([-1.0]), H=np.array([[1.0]]),
-                             upper=np.array([0.5]))
+        prog = ConvexProgram(g=np.array([-1.0]), C=np.array([[1.0]]),
+                             d=np.array([0.5]), H=np.array([[1.0]]))
         sol = solve_program(prog)
         np.testing.assert_allclose(sol.x, [0.5], atol=1e-7)
 
     def test_infeasible_detected(self):
-        prog = ConvexProgram(g=np.array([0.0]),
-                             A_in=np.array([[1.0], [-1.0]]),
-                             b_in=np.array([-1.0, -1.0]))
+        prog = ConvexProgram(g=np.array([0.0]), C=INFEASIBLE_C,
+                             d=INFEASIBLE_D)
         sol = solve_program(prog)
         assert sol.status == "infeasible"
 
@@ -119,7 +123,8 @@ class TestSolveProgram:
 
     def test_barrier_counter(self):
         ct = Counters()
-        prog = ConvexProgram(g=np.array([1.0]), lower=np.array([0.0]))
+        prog = ConvexProgram(g=np.array([1.0]), C=np.array([[-1.0]]),
+                             d=np.array([0.0]))
         sol = solve_program(prog, counters=ct)
         assert ct.barrier_iters == sol.iterations > 0
 
@@ -134,13 +139,10 @@ class TestSolveProgram:
             return dpotrf(M)
 
         monkeypatch.setattr(ipm, "dpotrf", counting)
-        prog = ConvexProgram(g=np.array([1.0, -1.0]),
-                             lower=np.array([-1.0, -1.0]),
-                             upper=np.array([1.0, 1.0]))
+        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
         if status == "infeasible":
-            prog = ConvexProgram(g=np.array([0.0]),
-                                 A_in=np.array([[1.0], [-1.0]]),
-                                 b_in=np.array([-1.0, -1.0]))
+            prog = ConvexProgram(g=np.array([0.0]), C=INFEASIBLE_C,
+                                 d=INFEASIBLE_D)
         if status == "max_iter":
             monkeypatch.setattr(ipm, "_MAX_ITER", 2)
         ct = Counters()
@@ -311,10 +313,54 @@ def test_iterations_and_status_pinned():
     assert regression_set() == PINNED
 
 
+# per program of regression_set, the first 16 hex digits of a sha256 over
+# the shape, C + 0.0 and d + 0.0 (adding 0.0 turns -0.0 into 0.0) of the
+# rows the builders emit, bound rows included: a reordered or mis-signed
+# row changes its digest even where the iteration counts stay the same
+PINNED_ROWS = {
+    "lp-linf-0": "8466140bffc08adb", "qp-linf-0": "e56f0212d1152bc2",
+    "lp-l1-1": "65266e4846ef69ff", "qp-l1-1": "8e09cf02a8a12016",
+    "lp-linf-2": "7e5d5a05ee41f1e9", "qp-linf-2": "7358c1404f8c7038",
+    "lp-l1-3": "3d80fa5f2511d92b", "qp-l1-3": "fc96baeb0522e675",
+    "lp-linf-4": "4d1751b9a6c60c29", "qp-linf-4": "a6d3fae75714f4e9",
+    "lp-l1-5": "7cf020ce048a48bf", "qp-l1-5": "73479289bfb4fd56",
+    "lp-linf-6": "75e7c529c11681f3", "qp-linf-6": "da51a64bc1f7c7d8",
+    "lp-l1-7": "bd7b387199c23ccb", "qp-l1-7": "52315d1abaf7ea7c",
+    "lp-linf-8": "ae0332cc99d622f3", "qp-linf-8": "dc6816b7e72f578c",
+    "lp-l1-9": "47860f5e192e2206", "qp-l1-9": "f89592af84b5b6b9",
+    "lp-linf-10": "65a224c1c598ef79", "qp-linf-10": "a04d75e016b0ff15",
+    "lp-l1-11": "0676067cd8cdb645", "qp-l1-11": "978d79ad900fcdc9",
+    "kkt-0": "5c2afb4ac3b187ab", "kkt-1": "bf2bc223878d7c40",
+    "kkt-2": "c95256cf25b8dd24", "kkt-3": "acf0f8a232842ab4",
+    "kkt-4": "8fc59ca2c5cbfb83", "kkt-5": "8a486c80b46c4ed4",
+}
+
+
+def test_program_rows_pinned(monkeypatch):
+    digests = []
+    solve = ipm.solve_program
+
+    def recording(prog, counters=None):
+        C = np.asarray(prog.C, dtype=float) + 0.0
+        d = np.asarray(prog.d, dtype=float) + 0.0
+        h = hashlib.sha256(repr(C.shape).encode() + C.tobytes() + d.tobytes())
+        digests.append(h.hexdigest()[:16])
+        return solve(prog, counters=counters)
+
+    # the programs regression_set solves itself and those kkt_residual
+    # solves; feasibility_step's LP, a repeat of the one before it, is not
+    # recorded
+    monkeypatch.setitem(globals(), "solve_program", recording)
+    monkeypatch.setattr(ipm, "solve_program", recording)
+    regression_set()
+    assert len(digests) == len(PINNED_ROWS)
+    assert dict(zip(PINNED, digests)) == PINNED_ROWS
+
+
 def test_program_without_rows_rejected():
-    # no inequality row and no finite bound leaves the barrier nothing to
-    # act on; every program the solvers build has at least one
-    prog = ConvexProgram(g=np.array([1.0, 0.0]), H=np.eye(2),
-                         lower=np.array([-np.inf, -np.inf]))
-    with pytest.raises(ValueError):
+    # no row leaves the barrier nothing to act on; every program the
+    # solvers build has at least one
+    prog = ConvexProgram(g=np.array([1.0, 0.0]), C=np.zeros((0, 2)),
+                         d=np.zeros(0), H=np.eye(2))
+    with pytest.raises(ValueError, match="at least one row"):
         solve_program(prog)
