@@ -4,6 +4,7 @@ CSV trace emission, metrics, performance profiles, and active-set reports."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,16 +31,24 @@ TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "updates",
 # problem registry
 # ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def make_synthetic_dataset(n_samples: int = 5000, n_features: int = 10,
                            n_classes: int = 3, data_seed: int = 0) -> Dataset:
     """Gaussian class clusters: class k has its mean shifted along feature k.
-    n_features counts the appended constant bias feature."""
+    n_features counts the appended constant bias feature.
+
+    Memoized per argument tuple: every call with the same arguments returns
+    the same `Dataset`, whose arrays are read-only so that sharing it is
+    safe."""
     rng = np.random.default_rng(data_seed)
     raw = n_features - 1
     labels = np.arange(n_samples) % n_classes
     V = rng.standard_normal((n_samples, raw))
     V[np.arange(n_samples), labels % raw] += 2.0
-    return Dataset.from_dense(V, labels, n_classes)
+    ds = Dataset.from_dense(V, labels, n_classes)
+    for arr in (ds.indptr, ds.indices, ds.data, ds.labels):
+        arr.flags.writeable = False
+    return ds
 
 
 def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
@@ -140,9 +149,10 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got "
                                   f"{getattr(self, name)}")
-        # Budget checks its values; built here too, so that a sweep fails on
-        # a bad budget before its first solve
+        # Budget and SamplingRule check their values; built here too, so
+        # that a sweep fails on a bad value before its first solve
         Budget(self.max_gradient_evals, self.max_outer)
+        SamplingRule(self.sampling, self.initial_size, self.beta)
 
 
 # method -> DriverConfig fields; the termination rule picks the solver.

@@ -32,7 +32,7 @@ import numpy as np
 from .counters import Counters
 from .errors import ConfigError, LineSearchFailure, MeritCollapse, RankDeficient
 from .ipm import kkt_residual
-from .linalg import LbfgsModel, least_squares_dual
+from .linalg import LbfgsModel, least_squares_dual, norm
 from .problems import (FiniteSum, ProblemSpec, _sums_over, draw_samples,
                        eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
@@ -196,7 +196,7 @@ def dual_initialize(lam_prev: np.ndarray, g_S: np.ndarray, c: np.ndarray,
         lam_ls, kkt_ls = least_squares_dual(J, g_S, c)
     except RankDeficient:
         return lam_prev
-    kkt_prev = np.linalg.norm(np.concatenate([g_S + J.T @ lam_prev, c]))
+    kkt_prev = norm(np.concatenate([g_S + J.T @ lam_prev, c]))
     return lam_ls if kkt_ls <= kkt_prev else lam_prev
 
 
@@ -293,10 +293,10 @@ def _eq_progress(ctx: InnerContext, config: DriverConfig,
     both."""
     kind = config.termination.kind
     if kind == "kkt":
-        current = float(np.linalg.norm(ctx.kkt_vector()))
+        current = norm(ctx.kkt_vector())
         return current, current, None, None
     step = compute_step(ctx, config.exact, counters)
-    dnorm = float(np.linalg.norm(step.d))
+    dnorm = norm(step.d)
     if kind == "dnorm":
         return dnorm, dnorm, step, None
     plan = merit_plan(ctx, step)
@@ -325,7 +325,7 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
         return None
     d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
                        feas.relaxation, sigma_d, mode, counters=counters)
-    dnorm = float(np.linalg.norm(d))
+    dnorm = norm(d)
     return dnorm, dnorm, d, max(0.0, violation - feas.lp_objective)
 
 
@@ -367,7 +367,7 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
     if solver == "equality":
         # with no equality constraints lam is empty and stat is ||g||_inf
         lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
-        stat = float(np.linalg.norm(g + J_E.T @ lam, np.inf))
+        stat = norm(g + J_E.T @ lam, np.inf)
     else:
         stat = kkt_residual(g, c_I, J_E, J_I, counters=None)
     return v_inf, stat, mc

@@ -1,6 +1,6 @@
-"""Dense/Krylov linear-algebra primitives: MINRES for symmetric indefinite
-systems, a limited-memory BFGS Hessian-approximation operator, and the
-least-squares dual estimator."""
+"""Dense/Krylov linear-algebra primitives: vector norms, MINRES for
+symmetric indefinite systems, a limited-memory BFGS Hessian-approximation
+operator, and the least-squares dual estimator."""
 
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ from .errors import NumericalFailure, RankDeficient
 
 CURVATURE_THRESHOLD = 1e-8
 EPS = float(np.finfo(float).eps)
+
+
+def norm(v: np.ndarray, ord=None) -> float:
+    """`np.linalg.norm(v, ord)` of a float array by the same reductions,
+    without its dispatch: the 2-norm of a vector or the Frobenius norm of a
+    matrix (ord None), or a vector's 1-norm or max-norm (ord 1 or inf)."""
+    if ord is None:
+        v = v.ravel(order="K")
+        return math.sqrt(v.dot(v))
+    a = np.abs(v)
+    return float(a.sum() if ord == 1 else a.max())
 
 
 def make_kkt_operator(h_apply: Callable, J: np.ndarray) -> Callable:
@@ -91,7 +102,7 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), EPS)
+        gamma = max(float(np.hypot(gbar, beta)), EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
@@ -165,7 +176,7 @@ def lbfgs_update(model: LbfgsModel, s: np.ndarray, y: np.ndarray) -> LbfgsModel:
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     s_y = float(s @ y)
-    if s_y <= CURVATURE_THRESHOLD * np.linalg.norm(s) * np.linalg.norm(y):
+    if s_y <= CURVATURE_THRESHOLD * norm(s) * norm(y):
         return model
     first = max(model.S.shape[0] - (model.capacity - 1), 0)
     S = np.vstack([model.S[first:], s])
@@ -201,7 +212,7 @@ def least_squares_dual(J: np.ndarray, g: np.ndarray,
     lam = -np.linalg.solve(M, J @ g) if M.size else np.zeros(0)
     resid = g + J.T @ lam
     if c is not None:
-        kkt = float(np.linalg.norm(np.concatenate([resid, np.atleast_1d(c)])))
+        kkt = norm(np.concatenate([resid, np.atleast_1d(c)]))
     else:
-        kkt = float(np.linalg.norm(resid))
+        kkt = norm(resid)
     return lam, kkt

@@ -66,11 +66,11 @@ def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
 
     Order 0, which line searches call most, checks the value sum alone; the
     higher orders also check the iterate and every sum."""
-    if order >= 1 and not np.all(np.isfinite(x)):
+    if order >= 1 and not np.isfinite(x).all():
         raise NumericalFailure("non-finite iterate")
     out = problem.sums(x, samples, order)
     if not np.isfinite(out[0]) or (order >= 1 and not all(
-            np.all(np.isfinite(s)) for s in out[1:])):
+            np.isfinite(s).all() for s in out[1:])):
         raise NumericalFailure("non-finite subsampled sums")
     if counters is not None:
         counters.function_evals += samples.size
@@ -109,7 +109,7 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
     """Deterministic constraint values and Jacobians at x. A hook that
     returns other than m_E equality and m_I inequality values raises
     ConfigError."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailure("non-finite iterate")
     c_E, c_I, J_E, J_I = problem.constraints(x)
     c_E = np.atleast_1d(np.asarray(c_E, dtype=float))
@@ -121,7 +121,7 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
     J_E = np.asarray(J_E, dtype=float).reshape(problem.m_E, problem.n)
     J_I = np.asarray(J_I, dtype=float).reshape(problem.m_I, problem.n)
     for arr in (c_E, c_I, J_E, J_I):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalFailure("non-finite constraint value or Jacobian")
     return c_E, c_I, J_E, J_I
 
@@ -171,6 +171,9 @@ class Dataset:
     columns `indices[indptr[i]:indptr[i + 1]]`, in increasing column order;
     its last entry is the bias feature, column n_features - 1, with value
     1.0. Labels are class indices in 0..n_classes-1.
+
+    Nothing writes to the arrays, so problems may share a data set, as
+    those of the memoized `bench.make_synthetic_dataset` do (read-only).
     """
     indptr: np.ndarray
     indices: np.ndarray
@@ -260,12 +263,10 @@ def parse_libsvm(stream) -> Dataset:
 # ------------------------------------------------------------------
 
 def _sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # 1 / (1 + exp(-a)) where a >= 0 and exp(a) / (1 + exp(a)) elsewhere,
+    # from one exp(-|a|), which cannot overflow
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
@@ -332,13 +333,16 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
         return (data, at_all, np.repeat(np.arange(N), counts), counts, row_sq,
                 space[0][1, :data.size])
 
-    def scores(ent, x):
+    def labelled_scores(ent, x):
         # each row's labelled-class score sums its products in stored order,
         # as a CSR matrix product does, so the sums are the same bits
         vals, at, rows, cnt, _, work = ent
         np.take(x, at, out=work, mode="clip")
         work *= vals
-        a_lab = np.bincount(rows, weights=work, minlength=cnt.size)
+        return np.bincount(rows, weights=work, minlength=cnt.size)
+
+    def scores(ent, x):
+        a_lab = labelled_scores(ent, x)
         return a_lab, float(np.sum(np.logaddexp(0.0, -a_lab)))
 
     def rows_sums(ent, a_lab, vsum, order):
@@ -373,6 +377,7 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
         return rows_sums(last[1], *point[1:], order)
 
     r = np.arange(K)
+    no_c, no_J = np.zeros(0), np.zeros((0, n))
 
     def constraints(x):
         W = x.reshape(K, nf)
@@ -380,8 +385,8 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
         J = np.zeros((K, n))
         J.reshape(K, K, nf)[r, r] = 2.0 * W
         if constraint_kind == "equality":
-            return c, np.zeros(0), J, np.zeros((0, n))
-        return np.zeros(0), c, np.zeros((0, n)), J
+            return c, no_c, J, no_J
+        return no_c, c, no_J, J
 
     m_E = K if constraint_kind == "equality" else 0
 
@@ -390,7 +395,7 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
 
     def true_gradient(x):
         ent = full_entries()
-        return rows_sums(ent, *scores(ent, x), 1)[1] / N
+        return rows_sums(ent, labelled_scores(ent, x), None, 1)[1] / N
 
     return ProblemSpec(
         m_E=m_E, m_I=K - m_E, mode=FiniteSum(N),

@@ -13,7 +13,7 @@ import numpy as np
 from .counters import Counters
 from .errors import LineSearchFailure, MeritCollapse
 from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
-                     minres_solve)
+                     minres_solve, norm)
 
 TAU_BAR = 1.0        # merit parameter at the start of every inner loop
 MINRES_TOL = 1e-6
@@ -80,18 +80,17 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
     acceptance_kind["kind"]. What the tests read of ctx alone is taken
     once here, not at every MINRES iteration."""
     n = ctx.x.size
-    c1 = np.linalg.norm(ctx.c_E, 1)
-    cnorm = np.linalg.norm(ctx.c_E)
-    t_norm = np.linalg.norm(T)
-    rho_cap = KAPPA_PRIME * max(np.linalg.norm(ctx.J_E),
-                                np.linalg.norm(ctx.g_S))
+    c1 = norm(ctx.c_E, 1)
+    cnorm = norm(ctx.c_E)
+    t_norm = norm(T)
+    rho_cap = KAPPA_PRIME * max(norm(ctx.J_E), norm(ctx.g_S))
     sigma = EPS_SIGMA * (1 - EPS_FEAS)
 
     def accept(z, resid):
         # (rho, r) = -resid, so ||(rho, r)|| = ||resid||
         d = z[:n]
-        r_norm = np.linalg.norm(resid[n:])
-        rho_norm = np.linalg.norm(resid[:n])
+        r_norm = norm(resid[n:])
+        rho_norm = norm(resid[:n])
         # condition II: decrease in the linear constraint model
         if r_norm <= EPS_FEAS * cnorm and rho_norm <= EPS_OPT * cnorm:
             acceptance_kind["kind"] = "inexact_cond2"
@@ -100,11 +99,10 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
         gTd = float(ctx.g_S @ d)
         dHd = float(d @ ctx.h_apply(d))
         curv = max(dHd, EPS_D * float(d @ d))
-        dl = -ctx.tau_prev * gTd + c1 - np.linalg.norm(resid[n:], 1)
+        dl = -ctx.tau_prev * gTd + c1 - norm(resid[n:], 1)
         bound = sigma * max(c1, r_norm - c1) + sigma * ctx.tau_prev * curv
         if (dl >= bound
-                and np.linalg.norm(resid) <= KAPPA_T * min(t_norm,
-                                                           np.linalg.norm(d))
+                and norm(resid) <= KAPPA_T * min(t_norm, norm(d))
                 and rho_norm <= rho_cap):
             acceptance_kind["kind"] = "inexact_cond1"
             return True
@@ -167,8 +165,8 @@ def merit_plan(ctx: InnerContext, step: EqStepResult):
     iteration takes it with, and the decrease of the linear merit model."""
     d = step.d
     gTd = float(ctx.g_S @ d)
-    c_l1 = float(np.linalg.norm(ctx.c_E, 1))
-    r_l1 = float(np.linalg.norm(step.r, 1))
+    c_l1 = norm(ctx.c_E, 1)
+    r_l1 = norm(step.r, 1)
     if step.acceptance == "inexact_cond1":
         # condition I certifies descent at the previous merit parameter
         tau = ctx.tau_prev
@@ -207,10 +205,10 @@ class Evaluator:
 
 def violation_norms(c_E: np.ndarray, c_I: np.ndarray):
     """(max-norm, 1-norm) of the stacked violation (c_E, [c_I]_+)."""
-    v = np.concatenate([c_E, np.maximum(c_I, 0.0)])
+    v = np.concatenate([c_E, np.maximum(c_I, 0.0)]) if c_I.size else c_E
     if v.size == 0:
         return 0.0, 0.0
-    return float(np.linalg.norm(v, np.inf)), float(np.linalg.norm(v, 1))
+    return norm(v, np.inf), norm(v, 1)
 
 
 def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
@@ -218,8 +216,7 @@ def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
     computed. With no inequalities and mode L1 this is the equality
     solver's merit tau F + ||c_E||_1."""
     v = np.concatenate([c_E, np.maximum(c_I, 0.0)]) if c_I.size else c_E
-    violation = (float(np.linalg.norm(v, np.inf if mode == LINF else 1))
-                 if v.size else 0.0)
+    violation = norm(v, np.inf if mode == LINF else 1) if v.size else 0.0
     return tau * F_S + violation
 
 
@@ -290,7 +287,7 @@ def inner_iteration(ctx: InnerContext, exact: bool,
     if step is None:
         step = compute_step(ctx, exact, counters=counters)
 
-    if np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x)):
+    if norm(step.d) <= 1e-15 * (1.0 + norm(ctx.x)):
         return replace(ctx, lam=ctx.lam + step.delta), step, 0.0
 
     tau, delta_l = merit_plan(ctx, step) if plan is None else plan

@@ -13,6 +13,7 @@ import numpy as np
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import ConvexProgram, solve_program
+from .linalg import norm
 from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
                      line_search_step)
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
@@ -133,7 +134,7 @@ def detect_infeasible_stationary(feas: FeasibilityResult,
     """
     if violation <= INFEAS_TOL_V:
         return False
-    if np.linalg.norm(feas.p) <= INFEAS_TOL_P:
+    if norm(feas.p) <= INFEAS_TOL_P:
         return True
     return violation - feas.lp_objective <= INFEAS_TOL_V * violation
 

@@ -4,6 +4,7 @@ config files, and the command-line entry points."""
 import dataclasses
 import hashlib
 import math
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -19,12 +20,12 @@ from rasqp.bench import (METHODS, PROBLEMS, RESULT_COLUMNS, TRACE_COLUMNS,
                          profile_curve, read_trace_csv, result_row,
                          run_config, success_test, sweep, write_results_csv,
                          write_trace_csv)
-from rasqp import cli
+from rasqp import bench, cli
 from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
 from rasqp.counters import Counters
 from rasqp.errors import ConfigError
-from rasqp.problems import build_augmented_problem
+from rasqp.problems import Dataset, build_augmented_problem
 
 
 class TestSuccessRule:
@@ -176,6 +177,56 @@ class TestProblemRegistry:
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             build_problem("nope")
+
+
+class TestDatasetMemo:
+    def test_same_arguments_same_object(self):
+        a = make_synthetic_dataset(n_samples=40, data_seed=5)
+        assert make_synthetic_dataset(n_samples=40, data_seed=5) is a
+        assert make_synthetic_dataset(n_samples=40, data_seed=6) is not a
+
+    def test_arrays_read_only(self):
+        ds = make_synthetic_dataset(n_samples=40, data_seed=5)
+        for name in ("data", "indices", "indptr", "labels"):
+            with pytest.raises(ValueError):
+                getattr(ds, name)[0] = 1
+
+    def test_one_build_per_process(self, monkeypatch):
+        make_synthetic_dataset.cache_clear()
+        calls, built = [], []
+        memo = make_synthetic_dataset
+
+        def counting_make(*args, **kwargs):
+            calls.append(1)
+            return memo(*args, **kwargs)
+
+        from_dense = Dataset.from_dense
+
+        def counting_from_dense(*args):
+            built.append(1)
+            return from_dense(*args)
+
+        monkeypatch.setattr(bench, "make_synthetic_dataset", counting_make)
+        monkeypatch.setattr(Dataset, "from_dense",
+                            staticmethod(counting_from_dense))
+        a = build_problem("synth-logreg-eq")
+        b = build_problem("synth-logreg-eq")
+        assert (len(calls), len(built)) == (2, 1)
+        # one data set, but a problem (and its per-solve state) per call
+        assert a is not b and a.sums is not b.sums
+
+    def test_repeated_solves_match_a_fresh_one(self):
+        config = RunConfig(problem="synth-logreg-eq", method="ra-sqp-dl",
+                           max_gradient_evals=20000)
+
+        def result():
+            out = run_config(config)
+            return out.status, pickle.dumps((out.trace, out.x))
+
+        make_synthetic_dataset.cache_clear()
+        fresh = result()
+        assert result() == fresh
+        assert result() == fresh
 
 
 class TestMethodTable:
@@ -504,6 +555,8 @@ class TestCli:
         (["run", "--max-gradient-evals", "-1"],
          "max_gradient_evals must be non-negative"),
         (["sweep", "--max-outer", "-1"], "max_outer must be non-negative"),
+        (["sweep", "--initial-size", "0"], "initial_size must be >= 1"),
+        (["sweep", "--beta", "1.5"], "beta must be in (0, 1)"),
     ])
     def test_bad_config_fails_before_solving(self, tmp_path, capsys,
                                              monkeypatch, argv, message):

@@ -7,12 +7,41 @@ from hypothesis import given, settings, strategies as st
 
 from rasqp.errors import RankDeficient
 from rasqp.linalg import (LbfgsModel, lbfgs_apply, lbfgs_update,
-                          least_squares_dual, make_kkt_operator, minres_solve)
+                          least_squares_dual, make_kkt_operator, minres_solve,
+                          norm)
 
 
 def random_symmetric(rng, n):
     A = rng.standard_normal((n, n))
     return (A + A.T) / 2
+
+
+class TestNorm:
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 31, 128, 129, 1000])
+    @pytest.mark.parametrize("ord", [None, 1, np.inf])
+    def test_bit_equal_to_numpy_on_vectors(self, length, ord):
+        rng = np.random.default_rng(length)
+        for lo, hi in ((-8, 8), (-8, -8), (8, 8), (-1, 1)):
+            v = rng.standard_normal(length) * 10.0 ** rng.uniform(lo, hi,
+                                                                 length)
+            for w in (v, v[::2], v[length // 2:]):
+                if w.size:
+                    assert norm(w, ord) == np.linalg.norm(w, ord)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 30), (5, 200), (0, 4),
+                                       (40, 25)])
+    def test_frobenius_bit_equal_to_numpy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        J = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        for M in (J, J.T, J[:, ::2]):
+            assert norm(M) == np.linalg.norm(M)
+
+    def test_non_finite_entries(self):
+        for v in (np.array([1.0, np.inf]), np.array([np.nan, 1.0]),
+                  np.array([-np.inf, np.nan])):
+            for ord in (None, 1, np.inf):
+                assert np.array_equal(norm(v, ord), np.linalg.norm(v, ord),
+                                      equal_nan=True)
 
 
 class TestMinres:

@@ -10,8 +10,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from rasqp.bench import (make_infeasible_1d, make_noisy_quadratic,
-                         make_synthetic_dataset)
+from rasqp.bench import (build_problem, make_infeasible_1d,
+                         make_noisy_quadratic, make_synthetic_dataset)
 from rasqp.counters import Counters
 from rasqp.driver import Budget, DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
@@ -441,6 +441,32 @@ def _logreg_sums_cases():
     }
 
 
+def masked_sigmoid(a):
+    """The sigmoid by a boolean-mask scatter: 1 / (1 + exp(-a)) where
+    a >= 0, exp(a) / (1 + exp(a)) elsewhere."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def test_sigmoid_bit_equal_to_masked_form():
+    special = np.array([0.0, -0.0, 709.0, -709.0, 709.78, -709.78, 745.0,
+                        -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan,
+                        5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7])
+    rng = np.random.default_rng(11)
+    grid = np.concatenate([special, np.linspace(-800, 800, 20001),
+                           rng.standard_normal(5000) * 10.0 ** rng.uniform(
+                               -10, 3, 5000)])
+    new, old = _sigmoid(grid), masked_sigmoid(grid)
+    assert np.array_equal(new, old, equal_nan=True)
+    # the bits too, where the value is a number
+    num = ~np.isnan(old)
+    assert new[num].tobytes() == old[num].tobytes()
+
+
 class TestLogregSums:
     @pytest.mark.parametrize("case", list(_logreg_sums_cases()))
     def test_bit_equal_to_per_class_products(self, case):
@@ -521,6 +547,24 @@ class TestLogregSums:
         assert prob.true_value(x) == prob.sums(x, full, 0)[0] / N
         assert np.array_equal(prob.true_gradient(x),
                               prob.sums(x, full, 1)[1] / N)
+
+    def test_true_gradient_computes_no_objective(self, monkeypatch):
+        # the registered problem's true gradient is the full-set gradient
+        # sum over N, bit for bit, and evaluates no logaddexp
+        prob = build_problem("synth-logreg-eq")
+        N = prob.mode.dataset_size
+        full = np.arange(N)
+        rng = np.random.default_rng(12)
+        scored = []
+        logaddexp = np.logaddexp
+        monkeypatch.setattr(np, "logaddexp",
+                            lambda *a: scored.append(1) or logaddexp(*a))
+        for scale in (0.01, 1.0, 30.0):
+            x = scale * rng.standard_normal(prob.n)
+            g = prob.true_gradient(x)
+            assert not scored
+            assert np.array_equal(g, prob.sums(x, full, 1)[1] / N)
+            scored.clear()
 
 
 class TestSumsMemory:
