@@ -20,6 +20,7 @@ from .problems import (Dataset, FiniteSum, ProblemSpec, Expectation,
 from .sqp_eq import violation_norms
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+ACTIVE_TOL = 1e-6    # an inequality with c_i >= -ACTIVE_TOL counts as active
 
 TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "updates",
                  "estimation_size", "grad_evals_cum", "minres_iters_cum",
@@ -31,15 +32,20 @@ TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "updates",
 # problem registry
 # ------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
 def make_synthetic_dataset(n_samples: int = 5000, n_features: int = 10,
                            n_classes: int = 3, data_seed: int = 0) -> Dataset:
     """Gaussian class clusters: class k has its mean shifted along feature k.
     n_features counts the appended constant bias feature.
 
-    Memoized per argument tuple: every call with the same arguments returns
-    the same `Dataset`, whose arrays are read-only so that sharing it is
-    safe."""
+    Memoized per argument value, however the call spells them: every call
+    with the same values returns the same `Dataset`, whose arrays are
+    read-only so that sharing it is safe."""
+    return _synthetic_dataset(n_samples, n_features, n_classes, data_seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _synthetic_dataset(n_samples: int, n_features: int, n_classes: int,
+                       data_seed: int) -> Dataset:
     rng = np.random.default_rng(data_seed)
     raw = n_features - 1
     labels = np.arange(n_samples) % n_classes
@@ -279,13 +285,12 @@ def profile_curve(ratio_list, taus):
 # active sets
 # ------------------------------------------------------------------
 
-def active_set(problem: ProblemSpec, x: np.ndarray,
-               tol: float = 1e-6) -> frozenset:
-    return _active(eval_constraints(problem, x)[1], tol)
+def active_set(problem: ProblemSpec, x: np.ndarray) -> frozenset:
+    return _active(eval_constraints(problem, x)[1])
 
 
-def _active(c_I: np.ndarray, tol: float) -> frozenset:
-    return frozenset(int(i) for i in np.where(c_I >= -tol)[0])
+def _active(c_I: np.ndarray) -> frozenset:
+    return frozenset(int(i) for i in np.where(c_I >= -ACTIVE_TOL)[0])
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -294,15 +299,14 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray,
-                      tol: float = 1e-6):
+def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray):
     """Per-iterate (active set, Jaccard similarity to the reference active
     set, max-norm violation)."""
-    ref = active_set(problem, x_ref, tol)
+    ref = active_set(problem, x_ref)
     report = []
     for x in xs:
         c_E, c_I, _, _ = eval_constraints(problem, x)
-        a = _active(c_I, tol)
+        a = _active(c_I)
         report.append((a, jaccard(a, ref), violation_norms(c_E, c_I)[0]))
     return report
 

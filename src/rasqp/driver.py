@@ -185,19 +185,16 @@ class SolveOutcome:
 # building blocks
 # ------------------------------------------------------------------
 
-def dual_initialize(lam_prev: np.ndarray, g_S: np.ndarray, c: np.ndarray,
+def dual_initialize(lam_prev: np.ndarray, g_S: np.ndarray,
                     J: np.ndarray) -> np.ndarray:
     """Dual warm start of an equality inner solve on a new batch: the
-    least-squares multipliers for (g_S, J), as a deterministic SQP method
-    takes on a new problem, unless lam_prev gives a KKT error no larger.
-    A rank-deficient Jacobian keeps lam_prev.
-    """
+    least-squares multipliers for (g_S, J), whose KKT error no lam_prev
+    beats, as a deterministic SQP method takes on a new problem. A
+    rank-deficient Jacobian keeps lam_prev."""
     try:
-        lam_ls, kkt_ls = least_squares_dual(J, g_S, c)
+        return least_squares_dual(J, g_S)
     except RankDeficient:
         return lam_prev
-    kkt_prev = norm(np.concatenate([g_S + J.T @ lam_prev, c]))
-    return lam_ls if kkt_ls <= kkt_prev else lam_prev
 
 
 def termination_check(rule: TerminationRule, snapshot0: float,
@@ -206,9 +203,8 @@ def termination_check(rule: TerminationRule, snapshot0: float,
 
 
 def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
-                        theta: float, beta_hat: float,
                         dataset_cap: Optional[int]) -> int:
-    """min{cap, beta_hat * prev, max{prev, ceil(var / (theta Z)^2)}} with the
+    """min{cap, BETA_HAT * prev, max{prev, ceil(var / (THETA Z)^2)}} with the
     variance term treated as infinite when Z vanishes and as prev when the
     variance vanishes."""
     if variance_est <= 0.0:
@@ -216,9 +212,9 @@ def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
     elif Z_est <= 0.0:
         candidate = math.inf
     else:
-        candidate = math.ceil(variance_est / (theta * theta * Z_est * Z_est))
+        candidate = math.ceil(variance_est / (THETA * THETA * Z_est * Z_est))
     size = max(prev_size, candidate)
-    size = min(size, math.ceil(beta_hat * prev_size))
+    size = min(size, math.ceil(BETA_HAT * prev_size))
     if dataset_cap is not None:
         size = min(size, dataset_cap)
     return int(size)
@@ -228,11 +224,10 @@ def geometric_batch_size(k: int, rule: SamplingRule,
                          dataset_cap: Optional[int], prev_size: int) -> int:
     """Batch size of outer iteration k >= 1 after a batch of prev_size >= 1
     (outer 0 takes `rule.initial_size`). Finite-sum: ceil((1 - beta^k) |S|),
-    clipped to the cap; expectation: grow the previous size by 1 / beta^2.
-    Never below prev_size."""
+    at most |S| as the factor rounds to <= 1; expectation: grow the
+    previous size by 1 / beta^2. Never below prev_size."""
     if dataset_cap is not None:
-        size = min(math.ceil((1.0 - rule.beta ** k) * dataset_cap),
-                   dataset_cap)
+        size = math.ceil((1.0 - rule.beta ** k) * dataset_cap)
     else:
         size = math.ceil(prev_size / (rule.beta ** 2))
     return int(max(size, prev_size))
@@ -449,7 +444,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             estimate = estimate_condition_inputs(problem, ctx, prev_S,
                                                  config, rng, counters)
             size = adaptive_batch_size(prev_S.size, estimate.variance,
-                                       estimate.Z, THETA, BETA_HAT, cap)
+                                       estimate.Z, cap)
         else:
             size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
         if cap is None and size > MAX_BATCH:
@@ -546,7 +541,7 @@ def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
             return robust_inner_iteration(ctx, config.norm, evaluator, d,
                                           delta_c)
     else:
-        lam = dual_initialize(lam, g_S, ctx.c_E, ctx.J_E)
+        lam = dual_initialize(lam, g_S, ctx.J_E)
 
         def update(ctx, step, plan):
             ctx, _, alpha = inner_iteration(ctx, config.exact, evaluator,

@@ -197,22 +197,11 @@ def lbfgs_update(model: LbfgsModel, s: np.ndarray, y: np.ndarray) -> LbfgsModel:
 # least-squares dual estimate
 # ------------------------------------------------------------------
 
-def least_squares_dual(J: np.ndarray, g: np.ndarray,
-                       c: Optional[np.ndarray] = None):
-    """Multipliers minimizing ||g + J' lambda||: lambda = -(JJ')^{-1} J g.
-
-    Returns (lambda, kkt_norm) where kkt_norm stacks the residual gradient
-    with c when given.
-    """
+def least_squares_dual(J: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Multipliers minimizing ||g + J' lambda||: lambda = -(JJ')^{-1} J g."""
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
     M = J @ J.T
     if M.size and np.linalg.cond(M) > 1e12:
         raise RankDeficient("J J^T numerically singular")
-    lam = -np.linalg.solve(M, J @ g) if M.size else np.zeros(0)
-    resid = g + J.T @ lam
-    if c is not None:
-        kkt = norm(np.concatenate([resid, np.atleast_1d(c)]))
-    else:
-        kkt = norm(resid)
-    return lam, kkt
+    return -np.linalg.solve(M, J @ g) if M.size else np.zeros(0)

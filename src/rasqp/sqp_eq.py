@@ -135,24 +135,24 @@ def compute_step(ctx: InnerContext, exact: bool,
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
-              r_l1: float, eps_sigma: float, eps_d: float) -> float:
+              r_l1: float) -> float:
     """Trial merit parameter; infinity when the direction is already a
     sufficient-descent direction for the objective model."""
-    curv = max(dHd, eps_d * d_norm_sq)
+    curv = max(dHd, EPS_D * d_norm_sq)
     denom = gTd + curv
     # the sum cancels at the step-solver residual scale when the direction
     # is an exact minimizer of the objective model, hence a relative guard
     if denom <= 1e-8 * (abs(gTd) + curv):
         return np.inf
-    return (1.0 - eps_sigma) * max(c_l1 - r_l1, 0.0) / denom
+    return (1.0 - EPS_SIGMA) * max(c_l1 - r_l1, 0.0) / denom
 
 
-def update_tau(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
+def update_tau(tau_prev: float, tau_tr: float) -> float:
     if tau_tr == 0.0:
         raise MeritCollapse("trial merit parameter is zero")
     if tau_prev <= tau_tr:
         return tau_prev
-    return (1.0 - eps_tau) * tau_tr
+    return (1.0 - EPS_TAU) * tau_tr
 
 
 def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:
@@ -172,26 +172,24 @@ def merit_plan(ctx: InnerContext, step: EqStepResult):
         tau = ctx.tau_prev
     else:
         dHd = float(d @ ctx.h_apply(d))
-        tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1, EPS_SIGMA,
-                           EPS_D)
-        tau = update_tau(ctx.tau_prev, tau_tr, EPS_TAU)
+        tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1)
+        tau = update_tau(ctx.tau_prev, tau_tr)
     return tau, model_decrease(tau, gTd, c_l1, r_l1)
 
 
 def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
-                     delta_l: float, eta: float, eps_alpha: float,
-                     alpha_min: float) -> float:
-    """Largest alpha in {1, eps_alpha, eps_alpha^2, ...} with
-    phi(alpha) <= phi0 - eta * alpha * delta_l."""
+                     delta_l: float) -> float:
+    """Largest alpha in {1, EPS_ALPHA, EPS_ALPHA^2, ...} down to ALPHA_MIN
+    with phi(alpha) <= phi0 - ETA * alpha * delta_l."""
     if delta_l <= 0.0:
         raise ValueError("armijo_backtrack requires a positive model decrease")
     alpha = 1.0
-    while alpha >= alpha_min:
-        if merit_eval(alpha) <= phi0 - eta * alpha * delta_l:
+    while alpha >= ALPHA_MIN:
+        if merit_eval(alpha) <= phi0 - ETA * alpha * delta_l:
             return alpha
-        alpha *= eps_alpha
+        alpha *= EPS_ALPHA
     raise LineSearchFailure(
-        f"no step above {alpha_min:g} gave sufficient decrease")
+        f"no step above {ALPHA_MIN:g} gave sufficient decrease")
 
 
 @dataclass
@@ -247,8 +245,7 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
 
     # the backtrack returns right after the trial it accepts, so x_new and
     # cons hold that trial's point and constraint values
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l, ETA, EPS_ALPHA,
-                             ALPHA_MIN)
+    alpha = armijo_backtrack(merit_eval, phi0, delta_l)
 
     lam_new = ctx.lam + alpha * delta
     F_new, g_new = evaluator.value_grad(x_new)

@@ -151,21 +151,20 @@ def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
     return _solve(prog, "direction QP", counters).x[:J_E.shape[1]]
 
 
-def trial_tau_ineq(gTd: float, dHd: float, delta_c: float,
-                   eps_sigma: float) -> float:
+def trial_tau_ineq(gTd: float, dHd: float, delta_c: float) -> float:
     # at a feasible point the QP optimality conditions make this sum exactly
     # zero; the interior-point solve leaves noise at the 1e-6 relative scale
     denom = gTd + dHd
     if denom <= 1e-5 * (abs(gTd) + abs(dHd)):
         return np.inf
-    return (1.0 - eps_sigma) * max(delta_c, 0.0) / denom
+    return (1.0 - EPS_SIGMA) * max(delta_c, 0.0) / denom
 
 
-def update_tau_ineq(tau_prev: float, tau_tr: float, eps_tau: float) -> float:
+def update_tau_ineq(tau_prev: float, tau_tr: float) -> float:
     if tau_prev <= tau_tr:
         tau = tau_prev
     else:
-        tau = min((1.0 - eps_tau) * tau_prev, tau_tr)
+        tau = min((1.0 - EPS_TAU) * tau_prev, tau_tr)
     if tau < TAU_FLOOR:
         raise MeritCollapse(f"merit parameter collapsed to {tau:g}")
     return tau
@@ -183,7 +182,7 @@ def robust_inner_iteration(ctx: InnerContext, mode: str,
     as a signal to resample.
     """
     gTd = float(ctx.g_S @ d)
-    tau_tr = trial_tau_ineq(gTd, float(d @ d), delta_c, EPS_SIGMA)
-    tau = update_tau_ineq(ctx.tau_prev, tau_tr, EPS_TAU)
+    tau_tr = trial_tau_ineq(gTd, float(d @ d), delta_c)
+    tau = update_tau_ineq(ctx.tau_prev, tau_tr)
     delta_l = -tau * gTd + delta_c
     return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator, mode)

@@ -161,20 +161,20 @@ def test_criterion_2_subproblem_oracles():
 def test_criterion_3_formula_unit_suite():
     checks = [
         # merit-parameter trial values and updates, equality form
-        trial_tau(-1.0, 0.5, 0.2, 1.0, 0.0, 0.5, 0.5) == math.inf,
-        abs(trial_tau(1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5) - 0.25) < 1e-15,
-        abs(update_tau(1.0, 0.25, 0.1) - 0.225) < 1e-15,
-        update_tau(0.1, 0.25, 0.1) == 0.1,
+        trial_tau(-1.0, 0.5, 0.2, 1.0, 0.0) == math.inf,
+        abs(trial_tau(1.0, 1.0, 1.0, 1.0, 0.0) - 0.25) < 1e-15,
+        abs(update_tau(1.0, 0.25) - 0.2475) < 1e-15,
+        update_tau(0.1, 0.25) == 0.1,
         # model decrease
         abs(model_decrease(0.5, -2.0, 3.0, 1.0) - 3.0) < 1e-15,
         # general-constraint form and step-norm bounds
-        abs(trial_tau_ineq(0.0, 0.25, 0.5, 0.5) - 1.0) < 1e-15,
-        abs(update_tau_ineq(1.0, 0.4, 0.01) - 0.4) < 1e-15,
+        abs(trial_tau_ineq(0.0, 0.25, 0.5) - 1.0) < 1e-15,
+        abs(update_tau_ineq(1.0, 0.4) - 0.4) < 1e-15,
         sigma_bounds(0.5, 0.5, "linf", 3) == (1e2, 2e2),
         sigma_bounds(50.0, 50.0, "linf", 3) == (500.0, 1000.0),
         # adaptive batch formula including the growth-capped case
-        adaptive_batch_size(32, 100.0, 1.0, 0.5, 5.0, None) == 160,
-        adaptive_batch_size(32, 0.0, 1.0, 0.5, 5.0, None) == 32,
+        adaptive_batch_size(32, 100.0, 1.0, None) == 160,
+        adaptive_batch_size(32, 0.0, 1.0, None) == 32,
         # success rules and set similarity
         success_test(10.0, 0.9, 1e-1),
         not success_test(10.0, 1.1, 1e-1),
@@ -184,7 +184,7 @@ def test_criterion_3_formula_unit_suite():
     ]
     zero_trial = False
     try:
-        update_tau(1.0, 0.0, 0.1)
+        update_tau(1.0, 0.0)
     except MeritCollapse:
         zero_trial = True
     checks.append(zero_trial)

@@ -24,7 +24,7 @@ from rasqp import bench, cli
 from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
 from rasqp.counters import Counters
-from rasqp.errors import ConfigError
+from rasqp.errors import ConfigError, NumericalFailure
 from rasqp.problems import Dataset, build_augmented_problem
 
 
@@ -185,6 +185,13 @@ class TestDatasetMemo:
         assert make_synthetic_dataset(n_samples=40, data_seed=5) is a
         assert make_synthetic_dataset(n_samples=40, data_seed=6) is not a
 
+    def test_any_spelling_of_the_arguments_same_object(self):
+        bench._synthetic_dataset.cache_clear()
+        a = make_synthetic_dataset()
+        assert make_synthetic_dataset(data_seed=0) is a
+        assert make_synthetic_dataset(5000, 10, 3, 0) is a
+        assert bench._synthetic_dataset.cache_info().misses == 1
+
     def test_arrays_read_only(self):
         ds = make_synthetic_dataset(n_samples=40, data_seed=5)
         for name in ("data", "indices", "indptr", "labels"):
@@ -192,7 +199,7 @@ class TestDatasetMemo:
                 getattr(ds, name)[0] = 1
 
     def test_one_build_per_process(self, monkeypatch):
-        make_synthetic_dataset.cache_clear()
+        bench._synthetic_dataset.cache_clear()
         calls, built = [], []
         memo = make_synthetic_dataset
 
@@ -223,7 +230,7 @@ class TestDatasetMemo:
             out = run_config(config)
             return out.status, pickle.dumps((out.trace, out.x))
 
-        make_synthetic_dataset.cache_clear()
+        bench._synthetic_dataset.cache_clear()
         fresh = result()
         assert result() == fresh
         assert result() == fresh
@@ -437,6 +444,18 @@ class TestCli:
         assert main(["run", "--problem", "synth-eq-quad", "--method",
                      "ra-sqp-dl", "--stop-violation", "1e-3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failing_run(cfg):
+            raise NumericalFailure("direction QP ended with status max_iter")
+
+        monkeypatch.setattr(cli, "run_config", failing_run)
+        code = main(["run", "--problem", "synth-eq-quad", "--method",
+                     "ra-sqp-dl", "--output", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert ("numerical failure: direction QP ended with status max_iter"
+                in err)
 
     def test_unknown_method_exits_2(self, capsys):
         assert main(["run", "--problem", "synth-eq-quad", "--method",

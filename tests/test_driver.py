@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rasqp.bench import (RunConfig, build_problem, method_driver_config,
                          read_trace_csv, run_config, write_trace_csv)
@@ -31,20 +32,41 @@ class TestDualInitialize:
         # J = [1 0], g = (2, 0): least-squares multiplier -2 zeroes the
         # Lagrangian gradient, beating the zero warm start
         out = dual_initialize(np.array([0.0]), np.array([2.0, 0.0]),
-                              np.array([0.0]), np.array([[1.0, 0.0]]))
+                              np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(out, [-2.0], atol=1e-10)
 
     def test_reinit_keeps_better_previous(self):
         # previous multiplier already optimal; the least-squares solve agrees
         out = dual_initialize(np.array([-2.0]), np.array([2.0, 0.0]),
-                              np.array([0.0]), np.array([[1.0, 0.0]]))
+                              np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(out, [-2.0], atol=1e-10)
 
     def test_reinit_rank_deficient_falls_back(self):
         lam = np.array([1.0, 2.0])
-        out = dual_initialize(lam, np.array([1.0, 0.0]), np.zeros(2),
+        out = dual_initialize(lam, np.array([1.0, 0.0]),
                               np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert out is lam
+
+    @given(st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from([0.0, 1e-6, 1.0]), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_least_squares_never_worse_than_carried(self, m, extra, scale,
+                                                    seed):
+        # why the warm start takes the least-squares multipliers without
+        # comparing them to the carried ones: at the same c, no lam_prev
+        # has a smaller KKT error
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((m, m + extra))
+        assume(np.linalg.cond(J @ J.T) <= 1e6)
+        g_S, c = rng.standard_normal(m + extra), rng.standard_normal(m)
+        lam_prev = (least_squares_dual(J, g_S)
+                    + scale * rng.standard_normal(m))
+
+        def kkt(lam):
+            return np.linalg.norm(np.concatenate([g_S + J.T @ lam, c]))
+
+        lam = dual_initialize(lam_prev, g_S, J)
+        assert kkt(lam) <= kkt(lam_prev) * (1 + 1e-12) + 1e-14
 
     def test_inner_solver_starts_from_least_squares(self):
         # a "dl" solve on a new batch starts from the least-squares
@@ -58,8 +80,8 @@ class TestDualInitialize:
         _, _, start = driver._inner_solver(prob, S, config,
                                            iterate(prob, x, lam_prev), F_S,
                                            g_S, Counters())
-        lam_ls, _ = least_squares_dual(start.J_E, g_S, start.c_E)
-        np.testing.assert_array_equal(start.lam, lam_ls)
+        np.testing.assert_array_equal(start.lam,
+                                      least_squares_dual(start.J_E, g_S))
         assert not np.allclose(start.lam, lam_prev)
 
 
@@ -84,27 +106,26 @@ class TestTerminationRule:
 
 class TestBatchSchedules:
     def test_adaptive_variance_driven(self):
-        # var = 100, Z = 1, theta = 0.5 -> ceil(100 / 0.25) = 400, capped by
-        # beta_hat * prev = 5 * 32 = 160
-        assert adaptive_batch_size(32, 100.0, 1.0, 0.5, 5.0, None) == 160
+        # var = 100, Z = 1, THETA = 0.5 -> ceil(100 / 0.25) = 400, capped by
+        # BETA_HAT * prev = 5 * 32 = 160
+        assert adaptive_batch_size(32, 100.0, 1.0, None) == 160
 
     def test_adaptive_small_variance_keeps_prev(self):
-        assert adaptive_batch_size(32, 0.0, 1.0, 0.5, 5.0, None) == 32
+        assert adaptive_batch_size(32, 0.0, 1.0, None) == 32
 
     def test_adaptive_zero_progress_growth_capped(self):
-        assert adaptive_batch_size(32, 1.0, 0.0, 0.5, 5.0, None) == 160
+        assert adaptive_batch_size(32, 1.0, 0.0, None) == 160
 
     def test_adaptive_monotone_nondecreasing(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             prev = int(rng.integers(1, 1000))
             size = adaptive_batch_size(prev, float(rng.uniform(0, 10)),
-                                       float(rng.uniform(0, 2)), 0.5, 5.0,
-                                       5000)
+                                       float(rng.uniform(0, 2)), 5000)
             assert prev <= size <= min(5000, int(np.ceil(5.0 * prev)))
 
     def test_adaptive_dataset_cap(self):
-        assert adaptive_batch_size(400, 1e9, 1.0, 0.5, 5.0, 500) == 500
+        assert adaptive_batch_size(400, 1e9, 1.0, 500) == 500
 
     def test_geometric_finite_sum(self):
         # outer 0 takes initial_size; from outer 1 on, ceil((1 - beta^k) N)

@@ -207,16 +207,18 @@ def dense_bfgs_oracle_scaled(n, pairs):
 class TestLeastSquaresDual:
     def test_exactly_determined(self):
         J = np.array([[1.0, 0.0]])
-        lam, kkt = least_squares_dual(J, np.array([2.0, 0.0]))
+        g = np.array([2.0, 0.0])
+        lam = least_squares_dual(J, g)
         np.testing.assert_allclose(lam, [-2.0], atol=1e-12)
-        assert kkt <= 1e-12
+        assert np.linalg.norm(g + J.T @ lam) <= 1e-12
 
-    def test_residual_with_constraints(self):
-        J = np.array([[1.0, 0.0]])
-        lam, kkt = least_squares_dual(J, np.array([0.0, 1.0]),
-                                      c=np.array([0.0]))
-        np.testing.assert_allclose(lam, [0.0], atol=1e-12)
-        np.testing.assert_allclose(kkt, 1.0, atol=1e-12)
+    def test_gradient_orthogonal_to_jacobian(self):
+        # J g = 0: no multiplier reduces ||g + J' lam||, so lam = 0
+        J = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        g = np.array([1.0, 0.0, -1.0])
+        lam = least_squares_dual(J, g)
+        np.testing.assert_allclose(lam, np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(g + J.T @ lam, g, atol=1e-12)
 
     def test_rank_deficient(self):
         J = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -232,7 +234,7 @@ class TestLeastSquaresDual:
         if np.linalg.cond(J @ J.T) > 1e10:
             return
         g = rng.standard_normal(n)
-        lam, _ = least_squares_dual(J, g)
+        lam = least_squares_dual(J, g)
         resid = g + J.T @ lam
         # stationarity of the least-squares problem: J r = 0
         np.testing.assert_allclose(J @ resid, np.zeros(m), atol=1e-8)

@@ -2,6 +2,7 @@
 problem families."""
 
 import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,24 @@ class TestParseLibsvm:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_libsvm("1 nonsense\n")
+
+    @pytest.mark.parametrize("text, line", [("1 a:2.0\n", 1),
+                                            ("0 1:1.0\n1 3:x\n", 2)])
+    def test_bad_index_or_value_names_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("wrap", [io.StringIO,
+                                      lambda t: io.BytesIO(t.encode())],
+                             ids=["text", "bytes"])
+    def test_stream_parses_as_its_text(self, wrap):
+        ds, ref = parse_libsvm(wrap(SAMPLE_TEXT)), parse_libsvm(SAMPLE_TEXT)
+        for name in ("indptr", "indices", "data", "labels"):
+            np.testing.assert_array_equal(getattr(ds, name),
+                                          getattr(ref, name))
+        assert (ds.n_features, ds.n_classes) == (ref.n_features,
+                                                 ref.n_classes)
 
     def test_empty_input(self):
         with pytest.raises(ParseError):

@@ -115,28 +115,28 @@ class TestComputeStep:
 
 class TestMeritParameter:
     def test_trial_tau_descent_direction_infinite(self):
-        assert trial_tau(-1.0, 0.5, 0.2, 1.0, 0.0, 0.5, 0.5) == np.inf
+        assert trial_tau(-1.0, 0.5, 0.2, 1.0, 0.0) == np.inf
 
     def test_trial_tau_finite_case(self):
-        # eps_sigma = 0.5, c1 = 1, r1 = 0, gTd + curv = 2 -> 0.25
-        assert trial_tau(1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5) == pytest.approx(
-            0.25)
+        # EPS_SIGMA = 0.5, c1 = 1, r1 = 0, gTd + curv = 2 -> 0.25
+        assert trial_tau(1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(0.25)
 
     def test_trial_tau_cancellation_guard(self):
         # denominator cancels at roundoff scale: treated as descent
         gTd = -4.5
         dHd = 4.5 * (1 + 1e-15)
-        assert trial_tau(gTd, dHd, 1.0, 1.0, 0.0, 0.5, 1e-8) == np.inf
+        assert trial_tau(gTd, dHd, 1.0, 1.0, 0.0) == np.inf
 
     def test_update_keeps_small_tau(self):
-        assert update_tau(0.1, 0.25, 0.1) == pytest.approx(0.1)
+        assert update_tau(0.1, 0.25) == pytest.approx(0.1)
 
     def test_update_shrinks_below_trial(self):
-        assert update_tau(1.0, 0.25, 0.1) == pytest.approx(0.225)
+        # (1 - EPS_TAU) * trial = 0.99 * 0.25
+        assert update_tau(1.0, 0.25) == pytest.approx(0.2475)
 
     def test_update_zero_trial_raises(self):
         with pytest.raises(MeritCollapse):
-            update_tau(1.0, 0.0, 0.1)
+            update_tau(1.0, 0.0)
 
     def test_model_decrease(self):
         assert model_decrease(0.5, -2.0, 3.0, 1.0) == pytest.approx(3.0)
@@ -158,22 +158,21 @@ class TestArmijo:
     def test_quadratic_hand_case(self):
         # f = x^2/2 at x=1 with d=-2: alpha=1 overshoots, alpha=0.5 lands on 0
         phi = lambda a: 0.5 * (1.0 - 2.0 * a) ** 2
-        alpha = armijo_backtrack(phi, phi(0.0), 2.0, eta=0.5, eps_alpha=0.5,
-                                 alpha_min=1e-12)
+        alpha = armijo_backtrack(phi, phi(0.0), 2.0)
         assert alpha == pytest.approx(0.5)
 
     def test_full_step_accepted(self):
         phi = lambda a: 1.0 - a
-        assert armijo_backtrack(phi, 1.0, 1.0, 0.5, 0.5, 1e-12) == 1.0
+        assert armijo_backtrack(phi, 1.0, 1.0) == 1.0
 
     def test_failure_below_alpha_min(self):
         phi = lambda a: 1.0 + a
         with pytest.raises(LineSearchFailure):
-            armijo_backtrack(phi, 1.0, 1.0, 0.5, 0.5, 1e-4)
+            armijo_backtrack(phi, 1.0, 1.0)
 
     def test_nonpositive_decrease_rejected(self):
         with pytest.raises(ValueError):
-            armijo_backtrack(lambda a: 0.0, 0.0, 0.0, 0.5, 0.5, 1e-12)
+            armijo_backtrack(lambda a: 0.0, 0.0, 0.0)
 
 
 def quadratic_instance(rng, n=5, m=2):

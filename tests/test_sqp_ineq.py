@@ -173,26 +173,26 @@ class TestDirectionStep:
 
 class TestMeritParameter:
     def test_trial_tau_hand_case(self):
-        # eps_sigma = 0.5, delta_c = 0.5, gTd = 0, dHd = 0.25 -> 1.0
-        assert trial_tau_ineq(0.0, 0.25, 0.5, 0.5) == pytest.approx(1.0)
+        # EPS_SIGMA = 0.5, delta_c = 0.5, gTd = 0, dHd = 0.25 -> 1.0
+        assert trial_tau_ineq(0.0, 0.25, 0.5) == pytest.approx(1.0)
 
     def test_trial_tau_descent_infinite(self):
-        assert trial_tau_ineq(-1.0, 0.5, 0.5, 0.5) == np.inf
+        assert trial_tau_ineq(-1.0, 0.5, 0.5) == np.inf
 
     def test_trial_tau_cancellation_guard(self):
         # interior-point noise scale cancellation reads as descent
-        assert trial_tau_ineq(-1.0, 1.0 + 1e-7, 0.5, 0.5) == np.inf
+        assert trial_tau_ineq(-1.0, 1.0 + 1e-7, 0.5) == np.inf
 
     def test_update_keeps_small_tau(self):
-        assert update_tau_ineq(0.3, 0.4, 0.01) == pytest.approx(0.3)
+        assert update_tau_ineq(0.3, 0.4) == pytest.approx(0.3)
 
     def test_update_shrinks_to_min(self):
         # min{0.99 tau_prev, trial} = min{0.99, 0.4}
-        assert update_tau_ineq(1.0, 0.4, 0.01) == pytest.approx(0.4)
+        assert update_tau_ineq(1.0, 0.4) == pytest.approx(0.4)
 
     def test_update_collapse_raises(self):
         with pytest.raises(MeritCollapse):
-            update_tau_ineq(1e-12, 0.0, 0.01)
+            update_tau_ineq(1e-12, 0.0)
 
     def test_merit_value_modes(self):
         c_E = np.array([1.0, -2.0])
