@@ -5,20 +5,20 @@ and trace recording.
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
 `sqp_eq.InnerContext`. The constraints are deterministic, and one context
 carries an iterate's constraint values and Jacobians from `x_init` to the
-last outer iteration, with the feasibility LP solved at them, and a trace
-record at an unchanged iterate reuses the last record's metrics. Each
-inner iteration is a progress probe, the
-termination test, then an update. A solver supplies the probe,
-`progress(ctx) -> (current, first, step, plan)` or None, and the update,
-`update(ctx, step, plan) -> (new ctx, alpha)`. The probe returns its rule's
-progress measure, the value the rule compares against when this is the
-first inner iteration, and the step and merit plan (or None) the update
-reuses (the robust solver's plan is the linearized violation decrease); it
-returns None at a certified infeasible stationary point. The
-update changes x only when alpha > 0. Either raises MeritCollapse or
-LineSearchFailure to abandon the batch. The loop owns the budget check, the
-first-iteration snapshot, the inner cap, the mapping of these outcomes to
-`OuterRecord.term_cause`, and the iteration counts.
+last outer iteration, with what is computed from them alone (the
+feasibility LP, the true-problem metrics) in its `store`. Each inner
+iteration is a progress probe, the termination test, then an update, and
+a solver is one `_INNER` entry: the probe,
+`probe(ctx, config, counters) -> (current, first, step, plan)` or None,
+and the update, `update(ctx, step, plan, evaluator, ...) -> (new ctx,
+alpha)`. The probe returns its rule's progress measure, the value the rule
+compares against when this is the first inner iteration, and the step and
+merit plan (or None) the update reuses (the robust solver's plan is the
+linearized violation decrease); it returns None at a certified infeasible
+stationary point. The update changes x only when alpha > 0. Either raises
+MeritCollapse or LineSearchFailure to abandon the batch. The loop owns the
+budget check, the first-iteration snapshot, the inner cap, the mapping of
+these outcomes to `OuterRecord.term_cause`, and the iteration counts.
 """
 
 from __future__ import annotations
@@ -255,8 +255,6 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     Per-sample gradient sums are retained so the fresh set can be folded
     into the next batch at no extra gradient cost.
     """
-    if prev_batch.size < 1:
-        raise ConfigError("previous batch is empty")
     fresh = draw_samples(problem, prev_batch.size, rng)
     vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh, counters)
     m = fresh.size
@@ -269,7 +267,7 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     # batches (+7.8% ra-sqp-kkt gradient evaluations on eq-logreg seeds 10-19)
     ctx = replace(ctx, F_S=vsum / m, g_S=gbar, tau_prev=TAU_BAR)
     try:
-        probe = _PROGRESS[config.solver](ctx, config, counters)
+        probe = _INNER[config.solver][0](ctx, config, counters)
     except MeritCollapse:
         probe = None
     Z = 0.0 if probe is None else max(probe[0], 0.0)
@@ -304,16 +302,16 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
     (||d||, ||d||, direction d, linearized violation decrease delta_c) from
     the feasibility LP and the direction QP, or None, with no QP solved,
-    when the LP certifies an infeasible stationary point. The LP is solved
-    once per iterate and kept in `InnerContext.feasibility`."""
+    when the LP certifies an infeasible stationary point. The LP reads only
+    the constraint values and the run's one norm mode, so it is solved once
+    per iterate and kept in the context's store."""
     mode = config.norm
     v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
     violation = v_inf if mode == LINF else v_l1
     sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, ctx.x.size)
-    # the LP reads only the constraint values, so the context keeps it
-    feas = ctx.feasibility.get(mode)
+    feas = ctx.store.get("feasibility")
     if feas is None:
-        feas = ctx.feasibility[mode] = feasibility_step(
+        feas = ctx.store["feasibility"] = feasibility_step(
             ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p, mode,
             counters=counters)
     if detect_infeasible_stationary(feas, violation):
@@ -324,7 +322,14 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     return dnorm, dnorm, d, max(0.0, violation - feas.lp_objective)
 
 
-_PROGRESS = {"equality": _eq_progress, "robust": _robust_progress}
+# solver -> (progress probe, update, the update's arguments after
+# (ctx, step, plan, evaluator), from the config and the run's counters)
+_INNER = {
+    "equality": (_eq_progress, inner_iteration,
+                 lambda config, counters: (config.exact, counters)),
+    "robust": (_robust_progress, robust_inner_iteration,
+               lambda config, counters: (config.norm,)),
+}
 
 
 # ------------------------------------------------------------------
@@ -402,17 +407,15 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                  if config.use_lbfgs else None))
 
     trace = []
-    last_x = metrics = None    # the last record's iterate and its metrics
 
     def record(ctx, k, batch_size, est_size, inner_iters, updates,
                term_cause):
-        nonlocal last_x, metrics
-        # an inner loop with no update leaves the same x array in ctx
-        if ctx.x is not last_x:
-            last_x, metrics = ctx.x, true_metrics(
+        # an inner loop with no update keeps the iterate, and its store
+        if "metrics" not in ctx.store:
+            ctx.store["metrics"] = true_metrics(
                 problem, ctx.x, config.solver,
                 (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
-        v, s, mc = metrics
+        v, s, mc = ctx.store["metrics"]
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iters=inner_iters,
             updates=updates, estimation_size=est_size,
@@ -527,29 +530,16 @@ def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
     """(progress, update, start context) of the configured solver on the
     batch S, warm-started at the iterate ctx, whose subsampled objective on
     S is (F_S, g_S); the equality solver's duals are initialized here."""
-    lam = ctx.lam
-
+    probe, update, settings = _INNER[config.solver]
     # the evaluation functions are looked up at call time, so wrappers
     # installed on this module's names see every call
     evaluator = Evaluator(
         lambda xt: eval_subsampled_value(problem, xt, S, counters),
         lambda xt: eval_subsampled(problem, xt, S, counters),
         lambda xt: eval_constraints(problem, xt))
-
-    if config.solver == "robust":
-        def update(ctx, d, delta_c):
-            return robust_inner_iteration(ctx, config.norm, evaluator, d,
-                                          delta_c)
-    else:
-        lam = dual_initialize(lam, g_S, ctx.J_E)
-
-        def update(ctx, step, plan):
-            ctx, _, alpha = inner_iteration(ctx, config.exact, evaluator,
-                                            counters, step=step, plan=plan)
-            return ctx, alpha
-
-    def progress(ctx):
-        return _PROGRESS[config.solver](ctx, config, counters)
-
-    return progress, update, replace(ctx, lam=lam, F_S=F_S, g_S=g_S,
-                                     tau_prev=TAU_BAR)
+    args = (evaluator, *settings(config, counters))
+    lam = (ctx.lam if config.solver == "robust"
+           else dual_initialize(ctx.lam, g_S, ctx.J_E))
+    return (lambda ctx: probe(ctx, config, counters),
+            lambda ctx, step, plan: update(ctx, step, plan, *args),
+            replace(ctx, lam=lam, F_S=F_S, g_S=g_S, tau_prev=TAU_BAR))

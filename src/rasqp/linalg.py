@@ -46,7 +46,7 @@ class KrylovReport:
     solution: np.ndarray
     residual: np.ndarray  # b - A @ solution, formed once at exit
     iterations: int
-    stop_reason: str  # "exact_tol" | "inexactness_accepted" | "max_iter"
+    stop_reason: str  # "exact_tol", "max_iter" or the acceptance's name
 
 
 def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -56,10 +56,11 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     """MINRES on a symmetric (possibly indefinite) system A z = b, where
     apply(v) returns A v.
 
-    Stops at the first of: relative residual <= tol, acceptance callback
-    returning True for the current iterate (checked every iteration with an
+    Stops at the first of: relative residual <= tol ("exact_tol"), the
+    acceptance callback `acceptance(z, resid)` returning a name rather
+    than None for the current iterate (checked every iteration with an
     explicitly recomputed residual vector, which is then the reported
-    residual), or max_iter.
+    residual; the name is the stop reason), or max_iter ("max_iter").
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -84,6 +85,7 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     itn = 0
     stop = "max_iter"
+    accepted = None
     while itn < max_iter:
         itn += 1
         v = y / beta
@@ -116,17 +118,17 @@ def minres_solve(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             break
         if acceptance is not None:
             resid = b - apply(x)
-            if acceptance(x, resid):
-                stop = "inexactness_accepted"
+            accepted = acceptance(x, resid)
+            if accepted is not None:
+                stop = accepted
                 break
         if beta <= EPS * beta1:
-            # Krylov space exhausted; solution is as exact as it gets
-            stop = "exact_tol" if phibar <= tol * beta1 else "max_iter"
+            # Krylov space exhausted short of the tolerance
             break
 
     if counters is not None:
         counters.minres_iters += itn
-    if stop != "inexactness_accepted":
+    if accepted is None:
         resid = b - apply(x)
     return KrylovReport(x, resid, itn, stop)
 

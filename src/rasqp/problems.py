@@ -62,10 +62,12 @@ def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
                counters: Optional[Counters] = None, order: int = 1):
     """`problem.sums(x, samples, order)`, checked finite. Counts one
     function evaluation per sample, and one gradient evaluation per sample
-    when order >= 1.
+    when order >= 1. An empty sample set raises ConfigError.
 
     Order 0, which line searches call most, checks the value sum alone; the
     higher orders also check the iterate and every sum."""
+    if samples.size < 1:
+        raise ConfigError("empty sample set")
     if order >= 1 and not np.isfinite(x).all():
         raise NumericalFailure("non-finite iterate")
     out = problem.sums(x, samples, order)
@@ -91,8 +93,6 @@ def eval_subsampled(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
                     counters: Optional[Counters] = None):
     """Sample-average objective value and gradient over `samples`. Counts
     one gradient evaluation per sample."""
-    if samples.size < 1:
-        raise ConfigError("empty sample set")
     vsum, gsum = _sums_over(problem, x, samples, counters)
     return vsum / samples.size, gsum / samples.size
 

@@ -42,9 +42,11 @@ L1 = "l1"
 class InnerContext:
     """An inner iterate on the subsampled problem with what both solvers
     read at it. The robust solver takes no dual steps, so its `lam` stays
-    at the start value. `feasibility` holds the robust solver's feasibility
-    LP result at these constraint values, by norm mode; `replace` shares it
-    between copies that keep the constraints."""
+    at the start value. `store` keeps what is computed from x and its
+    constraint values alone, whatever the batch: the driver puts the
+    robust solver's feasibility LP result there ("feasibility") and the
+    true-problem metrics ("metrics"). `replace` shares it, so a copy that
+    changes x or the constraints needs a new one."""
     x: np.ndarray
     lam: np.ndarray
     F_S: float
@@ -55,7 +57,7 @@ class InnerContext:
     J_I: np.ndarray
     tau_prev: float
     hessian: Optional[LbfgsModel] = None  # None means identity
-    feasibility: dict = field(default_factory=dict, repr=False)
+    store: dict = field(default_factory=dict, repr=False)
 
     def h_apply(self, v):
         return v if self.hessian is None else lbfgs_apply(self.hessian, v)
@@ -73,11 +75,10 @@ class EqStepResult:
     acceptance: str  # "exact" | "inexact_cond1" | "inexact_cond2"
 
 
-def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
-                        acceptance_kind: dict) -> Callable:
-    """MINRES acceptance callback of the inexact mode: True at the first
-    iterate passing condition II or I, whose name it stores in
-    acceptance_kind["kind"]. What the tests read of ctx alone is taken
+def _inexact_acceptance(ctx: InnerContext, T: np.ndarray) -> Callable:
+    """MINRES acceptance callback of the inexact mode: the name of the
+    first of condition II or I an iterate passes, "inexact_cond2" or
+    "inexact_cond1", or None. What the tests read of ctx alone is taken
     once here, not at every MINRES iteration."""
     n = ctx.x.size
     c1 = norm(ctx.c_E, 1)
@@ -93,8 +94,7 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
         rho_norm = norm(resid[:n])
         # condition II: decrease in the linear constraint model
         if r_norm <= EPS_FEAS * cnorm and rho_norm <= EPS_OPT * cnorm:
-            acceptance_kind["kind"] = "inexact_cond2"
-            return True
+            return "inexact_cond2"
         # condition I: sufficient decrease in the merit model at tau_prev
         gTd = float(ctx.g_S @ d)
         dHd = float(d @ ctx.h_apply(d))
@@ -104,9 +104,8 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray,
         if (dl >= bound
                 and norm(resid) <= KAPPA_T * min(t_norm, norm(d))
                 and rho_norm <= rho_cap):
-            acceptance_kind["kind"] = "inexact_cond1"
-            return True
-        return False
+            return "inexact_cond1"
+        return None
 
     return accept
 
@@ -122,16 +121,17 @@ def compute_step(ctx: InnerContext, exact: bool,
     """
     n = ctx.x.size
     T = ctx.kkt_vector()
-    acceptance_kind = {"kind": "exact"}
-    callback = (None if exact
-                else _inexact_acceptance(ctx, T, acceptance_kind))
+    callback = None if exact else _inexact_acceptance(ctx, T)
     report = minres_solve(make_kkt_operator(ctx.h_apply, ctx.J_E), -T,
                           MINRES_TOL, MINRES_MAX_ITER, acceptance=callback,
                           counters=counters)
-    z = report.solution
-    resid_vec = report.residual
-    return EqStepResult(d=z[:n], delta=z[n:], rho=-resid_vec[:n],
-                        r=-resid_vec[n:], acceptance=acceptance_kind["kind"])
+    z, resid = report.solution, report.residual
+    # an accepted pass stops with the name of the condition that accepted
+    kind = report.stop_reason
+    if kind in ("exact_tol", "max_iter"):
+        kind = "exact"
+    return EqStepResult(d=z[:n], delta=z[n:], rho=-resid[:n], r=-resid[n:],
+                        acceptance=kind)
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
@@ -263,20 +263,18 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     return new_ctx, alpha
 
 
-def inner_iteration(ctx: InnerContext, exact: bool,
-                    evaluator: Evaluator,
-                    counters: Optional[Counters] = None,
-                    step: Optional[EqStepResult] = None,
-                    plan: Optional[tuple] = None):
-    """One equality SQP inner iteration: KKT step, merit update, then the
-    shared line search and update on the l1 merit tau F + ||c_E||_1.
+def inner_iteration(ctx: InnerContext, step: Optional[EqStepResult],
+                    plan: Optional[tuple], evaluator: Evaluator, exact: bool,
+                    counters: Optional[Counters] = None):
+    """One equality SQP update along the probe's KKT step with its merit
+    plan (tau, model decrease), then the shared line search and update on
+    the l1 merit tau F + ||c_E||_1. A step of None is solved here (exact
+    or inexact, counted in `counters`), and a plan of None is taken as
+    merit_plan(ctx, step). Returns (new context, alpha).
 
-    Returns (new_ctx, step_result, alpha). A zero primal step takes the
-    full dual step, lam + delta, at the same x with alpha 0; a step whose
-    model decrease is not positive returns ctx unchanged with alpha 0.
-    `step` may be passed in when the caller already solved the KKT system
-    for a termination probe, and `plan` when it already took
-    merit_plan(ctx, step).
+    A zero primal step takes the full dual step, lam + delta, at the same
+    x with alpha 0; a step whose model decrease is not positive returns
+    ctx unchanged with alpha 0.
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.
@@ -285,9 +283,8 @@ def inner_iteration(ctx: InnerContext, exact: bool,
         step = compute_step(ctx, exact, counters=counters)
 
     if norm(step.d) <= 1e-15 * (1.0 + norm(ctx.x)):
-        return replace(ctx, lam=ctx.lam + step.delta), step, 0.0
+        return replace(ctx, lam=ctx.lam + step.delta), 0.0
 
     tau, delta_l = merit_plan(ctx, step) if plan is None else plan
-    new_ctx, alpha = line_search_step(ctx, step.d, step.delta, tau, delta_l,
-                                      evaluator, L1)
-    return new_ctx, step, alpha
+    return line_search_step(ctx, step.d, step.delta, tau, delta_l, evaluator,
+                            L1)

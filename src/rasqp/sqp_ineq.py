@@ -170,13 +170,13 @@ def update_tau_ineq(tau_prev: float, tau_tr: float) -> float:
     return tau
 
 
-def robust_inner_iteration(ctx: InnerContext, mode: str,
-                           evaluator: Evaluator, d: np.ndarray,
-                           delta_c: float):
-    """One robust-SQP update along the probe's direction d, whose linearized
-    violation decrease is delta_c = max(0, violation - LP objective): the
-    merit parameter rule, then the shared line search on the `mode` merit,
-    with no dual step. Returns (new context, alpha).
+def robust_inner_iteration(ctx: InnerContext, d: np.ndarray, delta_c: float,
+                           evaluator: Evaluator, mode: str):
+    """One robust-SQP update along the probe's direction d (its step) with
+    its linearized violation decrease delta_c = max(0, violation - LP
+    objective) (its plan): the merit parameter rule, then the shared line
+    search on the `mode` merit, with no dual step. Returns (new context,
+    alpha).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.

@@ -232,7 +232,8 @@ def test_criterion_4_merit_line_search_invariants():
         taus = []
         for _ in range(6):
             try:
-                new_ctx, step, alpha = inner_iteration(ctx, True, ev)
+                step = compute_step(ctx, True)
+                new_ctx, alpha = inner_iteration(ctx, step, None, ev, True)
             except MeritCollapse:
                 break
             if alpha > 0.0:
@@ -269,8 +270,8 @@ def test_criterion_4_merit_line_search_invariants():
                 break
             d, delta_c = probe[2], probe[3]
             try:
-                new_ctx, alpha = robust_inner_iteration(ctx, rob_config.norm,
-                                                        ev, d, delta_c)
+                new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, ev,
+                                                        rob_config.norm)
             except MeritCollapse:
                 break
             tau = new_ctx.tau_prev

@@ -135,6 +135,11 @@ class TestCostToSuccess:
         out = fake_outcome([(2.0, 2.0), (0.1, 0.1)])
         assert cost_to_success(out.trace, 1e-1, "solver_iters") == 11
 
+    def test_unknown_metric_rejected(self):
+        out = fake_outcome([(2.0, 2.0), (0.1, 0.1)])
+        with pytest.raises(ConfigError, match="profile metric"):
+            cost_to_success(out.trace, 1e-1, "wall_s")
+
 
 class TestProblemRegistry:
     def test_all_problems_build(self):

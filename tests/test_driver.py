@@ -96,6 +96,11 @@ class TestTerminationRule:
         assert termination_check(rule, 0.0, 1e-7)
         assert not termination_check(rule, 0.0, 2e-6)
 
+    def test_negative_eps_rejected(self):
+        TerminationRule(eps=0.0)
+        with pytest.raises(ConfigError, match="eps"):
+            TerminationRule(eps=-1e-9)
+
     def test_defaults_per_kind(self):
         assert TerminationRule("dl").gamma == 0.1
         for kind in ("kkt", "dnorm", "robust_dnorm"):

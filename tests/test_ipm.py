@@ -10,6 +10,7 @@ from scipy.linalg.lapack import dpotrf
 
 from rasqp import ipm
 from rasqp.counters import Counters
+from rasqp.errors import NumericalFailure
 from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
 from rasqp.sqp_eq import L1, LINF, violation_norms
 from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
@@ -120,6 +121,15 @@ class TestSolveProgram:
         monkeypatch.setattr(ipm, "dpotrf", failing)
         check_against_oracle()
         assert calls
+
+    def test_non_finite_step_raises(self, monkeypatch):
+        # a Newton solve that returns NaN stops the barrier loop at once
+        monkeypatch.setattr(ipm, "dpotrs",
+                            lambda factor, rhs: (np.full_like(rhs, np.nan),
+                                                 0))
+        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_program(prog)
 
     def test_barrier_counter(self):
         ct = Counters()
@@ -232,6 +242,17 @@ class TestKktResidual:
             c_I = np.zeros(m_i)
             t = kkt_residual(grad, c_I, J_E, J_I)
             assert t <= 1e-6
+
+
+def test_kkt_residual_nonoptimal_lp_raises(monkeypatch):
+    def nonoptimal(prog, counters=None):
+        return ipm.ProgramSolution(x=np.zeros(prog.g.size), objective=0.0,
+                                   iterations=1, status="max_iter")
+
+    monkeypatch.setattr(ipm, "solve_program", nonoptimal)
+    with pytest.raises(NumericalFailure, match="KKT-residual LP"):
+        kkt_residual(np.array([1.0]), np.zeros(0), np.zeros((0, 1)),
+                     np.zeros((0, 1)))
 
 
 def regression_set():

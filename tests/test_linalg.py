@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rasqp.errors import RankDeficient
+from rasqp.errors import NumericalFailure, RankDeficient
 from rasqp.linalg import (LbfgsModel, lbfgs_apply, lbfgs_update,
                           least_squares_dual, make_kkt_operator, minres_solve,
                           norm)
@@ -76,6 +76,25 @@ class TestMinres:
             rel = np.linalg.norm(M @ rep.solution - b) / np.linalg.norm(b)
             assert rel <= 1e-6
 
+    def test_inconsistent_system_exhausts_krylov_space(self):
+        # A = diag(1, 0), b = (1, 1): the Krylov space is all of R^2 after
+        # two steps with the residual (0, 1) left, so MINRES stops there,
+        # short of its tolerance, rather than run to its cap
+        M = np.diag([1.0, 0.0])
+        b = np.array([1.0, 1.0])
+        rep = minres_solve(M.__matmul__, b, 1e-10, 50)
+        assert (rep.iterations, rep.stop_reason) == (2, "max_iter")
+        np.testing.assert_array_equal(rep.residual, b - M @ rep.solution)
+        np.testing.assert_allclose(rep.residual, [0.0, 1.0], atol=1e-12)
+
+    def test_non_finite_product_raises(self):
+        # a NaN from the operator breaks the Lanczos recurrence at once
+        def apply(v):
+            return np.full_like(v, np.nan)
+
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            minres_solve(apply, np.ones(3), 1e-10, 50)
+
     def test_acceptance_callback_stops_early(self):
         rng = np.random.default_rng(3)
         M = random_symmetric(rng, 20) + 20 * np.eye(20)
@@ -89,10 +108,11 @@ class TestMinres:
 
         def accept(x, resid):
             calls.append(np.linalg.norm(resid))
-            return np.linalg.norm(resid) <= 0.5 * np.linalg.norm(b)
+            return ("small" if np.linalg.norm(resid) <= 0.5 * np.linalg.norm(b)
+                    else None)
 
         rep = minres_solve(apply, b, 1e-12, 100, acceptance=accept)
-        assert rep.stop_reason == "inexactness_accepted"
+        assert rep.stop_reason == "small"
         # the callback saw the true residual of the reported iterate
         assert np.linalg.norm(rep.residual) <= 0.5 * np.linalg.norm(b)
         np.testing.assert_array_equal(rep.residual, b - M @ rep.solution)

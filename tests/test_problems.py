@@ -267,6 +267,42 @@ class TestSumsOver:
                        self.SAMPLES, ct, order=order)
         assert ct == Counters()
 
+    @pytest.mark.parametrize("wrapper", [gradient_stats, eval_subsampled,
+                                         eval_subsampled_value])
+    @pytest.mark.parametrize("name", ["synth-logreg-eq", "synth-eq-quad"])
+    def test_empty_set_rejected_by_every_wrapper(self, name, wrapper):
+        # an empty set has no average, and the logistic sums over one
+        # would give an int64 zero gradient
+        prob = build_problem(name)
+        empty = draw_samples(prob, 1, np.random.default_rng(0))[:0]
+        ct = Counters()
+        with pytest.raises(ConfigError, match="empty sample set"):
+            wrapper(prob, np.asarray(prob.x_init, dtype=float), empty, ct)
+        assert ct == Counters()
+
+
+class TestEvalConstraints:
+    def test_non_finite_iterate_raises(self):
+        prob = make_quadratic_problem()
+        with pytest.raises(NumericalFailure, match="iterate"):
+            eval_constraints(prob, np.array([0.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize("bad", range(4))
+    def test_non_finite_hook_output_raises(self, bad):
+        # a NaN in any one of c_E, c_I, J_E, J_I from the problem's hook
+        def constraints(x):
+            out = [np.array([x[0] - 1.0]), np.array([x[1]]),
+                   np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+            out[bad] = np.full(out[bad].shape, np.nan)
+            return tuple(out)
+
+        prob = build_augmented_problem(
+            value_fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x,
+            constraints=constraints, m_E=1, m_I=1, x_init=np.zeros(2),
+            noise_level=0.0)
+        with pytest.raises(NumericalFailure, match="constraint"):
+            eval_constraints(prob, np.zeros(2))
+
 
 class TestDrawSamples:
     def test_finite_sum_without_replacement(self):
@@ -302,6 +338,13 @@ class TestDrawSamples:
             -0.41435083285637564, -0.2631894934039003, 0.3012744652063969,
             0.08216203606436778, -0.4058713577596008]
 
+    def test_size_below_prefix_rejected(self):
+        prob = build_logreg_problem(_tiny_dataset(), "equality")
+        rng = np.random.default_rng(0)
+        S0 = draw_samples(prob, 4, rng)
+        with pytest.raises(ConfigError, match="smaller"):
+            draw_samples(prob, 3, rng, superset_of=S0)
+
     def test_oversized_request_rejected(self):
         prob = build_logreg_problem(_tiny_dataset(), "equality")
         with pytest.raises(ConfigError):
@@ -323,6 +366,19 @@ def _tiny_dataset(n_samples=12, n_raw=3, n_classes=2, seed=0):
 
 
 class TestLogreg:
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(indptr=np.zeros(1, dtype=np.int64),
+                        indices=np.zeros(0, dtype=np.int64),
+                        data=np.zeros(0), n_features=1,
+                        labels=np.zeros(0, dtype=np.int64), n_classes=1)
+        assert len(empty) == 0
+        with pytest.raises(ConfigError, match="empty dataset"):
+            build_logreg_problem(empty, "equality")
+
+    def test_unknown_constraint_kind_rejected(self):
+        with pytest.raises(ConfigError, match="constraint kind"):
+            build_logreg_problem(_tiny_dataset(), "box")
+
     def test_dimensions(self):
         ds = _tiny_dataset()
         prob = build_logreg_problem(ds, "equality")

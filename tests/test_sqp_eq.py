@@ -71,7 +71,7 @@ class TestComputeStep:
         # costs no more MINRES iterations than the exact step
         monkeypatch.setattr(sqp_eq, "MINRES_MAX_ITER", 100)
         monkeypatch.setattr(sqp_eq, "_inexact_acceptance",
-                            lambda ctx, T, kind: lambda z, resid: False)
+                            lambda ctx, T: lambda z, resid: None)
         rng = np.random.default_rng(9)
         n, m = 40, 5
         A = rng.standard_normal((n, n))
@@ -204,7 +204,8 @@ def run_inner(evaluator, x0, iters, exact=True, use_lbfgs=False):
                        hessian=hess)
     history = []
     for _ in range(iters):
-        new_ctx, step, alpha = inner_iteration(ctx, exact, evaluator)
+        step = compute_step(ctx, exact)
+        new_ctx, alpha = inner_iteration(ctx, step, None, evaluator, exact)
         history.append((ctx, new_ctx, step, alpha))
         ctx = new_ctx
     return ctx, history
@@ -261,9 +262,9 @@ class TestLineSearchStep:
                            c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
         step = compute_step(ctx, True)
         tau, _ = merit_plan(ctx, step)
-        new, _, alpha = inner_iteration(
-            ctx, True, Evaluator(never, never, never), step=step,
-            plan=(tau, -6.367665870026323e-24))
+        new, alpha = inner_iteration(
+            ctx, step, (tau, -6.367665870026323e-24),
+            Evaluator(never, never, never), True)
         assert new is ctx
         assert alpha == 0.0
 
@@ -278,8 +279,9 @@ class TestLineSearchStep:
         ctx = make_ctx(np.full(n, 0.25), [1.0], np.full(n, -2.25), [0.0],
                        np.ones((1, n)))
         assert np.linalg.norm(ctx.kkt_vector()) == pytest.approx(2.5)
-        new, step, alpha = inner_iteration(ctx, True,
-                                           Evaluator(never, never, never))
+        step = compute_step(ctx, True)
+        new, alpha = inner_iteration(ctx, step, None,
+                                     Evaluator(never, never, never), True)
         assert np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x))
         assert alpha == 0.0
         assert new.x is ctx.x

@@ -5,14 +5,16 @@ iteration invariants in both norm modes."""
 import numpy as np
 import pytest
 
+from rasqp import sqp_ineq
 from rasqp.driver import DriverConfig, _robust_progress
+from rasqp.ipm import ProgramSolution
 from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext, merit_value,
                           violation_norms)
 from rasqp.sqp_ineq import (FeasibilityResult, detect_infeasible_stationary,
                             direction_step, feasibility_step,
                             robust_inner_iteration, sigma_bounds,
                             trial_tau_ineq, update_tau_ineq)
-from rasqp.errors import MeritCollapse
+from rasqp.errors import MeritCollapse, NumericalFailure
 
 
 class TestViolationAndBounds:
@@ -32,6 +34,15 @@ class TestViolationAndBounds:
     def test_sigma_bounds_proportional(self):
         sp, _ = sigma_bounds(50.0, 50.0, "linf", 3)
         assert sp == 500.0
+
+    def test_unknown_norm_mode_rejected(self):
+        # DriverConfig rejects the mode first; these are the callers' guards
+        with pytest.raises(ValueError, match="norm mode"):
+            sigma_bounds(1.0, 1.0, "l2", 3)
+        with pytest.raises(ValueError, match="norm mode"):
+            feasibility_step(np.array([-1.0]), np.zeros(0),
+                             np.array([[1.0]]), np.zeros((0, 1)), 100.0,
+                             "l2")
 
     def test_sigma_bounds_l1_scales_with_dimension(self):
         sp, _ = sigma_bounds(0.0, 0.0, "l1", 4)
@@ -90,6 +101,23 @@ class TestFeasibilityStep:
                                 np.array([[1.0]]), np.zeros((0, 1)),
                                 1.0, "linf")
         assert feas.lp_objective == pytest.approx(9.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("status", ["infeasible", "max_iter"])
+@pytest.mark.parametrize("mode", [LINF, L1])
+def test_nonoptimal_subproblem_raises(monkeypatch, status, mode):
+    # a program that ends short of optimal has no x to return
+    def solve_program(prog, counters=None):
+        return ProgramSolution(x=np.zeros(prog.g.size), objective=0.0,
+                               iterations=1, status=status)
+
+    monkeypatch.setattr(sqp_ineq, "solve_program", solve_program)
+    args = (np.array([-1.0]), np.zeros(0), np.array([[1.0]]),
+            np.zeros((0, 1)))
+    with pytest.raises(NumericalFailure, match=f"feasibility LP .*{status}"):
+        feasibility_step(*args, 100.0, mode)
+    with pytest.raises(NumericalFailure, match=f"direction QP .*{status}"):
+        direction_step(np.array([1.0]), *args, 0.0, 200.0, mode)
 
 
 class TestDetection:
@@ -241,7 +269,7 @@ def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
     dnorm, _, d, delta_c = probe
     if stop(dnorm):
         return "terminated", ctx, d, 0.0
-    new_ctx, alpha = robust_inner_iteration(ctx, mode, evaluator, d, delta_c)
+    new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, evaluator, mode)
     return "updated", new_ctx, d, alpha
 
 

@@ -42,25 +42,41 @@ def load_layers():
 
 
 # one solve down each path the benchmark traces: adaptive sampling with its
-# fresh-set prefix, the robust solver, and geometric expectation batches
+# fresh-set prefix, the robust solver, and geometric expectation batches;
+# each with the trace sites (module.name) its traced solve reaches, so a
+# refactor that moves a call off a traced name fails here
+SOLVE_SITES = {"bench.run", "driver._sums_over", "driver.draw_samples",
+               "driver.eval_constraints", "driver.eval_subsampled",
+               "driver.eval_subsampled_value", "driver.true_metrics",
+               "sqp_eq.armijo_backtrack"}
+LOGREG_SITES = SOLVE_SITES | {"bench.build_logreg_problem",
+                              "bench.make_synthetic_dataset",
+                              "driver.estimate_condition_inputs",
+                              "driver.gradient_stats"}
 TRACED_SOLVES = [
-    RunConfig(problem="synth-logreg-eq", method="ra-sqp-dl",
-              max_gradient_evals=20_000),
-    RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
-              max_gradient_evals=20_000),
-    RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
-              sampling="geometric", max_outer=3),
+    (RunConfig(problem="synth-logreg-eq", method="ra-sqp-dl",
+               max_gradient_evals=20_000),
+     LOGREG_SITES | {"driver.compute_step", "sqp_eq.minres_solve"}),
+    (RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
+               max_gradient_evals=20_000),
+     LOGREG_SITES | {"driver.feasibility_step", "driver.direction_step",
+                     "sqp_ineq.solve_program", "ipm.solve_program"}),
+    (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
+               sampling="geometric", max_outer=3),
+     SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve"}),
 ]
 
 
-@pytest.mark.parametrize("config", TRACED_SOLVES,
-                         ids=lambda c: f"{c.problem}-{c.method}")
-def test_traced_solve_does_the_same_work(config):
+@pytest.mark.parametrize("config,sites", [
+    pytest.param(config, sites, id=f"{config.problem}-{config.method}")
+    for config, sites in TRACED_SOLVES])
+def test_traced_solve_does_the_same_work(config, sites):
     layers = load_layers()
     tracer = layers.Tracer()
     with layers.Installed(tracer):
         traced = run_config(config).counters
     assert traced == run_config(config).counters
+    assert {span[1] for span in tracer.spans} == sites
     # the tracer read every sample set it was handed
     counts = tracer.counts
     assert counts["problems.value_grad"]["samples"] == traced.gradient_evals
