@@ -16,7 +16,8 @@ from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
                      TerminationRule, run)
 from .errors import ConfigError
 from .problems import (Dataset, FiniteSum, ProblemSpec, Expectation,
-                       build_logreg_problem, eval_constraints)
+                       build_augmented_problem, build_logreg_problem,
+                       eval_constraints)
 from .sqp_eq import violation_norms
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -98,20 +99,6 @@ def make_noisy_quadratic(n: int = 20, m: int = 5, noise: float = 0.01,
         x_init=np.ones(n), true_value=f, true_gradient=gf)
 
 
-def make_infeasible_1d() -> ProblemSpec:
-    """1-D problem whose two equality constraints x = 0 and x = 1 cannot be
-    met; the constant objective makes every point penalty-stationary."""
-    return ProblemSpec(
-        m_E=2, m_I=0,
-        mode=Expectation(lambda gen, count: np.zeros(count)),
-        sums=lambda x, items, order: (0.0, np.zeros(1), 0.0)[:order + 1],
-        constraints=lambda x: (np.array([x[0], x[0] - 1.0]), np.zeros(0),
-                               np.ones((2, 1)), np.zeros((0, 1))),
-        x_init=np.array([0.3]),
-        true_value=lambda x: 0.0,
-        true_gradient=lambda x: np.zeros(1))
-
-
 # problem name -> builder of data_seed. The builders look the module's
 # functions up at call time, so wrappers installed on these names see them.
 PROBLEMS = {
@@ -121,7 +108,13 @@ PROBLEMS = {
         make_synthetic_dataset(data_seed=data_seed), "inequality"),
     "synth-eq-quad": lambda data_seed: make_noisy_quadratic(
         data_seed=data_seed),
-    "infeasible-1d": lambda data_seed: make_infeasible_1d(),
+    # two equality constraints, x = 0 and x = 1, that cannot both hold; the
+    # constant objective makes every point penalty-stationary
+    "infeasible-1d": lambda data_seed: build_augmented_problem(
+        lambda x: 0.0, lambda x: np.zeros(1),
+        lambda x: (np.array([x[0], x[0] - 1.0]), np.zeros(0),
+                   np.ones((2, 1)), np.zeros((0, 1))),
+        m_E=2, m_I=0, x_init=np.array([0.3]), noise_level=0.0),
 }
 
 

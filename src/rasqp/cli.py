@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import fields
@@ -166,10 +167,18 @@ def cmd_profile(args) -> int:
         if rows and name not in rows[0]:
             raise ConfigError(f"{args.inputs} has no {name!r} column")
     costs = {}
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         inst = (row["problem"], row["seed"])
         val = row.get(column, "")
-        costs[(inst, row["method"])] = float(val) if val else None
+        try:
+            cost = float(val) if val else None
+            if cost is not None and not 0.0 < cost < math.inf:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"{args.inputs}: row {i}, column {column!r}: "
+                              f"expected an empty cell or a finite number "
+                              f"> 0, got {val!r}") from None
+        costs[(inst, row["method"])] = cost
     methods, instances, ratios = performance_profile(costs)
     taus = [1.0 + 0.25 * i for i in range(0, 37)]
     with open(args.out, "w", newline="") as fh:

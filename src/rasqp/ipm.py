@@ -154,14 +154,10 @@ def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
     and the complementarity products within t in the max norm.
 
     Solved as an LP over (t, lambda_E, lambda_I) with the max-norm
-    constraints expanded into paired inequalities.
+    constraints expanded into paired inequalities. The arrays come in the
+    form `problems.eval_constraints` returns, with grad_f of shape (n,).
     """
-    grad_f = np.asarray(grad_f, dtype=float)
-    c_I = np.atleast_1d(np.asarray(c_I, dtype=float))
-    n = grad_f.size
-    J_E = np.asarray(J_E, dtype=float).reshape(-1, n)
-    J_I = np.asarray(J_I, dtype=float).reshape(-1, n)
-    m_E, m_I = J_E.shape[0], J_I.shape[0]
+    n, m_E, m_I = grad_f.size, J_E.shape[0], J_I.shape[0]
 
     nv = 1 + m_E + m_I  # [t, lambda_E, lambda_I]
     # |grad_f + J_E' lam_E + J_I' lam_I| <= t and |lam_I * c_I| <= t,

@@ -10,7 +10,7 @@ this module needs numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,24 +106,25 @@ def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray,
 
 
 def eval_constraints(problem: ProblemSpec, x: np.ndarray):
-    """Deterministic constraint values and Jacobians at x. A hook that
-    returns other than m_E equality and m_I inequality values raises
-    ConfigError."""
+    """Deterministic constraint values and Jacobians at x. The hook returns
+    float64 arrays of shapes (m_E,), (m_I,), (m_E, n) and (m_I, n), taken
+    as they are; any other form raises ConfigError."""
     if not np.isfinite(x).all():
         raise NumericalFailure("non-finite iterate")
-    c_E, c_I, J_E, J_I = problem.constraints(x)
-    c_E = np.atleast_1d(np.asarray(c_E, dtype=float))
-    c_I = np.atleast_1d(np.asarray(c_I, dtype=float))
-    if c_E.size != problem.m_E or c_I.size != problem.m_I:
-        raise ConfigError(f"constraint hook returned {c_E.size} equality and "
-                          f"{c_I.size} inequality values for m_E = "
-                          f"{problem.m_E}, m_I = {problem.m_I}")
-    J_E = np.asarray(J_E, dtype=float).reshape(problem.m_E, problem.n)
-    J_I = np.asarray(J_I, dtype=float).reshape(problem.m_I, problem.n)
-    for arr in (c_E, c_I, J_E, J_I):
+    out = problem.constraints(x)
+    m_E, m_I, n = problem.m_E, problem.m_I, problem.n
+    shapes = [(m_E,), (m_I,), (m_E, n), (m_I, n)]
+    got = [(getattr(a, "shape", None), getattr(a, "dtype", None)) for a in out]
+    if got != [(shape, np.dtype(float)) for shape in shapes]:
+        raise ConfigError(
+            "constraint hook returned "
+            + ", ".join(f"{getattr(a, 'dtype', type(a).__name__)} "
+                        f"{np.shape(a)}" for a in out)
+            + f", not float64 {shapes}, for m_E = {m_E}, m_I = {m_I}")
+    for arr in out:
         if not np.isfinite(arr).all():
             raise NumericalFailure("non-finite constraint value or Jacobian")
-    return c_E, c_I, J_E, J_I
+    return out
 
 
 def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
@@ -170,10 +171,14 @@ class Dataset:
     Row i stores the values `data[indptr[i]:indptr[i + 1]]` at the feature
     columns `indices[indptr[i]:indptr[i + 1]]`, in increasing column order;
     its last entry is the bias feature, column n_features - 1, with value
-    1.0. Labels are class indices in 0..n_classes-1.
+    1.0. Labels are class indices in 0..n_classes-1, one per row.
 
-    Nothing writes to the arrays, so problems may share a data set, as
-    those of the memoized `bench.make_synthetic_dataset` do (read-only).
+    Construction checks that form (row pointers start at 0, do not decrease
+    and end at the entry count; at least one row; labels and feature
+    indices in range), raising ConfigError, and derives `row_sq`, each
+    row's squared norm, once. Nothing writes to the arrays, so problems may
+    share a data set, as those of the memoized `bench.make_synthetic_dataset`
+    do (read-only).
     """
     indptr: np.ndarray
     indices: np.ndarray
@@ -181,6 +186,33 @@ class Dataset:
     n_features: int
     labels: np.ndarray
     n_classes: int
+    row_sq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ptr, idx, labels, N = self.indptr, self.indices, self.labels, len(self)
+        if N < 1:
+            raise ConfigError("empty dataset")
+        if not (ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
+                and ptr[-1] == idx.size == self.data.size):
+            raise ConfigError("row pointers must start at 0, not decrease "
+                              "and end at the entry count")
+        K = self.n_classes
+        if labels.shape != (N,) or not np.all((labels >= 0) & (labels < K)):
+            raise ConfigError(f"need one label per row in 0..{K - 1}")
+        if not np.all((idx >= 0) & (idx < self.n_features)):
+            raise ConfigError(f"feature indices must be in "
+                              f"0..{self.n_features - 1}")
+        # a per-sample logistic gradient is a multiple of its row, so its
+        # squared norm needs only the row's. Summed as a CSR matrix's
+        # X.multiply(X).sum(axis=1) sums: zero products dropped, then one
+        # np.add.reduceat segment per nonempty row
+        sq = self.data * self.data
+        kept = sq != 0
+        kept_ptr = ptr - np.searchsorted(np.flatnonzero(~kept), ptr)
+        nonempty = np.flatnonzero(np.diff(kept_ptr))
+        self.row_sq = np.zeros(N)
+        self.row_sq[nonempty] = np.add.reduceat(sq[kept], kept_ptr[nonempty])
+        self.row_sq.flags.writeable = False
 
     def __len__(self):
         return self.indptr.size - 1
@@ -277,38 +309,26 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
     `constraint_kind` is "equality" (per-class squared norm equals 1) or
     "inequality" (at most 1).
     """
-    if len(dataset) == 0:
-        raise ConfigError("empty dataset")
     if constraint_kind not in ("equality", "inequality"):
         raise ConfigError(f"unknown constraint kind {constraint_kind!r}")
 
     nf, K = dataset.n_features, dataset.n_classes
     n = nf * K
-    indptr, data, labels, N = (dataset.indptr, dataset.data, dataset.labels,
-                               len(dataset))
+    indptr, data, labels, row_sq, N = (dataset.indptr, dataset.data,
+                                       dataset.labels, dataset.row_sq,
+                                       len(dataset))
     counts = np.diff(indptr)
     # one-hot labels: a row's score and gradient involve only its label's
     # class block, so each stored entry has one index into x
     at_all = np.repeat(labels * nf, counts)
     at_all += dataset.indices
 
-    # a per-sample gradient is a multiple of its row placed in its label's
-    # class block, so its squared norm needs only the row's. Summed as a
-    # CSR matrix's X.multiply(X).sum(axis=1) sums: zero products dropped,
-    # then one np.add.reduceat segment per nonempty row
-    sq = data * data
-    kept = sq != 0
-    kept_ptr = indptr - np.searchsorted(np.flatnonzero(~kept), indptr)
-    nonempty = np.flatnonzero(np.diff(kept_ptr))
-    row_sq = np.zeros(N)
-    row_sq[nonempty] = np.add.reduceat(sq[kept], kept_ptr[nonempty])
-
     # the current set's values and indices into x, and each evaluation's
     # scratch, live in arrays kept from set to set, sized for the whole data
     # set and grown only for a set with repeated rows: a large array made
     # per call can be mapped afresh and fault in every page it writes.
-    # np.take with mode="clip" (the indices are in range) writes into them
-    # unbuffered
+    # np.take with mode="clip" (`Dataset` checks the indices are in range)
+    # writes into them unbuffered
     space = np.empty((2, data.size)), np.empty(data.size, np.intp)
 
     def entries(items):

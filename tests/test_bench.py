@@ -3,6 +3,7 @@ config files, and the command-line entry points."""
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import pickle
 import subprocess
@@ -390,6 +391,55 @@ def test_work_counters_unchanged(config, expected):
             tuple(r.batch_size for r in out.trace[1:])) == expected
 
 
+# method -> (status, gradient evals, function evals, MINRES iterations,
+# barrier iterations, `tools/work_digest.py` digest of the trace records and
+# final x) of an `infeasible-1d` solve at seed 0 under a 2e4 gradient
+# budget, recorded from the hand-written instance the registry once held.
+# The benchmark's solve lists never use this problem, so this is its pin.
+INFEASIBLE_1D = {
+    "ra-sqp-kkt": ("BudgetExhausted", 20000, 20000, 3120, 0,
+                   "223215c9614fe93fa97038295e255cab"
+                   "36495992026870900c0101637ecd13de"),
+    "ra-sqp-dnorm": ("BudgetExhausted", 20000, 20000, 6240, 0,
+                     "170fbde9b8c62fe65d9a6d275abaae70"
+                     "33f4ba39850d7530e138c8dd3f73f357"),
+    "ra-sqp-dl": ("BudgetExhausted", 20000, 20000, 6240, 0,
+                  "170fbde9b8c62fe65d9a6d275abaae70"
+                  "33f4ba39850d7530e138c8dd3f73f357"),
+    "ra-sqp-dl-lbfgs": ("BudgetExhausted", 20000, 20000, 6240, 0,
+                        "170fbde9b8c62fe65d9a6d275abaae70"
+                        "33f4ba39850d7530e138c8dd3f73f357"),
+    "ra-sqp-dl-inexact": ("BudgetExhausted", 20000, 20000, 6240, 0,
+                          "170fbde9b8c62fe65d9a6d275abaae70"
+                          "33f4ba39850d7530e138c8dd3f73f357"),
+    "ra-sqp-linf": ("InfeasibleStationary", 64, 96, 0, 15,
+                    "71f9ab232ec432e7f02a5cb34ca3d82c"
+                    "dba94136b75559546be9ea35aa5a01bf"),
+    "ra-sqp-l1": ("InfeasibleStationary", 32, 32, 0, 5,
+                  "d409129da11c8acb6924a017263f374a"
+                  "00b131a2470b06c5df184c43c40cc374"),
+    "det-sqp": ("BudgetExhausted", 20000, 20000, 5, 0,
+                "5a33f9058833ebff7b4b3a0b4a9a0a99"
+                "79f79fae99952f03947b93906bf903bf"),
+}
+
+
+def test_infeasible_1d_pinned():
+    assert set(INFEASIBLE_1D) == set(METHODS)
+    spec = importlib.util.spec_from_file_location(
+        "work_digest", Path(__file__).resolve().parents[1] / "tools"
+        / "work_digest.py")
+    wd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wd)
+    for method, expected in INFEASIBLE_1D.items():
+        out = run_config(RunConfig(problem="infeasible-1d", method=method,
+                                   seed=0, max_gradient_evals=20000))
+        c = out.counters
+        assert (out.status, c.gradient_evals, c.function_evals,
+                c.minres_iters, c.barrier_iters,
+                wd.digest(out)) == expected, method
+
+
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):
         p = tmp_path / "cfg"
@@ -605,6 +655,21 @@ class TestCli:
         assert main(["profile", "--inputs", str(res), "--out",
                      str(prof)]) == 2
         assert f"has no {missing!r} column" in capsys.readouterr().err
+        assert not prof.exists()
+
+    @pytest.mark.parametrize("cell", ["abc", "0", "-1", "nan"])
+    def test_profile_bad_cost_cell_exits_2(self, tmp_path, capsys, cell):
+        # the second method's cost on seed 1 is the bad cell: only an empty
+        # cell (a failure) or a finite number > 0 is a cost
+        res, prof = tmp_path / "results.csv", tmp_path / "profile.csv"
+        res.write_text("problem,method,seed,cost@0.01\n"
+                       "p,a,0,10\np,b,0,\np,a,1,5\n"
+                       f"p,b,1,{cell}\n")
+        assert main(["profile", "--inputs", str(res), "--out",
+                     str(prof)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {res}: row 4, column 'cost@0.01': expected an "
+                f"empty cell or a finite number > 0, got {cell!r}") in err
         assert not prof.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -11,8 +11,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from rasqp.bench import (build_problem, make_infeasible_1d,
-                         make_noisy_quadratic, make_synthetic_dataset)
+from rasqp.bench import (build_problem, make_noisy_quadratic,
+                         make_synthetic_dataset)
 from rasqp.counters import Counters
 from rasqp.driver import Budget, DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
@@ -163,7 +163,7 @@ def _sums_cases():
         "synth-eq-quad": (quad, (lambda x, xi: (1.0 + xi) * f(x),
                                  lambda x, xi: (1.0 + xi) * gf(x)),
                           np.array([0.004, -0.009, 0.0, 0.01])),
-        "infeasible-1d": (make_infeasible_1d(),
+        "infeasible-1d": (build_problem("infeasible-1d"),
                           (lambda x, xi: 0.0, lambda x, xi: np.zeros(1)),
                           np.zeros(3)),
     }
@@ -303,6 +303,20 @@ class TestEvalConstraints:
         with pytest.raises(NumericalFailure, match="constraint"):
             eval_constraints(prob, np.zeros(2))
 
+    @pytest.mark.parametrize("J_E", [
+        # right size, wrong layout: a reshape would re-lay it silently
+        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]).T,
+        np.array([[1, 2, 3], [4, 5, 6]]),
+    ], ids=["transposed", "int"])
+    def test_jacobian_of_other_form_rejected(self, J_E):
+        prob = build_augmented_problem(
+            value_fn=lambda x: float(x @ x), grad_fn=lambda x: 2.0 * x,
+            constraints=lambda x: (np.zeros(2), np.zeros(0), J_E,
+                                   np.zeros((0, 3))),
+            m_E=2, m_I=0, x_init=np.zeros(3), noise_level=0.0)
+        with pytest.raises(ConfigError, match="m_E = 2, m_I = 0"):
+            eval_constraints(prob, prob.x_init)
+
 
 class TestDrawSamples:
     def test_finite_sum_without_replacement(self):
@@ -365,15 +379,80 @@ def _tiny_dataset(n_samples=12, n_raw=3, n_classes=2, seed=0):
                               np.arange(n_samples) % n_classes, n_classes)
 
 
+def _csr_fields(**change):
+    """The constructor fields of a valid 3-row, 2-class data set with 3
+    features (the last the bias), with `change` applied."""
+    fields = dict(indptr=np.array([0, 2, 3, 5]),
+                  indices=np.array([0, 2, 2, 1, 2]),
+                  data=np.array([0.5, 1.0, 1.0, -2.0, 1.0]), n_features=3,
+                  labels=np.array([0, 1, 1]), n_classes=2)
+    return {**fields, **{k: np.array(v) for k, v in change.items()}}
+
+
+class TestDatasetForm:
+    def test_valid_fields_build(self):
+        ds = Dataset(**_csr_fields())
+        assert len(ds) == 3
+
+    @pytest.mark.parametrize("change,match", [
+        # gathered with mode="clip", label 5 of a 2-class set once gave a
+        # finite objective and an 18-entry gradient for n = 6
+        pytest.param(dict(labels=[0, 5, 1]), "label", id="label-5"),
+        pytest.param(dict(labels=[0, 2, 1]), "label", id="label-n_classes"),
+        pytest.param(dict(labels=[0, -1, 1]), "label", id="label-negative"),
+        pytest.param(dict(labels=[0, 1]), "label", id="labels-too-few"),
+        pytest.param(dict(labels=[0, 1, 1, 0]), "label",
+                     id="labels-too-many"),
+        pytest.param(dict(indices=[0, 3, 2, 1, 2]), "feature indices",
+                     id="index-n_features"),
+        pytest.param(dict(indices=[0, -1, 2, 1, 2]), "feature indices",
+                     id="index-negative"),
+        pytest.param(dict(indptr=[1, 2, 3, 5]), "row pointers",
+                     id="indptr-start"),
+        pytest.param(dict(indptr=[0, 2, 3, 4]), "row pointers",
+                     id="indptr-end"),
+        pytest.param(dict(indptr=[0, 3, 2, 5]), "row pointers",
+                     id="indptr-decreasing"),
+        pytest.param(dict(data=[0.5, 1.0, 1.0, -2.0]), "row pointers",
+                     id="data-count"),
+        pytest.param(dict(indptr=[0], indices=np.zeros(0, np.int64),
+                          data=[], labels=np.zeros(0, np.int64)),
+                     "empty dataset", id="zero-rows"),
+    ])
+    def test_bad_form_rejected_at_construction(self, change, match):
+        with pytest.raises(ConfigError, match=match):
+            Dataset(**_csr_fields(**change))
+
+    def test_row_norms_derived_once_read_only(self):
+        ds = _zeros_dataset()
+        X = csr(ds)
+        assert np.array_equal(ds.row_sq,
+                              np.asarray(X.multiply(X).sum(axis=1)).ravel())
+        assert not ds.row_sq.flags.writeable
+        with pytest.raises(TypeError):
+            Dataset(**_csr_fields(), row_sq=np.zeros(3))
+
+    def test_problems_read_the_dataset_row_norms(self):
+        # a marker only the data set holds: both problems built on it sum
+        # its row norms, not ones of their own
+        ds = _tiny_dataset()
+        ds.row_sq = 2.0 * ds.row_sq
+        x = np.random.default_rng(3).standard_normal(
+            ds.n_features * ds.n_classes)
+        items = np.arange(len(ds))
+        ref = per_class_sums(ds, x, items, 2)[2]
+        for kind in ("equality", "inequality"):
+            sq = build_logreg_problem(ds, kind).sums(x, items, 2)[2]
+            assert sq == pytest.approx(2.0 * ref, rel=1e-12)
+
+
 class TestLogreg:
     def test_empty_dataset_rejected(self):
-        empty = Dataset(indptr=np.zeros(1, dtype=np.int64),
-                        indices=np.zeros(0, dtype=np.int64),
-                        data=np.zeros(0), n_features=1,
-                        labels=np.zeros(0, dtype=np.int64), n_classes=1)
-        assert len(empty) == 0
         with pytest.raises(ConfigError, match="empty dataset"):
-            build_logreg_problem(empty, "equality")
+            Dataset(indptr=np.zeros(1, dtype=np.int64),
+                    indices=np.zeros(0, dtype=np.int64),
+                    data=np.zeros(0), n_features=1,
+                    labels=np.zeros(0, dtype=np.int64), n_classes=1)
 
     def test_unknown_constraint_kind_rejected(self):
         with pytest.raises(ConfigError, match="constraint kind"):
