@@ -112,9 +112,11 @@ def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.seed]
     for kind, names, known in (("problem", problems, PROBLEMS),
                                ("method", methods, METHODS)):
-        for name in names:
+        for i, name in enumerate(names):
             if name not in known:
                 raise ConfigError(f"unknown {kind} {name!r}")
+            if name in names[:i]:
+                raise ConfigError(f"{kind} {name!r} repeated in --{kind}s")
     configs = []
     for prob in problems:
         for method in methods:
@@ -144,7 +146,7 @@ def cmd_sweep(args) -> int:
 
 def _parse_seeds(text: str):
     """Seeds from comma-separated parts, each N or an inclusive range LO-HI
-    with LO <= HI."""
+    with LO <= HI, no seed named twice."""
     seeds = []
     for part in text.split(","):
         lo, dash, hi = part.partition("-")
@@ -155,6 +157,9 @@ def _parse_seeds(text: str):
         except ValueError:
             raise ConfigError(f"invalid --seeds part {part!r}: expected N or "
                               f"LO-HI with LO <= HI") from None
+        again = sorted(set(seeds).intersection(span))
+        if again:
+            raise ConfigError(f"seed {again[0]} repeated in --seeds")
         seeds.extend(span)
     return seeds
 
@@ -166,9 +171,15 @@ def cmd_profile(args) -> int:
     for name in ("problem", "method", "seed", column):
         if rows and name not in rows[0]:
             raise ConfigError(f"{args.inputs} has no {name!r} column")
-    costs = {}
+    costs, row_of = {}, {}
     for i, row in enumerate(rows, start=1):
         inst = (row["problem"], row["seed"])
+        key = (inst, row["method"])
+        if key in row_of:
+            raise ConfigError(f"{args.inputs}: rows {row_of[key]} and {i} "
+                              f"both hold problem {inst[0]!r}, seed "
+                              f"{inst[1]!r}, method {key[1]!r}")
+        row_of[key] = i
         val = row.get(column, "")
         try:
             cost = float(val) if val else None
@@ -178,7 +189,7 @@ def cmd_profile(args) -> int:
             raise ConfigError(f"{args.inputs}: row {i}, column {column!r}: "
                               f"expected an empty cell or a finite number "
                               f"> 0, got {val!r}") from None
-        costs[(inst, row["method"])] = cost
+        costs[key] = cost
     methods, instances, ratios = performance_profile(costs)
     taus = [1.0 + 0.25 * i for i in range(0, 37)]
     with open(args.out, "w", newline="") as fh:

@@ -75,8 +75,8 @@ class TerminationRule:
     def __post_init__(self):
         if self.kind not in SOLVERS:
             raise ConfigError(f"unknown termination kind {self.kind!r}")
-        if self.eps < 0.0:
-            raise ConfigError("eps must be >= 0")
+        if not self.eps >= 0.0:
+            raise ConfigError(f"eps must be >= 0, got {self.eps}")
 
     @property
     def gamma(self) -> float:
@@ -100,7 +100,7 @@ class SamplingRule:
             raise ConfigError(f"unknown sampling kind {self.kind!r}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must be in (0, 1)")
-        if self.initial_size < 1:
+        if not self.initial_size >= 1:
             raise ConfigError("initial_size must be >= 1")
 
 
@@ -120,7 +120,7 @@ class Budget:
 
     def __post_init__(self):
         for name in ("max_gradient_evals", "max_outer"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative, got "
                                   f"{getattr(self, name)}")
 
@@ -141,6 +141,10 @@ class DriverConfig:
         if (self.stop_violation is None) != (self.stop_stationarity is None):
             raise ConfigError("stop_violation and stop_stationarity are set "
                               "together or not at all")
+        for name in ("stop_violation", "stop_stationarity"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.solver == "robust" and self.use_lbfgs:
             raise ConfigError("the robust solver has no L-BFGS Hessian model")
         if self.norm not in (LINF, L1):

@@ -30,7 +30,8 @@ class FiniteSum:
 
 @dataclass(frozen=True)
 class Expectation:
-    # sampler(rng, count) -> 1-D float64 ndarray of noise realizations
+    # sampler(rng, count) -> float64 ndarray of shape (count,): the noise
+    # realizations (checked by `draw_samples`)
     sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
@@ -135,7 +136,9 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
     Finite-sum sets hold int64 dataset row ids, drawn without replacement
     from the sorted ids not in the prefix. Expectation sets hold the float64
     noise realizations themselves, from one sampler call for the rest, so
-    that re-evaluating over the same set is deterministic.
+    that re-evaluating over the same set is deterministic. That call must
+    return a float64 1-D ndarray of exactly the draws asked for, else
+    ConfigError; the draws themselves are not scanned.
     """
     n_base = 0 if superset_of is None else superset_of.size
     if size < n_base:
@@ -153,7 +156,14 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
         extra = rng.choice(np.flatnonzero(free), size=size - n_base,
                            replace=False)
     else:
-        extra = np.asarray(problem.mode.sampler(rng, size - n_base))
+        count = size - n_base
+        extra = problem.mode.sampler(rng, count)
+        if not (isinstance(extra, np.ndarray) and extra.dtype == np.float64
+                and extra.shape == (count,)):
+            got = (f"{extra.dtype} ndarray of shape {extra.shape}"
+                   if isinstance(extra, np.ndarray) else type(extra).__name__)
+            raise ConfigError(f"sampler returned {got} for count = {count}, "
+                              f"not a float64 ndarray of shape ({count},)")
     if superset_of is None:
         return extra
     return np.concatenate([superset_of, extra])
@@ -426,40 +436,50 @@ def build_logreg_problem(dataset: Dataset, constraint_kind: str) -> ProblemSpec:
         true_value=true_value, true_gradient=true_gradient)
 
 
-def build_augmented_problem(value_fn, grad_fn, constraints, m_E, m_I, x_init,
-                            noise_level) -> ProblemSpec:
-    """Expectation-mode problem F(x, xi) = f(x) + xi * ||x - x_init - e||^2
-    with xi uniform on [-noise_level, noise_level], so E[F] = f.
+def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
+                              constraints, m_E, m_I, x_init,
+                              noise_level) -> ProblemSpec:
+    """Expectation-mode problem F(x, xi) = f(x) + xi * h(x) with xi uniform
+    on [-noise_level, noise_level], so E[F] = f: `value_fn` and `grad_fn`
+    are f and its gradient, `noise_fn` and `noise_grad` h and its gradient.
 
-    The offset by the all-ones vector keeps the noise term nonzero at the
-    starting point.
+    The sums over a set of m draws need only s = sum xi and xi'xi:
+    sum F = m f + s h, sum grad F = m grad f + s grad h, and
+    sum ||grad f + xi grad h||^2 = m ||grad f||^2 + 2 s grad f . grad h
+    + xi'xi ||grad h||^2, so no array of the set's size is built.
     """
-    if noise_level < 0:
+    if not noise_level >= 0:
         raise ConfigError("noise_level must be nonnegative")
-    x_init = np.asarray(x_init, dtype=float)
-    shift = x_init + 1.0
 
     def sampler(rng, count):
         return rng.uniform(-noise_level, noise_level, size=count)
 
     def sums(x, xi, order):
-        d = x - shift
         m = xi.size
         s = float(np.sum(xi))
-        vsum = m * value_fn(x) + s * float(d @ d)
+        vsum = m * value_fn(x) + s * noise_fn(x)
         if order == 0:
             return (vsum,)
-        g0 = grad_fn(x)
-        gsum = m * g0 + 2.0 * s * d
+        g, gh = grad_fn(x), noise_grad(x)
+        gsum = m * g + s * gh
         if order == 1:
             return vsum, gsum
-        # ||g0 + 2 xi d||^2 expanded over the sample vector xi
-        sqsum = (m * float(g0 @ g0)
-                 + 4.0 * s * float(g0 @ d)
-                 + 4.0 * float(xi @ xi) * float(d @ d))
-        return vsum, gsum, sqsum
+        return vsum, gsum, (m * float(g @ g) + 2.0 * s * float(g @ gh)
+                            + float(xi @ xi) * float(gh @ gh))
 
     return ProblemSpec(
         m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,
-        constraints=constraints, x_init=x_init, true_value=value_fn,
-        true_gradient=grad_fn)
+        constraints=constraints, x_init=np.asarray(x_init, dtype=float),
+        true_value=value_fn, true_gradient=grad_fn)
+
+
+def build_augmented_problem(value_fn, grad_fn, constraints, m_E, m_I, x_init,
+                            noise_level) -> ProblemSpec:
+    """The `build_expectation_problem` instance with the noise term
+    h(x) = ||x - x_init - e||^2, whose offset by the all-ones vector e keeps
+    it nonzero at the starting point."""
+    shift = np.asarray(x_init, dtype=float) + 1.0
+    return build_expectation_problem(
+        value_fn, grad_fn, lambda x: float((x - shift) @ (x - shift)),
+        lambda x: 2.0 * (x - shift), constraints, m_E, m_I, x_init,
+        noise_level)

@@ -631,6 +631,20 @@ class TestCli:
         (["sweep", "--max-outer", "-1"], "max_outer must be non-negative"),
         (["sweep", "--initial-size", "0"], "initial_size must be >= 1"),
         (["sweep", "--beta", "1.5"], "beta must be in (0, 1)"),
+        (["run", "--stop-violation", "nan", "--stop-stationarity", "1e-3"],
+         "stop_violation must be >= 0, got nan"),
+        (["run", "--stop-violation", "-1", "--stop-stationarity", "1e-3"],
+         "stop_violation must be >= 0, got -1.0"),
+        (["sweep", "--stop-violation", "1e-3", "--stop-stationarity", "nan"],
+         "stop_stationarity must be >= 0, got nan"),
+        (["sweep", "--stop-violation", "1e-3"],
+         "stop_violation and stop_stationarity are set together"),
+        (["sweep", "--seeds", "0,0-1"], "seed 0 repeated in --seeds"),
+        (["sweep", "--seeds", "0-3,5,2-4"], "seed 2 repeated in --seeds"),
+        (["sweep", "--problems", "synth-eq-quad,infeasible-1d,synth-eq-quad"],
+         "problem 'synth-eq-quad' repeated in --problems"),
+        (["sweep", "--methods", "ra-sqp-dl,ra-sqp-dl"],
+         "method 'ra-sqp-dl' repeated in --methods"),
     ])
     def test_bad_config_fails_before_solving(self, tmp_path, capsys,
                                              monkeypatch, argv, message):
@@ -670,6 +684,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert (f"error: {res}: row 4, column 'cost@0.01': expected an "
                 f"empty cell or a finite number > 0, got {cell!r}") in err
+        assert not prof.exists()
+
+    def test_profile_repeated_solve_exits_2(self, tmp_path, capsys):
+        # a second row for one (problem, seed, method) would silently
+        # replace the first one's cost
+        res, prof = tmp_path / "results.csv", tmp_path / "profile.csv"
+        res.write_text("problem,method,seed,cost@0.01\n"
+                       "p,a,0,10\np,b,0,\np,a,1,5\np,a,0,7\n")
+        assert main(["profile", "--inputs", str(res), "--out",
+                     str(prof)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {res}: rows 1 and 4 both hold problem 'p', seed "
+                f"'0', method 'a'") in err
         assert not prof.exists()
 
     @pytest.mark.parametrize("argv", [

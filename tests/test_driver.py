@@ -4,6 +4,7 @@ solves."""
 
 import collections
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -101,6 +102,12 @@ class TestTerminationRule:
         with pytest.raises(ConfigError, match="eps"):
             TerminationRule(eps=-1e-9)
 
+    def test_nan_eps_rejected(self):
+        # a NaN floor fails every check, so each inner loop would run to
+        # INNER_CAP
+        with pytest.raises(ConfigError, match="eps must be >= 0, got nan"):
+            TerminationRule(eps=math.nan)
+
     def test_defaults_per_kind(self):
         assert TerminationRule("dl").gamma == 0.1
         for kind in ("kkt", "dnorm", "robust_dnorm"):
@@ -153,6 +160,11 @@ class TestBatchSchedules:
             SamplingRule(beta=1.5)
         with pytest.raises(ConfigError):
             SamplingRule(initial_size=0)
+        for bad in (math.nan, -1):
+            with pytest.raises(ConfigError, match="initial_size"):
+                SamplingRule(initial_size=bad)
+        with pytest.raises(ConfigError, match="beta"):
+            SamplingRule(beta=math.nan)
 
 
 class TestConfigValidation:
@@ -212,6 +224,25 @@ class TestConfigValidation:
                            "non-negative"):
             Budget(**{field: -1})
         assert getattr(Budget(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("field", ["max_gradient_evals", "max_outer"])
+    def test_nan_budget(self, field):
+        # a NaN budget compares false, so it would never end the run
+        with pytest.raises(ConfigError, match=f"{field} must be "
+                           "non-negative, got nan"):
+            Budget(**{field: math.nan})
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("field", ["stop_violation", "stop_stationarity"])
+    def test_bad_stop_threshold(self, field, value):
+        # no metric is <= NaN or < 0: the run could only end on its budget.
+        # Zero stays allowed
+        other = ({"stop_violation", "stop_stationarity"} - {field}).pop()
+        with pytest.raises(ConfigError, match=f"{field} must be >= 0, got "
+                           f"{value}"):
+            DriverConfig(**{field: value, other: 1e-3})
+        assert getattr(DriverConfig(**{field: 0.0, other: 1e-3}),
+                       field) == 0.0
 
     def test_lone_stop_threshold(self):
         # one threshold alone would never stop the run

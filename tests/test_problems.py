@@ -3,6 +3,7 @@ problem families."""
 
 import dataclasses
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,8 @@ from rasqp.bench import (build_problem, make_noisy_quadratic,
 from rasqp.counters import Counters
 from rasqp.driver import Budget, DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
-from rasqp.problems import (Dataset, build_augmented_problem,
-                            build_logreg_problem,
+from rasqp.problems import (Dataset, Expectation, build_augmented_problem,
+                            build_expectation_problem, build_logreg_problem,
                             draw_samples, eval_constraints, eval_subsampled,
                             eval_subsampled_value, gradient_stats,
                             parse_libsvm, _sigmoid, _sums_over)
@@ -120,6 +121,20 @@ def make_quadratic_problem(noise=0.5):
         m_E=1, m_I=0, x_init=np.zeros(n), noise_level=noise)
 
 
+LINEAR_NOISE_V = np.array([0.5, -2.0, 1.5])
+
+
+def make_linear_noise_problem(noise=0.5):
+    """The family with the additive noise term h(x) = v'x."""
+    v = LINEAR_NOISE_V
+    return build_expectation_problem(
+        lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: float(v @ x),
+        lambda x: v,
+        lambda x: (np.array([x[0] - 1.0]), np.zeros(0),
+                   np.array([[1.0, 0.0, 0.0]]), np.zeros((0, 3))),
+        m_E=1, m_I=0, x_init=np.zeros(3), noise_level=noise)
+
+
 # Per-sample reference functions: (value(x, sample), gradient(x, sample)).
 # `sums` must agree with a loop over these.
 
@@ -163,6 +178,11 @@ def _sums_cases():
         "synth-eq-quad": (quad, (lambda x, xi: (1.0 + xi) * f(x),
                                  lambda x, xi: (1.0 + xi) * gf(x)),
                           np.array([0.004, -0.009, 0.0, 0.01])),
+        "linear-noise": (make_linear_noise_problem(),
+                         (lambda x, xi: float(x @ x) + xi * float(
+                             LINEAR_NOISE_V @ x),
+                          lambda x, xi: 2.0 * x + xi * LINEAR_NOISE_V),
+                         np.array([0.3, -0.45, 0.05, 0.2])),
         "infeasible-1d": (build_problem("infeasible-1d"),
                           (lambda x, xi: 0.0, lambda x, xi: np.zeros(1)),
                           np.zeros(3)),
@@ -192,7 +212,7 @@ class TestEvaluation:
         np.testing.assert_allclose(g, prob.true_gradient(x))
 
     @pytest.mark.parametrize("case", ["logreg", "augmented", "synth-eq-quad",
-                                      "infeasible-1d"])
+                                      "linear-noise", "infeasible-1d"])
     def test_sums_match_reference_loop(self, case):
         prob, (value, gradient), items = _sums_cases()[case]
         x = np.random.default_rng(2).standard_normal(prob.n)
@@ -363,6 +383,41 @@ class TestDrawSamples:
         prob = build_logreg_problem(_tiny_dataset(), "equality")
         with pytest.raises(ConfigError):
             draw_samples(prob, 10 ** 6, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("returned,got", [
+        (lambda rng, count: rng.uniform(-1, 1, count - 1),
+         "float64 ndarray of shape (31,)"),
+        (lambda rng, count: rng.uniform(-1, 1, count).astype(np.float32),
+         "float32 ndarray of shape (32,)"),
+        (lambda rng, count: rng.uniform(-1, 1, (count, 1)),
+         "float64 ndarray of shape (32, 1)"),
+        (lambda rng, count: list(rng.uniform(-1, 1, count)), "list"),
+    ], ids=["short", "float32", "2-d", "list"])
+    def test_sampler_output_of_other_form_rejected(self, returned, got):
+        # a short set would be recorded as the smaller batch, a float32 one
+        # would give single-precision moments: both are errors, in draw
+        # calls and in a run
+        prob = dataclasses.replace(make_quadratic_problem(),
+                                   mode=Expectation(returned))
+        message = (f"sampler returned {got} for count = 32, not a float64 "
+                   f"ndarray of shape (32,)")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            draw_samples(prob, 32, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="sampler returned"):
+            run(prob, DriverConfig(), Budget(), np.random.default_rng(0))
+
+    def test_sampler_asked_for_the_rest_only(self):
+        # a superset draw asks the sampler for the new draws alone, and that
+        # count is what its output is checked against
+        asked = []
+        prob = make_quadratic_problem()
+        sampler = prob.mode.sampler
+        prob = dataclasses.replace(prob, mode=Expectation(
+            lambda rng, count: asked.append(count) or sampler(rng, count)))
+        rng = np.random.default_rng(0)
+        S1 = draw_samples(prob, 9, rng,
+                          superset_of=draw_samples(prob, 4, rng))
+        assert asked == [4, 5] and S1.shape == (9,)
 
     @given(st.integers(1, 10), st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -723,7 +778,8 @@ class TestLogregSums:
 
 class TestSumsMemory:
     @pytest.mark.parametrize("make", [make_noisy_quadratic,
-                                      make_quadratic_problem])
+                                      make_quadratic_problem,
+                                      make_linear_noise_problem])
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_no_sample_size_temporaries(self, make, order):
         # the expectation sums come from the moments of xi: an 8 MB set
@@ -771,3 +827,92 @@ class TestAugmented:
                                                np.zeros((0, 1)),
                                                np.zeros((0, 1))),
                                     0, 0, np.zeros(1), -0.5)
+
+
+def expanded_augmented_sums(value_fn, grad_fn, x_init):
+    """The augmented problem's sums expanded by hand in d = x - x_init - e:
+    the reference the family instance must match bit for bit."""
+    shift = np.asarray(x_init, dtype=float) + 1.0
+
+    def sums(x, xi, order):
+        d = x - shift
+        m = xi.size
+        s = float(np.sum(xi))
+        vsum = m * value_fn(x) + s * float(d @ d)
+        if order == 0:
+            return (vsum,)
+        g0 = grad_fn(x)
+        gsum = m * g0 + 2.0 * s * d
+        if order == 1:
+            return vsum, gsum
+        sqsum = (m * float(g0 @ g0)
+                 + 4.0 * s * float(g0 @ d)
+                 + 4.0 * float(xi @ xi) * float(d @ d))
+        return vsum, gsum, sqsum
+    return sums
+
+
+class TestExpectationFamily:
+    def test_augmented_sums_match_expanded_formula_bit_for_bit(self):
+        # h = ||x - x_init - e||^2 enters the family's sums with its
+        # gradient 2 d: the factors 2 and 4 scale exactly, so the family
+        # gives the old expansion's bits
+        rng = np.random.default_rng(28)
+        for _ in range(500):
+            n = int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            Q = rng.standard_normal((n, n))
+            c = rng.standard_normal(n)
+
+            def value_fn(x, Q=Q, c=c):
+                return 0.5 * float(x @ (Q @ x)) + float(c @ x)
+
+            def grad_fn(x, Q=Q, c=c):
+                return 0.5 * (Q + Q.T) @ x + c
+
+            x_init = scale * rng.standard_normal(n)
+            noise = float(rng.uniform(0.0, 2.0))
+            prob = build_augmented_problem(
+                value_fn, grad_fn,
+                lambda x: (np.zeros(0), np.zeros(0), np.zeros((0, n)),
+                           np.zeros((0, n))),
+                0, 0, x_init, noise)
+            ref = expanded_augmented_sums(value_fn, grad_fn, x_init)
+            x = scale * rng.standard_normal(n)
+            xi = rng.uniform(-noise, noise, int(rng.integers(1, 50)))
+            for order in (0, 1, 2):
+                got, want = prob.sums(x, xi, order), ref(x, xi, order)
+                assert len(got) == len(want) == order + 1
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (order, a, b)
+
+    def test_true_problem_is_f(self):
+        f, gf = (lambda x: float(x @ x)), (lambda x: 2.0 * x)
+        prob = build_expectation_problem(
+            f, gf, lambda x: 1.0, lambda x: np.ones(2),
+            lambda x: (np.zeros(0), np.zeros(0), np.zeros((0, 2)),
+                       np.zeros((0, 2))), 0, 0, [0, 1], 0.1)
+        assert prob.true_value is f and prob.true_gradient is gf
+        assert prob.x_init.dtype == np.float64
+        assert isinstance(prob.mode, Expectation)
+
+    @pytest.mark.parametrize("noise", [-0.5, np.nan])
+    def test_bad_noise_level_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise_level"):
+            make_linear_noise_problem(noise)
+        with pytest.raises(ConfigError, match="noise_level"):
+            make_noisy_quadratic(noise=noise)
+
+    def test_noisy_quadratic_has_no_sampling_error(self):
+        # with h = f each subsampled objective is (1 + mean xi) f: its
+        # gradient is parallel to the true one at every x and batch
+        prob = make_noisy_quadratic(noise=0.5)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(prob.n)
+        for size in (1, 7, 100):
+            xi = draw_samples(prob, size, rng)
+            v, g = eval_subsampled(prob, x, xi)
+            w = 1.0 + xi.mean()
+            assert v == pytest.approx(w * prob.true_value(x), rel=1e-12)
+            np.testing.assert_allclose(g, w * prob.true_gradient(x),
+                                       rtol=1e-12)
