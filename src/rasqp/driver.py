@@ -33,9 +33,10 @@ from .counters import Counters
 from .errors import ConfigError, LineSearchFailure, MeritCollapse, RankDeficient
 from .ipm import kkt_residual
 from .linalg import LbfgsModel, least_squares_dual, norm
-from .problems import (FiniteSum, ProblemSpec, _sums_over, draw_samples,
-                       eval_constraints, eval_subsampled,
-                       eval_subsampled_value, gradient_stats)
+from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
+                       after_prefix, draw_samples, eval_constraints,
+                       eval_subsampled, eval_subsampled_value,
+                       gradient_stats)
 from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
                      compute_step, inner_iteration, merit_plan,
                      violation_norms)
@@ -43,7 +44,7 @@ from .sqp_ineq import (detect_infeasible_stationary, direction_step,
                        feasibility_step, robust_inner_iteration, sigma_bounds)
 
 INNER_CAP = 500                # inner iterations per outer iteration
-MAX_BATCH = 2 ** 24            # largest expectation batch (8 bytes a draw)
+MAX_BATCH = 2 ** 24            # largest expectation batch (bounds drawing time)
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
 THETA = 0.5                    # adaptive sampling: norm-test constant
 BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
@@ -241,17 +242,18 @@ def geometric_batch_size(k: int, rule: SamplingRule,
 class ConditionEstimate:
     variance: float
     Z: float
-    fresh_set: np.ndarray
+    fresh_set: SampleSet
     value_sum: float
     gradient_sum: np.ndarray
 
 
 def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
-                              prev_batch: np.ndarray, config: DriverConfig,
+                              prev_size: int, config: DriverConfig,
                               rng: np.random.Generator,
                               counters: Counters) -> ConditionEstimate:
     """Variance and progress estimates at the iterate ctx on a fresh sample
-    set of the previous batch size, drawn independently of the iterate.
+    set of prev_size, the previous batch size, drawn independently of the
+    iterate.
 
     The progress measure Z is the termination rule's, from the solver's
     progress probe, which performs no updates; Z is 0 where the probe finds
@@ -259,7 +261,7 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     Per-sample gradient sums are retained so the fresh set can be folded
     into the next batch at no extra gradient cost.
     """
-    fresh = draw_samples(problem, prev_batch.size, rng)
+    fresh = draw_samples(problem, prev_size, rng)
     vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh, counters)
     m = fresh.size
     gbar = gsum / m
@@ -433,7 +435,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
     record(ctx, -1, 0, 0, 0, 0, "initial")
 
-    prev_S: Optional[np.ndarray] = None
+    prev_size: Optional[int] = None
     k = 0
     while True:
         if (counters.gradient_evals >= budget.max_gradient_evals
@@ -443,33 +445,34 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
 
         # batch sizing
         estimate = None
-        if config.sampling.kind == "fixed" or prev_S is None:
+        if config.sampling.kind == "fixed" or prev_size is None:
             size = config.sampling.initial_size
             if cap is not None:
                 size = min(size, cap)
         elif config.sampling.kind == "adaptive":
-            estimate = estimate_condition_inputs(problem, ctx, prev_S,
+            estimate = estimate_condition_inputs(problem, ctx, prev_size,
                                                  config, rng, counters)
-            size = adaptive_batch_size(prev_S.size, estimate.variance,
+            size = adaptive_batch_size(prev_size, estimate.variance,
                                        estimate.Z, cap)
         else:
-            size = geometric_batch_size(k, config.sampling, cap, prev_S.size)
+            size = geometric_batch_size(k, config.sampling, cap, prev_size)
         if cap is None and size > MAX_BATCH:
             status = "BatchLimit"
             break
 
         # the prefix goes by position: perfbench/layers.py reads a keyword
         # prefix with `or`, which an ndarray cannot answer
-        S = draw_samples(problem, size, rng,
-                         None if estimate is None else estimate.fresh_set)
+        fresh = None if estimate is None else estimate.fresh_set
+        S = draw_samples(problem, size, rng, fresh)
 
         # subsampled objective at the warm-start point: the estimate's
         # sums over the fresh set, which draw_samples kept as the prefix of
         # S, plus the sums over the rest of S
-        est_size = 0 if estimate is None else estimate.fresh_set.size
+        est_size = 0 if fresh is None else fresh.size
         vsum, gsum = 0.0, np.zeros(problem.n)
         if est_size < S.size:
-            vsum, gsum = _sums_over(problem, ctx.x, S[est_size:], counters)
+            rest = S if fresh is None else after_prefix(S, fresh)
+            vsum, gsum = _sums_over(problem, ctx.x, rest, counters)
         if estimate is not None:
             vsum = estimate.value_sum + vsum
             gsum = estimate.gradient_sum + gsum
@@ -490,7 +493,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             status = "Converged"
             break
 
-        prev_S = S
+        prev_size = S.size
         k += 1
 
     return SolveOutcome(status=status, x=ctx.x,
@@ -529,7 +532,7 @@ def _inner_loop(progress, update, ctx, rule: TerminationRule,
     return ctx, INNER_CAP, updates, "inner_cap"
 
 
-def _inner_solver(problem: ProblemSpec, S: np.ndarray, config: DriverConfig,
+def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
                   ctx: InnerContext, F_S, g_S, counters: Counters):
     """(progress, update, start context) of the configured solver on the
     batch S, warm-started at the iterate ctx, whose subsampled objective on

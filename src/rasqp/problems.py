@@ -31,8 +31,45 @@ class FiniteSum:
 @dataclass(frozen=True)
 class Expectation:
     # sampler(rng, count) -> float64 ndarray of shape (count,): the noise
-    # realizations (checked by `draw_samples`)
+    # realizations, asked for at most DRAW_CHUNK at a time and checked by
+    # `draw_samples`, which keeps only their moments (`NoiseMoments`)
     sampler: Callable[[np.random.Generator, int], np.ndarray]
+
+
+# draws per sampler call: 2^16 drew fastest of 2^12..2^20 on the noisy
+# quadratic, and drawing a set of any size holds one such piece at a time
+DRAW_CHUNK = 2 ** 16
+
+
+@dataclass(frozen=True)
+class NoiseMoments:
+    """An expectation sample set as the expectation sums read it: its size
+    m, the sum of its draws and their sum of squares (xi'xi). No draw is
+    kept. Like an array it has a `.size`; it has no length or truth value.
+    `a + b` is the set of both sets' draws."""
+    size: int
+    sum_xi: float
+    sum_sq: float
+
+    @staticmethod
+    def of(xi: np.ndarray) -> "NoiseMoments":
+        """The moments of the draws `xi`, a float64 1-D ndarray."""
+        return NoiseMoments(xi.size, float(np.sum(xi)), float(xi @ xi))
+
+    def __add__(self, other: "NoiseMoments") -> "NoiseMoments":
+        return NoiseMoments(self.size + other.size,
+                            self.sum_xi + other.sum_xi,
+                            self.sum_sq + other.sum_sq)
+
+    def __sub__(self, other: "NoiseMoments") -> "NoiseMoments":
+        """The set without the draws of `other`, a part of it."""
+        return NoiseMoments(self.size - other.size,
+                            self.sum_xi - other.sum_xi,
+                            self.sum_sq - other.sum_sq)
+
+
+# a sample set, as `draw_samples` returns it
+SampleSet = np.ndarray | NoiseMoments
 
 
 @dataclass
@@ -40,7 +77,8 @@ class ProblemSpec:
     m_E: int
     m_I: int
     mode: FiniteSum | Expectation
-    # sums(x, items, order) over the samples `items` (a 1-D ndarray):
+    # sums(x, items, order) over the sample set `items`, as `draw_samples`
+    # returns it (int64 row ids, or `NoiseMoments`):
     # order 0 -> (value sum,), 1 -> (value sum, gradient sum),
     # 2 -> (value sum, gradient sum, sum of squared per-sample gradient norms)
     sums: Callable
@@ -59,7 +97,7 @@ class ProblemSpec:
 # subsampled evaluation
 # ------------------------------------------------------------------
 
-def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
+def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: SampleSet,
                counters: Optional[Counters] = None, order: int = 1):
     """`problem.sums(x, samples, order)`, checked finite. Counts one
     function evaluation per sample, and one gradient evaluation per sample
@@ -82,7 +120,7 @@ def _sums_over(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
     return out
 
 
-def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
+def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: SampleSet,
                    counters: Optional[Counters] = None):
     """Per-sample gradient statistics over `samples`: (value sum, gradient
     sum, sum of squared gradient norms). Counts one gradient evaluation per
@@ -90,7 +128,7 @@ def gradient_stats(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
     return _sums_over(problem, x, samples, counters, order=2)
 
 
-def eval_subsampled(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
+def eval_subsampled(problem: ProblemSpec, x: np.ndarray, samples: SampleSet,
                     counters: Optional[Counters] = None):
     """Sample-average objective value and gradient over `samples`. Counts
     one gradient evaluation per sample."""
@@ -99,7 +137,7 @@ def eval_subsampled(problem: ProblemSpec, x: np.ndarray, samples: np.ndarray,
 
 
 def eval_subsampled_value(problem: ProblemSpec, x: np.ndarray,
-                          samples: np.ndarray,
+                          samples: SampleSet,
                           counters: Optional[Counters] = None) -> float:
     """Sample-average objective only (used by line searches; no gradient cost)."""
     (vsum,) = _sums_over(problem, x, samples, counters, order=0)
@@ -129,16 +167,19 @@ def eval_constraints(problem: ProblemSpec, x: np.ndarray):
 
 
 def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
-                 superset_of: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw a sample set, a 1-D ndarray, optionally with a previous set as
-    its prefix.
+                 superset_of: Optional[SampleSet] = None) -> SampleSet:
+    """Draw a sample set, optionally with a previous set as its prefix.
 
-    Finite-sum sets hold int64 dataset row ids, drawn without replacement
-    from the sorted ids not in the prefix. Expectation sets hold the float64
-    noise realizations themselves, from one sampler call for the rest, so
-    that re-evaluating over the same set is deterministic. That call must
-    return a float64 1-D ndarray of exactly the draws asked for, else
-    ConfigError; the draws themselves are not scanned.
+    Finite-sum sets are 1-D int64 ndarrays of dataset row ids, drawn
+    without replacement from the sorted ids not in the prefix. Expectation
+    sets are `NoiseMoments`: the sampler is asked for the new draws in
+    pieces of at most DRAW_CHUNK, in order, so the draws are those of one
+    call for them all, and each piece is summed and dropped. The pieces
+    split where numpy's pairwise sum splits an array, so the set's sum of
+    draws has the bits of `np.sum` over all of them; a prefix adds its
+    moments. Each sampler return must be a float64 1-D ndarray of exactly
+    the draws asked for, else ConfigError; the draws themselves are not
+    scanned.
     """
     n_base = 0 if superset_of is None else superset_of.size
     if size < n_base:
@@ -149,24 +190,45 @@ def draw_samples(problem: ProblemSpec, size: int, rng: np.random.Generator,
                           f"{problem.mode.dataset_size}")
     if superset_of is not None and size == n_base:
         return superset_of
-    if finite:
-        free = np.ones(problem.mode.dataset_size, dtype=bool)
-        if superset_of is not None:
-            free[superset_of] = False
-        extra = rng.choice(np.flatnonzero(free), size=size - n_base,
-                           replace=False)
-    else:
-        count = size - n_base
-        extra = problem.mode.sampler(rng, count)
-        if not (isinstance(extra, np.ndarray) and extra.dtype == np.float64
-                and extra.shape == (count,)):
-            got = (f"{extra.dtype} ndarray of shape {extra.shape}"
-                   if isinstance(extra, np.ndarray) else type(extra).__name__)
-            raise ConfigError(f"sampler returned {got} for count = {count}, "
-                              f"not a float64 ndarray of shape ({count},)")
+    if not finite:
+        extra = _draw_moments(problem.mode.sampler, rng, size - n_base)
+        return extra if superset_of is None else superset_of + extra
+    free = np.ones(problem.mode.dataset_size, dtype=bool)
+    if superset_of is not None:
+        free[superset_of] = False
+    extra = rng.choice(np.flatnonzero(free), size=size - n_base,
+                       replace=False)
     if superset_of is None:
         return extra
     return np.concatenate([superset_of, extra])
+
+
+def after_prefix(samples: SampleSet, prefix: SampleSet) -> SampleSet:
+    """The samples of a set that `draw_samples` drew with `prefix` as its
+    prefix, without the prefix."""
+    if isinstance(samples, NoiseMoments):
+        return samples - prefix
+    return samples[prefix.size:]
+
+
+def _draw_moments(sampler, rng: np.random.Generator,
+                  count: int) -> NoiseMoments:
+    """`NoiseMoments` of `count` >= 1 new draws, drawn in order and split
+    in two as numpy's pairwise sum splits `count` values (the first part a
+    multiple of 8, near half) until a part fits in DRAW_CHUNK."""
+    if count > DRAW_CHUNK:
+        half = count // 2
+        half -= half % 8
+        head = _draw_moments(sampler, rng, half)
+        return head + _draw_moments(sampler, rng, count - half)
+    xi = sampler(rng, count)
+    if not (isinstance(xi, np.ndarray) and xi.dtype == np.float64
+            and xi.shape == (count,)):
+        got = (f"{xi.dtype} ndarray of shape {xi.shape}"
+               if isinstance(xi, np.ndarray) else type(xi).__name__)
+        raise ConfigError(f"sampler returned {got} for count = {count}, "
+                          f"not a float64 ndarray of shape ({count},)")
+    return NoiseMoments.of(xi)
 
 
 # ------------------------------------------------------------------
@@ -443,10 +505,10 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
     on [-noise_level, noise_level], so E[F] = f: `value_fn` and `grad_fn`
     are f and its gradient, `noise_fn` and `noise_grad` h and its gradient.
 
-    The sums over a set of m draws need only s = sum xi and xi'xi:
-    sum F = m f + s h, sum grad F = m grad f + s grad h, and
-    sum ||grad f + xi grad h||^2 = m ||grad f||^2 + 2 s grad f . grad h
-    + xi'xi ||grad h||^2, so no array of the set's size is built.
+    The sums over a set of m draws need only s = sum xi and xi'xi, the
+    `NoiseMoments` a set is: sum F = m f + s h, sum grad F = m grad f +
+    s grad h, and sum ||grad f + xi grad h||^2 = m ||grad f||^2 +
+    2 s grad f . grad h + xi'xi ||grad h||^2.
     """
     if not noise_level >= 0:
         raise ConfigError("noise_level must be nonnegative")
@@ -455,8 +517,7 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
         return rng.uniform(-noise_level, noise_level, size=count)
 
     def sums(x, xi, order):
-        m = xi.size
-        s = float(np.sum(xi))
+        m, s = xi.size, xi.sum_xi
         vsum = m * value_fn(x) + s * noise_fn(x)
         if order == 0:
             return (vsum,)
@@ -465,7 +526,7 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
         if order == 1:
             return vsum, gsum
         return vsum, gsum, (m * float(g @ g) + 2.0 * s * float(g @ gh)
-                            + float(xi @ xi) * float(gh @ gh))
+                            + xi.sum_sq * float(gh @ gh))
 
     return ProblemSpec(
         m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,9 @@ from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
                           run, termination_check, true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
 from rasqp.linalg import least_squares_dual
-from rasqp.problems import (Expectation, build_augmented_problem,
-                            draw_samples, eval_constraints, eval_subsampled)
+from rasqp.problems import (Expectation, NoiseMoments,
+                            build_augmented_problem, draw_samples,
+                            eval_constraints, eval_subsampled)
 from rasqp.sqp_eq import TAU_BAR, InnerContext
 
 
@@ -326,15 +328,22 @@ class TestConditionEstimation:
         prob = make_eq_quadratic(noise=0.5, n=1)
         from rasqp.driver import estimate_condition_inputs
 
+        drawn, sampler = [], prob.mode.sampler
+
+        def recording(rng, count):
+            drawn.append(sampler(rng, count))
+            return drawn[-1]
+
+        prob = dataclasses.replace(prob, mode=Expectation(recording))
         config = DriverConfig(termination=TerminationRule(kind="kkt"))
         counters = Counters()
         rng = np.random.default_rng(0)
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.zeros(1),
                                                 np.zeros(1)),
-                                        np.array([0.0, 0.0]), config, rng,
-                                        counters)
-        xi = est.fresh_set
+                                        2, config, rng, counters)
+        (xi,) = drawn
+        assert est.fresh_set == NoiseMoments.of(xi)
         grads = -2.0 * (1.0 + xi)
         expect = float(np.var(grads, ddof=1))
         assert est.variance == pytest.approx(expect, rel=1e-10)
@@ -347,7 +356,7 @@ class TestConditionEstimation:
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.zeros(2),
                                                 np.zeros(1)),
-                                        np.array([0.0]), config,
+                                        1, config,
                                         np.random.default_rng(0), Counters())
         # T = (g, c) = ((-2, -2), -1): norm sqrt(9)
         assert est.Z == pytest.approx(3.0)
@@ -366,7 +375,7 @@ class TestConditionEstimation:
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.array([0.5]),
                                                 np.zeros(2)),
-                                        np.array([0.1, -0.1]), config,
+                                        2, config,
                                         np.random.default_rng(0), Counters())
         assert est.Z == 0.0
 
@@ -376,7 +385,7 @@ class TestConditionEstimation:
         config = DriverConfig(termination=TerminationRule(kind="dnorm"))
         x = np.array([0.3, -0.2])
         est = estimate_condition_inputs(prob, iterate(prob, x, np.zeros(1)),
-                                        np.array([0.1, -0.1, 0.0]), config,
+                                        3, config,
                                         np.random.default_rng(1), Counters())
         assert est.Z > 0.0
         np.testing.assert_array_equal(x, [0.3, -0.2])  # x untouched
@@ -509,6 +518,22 @@ class TestRun:
                   np.random.default_rng(0))
         assert out.status == "BatchLimit"
         assert max(asked, default=0) <= 2048
+
+    def test_geometric_growth_holds_no_set(self):
+        # batches of 32 to 2^21 draws (16 MB as float64): each set is its
+        # moments, and no set outlives its outer iteration
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = run_config(RunConfig(problem="synth-eq-quad",
+                                       method="ra-sqp-dl",
+                                       sampling="geometric", max_outer=9,
+                                       max_gradient_evals=10 ** 9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.trace[-1].batch_size == 2 ** 21
+        assert peak < 8 * 2 ** 20
 
     def test_batch_limit_spares_finite_sums(self, monkeypatch):
         monkeypatch.setattr(driver, "MAX_BATCH", 16)

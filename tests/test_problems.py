@@ -17,7 +17,8 @@ from rasqp.bench import (build_problem, make_noisy_quadratic,
 from rasqp.counters import Counters
 from rasqp.driver import Budget, DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
-from rasqp.problems import (Dataset, Expectation, build_augmented_problem,
+from rasqp.problems import (DRAW_CHUNK, Dataset, Expectation, NoiseMoments,
+                            build_augmented_problem,
                             build_expectation_problem, build_logreg_problem,
                             draw_samples, eval_constraints, eval_subsampled,
                             eval_subsampled_value, gradient_stats,
@@ -189,25 +190,43 @@ def _sums_cases():
     }
 
 
+def sample_set(items):
+    """The sample set of `items` as `draw_samples` gives it: int64 row ids
+    as they are, float64 draws as their `NoiseMoments`."""
+    return NoiseMoments.of(items) if items.dtype == np.float64 else items
+
+
+def recording_draws(prob):
+    """`prob` with a sampler that appends each array it returns to the
+    list returned with it."""
+    draws, sampler = [], prob.mode.sampler
+
+    def recording(rng, count):
+        draws.append(sampler(rng, count))
+        return draws[-1]
+    return dataclasses.replace(prob, mode=Expectation(recording)), draws
+
+
 class TestEvaluation:
     def test_counts_gradient_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        S = np.array([0.1, -0.2, 0.0])
+        S = NoiseMoments.of(np.array([0.1, -0.2, 0.0]))
         eval_subsampled(prob, np.ones(3), S, ct)
         assert ct.gradient_evals == 3
 
     def test_value_only_counts_function_evals(self):
         prob = make_quadratic_problem()
         ct = Counters()
-        eval_subsampled_value(prob, np.ones(3), np.array([0.1, 0.2]), ct)
+        eval_subsampled_value(prob, np.ones(3),
+                              NoiseMoments.of(np.array([0.1, 0.2])), ct)
         assert ct.gradient_evals == 0
         assert ct.function_evals == 2
 
     def test_zero_noise_matches_true(self):
         prob = make_quadratic_problem(noise=0.0)
         x = np.array([1.0, 2.0, 3.0])
-        v, g = eval_subsampled(prob, x, np.zeros(2), None)
+        v, g = eval_subsampled(prob, x, NoiseMoments.of(np.zeros(2)), None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x))
 
@@ -220,7 +239,8 @@ class TestEvaluation:
         grads = [gradient(x, s) for s in items]
         gsum = np.sum(grads, axis=0)
         sq = sum(float(g @ g) for g in grads)
-        out0, out1, out2 = (prob.sums(x, items, k) for k in (0, 1, 2))
+        S = sample_set(items)
+        out0, out1, out2 = (prob.sums(x, S, k) for k in (0, 1, 2))
         assert (len(out0), len(out1), len(out2)) == (1, 2, 3)
         for out in (out0, out1, out2):
             assert out[0] == pytest.approx(vsum, rel=1e-12, abs=1e-12)
@@ -236,20 +256,21 @@ class TestEvaluation:
         samples = np.array([0.3, -0.1, 0.05])
         sq = sum(float(gradient(x, s) @ gradient(x, s)) for s in samples)
         ct = Counters()
-        _, _, sqsum = gradient_stats(prob, x, samples, ct)
+        _, _, sqsum = gradient_stats(prob, x, NoiseMoments.of(samples), ct)
         assert sqsum == pytest.approx(sq)
         assert ct.gradient_evals == 3
 
     def test_empty_sample_set_rejected(self):
         prob = make_quadratic_problem()
         with pytest.raises(ConfigError):
-            eval_subsampled(prob, np.zeros(3), np.zeros(0), None)
+            eval_subsampled(prob, np.zeros(3), NoiseMoments.of(np.zeros(0)),
+                            None)
 
 
 class TestSumsOver:
     """The one checked and counted path of every subsampled sum."""
 
-    SAMPLES = np.array([0.1, -0.2, 0.0])
+    SAMPLES = NoiseMoments.of(np.array([0.1, -0.2, 0.0]))
 
     @pytest.mark.parametrize("order,grads", [(0, 0), (1, 3), (2, 3)])
     def test_counts_per_order(self, order, grads):
@@ -294,7 +315,8 @@ class TestSumsOver:
         # an empty set has no average, and the logistic sums over one
         # would give an int64 zero gradient
         prob = build_problem(name)
-        empty = draw_samples(prob, 1, np.random.default_rng(0))[:0]
+        S = draw_samples(prob, 1, np.random.default_rng(0))
+        empty = S[:0] if isinstance(S, np.ndarray) else S - S
         ct = Counters()
         with pytest.raises(ConfigError, match="empty sample set"):
             wrapper(prob, np.asarray(prob.x_init, dtype=float), empty, ct)
@@ -367,10 +389,9 @@ class TestDrawSamples:
     def test_expectation_rng_stream(self):
         S = draw_samples(make_quadratic_problem(), 5,
                          np.random.default_rng(3))
-        assert S.dtype == np.float64
-        assert S.tolist() == [
+        assert S == NoiseMoments.of(np.array([
             -0.41435083285637564, -0.2631894934039003, 0.3012744652063969,
-            0.08216203606436778, -0.4058713577596008]
+            0.08216203606436778, -0.4058713577596008]))
 
     def test_size_below_prefix_rejected(self):
         prob = build_logreg_problem(_tiny_dataset(), "equality")
@@ -417,15 +438,54 @@ class TestDrawSamples:
         rng = np.random.default_rng(0)
         S1 = draw_samples(prob, 9, rng,
                           superset_of=draw_samples(prob, 4, rng))
-        assert asked == [4, 5] and S1.shape == (9,)
+        assert asked == [4, 5] and S1.size == 9
+
+    def test_streamed_set_is_the_one_shot_draws(self):
+        # the sampler is asked for pieces, yet they are the draws of one
+        # call for them all: the same values, the same sums (the sum of the
+        # draws bit for bit, as the pieces split where np.sum splits), and
+        # the generator left where that call leaves it
+        count = 3 * DRAW_CHUNK + 5
+        prob, draws = recording_draws(make_quadratic_problem(noise=0.5))
+        rng, one_shot = np.random.default_rng(11), np.random.default_rng(11)
+        S = draw_samples(prob, count, rng)
+        xi = one_shot.uniform(-0.5, 0.5, count)
+        assert max(d.size for d in draws) <= DRAW_CHUNK
+        assert np.array_equal(np.concatenate(draws), xi)
+        assert S.size == count
+        assert S.sum_xi == float(np.sum(xi))
+        assert S.sum_sq == pytest.approx(float(xi @ xi), rel=1e-12)
+        assert rng.bit_generator.state == one_shot.bit_generator.state
+
+    def test_bad_form_on_a_later_piece_rejected(self):
+        # the form check covers every piece, not the first alone
+        asked = []
+        sampler = make_quadratic_problem().mode.sampler
+
+        def short_second(rng, count):
+            asked.append(count)
+            xi = sampler(rng, count)
+            return xi[:-1] if len(asked) == 2 else xi
+
+        prob = dataclasses.replace(make_quadratic_problem(),
+                                   mode=Expectation(short_second))
+        with pytest.raises(ConfigError) as err:
+            draw_samples(prob, 3 * DRAW_CHUNK + 5, np.random.default_rng(0))
+        assert len(asked) == 2
+        assert str(err.value) == (
+            f"sampler returned float64 ndarray of shape ({asked[1] - 1},) "
+            f"for count = {asked[1]}, not a float64 ndarray of shape "
+            f"({asked[1]},)")
 
     @given(st.integers(1, 10), st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_expectation_sizes(self, size, seed):
-        prob = make_quadratic_problem()
+        prob, draws = recording_draws(make_quadratic_problem())
         S = draw_samples(prob, size, np.random.default_rng(seed))
-        assert S.size == size
-        assert all(-0.5 <= xi <= 0.5 for xi in S)
+        xi = np.concatenate(draws)
+        assert S.size == xi.size == size
+        assert S == NoiseMoments.of(xi)
+        assert all(-0.5 <= v <= 0.5 for v in xi)
 
 
 def _tiny_dataset(n_samples=12, n_raw=3, n_classes=2, seed=0):
@@ -786,22 +846,42 @@ class TestSumsMemory:
         # allocates nothing near its own size
         prob = make()
         xi = np.random.default_rng(0).uniform(-0.01, 0.01, 2 ** 20)
+        S = NoiseMoments.of(xi)
         x = np.random.default_rng(1).standard_normal(prob.n)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            prob.sums(x, xi, order)
+            prob.sums(x, S, order)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < xi.nbytes // 8
 
 
+class TestDrawMemory:
+    @pytest.mark.parametrize("prefix", [0, 2 ** 20])
+    def test_drawing_holds_a_few_pieces(self, prefix):
+        # a 32 MB set of draws, grown from an 8 MB prefix or not, is drawn
+        # piece by piece: no array of its size, and no concatenation
+        prob = make_noisy_quadratic()
+        rng = np.random.default_rng(0)
+        base = draw_samples(prob, prefix, rng) if prefix else None
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            S = draw_samples(prob, 2 ** 22, rng, base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.size == 2 ** 22
+        assert peak < 4 * DRAW_CHUNK * 8
+
+
 class TestAugmented:
     def test_noise_averages_out(self):
         prob = make_quadratic_problem(noise=0.1)
         x = np.array([1.0, -2.0, 0.5])
-        xi_pairs = np.array([0.07, -0.07])
+        xi_pairs = NoiseMoments.of(np.array([0.07, -0.07]))
         v, g = eval_subsampled(prob, x, xi_pairs, None)
         assert v == pytest.approx(prob.true_value(x))
         np.testing.assert_allclose(g, prob.true_gradient(x), atol=1e-12)
@@ -881,7 +961,8 @@ class TestExpectationFamily:
             x = scale * rng.standard_normal(n)
             xi = rng.uniform(-noise, noise, int(rng.integers(1, 50)))
             for order in (0, 1, 2):
-                got, want = prob.sums(x, xi, order), ref(x, xi, order)
+                got = prob.sums(x, NoiseMoments.of(xi), order)
+                want = ref(x, xi, order)
                 assert len(got) == len(want) == order + 1
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), (order, a, b)
@@ -912,7 +993,7 @@ class TestExpectationFamily:
         for size in (1, 7, 100):
             xi = draw_samples(prob, size, rng)
             v, g = eval_subsampled(prob, x, xi)
-            w = 1.0 + xi.mean()
+            w = 1.0 + xi.sum_xi / xi.size
             assert v == pytest.approx(w * prob.true_value(x), rel=1e-12)
             np.testing.assert_allclose(g, w * prob.true_gradient(x),
                                        rtol=1e-12)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rasqp.bench import RunConfig, run_config
+from rasqp.problems import DRAW_CHUNK
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -83,3 +84,18 @@ def test_traced_solve_does_the_same_work(config, sites):
     assert (counts["problems.value_only"]["samples"]
             == traced.function_evals - traced.gradient_evals)
     assert counts["problems.draw_samples"]["items"] > 0
+
+
+def test_drawn_items_are_the_batch_sizes():
+    # geometric expectation batches, the last past DRAW_CHUNK: the tracer
+    # counts every draw of every set once through the set's `.size`
+    layers = load_layers()
+    tracer = layers.Tracer()
+    with layers.Installed(tracer):
+        out = run_config(RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
+                                   sampling="geometric", max_outer=7,
+                                   max_gradient_evals=10 ** 9))
+    sizes = [r.batch_size for r in out.trace[1:]]
+    assert len(sizes) == 7 and sizes[-1] > DRAW_CHUNK
+    metrics = layers.layer_metrics(tracer, 0.0)
+    assert metrics["problems.draw_samples.items"] == sum(sizes)
