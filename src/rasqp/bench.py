@@ -4,6 +4,7 @@ CSV trace emission, metrics, performance profiles, and active-set reports."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -12,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import (Budget, DriverConfig, SamplingRule, SolveOutcome,
-                     TerminationRule, run)
+from .driver import (Budget, DriverConfig, OuterRecord, SamplingRule,
+                     SolveOutcome, TerminationRule, run)
 from .errors import ConfigError
 from .problems import (Dataset, FiniteSum, ProblemSpec,
                        build_augmented_problem, build_expectation_problem,
@@ -23,10 +24,9 @@ from .sqp_eq import violation_norms
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 ACTIVE_TOL = 1e-6    # an inequality with c_i >= -ACTIVE_TOL counts as active
 
-TRACE_COLUMNS = ("k", "batch_size", "inner_iters", "updates",
-                 "estimation_size", "grad_evals_cum", "minres_iters_cum",
-                 "barrier_iters_cum", "violation_inf", "stationarity",
-                 "tau_exit", "term_cause", "metric_mc")
+# every OuterRecord field but the iterate x, in declaration order
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(OuterRecord)
+                      if f.name != "x")
 
 
 # ------------------------------------------------------------------
@@ -301,9 +301,9 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray):
 
 def write_trace_csv(path: str, outcome: SolveOutcome):
     """One row per outer iteration plus the k = -1 initial row, holding the
-    `OuterRecord` field named by each of `TRACE_COLUMNS` (floats as .17g,
-    `metric_mc` as True/False). The first line is a timestamp comment
-    excluded from determinism comparisons."""
+    `OuterRecord` field named by each of `TRACE_COLUMNS` (floats as .17g).
+    The first line is a timestamp comment excluded from determinism
+    comparisons."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(fh)

@@ -48,7 +48,6 @@ MAX_BATCH = 2 ** 24            # largest expectation batch (bounds drawing time)
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
 THETA = 0.5                    # adaptive sampling: norm-test constant
 BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
-MC_METRIC_SAMPLES = 10 ** 5    # Monte Carlo true-gradient surrogate size
 
 
 # ------------------------------------------------------------------
@@ -101,6 +100,9 @@ class SamplingRule:
             raise ConfigError(f"unknown sampling kind {self.kind!r}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must be in (0, 1)")
+        if not isinstance(self.initial_size, (int, np.integer)):
+            raise ConfigError(f"initial_size must be an integer, got "
+                              f"{self.initial_size!r}")
         if not self.initial_size >= 1:
             raise ConfigError("initial_size must be >= 1")
 
@@ -165,14 +167,13 @@ class OuterRecord:
     inner_iters: int
     updates: int                      # inner iterations that moved x
     estimation_size: int              # fresh-set size used for batch sizing
-    violation_inf: float
-    stationarity: float
     grad_evals_cum: int
     minres_iters_cum: int
     barrier_iters_cum: int
+    violation_inf: float
+    stationarity: float
     tau_exit: float
     term_cause: str
-    metric_mc: bool = False
     x: Optional[np.ndarray] = None    # iterate at the outer exit (not in CSV)
 
 
@@ -181,7 +182,9 @@ class SolveOutcome:
     # Converged | InfeasibleStationary | BudgetExhausted | BatchLimit
     status: str
     x: np.ndarray
-    lam: Optional[np.ndarray]
+    # equality solver: its duals; robust solver: the KKT-residual LP's
+    # multipliers at x, equality constraints first
+    lam: np.ndarray
     trace: list
     counters: Counters
 
@@ -342,41 +345,25 @@ _INNER = {
 # true-problem metrics
 # ------------------------------------------------------------------
 
-def true_gradient_at(problem: ProblemSpec, x: np.ndarray) -> tuple:
-    """Gradient of the underlying objective at x, outside any budget: the
-    analytic gradient when known, the full-dataset average for finite sums,
-    or a fixed-seed Monte Carlo surrogate (flagged) otherwise."""
-    if problem.true_gradient is not None:
-        return problem.true_gradient(x), False
-    if isinstance(problem.mode, FiniteSum):
-        full = np.arange(problem.mode.dataset_size)
-        _, g = eval_subsampled(problem, x, full, counters=None)
-        return g, False
-    rng = np.random.default_rng(987654321)
-    S = draw_samples(problem, MC_METRIC_SAMPLES, rng)
-    _, g = eval_subsampled(problem, x, S, counters=None)
-    return g, True
-
-
 def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
                  constraints: Optional[tuple] = None):
-    """(violation_inf, stationarity, monte_carlo_flag) for the underlying
-    problem: max-norm violation of (c_E, [c_I]_+), and either the best-dual
-    Lagrangian gradient norm (equality) or the KKT residual (general).
+    """(violation_inf, stationarity, multipliers) for the underlying
+    problem at x, from `problem.true_gradient`: the max-norm violation of
+    (c_E, [c_I]_+), and either the Lagrangian gradient norm at the
+    least-squares lambda_E (equality) or the KKT residual at the residual
+    LP's (lambda_E, lambda_I) (robust), with those multipliers.
 
     `constraints` is (c_E, c_I, J_E, J_I) at x when the caller holds them;
     otherwise they are evaluated here."""
     c_E, c_I, J_E, J_I = (eval_constraints(problem, x) if constraints is None
                           else constraints)
     v_inf, _ = violation_norms(c_E, c_I)
-    g, mc = true_gradient_at(problem, x)
+    g = problem.true_gradient(x)
     if solver == "equality":
         # with no equality constraints lam is empty and stat is ||g||_inf
         lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
-        stat = norm(g + J_E.T @ lam, np.inf)
-    else:
-        stat = kkt_residual(g, c_I, J_E, J_I, counters=None)
-    return v_inf, stat, mc
+        return v_inf, norm(g + J_E.T @ lam, np.inf), lam
+    return (v_inf, *kkt_residual(g, c_I, J_E, J_I, counters=None))
 
 
 # ------------------------------------------------------------------
@@ -421,7 +408,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             ctx.store["metrics"] = true_metrics(
                 problem, ctx.x, config.solver,
                 (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
-        v, s, mc = ctx.store["metrics"]
+        v, s, _ = ctx.store["metrics"]
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iters=inner_iters,
             updates=updates, estimation_size=est_size,
@@ -429,8 +416,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
             grad_evals_cum=counters.gradient_evals,
             minres_iters_cum=counters.minres_iters,
             barrier_iters_cum=counters.barrier_iters,
-            tau_exit=ctx.tau_prev, term_cause=term_cause, metric_mc=mc,
-            x=ctx.x.copy()))
+            tau_exit=ctx.tau_prev, term_cause=term_cause, x=ctx.x.copy()))
         return v, s
 
     record(ctx, -1, 0, 0, 0, 0, "initial")
@@ -496,8 +482,10 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         prev_size = S.size
         k += 1
 
+    # ctx is the last record's iterate, whose metrics are in its store
     return SolveOutcome(status=status, x=ctx.x,
-                        lam=ctx.lam if config.solver == "equality" else None,
+                        lam=(ctx.lam if config.solver == "equality"
+                             else ctx.store["metrics"][2]),
                         trace=trace, counters=counters)
 
 

@@ -149,9 +149,11 @@ def _step_lengths(v, dv):
 
 def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
                  J_I: np.ndarray,
-                 counters: Optional[Counters] = None) -> float:
-    """Smallest t such that some multipliers put the stationarity residual
-    and the complementarity products within t in the max norm.
+                 counters: Optional[Counters] = None):
+    """(t, lam): the smallest t such that some multipliers put the
+    stationarity residual and the complementarity products within t in the
+    max norm, and such multipliers lam = (lambda_E, lambda_I), of shape
+    (m_E + m_I,), with lambda_I >= 0.
 
     Solved as an LP over (t, lambda_E, lambda_I) with the max-norm
     constraints expanded into paired inequalities. The arrays come in the
@@ -176,4 +178,4 @@ def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
     sol = solve_program(prog, counters=counters)
     if sol.status != "optimal":
         raise NumericalFailure(f"KKT-residual LP ended with status {sol.status}")
-    return max(0.0, float(sol.x[0]))
+    return max(0.0, float(sol.x[0])), sol.x[1:]

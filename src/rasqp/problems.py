@@ -74,6 +74,13 @@ SampleSet = np.ndarray | NoiseMoments
 
 @dataclass
 class ProblemSpec:
+    """A stochastic objective under deterministic constraints.
+
+    `true_gradient(x)` is the gradient of the underlying objective, which
+    the true-problem metrics read. It is never None once built: a finite
+    sum without one gets the exact average over its whole data set, and an
+    expectation problem without one raises ConfigError, since no sample
+    average is its exact gradient."""
     m_E: int
     m_I: int
     mode: FiniteSum | Expectation
@@ -84,9 +91,18 @@ class ProblemSpec:
     sums: Callable
     constraints: Callable  # x -> (c_E, c_I, J_E, J_I)
     x_init: np.ndarray
-    # analytically known noiseless objective/gradient, when available
+    # the noiseless objective, when known, and its gradient (see the
+    # class docstring)
     true_value: Optional[Callable] = None
     true_gradient: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.true_gradient is None:
+            if not isinstance(self.mode, FiniteSum):
+                raise ConfigError("an expectation problem needs its "
+                                  "true_gradient")
+            full = np.arange(self.mode.dataset_size)
+            self.true_gradient = lambda x: eval_subsampled(self, x, full)[1]
 
     @property
     def n(self) -> int:

@@ -150,7 +150,7 @@ def test_criterion_2_subproblem_oracles():
         lam_e = rng.standard_normal(m_e)
         lam_i = rng.uniform(0.1, 2.0, m_i)
         grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
-        t = kkt_residual(grad, np.zeros(m_i), J_E, J_I)
+        t, _ = kkt_residual(grad, np.zeros(m_i), J_E, J_I)
         worst_kkt = max(worst_kkt, t)
 
     report(2, "interior-point subproblem solver matches enumeration",

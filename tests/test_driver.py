@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rasqp.bench import (RunConfig, build_problem, method_driver_config,
-                         read_trace_csv, run_config, write_trace_csv)
+                         run_config)
 from rasqp import driver
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
@@ -165,6 +165,13 @@ class TestBatchSchedules:
         for bad in (math.nan, -1):
             with pytest.raises(ConfigError, match="initial_size"):
                 SamplingRule(initial_size=bad)
+        # a size numpy cannot draw fails here, not at the first draw
+        for bad in (2.5, 32.0, "32"):
+            with pytest.raises(ConfigError, match="initial_size must be an "
+                                                  "integer"):
+                SamplingRule(initial_size=bad)
+        for good in (3, np.int64(3), np.int32(3)):
+            assert SamplingRule(initial_size=good).initial_size == 3
         with pytest.raises(ConfigError, match="beta"):
             SamplingRule(beta=math.nan)
 
@@ -713,17 +720,17 @@ def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
     prob = build_problem(problem)
     solver = method_driver_config(method, prob, cfg).solver
     for r in out.trace:
-        assert original(prob, r.x, solver) == (r.violation_inf,
-                                              r.stationarity, r.metric_mc)
+        v, s, _ = original(prob, r.x, solver)
+        assert (v, s) == (r.violation_inf, r.stationarity)
 
 
 class TestTrueMetrics:
     def test_equality_quadratic_at_solution(self):
         prob = make_eq_quadratic()
-        v, s, mc = true_metrics(prob, 0.25 * np.ones(4), "equality")
+        v, s, lam = true_metrics(prob, 0.25 * np.ones(4), "equality")
         assert v <= 1e-12
         assert s <= 1e-10
-        assert not mc
+        assert lam.shape == (prob.m_E,)
 
     def test_violation_reported(self):
         prob = make_eq_quadratic()
@@ -740,8 +747,8 @@ class TestTrueMetrics:
                                    np.zeros((0, n)), np.zeros((0, n))),
             m_E=0, m_I=0, x_init=np.zeros(n), noise_level=0.1)
         x = np.array([0.3, -2.0, 0.5])
-        v, s, mc = true_metrics(prob, x, "equality")
-        assert v == 0.0 and not mc
+        v, s, lam = true_metrics(prob, x, "equality")
+        assert v == 0.0 and lam.shape == (0,)
         assert s == np.linalg.norm(2.0 * x - 1.0, np.inf)
 
     def test_finite_sum_fallback_matches_analytic(self):
@@ -750,28 +757,36 @@ class TestTrueMetrics:
         bare = dataclasses.replace(prob, true_gradient=None)
         rng = np.random.default_rng(5)
         for x in (prob.x_init, 0.3 * rng.standard_normal(prob.n)):
-            v, s, mc = true_metrics(prob, x, "equality")
-            v_b, s_b, mc_b = true_metrics(bare, x, "equality")
+            v, s, lam = true_metrics(prob, x, "equality")
+            v_b, s_b, lam_b = true_metrics(bare, x, "equality")
             # the caller's constraint values at x give the same metrics
-            assert true_metrics(prob, x, "equality",
-                                eval_constraints(prob, x)) == (v, s, mc)
+            again = true_metrics(prob, x, "equality",
+                                 eval_constraints(prob, x))
+            assert again[:2] == (v, s) and np.array_equal(again[2], lam)
             assert v_b == v
             assert s_b == pytest.approx(s, rel=1e-12, abs=1e-12)
-            assert not mc and not mc_b
+            np.testing.assert_allclose(lam_b, lam, rtol=1e-10, atol=1e-12)
 
-    def test_expectation_fallback_is_flagged_in_trace(self, tmp_path):
-        # an expectation problem falls back to the fixed-seed Monte Carlo
-        # surrogate, which every record and the trace CSV flag
-        bare = dataclasses.replace(build_problem("synth-eq-quad"),
-                                   true_gradient=None)
-        _, _, mc = true_metrics(bare, bare.x_init, "equality")
-        assert mc
-        cfg = RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
-                        max_outer=2)
-        out = run(bare, method_driver_config(cfg.method, bare, cfg),
-                  Budget(max_outer=2), np.random.default_rng(0))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(str(path), out)
-        rows = read_trace_csv(str(path))
-        assert len(rows) == 3
-        assert [row["metric_mc"] for row in rows] == ["True"] * 3
+    def test_expectation_problem_needs_its_true_gradient(self):
+        # no sample average is an expectation's exact gradient, so a bare
+        # expectation problem is refused when it is built
+        with pytest.raises(ConfigError, match="true_gradient"):
+            dataclasses.replace(build_problem("synth-eq-quad"),
+                                true_gradient=None)
+
+    @pytest.mark.parametrize("method", ["ra-sqp-linf", "ra-sqp-l1"])
+    def test_robust_outcome_multipliers(self, method):
+        # the robust solver's multipliers are the KKT-residual LP's at the
+        # final iterate: (lambda_E, lambda_I) with lambda_I >= 0, whose
+        # Lagrangian gradient is within the last record's stationarity
+        out = run_config(RunConfig(problem="synth-logreg-ineq", method=method,
+                                   seed=0, max_gradient_evals=30000))
+        prob = build_problem("synth-logreg-ineq")
+        lam, last = out.lam, out.trace[-1]
+        assert lam.shape == (prob.m_E + prob.m_I,)
+        assert lam[prob.m_E:].min() >= -1e-9
+        assert np.array_equal(last.x, out.x)
+        _, _, J_E, J_I = eval_constraints(prob, out.x)
+        res = (prob.true_gradient(out.x) + J_E.T @ lam[:prob.m_E]
+               + J_I.T @ lam[prob.m_E:])
+        assert np.abs(res).max() <= last.stationarity * (1.0 + 1e-6)

@@ -203,28 +203,32 @@ def test_stacked_ratio_test_matches_each_half_at_random():
 class TestKktResidual:
     def test_stationary_point(self):
         # min x1^2 + x2^2 s.t. x1 + x2 = 2 at (1,1): grad (2,2), J_E (1,1)
-        t = kkt_residual(np.array([2.0, 2.0]),
-                         np.zeros(0), np.array([[1.0, 1.0]]),
-                         np.zeros((0, 2)))
+        t, lam = kkt_residual(np.array([2.0, 2.0]),
+                              np.zeros(0), np.array([[1.0, 1.0]]),
+                              np.zeros((0, 2)))
         assert t <= 1e-6
+        np.testing.assert_allclose(lam, [-2.0], atol=1e-6)
 
     def test_unconstrained_nonstationary(self):
-        t = kkt_residual(np.array([1.0]), np.zeros(0),
-                         np.zeros((0, 1)), np.zeros((0, 1)))
+        t, lam = kkt_residual(np.array([1.0]), np.zeros(0),
+                              np.zeros((0, 1)), np.zeros((0, 1)))
         np.testing.assert_allclose(t, 1.0, atol=1e-7)
+        assert lam.shape == (0,)
 
     def test_active_inequality_cancels(self):
         # min x s.t. -x <= 0 at x = 0: grad 1, J_I = [-1], lambda = 1 -> t = 0
-        t = kkt_residual(np.array([1.0]), np.array([0.0]),
-                         np.zeros((0, 1)), np.array([[-1.0]]))
+        t, lam = kkt_residual(np.array([1.0]), np.array([0.0]),
+                              np.zeros((0, 1)), np.array([[-1.0]]))
         assert t <= 1e-6
+        np.testing.assert_allclose(lam, [1.0], atol=1e-6)
 
     def test_inactive_inequality_complementarity(self):
         # strictly feasible c_I = -1: any multiplier mass costs |lam| in the
         # complementarity rows, so the optimum balances both terms
-        t = kkt_residual(np.array([1.0]), np.array([-1.0]),
-                         np.zeros((0, 1)), np.array([[-1.0]]))
+        t, lam = kkt_residual(np.array([1.0]), np.array([-1.0]),
+                              np.zeros((0, 1)), np.array([[-1.0]]))
         np.testing.assert_allclose(t, 0.5, atol=1e-6)
+        np.testing.assert_allclose(lam, [0.5], atol=1e-6)
 
     def test_constructed_kkt_points(self):
         rng = np.random.default_rng(17)
@@ -240,8 +244,14 @@ class TestKktResidual:
             # inequalities active so complementarity is free
             grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
             c_I = np.zeros(m_i)
-            t = kkt_residual(grad, c_I, J_E, J_I)
+            t, lam = kkt_residual(grad, c_I, J_E, J_I)
             assert t <= 1e-6
+            # the multipliers returned attain t: (lambda_E, lambda_I) with
+            # lambda_I >= 0 and the stationarity residual within t
+            assert lam.shape == (m_e + m_i,)
+            assert lam[m_e:].min() >= 0.0
+            res = grad + J_E.T @ lam[:m_e] + J_I.T @ lam[m_e:]
+            assert np.abs(res).max() <= t * (1.0 + 1e-6) + 1e-12
 
 
 def test_kkt_residual_nonoptimal_lp_raises(monkeypatch):
