@@ -1,5 +1,5 @@
 """Outer loop of the retrospective-approximation solver: batch sizing,
-inner-loop termination rules, dual initialization, budget enforcement,
+inner-loop termination rules, the dual warm start, budget enforcement,
 and trace recording.
 
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import ConfigError, LineSearchFailure, MeritCollapse, RankDeficient
+from .errors import ConfigError, LineSearchFailure, MeritCollapse
 from .ipm import kkt_residual
 from .linalg import LbfgsModel, least_squares_dual, norm
 from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
@@ -193,18 +193,6 @@ class SolveOutcome:
 # building blocks
 # ------------------------------------------------------------------
 
-def dual_initialize(lam_prev: np.ndarray, g_S: np.ndarray,
-                    J: np.ndarray) -> np.ndarray:
-    """Dual warm start of an equality inner solve on a new batch: the
-    least-squares multipliers for (g_S, J), whose KKT error no lam_prev
-    beats, as a deterministic SQP method takes on a new problem. A
-    rank-deficient Jacobian keeps lam_prev."""
-    try:
-        return least_squares_dual(J, g_S)
-    except RankDeficient:
-        return lam_prev
-
-
 def termination_check(rule: TerminationRule, snapshot0: float,
                       current: float) -> bool:
     return current <= rule.gamma * snapshot0 + rule.eps
@@ -212,17 +200,18 @@ def termination_check(rule: TerminationRule, snapshot0: float,
 
 def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
                         dataset_cap: Optional[int]) -> int:
-    """min{cap, BETA_HAT * prev, max{prev, ceil(var / (THETA Z)^2)}} with the
-    variance term treated as infinite when Z vanishes and as prev when the
-    variance vanishes."""
+    """min{cap, ceil(min{BETA_HAT * prev, max{prev, var / (THETA Z)^2}})}
+    with the variance term treated as infinite when (THETA Z)^2 vanishes,
+    as it does for a Z = 0 or a positive Z below about 1e-154, and as prev
+    when the variance vanishes."""
+    denominator = THETA * THETA * Z_est * Z_est
     if variance_est <= 0.0:
         candidate = prev_size
-    elif Z_est <= 0.0:
+    elif Z_est <= 0.0 or denominator == 0.0:
         candidate = math.inf
     else:
-        candidate = math.ceil(variance_est / (THETA * THETA * Z_est * Z_est))
-    size = max(prev_size, candidate)
-    size = min(size, math.ceil(BETA_HAT * prev_size))
+        candidate = variance_est / denominator
+    size = math.ceil(min(max(prev_size, candidate), BETA_HAT * prev_size))
     if dataset_cap is not None:
         size = min(size, dataset_cap)
     return int(size)
@@ -349,9 +338,10 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
                  constraints: Optional[tuple] = None):
     """(violation_inf, stationarity, multipliers) for the underlying
     problem at x, from `problem.true_gradient`: the max-norm violation of
-    (c_E, [c_I]_+), and either the Lagrangian gradient norm at the
-    least-squares lambda_E (equality) or the KKT residual at the residual
-    LP's (lambda_E, lambda_I) (robust), with those multipliers.
+    (c_E, [c_I]_+), and either the Lagrangian gradient norm at
+    `least_squares_dual`'s lambda_E, as in the inner solver's warm start
+    (equality), or the KKT residual at the residual LP's (lambda_E,
+    lambda_I) (robust), with those multipliers.
 
     `constraints` is (c_E, c_I, J_E, J_I) at x when the caller holds them;
     otherwise they are evaluated here."""
@@ -361,7 +351,7 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
     g = problem.true_gradient(x)
     if solver == "equality":
         # with no equality constraints lam is empty and stat is ||g||_inf
-        lam = np.linalg.lstsq(J_E.T, -g, rcond=None)[0]
+        lam = least_squares_dual(J_E, g)
         return v_inf, norm(g + J_E.T @ lam, np.inf), lam
     return (v_inf, *kkt_residual(g, c_I, J_E, J_I, counters=None))
 
@@ -524,7 +514,10 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
                   ctx: InnerContext, F_S, g_S, counters: Counters):
     """(progress, update, start context) of the configured solver on the
     batch S, warm-started at the iterate ctx, whose subsampled objective on
-    S is (F_S, g_S); the equality solver's duals are initialized here."""
+    S is (F_S, g_S). The equality solver starts from the least-squares
+    multipliers for g_S, whose KKT error no carried duals beat, as a
+    deterministic SQP method does on a new problem; the robust solver keeps
+    the carried ones."""
     probe, update, settings = _INNER[config.solver]
     # the evaluation functions are looked up at call time, so wrappers
     # installed on this module's names see every call
@@ -534,7 +527,7 @@ def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
         lambda xt: eval_constraints(problem, xt))
     args = (evaluator, *settings(config, counters))
     lam = (ctx.lam if config.solver == "robust"
-           else dual_initialize(ctx.lam, g_S, ctx.J_E))
+           else least_squares_dual(ctx.J_E, g_S))
     return (lambda ctx: probe(ctx, config, counters),
             lambda ctx, step, plan: update(ctx, step, plan, *args),
             replace(ctx, lam=lam, F_S=F_S, g_S=g_S, tau_prev=TAU_BAR))

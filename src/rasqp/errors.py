@@ -23,10 +23,6 @@ class NumericalFailure(RasqpError):
     """Non-finite value or numerical breakdown during a computation."""
 
 
-class RankDeficient(RasqpError):
-    """A matrix assumed full rank is numerically singular."""
-
-
 class MeritCollapse(RasqpError):
     """The merit parameter collapsed to zero; the subsampled problem is
     locally incompatible and the inner loop must abort."""

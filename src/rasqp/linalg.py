@@ -1,6 +1,6 @@
 """Dense/Krylov linear-algebra primitives: vector norms, MINRES for
 symmetric indefinite systems, a limited-memory BFGS Hessian-approximation
-operator, and the least-squares dual estimator."""
+operator, and the least-squares multipliers of a Jacobian of any rank."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import NumericalFailure, RankDeficient
+from .errors import NumericalFailure
 
 CURVATURE_THRESHOLD = 1e-8
 EPS = float(np.finfo(float).eps)
@@ -196,14 +196,10 @@ def lbfgs_update(model: LbfgsModel, s: np.ndarray, y: np.ndarray) -> LbfgsModel:
 
 
 # ------------------------------------------------------------------
-# least-squares dual estimate
+# least-squares multipliers
 # ------------------------------------------------------------------
 
 def least_squares_dual(J: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Multipliers minimizing ||g + J' lambda||: lambda = -(JJ')^{-1} J g."""
-    J = np.asarray(J, dtype=float)
-    g = np.asarray(g, dtype=float)
-    M = J @ J.T
-    if M.size and np.linalg.cond(M) > 1e12:
-        raise RankDeficient("J J^T numerically singular")
-    return -np.linalg.solve(M, J @ g) if M.size else np.zeros(0)
+    """The minimum-norm lambda minimizing ||g + J' lambda||, for a J of any
+    rank, with no rows included (lambda is then empty)."""
+    return np.linalg.lstsq(J.T, -g, rcond=None)[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rasqp.errors import NumericalFailure, RankDeficient
+from rasqp.errors import NumericalFailure
 from rasqp.linalg import (LbfgsModel, lbfgs_apply, lbfgs_update,
                           least_squares_dual, make_kkt_operator, minres_solve,
                           norm)
@@ -241,9 +241,10 @@ class TestLeastSquaresDual:
         np.testing.assert_allclose(g + J.T @ lam, g, atol=1e-12)
 
     def test_rank_deficient(self):
+        # a repeated row: the minimum-norm minimizer splits the multiplier
         J = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(RankDeficient):
-            least_squares_dual(J, np.array([1.0, 1.0]))
+        lam = least_squares_dual(J, np.array([1.0, 1.0]))
+        np.testing.assert_allclose(lam, [-0.5, -0.5], atol=1e-12)
 
     @given(st.integers(1, 4), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
@@ -251,8 +252,6 @@ class TestLeastSquaresDual:
         rng = np.random.default_rng(seed)
         n = m + 2
         J = rng.standard_normal((m, n))
-        if np.linalg.cond(J @ J.T) > 1e10:
-            return
         g = rng.standard_normal(n)
         lam = least_squares_dual(J, g)
         resid = g + J.T @ lam

@@ -82,6 +82,27 @@ def test_smoke_list_digest_and_compare(tmp_path):
     assert tool("--compare", a, c).returncode == 1
 
 
+def test_registry_smoke_list(tmp_path):
+    # every problem x method pair under both sampling rules; a pair the
+    # driver rejects is an Error row, and a file compares equal to itself
+    from rasqp.bench import METHODS, PROBLEMS
+
+    a = tmp_path / "a.jsonl"
+    run = tool("--workload", "registry", "--smoke", "--out", a)
+    assert run.returncode == 0, run.stderr
+    rows = [json.loads(line) for line in a.read_text().splitlines()]
+    assert [(r["problem"], r["method"], r["sampling"]) for r in rows] == [
+        (p, m, s) for p in PROBLEMS for m in METHODS
+        for s in ("adaptive", "geometric")]
+    assert {r["status"] for r in rows
+            if r["problem"] == "synth-logreg-ineq"
+            and r["method"].startswith("ra-sqp-dl")} == {"Error"}
+    assert all("digest" in r for r in rows if r["status"] != "Error")
+    same = tool("--compare", a, a)
+    assert same.returncode == 0
+    assert f"{len(rows)} solves: 0 with different work" in same.stdout
+
+
 def test_result_digest_leaves_out_the_work_counters():
     spec = importlib.util.spec_from_file_location("work_digest", TOOL)
     wd = importlib.util.module_from_spec(spec)

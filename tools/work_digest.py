@@ -6,12 +6,15 @@
     python3 tools/work_digest.py --compare b.jsonl a.jsonl
 
 The first form runs every solve of `perfbench/workloads.py` `solve_list`
-for each seed, in order, and writes one JSON line per solve: its place in
-the list, method and solver seed, status, the four `Counters`, the batch
-sizes, a sha256 over every `OuterRecord` field (floats and iterates as
-IEEE bytes) and the final x, and a result digest: the same sha256 without
-the `*_cum` work counters, so it holds what the solve found, not what it
-spent. `--src` picks the `src/` tree rasqp is
+for each seed, in order, or with `--workload registry` every
+`rasqp.bench.PROBLEMS` x `METHODS` pair under adaptive and geometric
+sampling at solver seed `--seed` (budget 2e5 gradient evaluations, 60
+outer iterations), and writes one JSON line per solve: its place in the
+list, problem, method, sampling rule and solver seed, status, the four
+`Counters`, the batch sizes, a sha256 over every `OuterRecord` field
+(floats and iterates as IEEE bytes) and the final x, and a result digest:
+the same sha256 without the `*_cum` work counters, so it holds what the
+solve found, not what it spent. `--src` picks the `src/` tree rasqp is
 imported from, so this one copy of the tool also runs against another
 checkout, such as the parent commit's. BLAS runs on one thread, as in the
 benchmark.
@@ -71,16 +74,32 @@ def digest(outcome, skip=()) -> str:
     return h.hexdigest()
 
 
+def registry_list(seed: int, smoke: bool) -> list:
+    """Every registered problem x method pair under both RA sampling rules
+    at solver seed `seed`; `smoke` cuts each solve to 2 outer iterations.
+    A pair the driver rejects is in the list and raises when run."""
+    from rasqp.bench import METHODS, PROBLEMS, RunConfig
+
+    return [RunConfig(problem=problem, method=method, seed=seed,
+                      sampling=sampling, max_gradient_evals=200_000,
+                      max_outer=2 if smoke else 60)
+            for problem in PROBLEMS for method in METHODS
+            for sampling in ("adaptive", "geometric")]
+
+
 def solve_rows(workload: str, seeds, smoke: bool):
     """One dict per solve of the workload's lists for `seeds`, in order."""
     from perfbench.workloads import solve_list
     from rasqp.bench import run_config
 
     configs = [(seed, config) for seed in seeds
-               for config in solve_list(workload, seed, smoke=smoke)]
+               for config in (registry_list(seed, smoke)
+                              if workload == "registry"
+                              else solve_list(workload, seed, smoke=smoke))]
     for index, (seed, config) in enumerate(configs):
         row = {"index": index, "workload": workload, "list_seed": seed,
-               "method": config.method, "seed": config.seed}
+               "problem": config.problem, "method": config.method,
+               "sampling": config.sampling, "seed": config.seed}
         try:
             outcome = run_config(config)
         except Exception as exc:  # a raising solve is a result too
@@ -134,15 +153,19 @@ def compare(path_a: str, path_b: str) -> int:
         with open(path) as fh:
             rows.append([json.loads(line) for line in fh if line.strip()])
     a, b = rows
-    key = ("workload", "list_seed", "method", "seed")
-    if [[r[k] for k in key] for r in a] != [[r[k] for k in key] for r in b]:
+    # files written before rows named their problem and sampling rule
+    # compare on the other keys
+    key = ("workload", "list_seed", "problem", "method", "sampling", "seed")
+    if ([[r.get(k) for k in key] for r in a]
+            != [[r.get(k) for k in key] for r in b]):
         print(f"the two files hold different solve lists "
               f"({len(a)} and {len(b)} solves)")
         return 1
     work_diff = same_results = digest_diff = 0
     for ra, rb in zip(a, b):
         label = (f"#{ra['index']} {ra['workload']} seed {ra['list_seed']} "
-                 f"{ra['method']} solver seed {ra['seed']}")
+                 f"{ra.get('problem')} {ra['method']} {ra.get('sampling')} "
+                 f"solver seed {ra['seed']}")
         if work(ra) != work(rb):
             work_diff += 1
             same = (ra["status"] == rb["status"]
@@ -163,8 +186,8 @@ def compare(path_a: str, path_b: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload",
-                        choices=("eq-logreg", "quad-geometric", "ineq-logreg"))
+    parser.add_argument("--workload", choices=("eq-logreg", "quad-geometric",
+                                               "ineq-logreg", "registry"))
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--smoke", action="store_true",
                         help="the short solve lists the tests use")
