@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .problems import (Dataset, FiniteSum, ProblemSpec,
                        build_augmented_problem, build_expectation_problem,
                        build_logreg_problem, eval_constraints)
-from .sqp_eq import violation_norms
+from .sqp_eq import LINF, violation
 
 EPS_TOL_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 ACTIVE_TOL = 1e-6    # an inequality with c_i >= -ACTIVE_TOL counts as active
@@ -291,7 +291,7 @@ def active_set_report(problem: ProblemSpec, xs, x_ref: np.ndarray):
     for x in xs:
         c_E, c_I, _, _ = eval_constraints(problem, x)
         a = _active(c_I)
-        report.append((a, jaccard(a, ref), violation_norms(c_E, c_I)[0]))
+        report.append((a, jaccard(a, ref), violation(c_E, c_I, LINF)))
     return report
 
 

@@ -38,8 +38,7 @@ from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
                        eval_subsampled, eval_subsampled_value,
                        gradient_stats)
 from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
-                     compute_step, inner_iteration, merit_plan,
-                     violation_norms)
+                     compute_step, inner_iteration, merit_plan, violation)
 from .sqp_ineq import (detect_infeasible_stationary, direction_step,
                        feasibility_step, robust_inner_iteration, sigma_bounds)
 
@@ -300,24 +299,24 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
     (||d||, ||d||, direction d, linearized violation decrease delta_c) from
     the feasibility LP and the direction QP, or None, with no QP solved,
-    when the LP certifies an infeasible stationary point. The LP reads only
-    the constraint values and the run's one norm mode, so it is solved once
-    per iterate and kept in the context's store."""
+    when the LP certifies an infeasible stationary point. The violation,
+    the norm bounds and both subprograms are in the run's one norm mode;
+    the LP reads only the constraint values and that mode, so it is solved
+    once per iterate and kept in the context's store."""
     mode = config.norm
-    v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
-    violation = v_inf if mode == LINF else v_l1
-    sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, ctx.x.size)
+    v = violation(ctx.c_E, ctx.c_I, mode)
+    sigma_p, sigma_d = sigma_bounds(v, mode, ctx.x.size)
     feas = ctx.store.get("feasibility")
     if feas is None:
         feas = ctx.store["feasibility"] = feasibility_step(
             ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p, mode,
             counters=counters)
-    if detect_infeasible_stationary(feas, violation):
+    if detect_infeasible_stationary(feas, v):
         return None
     d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
                        feas.relaxation, sigma_d, mode, counters=counters)
     dnorm = norm(d)
-    return dnorm, dnorm, d, max(0.0, violation - feas.lp_objective)
+    return dnorm, dnorm, d, max(0.0, v - feas.lp_objective)
 
 
 # solver -> (progress probe, update, the update's arguments after
@@ -337,8 +336,8 @@ _INNER = {
 def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
                  constraints: Optional[tuple] = None):
     """(violation_inf, stationarity, multipliers) for the underlying
-    problem at x, from `problem.true_gradient`: the max-norm violation of
-    (c_E, [c_I]_+), and either the Lagrangian gradient norm at
+    problem at x, from `problem.true_gradient`: the max-norm
+    `sqp_eq.violation`, and either the Lagrangian gradient norm at
     `least_squares_dual`'s lambda_E, as in the inner solver's warm start
     (equality), or the KKT residual at the residual LP's (lambda_E,
     lambda_I) (robust), with those multipliers.
@@ -347,7 +346,7 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
     otherwise they are evaluated here."""
     c_E, c_I, J_E, J_I = (eval_constraints(problem, x) if constraints is None
                           else constraints)
-    v_inf, _ = violation_norms(c_E, c_I)
+    v_inf = violation(c_E, c_I, LINF)
     g = problem.true_gradient(x)
     if solver == "equality":
         # with no equality constraints lam is empty and stat is ||g||_inf

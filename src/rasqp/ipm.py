@@ -1,5 +1,7 @@
 """Dense primal-dual interior-point solver for the LPs and convex QPs
-arising in robust-SQP subproblems and the KKT-residual metric.
+arising in robust-SQP subproblems and the KKT-residual metric. A program
+is min 1/2 x'Hx + g'x s.t. Cx <= d, passed to `solve_program` as its four
+arrays (g, C, d, H).
 
 A single Mehrotra-style predictor-corrector path handles both LPs (zero
 Hessian plus a tiny diagonal regularization) and QPs, so iteration counts
@@ -39,17 +41,6 @@ def _bind_lapack():
 
 
 @dataclass
-class ConvexProgram:
-    """min 1/2 x'Hx + g'x  s.t.  Cx <= d.
-    H is symmetric PSD (None or zeros for an LP). A simple bound is a row of
-    C like any other; at least one row is required."""
-    g: np.ndarray
-    C: np.ndarray
-    d: np.ndarray
-    H: Optional[np.ndarray] = None
-
-
-@dataclass
 class ProgramSolution:
     x: np.ndarray
     objective: float
@@ -57,21 +48,26 @@ class ProgramSolution:
     status: str  # "optimal" | "infeasible" | "max_iter"
 
 
-def solve_program(prog: ConvexProgram,
+def solve_program(g, C, d, H=None,
                   counters: Optional[Counters] = None) -> ProgramSolution:
-    """Mehrotra predictor-corrector on Cx + s = d, s >= 0.
+    """min 1/2 x'Hx + g'x  s.t.  Cx <= d, by Mehrotra predictor-corrector
+    on Cx + s = d, s >= 0.
 
-    Iterations are added to the barrier counter. Infeasibility is reported
-    when the dual iterates diverge while the primal residual stays bounded
-    away from zero.
+    H is symmetric PSD (None or zeros for an LP). A simple bound is a row
+    of C like any other; at least one row is required. Iterations are added
+    to the barrier counter. The status is "optimal" once the mean
+    complementarity and both residuals are within the relative tolerance.
+    Otherwise it is "infeasible" as soon as the largest dual iterate
+    exceeds _DIVERGE, a test of the duals alone (the primal residual is
+    not checked), and "max_iter" after _MAX_ITER iterations.
     """
-    g = np.asarray(prog.g, dtype=float)
-    C = np.asarray(prog.C, dtype=float)
-    d = np.asarray(prog.d, dtype=float)
+    g = np.asarray(g, dtype=float)
+    C = np.asarray(C, dtype=float)
+    d = np.asarray(d, dtype=float)
     n, q = len(g), C.shape[0]
     if not q:
         raise ValueError("a program needs at least one row of C")
-    H = np.zeros((n, n)) if prog.H is None else np.asarray(prog.H, dtype=float)
+    H = np.zeros((n, n)) if H is None else np.asarray(H, dtype=float)
     if dpotrf is None or dpotrs is None:
         _bind_lapack()
 
@@ -174,8 +170,7 @@ def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
     C = np.vstack([stat - t, -stat - t, comp - t, -comp - t,
                    -np.eye(nv)[bounded]])
     d = np.concatenate([-grad_f, grad_f, np.zeros(2 * m_I + bounded.size)])
-    prog = ConvexProgram(g=t[0], C=C, d=d)
-    sol = solve_program(prog, counters=counters)
+    sol = solve_program(t[0], C, d, counters=counters)
     if sol.status != "optimal":
         raise NumericalFailure(f"KKT-residual LP ended with status {sol.status}")
     return max(0.0, float(sol.x[0])), sol.x[1:]

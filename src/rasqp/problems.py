@@ -261,12 +261,12 @@ class Dataset:
     its last entry is the bias feature, column n_features - 1, with value
     1.0. Labels are class indices in 0..n_classes-1, one per row.
 
-    Construction checks that form (row pointers start at 0, do not decrease
-    and end at the entry count; at least one row; labels and feature
-    indices in range), raising ConfigError, and derives `row_sq`, each
-    row's squared norm, once. Nothing writes to the arrays, so problems may
-    share a data set, as those of the memoized `bench.make_synthetic_dataset`
-    do (read-only).
+    Construction checks that form (integer row pointers, feature indices
+    and labels; row pointers start at 0, do not decrease and end at the
+    entry count; at least one row; labels and feature indices in range),
+    raising ConfigError, and derives `row_sq`, each row's squared norm,
+    once. Nothing writes to the arrays, so problems may share a data set,
+    as those of the memoized `bench.make_synthetic_dataset` do (read-only).
     """
     indptr: np.ndarray
     indices: np.ndarray
@@ -278,6 +278,10 @@ class Dataset:
 
     def __post_init__(self):
         ptr, idx, labels, N = self.indptr, self.indices, self.labels, len(self)
+        if not all(np.issubdtype(a.dtype, np.integer)
+                   for a in (ptr, idx, labels)):
+            raise ConfigError("row pointers, feature indices and labels "
+                              "must have an integer dtype")
         if N < 1:
             raise ConfigError("empty dataset")
         if not (ptr[0] == 0 and np.all(np.diff(ptr) >= 0)

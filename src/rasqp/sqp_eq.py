@@ -201,21 +201,17 @@ class Evaluator:
     constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
 
 
-def violation_norms(c_E: np.ndarray, c_I: np.ndarray):
-    """(max-norm, 1-norm) of the stacked violation (c_E, [c_I]_+)."""
+def violation(c_E: np.ndarray, c_I: np.ndarray, mode: str) -> float:
+    """The `mode` norm (max-norm for LINF, else 1-norm) of the stacked
+    violation (c_E, [c_I]_+), or 0 with no constraints."""
     v = np.concatenate([c_E, np.maximum(c_I, 0.0)]) if c_I.size else c_E
-    if v.size == 0:
-        return 0.0, 0.0
-    return norm(v, np.inf), norm(v, 1)
+    return norm(v, np.inf if mode == LINF else 1) if v.size else 0.0
 
 
 def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
-    """tau F_S plus the `mode` norm of (c_E, [c_I]_+); only that norm is
-    computed. With no inequalities and mode L1 this is the equality
-    solver's merit tau F + ||c_E||_1."""
-    v = np.concatenate([c_E, np.maximum(c_I, 0.0)]) if c_I.size else c_E
-    violation = norm(v, np.inf if mode == LINF else 1) if v.size else 0.0
-    return tau * F_S + violation
+    """tau F_S plus the `mode` violation. With no inequalities and mode L1
+    this is the equality solver's merit tau F + ||c_E||_1."""
+    return tau * F_S + violation(c_E, c_I, mode)
 
 
 def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,

@@ -1,6 +1,8 @@
 """The robust-SQP method for general constraints: feasibility LP,
 direction QP, infeasible-stationary detection and the merit-parameter rule,
-in both max-norm and 1-norm modes. The driver's robust progress probe
+in both max-norm and 1-norm modes. One builder writes both subproblems as
+the arrays (g, C, d, H) that `ipm.solve_program` takes, and the mode's
+violation is `sqp_eq.violation`. The driver's robust progress probe
 solves the two subproblems; `robust_inner_iteration` takes the step."""
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
-from .ipm import ConvexProgram, solve_program
+from .ipm import solve_program
 from .linalg import norm
 from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
                      line_search_step)
@@ -28,16 +30,14 @@ INFEAS_TOL_V = 1e-5
 TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 
 
-def sigma_bounds(violation_inf: float, violation_l1: float, mode: str,
-                 n: int):
-    """Search-direction norm bounds proportional to the constraint violation,
-    clipped to a fixed range (scaled by the dimension in 1-norm mode)."""
-    if mode == LINF:
-        sigma_p = float(np.clip(10.0 * violation_inf, 1e2, 1e4))
-    elif mode == L1:
-        sigma_p = float(np.clip(10.0 * violation_l1, n * 1e2, n * 1e4))
-    else:
+def sigma_bounds(violation: float, mode: str, n: int):
+    """Search-direction norm bounds proportional to the `mode` constraint
+    violation, clipped to a fixed range (scaled by the dimension in 1-norm
+    mode)."""
+    if mode not in (LINF, L1):
         raise ValueError(f"unknown norm mode {mode!r}")
+    scale = n if mode == L1 else 1
+    sigma_p = float(np.clip(10.0 * violation, scale * 1e2, scale * 1e4))
     return sigma_p, 2.0 * sigma_p
 
 
@@ -49,8 +49,9 @@ class FeasibilityResult:
 
 
 def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
-                        g_S=None, relaxation=None) -> ConvexProgram:
-    """The feasibility LP (no relaxation given) or the direction QP.
+                        g_S=None, relaxation=None):
+    """The feasibility LP (no relaxation given) or the direction QP, as the
+    arguments (g, C, d, H) of `solve_program`.
 
     Variables are [p, t (l1 only), y (LP only)]. The rows are +J_E, -J_E,
     J_I, each relaxed by y in the LP (one shared y in linf, one per
@@ -99,11 +100,11 @@ def _linearized_program(c_E, c_I, J_E, J_I, sigma: float, mode: str,
         rows = np.vstack([rows, -bound, bound[:n]])
         rhs = np.concatenate([rhs, np.full(n, sigma), np.zeros(nv - n),
                               np.full(n, sigma)])
-    return ConvexProgram(g=g, C=rows, d=rhs, H=Hfull)
+    return g, rows, rhs, Hfull
 
 
-def _solve(prog: ConvexProgram, what: str, counters: Optional[Counters]):
-    sol = solve_program(prog, counters=counters)
+def _solve(program: tuple, what: str, counters: Optional[Counters]):
+    sol = solve_program(*program, counters=counters)
     if sol.status != "optimal":
         raise NumericalFailure(f"{what} ended with status {sol.status}")
     return sol

@@ -15,7 +15,7 @@ from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
 from rasqp.driver import (DriverConfig, TerminationRule, _robust_progress,
                           adaptive_batch_size)
 from rasqp.errors import MeritCollapse
-from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
+from rasqp.ipm import kkt_residual, solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
 from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
@@ -131,8 +131,7 @@ def test_criterion_2_subproblem_oracles():
         oracle = _brute_force_qp(H, g, C, d)
         if oracle is None:
             continue
-        sol = solve_program(ConvexProgram(g=g, C=C, d=d,
-                                          H=H if is_qp else None))
+        sol = solve_program(g, C, d, H=H if is_qp else None)
         if sol.status != "optimal":
             report(2, "interior-point subproblem solver matches enumeration",
                    False, f"status {sol.status}")
@@ -170,8 +169,8 @@ def test_criterion_3_formula_unit_suite():
         # general-constraint form and step-norm bounds
         abs(trial_tau_ineq(0.0, 0.25, 0.5) - 1.0) < 1e-15,
         abs(update_tau_ineq(1.0, 0.4) - 0.4) < 1e-15,
-        sigma_bounds(0.5, 0.5, "linf", 3) == (1e2, 2e2),
-        sigma_bounds(50.0, 50.0, "linf", 3) == (500.0, 1000.0),
+        sigma_bounds(0.5, "linf", 3) == (1e2, 2e2),
+        sigma_bounds(50.0, "linf", 3) == (500.0, 1000.0),
         # adaptive batch formula including the growth-capped case
         adaptive_batch_size(32, 100.0, 1.0, None) == 160,
         adaptive_batch_size(32, 0.0, 1.0, None) == 32,

@@ -11,8 +11,8 @@ from scipy.linalg.lapack import dpotrf
 from rasqp import ipm
 from rasqp.counters import Counters
 from rasqp.errors import NumericalFailure
-from rasqp.ipm import ConvexProgram, kkt_residual, solve_program
-from rasqp.sqp_eq import L1, LINF, violation_norms
+from rasqp.ipm import kkt_residual, solve_program
+from rasqp.sqp_eq import L1, LINF, violation
 from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
 
 
@@ -72,8 +72,7 @@ def check_against_oracle():
         oracle = brute_force_qp(H, g, C, d)
         if oracle is None:
             continue
-        prog = ConvexProgram(g=g, C=C, d=d, H=H if is_qp else None)
-        sol = solve_program(prog)
+        sol = solve_program(g, C, d, H=H if is_qp else None)
         assert sol.status == "optimal"
         assert abs(sol.objective - oracle[1]) <= 1e-6 * max(
             1.0, abs(oracle[1]))
@@ -89,21 +88,17 @@ INFEASIBLE_C, INFEASIBLE_D = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
 
 class TestSolveProgram:
     def test_box_lp(self):
-        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
-        sol = solve_program(prog)
+        sol = solve_program(np.array([1.0, -1.0]), BOX_C, BOX_D)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [-1.0, 1.0], atol=1e-7)
 
     def test_qp_with_active_bound(self):
-        prog = ConvexProgram(g=np.array([-1.0]), C=np.array([[1.0]]),
-                             d=np.array([0.5]), H=np.array([[1.0]]))
-        sol = solve_program(prog)
+        sol = solve_program(np.array([-1.0]), np.array([[1.0]]),
+                            np.array([0.5]), H=np.array([[1.0]]))
         np.testing.assert_allclose(sol.x, [0.5], atol=1e-7)
 
     def test_infeasible_detected(self):
-        prog = ConvexProgram(g=np.array([0.0]), C=INFEASIBLE_C,
-                             d=INFEASIBLE_D)
-        sol = solve_program(prog)
+        sol = solve_program(np.array([0.0]), INFEASIBLE_C, INFEASIBLE_D)
         assert sol.status == "infeasible"
 
     def test_matches_enumeration_oracle(self):
@@ -127,15 +122,13 @@ class TestSolveProgram:
         monkeypatch.setattr(ipm, "dpotrs",
                             lambda factor, rhs: (np.full_like(rhs, np.nan),
                                                  0))
-        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
         with pytest.raises(NumericalFailure, match="non-finite"):
-            solve_program(prog)
+            solve_program(np.array([1.0, -1.0]), BOX_C, BOX_D)
 
     def test_barrier_counter(self):
         ct = Counters()
-        prog = ConvexProgram(g=np.array([1.0]), C=np.array([[-1.0]]),
-                             d=np.array([0.0]))
-        sol = solve_program(prog, counters=ct)
+        sol = solve_program(np.array([1.0]), np.array([[-1.0]]),
+                            np.array([0.0]), counters=ct)
         assert ct.barrier_iters == sol.iterations > 0
 
     @pytest.mark.parametrize("status", ["optimal", "infeasible", "max_iter"])
@@ -149,14 +142,13 @@ class TestSolveProgram:
             return dpotrf(M)
 
         monkeypatch.setattr(ipm, "dpotrf", counting)
-        prog = ConvexProgram(g=np.array([1.0, -1.0]), C=BOX_C, d=BOX_D)
+        prog = (np.array([1.0, -1.0]), BOX_C, BOX_D)
         if status == "infeasible":
-            prog = ConvexProgram(g=np.array([0.0]), C=INFEASIBLE_C,
-                                 d=INFEASIBLE_D)
+            prog = (np.array([0.0]), INFEASIBLE_C, INFEASIBLE_D)
         if status == "max_iter":
             monkeypatch.setattr(ipm, "_MAX_ITER", 2)
         ct = Counters()
-        sol = solve_program(prog, counters=ct)
+        sol = solve_program(*prog, counters=ct)
         assert sol.status == status
         assert sol.iterations == ct.barrier_iters == len(factored) > 0
 
@@ -255,8 +247,8 @@ class TestKktResidual:
 
 
 def test_kkt_residual_nonoptimal_lp_raises(monkeypatch):
-    def nonoptimal(prog, counters=None):
-        return ipm.ProgramSolution(x=np.zeros(prog.g.size), objective=0.0,
+    def nonoptimal(g, C, d, H=None, counters=None):
+        return ipm.ProgramSolution(x=np.zeros(g.size), objective=0.0,
                                    iterations=1, status="max_iter")
 
     monkeypatch.setattr(ipm, "solve_program", nonoptimal)
@@ -287,17 +279,16 @@ def regression_set():
         g = rng.standard_normal(n)
         B = rng.standard_normal((n, n))
         H = None if k % 4 < 2 else B @ B.T / n + 0.1 * np.eye(n)
-        v_inf, v_l1 = violation_norms(c_E, c_I)
-        sigma_p, sigma_d = sigma_bounds(v_inf, v_l1, mode, n)
-        lp = solve_program(_linearized_program(c_E, c_I, J_E, J_I, sigma_p,
-                                               mode))
+        sigma_p, sigma_d = sigma_bounds(violation(c_E, c_I, mode), mode, n)
+        lp = solve_program(*_linearized_program(c_E, c_I, J_E, J_I, sigma_p,
+                                                mode))
         out[f"lp-{mode}-{k}"] = (lp.iterations, lp.status)
         feas = feasibility_step(c_E, c_I, J_E, J_I, sigma_p, mode)
         prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g,
                                    relaxation=feas.relaxation)
         if H is not None:
-            prog.H[:n, :n] = H
-        qp = solve_program(prog)
+            prog[3][:n, :n] = H
+        qp = solve_program(*prog)
         out[f"qp-{mode}-{k}"] = (qp.iterations, qp.status)
     for k in range(6):
         n = (3, 10, 30)[k % 3]
@@ -371,12 +362,13 @@ def test_program_rows_pinned(monkeypatch):
     digests = []
     solve = ipm.solve_program
 
-    def recording(prog, counters=None):
-        C = np.asarray(prog.C, dtype=float) + 0.0
-        d = np.asarray(prog.d, dtype=float) + 0.0
-        h = hashlib.sha256(repr(C.shape).encode() + C.tobytes() + d.tobytes())
+    def recording(g, C, d, H=None, counters=None):
+        rows = np.asarray(C, dtype=float) + 0.0
+        rhs = np.asarray(d, dtype=float) + 0.0
+        h = hashlib.sha256(repr(rows.shape).encode() + rows.tobytes()
+                           + rhs.tobytes())
         digests.append(h.hexdigest()[:16])
-        return solve(prog, counters=counters)
+        return solve(g, C, d, H, counters=counters)
 
     # the programs regression_set solves itself and those kkt_residual
     # solves; feasibility_step's LP, a repeat of the one before it, is not
@@ -391,7 +383,6 @@ def test_program_rows_pinned(monkeypatch):
 def test_program_without_rows_rejected():
     # no row leaves the barrier nothing to act on; every program the
     # solvers build has at least one
-    prog = ConvexProgram(g=np.array([1.0, 0.0]), C=np.zeros((0, 2)),
-                         d=np.zeros(0), H=np.eye(2))
     with pytest.raises(ValueError, match="at least one row"):
-        solve_program(prog)
+        solve_program(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0),
+                      H=np.eye(2))

@@ -533,6 +533,14 @@ class TestDatasetForm:
         pytest.param(dict(indptr=[0], indices=np.zeros(0, np.int64),
                           data=[], labels=np.zeros(0, np.int64)),
                      "empty dataset", id="zero-rows"),
+        # a float label once passed every range check, and the logistic
+        # sums cast its class-block offset 0.5 * n_features to an index
+        pytest.param(dict(labels=[0.0, 0.5, 1.0]), "integer dtype",
+                     id="labels-float"),
+        pytest.param(dict(indices=[0, 1.5, 2, 1, 2]), "integer dtype",
+                     id="indices-float"),
+        pytest.param(dict(indptr=[0.0, 2.0, 3.0, 5.0]), "integer dtype",
+                     id="indptr-float"),
     ])
     def test_bad_form_rejected_at_construction(self, change, match):
         with pytest.raises(ConfigError, match=match):

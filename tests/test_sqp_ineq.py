@@ -9,7 +9,7 @@ from rasqp import sqp_ineq
 from rasqp.driver import DriverConfig, _robust_progress
 from rasqp.ipm import ProgramSolution
 from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext, merit_value,
-                          violation_norms)
+                          violation)
 from rasqp.sqp_ineq import (FeasibilityResult, detect_infeasible_stationary,
                             direction_step, feasibility_step,
                             robust_inner_iteration, sigma_bounds,
@@ -19,33 +19,34 @@ from rasqp.errors import MeritCollapse, NumericalFailure
 
 class TestViolationAndBounds:
     def test_violation_norms(self):
-        v_inf, v_l1 = violation_norms(np.array([1.0, -2.0]),
-                                      np.array([3.0, -4.0]))
+        c_E, c_I = np.array([1.0, -2.0]), np.array([3.0, -4.0])
+        v_inf, v_l1 = violation(c_E, c_I, LINF), violation(c_E, c_I, L1)
         assert v_inf == 3.0
         assert v_l1 == 6.0  # the strictly satisfied inequality contributes 0
 
     def test_violation_empty(self):
-        assert violation_norms(np.zeros(0), np.zeros(0)) == (0.0, 0.0)
+        assert violation(np.zeros(0), np.zeros(0), LINF) == 0.0
+        assert violation(np.zeros(0), np.zeros(0), L1) == 0.0
 
     def test_sigma_bounds_clipped_low(self):
-        sp, sd = sigma_bounds(0.5, 0.5, "linf", 3)
+        sp, sd = sigma_bounds(0.5, "linf", 3)
         assert sp == 1e2 and sd == 2e2
 
     def test_sigma_bounds_proportional(self):
-        sp, _ = sigma_bounds(50.0, 50.0, "linf", 3)
+        sp, _ = sigma_bounds(50.0, "linf", 3)
         assert sp == 500.0
 
     def test_unknown_norm_mode_rejected(self):
         # DriverConfig rejects the mode first; these are the callers' guards
         with pytest.raises(ValueError, match="norm mode"):
-            sigma_bounds(1.0, 1.0, "l2", 3)
+            sigma_bounds(1.0, "l2", 3)
         with pytest.raises(ValueError, match="norm mode"):
             feasibility_step(np.array([-1.0]), np.zeros(0),
                              np.array([[1.0]]), np.zeros((0, 1)), 100.0,
                              "l2")
 
     def test_sigma_bounds_l1_scales_with_dimension(self):
-        sp, _ = sigma_bounds(0.0, 0.0, "l1", 4)
+        sp, _ = sigma_bounds(0.0, "l1", 4)
         assert sp == 4e2
 
 
@@ -107,8 +108,8 @@ class TestFeasibilityStep:
 @pytest.mark.parametrize("mode", [LINF, L1])
 def test_nonoptimal_subproblem_raises(monkeypatch, status, mode):
     # a program that ends short of optimal has no x to return
-    def solve_program(prog, counters=None):
-        return ProgramSolution(x=np.zeros(prog.g.size), objective=0.0,
+    def solve_program(g, C, d, H=None, counters=None):
+        return ProgramSolution(x=np.zeros(g.size), objective=0.0,
                                iterations=1, status=status)
 
     monkeypatch.setattr(sqp_ineq, "solve_program", solve_program)
@@ -147,14 +148,14 @@ class TestDetection:
         # violation 1.0096e-5 to 1.92e-7, a decrease below INFEAS_TOL_V
         # in absolute terms but 98% of the violation
         c_I = np.array([1.609e-6, 5.088e-6, 3.399e-6])
-        _, v_l1 = violation_norms(np.zeros(0), c_I)
+        v_l1 = violation(np.zeros(0), c_I, L1)
         assert v_l1 == pytest.approx(1.0096e-5)
         feas = FeasibilityResult(p=np.array([3e-6, -1e-6, 2e-6]),
                                  relaxation=np.zeros(3), lp_objective=1.92e-7)
         assert not detect_infeasible_stationary(feas, v_l1)
         # the LP at those values with a full-rank Jacobian agrees
         J_I = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.5, 0.0, 1.0]])
-        sigma_p, _ = sigma_bounds(float(c_I.max()), v_l1, L1, 3)
+        sigma_p, _ = sigma_bounds(v_l1, L1, 3)
         lp = feasibility_step(np.zeros(0), c_I, np.zeros((0, 3)), J_I,
                               sigma_p, L1)
         assert lp.lp_objective < 0.1 * v_l1
@@ -288,9 +289,9 @@ class TestRobustInnerIteration:
                                                        None)
         assert current == first == float(np.linalg.norm(d)) > 0.0
         # the plan slot carries the LP's linearized violation decrease
-        v_inf, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
+        v_inf = violation(ctx.c_E, ctx.c_I, LINF)
         feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
-                                sigma_bounds(v_inf, v_l1, LINF, 4)[0], LINF)
+                                sigma_bounds(v_inf, LINF, 4)[0], LINF)
         assert delta_c == max(0.0, v_inf - feas.lp_objective)
         np.testing.assert_array_equal(ctx.x, before[0])
         assert (ctx.F_S, ctx.tau_prev) == before[1:]
@@ -337,7 +338,7 @@ class TestRobustInnerIteration:
                 ctx = new_ctx
             assert all(t > 0 for t in taus)
             assert all(a >= b - 1e-15 for a, b in zip(taus, taus[1:]))
-            v_inf, _ = violation_norms(ctx.c_E, ctx.c_I)
+            v_inf = violation(ctx.c_E, ctx.c_I, LINF)
             if v_inf <= 1e-4:
                 solved += 1
         assert solved >= 10
@@ -362,7 +363,7 @@ class TestRobustInnerIteration:
                                              stop=lambda dn: dn <= 1e-5)
             if kind != "updated":
                 break
-        _, v_l1 = violation_norms(ctx.c_E, ctx.c_I)
+        v_l1 = violation(ctx.c_E, ctx.c_I, L1)
         assert kind == "terminated"
         assert v_l1 <= 1e-5
     def test_step_nonexpansive_in_gradient(self):

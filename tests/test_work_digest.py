@@ -4,9 +4,11 @@ and the comparison that tells a work change from a rounding change."""
 import dataclasses
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -103,10 +105,15 @@ def test_registry_smoke_list(tmp_path):
     assert f"{len(rows)} solves: 0 with different work" in same.stdout
 
 
-def test_result_digest_leaves_out_the_work_counters():
+def load_tool():
     spec = importlib.util.spec_from_file_location("work_digest", TOOL)
     wd = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wd)
+    return wd
+
+
+def test_result_digest_leaves_out_the_work_counters():
+    wd = load_tool()
     out = run_config(RunConfig(problem="synth-logreg-ineq",
                                method="ra-sqp-linf", max_outer=2))
     full, result = wd.digest(out), wd.digest(out, skip=wd.WORK_FIELDS)
@@ -127,6 +134,56 @@ def test_result_digest_leaves_out_the_work_counters():
     assert wd.digest(moved, skip=wd.WORK_FIELDS) != result
     moved_x = dataclasses.replace(out, x=out.x + 1.0)
     assert wd.digest(moved_x, skip=wd.WORK_FIELDS) != result
+
+
+def record(grads, violation, stationarity):
+    return SimpleNamespace(grad_evals_cum=grads, violation_inf=violation,
+                           stationarity=stationarity)
+
+
+def test_evals_to_is_the_first_crossing():
+    wd = load_tool()
+    # the initial record already meets 1e-2; 1e-3 is first met at 300, not
+    # at 200 (violation too large) nor again at 400; 1e-4 is never met
+    trace = [record(0, 1e-7, 5e-3), record(100, 1e-7, 2e-3),
+             record(200, 1e-5, 1e-4), record(300, 1e-6, 9e-4),
+             record(400, 0.0, 2e-4)]
+    assert wd.evals_to(trace) == {"1e-2": 0, "1e-3": 300, "1e-4": math.inf}
+    # a threshold equal to the value counts as reached
+    assert wd.evals_to([record(0, 1.0, 1.0), record(50, 1e-6, 1e-4)]) == {
+        "1e-2": 50, "1e-3": 50, "1e-4": 50}
+    # never reached is written as Infinity and read back as inf
+    assert json.loads(json.dumps(wd.evals_to(trace)))["1e-4"] == math.inf
+
+
+def test_compare_prints_median_evals_to(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    reach = [{"1e-2": 100, "1e-3": 400, "1e-4": math.inf},
+             {"1e-2": 200, "1e-3": 500, "1e-4": math.inf},
+             {"1e-2": 0, "1e-3": 900, "1e-4": 1000}]
+    rows = [dict(solve(i, "ra-sqp-dl", i, "Converged", 1000, 12),
+                 evals_to=e) for i, e in enumerate(reach)]
+    # a raising solve and a row from an older file hold no evals_to
+    rows += [solve(3, "ra-sqp-dl", 3, "Error"),
+             solve(4, "det-sqp", 0, "Converged", 5000, 16)]
+    write(a, rows)
+    write(b, [dict(r, evals_to={"1e-2": 50, "1e-3": 60, "1e-4": 70})
+              if r["index"] == 0 else r for r in rows])
+    out = tool("--compare", a, b)
+    # the field is not work: equal counters still exit 0
+    assert out.returncode == 0
+    lines = out.stdout.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if line.startswith("evals to eps"))
+    assert lines[head].split()[3:] == ["1e-2", "1e-3", "1e-4"]
+    assert [line.split() for line in lines[head + 1:head + 5]] == [
+        ["ra-sqp-dl", "A", "100", "500", "inf"],
+        ["B", "50", "500", "1,000"],
+        ["det-sqp", "A", "-", "-", "-"],
+        ["B", "-", "-", "-"],
+    ]
+    # the method totals still end the report
+    assert lines[head + 5].split()[0] == "method"
 
 
 def solve(index, method, seed, status, grads=None, minres=0, barrier=0):

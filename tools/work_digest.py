@@ -14,7 +14,10 @@ list, problem, method, sampling rule and solver seed, status, the four
 `Counters`, the batch sizes, a sha256 over every `OuterRecord` field
 (floats and iterates as IEEE bytes) and the final x, and a result digest:
 the same sha256 without the `*_cum` work counters, so it holds what the
-solve found, not what it spent. `--src` picks the `src/` tree rasqp is
+solve found, not what it spent. Each solved row also holds `evals_to`: for
+each eps in 1e-2, 1e-3 and 1e-4, the `grad_evals_cum` of the first record
+with violation <= 1e-6 and stationarity <= eps (0 when the initial record
+does, Infinity when none does). `--src` picks the `src/` tree rasqp is
 imported from, so this one copy of the tool also runs against another
 checkout, such as the parent commit's. BLAS runs on one thread, as in the
 benchmark.
@@ -22,11 +25,13 @@ benchmark.
 `--compare A B` lists the solves whose work (status, counters, batch sizes)
 or digest differs between two such files, and labels a work difference
 whose result digest and status are equal "same results": less (or more)
-work for the same answer. It ends with a table of each method's summed
-gradient evaluations, MINRES and barrier iterations and count of each
-status, in A and in B. It exits 1 when any work differs or the two files
-do not hold the same solve list, and 0 otherwise: a digest difference alone
-means a change moved rounding, not the work done. A reader that closes the
+work for the same answer. It ends with a table of each method's median
+`evals_to` in A and in B (rows without the field are left out of it),
+then one of each method's summed gradient evaluations, MINRES and barrier
+iterations and count of each status, in A and in B. It exits 1 when any
+work differs or the two files do not hold the same solve list, and 0
+otherwise: a digest difference alone means a change moved rounding, not
+the work done; `evals_to` does not enter it. A reader that closes the
 pipe early (`| head`) cuts the report short, not the exit code; in the first
 form it ends the run, with exit 0, after the solve whose line found the pipe
 closed.
@@ -39,7 +44,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import statistics
 import struct
 import sys
 from pathlib import Path
@@ -49,6 +56,10 @@ COUNTERS = ("gradient_evals", "function_evals", "minres_iters",
             "barrier_iters")
 # the OuterRecord fields that count work, left out of the result digest
 WORK_FIELDS = ("grad_evals_cum", "minres_iters_cum", "barrier_iters_cum")
+# the accuracy targets of `evals_to`: a violation bound, and the
+# stationarity levels by their JSON keys
+VIOLATION_TARGET = 1e-6
+EPSILONS = ("1e-2", "1e-3", "1e-4")
 
 
 def digest(outcome, skip=()) -> str:
@@ -72,6 +83,16 @@ def digest(outcome, skip=()) -> str:
                 put(getattr(rec, f.name))
     put(np.asarray(outcome.x, dtype=float))
     return h.hexdigest()
+
+
+def evals_to(trace) -> dict:
+    """eps key -> the `grad_evals_cum` of the first record of `trace` with
+    violation_inf <= VIOLATION_TARGET and stationarity <= eps, or inf when
+    no record gets there."""
+    return {eps: next((r.grad_evals_cum for r in trace
+                       if r.violation_inf <= VIOLATION_TARGET
+                       and r.stationarity <= float(eps)), math.inf)
+            for eps in EPSILONS}
 
 
 def registry_list(seed: int, smoke: bool) -> list:
@@ -111,7 +132,8 @@ def solve_rows(workload: str, seeds, smoke: bool):
             counters={c: getattr(outcome.counters, c) for c in COUNTERS},
             batch_sizes=[rec.batch_size for rec in outcome.trace[1:]],
             digest=digest(outcome),
-            result_digest=digest(outcome, skip=WORK_FIELDS))
+            result_digest=digest(outcome, skip=WORK_FIELDS),
+            evals_to=evals_to(outcome.trace))
         yield row
 
 
@@ -143,6 +165,31 @@ def print_totals(a, b):
             print(f"{method if side == 'A' else '':<18} {side} "
                   f"{work['gradient_evals']:>14,} {work['minres_iters']:>10,} "
                   f"{work['barrier_iters']:>10,}  {counts}")
+
+
+def print_evals_to(a, b):
+    """The per-method table of median `evals_to` in two files, from the
+    rows that hold it; nothing when no row does."""
+    if not any("evals_to" in r for r in a + b):
+        return
+    print(f"{'evals to eps':<20} "
+          + " ".join(f"{eps:>12}" for eps in EPSILONS))
+    for method in dict.fromkeys(r["method"] for r in a):
+        for side, rows in (("A", a), ("B", b)):
+            reached = [r["evals_to"] for r in rows
+                       if r["method"] == method and "evals_to" in r]
+            medians = [statistics.median(e[eps] for e in reached)
+                       if reached else None for eps in EPSILONS]
+            print(f"{method if side == 'A' else '':<18} {side} "
+                  + " ".join(f"{_count(m):>12}" for m in medians))
+
+
+def _count(value) -> str:
+    if value is None:
+        return "-"
+    if math.isinf(value):
+        return "inf"
+    return f"{value:,.0f}" if value == int(value) else f"{value:,.1f}"
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -180,6 +227,7 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{len(a)} solves: {work_diff} with different work, "
           f"{digest_diff} more with equal work and a different digest; "
           f"{same_results} of the work differences have the same results")
+    print_evals_to(a, b)
     print_totals(a, b)
     return 1 if work_diff else 0
 
