@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import (Budget, DriverConfig, OuterRecord, SamplingRule,
-                     SolveOutcome, TerminationRule, run)
+from .driver import DriverConfig, OuterRecord, SolveOutcome, run
 from .errors import ConfigError
 from .problems import (Dataset, FiniteSum, ProblemSpec,
                        build_augmented_problem, build_expectation_problem,
@@ -35,12 +34,17 @@ TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(OuterRecord)
 
 def make_synthetic_dataset(n_samples: int = 5000, n_features: int = 10,
                            n_classes: int = 3, data_seed: int = 0) -> Dataset:
-    """Gaussian class clusters: class k has its mean shifted along feature k.
-    n_features counts the appended constant bias feature.
+    """Gaussian class clusters: class k has its mean shifted along raw
+    feature k mod (n_features - 1), so with more classes than raw features
+    the classes share shifts. n_features counts the appended constant bias
+    feature, and must be >= 2: one raw feature plus the bias.
 
     Memoized per argument value, however the call spells them: every call
     with the same values returns the same `Dataset`, whose arrays are
     read-only so that sharing it is safe."""
+    if not n_features >= 2:
+        raise ConfigError(f"n_features must be >= 2 (one raw feature plus "
+                          f"the bias), got {n_features}")
     return _synthetic_dataset(n_samples, n_features, n_classes, data_seed)
 
 
@@ -116,6 +120,11 @@ def build_problem(name: str, data_seed: int = 0) -> ProblemSpec:
 # run configuration
 # ------------------------------------------------------------------
 
+# the RunConfig fields that are DriverConfig fields of the same name
+DRIVER_FIELDS = ("sampling", "initial_size", "beta", "max_gradient_evals",
+                 "max_outer", "stop_violation", "stop_stationarity")
+
+
 @dataclass
 class RunConfig:
     problem: str = "synth-logreg-eq"
@@ -133,16 +142,17 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("seed", "data_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got "
-                                  f"{getattr(self, name)}")
-        # Budget, SamplingRule and DriverConfig check their values; built
-        # here too, so that a sweep fails on a bad value before its first
-        # solve
-        Budget(self.max_gradient_evals, self.max_outer)
-        SamplingRule(self.sampling, self.initial_size, self.beta)
-        DriverConfig(stop_violation=self.stop_violation,
-                     stop_stationarity=self.stop_stationarity)
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        # DriverConfig checks the shared values; built here too, so that a
+        # sweep fails on a bad value before its first solve
+        DriverConfig(**self.driver_fields())
+
+    def driver_fields(self) -> dict:
+        return {name: getattr(self, name) for name in DRIVER_FIELDS}
 
 
 # method -> DriverConfig fields; the termination rule picks the solver.
@@ -150,49 +160,38 @@ class RunConfig:
 # dataset, or a large fixed batch on an expectation problem, every outer
 # iteration: no subsampling benefit.
 METHODS = {
-    "ra-sqp-kkt": dict(termination=TerminationRule("kkt")),
-    "ra-sqp-dnorm": dict(termination=TerminationRule("dnorm")),
-    "ra-sqp-dl": dict(termination=TerminationRule("dl")),
-    "ra-sqp-dl-lbfgs": dict(termination=TerminationRule("dl"),
-                            use_lbfgs=True),
-    "ra-sqp-dl-inexact": dict(termination=TerminationRule("dl"), exact=False),
-    "ra-sqp-linf": dict(termination=TerminationRule("robust_dnorm"),
-                        norm="linf"),
-    "ra-sqp-l1": dict(termination=TerminationRule("robust_dnorm"),
-                      norm="l1"),
+    "ra-sqp-kkt": dict(termination="kkt"),
+    "ra-sqp-dnorm": dict(termination="dnorm"),
+    "ra-sqp-dl": dict(termination="dl"),
+    "ra-sqp-dl-lbfgs": dict(termination="dl", use_lbfgs=True),
+    "ra-sqp-dl-inexact": dict(termination="dl", exact=False),
+    "ra-sqp-linf": dict(termination="robust_dnorm", norm="linf"),
+    "ra-sqp-l1": dict(termination="robust_dnorm", norm="l1"),
     "det-sqp": dict(),
 }
 
 
 def method_driver_config(method: str, problem: ProblemSpec,
                          config: RunConfig) -> DriverConfig:
-    """Translate a method label into a driver configuration for a problem."""
+    """Translate a method label into a driver configuration for a problem:
+    the run's shared fields, overridden by the method's entry."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    fields = dict(METHODS[method])
-    sampling = SamplingRule(kind=config.sampling,
-                            initial_size=config.initial_size,
-                            beta=config.beta)
+    fields = {**config.driver_fields(), **METHODS[method]}
     if method == "det-sqp":
-        sampling = SamplingRule(kind="fixed", initial_size=(
-            problem.mode.dataset_size if isinstance(problem.mode, FiniteSum)
-            else 10 ** 4))
         # halve the inner metric per outer pass so progress is recorded (and
         # stop thresholds are checked) at a useful granularity
-        fields["termination"] = TerminationRule(
-            kind="robust_dnorm" if problem.m_I > 0 else "kkt", eps=1e-12)
-    return DriverConfig(sampling=sampling,
-                        stop_violation=config.stop_violation,
-                        stop_stationarity=config.stop_stationarity, **fields)
+        fields.update(sampling="fixed", eps=1e-12, initial_size=(
+            problem.mode.dataset_size if isinstance(problem.mode, FiniteSum)
+            else 10 ** 4),
+            termination="robust_dnorm" if problem.m_I > 0 else "kkt")
+    return DriverConfig(**fields)
 
 
 def run_config(config: RunConfig) -> SolveOutcome:
     problem = build_problem(config.problem, config.data_seed)
-    driver_cfg = method_driver_config(config.method, problem, config)
-    budget = Budget(max_gradient_evals=config.max_gradient_evals,
-                    max_outer=config.max_outer)
-    rng = np.random.default_rng(config.seed)
-    return run(problem, driver_cfg, budget, rng)
+    return run(problem, method_driver_config(config.method, problem, config),
+               np.random.default_rng(config.seed))
 
 
 # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Outer loop of the retrospective-approximation solver: batch sizing,
 inner-loop termination rules, the dual warm start, budget enforcement,
-and trace recording.
+and trace recording. One flat, frozen `DriverConfig` sets a run: its
+inner stopping rule, batch schedule, budgets and solver settings.
 
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
 `sqp_eq.InnerContext`. The constraints are deterministic, and one context
@@ -24,7 +25,7 @@ these outcomes to `OuterRecord.term_cause`, and the iteration counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
 
 
 # ------------------------------------------------------------------
-# configuration types
+# run configuration
 # ------------------------------------------------------------------
 
 # termination kind -> the solver whose progress measure it is
@@ -59,78 +60,40 @@ SOLVERS = {"kkt": "equality", "dnorm": "equality", "dl": "equality",
 
 
 @dataclass(frozen=True)
-class TerminationRule:
-    """Inner-loop stopping test: current <= gamma * snapshot0 + eps, where
+class DriverConfig:
+    """The settable configuration of `run`: the inner stopping rule, the
+    batch schedule, the budgets and the solver settings, each checked when
+    the config is built.
+
+    Inner stopping rule: current <= gamma * snapshot0 + eps, where
     snapshot0 is the rule's metric at the first inner iteration.
+    `termination` selects the metric: "kkt" (KKT error norm), "dnorm" (step
+    norm), "dl" (merit model decrease, snapshot clipped at
+    KAPPA_D * ||d0||^2), "robust_dnorm" (step norm of the robust solver).
+    It also sets gamma and the solver (`SOLVERS`).
 
-    kind selects the metric: "kkt" (KKT error norm), "dnorm" (step norm),
-    "dl" (merit model decrease, snapshot clipped at KAPPA_D * ||d0||^2),
-    "robust_dnorm" (step norm of the robust solver). The kind also sets
-    gamma and the solver (`SOLVERS`).
+    Batch schedule: `sampling` is "adaptive" (variance-based norm test
+    with growth factor BETA_HAT), "geometric" (fixed-rate growth: the
+    finite-sum gap to the full dataset shrinks by beta per outer
+    iteration, and an expectation batch grows by 1 / beta^2), or "fixed"
+    (initial_size every outer iteration, clipped to a finite sum's dataset
+    size). Outer iteration 0 takes initial_size.
+
+    Budgets, a soft limit on gradient evaluations: `max_gradient_evals` is
+    checked before each outer iteration's sampling and before each inner
+    iteration, never inside them. The sampling of an outer iteration with
+    batch S and each of its inner iterations spend at most |S| gradient
+    evaluations, so a run that ends on this budget overshoots it by less
+    than the `batch_size` of its last outer record. `max_outer` is checked
+    before each outer iteration only.
     """
-    kind: str = "kkt"
+    termination: str = "kkt"
     eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in SOLVERS:
-            raise ConfigError(f"unknown termination kind {self.kind!r}")
-        if not self.eps >= 0.0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-
-    @property
-    def gamma(self) -> float:
-        """0.1 for "dl", 0.5 for the other kinds."""
-        return 0.1 if self.kind == "dl" else 0.5
-
-
-@dataclass(frozen=True)
-class SamplingRule:
-    """Batch-size schedule: "adaptive" (variance-based norm test with
-    growth factor BETA_HAT), "geometric" (fixed-rate growth: the finite-sum
-    gap to the full dataset shrinks by beta per outer iteration, and an
-    expectation batch grows by 1 / beta^2), or "fixed" (initial_size every
-    outer iteration, clipped to a finite sum's dataset size)."""
-    kind: str = "adaptive"
+    sampling: str = "adaptive"
     initial_size: int = 32
     beta: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("adaptive", "geometric", "fixed"):
-            raise ConfigError(f"unknown sampling kind {self.kind!r}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError("beta must be in (0, 1)")
-        if not isinstance(self.initial_size, (int, np.integer)):
-            raise ConfigError(f"initial_size must be an integer, got "
-                              f"{self.initial_size!r}")
-        if not self.initial_size >= 1:
-            raise ConfigError("initial_size must be >= 1")
-
-
-@dataclass
-class Budget:
-    """Stopping budgets for `run`; a soft limit on gradient evaluations.
-
-    `max_gradient_evals` is checked before each outer iteration's sampling
-    and before each inner iteration, never inside them. The sampling of an
-    outer iteration with batch S and each of its inner iterations spend at
-    most |S| gradient evaluations, so a run that ends on this budget
-    overshoots it by less than the `batch_size` of its last outer record.
-    `max_outer` is checked before each outer iteration only.
-    """
     max_gradient_evals: int = 10 ** 6
     max_outer: int = 10 ** 9
-
-    def __post_init__(self):
-        for name in ("max_gradient_evals", "max_outer"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be non-negative, got "
-                                  f"{getattr(self, name)}")
-
-
-@dataclass
-class DriverConfig:
-    termination: TerminationRule = field(default_factory=TerminationRule)
-    sampling: SamplingRule = field(default_factory=SamplingRule)
     exact: bool = True                 # equality solver: exact or inexact step
     norm: str = LINF                   # robust solver: "linf" | "l1"
     use_lbfgs: bool = False            # equality solver only
@@ -140,6 +103,23 @@ class DriverConfig:
     stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
+        if self.termination not in SOLVERS:
+            raise ConfigError(f"unknown termination kind {self.termination!r}")
+        if not self.eps >= 0.0:
+            raise ConfigError(f"eps must be >= 0, got {self.eps}")
+        if self.sampling not in ("adaptive", "geometric", "fixed"):
+            raise ConfigError(f"unknown sampling kind {self.sampling!r}")
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError("beta must be in (0, 1)")
+        if not isinstance(self.initial_size, (int, np.integer)):
+            raise ConfigError(f"initial_size must be an integer, got "
+                              f"{self.initial_size!r}")
+        if not self.initial_size >= 1:
+            raise ConfigError("initial_size must be >= 1")
+        for name in ("max_gradient_evals", "max_outer"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative, got "
+                                  f"{getattr(self, name)}")
         if (self.stop_violation is None) != (self.stop_stationarity is None):
             raise ConfigError("stop_violation and stop_stationarity are set "
                               "together or not at all")
@@ -156,7 +136,12 @@ class DriverConfig:
     def solver(self) -> str:
         """"equality" or "robust": the solver the termination rule's
         progress measure belongs to."""
-        return SOLVERS[self.termination.kind]
+        return SOLVERS[self.termination]
+
+    @property
+    def gamma(self) -> float:
+        """0.1 for "dl", 0.5 for the other termination kinds."""
+        return 0.1 if self.termination == "dl" else 0.5
 
 
 @dataclass
@@ -192,9 +177,9 @@ class SolveOutcome:
 # building blocks
 # ------------------------------------------------------------------
 
-def termination_check(rule: TerminationRule, snapshot0: float,
+def termination_check(config: DriverConfig, snapshot0: float,
                       current: float) -> bool:
-    return current <= rule.gamma * snapshot0 + rule.eps
+    return current <= config.gamma * snapshot0 + config.eps
 
 
 def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
@@ -216,16 +201,16 @@ def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
     return int(size)
 
 
-def geometric_batch_size(k: int, rule: SamplingRule,
-                         dataset_cap: Optional[int], prev_size: int) -> int:
+def geometric_batch_size(k: int, beta: float, dataset_cap: Optional[int],
+                         prev_size: int) -> int:
     """Batch size of outer iteration k >= 1 after a batch of prev_size >= 1
-    (outer 0 takes `rule.initial_size`). Finite-sum: ceil((1 - beta^k) |S|),
+    (outer 0 takes `initial_size`). Finite-sum: ceil((1 - beta^k) |S|),
     at most |S| as the factor rounds to <= 1; expectation: grow the
     previous size by 1 / beta^2. Never below prev_size."""
     if dataset_cap is not None:
-        size = math.ceil((1.0 - rule.beta ** k) * dataset_cap)
+        size = math.ceil((1.0 - beta ** k) * dataset_cap)
     else:
-        size = math.ceil(prev_size / (rule.beta ** 2))
+        size = math.ceil(prev_size / (beta ** 2))
     return int(max(size, prev_size))
 
 
@@ -281,13 +266,12 @@ def _eq_progress(ctx: InnerContext, config: DriverConfig,
     measure needs it, and the plan only for "dl", which raises MeritCollapse
     when the merit parameter would collapse; the inner iteration reuses
     both."""
-    kind = config.termination.kind
-    if kind == "kkt":
+    if config.termination == "kkt":
         current = norm(ctx.kkt_vector())
         return current, current, None, None
     step = compute_step(ctx, config.exact, counters)
     dnorm = norm(step.d)
-    if kind == "dnorm":
+    if config.termination == "dnorm":
         return dnorm, dnorm, step, None
     plan = merit_plan(ctx, step)
     dl = plan[1]
@@ -359,7 +343,7 @@ def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
 # the outer loop
 # ------------------------------------------------------------------
 
-def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
+def run(problem: ProblemSpec, config: DriverConfig,
         rng: np.random.Generator) -> SolveOutcome:
     """Retrospective-approximation outer loop.
 
@@ -413,24 +397,24 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
     prev_size: Optional[int] = None
     k = 0
     while True:
-        if (counters.gradient_evals >= budget.max_gradient_evals
-                or k >= budget.max_outer):
+        if (counters.gradient_evals >= config.max_gradient_evals
+                or k >= config.max_outer):
             status = "BudgetExhausted"
             break
 
         # batch sizing
         estimate = None
-        if config.sampling.kind == "fixed" or prev_size is None:
-            size = config.sampling.initial_size
+        if config.sampling == "fixed" or prev_size is None:
+            size = config.initial_size
             if cap is not None:
                 size = min(size, cap)
-        elif config.sampling.kind == "adaptive":
+        elif config.sampling == "adaptive":
             estimate = estimate_condition_inputs(problem, ctx, prev_size,
                                                  config, rng, counters)
             size = adaptive_batch_size(prev_size, estimate.variance,
                                        estimate.Z, cap)
         else:
-            size = geometric_batch_size(k, config.sampling, cap, prev_size)
+            size = geometric_batch_size(k, config.beta, cap, prev_size)
         if cap is None and size > MAX_BATCH:
             status = "BatchLimit"
             break
@@ -455,7 +439,7 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
         progress, update, ctx = _inner_solver(problem, S, config, ctx, F_S,
                                               g_S, counters)
         ctx, inner_iters, updates, term_cause = _inner_loop(
-            progress, update, ctx, config.termination, budget, counters)
+            progress, update, ctx, config, counters)
         v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
                       term_cause)
 
@@ -478,18 +462,19 @@ def run(problem: ProblemSpec, config: DriverConfig, budget: Budget,
                         trace=trace, counters=counters)
 
 
-def _inner_loop(progress, update, ctx, rule: TerminationRule,
-                budget: Budget, counters: Counters):
+def _inner_loop(progress, update, ctx, config: DriverConfig,
+                counters: Counters):
     """Probe, test and update (see the module docstring) from ctx until the
-    rule fires, the probe finds an infeasible stationary point, a step
-    raises, or the gradient budget or INNER_CAP is reached.
+    config's termination rule fires, the probe finds an infeasible
+    stationary point, a step raises, or the gradient budget or INNER_CAP is
+    reached.
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
     snapshot = None
     updates = 0
     for j in range(INNER_CAP):
-        if counters.gradient_evals >= budget.max_gradient_evals:
+        if counters.gradient_evals >= config.max_gradient_evals:
             return ctx, j, updates, "budget"
         try:
             probe = progress(ctx)
@@ -498,7 +483,7 @@ def _inner_loop(progress, update, ctx, rule: TerminationRule,
             current, first, step, plan = probe
             if snapshot is None:
                 snapshot = first
-            if termination_check(rule, snapshot, current):
+            if termination_check(config, snapshot, current):
                 return ctx, j, updates, "terminated"
             ctx, alpha = update(ctx, step, plan)
         except MeritCollapse:

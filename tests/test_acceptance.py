@@ -12,8 +12,7 @@ import pytest
 
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
-from rasqp.driver import (DriverConfig, TerminationRule, _robust_progress,
-                          adaptive_batch_size)
+from rasqp.driver import DriverConfig, _robust_progress, adaptive_batch_size
 from rasqp.errors import MeritCollapse
 from rasqp.ipm import kkt_residual, solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
@@ -254,7 +253,7 @@ def test_criterion_4_merit_line_search_invariants():
         if any(a < b - 1e-15 for a, b in zip(taus, taus[1:])):
             violations += 1
 
-    rob_config = DriverConfig(termination=TerminationRule("robust_dnorm"))
+    rob_config = DriverConfig(termination="robust_dnorm")
     for _ in range(50):
         ev = _general_instance(rng)
         x = rng.standard_normal(4)

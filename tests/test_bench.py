@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,14 @@ class TestProblemRegistry:
         with pytest.raises(ConfigError):
             build_problem("nope")
 
+    @pytest.mark.parametrize("n_features", [1, 0])
+    def test_synthetic_dataset_needs_a_raw_feature(self, n_features):
+        # the bias alone leaves no feature to shift a class along
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="n_features must be >= 2"):
+                make_synthetic_dataset(n_samples=6, n_features=n_features)
+
 
 class TestDatasetMemo:
     def test_same_arguments_same_object(self):
@@ -266,14 +275,14 @@ class TestMethodTable:
         # a fixed batch of the dataset size: run clips nothing
         prob = build_problem("synth-logreg-eq")
         cfg = method_driver_config("det-sqp", prob, RunConfig())
-        assert cfg.sampling.kind == "fixed"
-        assert cfg.sampling.initial_size == 5000
+        assert cfg.sampling == "fixed"
+        assert cfg.initial_size == 5000
 
     def test_det_sqp_fixed_batch_on_expectation(self):
         prob = build_problem("synth-eq-quad")
         cfg = method_driver_config("det-sqp", prob, RunConfig())
-        assert cfg.sampling.kind == "fixed"
-        assert cfg.sampling.initial_size == 10 ** 4
+        assert cfg.sampling == "fixed"
+        assert cfg.initial_size == 10 ** 4
 
 
 class TestCsvRoundtrips:
@@ -313,6 +322,16 @@ class TestCsvRoundtrips:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", 2.0), ("seed", "3"), ("data_seed", 1.5)])
+    def test_non_integer_seed_fails_before_any_solve(self, field, value):
+        # numpy would raise at the first solve, and a sweep would record a
+        # FAILED row instead of refusing the config
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value})
+        for good in (3, np.int64(3)):
+            assert getattr(RunConfig(**{field: good}), field) == 3
+
     def test_collects_rows_and_errors(self):
         good = RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                          max_gradient_evals=1500)

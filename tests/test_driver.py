@@ -17,10 +17,10 @@ from rasqp.bench import (RunConfig, build_problem, method_driver_config,
                          run_config)
 from rasqp import driver
 from rasqp.counters import Counters
-from rasqp.driver import (INNER_CAP, Budget, DriverConfig, SamplingRule,
-                          TerminationRule, _inner_loop, adaptive_batch_size,
-                          estimate_condition_inputs, geometric_batch_size,
-                          run, termination_check, true_metrics)
+from rasqp.driver import (INNER_CAP, DriverConfig, _inner_loop,
+                          adaptive_batch_size, estimate_condition_inputs,
+                          geometric_batch_size, run, termination_check,
+                          true_metrics)
 from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
 from rasqp.linalg import least_squares_dual
 from rasqp.problems import (Expectation, NoiseMoments,
@@ -48,7 +48,7 @@ class TestDualInitialize:
         F_S, g_S = eval_subsampled(prob, x, S, None)
         ctx = iterate(prob, x, np.zeros(1))
         lam_prev = least_squares_dual(ctx.J_E, g_S)
-        config = DriverConfig(termination=TerminationRule(kind="dl"))
+        config = DriverConfig(termination="dl")
         _, _, start = driver._inner_solver(prob, S, config,
                                            dataclasses.replace(ctx,
                                                                lam=lam_prev),
@@ -90,7 +90,7 @@ class TestDualInitialize:
         lam_prev = np.array([10.0])
         S = draw_samples(prob, 8, np.random.default_rng(0))
         F_S, g_S = eval_subsampled(prob, x, S, None)
-        config = DriverConfig(termination=TerminationRule(kind="dl"))
+        config = DriverConfig(termination="dl")
         _, _, start = driver._inner_solver(prob, S, config,
                                            iterate(prob, x, lam_prev), F_S,
                                            g_S, Counters())
@@ -101,32 +101,32 @@ class TestDualInitialize:
 
 class TestTerminationRule:
     def test_check_below_threshold(self):
-        rule = TerminationRule(kind="kkt", eps=1e-6)
+        rule = DriverConfig(termination="kkt", eps=1e-6)
         assert termination_check(rule, 2.0, 0.9)
         assert not termination_check(rule, 2.0, 1.1)
 
     def test_eps_floor(self):
-        rule = TerminationRule(kind="kkt", eps=1e-6)
+        rule = DriverConfig(termination="kkt", eps=1e-6)
         assert termination_check(rule, 0.0, 1e-7)
         assert not termination_check(rule, 0.0, 2e-6)
 
     def test_negative_eps_rejected(self):
-        TerminationRule(eps=0.0)
+        DriverConfig(eps=0.0)
         with pytest.raises(ConfigError, match="eps"):
-            TerminationRule(eps=-1e-9)
+            DriverConfig(eps=-1e-9)
 
     def test_nan_eps_rejected(self):
         # a NaN floor fails every check, so each inner loop would run to
         # INNER_CAP
         with pytest.raises(ConfigError, match="eps must be >= 0, got nan"):
-            TerminationRule(eps=math.nan)
+            DriverConfig(eps=math.nan)
 
     def test_defaults_per_kind(self):
-        assert TerminationRule("dl").gamma == 0.1
+        assert DriverConfig(termination="dl").gamma == 0.1
         for kind in ("kkt", "dnorm", "robust_dnorm"):
-            assert TerminationRule(kind).gamma == 0.5
+            assert DriverConfig(termination=kind).gamma == 0.5
         with pytest.raises(AttributeError):
-            TerminationRule("dl").gamma = 0.5
+            DriverConfig(termination="dl").gamma = 0.5
 
 
 class TestBatchSchedules:
@@ -161,37 +161,34 @@ class TestBatchSchedules:
 
     def test_geometric_finite_sum(self):
         # outer 0 takes initial_size; from outer 1 on, ceil((1 - beta^k) N)
-        rule = SamplingRule(kind="geometric", beta=0.5)
-        assert geometric_batch_size(1, rule, 100, 1) == 50
-        assert geometric_batch_size(2, rule, 100, 50) == 75
-        assert geometric_batch_size(50, rule, 100, 75) == 100
+        assert geometric_batch_size(1, 0.5, 100, 1) == 50
+        assert geometric_batch_size(2, 0.5, 100, 50) == 75
+        assert geometric_batch_size(50, 0.5, 100, 75) == 100
 
     def test_geometric_expectation(self):
-        rule = SamplingRule(kind="geometric", beta=0.5, initial_size=32)
-        assert geometric_batch_size(1, rule, None, 32) == 128
-        assert geometric_batch_size(2, rule, None, 128) == 512
+        assert geometric_batch_size(1, 0.5, None, 32) == 128
+        assert geometric_batch_size(2, 0.5, None, 128) == 512
 
     def test_geometric_nondecreasing(self):
-        rule = SamplingRule(kind="geometric", beta=0.5)
-        assert geometric_batch_size(1, rule, 100, prev_size=80) == 80
+        assert geometric_batch_size(1, 0.5, 100, prev_size=80) == 80
 
     def test_invalid_sampling_config(self):
         with pytest.raises(ConfigError):
-            SamplingRule(beta=1.5)
+            DriverConfig(beta=1.5)
         with pytest.raises(ConfigError):
-            SamplingRule(initial_size=0)
+            DriverConfig(initial_size=0)
         for bad in (math.nan, -1):
             with pytest.raises(ConfigError, match="initial_size"):
-                SamplingRule(initial_size=bad)
+                DriverConfig(initial_size=bad)
         # a size numpy cannot draw fails here, not at the first draw
         for bad in (2.5, 32.0, "32"):
             with pytest.raises(ConfigError, match="initial_size must be an "
                                                   "integer"):
-                SamplingRule(initial_size=bad)
+                DriverConfig(initial_size=bad)
         for good in (3, np.int64(3), np.int32(3)):
-            assert SamplingRule(initial_size=good).initial_size == 3
+            assert DriverConfig(initial_size=good).initial_size == 3
         with pytest.raises(ConfigError, match="beta"):
-            SamplingRule(beta=math.nan)
+            DriverConfig(beta=math.nan)
 
 
 class TestConfigValidation:
@@ -200,32 +197,29 @@ class TestConfigValidation:
 
     def test_unknown_termination_kind(self):
         with pytest.raises(ConfigError):
-            TerminationRule(kind="bogus")
+            DriverConfig(termination="bogus")
 
     def test_unknown_sampling_kind(self):
         with pytest.raises(ConfigError):
-            SamplingRule(kind="adaptiv")
+            DriverConfig(sampling="adaptiv")
 
     def test_full_sampling_kind_is_gone(self):
         # a fixed batch of the dataset size is the full batch
         with pytest.raises(ConfigError):
-            SamplingRule(kind="full")
+            DriverConfig(sampling="full")
 
     def test_rule_decides_solver(self):
         for kind in ("kkt", "dnorm", "dl"):
             assert DriverConfig(
-                termination=TerminationRule(kind)).solver == "equality"
-        config = DriverConfig(termination=TerminationRule("robust_dnorm"))
+                termination=kind).solver == "equality"
+        config = DriverConfig(termination="robust_dnorm")
         assert config.solver == "robust"
         with pytest.raises(AttributeError):
             config.solver = "equality"
         assert "solver" not in {f.name for f in dataclasses.fields(config)}
 
     def test_readme_counts_the_settable_values(self):
-        # DriverConfig's two nested rules count through their own fields
-        count = sum(sum(f.init for f in dataclasses.fields(cls))
-                    for cls in (TerminationRule, SamplingRule, Budget,
-                                DriverConfig)) - 2
+        count = sum(f.init for f in dataclasses.fields(DriverConfig))
         readme = (Path(__file__).resolve().parents[1]
                   / "README.md").read_text()
         documented = re.search(r"settable configuration is these (\d+) "
@@ -235,9 +229,17 @@ class TestConfigValidation:
 
     def test_rules_are_frozen(self):
         with pytest.raises(AttributeError):
-            TerminationRule().eps = 0.0
+            DriverConfig().eps = 0.0
         with pytest.raises(AttributeError):
-            SamplingRule().initial_size = 64
+            DriverConfig().initial_size = 64
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(DriverConfig)])
+    def test_config_is_frozen(self, field):
+        # a field set after construction would skip every check
+        config = DriverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, getattr(config, field))
 
     def test_unknown_norm(self):
         with pytest.raises(ConfigError):
@@ -249,15 +251,15 @@ class TestConfigValidation:
         # zero stays allowed
         with pytest.raises(ConfigError, match=f"{field} must be "
                            "non-negative"):
-            Budget(**{field: -1})
-        assert getattr(Budget(**{field: 0}), field) == 0
+            DriverConfig(**{field: -1})
+        assert getattr(DriverConfig(**{field: 0}), field) == 0
 
     @pytest.mark.parametrize("field", ["max_gradient_evals", "max_outer"])
     def test_nan_budget(self, field):
         # a NaN budget compares false, so it would never end the run
         with pytest.raises(ConfigError, match=f"{field} must be "
                            "non-negative, got nan"):
-            Budget(**{field: math.nan})
+            DriverConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("value", [math.nan, -1.0])
     @pytest.mark.parametrize("field", ["stop_violation", "stop_stationarity"])
@@ -296,17 +298,17 @@ class TestConfigValidation:
             constraints=constraints, m_E=m_E, m_I=0, x_init=np.zeros(1),
             noise_level=0.1)
         with pytest.raises(ConfigError):
-            run(prob, make_config(), Budget(max_gradient_evals=500),
-                np.random.default_rng(0))
+            run(prob, make_config(), np.random.default_rng(0))
         assert calls == []
 
     def test_robust_lbfgs_before_any_evaluation(self):
         self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
-            termination=TerminationRule(kind="robust_dnorm"), use_lbfgs=True))
+            termination="robust_dnorm", use_lbfgs=True,
+            max_gradient_evals=500))
 
     def test_robust_unconstrained_before_any_evaluation(self):
         self.assert_rejected_before_any_evaluation(lambda: DriverConfig(
-            termination=TerminationRule(kind="robust_dnorm")), m_E=0)
+            termination="robust_dnorm", max_gradient_evals=500), m_E=0)
 
 
 def make_eq_quadratic(noise=0.5, n=4):
@@ -360,7 +362,7 @@ class TestConditionEstimation:
             return drawn[-1]
 
         prob = dataclasses.replace(prob, mode=Expectation(recording))
-        config = DriverConfig(termination=TerminationRule(kind="kkt"))
+        config = DriverConfig(termination="kkt")
         counters = Counters()
         rng = np.random.default_rng(0)
         est = estimate_condition_inputs(prob,
@@ -377,7 +379,7 @@ class TestConditionEstimation:
     def test_kkt_progress_measure(self):
         prob = make_eq_quadratic(noise=0.0, n=2)
 
-        config = DriverConfig(termination=TerminationRule(kind="kkt"))
+        config = DriverConfig(termination="kkt")
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.zeros(2),
                                                 np.zeros(1)),
@@ -396,7 +398,7 @@ class TestConditionEstimation:
             raise AssertionError("direction QP solved")
 
         monkeypatch.setattr(driver, "direction_step", no_qp)
-        config = DriverConfig(termination=TerminationRule(kind="robust_dnorm"))
+        config = DriverConfig(termination="robust_dnorm")
         est = estimate_condition_inputs(prob,
                                         iterate(prob, np.array([0.5]),
                                                 np.zeros(2)),
@@ -407,7 +409,7 @@ class TestConditionEstimation:
     def test_probe_does_not_count_updates(self):
         prob = make_eq_quadratic(noise=0.5, n=2)
 
-        config = DriverConfig(termination=TerminationRule(kind="dnorm"))
+        config = DriverConfig(termination="dnorm")
         x = np.array([0.3, -0.2])
         est = estimate_condition_inputs(prob, iterate(prob, x, np.zeros(1)),
                                         3, config,
@@ -419,7 +421,7 @@ class TestConditionEstimation:
 class TestRun:
     def test_budget_zero_stops_immediately(self):
         prob = make_eq_quadratic()
-        out = run(prob, DriverConfig(), Budget(max_gradient_evals=0),
+        out = run(prob, DriverConfig(max_gradient_evals=0),
                   np.random.default_rng(0))
         assert out.status == "BudgetExhausted"
         assert len(out.trace) == 1
@@ -427,28 +429,28 @@ class TestRun:
 
     def test_converges_on_quadratic(self):
         prob = make_eq_quadratic(noise=0.2)
-        config = DriverConfig(stop_violation=1e-6, stop_stationarity=1e-4)
-        out = run(prob, config, Budget(max_gradient_evals=10 ** 6),
-                  np.random.default_rng(0))
+        config = DriverConfig(stop_violation=1e-6, stop_stationarity=1e-4,
+                              max_gradient_evals=10 ** 6)
+        out = run(prob, config, np.random.default_rng(0))
         assert out.status == "Converged"
         # optimum of ||x - 1||^2 on sum(x) = 1 is x = 1/4 by symmetry
         np.testing.assert_allclose(out.x, 0.25 * np.ones(4), atol=1e-3)
 
     def test_batch_sizes_nondecreasing(self):
         prob = make_eq_quadratic(noise=0.5)
-        config = DriverConfig(stop_violation=1e-6, stop_stationarity=1e-3)
-        out = run(prob, config, Budget(max_gradient_evals=10 ** 5),
-                  np.random.default_rng(1))
+        config = DriverConfig(stop_violation=1e-6, stop_stationarity=1e-3,
+                              max_gradient_evals=10 ** 5)
+        out = run(prob, config, np.random.default_rng(1))
         sizes = [rec.batch_size for rec in out.trace[1:]]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
     def test_metrics_outside_budget(self):
         prob = make_eq_quadratic(noise=0.5)
-        out = run(prob, DriverConfig(), Budget(max_gradient_evals=200),
+        out = run(prob, DriverConfig(max_gradient_evals=200),
                   np.random.default_rng(2))
         # the recorded cumulative gradient count only reflects solver work
         assert out.counters.gradient_evals == out.trace[-1].grad_evals_cum
-        # and the overshoot is the one Budget's docstring bounds
+        # and the overshoot is the one DriverConfig's docstring bounds
         over = out.counters.gradient_evals - 200
         assert 0 <= over < out.trace[-1].batch_size
 
@@ -456,8 +458,9 @@ class TestRun:
         # the sampled minimiser of this quadratic is the true one, so after
         # the first outer iteration every primal step is zero; the dual step
         # it carries lets the "kkt" rule fire instead of spinning to the cap
-        out = run(make_eq_quadratic(noise=0.5), DriverConfig(),
-                  Budget(max_gradient_evals=2000), np.random.default_rng(0))
+        out = run(make_eq_quadratic(noise=0.5),
+                  DriverConfig(max_gradient_evals=2000),
+                  np.random.default_rng(0))
         assert len(out.trace) > 3
         assert all(r.term_cause != "inner_cap" for r in out.trace)
 
@@ -469,7 +472,7 @@ class TestRun:
         ("synth-logreg-ineq", "det-sqp", 200_000),
     ])
     def test_budget_overshoot_below_last_batch(self, problem, method, budget):
-        # the bound stated in Budget's docstring
+        # the bound stated in DriverConfig's docstring
         out = run_config(RunConfig(problem=problem, method=method, seed=0,
                                    max_gradient_evals=budget))
         assert out.status == "BudgetExhausted"
@@ -480,7 +483,7 @@ class TestRun:
         # every counted gradient comes from sizing the batch (once per
         # member) or from an accepted update over the whole batch
         prob = make_eq_quadratic(noise=0.5)
-        out = run(prob, DriverConfig(), Budget(max_gradient_evals=3000),
+        out = run(prob, DriverConfig(max_gradient_evals=3000),
                   np.random.default_rng(3))
         prev = out.trace[0].grad_evals_cum
         for rec in out.trace[1:]:
@@ -490,16 +493,16 @@ class TestRun:
 
     def test_infeasible_detected(self):
         prob = make_infeasible_problem()
-        config = DriverConfig(termination=TerminationRule(kind="robust_dnorm"))
-        out = run(prob, config, Budget(max_gradient_evals=10 ** 5),
-                  np.random.default_rng(0))
+        config = DriverConfig(termination="robust_dnorm",
+                              max_gradient_evals=10 ** 5)
+        out = run(prob, config, np.random.default_rng(0))
         assert out.status == "InfeasibleStationary"
         np.testing.assert_allclose(out.x, [0.5], atol=1e-4)
 
     def test_deterministic_given_seed(self):
         prob = make_eq_quadratic(noise=0.5)
-        outs = [run(make_eq_quadratic(noise=0.5), DriverConfig(),
-                    Budget(max_gradient_evals=2000),
+        outs = [run(make_eq_quadratic(noise=0.5),
+                    DriverConfig(max_gradient_evals=2000),
                     np.random.default_rng(42)) for _ in range(2)]
         np.testing.assert_array_equal(outs[0].x, outs[1].x)
         assert ([r.grad_evals_cum for r in outs[0].trace]
@@ -516,12 +519,11 @@ class TestRun:
                                 np.zeros((0, 1)), np.array([[1.0]])),
                      0, 1, np.zeros(1), 0.0)
         with pytest.raises(ConfigError):
-            run(ineq, DriverConfig(), Budget(),
-                np.random.default_rng(0))
+            run(ineq, DriverConfig(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("sampling", [
-        SamplingRule("geometric"), SamplingRule("adaptive"),
-        SamplingRule("fixed", initial_size=4096)])
+        dict(sampling="geometric"), dict(sampling="adaptive"),
+        dict(sampling="fixed", initial_size=4096)])
     def test_batch_limit_before_drawing(self, monkeypatch, sampling):
         # an expectation batch above MAX_BATCH ends the run before any
         # sampler call asks for it; a call that does ask allocates nothing
@@ -537,10 +539,9 @@ class TestRun:
             return sampler(rng, count)
 
         prob = dataclasses.replace(prob, mode=Expectation(recording))
-        config = DriverConfig(termination=TerminationRule("dl"),
-                              sampling=sampling)
-        out = run(prob, config, Budget(10 ** 9, max_outer=50),
-                  np.random.default_rng(0))
+        config = DriverConfig(termination="dl", max_gradient_evals=10 ** 9,
+                              max_outer=50, **sampling)
+        out = run(prob, config, np.random.default_rng(0))
         assert out.status == "BatchLimit"
         assert max(asked, default=0) <= 2048
 
@@ -571,10 +572,10 @@ class TestRun:
     def test_lbfgs_variant_converges(self):
         prob = make_eq_quadratic(noise=0.2)
         config = DriverConfig(use_lbfgs=True,
-                              termination=TerminationRule("dl"),
-                              stop_violation=1e-6, stop_stationarity=1e-4)
-        out = run(prob, config, Budget(max_gradient_evals=10 ** 6),
-                  np.random.default_rng(5))
+                              termination="dl",
+                              stop_violation=1e-6, stop_stationarity=1e-4,
+                              max_gradient_evals=10 ** 6)
+        out = run(prob, config, np.random.default_rng(5))
         assert out.status == "Converged"
 
 
@@ -598,12 +599,11 @@ def test_rank_deficient_jacobian_converges(kind, exact, use_lbfgs):
     # the minimum-norm least-squares warm start on every batch; keeping the
     # previous batch's duals instead left inexact "dnorm" and "dl" solves
     # at budget on seeds 0, 2 and 3
-    config = DriverConfig(termination=TerminationRule(kind), exact=exact,
+    config = DriverConfig(termination=kind, exact=exact,
                           use_lbfgs=use_lbfgs, stop_violation=1e-8,
-                          stop_stationarity=1e-2)
+                          stop_stationarity=1e-2, max_gradient_evals=20_000)
     for seed in range(5):
         out = run(make_repeated_row_problem(), config,
-                  Budget(max_gradient_evals=20_000),
                   np.random.default_rng(seed))
         assert out.status == "Converged", seed
         assert np.abs(out.x - 0.5).max() <= 1e-2, seed
@@ -612,7 +612,7 @@ def test_rank_deficient_jacobian_converges(kind, exact, use_lbfgs):
 class TestInnerLoop:
     """Every exit cause of the inner loop shared by both solvers."""
 
-    RULE = TerminationRule(kind="dnorm")
+    RULE = DriverConfig(termination="dnorm")
 
     @staticmethod
     def no_update(ctx, step, plan):
@@ -623,7 +623,7 @@ class TestInnerLoop:
             raise LineSearchFailure("stub")
 
         out = _inner_loop(lambda ctx: (1.0, 1.0, None, None), update, "ctx",
-                          self.RULE, Budget(), Counters())
+                          self.RULE, Counters())
         assert out == ("ctx", 0, 0, "line_search_failure")
 
     def test_merit_collapse_in_probe(self):
@@ -631,7 +631,7 @@ class TestInnerLoop:
             raise MeritCollapse("stub")
 
         out = _inner_loop(progress, self.no_update, "ctx", self.RULE,
-                          Budget(), Counters())
+                          Counters())
         assert out == ("ctx", 0, 0, "merit_collapse")
 
     def test_inner_cap(self):
@@ -642,7 +642,7 @@ class TestInnerLoop:
             return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
 
         out = _inner_loop(lambda ctx: (1.0, 1.0, ("step", ctx), ("plan", ctx)),
-                          update, 0, self.RULE, Budget(), Counters())
+                          update, 0, self.RULE, Counters())
         assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
 
     def test_snapshot_is_first_value(self):
@@ -652,7 +652,7 @@ class TestInnerLoop:
         out = _inner_loop(lambda ctx: (10.0 - ctx, 10.0 + 10.0 * ctx, None,
                                        None),
                           lambda ctx, step, plan: (ctx + 1, 1.0), 0,
-                          self.RULE, Budget(), Counters())
+                          self.RULE, Counters())
         assert out == (5, 5, 5, "terminated")
 
     def test_infeasible_stationary(self):
@@ -661,15 +661,16 @@ class TestInnerLoop:
             return None if ctx == 3 else (1.0, 1.0, None, None)
 
         out = _inner_loop(progress, lambda ctx, step, plan: (ctx + 1, 1.0),
-                          0, self.RULE, Budget(), Counters())
+                          0, self.RULE, Counters())
         assert out == (3, 3, 3, "infeasible_stationary")
 
     def test_budget(self):
         def progress(ctx):
             raise AssertionError("no iteration once the budget is spent")
 
-        out = _inner_loop(progress, self.no_update, "ctx", self.RULE,
-                          Budget(max_gradient_evals=10),
+        out = _inner_loop(progress, self.no_update, "ctx",
+                          DriverConfig(termination="dnorm",
+                                       max_gradient_evals=10),
                           Counters(gradient_evals=10))
         assert out == ("ctx", 0, 0, "budget")
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from rasqp.bench import (build_problem, make_noisy_quadratic,
                          make_synthetic_dataset)
 from rasqp.counters import Counters
-from rasqp.driver import Budget, DriverConfig, run
+from rasqp.driver import DriverConfig, run
 from rasqp.errors import ConfigError, NumericalFailure, ParseError
 from rasqp.problems import (DRAW_CHUNK, Dataset, Expectation, NoiseMoments,
                             build_augmented_problem,
@@ -425,7 +425,7 @@ class TestDrawSamples:
         with pytest.raises(ConfigError, match=re.escape(message)):
             draw_samples(prob, 32, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="sampler returned"):
-            run(prob, DriverConfig(), Budget(), np.random.default_rng(0))
+            run(prob, DriverConfig(), np.random.default_rng(0))
 
     def test_sampler_asked_for_the_rest_only(self):
         # a superset draw asks the sampler for the new draws alone, and that
@@ -906,7 +906,7 @@ class TestAugmented:
         with pytest.raises(ConfigError, match="m_E = 1, m_I = 0"):
             eval_constraints(prob, prob.x_init)
         with pytest.raises(ConfigError):
-            run(prob, DriverConfig(), Budget(), np.random.default_rng(0))
+            run(prob, DriverConfig(), np.random.default_rng(0))
 
     def test_negative_noise_level_rejected(self):
         with pytest.raises(ConfigError):

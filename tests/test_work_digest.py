@@ -38,6 +38,8 @@ def test_smoke_list_digest_and_compare(tmp_path):
     assert len(rows) == 6
     for r in rows:
         assert r["status"] in ("Converged", "BudgetExhausted")
+        # the list stops at violation 1e-5, the bound each row records
+        assert r["violation_bound"] == 1e-5
         assert r["counters"]["gradient_evals"] > 0
         assert len(r["batch_sizes"]) > 0
         assert len(r["digest"]) == 64
@@ -154,6 +156,21 @@ def test_evals_to_is_the_first_crossing():
         "1e-2": 50, "1e-3": 50, "1e-4": 50}
     # never reached is written as Infinity and read back as inf
     assert json.loads(json.dumps(wd.evals_to(trace)))["1e-4"] == math.inf
+
+
+def test_evals_to_takes_a_looser_stop_violation():
+    wd = load_tool()
+    # a solve that stops at violation 1e-5 is held to 1e-5: the record at
+    # 100 now counts for 1e-2 and 1e-3, and the one at 200 for 1e-4
+    trace = [record(0, 1.0, 1.0), record(100, 5e-6, 5e-4),
+             record(200, 1e-5, 1e-4), record(300, 1e-7, 5e-5)]
+    assert wd.evals_to(trace) == {"1e-2": 300, "1e-3": 300, "1e-4": 300}
+    bound = wd.violation_bound(1e-5)
+    assert bound == 1e-5
+    assert wd.evals_to(trace, bound) == {"1e-2": 100, "1e-3": 100,
+                                         "1e-4": 200}
+    # no stop, or a tighter one, keeps the 1e-6 bound
+    assert wd.violation_bound(None) == wd.violation_bound(1e-8) == 1e-6
 
 
 def test_compare_prints_median_evals_to(tmp_path):

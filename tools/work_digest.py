@@ -16,8 +16,11 @@ list, problem, method, sampling rule and solver seed, status, the four
 the same sha256 without the `*_cum` work counters, so it holds what the
 solve found, not what it spent. Each solved row also holds `evals_to`: for
 each eps in 1e-2, 1e-3 and 1e-4, the `grad_evals_cum` of the first record
-with violation <= 1e-6 and stationarity <= eps (0 when the initial record
-does, Infinity when none does). `--src` picks the `src/` tree rasqp is
+with violation <= the solve's bound and stationarity <= eps (0 when the
+initial record does, Infinity when none does). The bound is 1e-6, or the
+solve's `stop_violation` when that is looser, since a solve that stops at
+violation 1e-5 need never reach 1e-6; the row holds it as
+`violation_bound`. `--src` picks the `src/` tree rasqp is
 imported from, so this one copy of the tool also runs against another
 checkout, such as the parent commit's. BLAS runs on one thread, as in the
 benchmark.
@@ -56,7 +59,7 @@ COUNTERS = ("gradient_evals", "function_evals", "minres_iters",
             "barrier_iters")
 # the OuterRecord fields that count work, left out of the result digest
 WORK_FIELDS = ("grad_evals_cum", "minres_iters_cum", "barrier_iters_cum")
-# the accuracy targets of `evals_to`: a violation bound, and the
+# the accuracy targets of `evals_to`: the tightest violation bound, and the
 # stationarity levels by their JSON keys
 VIOLATION_TARGET = 1e-6
 EPSILONS = ("1e-2", "1e-3", "1e-4")
@@ -85,12 +88,19 @@ def digest(outcome, skip=()) -> str:
     return h.hexdigest()
 
 
-def evals_to(trace) -> dict:
+def violation_bound(stop_violation) -> float:
+    """The violation bound of `evals_to` for a solve that stops at
+    `stop_violation` (None: on its budget only): the looser of that and
+    VIOLATION_TARGET."""
+    return max(VIOLATION_TARGET, stop_violation or 0.0)
+
+
+def evals_to(trace, bound=VIOLATION_TARGET) -> dict:
     """eps key -> the `grad_evals_cum` of the first record of `trace` with
-    violation_inf <= VIOLATION_TARGET and stationarity <= eps, or inf when
-    no record gets there."""
+    violation_inf <= bound and stationarity <= eps, or inf when no record
+    gets there."""
     return {eps: next((r.grad_evals_cum for r in trace
-                       if r.violation_inf <= VIOLATION_TARGET
+                       if r.violation_inf <= bound
                        and r.stationarity <= float(eps)), math.inf)
             for eps in EPSILONS}
 
@@ -127,13 +137,14 @@ def solve_rows(workload: str, seeds, smoke: bool):
             row.update(status="Error", error=f"{type(exc).__name__}: {exc}")
             yield row
             continue
+        bound = violation_bound(config.stop_violation)
         row.update(
             status=outcome.status,
             counters={c: getattr(outcome.counters, c) for c in COUNTERS},
             batch_sizes=[rec.batch_size for rec in outcome.trace[1:]],
             digest=digest(outcome),
             result_digest=digest(outcome, skip=WORK_FIELDS),
-            evals_to=evals_to(outcome.trace))
+            evals_to=evals_to(outcome.trace, bound), violation_bound=bound)
         yield row
 
 
