@@ -1,5 +1,6 @@
-"""Benchmark harness: problem registry, method table, run orchestration,
-CSV trace emission, metrics, performance profiles, and active-set reports."""
+"""Benchmark harness: problem registry, method table, single runs, trace
+CSVs and result rows, metrics, performance profiles, and active-set
+reports."""
 
 from __future__ import annotations
 
@@ -138,7 +139,6 @@ class RunConfig:
     max_outer: int = 10 ** 9
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
-    output: Optional[str] = None
 
     def __post_init__(self):
         for name in ("seed", "data_seed"):
@@ -342,29 +342,3 @@ def result_row(config: RunConfig, outcome: SolveOutcome):
         iters = cost_to_success(outcome.trace, t, "solver_iters")
         row[f"iters@{t:g}"] = "" if iters is None else iters
     return row
-
-
-def write_results_csv(path: str, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-# ------------------------------------------------------------------
-# sweep orchestration
-# ------------------------------------------------------------------
-
-def _run_one(config: RunConfig):
-    try:
-        outcome = run_config(config)
-        return config, result_row(config, outcome), outcome, None
-    except Exception as exc:  # numerical failures recorded, harness continues
-        return config, None, None, f"{type(exc).__name__}: {exc}"
-
-
-def sweep(configs):
-    """Run a list of RunConfigs in order: one (config, result row, outcome,
-    error) per config, where a raising solve has an error text and no row."""
-    return [_run_one(config) for config in configs]

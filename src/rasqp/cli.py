@@ -8,12 +8,12 @@ import csv
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
-from .bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RunConfig,
-                    active_set_report, build_problem, performance_profile,
-                    profile_curve, read_trace_csv, run_config, sweep,
-                    write_results_csv, write_trace_csv)
+from .bench import (EPS_TOL_GRID, METHODS, PROBLEMS, RESULT_COLUMNS,
+                    RunConfig, active_set_report, build_problem,
+                    performance_profile, profile_curve, read_trace_csv,
+                    result_row, run_config, write_trace_csv)
 from .errors import ConfigError, RasqpError
 
 
@@ -68,7 +68,6 @@ def _add_run_flags(p):
     p.add_argument("--max-outer", type=int, dest="max_outer")
     p.add_argument("--stop-violation", type=float, dest="stop_violation")
     p.add_argument("--stop-stationarity", type=float, dest="stop_stationarity")
-    p.add_argument("--output", help="trace CSV path")
     return p
 
 
@@ -93,7 +92,7 @@ def _check_writable(path: str) -> None:
 
 def cmd_run(args) -> int:
     cfg = _apply_config(args)
-    path = cfg.output or f"trace_{cfg.problem}_{cfg.method}_{cfg.seed}.csv"
+    path = args.output or f"trace_{cfg.problem}_{cfg.method}_{cfg.seed}.csv"
     _check_writable(path)
     outcome = run_config(cfg)
     write_trace_csv(path, outcome)
@@ -117,30 +116,31 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"unknown {kind} {name!r}")
             if name in names[:i]:
                 raise ConfigError(f"{kind} {name!r} repeated in --{kind}s")
-    configs = []
-    for prob in problems:
-        for method in methods:
-            for seed in seeds:
-                cfg = RunConfig(**{**base.__dict__, "problem": prob,
-                                   "method": method, "seed": seed,
-                                   "output": None})
-                configs.append(cfg)
+    configs = [replace(base, problem=prob, method=method, seed=seed)
+               for prob in problems for method in methods for seed in seeds]
     traces = [f"{args.trace_dir}/trace_{cfg.problem}_{cfg.method}_"
-              f"{cfg.seed}.csv" for cfg in configs] if args.trace_dir else []
-    for path in [args.out] + traces:
+              f"{cfg.seed}.csv" if args.trace_dir else None
+              for cfg in configs]
+    for path in [args.out, *filter(None, traces)]:
         _check_writable(path)
-    results = sweep(configs)
-    rows = []
-    for i, (cfg, row, outcome, err) in enumerate(results):
-        if err is not None:
-            print(f"{cfg.problem} {cfg.method} seed={cfg.seed}: FAILED ({err})",
-                  file=sys.stderr)
-            continue
-        rows.append(row)
-        if traces:
-            write_trace_csv(traces[i], outcome)
-    write_results_csv(args.out, rows)
-    print(f"wrote {len(rows)} results to {args.out}")
+    written = 0
+    # line-buffered, and each solve's row and trace are written as it ends,
+    # so a sweep cut short keeps the header and every finished solve
+    with open(args.out, "w", newline="", buffering=1) as fh:
+        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+        writer.writeheader()
+        for cfg, trace in zip(configs, traces):
+            try:
+                outcome = run_config(cfg)
+            except Exception as exc:  # a failed solve is reported, not fatal
+                print(f"{cfg.problem} {cfg.method} seed={cfg.seed}: FAILED "
+                      f"({type(exc).__name__}: {exc})", file=sys.stderr)
+                continue
+            writer.writerow(result_row(cfg, outcome))
+            if trace is not None:
+                write_trace_csv(trace, outcome)
+            written += 1
+    print(f"wrote {written} results to {args.out}")
     return 0
 
 
@@ -210,10 +210,8 @@ def cmd_active_set(args) -> int:
     if problem.m_I == 0:
         raise ConfigError("active-set reports need inequality constraints")
     outcome = run_config(cfg)
-    ref_cfg = RunConfig(**{**cfg.__dict__, "method": "det-sqp",
-                           "stop_violation": 1e-9,
-                           "stop_stationarity": 1e-7})
-    ref = run_config(ref_cfg)
+    ref = run_config(replace(cfg, method="det-sqp", stop_violation=1e-9,
+                             stop_stationarity=1e-7))
     report = active_set_report(problem, [r.x for r in outcome.trace], ref.x)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -233,6 +231,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single solve, emit a trace CSV")
     _add_run_flags(p_run)
+    p_run.add_argument("--output", help="trace CSV path")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="problem x method x seed grid")

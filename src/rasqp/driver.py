@@ -9,17 +9,20 @@ carries an iterate's constraint values and Jacobians from `x_init` to the
 last outer iteration, with what is computed from them alone (the
 feasibility LP, the true-problem metrics) in its `store`. Each inner
 iteration is a progress probe, the termination test, then an update, and
-a solver is one `_INNER` entry: the probe,
+a solver is one `_INNER` entry (probe, update):
 `probe(ctx, config, counters) -> (current, first, step, plan)` or None,
-and the update, `update(ctx, step, plan, evaluator, ...) -> (new ctx,
-alpha)`. The probe returns its rule's progress measure, the value the rule
-compares against when this is the first inner iteration, and the step and
-merit plan (or None) the update reuses (the robust solver's plan is the
-linearized violation decrease); it returns None at a certified infeasible
-stationary point. The update changes x only when alpha > 0. Either raises
-MeritCollapse or LineSearchFailure to abandon the batch. The loop owns the
-budget check, the first-iteration snapshot, the inner cap, the mapping of
-these outcomes to `OuterRecord.term_cause`, and the iteration counts.
+and `update(ctx, step, plan, evaluator, config, counters) -> (new ctx,
+alpha)`, each reading its own settings from the config. The probe returns
+its rule's progress measure, the value the rule compares against when this
+is the first inner iteration, and the step and merit plan (or None) the
+update reuses (the robust solver's plan is the linearized violation
+decrease); it returns None at a certified infeasible stationary point. The
+update changes x only when alpha > 0. Either raises MeritCollapse or
+LineSearchFailure to abandon the batch. `run` builds each batch's
+`Evaluator` and warm-started context; `_inner_loop` and the adaptive
+estimate look the solver up in `_INNER`. The loop owns the budget check,
+the first-iteration snapshot, the inner cap, the mapping of these outcomes
+to `OuterRecord.term_cause`, and the iteration counts.
 """
 
 from __future__ import annotations
@@ -127,10 +130,16 @@ class DriverConfig:
             value = getattr(self, name)
             if value is not None and not value >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.solver == "robust" and self.use_lbfgs:
-            raise ConfigError("the robust solver has no L-BFGS Hessian model")
         if self.norm not in (LINF, L1):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
+        # a setting the solver never reads is refused, not ignored
+        if self.solver == "robust" and self.use_lbfgs:
+            raise ConfigError("the robust solver has no L-BFGS Hessian model")
+        if self.solver == "robust" and not self.exact:
+            raise ConfigError("the robust solver has no inexact KKT step")
+        if self.solver == "equality" and self.norm != LINF:
+            raise ConfigError("the equality solver has no norm mode: its "
+                              "merit is always the l1 norm")
 
     @property
     def solver(self) -> str:
@@ -303,13 +312,10 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     return dnorm, dnorm, d, max(0.0, v - feas.lp_objective)
 
 
-# solver -> (progress probe, update, the update's arguments after
-# (ctx, step, plan, evaluator), from the config and the run's counters)
+# solver -> (progress probe, update)
 _INNER = {
-    "equality": (_eq_progress, inner_iteration,
-                 lambda config, counters: (config.exact, counters)),
-    "robust": (_robust_progress, robust_inner_iteration,
-               lambda config, counters: (config.norm,)),
+    "equality": (_eq_progress, inner_iteration),
+    "robust": (_robust_progress, robust_inner_iteration),
 }
 
 
@@ -364,7 +370,7 @@ def run(problem: ProblemSpec, config: DriverConfig,
            if isinstance(problem.mode, FiniteSum) else None)
 
     counters = Counters()
-    x = np.asarray(problem.x_init, dtype=float).copy()
+    x = problem.x_init.copy()
     # no batch yet: each outer iteration sets F_S and g_S on its batch
     ctx = InnerContext(
         x, np.zeros(problem.m_E), np.nan, np.full(problem.n, np.nan),
@@ -435,11 +441,22 @@ def run(problem: ProblemSpec, config: DriverConfig,
         if estimate is not None:
             vsum = estimate.value_sum + vsum
             gsum = estimate.gradient_sum + gsum
-        F_S, g_S = vsum / S.size, gsum / S.size
-        progress, update, ctx = _inner_solver(problem, S, config, ctx, F_S,
-                                              g_S, counters)
+        g_S = gsum / S.size
+        # the equality solver starts from the least-squares multipliers for
+        # g_S, whose KKT error no carried duals beat, as a deterministic SQP
+        # method does on a new problem; the robust solver keeps the carried
+        # ones
+        ctx = replace(ctx, F_S=vsum / S.size, g_S=g_S, tau_prev=TAU_BAR,
+                      lam=(ctx.lam if config.solver == "robust"
+                           else least_squares_dual(ctx.J_E, g_S)))
+        # the evaluation functions are looked up at call time, so wrappers
+        # installed on this module's names see every call
+        evaluator = Evaluator(
+            lambda xt: eval_subsampled_value(problem, xt, S, counters),
+            lambda xt: eval_subsampled(problem, xt, S, counters),
+            lambda xt: eval_constraints(problem, xt))
         ctx, inner_iters, updates, term_cause = _inner_loop(
-            progress, update, ctx, config, counters)
+            ctx, config, evaluator, counters)
         v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
                       term_cause)
 
@@ -462,56 +479,34 @@ def run(problem: ProblemSpec, config: DriverConfig,
                         trace=trace, counters=counters)
 
 
-def _inner_loop(progress, update, ctx, config: DriverConfig,
-                counters: Counters):
-    """Probe, test and update (see the module docstring) from ctx until the
-    config's termination rule fires, the probe finds an infeasible
-    stationary point, a step raises, or the gradient budget or INNER_CAP is
-    reached.
+def _inner_loop(ctx: InnerContext, config: DriverConfig,
+                evaluator: Evaluator, counters: Counters):
+    """Probe, test and update (see the module docstring) with the config's
+    solver from ctx until its termination rule fires, the probe finds an
+    infeasible stationary point, a step raises, or the gradient budget or
+    INNER_CAP is reached.
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
+    probe, update = _INNER[config.solver]
     snapshot = None
     updates = 0
     for j in range(INNER_CAP):
         if counters.gradient_evals >= config.max_gradient_evals:
             return ctx, j, updates, "budget"
         try:
-            probe = progress(ctx)
-            if probe is None:
+            measure = probe(ctx, config, counters)
+            if measure is None:
                 return ctx, j, updates, "infeasible_stationary"
-            current, first, step, plan = probe
+            current, first, step, plan = measure
             if snapshot is None:
                 snapshot = first
             if termination_check(config, snapshot, current):
                 return ctx, j, updates, "terminated"
-            ctx, alpha = update(ctx, step, plan)
+            ctx, alpha = update(ctx, step, plan, evaluator, config, counters)
         except MeritCollapse:
             return ctx, j, updates, "merit_collapse"
         except LineSearchFailure:
             return ctx, j, updates, "line_search_failure"
         updates += alpha > 0.0
     return ctx, INNER_CAP, updates, "inner_cap"
-
-
-def _inner_solver(problem: ProblemSpec, S: SampleSet, config: DriverConfig,
-                  ctx: InnerContext, F_S, g_S, counters: Counters):
-    """(progress, update, start context) of the configured solver on the
-    batch S, warm-started at the iterate ctx, whose subsampled objective on
-    S is (F_S, g_S). The equality solver starts from the least-squares
-    multipliers for g_S, whose KKT error no carried duals beat, as a
-    deterministic SQP method does on a new problem; the robust solver keeps
-    the carried ones."""
-    probe, update, settings = _INNER[config.solver]
-    # the evaluation functions are looked up at call time, so wrappers
-    # installed on this module's names see every call
-    evaluator = Evaluator(
-        lambda xt: eval_subsampled_value(problem, xt, S, counters),
-        lambda xt: eval_subsampled(problem, xt, S, counters),
-        lambda xt: eval_constraints(problem, xt))
-    args = (evaluator, *settings(config, counters))
-    lam = (ctx.lam if config.solver == "robust"
-           else least_squares_dual(ctx.J_E, g_S))
-    return (lambda ctx: probe(ctx, config, counters),
-            lambda ctx, step, plan: update(ctx, step, plan, *args),
-            replace(ctx, lam=lam, F_S=F_S, g_S=g_S, tau_prev=TAU_BAR))

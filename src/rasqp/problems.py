@@ -80,7 +80,9 @@ class ProblemSpec:
     the true-problem metrics read. It is never None once built: a finite
     sum without one gets the exact average over its whole data set, and an
     expectation problem without one raises ConfigError, since no sample
-    average is its exact gradient."""
+    average is its exact gradient. `x_init` is kept as a float64 copy of
+    the start given (an array, a list, ...), which must be one-dimensional
+    or ConfigError is raised."""
     m_E: int
     m_I: int
     mode: FiniteSum | Expectation
@@ -97,6 +99,10 @@ class ProblemSpec:
     true_gradient: Optional[Callable] = None
 
     def __post_init__(self):
+        self.x_init = np.array(self.x_init, dtype=float)
+        if self.x_init.ndim != 1:
+            raise ConfigError(f"x_init must be one-dimensional, got shape "
+                              f"{self.x_init.shape}")
         if self.true_gradient is None:
             if not isinstance(self.mode, FiniteSum):
                 raise ConfigError("an expectation problem needs its "
@@ -550,7 +556,7 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
 
     return ProblemSpec(
         m_E=m_E, m_I=m_I, mode=Expectation(sampler), sums=sums,
-        constraints=constraints, x_init=np.asarray(x_init, dtype=float),
+        constraints=constraints, x_init=x_init,
         true_value=value_fn, true_gradient=grad_fn)
 
 

@@ -72,7 +72,9 @@ class EqStepResult:
     delta: np.ndarray
     rho: np.ndarray
     r: np.ndarray
-    acceptance: str  # "exact" | "inexact_cond1" | "inexact_cond2"
+    # MINRES's stop reason: "exact_tol" | "max_iter" | "inexact_cond1" |
+    # "inexact_cond2"
+    acceptance: str
 
 
 def _inexact_acceptance(ctx: InnerContext, T: np.ndarray) -> Callable:
@@ -126,12 +128,10 @@ def compute_step(ctx: InnerContext, exact: bool,
                           MINRES_TOL, MINRES_MAX_ITER, acceptance=callback,
                           counters=counters)
     z, resid = report.solution, report.residual
-    # an accepted pass stops with the name of the condition that accepted
-    kind = report.stop_reason
-    if kind in ("exact_tol", "max_iter"):
-        kind = "exact"
+    # an accepted pass stops with the name of the condition that accepted,
+    # any other with "exact_tol" or "max_iter"
     return EqStepResult(d=z[:n], delta=z[n:], rho=-resid[:n], r=-resid[n:],
-                        acceptance=kind)
+                        acceptance=report.stop_reason)
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
@@ -260,13 +260,13 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
 
 
 def inner_iteration(ctx: InnerContext, step: Optional[EqStepResult],
-                    plan: Optional[tuple], evaluator: Evaluator, exact: bool,
-                    counters: Optional[Counters] = None):
+                    plan: Optional[tuple], evaluator: Evaluator, config,
+                    counters: Optional[Counters]):
     """One equality SQP update along the probe's KKT step with its merit
     plan (tau, model decrease), then the shared line search and update on
     the l1 merit tau F + ||c_E||_1. A step of None is solved here (exact
-    or inexact, counted in `counters`), and a plan of None is taken as
-    merit_plan(ctx, step). Returns (new context, alpha).
+    or inexact by `config.exact`, counted in `counters`), and a plan of
+    None is taken as merit_plan(ctx, step). Returns (new context, alpha).
 
     A zero primal step takes the full dual step, lam + delta, at the same
     x with alpha 0; a step whose model decrease is not positive returns
@@ -276,7 +276,7 @@ def inner_iteration(ctx: InnerContext, step: Optional[EqStepResult],
     as a signal to resample.
     """
     if step is None:
-        step = compute_step(ctx, exact, counters=counters)
+        step = compute_step(ctx, config.exact, counters=counters)
 
     if norm(step.d) <= 1e-15 * (1.0 + norm(ctx.x)):
         return replace(ctx, lam=ctx.lam + step.delta), 0.0

@@ -172,12 +172,13 @@ def update_tau_ineq(tau_prev: float, tau_tr: float) -> float:
 
 
 def robust_inner_iteration(ctx: InnerContext, d: np.ndarray, delta_c: float,
-                           evaluator: Evaluator, mode: str):
+                           evaluator: Evaluator, config,
+                           counters: Optional[Counters]):
     """One robust-SQP update along the probe's direction d (its step) with
     its linearized violation decrease delta_c = max(0, violation - LP
     objective) (its plan): the merit parameter rule, then the shared line
-    search on the `mode` merit, with no dual step. Returns (new context,
-    alpha).
+    search on the `config.norm` merit, with no dual step. It solves no
+    subprogram, so `counters` goes unused. Returns (new context, alpha).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.
@@ -186,4 +187,5 @@ def robust_inner_iteration(ctx: InnerContext, d: np.ndarray, delta_c: float,
     tau_tr = trial_tau_ineq(gTd, float(d @ d), delta_c)
     tau = update_tau_ineq(ctx.tau_prev, tau_tr)
     delta_l = -tau * gTd + delta_c
-    return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator, mode)
+    return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator,
+                            config.norm)

@@ -231,7 +231,8 @@ def test_criterion_4_merit_line_search_invariants():
         for _ in range(6):
             try:
                 step = compute_step(ctx, True)
-                new_ctx, alpha = inner_iteration(ctx, step, None, ev, True)
+                new_ctx, alpha = inner_iteration(ctx, step, None, ev,
+                                                 DriverConfig(), None)
             except MeritCollapse:
                 break
             if alpha > 0.0:
@@ -269,7 +270,7 @@ def test_criterion_4_merit_line_search_invariants():
             d, delta_c = probe[2], probe[3]
             try:
                 new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, ev,
-                                                        rob_config.norm)
+                                                        rob_config, None)
             except MeritCollapse:
                 break
             tau = new_ctx.tau_prev

@@ -20,8 +20,7 @@ from rasqp.bench import (METHODS, PROBLEMS, RESULT_COLUMNS, TRACE_COLUMNS,
                          cost_to_success, jaccard, make_synthetic_dataset,
                          method_driver_config, performance_profile,
                          profile_curve, read_trace_csv, result_row,
-                         run_config, success_test, sweep, write_results_csv,
-                         write_trace_csv)
+                         run_config, success_test, write_trace_csv)
 from rasqp import bench, cli
 from rasqp.cli import load_config_file, main
 from rasqp.driver import OuterRecord, SolveOutcome
@@ -309,16 +308,23 @@ class TestCsvRoundtrips:
         assert sorted(TRACE_COLUMNS) == sorted(
             f.name for f in dataclasses.fields(OuterRecord) if f.name != "x")
 
-    def test_result_row_columns(self, tmp_path):
+    def test_result_row_columns(self, tmp_path, monkeypatch, capsys):
         out = fake_outcome([(2.0, 2.0), (0.001, 0.001)])
         row = result_row(RunConfig(problem="p", method="m", seed=1), out)
         assert row["cost@0.01"] == 100
         assert row["cost@0.0001"] == ""
+        # a sweep writes each solve's row under the RESULT_COLUMNS header
+        monkeypatch.setattr(cli, "run_config", lambda cfg: out)
         path = tmp_path / "res.csv"
-        write_results_csv(str(path), [row])
+        assert main(["sweep", "--problems", "synth-eq-quad", "--seeds", "1",
+                     "--out", str(path)]) == 0
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         assert "cost@0.001" in header and "iters@0.1" in header
+        assert tuple(header) == RESULT_COLUMNS
+        (written,) = read_trace_csv(str(path))
+        assert written == {k: str(v) for k, v in result_row(
+            RunConfig(problem="synth-eq-quad", seed=1), out).items()}
 
 
 class TestSweep:
@@ -332,14 +338,51 @@ class TestSweep:
         for good in (3, np.int64(3)):
             assert getattr(RunConfig(**{field: good}), field) == 3
 
-    def test_collects_rows_and_errors(self):
+    def test_collects_rows_and_errors(self, tmp_path, capsys):
+        # a raising solve is reported with no row, and the sweep goes on to
+        # the next solve, whose row is the one a lone solve gives
+        res = tmp_path / "results.csv"
+        assert main(["sweep", "--problems", "synth-logreg-ineq,synth-eq-quad",
+                     "--methods", "ra-sqp-dl", "--max-gradient-evals",
+                     "1500", "--out", str(res)]) == 0
+        out, err = capsys.readouterr()
+        assert [line for line in err.splitlines() if "FAILED" in line] == [
+            "synth-logreg-ineq ra-sqp-dl seed=0: FAILED (ConfigError: "
+            "equality solver requires a problem with m_I = 0)"]
+        assert f"wrote 1 results to {res}" in out
         good = RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                          max_gradient_evals=1500)
-        bad = RunConfig(problem="synth-logreg-ineq", method="ra-sqp-dl")
-        results = sweep([good, bad])
-        assert [r[0] for r in results] == [good, bad]
-        assert results[0][3] is None and results[0][1] is not None
-        assert results[1][3] is not None and results[1][1] is None
+        assert read_trace_csv(str(res)) == [
+            {k: str(v) for k, v in result_row(good, run_config(good)).items()}]
+
+    def test_interrupted_sweep_keeps_finished_solves(self, tmp_path,
+                                                     monkeypatch):
+        # each solve's row (flushed) and trace are written as it ends, so a
+        # sweep stopped in its third solve leaves the first two
+        res, traces = tmp_path / "results.csv", tmp_path / "traces"
+        traces.mkdir()
+        seen = []
+
+        def third_interrupts(cfg):
+            seen.append((cfg.seed, res.read_text().splitlines(),
+                         sorted(p.name for p in traces.iterdir())))
+            if len(seen) == 3:
+                raise KeyboardInterrupt
+            return run_config(cfg)
+
+        monkeypatch.setattr(cli, "run_config", third_interrupts)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--problems", "synth-eq-quad", "--methods",
+                  "ra-sqp-dl", "--seeds", "0-3", "--max-gradient-evals",
+                  "1500", "--out", str(res), "--trace-dir", str(traces)])
+        names = [f"trace_synth-eq-quad_ra-sqp-dl_{seed}.csv"
+                 for seed in (0, 1)]
+        # on disk while the third solve runs, not only once the file closes
+        assert [(seed, len(lines), files) for seed, lines, files in seen] == [
+            (0, 1, []), (1, 2, names[:1]), (2, 3, names)]
+        rows = read_trace_csv(str(res))
+        assert [row["seed"] for row in rows] == ["0", "1"]
+        assert sorted(p.name for p in traces.iterdir()) == names
 
 
 # (status, gradient evals, MINRES iterations, barrier iterations, batch size
@@ -471,6 +514,14 @@ class TestConfigFile:
         values = load_config_file(str(p))
         assert values == {"problem": "synth-eq-quad",
                           "max_gradient_evals": 5000, "beta": 0.25}
+
+    def test_output_is_not_a_config_key(self, tmp_path, capsys):
+        # the trace path is `run`'s own --output flag, not a run setting
+        p = tmp_path / "cfg"
+        p.write_text("output = t.csv\n")
+        with pytest.raises(ConfigError, match="unknown config key 'output'"):
+            load_config_file(str(p))
+        assert main(["run", "--config", str(p)]) == 2
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "cfg"
@@ -672,7 +723,6 @@ class TestCli:
             raise AssertionError("solved before the config was checked")
 
         monkeypatch.setattr(cli, "run_config", no_solve)
-        monkeypatch.setattr(cli, "sweep", no_solve)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -733,12 +783,30 @@ class TestCli:
             raise AssertionError("solved before the output path was checked")
 
         monkeypatch.setattr(cli, "run_config", no_solve)
-        monkeypatch.setattr(cli, "sweep", no_solve)
         monkeypatch.chdir(tmp_path)
         argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
                 for a in argv]
         assert main(argv) == 2
         assert "error: cannot write output file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seeds", "0-1"],
+        ["active-set", "--problem", "synth-logreg-ineq"],
+    ])
+    def test_output_is_a_run_flag_only(self, tmp_path, capsys, monkeypatch,
+                                       argv):
+        # only `run` writes a trace to --output; the other commands refuse
+        # the flag instead of ignoring it
+        def no_solve(*args):
+            raise AssertionError("solved with a refused flag")
+
+        monkeypatch.setattr(cli, "run_config", no_solve)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
+        assert ("unrecognized arguments: --output"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
 

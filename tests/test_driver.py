@@ -25,8 +25,7 @@ from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
 from rasqp.linalg import least_squares_dual
 from rasqp.problems import (Expectation, NoiseMoments,
                             build_augmented_problem,
-                            build_expectation_problem, draw_samples,
-                            eval_constraints, eval_subsampled)
+                            build_expectation_problem, eval_constraints)
 from rasqp.sqp_eq import TAU_BAR, InnerContext
 
 
@@ -39,21 +38,35 @@ class TestDualInitialize:
                                  np.array([2.0, 0.0]))
         np.testing.assert_allclose(out, [-2.0], atol=1e-10)
 
-    def test_reinit_keeps_better_previous(self):
+    @staticmethod
+    def inner_starts(monkeypatch, prob, config, returned):
+        """The contexts `run` hands `_inner_loop` in two outer iterations
+        of fixed batches, the inner loop replaced by one that takes no step
+        and returns returned(ctx)."""
+        starts = []
+
+        def recording(ctx, config, evaluator, counters):
+            starts.append(ctx)
+            return returned(ctx), 0, 0, "terminated"
+
+        monkeypatch.setattr(driver, "_inner_loop", recording)
+        run(prob, dataclasses.replace(config, sampling="fixed", max_outer=2),
+            np.random.default_rng(1))
+        assert len(starts) == 2
+        return starts
+
+    def test_reinit_keeps_better_previous(self, monkeypatch):
         # a carried multiplier that is already least-squares optimal for
-        # the batch gradient comes out of the warm start unchanged
-        prob = make_eq_quadratic(noise=0.5)
-        x = np.array([0.4, 0.1, 0.3, 0.2])
-        S = draw_samples(prob, 8, np.random.default_rng(1))
-        F_S, g_S = eval_subsampled(prob, x, S, None)
-        ctx = iterate(prob, x, np.zeros(1))
-        lam_prev = least_squares_dual(ctx.J_E, g_S)
-        config = DriverConfig(termination="dl")
-        _, _, start = driver._inner_solver(prob, S, config,
-                                           dataclasses.replace(ctx,
-                                                               lam=lam_prev),
-                                           F_S, g_S, Counters())
-        np.testing.assert_allclose(start.lam, lam_prev, atol=1e-12)
+        # the batch gradient comes out of the warm start unchanged: without
+        # noise, both batches have one gradient at the unmoved iterate
+        starts = self.inner_starts(
+            monkeypatch, make_eq_quadratic(noise=0.0),
+            DriverConfig(termination="dl"), lambda ctx: ctx)
+        lam_prev = starts[0].lam
+        np.testing.assert_array_equal(
+            lam_prev, least_squares_dual(starts[0].J_E, starts[0].g_S))
+        np.testing.assert_array_equal(starts[1].g_S, starts[0].g_S)
+        np.testing.assert_allclose(starts[1].lam, lam_prev, atol=1e-12)
 
     def test_reinit_rank_deficient_minimum_norm(self):
         # a repeated row: every lam with lam_1 + lam_2 = -1 zeroes the
@@ -82,21 +95,27 @@ class TestDualInitialize:
         lam = least_squares_dual(J, g_S)
         assert kkt(lam) <= kkt(lam_prev) * (1 + 1e-12) + 1e-14
 
-    def test_inner_solver_starts_from_least_squares(self):
+    def test_inner_solver_starts_from_least_squares(self, monkeypatch):
         # a "dl" solve on a new batch starts from the least-squares
         # multipliers for the batch gradient, not from the carried ones
-        prob = make_eq_quadratic(noise=0.5)
-        x = np.array([0.4, 0.1, 0.3, 0.2])
         lam_prev = np.array([10.0])
-        S = draw_samples(prob, 8, np.random.default_rng(0))
-        F_S, g_S = eval_subsampled(prob, x, S, None)
-        config = DriverConfig(termination="dl")
-        _, _, start = driver._inner_solver(prob, S, config,
-                                           iterate(prob, x, lam_prev), F_S,
-                                           g_S, Counters())
-        np.testing.assert_array_equal(start.lam,
-                                      least_squares_dual(start.J_E, g_S))
-        assert not np.allclose(start.lam, lam_prev)
+        starts = self.inner_starts(
+            monkeypatch, make_eq_quadratic(noise=0.5),
+            DriverConfig(termination="dl"),
+            lambda ctx: dataclasses.replace(ctx, lam=lam_prev))
+        for start in starts:
+            np.testing.assert_array_equal(
+                start.lam, least_squares_dual(start.J_E, start.g_S))
+        assert not np.allclose(starts[1].lam, lam_prev)
+
+    def test_robust_start_keeps_carried_duals(self, monkeypatch):
+        lam_prev = np.array([10.0])
+        starts = self.inner_starts(
+            monkeypatch, make_eq_quadratic(noise=0.5),
+            DriverConfig(termination="robust_dnorm"),
+            lambda ctx: dataclasses.replace(ctx, lam=lam_prev))
+        np.testing.assert_array_equal(starts[0].lam, [0.0])
+        assert starts[1].lam is lam_prev
 
 
 class TestTerminationRule:
@@ -244,6 +263,30 @@ class TestConfigValidation:
     def test_unknown_norm(self):
         with pytest.raises(ConfigError):
             DriverConfig(norm="l2")
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(termination="robust_dnorm", exact=False),
+         "the robust solver has no inexact KKT step"),
+        (dict(termination="robust_dnorm", use_lbfgs=True),
+         "the robust solver has no L-BFGS Hessian model"),
+        (dict(termination="kkt", norm="l1"),
+         "the equality solver has no norm mode"),
+        (dict(termination="dnorm", norm="l1"),
+         "the equality solver has no norm mode"),
+        (dict(termination="dl", norm="l1"),
+         "the equality solver has no norm mode"),
+    ])
+    def test_setting_the_solver_never_reads(self, fields, message):
+        # it would run bit-identically to the default, so it is refused
+        # rather than ignored; the solver's own settings stay free
+        with pytest.raises(ConfigError, match=message):
+            DriverConfig(**fields)
+        DriverConfig(termination=fields["termination"])
+        if fields["termination"] == "robust_dnorm":
+            DriverConfig(termination="robust_dnorm", norm="l1")
+        else:
+            DriverConfig(termination=fields["termination"], exact=False,
+                         use_lbfgs=True)
 
     @pytest.mark.parametrize("field", ["max_gradient_evals", "max_outer"])
     def test_negative_budget(self, field):
@@ -610,69 +653,101 @@ def test_rank_deficient_jacobian_converges(kind, exact, use_lbfgs):
 
 
 class TestInnerLoop:
-    """Every exit cause of the inner loop shared by both solvers."""
+    """Every exit cause of the inner loop shared by both solvers, with the
+    configured solver's `_INNER` entry replaced by a fake probe and
+    update."""
 
     RULE = DriverConfig(termination="dnorm")
 
     @staticmethod
-    def no_update(ctx, step, plan):
+    def no_update(ctx, step, plan, evaluator, config, counters):
         raise AssertionError("no update expected")
 
-    def test_line_search_failure(self):
-        def update(ctx, step, plan):
+    @staticmethod
+    def inner_loop(monkeypatch, probe, update, ctx, config=RULE,
+                   counters=None):
+        monkeypatch.setitem(driver._INNER, config.solver, (probe, update))
+        return _inner_loop(ctx, config, "evaluator", counters or Counters())
+
+    def test_line_search_failure(self, monkeypatch):
+        def update(ctx, step, plan, evaluator, config, counters):
             raise LineSearchFailure("stub")
 
-        out = _inner_loop(lambda ctx: (1.0, 1.0, None, None), update, "ctx",
-                          self.RULE, Counters())
+        out = self.inner_loop(monkeypatch,
+                              lambda ctx, config, counters: (1.0, 1.0, None,
+                                                             None),
+                              update, "ctx")
         assert out == ("ctx", 0, 0, "line_search_failure")
 
-    def test_merit_collapse_in_probe(self):
-        def progress(ctx):
+    def test_merit_collapse_in_probe(self, monkeypatch):
+        def probe(ctx, config, counters):
             raise MeritCollapse("stub")
 
-        out = _inner_loop(progress, self.no_update, "ctx", self.RULE,
-                          Counters())
+        out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx")
         assert out == ("ctx", 0, 0, "merit_collapse")
 
-    def test_inner_cap(self):
+    def test_inner_cap(self, monkeypatch):
         # alternately moving and not moving: only the moves count as
-        # updates; each update gets the step and plan its probe returned
-        def update(ctx, step, plan):
+        # updates; each update gets the step and plan its probe returned,
+        # and the loop's evaluator, config and counters
+        counters = Counters()
+
+        def update(ctx, step, plan, evaluator, config, counters_):
             assert (step, plan) == (("step", ctx), ("plan", ctx))
+            assert (evaluator, config, counters_) == ("evaluator", self.RULE,
+                                                      counters)
             return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
 
-        out = _inner_loop(lambda ctx: (1.0, 1.0, ("step", ctx), ("plan", ctx)),
-                          update, 0, self.RULE, Counters())
+        out = self.inner_loop(monkeypatch,
+                              lambda ctx, config, counters: (
+                                  1.0, 1.0, ("step", ctx), ("plan", ctx)),
+                              update, 0, counters=counters)
         assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
 
-    def test_snapshot_is_first_value(self):
+    def test_snapshot_is_first_value(self, monkeypatch):
         # only the first probe's snapshot counts: the rule fires once
         # 10 - ctx <= 0.5 * 10 + 1e-6, although later snapshots would
         # have fired it at ctx = 1
-        out = _inner_loop(lambda ctx: (10.0 - ctx, 10.0 + 10.0 * ctx, None,
-                                       None),
-                          lambda ctx, step, plan: (ctx + 1, 1.0), 0,
-                          self.RULE, Counters())
+        out = self.inner_loop(monkeypatch,
+                              lambda ctx, config, counters: (
+                                  10.0 - ctx, 10.0 + 10.0 * ctx, None, None),
+                              lambda ctx, step, plan, *rest: (ctx + 1, 1.0),
+                              0)
         assert out == (5, 5, 5, "terminated")
 
-    def test_infeasible_stationary(self):
+    def test_infeasible_stationary(self, monkeypatch):
         # the probe's None ends the loop before any update at that point
-        def progress(ctx):
+        def probe(ctx, config, counters):
             return None if ctx == 3 else (1.0, 1.0, None, None)
 
-        out = _inner_loop(progress, lambda ctx, step, plan: (ctx + 1, 1.0),
-                          0, self.RULE, Counters())
+        out = self.inner_loop(monkeypatch, probe,
+                              lambda ctx, step, plan, *rest: (ctx + 1, 1.0),
+                              0)
         assert out == (3, 3, 3, "infeasible_stationary")
 
-    def test_budget(self):
-        def progress(ctx):
+    def test_budget(self, monkeypatch):
+        def probe(ctx, config, counters):
             raise AssertionError("no iteration once the budget is spent")
 
-        out = _inner_loop(progress, self.no_update, "ctx",
-                          DriverConfig(termination="dnorm",
-                                       max_gradient_evals=10),
-                          Counters(gradient_evals=10))
+        out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx",
+                              DriverConfig(termination="dnorm",
+                                           max_gradient_evals=10),
+                              Counters(gradient_evals=10))
         assert out == ("ctx", 0, 0, "budget")
+
+    def test_robust_entry(self, monkeypatch):
+        # the robust rule looks its own entry up, and the probe gets the
+        # loop's config and counters
+        counters = Counters()
+        config = DriverConfig(termination="robust_dnorm")
+
+        def probe(ctx, config_, counters_):
+            assert (config_, counters_) == (config, counters)
+            return None
+
+        out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx",
+                              config, counters)
+        assert out == ("ctx", 0, 0, "infeasible_stationary")
 
 
 def _causes(problem, method, budget, **kw):

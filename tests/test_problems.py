@@ -360,6 +360,41 @@ class TestEvalConstraints:
             eval_constraints(prob, prob.x_init)
 
 
+class TestStart:
+    def test_list_start_runs_as_the_array_start(self):
+        # the spec keeps a float64 copy of the start however it is given,
+        # so a list start is the same solve, bit for bit
+        config = DriverConfig(termination="dl", max_gradient_evals=5000)
+        outs = []
+        for start in (np.ones(20), [1] * 20):
+            prob = dataclasses.replace(build_problem("synth-eq-quad"),
+                                       x_init=start)
+            assert prob.x_init.dtype == np.float64 and prob.n == 20
+            outs.append(run(prob, config, np.random.default_rng(0)))
+        ref, out = outs
+        assert out.x.tobytes() == ref.x.tobytes()
+        assert out.lam.tobytes() == ref.lam.tobytes()
+        assert out.counters == ref.counters
+        assert [dataclasses.astuple(dataclasses.replace(r, x=None))
+                for r in out.trace] == [
+            dataclasses.astuple(dataclasses.replace(r, x=None))
+            for r in ref.trace]
+
+    def test_start_is_copied(self):
+        start = np.zeros(3)
+        prob = make_quadratic_problem()
+        prob = dataclasses.replace(prob, x_init=start)
+        start[0] = 5.0
+        assert prob.x_init[0] == 0.0
+
+    @pytest.mark.parametrize("start", [0.0, np.zeros((3, 1)), [[0.0, 1.0]]],
+                             ids=["scalar", "column", "row"])
+    def test_start_of_other_shape_rejected(self, start):
+        with pytest.raises(ConfigError, match="x_init must be "
+                           "one-dimensional, got shape"):
+            dataclasses.replace(make_quadratic_problem(), x_init=start)
+
+
 class TestDrawSamples:
     def test_finite_sum_without_replacement(self):
         prob = build_logreg_problem(_tiny_dataset(), "equality")

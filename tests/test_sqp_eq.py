@@ -6,6 +6,7 @@ import pytest
 
 from rasqp import sqp_eq
 from rasqp.counters import Counters
+from rasqp.driver import DriverConfig
 from rasqp.errors import LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
 from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, Evaluator,
@@ -31,7 +32,7 @@ class TestComputeStep:
         step = compute_step(ctx, True)
         np.testing.assert_allclose(step.d, [0.0, -1.0], atol=1e-8)
         np.testing.assert_allclose(step.delta, [0.0], atol=1e-8)
-        assert step.acceptance == "exact"
+        assert step.acceptance == "exact_tol"
 
     def test_exact_residual_tolerance(self):
         rng = np.random.default_rng(4)
@@ -84,7 +85,7 @@ class TestComputeStep:
         for exact in (True, False):
             counters = Counters()
             step = compute_step(ctx, exact, counters)
-            assert step.acceptance == "exact"
+            assert step.acceptance == "exact_tol"
             iters[exact] = counters.minres_iters
         assert 10 < iters[True] < 100
         assert iters[False] <= iters[True]
@@ -205,7 +206,8 @@ def run_inner(evaluator, x0, iters, exact=True, use_lbfgs=False):
     history = []
     for _ in range(iters):
         step = compute_step(ctx, exact)
-        new_ctx, alpha = inner_iteration(ctx, step, None, evaluator, exact)
+        new_ctx, alpha = inner_iteration(ctx, step, None, evaluator,
+                                         DriverConfig(exact=exact), None)
         history.append((ctx, new_ctx, step, alpha))
         ctx = new_ctx
     return ctx, history
@@ -264,7 +266,7 @@ class TestLineSearchStep:
         tau, _ = merit_plan(ctx, step)
         new, alpha = inner_iteration(
             ctx, step, (tau, -6.367665870026323e-24),
-            Evaluator(never, never, never), True)
+            Evaluator(never, never, never), DriverConfig(), None)
         assert new is ctx
         assert alpha == 0.0
 
@@ -281,7 +283,8 @@ class TestLineSearchStep:
         assert np.linalg.norm(ctx.kkt_vector()) == pytest.approx(2.5)
         step = compute_step(ctx, True)
         new, alpha = inner_iteration(ctx, step, None,
-                                     Evaluator(never, never, never), True)
+                                     Evaluator(never, never, never),
+                                     DriverConfig(), None)
         assert np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x))
         assert alpha == 0.0
         assert new.x is ctx.x

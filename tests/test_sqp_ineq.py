@@ -264,13 +264,15 @@ def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
     """One robust inner iteration as the driver runs it: the progress probe,
     the stop test on ||d||, then the update. Returns (kind, ctx, d, alpha)
     with kind "updated", "terminated" or "infeasible_stationary"."""
-    probe = _robust_progress(ctx, DriverConfig(norm=mode), None)
+    config = DriverConfig(termination="robust_dnorm", norm=mode)
+    probe = _robust_progress(ctx, config, None)
     if probe is None:
         return "infeasible_stationary", ctx, None, 0.0
     dnorm, _, d, delta_c = probe
     if stop(dnorm):
         return "terminated", ctx, d, 0.0
-    new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, evaluator, mode)
+    new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, evaluator,
+                                            config, None)
     return "updated", new_ctx, d, alpha
 
 
