@@ -36,8 +36,10 @@ class Expectation:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
-# draws per sampler call: 2^16 drew fastest of 2^12..2^20 on the noisy
-# quadratic, and drawing a set of any size holds one such piece at a time
+# draws per sampler call; drawing a set of any size holds one such piece
+# at a time. xi'xi is a sum of one dot per piece, so another size moves its
+# bits and with them the adaptive batch sizes. On the noisy quadratic 2^16
+# draws within the quartiles of the fastest size, 2^17, of 2^12..2^20.
 DRAW_CHUNK = 2 ** 16
 
 
@@ -54,7 +56,7 @@ class NoiseMoments:
     @staticmethod
     def of(xi: np.ndarray) -> "NoiseMoments":
         """The moments of the draws `xi`, a float64 1-D ndarray."""
-        return NoiseMoments(xi.size, float(np.sum(xi)), float(xi @ xi))
+        return NoiseMoments(xi.size, float(xi.sum()), float(xi @ xi))
 
     def __add__(self, other: "NoiseMoments") -> "NoiseMoments":
         return NoiseMoments(self.size + other.size,
@@ -530,6 +532,10 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
     """Expectation-mode problem F(x, xi) = f(x) + xi * h(x) with xi uniform
     on [-noise_level, noise_level], so E[F] = f: `value_fn` and `grad_fn`
     are f and its gradient, `noise_fn` and `noise_grad` h and its gradient.
+    The draws are those of numpy's Generator.uniform(-noise_level,
+    noise_level), bit for bit, made by scaling Generator.random; a noise
+    level that is negative, NaN, or whose range 2 * noise_level overflows
+    raises ConfigError.
 
     The sums over a set of m draws need only s = sum xi and xi'xi, the
     `NoiseMoments` a set is: sum F = m f + s h, sum grad F = m grad f +
@@ -538,9 +544,18 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
     """
     if not noise_level >= 0:
         raise ConfigError("noise_level must be nonnegative")
+    width = 2.0 * noise_level
+    if not np.isfinite(width):
+        raise ConfigError(f"noise_level {noise_level} overflows the draw "
+                          "range 2 * noise_level")
 
     def sampler(rng, count):
-        return rng.uniform(-noise_level, noise_level, size=count)
+        # numpy's uniform arithmetic, low + (high - low) * u, in place on
+        # the bare fill: uniform's draws and end state, at a lower cost
+        xi = rng.random(count)
+        xi *= width
+        xi -= noise_level
+        return xi
 
     def sums(x, xi, order):
         m, s = xi.size, xi.sum_xi

@@ -492,6 +492,19 @@ class TestDrawSamples:
         assert S.sum_sq == pytest.approx(float(xi @ xi), rel=1e-12)
         assert rng.bit_generator.state == one_shot.bit_generator.state
 
+    @pytest.mark.parametrize("count", [1, 7, DRAW_CHUNK, 3 * DRAW_CHUNK + 5])
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.1, 3.7])
+    def test_draws_are_uniform_bit_for_bit(self, noise, count):
+        # at levels where 2 * noise * u rounds, a reordered scale and shift
+        # moves the last bits: the pieces must be uniform's own draws
+        prob, draws = recording_draws(make_quadratic_problem(noise=noise))
+        rng, one_shot = np.random.default_rng(7), np.random.default_rng(7)
+        S = draw_samples(prob, count, rng)
+        xi = one_shot.uniform(-noise, noise, count)
+        assert np.concatenate(draws).tobytes() == xi.tobytes()
+        assert rng.bit_generator.state == one_shot.bit_generator.state
+        assert S.sum_xi == float(np.sum(xi))
+
     def test_bad_form_on_a_later_piece_rejected(self):
         # the form check covers every piece, not the first alone
         asked = []
@@ -1020,7 +1033,8 @@ class TestExpectationFamily:
         assert prob.x_init.dtype == np.float64
         assert isinstance(prob.mode, Expectation)
 
-    @pytest.mark.parametrize("noise", [-0.5, np.nan])
+    # 1e308 and inf overflow the draw range 2 * noise_level
+    @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf, 1e308])
     def test_bad_noise_level_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise_level"):
             make_linear_noise_problem(noise)
