@@ -179,9 +179,7 @@ def method_driver_config(method: str, problem: ProblemSpec,
         raise ConfigError(f"unknown method {method!r}")
     fields = {**config.driver_fields(), **METHODS[method]}
     if method == "det-sqp":
-        # halve the inner metric per outer pass so progress is recorded (and
-        # stop thresholds are checked) at a useful granularity
-        fields.update(sampling="fixed", eps=1e-12, initial_size=(
+        fields.update(sampling="fixed", initial_size=(
             problem.mode.dataset_size if isinstance(problem.mode, FiniteSum)
             else 10 ** 4),
             termination="robust_dnorm" if problem.m_I > 0 else "kkt")

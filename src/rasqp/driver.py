@@ -37,10 +37,9 @@ from .counters import Counters
 from .errors import ConfigError, LineSearchFailure, MeritCollapse
 from .ipm import kkt_residual
 from .linalg import LbfgsModel, least_squares_dual, norm
-from .problems import (FiniteSum, ProblemSpec, SampleSet, _sums_over,
-                       after_prefix, draw_samples, eval_constraints,
-                       eval_subsampled, eval_subsampled_value,
-                       gradient_stats)
+from .problems import (FiniteSum, ProblemSpec, _sums_over, after_prefix,
+                       draw_samples, eval_constraints, eval_subsampled,
+                       eval_subsampled_value, gradient_stats)
 from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
                      compute_step, inner_iteration, merit_plan, violation)
 from .sqp_ineq import (detect_infeasible_stationary, direction_step,
@@ -51,6 +50,7 @@ MAX_BATCH = 2 ** 24            # largest expectation batch (bounds drawing time)
 KAPPA_D = 1e8                  # "dl" rule: snapshot <= KAPPA_D * ||d0||^2
 THETA = 0.5                    # adaptive sampling: norm-test constant
 BETA_HAT = 5.0                 # adaptive sampling: largest growth factor
+INNER_FLOOR = 1e-6             # inner stopping floor on a growing batch
 
 
 # ------------------------------------------------------------------
@@ -69,7 +69,8 @@ class DriverConfig:
     the config is built.
 
     Inner stopping rule: current <= gamma * snapshot0 + eps, where
-    snapshot0 is the rule's metric at the first inner iteration.
+    snapshot0 is the rule's metric at the first inner iteration and eps
+    follows from the batch schedule (`termination_check`).
     `termination` selects the metric: "kkt" (KKT error norm), "dnorm" (step
     norm), "dl" (merit model decrease, snapshot clipped at
     KAPPA_D * ||d0||^2), "robust_dnorm" (step norm of the robust solver).
@@ -91,7 +92,6 @@ class DriverConfig:
     before each outer iteration only.
     """
     termination: str = "kkt"
-    eps: float = 1e-6
     sampling: str = "adaptive"
     initial_size: int = 32
     beta: float = 0.5
@@ -108,8 +108,6 @@ class DriverConfig:
     def __post_init__(self):
         if self.termination not in SOLVERS:
             raise ConfigError(f"unknown termination kind {self.termination!r}")
-        if not self.eps >= 0.0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
         if self.sampling not in ("adaptive", "geometric", "fixed"):
             raise ConfigError(f"unknown sampling kind {self.sampling!r}")
         if not 0.0 < self.beta < 1.0:
@@ -188,7 +186,12 @@ class SolveOutcome:
 
 def termination_check(config: DriverConfig, snapshot0: float,
                       current: float) -> bool:
-    return current <= config.gamma * snapshot0 + config.eps
+    """current <= gamma * snapshot0 + eps, with eps = INNER_FLOOR while
+    the batch grows, since the next batch's sampling error swamps a more
+    accurate solve, and eps = 0 under fixed sampling, whose problem never
+    changes."""
+    eps = 0.0 if config.sampling == "fixed" else INNER_FLOOR
+    return current <= config.gamma * snapshot0 + eps
 
 
 def adaptive_batch_size(prev_size: int, variance_est: float, Z_est: float,
@@ -223,28 +226,20 @@ def geometric_batch_size(k: int, beta: float, dataset_cap: Optional[int],
     return int(max(size, prev_size))
 
 
-@dataclass
-class ConditionEstimate:
-    variance: float
-    Z: float
-    fresh_set: SampleSet
-    value_sum: float
-    gradient_sum: np.ndarray
-
-
 def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
                               prev_size: int, config: DriverConfig,
                               rng: np.random.Generator,
-                              counters: Counters) -> ConditionEstimate:
-    """Variance and progress estimates at the iterate ctx on a fresh sample
-    set of prev_size, the previous batch size, drawn independently of the
-    iterate.
+                              counters: Counters):
+    """(variance, Z, fresh, value_sum, gradient_sum): the variance and
+    progress estimates at the iterate ctx on a fresh sample set of
+    prev_size, the previous batch size, drawn independently of the
+    iterate, with that set and the sums of its values and gradients.
 
     The progress measure Z is the termination rule's, from the solver's
     progress probe, which performs no updates; Z is 0 where the probe finds
     no progress to make (merit collapse, or an infeasible stationary point).
-    Per-sample gradient sums are retained so the fresh set can be folded
-    into the next batch at no extra gradient cost.
+    The sums are returned so the fresh set can be folded into the next
+    batch at no extra gradient cost.
     """
     fresh = draw_samples(problem, prev_size, rng)
     vsum, gsum, sqsum = gradient_stats(problem, ctx.x, fresh, counters)
@@ -263,8 +258,7 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
         probe = None
     Z = 0.0 if probe is None else max(probe[0], 0.0)
 
-    return ConditionEstimate(variance=variance, Z=Z, fresh_set=fresh,
-                             value_sum=vsum, gradient_sum=gsum)
+    return variance, Z, fresh, vsum, gsum
 
 
 def _eq_progress(ctx: InnerContext, config: DriverConfig,
@@ -408,17 +402,17 @@ def run(problem: ProblemSpec, config: DriverConfig,
             status = "BudgetExhausted"
             break
 
-        # batch sizing
-        estimate = None
+        # batch sizing; an adaptive estimate's fresh set and its sums start
+        # the batch
+        fresh, vsum, gsum = None, 0.0, 0.0
         if config.sampling == "fixed" or prev_size is None:
             size = config.initial_size
             if cap is not None:
                 size = min(size, cap)
         elif config.sampling == "adaptive":
-            estimate = estimate_condition_inputs(problem, ctx, prev_size,
-                                                 config, rng, counters)
-            size = adaptive_batch_size(prev_size, estimate.variance,
-                                       estimate.Z, cap)
+            variance, Z, fresh, vsum, gsum = estimate_condition_inputs(
+                problem, ctx, prev_size, config, rng, counters)
+            size = adaptive_batch_size(prev_size, variance, Z, cap)
         else:
             size = geometric_batch_size(k, config.beta, cap, prev_size)
         if cap is None and size > MAX_BATCH:
@@ -427,28 +421,22 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
         # the prefix goes by position: perfbench/layers.py reads a keyword
         # prefix with `or`, which an ndarray cannot answer
-        fresh = None if estimate is None else estimate.fresh_set
         S = draw_samples(problem, size, rng, fresh)
 
-        # subsampled objective at the warm-start point: the estimate's
-        # sums over the fresh set, which draw_samples kept as the prefix of
-        # S, plus the sums over the rest of S
+        # subsampled objective at the warm-start point: the sums over the
+        # fresh set, which draw_samples kept as the prefix of S, plus the
+        # sums over the rest of S
         est_size = 0 if fresh is None else fresh.size
-        vsum, gsum = 0.0, np.zeros(problem.n)
         if est_size < S.size:
             rest = S if fresh is None else after_prefix(S, fresh)
-            vsum, gsum = _sums_over(problem, ctx.x, rest, counters)
-        if estimate is not None:
-            vsum = estimate.value_sum + vsum
-            gsum = estimate.gradient_sum + gsum
+            rest_vsum, rest_gsum = _sums_over(problem, ctx.x, rest, counters)
+            vsum, gsum = vsum + rest_vsum, gsum + rest_gsum
         g_S = gsum / S.size
-        # the equality solver starts from the least-squares multipliers for
-        # g_S, whose KKT error no carried duals beat, as a deterministic SQP
-        # method does on a new problem; the robust solver keeps the carried
-        # ones
+        # the least-squares multipliers for g_S, whose KKT error no carried
+        # duals beat, as a deterministic SQP method starts a new problem;
+        # the robust solver never reads them
         ctx = replace(ctx, F_S=vsum / S.size, g_S=g_S, tau_prev=TAU_BAR,
-                      lam=(ctx.lam if config.solver == "robust"
-                           else least_squares_dual(ctx.J_E, g_S)))
+                      lam=least_squares_dual(ctx.J_E, g_S))
         # the evaluation functions are looked up at call time, so wrappers
         # installed on this module's names see every call
         evaluator = Evaluator(

@@ -544,7 +544,10 @@ def build_expectation_problem(value_fn, grad_fn, noise_fn, noise_grad,
     """
     if not noise_level >= 0:
         raise ConfigError("noise_level must be nonnegative")
-    width = 2.0 * noise_level
+    try:
+        width = 2.0 * noise_level
+    except OverflowError:     # an integer too large for a float
+        width = np.inf
     if not np.isfinite(width):
         raise ConfigError(f"noise_level {noise_level} overflows the draw "
                           "range 2 * noise_level")

@@ -41,8 +41,8 @@ L1 = "l1"
 @dataclass
 class InnerContext:
     """An inner iterate on the subsampled problem with what both solvers
-    read at it. The robust solver takes no dual steps, so its `lam` stays
-    at the start value. `store` keeps what is computed from x and its
+    read at it. Each batch starts `lam` at the least-squares multipliers;
+    the robust solver neither steps nor reads them. `store` keeps what is computed from x and its
     constraint values alone, whatever the batch: the driver puts the
     robust solver's feasibility LP result there ("feasibility") and the
     true-problem metrics ("metrics"). `replace` shares it, so a copy that

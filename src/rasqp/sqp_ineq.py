@@ -15,7 +15,6 @@ import numpy as np
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import solve_program
-from .linalg import norm
 from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
                      line_search_step)
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
@@ -23,9 +22,8 @@ from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
 from .linalg import lbfgs_update  # noqa: F401
 from .sqp_eq import armijo_backtrack  # noqa: F401
 
-# infeasible-stationary certificate: a step norm that counts as p = 0, and
-# a violation tolerance above the interior-point objective noise floor
-INFEAS_TOL_P = 1e-9
+# infeasible-stationary certificate: a violation tolerance above the
+# interior-point objective noise floor
 INFEAS_TOL_V = 1e-5
 TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 
@@ -124,19 +122,16 @@ def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
 
 def detect_infeasible_stationary(feas: FeasibilityResult,
                                  violation: float) -> bool:
-    """Numerical version of "p = 0 with positive residual violation".
-
-    When the minimizing p is non-unique an interior-point solver returns a
-    centered solution, so the equivalent certificate "the LP cannot reduce
-    the linearized violation" is accepted as well: the LP objective keeps
-    all but a relative INFEAS_TOL_V of the violation. INFEAS_TOL_V must sit
-    above the interior-point solver's objective noise floor or near-feasible
-    points get flagged.
+    """Numerical version of "p = 0 with positive residual violation": the
+    LP cannot reduce the linearized violation, its objective keeping all
+    but a relative INFEAS_TOL_V of a violation above INFEAS_TOL_V. At p = 0
+    the objective is the violation, and the test also holds when an
+    interior-point solver returns a centered p of a non-unique minimizer.
+    INFEAS_TOL_V must sit above the solver's objective noise floor or
+    near-feasible points get flagged.
     """
     if violation <= INFEAS_TOL_V:
         return False
-    if norm(feas.p) <= INFEAS_TOL_P:
-        return True
     return violation - feas.lp_objective <= INFEAS_TOL_V * violation
 
 

@@ -95,50 +95,39 @@ class TestDualInitialize:
         lam = least_squares_dual(J, g_S)
         assert kkt(lam) <= kkt(lam_prev) * (1 + 1e-12) + 1e-14
 
-    def test_inner_solver_starts_from_least_squares(self, monkeypatch):
-        # a "dl" solve on a new batch starts from the least-squares
-        # multipliers for the batch gradient, not from the carried ones
+    @pytest.mark.parametrize("termination", ["dl", "robust_dnorm"])
+    def test_inner_solver_starts_from_least_squares(self, monkeypatch,
+                                                    termination):
+        # a solve on a new batch starts from the least-squares multipliers
+        # for the batch gradient, not from the carried ones, whichever
+        # solver runs it
         lam_prev = np.array([10.0])
         starts = self.inner_starts(
             monkeypatch, make_eq_quadratic(noise=0.5),
-            DriverConfig(termination="dl"),
+            DriverConfig(termination=termination),
             lambda ctx: dataclasses.replace(ctx, lam=lam_prev))
         for start in starts:
             np.testing.assert_array_equal(
                 start.lam, least_squares_dual(start.J_E, start.g_S))
         assert not np.allclose(starts[1].lam, lam_prev)
 
-    def test_robust_start_keeps_carried_duals(self, monkeypatch):
-        lam_prev = np.array([10.0])
-        starts = self.inner_starts(
-            monkeypatch, make_eq_quadratic(noise=0.5),
-            DriverConfig(termination="robust_dnorm"),
-            lambda ctx: dataclasses.replace(ctx, lam=lam_prev))
-        np.testing.assert_array_equal(starts[0].lam, [0.0])
-        assert starts[1].lam is lam_prev
-
 
 class TestTerminationRule:
     def test_check_below_threshold(self):
-        rule = DriverConfig(termination="kkt", eps=1e-6)
+        rule = DriverConfig(termination="kkt")
         assert termination_check(rule, 2.0, 0.9)
         assert not termination_check(rule, 2.0, 1.1)
 
     def test_eps_floor(self):
-        rule = DriverConfig(termination="kkt", eps=1e-6)
-        assert termination_check(rule, 0.0, 1e-7)
-        assert not termination_check(rule, 0.0, 2e-6)
-
-    def test_negative_eps_rejected(self):
-        DriverConfig(eps=0.0)
-        with pytest.raises(ConfigError, match="eps"):
-            DriverConfig(eps=-1e-9)
-
-    def test_nan_eps_rejected(self):
-        # a NaN floor fails every check, so each inner loop would run to
-        # INNER_CAP
-        with pytest.raises(ConfigError, match="eps must be >= 0, got nan"):
-            DriverConfig(eps=math.nan)
+        # the floor is INNER_FLOOR on a growing batch and 0 on a fixed one
+        assert driver.INNER_FLOOR == 1e-6
+        for sampling in ("adaptive", "geometric"):
+            rule = DriverConfig(termination="kkt", sampling=sampling)
+            assert termination_check(rule, 0.0, 1e-7)
+            assert not termination_check(rule, 0.0, 2e-6)
+        fixed = DriverConfig(termination="kkt", sampling="fixed")
+        assert not termination_check(fixed, 0.0, 1e-7)
+        assert termination_check(fixed, 0.0, 0.0)
 
     def test_defaults_per_kind(self):
         assert DriverConfig(termination="dl").gamma == 0.1
@@ -248,7 +237,7 @@ class TestConfigValidation:
 
     def test_rules_are_frozen(self):
         with pytest.raises(AttributeError):
-            DriverConfig().eps = 0.0
+            DriverConfig().sampling = "fixed"
         with pytest.raises(AttributeError):
             DriverConfig().initial_size = 64
 
@@ -408,29 +397,29 @@ class TestConditionEstimation:
         config = DriverConfig(termination="kkt")
         counters = Counters()
         rng = np.random.default_rng(0)
-        est = estimate_condition_inputs(prob,
-                                        iterate(prob, np.zeros(1),
-                                                np.zeros(1)),
-                                        2, config, rng, counters)
+        variance, _, fresh, vsum, gsum = estimate_condition_inputs(
+            prob, iterate(prob, np.zeros(1), np.zeros(1)), 2, config, rng,
+            counters)
         (xi,) = drawn
-        assert est.fresh_set == NoiseMoments.of(xi)
+        assert fresh == NoiseMoments.of(xi)
         grads = -2.0 * (1.0 + xi)
         expect = float(np.var(grads, ddof=1))
-        assert est.variance == pytest.approx(expect, rel=1e-10)
+        assert variance == pytest.approx(expect, rel=1e-10)
+        # the sums over the fresh set, which the next batch starts from
+        assert gsum == pytest.approx([grads.sum()], rel=1e-12)
+        assert vsum == pytest.approx(float(np.sum(1.0 + xi)), rel=1e-12)
         assert counters.gradient_evals == 2
 
     def test_kkt_progress_measure(self):
         prob = make_eq_quadratic(noise=0.0, n=2)
 
         config = DriverConfig(termination="kkt")
-        est = estimate_condition_inputs(prob,
-                                        iterate(prob, np.zeros(2),
-                                                np.zeros(1)),
-                                        1, config,
-                                        np.random.default_rng(0), Counters())
+        variance, Z, *_ = estimate_condition_inputs(
+            prob, iterate(prob, np.zeros(2), np.zeros(1)), 1, config,
+            np.random.default_rng(0), Counters())
         # T = (g, c) = ((-2, -2), -1): norm sqrt(9)
-        assert est.Z == pytest.approx(3.0)
-        assert est.variance == 0.0  # one sample cannot estimate a variance
+        assert Z == pytest.approx(3.0)
+        assert variance == 0.0  # one sample cannot estimate a variance
 
     def test_robust_infeasible_stationary_gives_zero(self, monkeypatch):
         # at x = 0.5 the feasibility LP certifies x = 0 and x = 1
@@ -442,22 +431,20 @@ class TestConditionEstimation:
 
         monkeypatch.setattr(driver, "direction_step", no_qp)
         config = DriverConfig(termination="robust_dnorm")
-        est = estimate_condition_inputs(prob,
-                                        iterate(prob, np.array([0.5]),
-                                                np.zeros(2)),
-                                        2, config,
-                                        np.random.default_rng(0), Counters())
-        assert est.Z == 0.0
+        _, Z, *_ = estimate_condition_inputs(
+            prob, iterate(prob, np.array([0.5]), np.zeros(2)), 2, config,
+            np.random.default_rng(0), Counters())
+        assert Z == 0.0
 
     def test_probe_does_not_count_updates(self):
         prob = make_eq_quadratic(noise=0.5, n=2)
 
         config = DriverConfig(termination="dnorm")
         x = np.array([0.3, -0.2])
-        est = estimate_condition_inputs(prob, iterate(prob, x, np.zeros(1)),
-                                        3, config,
-                                        np.random.default_rng(1), Counters())
-        assert est.Z > 0.0
+        _, Z, *_ = estimate_condition_inputs(
+            prob, iterate(prob, x, np.zeros(1)), 3, config,
+            np.random.default_rng(1), Counters())
+        assert Z > 0.0
         np.testing.assert_array_equal(x, [0.3, -0.2])  # x untouched
 
 

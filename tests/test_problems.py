@@ -1033,8 +1033,10 @@ class TestExpectationFamily:
         assert prob.x_init.dtype == np.float64
         assert isinstance(prob.mode, Expectation)
 
-    # 1e308 and inf overflow the draw range 2 * noise_level
-    @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf, 1e308])
+    # 1e308 and inf overflow the draw range 2 * noise_level, and the
+    # integer 10**400 cannot even be converted to a float to compute it
+    @pytest.mark.parametrize("noise", [
+        -0.5, np.nan, np.inf, 1e308, pytest.param(10 ** 400, id="int-1e400")])
     def test_bad_noise_level_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise_level"):
             make_linear_noise_problem(noise)

@@ -143,6 +143,13 @@ class TestDetection:
                                  lp_objective=0.1)
         assert not detect_infeasible_stationary(feas, 0.5)
 
+    def test_tiny_step_that_halves_the_violation_not_flagged(self):
+        # the LP objective is the only certificate: a step norm near 0
+        # says nothing when the LP still halves the violation
+        feas = FeasibilityResult(p=np.array([1e-10]), relaxation=0.5,
+                                 lp_objective=0.5)
+        assert not detect_infeasible_stationary(feas, 1.0)
+
     def test_small_violation_cut_by_lp_not_flagged(self):
         # a point an l1 run once certified infeasible: the LP cuts the
         # violation 1.0096e-5 to 1.92e-7, a decrease below INFEAS_TOL_V

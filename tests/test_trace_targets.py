@@ -43,8 +43,9 @@ def load_layers():
 
 
 # one solve down each path the benchmark traces: adaptive sampling with its
-# fresh-set prefix, the robust solver, and geometric expectation batches;
-# each with the trace sites (module.name) its traced solve reaches, so a
+# fresh-set prefix, the robust solver, geometric expectation batches, and
+# det-sqp's fixed whole-dataset batch, whose first inner loop ends on its
+# stopping rule before the budget; each with the trace sites (module.name) its traced solve reaches, so a
 # refactor that moves a call off a traced name fails here
 SOLVE_SITES = {"bench.run", "driver._sums_over", "driver.draw_samples",
                "driver.eval_constraints", "driver.eval_subsampled",
@@ -65,6 +66,11 @@ TRACED_SOLVES = [
     (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                sampling="geometric", max_outer=3),
      SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve"}),
+    (RunConfig(problem="synth-logreg-eq", method="det-sqp",
+               max_gradient_evals=30_000),
+     SOLVE_SITES | {"bench.build_logreg_problem",
+                    "bench.make_synthetic_dataset", "sqp_eq.compute_step",
+                    "sqp_eq.minres_solve"}),
 ]
 
 
