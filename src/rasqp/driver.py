@@ -18,11 +18,15 @@ is the first inner iteration, and the step and merit plan (or None) the
 update reuses (the robust solver's plan is the linearized violation
 decrease); it returns None at a certified infeasible stationary point. The
 update changes x only when alpha > 0. Either raises MeritCollapse or
-LineSearchFailure to abandon the batch. `run` builds each batch's
-`Evaluator` and warm-started context; `_inner_loop` and the adaptive
-estimate look the solver up in `_INNER`. The loop owns the budget check,
-the first-iteration snapshot, the inner cap, the mapping of these outcomes
-to `OuterRecord.term_cause`, and the iteration counts.
+LineSearchFailure to abandon the batch, or the equality solver's
+InfeasibleStationary (a MeritCollapse) to end the run. `run` builds each
+batch's `Evaluator` and warm-started context; on a finite sum's whole data
+set with stop thresholds set, the evaluator carries the run's stop test,
+which the loop applies after each update that moves x. `_inner_loop` and
+the adaptive estimate look the solver up in `_INNER`. The loop owns the
+budget check, the first-iteration snapshot, the stop test, the inner cap,
+the mapping of these outcomes to `OuterRecord.term_cause`, and the
+iteration counts.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import ConfigError, LineSearchFailure, MeritCollapse
+from .errors import (ConfigError, InfeasibleStationary, LineSearchFailure,
+                     MeritCollapse)
 from .ipm import kkt_residual
 from .linalg import LbfgsModel, least_squares_dual, norm
 from .problems import (FiniteSum, ProblemSpec, _sums_over, after_prefix,
@@ -70,7 +75,7 @@ class DriverConfig:
 
     Inner stopping rule: current <= gamma * snapshot0 + eps, where
     snapshot0 is the rule's metric at the first inner iteration and eps
-    follows from the batch schedule (`termination_check`).
+    follows from the batch schedule and the stop (`termination_check`).
     `termination` selects the metric: "kkt" (KKT error norm), "dnorm" (step
     norm), "dl" (merit model decrease, snapshot clipped at
     KAPPA_D * ||d0||^2), "robust_dnorm" (step norm of the robust solver).
@@ -101,7 +106,8 @@ class DriverConfig:
     norm: str = LINF                   # robust solver: "linf" | "l1"
     use_lbfgs: bool = False            # equality solver only
     # optional metric-threshold stopping: both set, and both must hold, or
-    # neither set, which stops on the budget only
+    # neither set, which stops on the budget only; tested at each outer exit
+    # and, on a finite sum's whole data set, after each update that moves x
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
 
@@ -185,12 +191,14 @@ class SolveOutcome:
 # ------------------------------------------------------------------
 
 def termination_check(config: DriverConfig, snapshot0: float,
-                      current: float) -> bool:
+                      current: float, stop_tested: bool = False) -> bool:
     """current <= gamma * snapshot0 + eps, with eps = INNER_FLOOR while
     the batch grows, since the next batch's sampling error swamps a more
     accurate solve, and eps = 0 under fixed sampling, whose problem never
-    changes."""
-    eps = 0.0 if config.sampling == "fixed" else INNER_FLOOR
+    changes, and where the inner loop tests the run's stop (`stop_tested`,
+    a finite sum's whole data set): that solve runs to the stop, not to a
+    floor."""
+    eps = 0.0 if config.sampling == "fixed" or stop_tested else INNER_FLOOR
     return current <= config.gamma * snapshot0 + eps
 
 
@@ -320,18 +328,24 @@ _INNER = {
 def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
                  constraints: Optional[tuple] = None):
     """(violation_inf, stationarity, multipliers) for the underlying
-    problem at x, from `problem.true_gradient`: the max-norm
-    `sqp_eq.violation`, and either the Lagrangian gradient norm at
-    `least_squares_dual`'s lambda_E, as in the inner solver's warm start
-    (equality), or the KKT residual at the residual LP's (lambda_E,
-    lambda_I) (robust), with those multipliers.
+    problem at x: `metrics_at` with `problem.true_gradient`.
 
     `constraints` is (c_E, c_I, J_E, J_I) at x when the caller holds them;
     otherwise they are evaluated here."""
-    c_E, c_I, J_E, J_I = (eval_constraints(problem, x) if constraints is None
-                          else constraints)
+    return metrics_at(problem.true_gradient(x),
+                      (eval_constraints(problem, x) if constraints is None
+                       else constraints), solver)
+
+
+def metrics_at(g: np.ndarray, constraints: tuple, solver: str):
+    """(violation_inf, stationarity, multipliers) at a point with objective
+    gradient g and constraints (c_E, c_I, J_E, J_I): the max-norm
+    `sqp_eq.violation`, and either the Lagrangian gradient norm at
+    `least_squares_dual`'s lambda_E, as in the inner solver's warm start
+    (equality), or the KKT residual at the residual LP's (lambda_E,
+    lambda_I) (robust), with those multipliers."""
+    c_E, c_I, J_E, J_I = constraints
     v_inf = violation(c_E, c_I, LINF)
-    g = problem.true_gradient(x)
     if solver == "equality":
         # with no equality constraints lam is empty and stat is ||g||_inf
         lam = least_squares_dual(J_E, g)
@@ -349,7 +363,10 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
     Each outer iteration draws a (non-decreasing) batch, warm-starts the
     inner solver from the previous solution, runs it until the termination
-    rule fires or a cap is hit, and records true-problem metrics. Gradient
+    rule fires or a cap is hit, and records true-problem metrics. With stop
+    thresholds set the run ends `Converged` once both hold at an outer
+    exit, and a finite sum's whole-data-set batch also tests them after
+    each inner update that moves x (`stop_holds`). Gradient
     evaluations on subsampled problems are budgeted; metric evaluations are
     not. An expectation batch larger than MAX_BATCH ends the run with status
     BatchLimit before it is drawn; under adaptive sampling the estimate's
@@ -393,6 +410,23 @@ def run(problem: ProblemSpec, config: DriverConfig,
         return v, s
 
     record(ctx, -1, 0, 0, 0, 0, "initial")
+
+    def stop_met(v, s):
+        return (config.stop_violation is not None
+                and v <= config.stop_violation
+                and s <= config.stop_stationarity)
+
+    def stop_holds(ctx):
+        # on the whole data set: the violation first, then stationarity at
+        # g_S, here the full-data gradient, confirmed by the exact metrics,
+        # which the store keeps for the record
+        cons = (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I)
+        if not (violation(ctx.c_E, ctx.c_I, LINF) <= config.stop_violation
+                and stop_met(*metrics_at(ctx.g_S, cons, config.solver)[:2])):
+            return False
+        ctx.store["metrics"] = true_metrics(problem, ctx.x, config.solver,
+                                            cons)
+        return stop_met(*ctx.store["metrics"][:2])
 
     prev_size: Optional[int] = None
     k = 0
@@ -442,7 +476,9 @@ def run(problem: ProblemSpec, config: DriverConfig,
         evaluator = Evaluator(
             lambda xt: eval_subsampled_value(problem, xt, S, counters),
             lambda xt: eval_subsampled(problem, xt, S, counters),
-            lambda xt: eval_constraints(problem, xt))
+            lambda xt: eval_constraints(problem, xt),
+            stop=(stop_holds if S.size == cap
+                  and config.stop_violation is not None else None))
         ctx, inner_iters, updates, term_cause = _inner_loop(
             ctx, config, evaluator, counters)
         v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
@@ -451,9 +487,7 @@ def run(problem: ProblemSpec, config: DriverConfig,
         if term_cause == "infeasible_stationary":
             status = "InfeasibleStationary"
             break
-        if (config.stop_violation is not None
-                and v <= config.stop_violation
-                and s <= config.stop_stationarity):
+        if stop_met(v, s):
             status = "Converged"
             break
 
@@ -470,13 +504,16 @@ def run(problem: ProblemSpec, config: DriverConfig,
 def _inner_loop(ctx: InnerContext, config: DriverConfig,
                 evaluator: Evaluator, counters: Counters):
     """Probe, test and update (see the module docstring) with the config's
-    solver from ctx until its termination rule fires, the probe finds an
-    infeasible stationary point, a step raises, or the gradient budget or
-    INNER_CAP is reached.
+    solver from ctx until its termination rule fires, the probe or the
+    equality merit plan finds an infeasible stationary point, a step
+    raises, the evaluator's `stop` holds after an update that moves x, or
+    the gradient budget or INNER_CAP is reached. With a `stop` the rule has
+    no floor (`termination_check`).
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
     probe, update = _INNER[config.solver]
+    stop = evaluator.stop
     snapshot = None
     updates = 0
     for j in range(INNER_CAP):
@@ -489,12 +526,16 @@ def _inner_loop(ctx: InnerContext, config: DriverConfig,
             current, first, step, plan = measure
             if snapshot is None:
                 snapshot = first
-            if termination_check(config, snapshot, current):
+            if termination_check(config, snapshot, current, stop is not None):
                 return ctx, j, updates, "terminated"
             ctx, alpha = update(ctx, step, plan, evaluator, config, counters)
+        except InfeasibleStationary:
+            return ctx, j, updates, "infeasible_stationary"
         except MeritCollapse:
             return ctx, j, updates, "merit_collapse"
         except LineSearchFailure:
             return ctx, j, updates, "line_search_failure"
         updates += alpha > 0.0
+        if alpha > 0.0 and stop is not None and stop(ctx):
+            return ctx, j + 1, updates, "converged"
     return ctx, INNER_CAP, updates, "inner_cap"

@@ -28,5 +28,10 @@ class MeritCollapse(RasqpError):
     locally incompatible and the inner loop must abort."""
 
 
+class InfeasibleStationary(MeritCollapse):
+    """The equality step cannot reduce the linearized violation of an
+    infeasible iterate: a stationary point of the constraint violation."""
+
+
 class LineSearchFailure(RasqpError):
     """Backtracking reached the minimum step size without sufficient decrease."""

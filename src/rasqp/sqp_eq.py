@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import LineSearchFailure, MeritCollapse
+from .errors import InfeasibleStationary, LineSearchFailure, MeritCollapse
 from .linalg import (LbfgsModel, lbfgs_apply, lbfgs_update, make_kkt_operator,
                      minres_solve, norm)
 
@@ -33,6 +33,9 @@ EPS_D = 1e-4
 ETA = 1e-4
 EPS_ALPHA = 0.5
 ALPHA_MIN = 1e-12
+# infeasible-stationary certificate of both solvers: a violation tolerance
+# above the interior-point objective noise floor
+INFEAS_TOL_V = 1e-5
 # merit norm modes: max-norm or 1-norm of the constraint violation
 LINF = "linf"
 L1 = "l1"
@@ -162,7 +165,12 @@ def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:
 
 def merit_plan(ctx: InnerContext, step: EqStepResult):
     """(tau, model decrease) for `step` at ctx: the merit parameter the inner
-    iteration takes it with, and the decrease of the linear merit model."""
+    iteration takes it with, and the decrease of the linear merit model.
+
+    Raises InfeasibleStationary when the step is to set tau at an iterate
+    with ||c_E||_inf > INFEAS_TOL_V whose step keeps all but a relative
+    INFEAS_TOL_V of ||c_E||_1 in its residual, the linearized violation
+    ||r||_1: no step can then reduce the violation."""
     d = step.d
     gTd = float(ctx.g_S @ d)
     c_l1 = norm(ctx.c_E, 1)
@@ -171,6 +179,10 @@ def merit_plan(ctx: InnerContext, step: EqStepResult):
         # condition I certifies descent at the previous merit parameter
         tau = ctx.tau_prev
     else:
+        if (norm(ctx.c_E, np.inf) > INFEAS_TOL_V
+                and c_l1 - r_l1 <= INFEAS_TOL_V * max(1.0, c_l1)):
+            raise InfeasibleStationary("the step keeps the linearized "
+                                       "violation")
         dHd = float(d @ ctx.h_apply(d))
         tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1)
         tau = update_tau(ctx.tau_prev, tau_tr)
@@ -195,10 +207,14 @@ def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
 @dataclass
 class Evaluator:
     """Evaluation hooks both inner iterations need beyond the context values:
-    subsampled objective (value only, and value+gradient) and constraints."""
+    subsampled objective (value only, and value+gradient) and constraints.
+    `stop`, when set, is the run's stop test on an inner iterate: the driver
+    sets it on a finite sum's whole data set, where the subsampled problem
+    is the true one, and tests it after each update that moves x."""
     value: Callable[[np.ndarray], float]
     value_grad: Callable[[np.ndarray], tuple]
     constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
+    stop: Optional[Callable[[InnerContext], bool]] = None
 
 
 def violation(c_E: np.ndarray, c_I: np.ndarray, mode: str) -> float:

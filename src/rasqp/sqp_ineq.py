@@ -15,16 +15,13 @@ import numpy as np
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import solve_program
-from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
-                     line_search_step)
+from .sqp_eq import (EPS_SIGMA, EPS_TAU, INFEAS_TOL_V, L1, LINF, Evaluator,
+                     InnerContext, line_search_step)
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
 # this module's names, so they stay importable until the benchmark drops them
 from .linalg import lbfgs_update  # noqa: F401
 from .sqp_eq import armijo_backtrack  # noqa: F401
 
-# infeasible-stationary certificate: a violation tolerance above the
-# interior-point objective noise floor
-INFEAS_TOL_V = 1e-5
 TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 
 

@@ -15,18 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from rasqp.bench import (RunConfig, build_problem, method_driver_config,
                          run_config)
-from rasqp import driver
+from rasqp import driver, sqp_eq
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, DriverConfig, _inner_loop,
                           adaptive_batch_size, estimate_condition_inputs,
                           geometric_batch_size, run, termination_check,
                           true_metrics)
-from rasqp.errors import ConfigError, LineSearchFailure, MeritCollapse
+from rasqp.errors import (ConfigError, InfeasibleStationary,
+                          LineSearchFailure, MeritCollapse)
 from rasqp.linalg import least_squares_dual
 from rasqp.problems import (Expectation, NoiseMoments,
                             build_augmented_problem,
                             build_expectation_problem, eval_constraints)
-from rasqp.sqp_eq import TAU_BAR, InnerContext
+from rasqp.sqp_eq import TAU_BAR, Evaluator, InnerContext
 
 
 class TestDualInitialize:
@@ -128,6 +129,11 @@ class TestTerminationRule:
         fixed = DriverConfig(termination="kkt", sampling="fixed")
         assert not termination_check(fixed, 0.0, 1e-7)
         assert termination_check(fixed, 0.0, 0.0)
+        # and 0 wherever the inner loop tests the run's stop
+        for sampling in ("adaptive", "geometric", "fixed"):
+            rule = DriverConfig(termination="kkt", sampling=sampling)
+            assert not termination_check(rule, 0.0, 1e-7, stop_tested=True)
+            assert termination_check(rule, 0.0, 0.0, stop_tested=True)
 
     def test_defaults_per_kind(self):
         assert DriverConfig(termination="dl").gamma == 0.1
@@ -645,6 +651,8 @@ class TestInnerLoop:
     update."""
 
     RULE = DriverConfig(termination="dnorm")
+    # no hook is called: the fake updates evaluate nothing
+    EVALUATOR = Evaluator(None, None, None)
 
     @staticmethod
     def no_update(ctx, step, plan, evaluator, config, counters):
@@ -652,9 +660,9 @@ class TestInnerLoop:
 
     @staticmethod
     def inner_loop(monkeypatch, probe, update, ctx, config=RULE,
-                   counters=None):
+                   counters=None, evaluator=EVALUATOR):
         monkeypatch.setitem(driver._INNER, config.solver, (probe, update))
-        return _inner_loop(ctx, config, "evaluator", counters or Counters())
+        return _inner_loop(ctx, config, evaluator, counters or Counters())
 
     def test_line_search_failure(self, monkeypatch):
         def update(ctx, step, plan, evaluator, config, counters):
@@ -681,8 +689,8 @@ class TestInnerLoop:
 
         def update(ctx, step, plan, evaluator, config, counters_):
             assert (step, plan) == (("step", ctx), ("plan", ctx))
-            assert (evaluator, config, counters_) == ("evaluator", self.RULE,
-                                                      counters)
+            assert (evaluator, config, counters_) == (self.EVALUATOR,
+                                                      self.RULE, counters)
             return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
 
         out = self.inner_loop(monkeypatch,
@@ -736,6 +744,49 @@ class TestInnerLoop:
                               config, counters)
         assert out == ("ctx", 0, 0, "infeasible_stationary")
 
+    def test_equality_infeasible_stationary(self, monkeypatch):
+        # the equality merit plan's certificate ends the loop as the robust
+        # probe's None does, not as the merit collapse it subclasses
+        def update(ctx, step, plan, evaluator, config, counters):
+            raise InfeasibleStationary("stub")
+
+        out = self.inner_loop(monkeypatch,
+                              lambda ctx, config, counters: (1.0, 1.0, None,
+                                                             None),
+                              update, "ctx")
+        assert out == ("ctx", 0, 0, "infeasible_stationary")
+
+    def test_stop_after_moving_updates(self, monkeypatch):
+        # the stop is tested after each update that moves x (those from an
+        # odd ctx), and only then; the rule would fire at ctx = 5
+        tested = []
+
+        def stop(ctx):
+            tested.append(ctx)
+            return ctx == 4
+
+        out = self.inner_loop(
+            monkeypatch,
+            lambda ctx, config, counters: (10.0 - ctx, 10.0, None, None),
+            lambda ctx, step, plan, *rest: (ctx + 1, 1.0 if ctx % 2 else 0.0),
+            0, evaluator=Evaluator(None, None, None, stop=stop))
+        assert out == (4, 4, 2, "converged")
+        assert tested == [2, 4]
+
+    def test_stop_drops_the_floor(self, monkeypatch):
+        # a measure of 1e-7 from a first value of 0 meets the growing
+        # batch's floor, but not the stop-tested loop's, which runs on
+        def probe(ctx, config, counters):
+            return (1e-7 if ctx < 3 else 0.0), 0.0, None, None
+
+        move = lambda ctx, step, plan, *rest: (ctx + 1, 1.0)  # noqa: E731
+        assert self.inner_loop(monkeypatch, probe, move, 0) == (
+            0, 0, 0, "terminated")
+        out = self.inner_loop(
+            monkeypatch, probe, move, 0,
+            evaluator=Evaluator(None, None, None, stop=lambda ctx: False))
+        assert out == (3, 3, 3, "terminated")
+
 
 def _causes(problem, method, budget, **kw):
     out = run_config(RunConfig(problem=problem, method=method, seed=0,
@@ -757,13 +808,118 @@ class TestTermCauses:
         assert causes == ["infeasible_stationary"]
         assert out.status == "InfeasibleStationary"
 
-    def test_equality_merit_collapse(self):
-        # the equality solver has no infeasibility test: the "dl" rule's
-        # merit parameter collapses at the first inner iteration
-        out, causes = _causes("infeasible-1d", "ra-sqp-dl", 10_000,
+    def test_equality_merit_collapse(self, monkeypatch):
+        # a trial merit parameter of 0 at the feasible start, where the
+        # infeasibility certificate cannot fire: the "dl" rule's merit
+        # parameter collapses at the first inner iteration of every outer
+        monkeypatch.setattr(sqp_eq, "trial_tau", lambda *args: 0.0)
+        out, causes = _causes("synth-logreg-eq", "ra-sqp-dl", 10_000,
                               max_outer=3)
         assert causes == ["merit_collapse"] * 3
         assert all(rec.inner_iters == 0 for rec in out.trace[1:])
+        assert out.status == "BudgetExhausted"
+
+    @pytest.mark.parametrize("method", ["ra-sqp-kkt", "ra-sqp-dnorm",
+                                        "ra-sqp-dl", "ra-sqp-dl-lbfgs",
+                                        "ra-sqp-dl-inexact", "det-sqp"])
+    def test_equality_infeasible_stationary(self, method):
+        # the merit plan certifies that no step reduces the violation
+        out, causes = _causes("infeasible-1d", method, 10 ** 5)
+        assert causes == ["infeasible_stationary"]
+        assert out.status == "InfeasibleStationary"
+        assert out.trace[-1].violation_inf > sqp_eq.INFEAS_TOL_V
+
+
+class TestFullBatchStop:
+    """On a finite sum's whole data set the inner loop tests the run's stop
+    after each update that moves x, with no floor on the inner rule."""
+
+    @staticmethod
+    def solve(monkeypatch, problem, method, seed, stop_v, stop_s, budget):
+        """The solve's outcome and the number of true_metrics calls at each
+        point."""
+        seen = collections.Counter()
+        original = driver.true_metrics
+
+        def counted(problem, x, solver, constraints=None):
+            seen[x.tobytes()] += 1
+            return original(problem, x, solver, constraints)
+
+        monkeypatch.setattr(driver, "true_metrics", counted)
+        out = run_config(RunConfig(problem=problem, method=method, seed=seed,
+                                   stop_violation=stop_v,
+                                   stop_stationarity=stop_s,
+                                   max_gradient_evals=budget))
+        return out, seen
+
+    def test_stop_at_first_full_batch_update(self, monkeypatch):
+        # the stop holds after the first update on the whole data set, and
+        # the loop ends there, with no more 5,000-row updates and no
+        # merit collapse
+        out, seen = self.solve(monkeypatch, "synth-logreg-ineq",
+                               "ra-sqp-linf", 2, 1e-6, 1e-2, 500_000)
+        last = out.trace[-1]
+        assert out.status == "Converged"
+        assert (last.batch_size, last.updates, last.term_cause) == (
+            5000, 1, "converged")
+        assert out.counters.gradient_evals == last.grad_evals_cum == 38_904
+        assert last.violation_inf <= 1e-6 and last.stationarity <= 1e-2
+        # the record reuses the metrics the stop computed
+        assert set(seen.values()) == {1}
+        assert set(seen) == {r.x.tobytes() for r in out.trace}
+
+    def test_full_batch_repeat_ends(self, monkeypatch):
+        # with the floor the inner rule held at the snapshot of every outer
+        # on the whole data set, which repeated the same 5,000-row
+        # gradient until the budget (1,004,384 evaluations, 172 outers)
+        out, seen = self.solve(monkeypatch, "synth-logreg-eq", "ra-sqp-dl",
+                               0, 1e-5, 1e-4, 10 ** 6)
+        assert out.status == "Converged"
+        assert len(out.trace) - 1 == 7
+        assert out.counters.gradient_evals == 224_384
+        assert out.trace[-1].term_cause == "converged"
+        assert all(rec.updates > 0 for rec in out.trace[1:])
+        assert set(seen.values()) == {1}
+
+    @pytest.mark.parametrize("method,stops,budget", [
+        ("det-sqp", (1e-5, 1e-2), 10 ** 6),
+        ("det-sqp", (None, None), 20_000),
+        ("ra-sqp-dl", (1e-5, 1e-4), 10 ** 6)])
+    def test_stop_only_on_the_whole_data_set(self, monkeypatch, method,
+                                             stops, budget):
+        # the evaluator carries the stop exactly when the batch is the
+        # whole data set and stop thresholds are set
+        handed = self.stops_handed(monkeypatch)
+        out = run_config(RunConfig(problem="synth-logreg-eq", method=method,
+                                   stop_violation=stops[0],
+                                   stop_stationarity=stops[1],
+                                   max_gradient_evals=budget))
+        sizes = [rec.batch_size for rec in out.trace[1:]]
+        assert 5000 in sizes
+        assert handed == [size == 5000 and stops[0] is not None
+                          for size in sizes]
+
+    def test_expectation_batch_never_stop_tested(self, monkeypatch):
+        handed = self.stops_handed(monkeypatch)
+        run(make_eq_quadratic(noise=0.2),
+            DriverConfig(stop_violation=1e-6, stop_stationarity=1e-4,
+                         max_gradient_evals=10 ** 5),
+            np.random.default_rng(0))
+        assert handed and not any(handed)
+
+    @staticmethod
+    def stops_handed(monkeypatch) -> list:
+        """A list that records, per inner loop of the runs that follow,
+        whether its evaluator carries a stop."""
+        handed = []
+        original = driver._inner_loop
+
+        def recording(ctx, config, evaluator, counters):
+            handed.append(evaluator.stop is not None)
+            return original(ctx, config, evaluator, counters)
+
+        monkeypatch.setattr(driver, "_inner_loop", recording)
+        return handed
 
 
 @pytest.mark.parametrize("problem,method", [

@@ -107,6 +107,29 @@ def test_registry_smoke_list(tmp_path):
     assert f"{len(rows)} solves: 0 with different work" in same.stdout
 
 
+def test_tight_smoke_list(tmp_path):
+    # the logistic methods at stationarity 1e-4, each row bounded by its
+    # own stop violation
+    eq = ("ra-sqp-kkt", "ra-sqp-dnorm", "ra-sqp-dl", "ra-sqp-dl-lbfgs",
+          "ra-sqp-dl-inexact", "det-sqp")
+    a = tmp_path / "a.jsonl"
+    run = tool("--workload", "tight", "--smoke", "--seed", 2, "--out", a)
+    assert run.returncode == 0, run.stderr
+    rows = [json.loads(line) for line in a.read_text().splitlines()]
+    assert [(r["problem"], r["method"], r["violation_bound"], r["seed"])
+            for r in rows] == (
+        [("synth-logreg-eq", m, 1e-5, 2) for m in eq]
+        + [("synth-logreg-ineq", m, 1e-6, 2)
+           for m in ("ra-sqp-linf", "ra-sqp-l1", "det-sqp")])
+    for r in rows:
+        # a 2e4 budget ends every solve short of stationarity 1e-4
+        assert r["status"] == "BudgetExhausted"
+        assert r["evals_to"]["1e-4"] == math.inf
+    same = tool("--compare", a, a)
+    assert same.returncode == 0
+    assert "9 solves: 0 with different work" in same.stdout
+
+
 def load_tool():
     spec = importlib.util.spec_from_file_location("work_digest", TOOL)
     wd = importlib.util.module_from_spec(spec)

@@ -9,7 +9,9 @@ The first form runs every solve of `perfbench/workloads.py` `solve_list`
 for each seed, in order, or with `--workload registry` every
 `rasqp.bench.PROBLEMS` x `METHODS` pair under adaptive and geometric
 sampling at solver seed `--seed` (budget 2e5 gradient evaluations, 60
-outer iterations), and writes one JSON line per solve: its place in the
+outer iterations), or with `--workload tight` the benchmark's logistic
+methods at stops past the benchmark's 1e-2 (`tight_list`), and writes one
+JSON line per solve: its place in the
 list, problem, method, sampling rule and solver seed, status, the four
 `Counters`, the batch sizes, a sha256 over every `OuterRecord` field
 (floats and iterates as IEEE bytes) and the final x, and a result digest:
@@ -118,14 +120,35 @@ def registry_list(seed: int, smoke: bool) -> list:
             for sampling in ("adaptive", "geometric")]
 
 
+def tight_list(seed: int, smoke: bool) -> list:
+    """At solver seed `seed`, budget 1e6 gradient evaluations each: the
+    `eq-logreg` methods and `det-sqp` on `synth-logreg-eq` at stops
+    1e-5/1e-4, then `ra-sqp-linf`, `ra-sqp-l1` and `det-sqp` on
+    `synth-logreg-ineq` at 1e-6/1e-4. The benchmark's lists stop at
+    stationarity 1e-2, so only these reach `evals_to` at 1e-4. `smoke`
+    cuts each budget to 2e4."""
+    from perfbench.workloads import EQ_METHODS
+    from rasqp.bench import RunConfig
+
+    solves = ([("synth-logreg-eq", m, 1e-5)
+               for m in EQ_METHODS + ("det-sqp",)]
+              + [("synth-logreg-ineq", m, 1e-6)
+                 for m in ("ra-sqp-linf", "ra-sqp-l1", "det-sqp")])
+    return [RunConfig(problem=problem, method=method, seed=seed,
+                      stop_violation=stop_v, stop_stationarity=1e-4,
+                      max_gradient_evals=20_000 if smoke else 10 ** 6)
+            for problem, method, stop_v in solves]
+
+
 def solve_rows(workload: str, seeds, smoke: bool):
     """One dict per solve of the workload's lists for `seeds`, in order."""
     from perfbench.workloads import solve_list
     from rasqp.bench import run_config
 
+    lists = {"registry": registry_list, "tight": tight_list}
     configs = [(seed, config) for seed in seeds
-               for config in (registry_list(seed, smoke)
-                              if workload == "registry"
+               for config in (lists[workload](seed, smoke)
+                              if workload in lists
                               else solve_list(workload, seed, smoke=smoke))]
     for index, (seed, config) in enumerate(configs):
         row = {"index": index, "workload": workload, "list_seed": seed,
@@ -246,7 +269,8 @@ def compare(path_a: str, path_b: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=("eq-logreg", "quad-geometric",
-                                               "ineq-logreg", "registry"))
+                                               "ineq-logreg", "registry",
+                                               "tight"))
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--smoke", action="store_true",
                         help="the short solve lists the tests use")
