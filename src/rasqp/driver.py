@@ -10,16 +10,16 @@ last outer iteration, with what is computed from them alone (the
 feasibility LP, the true-problem metrics) in its `store`. Each inner
 iteration is a progress probe, the termination test, then an update, and
 a solver is one `_INNER` entry (probe, update):
-`probe(ctx, config, counters) -> (current, first, step, plan)` or None,
-and `update(ctx, step, plan, evaluator, config, counters) -> (new ctx,
+`probe(ctx, config, counters) -> (current, first, step, plan)` and
+`update(ctx, step, plan, evaluator, config, counters) -> (new ctx,
 alpha)`, each reading its own settings from the config. The probe returns
 its rule's progress measure, the value the rule compares against when this
 is the first inner iteration, and the step and merit plan (or None) the
 update reuses (the robust solver's plan is the linearized violation
-decrease); it returns None at a certified infeasible stationary point. The
-update changes x only when alpha > 0. Either raises MeritCollapse or
-LineSearchFailure to abandon the batch, or the equality solver's
-InfeasibleStationary (a MeritCollapse) to end the run. `run` builds each
+decrease). The update changes x only when alpha > 0. Either raises
+MeritCollapse or LineSearchFailure to abandon the batch, or
+InfeasibleStationary (a MeritCollapse), where `sqp_eq.keeps_violation`
+certifies an infeasible stationary point, to end the run. `run` builds each
 batch's `Evaluator` and warm-started context; on a finite sum's whole data
 set with stop thresholds set, the evaluator carries the run's stop test,
 which the loop applies after each update that moves x. `_inner_loop` and
@@ -46,9 +46,10 @@ from .problems import (FiniteSum, ProblemSpec, _sums_over, after_prefix,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
 from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
-                     compute_step, inner_iteration, merit_plan, violation)
-from .sqp_ineq import (detect_infeasible_stationary, direction_step,
-                       feasibility_step, robust_inner_iteration, sigma_bounds)
+                     compute_step, inner_iteration, keeps_violation,
+                     merit_plan, violation)
+from .sqp_ineq import (direction_step, feasibility_step,
+                       robust_inner_iteration, sigma_bounds)
 
 INNER_CAP = 500                # inner iterations per outer iteration
 MAX_BATCH = 2 ** 24            # largest expectation batch (bounds drawing time)
@@ -244,8 +245,8 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     iterate, with that set and the sums of its values and gradients.
 
     The progress measure Z is the termination rule's, from the solver's
-    progress probe, which performs no updates; Z is 0 where the probe finds
-    no progress to make (merit collapse, or an infeasible stationary point).
+    progress probe, which performs no updates; Z is 0 where the probe raises
+    MeritCollapse, as it does at a certified infeasible stationary point.
     The sums are returned so the fresh set can be folded into the next
     batch at no extra gradient cost.
     """
@@ -260,11 +261,11 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     # least-squares warm start here shrinks the "kkt" rule's Z and grows its
     # batches (+7.8% ra-sqp-kkt gradient evaluations on eq-logreg seeds 10-19)
     ctx = replace(ctx, F_S=vsum / m, g_S=gbar, tau_prev=TAU_BAR)
+    probe = _INNER[config.solver][0]
     try:
-        probe = _INNER[config.solver][0](ctx, config, counters)
+        Z = max(probe(ctx, config, counters)[0], 0.0)
     except MeritCollapse:
-        probe = None
-    Z = 0.0 if probe is None else max(probe[0], 0.0)
+        Z = 0.0
 
     return variance, Z, fresh, vsum, gsum
 
@@ -293,8 +294,9 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
                      counters: Counters):
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
     (||d||, ||d||, direction d, linearized violation decrease delta_c) from
-    the feasibility LP and the direction QP, or None, with no QP solved,
-    when the LP certifies an infeasible stationary point. The violation,
+    the feasibility LP and the direction QP. Raises InfeasibleStationary,
+    with no QP solved, when `keeps_violation(violation, LP objective)`
+    certifies an infeasible stationary point. The violation,
     the norm bounds and both subprograms are in the run's one norm mode;
     the LP reads only the constraint values and that mode, so it is solved
     once per iterate and kept in the context's store."""
@@ -306,8 +308,8 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
         feas = ctx.store["feasibility"] = feasibility_step(
             ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I, sigma_p, mode,
             counters=counters)
-    if detect_infeasible_stationary(feas, v):
-        return None
+    if keeps_violation(v, feas.lp_objective):
+        raise InfeasibleStationary("the feasibility LP keeps the violation")
     d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
                        feas.relaxation, sigma_d, mode, counters=counters)
     dnorm = norm(d)
@@ -391,14 +393,18 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
     trace = []
 
-    def record(ctx, k, batch_size, est_size, inner_iters, updates,
-               term_cause):
-        # an inner loop with no update keeps the iterate, and its store
+    def metrics(ctx):
+        # the iterate's true-problem metrics, once: an inner loop with no
+        # update keeps the iterate, and its store
         if "metrics" not in ctx.store:
             ctx.store["metrics"] = true_metrics(
                 problem, ctx.x, config.solver,
                 (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
-        v, s, _ = ctx.store["metrics"]
+        return ctx.store["metrics"]
+
+    def record(ctx, k, batch_size, est_size, inner_iters, updates,
+               term_cause):
+        v, s, _ = metrics(ctx)
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iters=inner_iters,
             updates=updates, estimation_size=est_size,
@@ -418,15 +424,11 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
     def stop_holds(ctx):
         # on the whole data set: the violation first, then stationarity at
-        # g_S, here the full-data gradient, confirmed by the exact metrics,
-        # which the store keeps for the record
+        # g_S, here the full-data gradient, confirmed by the exact metrics
         cons = (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I)
-        if not (violation(ctx.c_E, ctx.c_I, LINF) <= config.stop_violation
-                and stop_met(*metrics_at(ctx.g_S, cons, config.solver)[:2])):
-            return False
-        ctx.store["metrics"] = true_metrics(problem, ctx.x, config.solver,
-                                            cons)
-        return stop_met(*ctx.store["metrics"][:2])
+        return (violation(ctx.c_E, ctx.c_I, LINF) <= config.stop_violation
+                and stop_met(*metrics_at(ctx.g_S, cons, config.solver)[:2])
+                and stop_met(*metrics(ctx)[:2]))
 
     prev_size: Optional[int] = None
     k = 0
@@ -494,10 +496,9 @@ def run(problem: ProblemSpec, config: DriverConfig,
         prev_size = S.size
         k += 1
 
-    # ctx is the last record's iterate, whose metrics are in its store
     return SolveOutcome(status=status, x=ctx.x,
                         lam=(ctx.lam if config.solver == "equality"
-                             else ctx.store["metrics"][2]),
+                             else metrics(ctx)[2]),
                         trace=trace, counters=counters)
 
 
@@ -505,10 +506,11 @@ def _inner_loop(ctx: InnerContext, config: DriverConfig,
                 evaluator: Evaluator, counters: Counters):
     """Probe, test and update (see the module docstring) with the config's
     solver from ctx until its termination rule fires, the probe or the
-    equality merit plan finds an infeasible stationary point, a step
-    raises, the evaluator's `stop` holds after an update that moves x, or
-    the gradient budget or INNER_CAP is reached. With a `stop` the rule has
-    no floor (`termination_check`).
+    update raises (InfeasibleStationary at a certified infeasible
+    stationary point, MeritCollapse or LineSearchFailure), the evaluator's
+    `stop` holds after an update that moves x, or the gradient budget or
+    INNER_CAP is reached. With a `stop` the rule has no floor
+    (`termination_check`).
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
@@ -520,10 +522,7 @@ def _inner_loop(ctx: InnerContext, config: DriverConfig,
         if counters.gradient_evals >= config.max_gradient_evals:
             return ctx, j, updates, "budget"
         try:
-            measure = probe(ctx, config, counters)
-            if measure is None:
-                return ctx, j, updates, "infeasible_stationary"
-            current, first, step, plan = measure
+            current, first, step, plan = probe(ctx, config, counters)
             if snapshot is None:
                 snapshot = first
             if termination_check(config, snapshot, current, stop is not None):

@@ -29,8 +29,9 @@ class MeritCollapse(RasqpError):
 
 
 class InfeasibleStationary(MeritCollapse):
-    """The equality step cannot reduce the linearized violation of an
-    infeasible iterate: a stationary point of the constraint violation."""
+    """No step of either solver can reduce the linearized violation of an
+    infeasible iterate (`sqp_eq.keeps_violation`): a stationary point of
+    the constraint violation, which ends the run."""
 
 
 class LineSearchFailure(RasqpError):

@@ -163,14 +163,26 @@ def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:
     return -tau * gTd + c_l1 - r_l1
 
 
+def keeps_violation(v: float, v_model: float) -> bool:
+    """The infeasible-stationary certificate of both solvers, a numerical
+    "no step reduces a positive violation": the linearized violation
+    v_model of the best step keeps all but a relative INFEAS_TOL_V of a
+    violation v above INFEAS_TOL_V. The robust solver passes its mode's
+    violation and the feasibility LP objective, which also certifies when
+    the interior point returns a centered p of a non-unique minimizer; the
+    equality solver passes ||c_E||_1 and its step's ||r||_1. INFEAS_TOL_V
+    must sit above the solvers' noise floor or near-feasible points get
+    flagged."""
+    return v > INFEAS_TOL_V and v - v_model <= INFEAS_TOL_V * v
+
+
 def merit_plan(ctx: InnerContext, step: EqStepResult):
     """(tau, model decrease) for `step` at ctx: the merit parameter the inner
     iteration takes it with, and the decrease of the linear merit model.
 
-    Raises InfeasibleStationary when the step is to set tau at an iterate
-    with ||c_E||_inf > INFEAS_TOL_V whose step keeps all but a relative
-    INFEAS_TOL_V of ||c_E||_1 in its residual, the linearized violation
-    ||r||_1: no step can then reduce the violation."""
+    Raises InfeasibleStationary when the step is to set tau and
+    `keeps_violation(||c_E||_1, ||r||_1)` holds: the step keeps the
+    linearized violation, so no step can reduce the violation."""
     d = step.d
     gTd = float(ctx.g_S @ d)
     c_l1 = norm(ctx.c_E, 1)
@@ -179,8 +191,7 @@ def merit_plan(ctx: InnerContext, step: EqStepResult):
         # condition I certifies descent at the previous merit parameter
         tau = ctx.tau_prev
     else:
-        if (norm(ctx.c_E, np.inf) > INFEAS_TOL_V
-                and c_l1 - r_l1 <= INFEAS_TOL_V * max(1.0, c_l1)):
+        if keeps_violation(c_l1, r_l1):
             raise InfeasibleStationary("the step keeps the linearized "
                                        "violation")
         dHd = float(d @ ctx.h_apply(d))

@@ -1,9 +1,11 @@
 """The robust-SQP method for general constraints: feasibility LP,
-direction QP, infeasible-stationary detection and the merit-parameter rule,
-in both max-norm and 1-norm modes. One builder writes both subproblems as
-the arrays (g, C, d, H) that `ipm.solve_program` takes, and the mode's
-violation is `sqp_eq.violation`. The driver's robust progress probe
-solves the two subproblems; `robust_inner_iteration` takes the step."""
+direction QP and the merit-parameter rule, in both max-norm and 1-norm
+modes. One builder writes both subproblems as the arrays (g, C, d, H) that
+`ipm.solve_program` takes, and the mode's violation is
+`sqp_eq.violation`. The driver's robust progress probe solves the two
+subproblems, and certifies an infeasible stationary point from the LP by
+the rule both solvers share, `sqp_eq.keeps_violation`;
+`robust_inner_iteration` takes the step."""
 
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import numpy as np
 from .counters import Counters
 from .errors import MeritCollapse, NumericalFailure
 from .ipm import solve_program
-from .sqp_eq import (EPS_SIGMA, EPS_TAU, INFEAS_TOL_V, L1, LINF, Evaluator,
-                     InnerContext, line_search_step)
+from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
+                     line_search_step)
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
 # this module's names, so they stay importable until the benchmark drops them
 from .linalg import lbfgs_update  # noqa: F401
@@ -115,21 +117,6 @@ def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
     m = J_E.shape[0] + J_I.shape[0]
     return FeasibilityResult(p=sol.x[:n], relaxation=np.full(m, y),
                              lp_objective=max(0.0, sol.objective))
-
-
-def detect_infeasible_stationary(feas: FeasibilityResult,
-                                 violation: float) -> bool:
-    """Numerical version of "p = 0 with positive residual violation": the
-    LP cannot reduce the linearized violation, its objective keeping all
-    but a relative INFEAS_TOL_V of a violation above INFEAS_TOL_V. At p = 0
-    the objective is the violation, and the test also holds when an
-    interior-point solver returns a centered p of a non-unique minimizer.
-    INFEAS_TOL_V must sit above the solver's objective noise floor or
-    near-feasible points get flagged.
-    """
-    if violation <= INFEAS_TOL_V:
-        return False
-    return violation - feas.lp_objective <= INFEAS_TOL_V * violation
 
 
 def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,

@@ -13,7 +13,7 @@ import pytest
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
 from rasqp.driver import DriverConfig, _robust_progress, adaptive_batch_size
-from rasqp.errors import MeritCollapse
+from rasqp.errors import InfeasibleStationary, MeritCollapse
 from rasqp.ipm import kkt_residual, solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
 from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
@@ -264,10 +264,10 @@ def test_criterion_4_merit_line_search_invariants():
                            c_I=cI, J_E=JE, J_I=JI, tau_prev=1.0)
         taus = []
         for _ in range(6):
-            probe = _robust_progress(ctx, rob_config, None)
-            if probe is None:
+            try:
+                _, _, d, delta_c = _robust_progress(ctx, rob_config, None)
+            except InfeasibleStationary:
                 break
-            d, delta_c = probe[2], probe[3]
             try:
                 new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, ev,
                                                         rob_config, None)

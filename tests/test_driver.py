@@ -711,9 +711,12 @@ class TestInnerLoop:
         assert out == (5, 5, 5, "terminated")
 
     def test_infeasible_stationary(self, monkeypatch):
-        # the probe's None ends the loop before any update at that point
+        # the probe's certificate ends the loop before any update at that
+        # point
         def probe(ctx, config, counters):
-            return None if ctx == 3 else (1.0, 1.0, None, None)
+            if ctx == 3:
+                raise InfeasibleStationary("stub")
+            return 1.0, 1.0, None, None
 
         out = self.inner_loop(monkeypatch, probe,
                               lambda ctx, step, plan, *rest: (ctx + 1, 1.0),
@@ -738,7 +741,7 @@ class TestInnerLoop:
 
         def probe(ctx, config_, counters_):
             assert (config_, counters_) == (config, counters)
-            return None
+            raise InfeasibleStationary("stub")
 
         out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx",
                               config, counters)
@@ -746,7 +749,7 @@ class TestInnerLoop:
 
     def test_equality_infeasible_stationary(self, monkeypatch):
         # the equality merit plan's certificate ends the loop as the robust
-        # probe's None does, not as the merit collapse it subclasses
+        # probe's does, not as the merit collapse it subclasses
         def update(ctx, step, plan, evaluator, config, counters):
             raise InfeasibleStationary("stub")
 

@@ -7,12 +7,13 @@ import pytest
 from rasqp import sqp_eq
 from rasqp.counters import Counters
 from rasqp.driver import DriverConfig
-from rasqp.errors import LineSearchFailure, MeritCollapse
+from rasqp.errors import InfeasibleStationary, LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
-from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, Evaluator,
-                          InnerContext, armijo_backtrack, compute_step,
-                          inner_iteration, line_search_step, merit_plan,
-                          merit_value, model_decrease, trial_tau, update_tau)
+from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, EqStepResult,
+                          Evaluator, InnerContext, armijo_backtrack,
+                          compute_step, inner_iteration, line_search_step,
+                          merit_plan, merit_value, model_decrease, trial_tau,
+                          update_tau)
 
 
 def make_ctx(x, lam, g, c, J, tau=1.0, F=0.0, hessian=None):
@@ -141,6 +142,33 @@ class TestMeritParameter:
 
     def test_model_decrease(self):
         assert model_decrease(0.5, -2.0, 3.0, 1.0) == pytest.approx(3.0)
+
+
+class TestInfeasibleStationary:
+    """merit_plan's certificate, `keeps_violation(||c_E||_1, ||r||_1)`, on
+    an exact step d = 0.1 with g = -1 and H = I, a descent direction for
+    the objective model, so tau stays at 1."""
+
+    @staticmethod
+    def plan(c, r):
+        ctx = make_ctx([0.0], [0.0], [-1.0], [c], [[1.0]])
+        step = EqStepResult(d=np.array([0.1]), delta=np.zeros(1),
+                            rho=np.zeros(1), r=np.array([r]),
+                            acceptance="exact_tol")
+        return merit_plan(ctx, step)
+
+    def test_step_that_cuts_a_small_violation_is_planned(self):
+        # the step cuts the linearized violation 1.5e-5 by 47%; a test
+        # absolute below violation 1 took 0.7e-5 <= INFEAS_TOL_V as no cut
+        tau, delta_l = self.plan(1.5e-5, 0.8e-5)
+        assert tau == 1.0
+        assert delta_l == pytest.approx(0.100007, rel=1e-12)
+
+    def test_certificate_is_relative_below_violation_one(self):
+        # a step that keeps all but a relative 1e-6 of a small violation
+        # still certifies it
+        with pytest.raises(InfeasibleStationary):
+            self.plan(1.5e-5, 1.5e-5 * (1 - 1e-6))
 
 
 class TestMerit:

@@ -1,20 +1,19 @@
 """Robust SQP inner iteration for general constraints: feasibility LP,
-direction QP, infeasible-stationary detection, merit management, and the
-iteration invariants in both norm modes."""
+direction QP, the infeasible-stationary certificate on the LP, merit
+management, and the iteration invariants in both norm modes."""
 
 import numpy as np
 import pytest
 
-from rasqp import sqp_ineq
+from rasqp import driver, sqp_ineq
 from rasqp.driver import DriverConfig, _robust_progress
 from rasqp.ipm import ProgramSolution
-from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext, merit_value,
-                          violation)
-from rasqp.sqp_ineq import (FeasibilityResult, detect_infeasible_stationary,
-                            direction_step, feasibility_step,
+from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext,
+                          keeps_violation, merit_value, violation)
+from rasqp.sqp_ineq import (direction_step, feasibility_step,
                             robust_inner_iteration, sigma_bounds,
                             trial_tau_ineq, update_tau_ineq)
-from rasqp.errors import MeritCollapse, NumericalFailure
+from rasqp.errors import InfeasibleStationary, MeritCollapse, NumericalFailure
 
 
 class TestViolationAndBounds:
@@ -122,33 +121,26 @@ def test_nonoptimal_subproblem_raises(monkeypatch, status, mode):
 
 
 class TestDetection:
+    """`keeps_violation(violation, LP objective)`, the robust probe's
+    certificate."""
+
     def test_feasible_point_not_flagged(self):
-        feas = FeasibilityResult(p=np.zeros(1), relaxation=0.0,
-                                 lp_objective=0.0)
-        assert not detect_infeasible_stationary(feas, 0.0)
+        assert not keeps_violation(0.0, 0.0)
 
     def test_zero_step_with_violation_flagged(self):
-        feas = FeasibilityResult(p=np.zeros(1), relaxation=0.5,
-                                 lp_objective=0.5)
-        assert detect_infeasible_stationary(feas, 0.5)
+        assert keeps_violation(0.5, 0.5)
 
     def test_no_improvement_certificate_flagged(self):
-        # nonzero centered p but the LP could not reduce the violation
-        feas = FeasibilityResult(p=np.array([0.2]), relaxation=0.5,
-                                 lp_objective=0.5 - 1e-12)
-        assert detect_infeasible_stationary(feas, 0.5)
+        # a nonzero centered p, but the LP could not reduce the violation
+        assert keeps_violation(0.5, 0.5 - 1e-12)
 
     def test_progress_not_flagged(self):
-        feas = FeasibilityResult(p=np.array([1.0]), relaxation=0.1,
-                                 lp_objective=0.1)
-        assert not detect_infeasible_stationary(feas, 0.5)
+        assert not keeps_violation(0.5, 0.1)
 
     def test_tiny_step_that_halves_the_violation_not_flagged(self):
         # the LP objective is the only certificate: a step norm near 0
-        # says nothing when the LP still halves the violation
-        feas = FeasibilityResult(p=np.array([1e-10]), relaxation=0.5,
-                                 lp_objective=0.5)
-        assert not detect_infeasible_stationary(feas, 1.0)
+        # (say p = 1e-10) says nothing when the LP still halves the violation
+        assert not keeps_violation(1.0, 0.5)
 
     def test_small_violation_cut_by_lp_not_flagged(self):
         # a point an l1 run once certified infeasible: the LP cuts the
@@ -157,23 +149,36 @@ class TestDetection:
         c_I = np.array([1.609e-6, 5.088e-6, 3.399e-6])
         v_l1 = violation(np.zeros(0), c_I, L1)
         assert v_l1 == pytest.approx(1.0096e-5)
-        feas = FeasibilityResult(p=np.array([3e-6, -1e-6, 2e-6]),
-                                 relaxation=np.zeros(3), lp_objective=1.92e-7)
-        assert not detect_infeasible_stationary(feas, v_l1)
+        assert not keeps_violation(v_l1, 1.92e-7)
         # the LP at those values with a full-rank Jacobian agrees
         J_I = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.5, 0.0, 1.0]])
         sigma_p, _ = sigma_bounds(v_l1, L1, 3)
         lp = feasibility_step(np.zeros(0), c_I, np.zeros((0, 3)), J_I,
                               sigma_p, L1)
         assert lp.lp_objective < 0.1 * v_l1
-        assert not detect_infeasible_stationary(lp, v_l1)
+        assert not keeps_violation(v_l1, lp.lp_objective)
 
     def test_certificate_is_relative_below_violation_one(self):
         # an LP that keeps all but a relative 1e-6 of a small violation
         # still certifies it
-        feas = FeasibilityResult(p=np.array([0.2]), relaxation=1.5e-5,
-                                 lp_objective=1.5e-5 * (1 - 1e-6))
-        assert detect_infeasible_stationary(feas, 1.5e-5)
+        assert keeps_violation(1.5e-5, 1.5e-5 * (1 - 1e-6))
+
+    def test_probe_raises_before_the_qp(self, monkeypatch):
+        # x = 0 and x = 1 at x = 0.5: the LP keeps the violation 0.5, and
+        # the probe raises the signal both solvers share, with no QP solved
+        def no_qp(*args, **kwargs):
+            raise AssertionError("direction QP solved")
+
+        monkeypatch.setattr(driver, "direction_step", no_qp)
+        for mode in (LINF, L1):
+            # a fresh context per mode: the store keeps the run's one LP
+            ctx = InnerContext(x=np.array([0.5]), lam=np.zeros(2), F_S=0.0,
+                               g_S=np.ones(1), c_E=np.array([0.5, -0.5]),
+                               c_I=np.zeros(0), J_E=np.ones((2, 1)),
+                               J_I=np.zeros((0, 1)), tau_prev=1.0)
+            with pytest.raises(InfeasibleStationary):
+                _robust_progress(ctx, DriverConfig(termination="robust_dnorm",
+                                                   norm=mode), None)
 
 
 class TestDirectionStep:
@@ -272,10 +277,10 @@ def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
     the stop test on ||d||, then the update. Returns (kind, ctx, d, alpha)
     with kind "updated", "terminated" or "infeasible_stationary"."""
     config = DriverConfig(termination="robust_dnorm", norm=mode)
-    probe = _robust_progress(ctx, config, None)
-    if probe is None:
+    try:
+        dnorm, _, d, delta_c = _robust_progress(ctx, config, None)
+    except InfeasibleStationary:
         return "infeasible_stationary", ctx, None, 0.0
-    dnorm, _, d, delta_c = probe
     if stop(dnorm):
         return "terminated", ctx, d, 0.0
     new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, evaluator,

@@ -273,6 +273,29 @@ def test_compare_ends_with_method_totals(tmp_path):
         "B", "0", "0", "0", "Error", "1"]
 
 
+@pytest.mark.parametrize("bad", ["missing", "directory", "malformed",
+                                 "not_a_row"])
+def test_compare_refuses_unreadable_input(tmp_path, bad):
+    # exit 1 means "work differs": an unreadable file is exit 2, with one
+    # error line that names it and no traceback
+    a = tmp_path / "a.jsonl"
+    write(a, [solve(0, "ra-sqp-dl", 0, "Converged", 1000)])
+    b = tmp_path / "b.jsonl"
+    if bad == "directory":
+        b.mkdir()
+    elif bad == "malformed":
+        b.write_text(a.read_text() + '{"index": 1, "method"\n')
+    elif bad == "not_a_row":  # JSON, but without the fields compared
+        b.write_text(a.read_text() + '{"index": 1}\n')
+    out = tool("--compare", a, b)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("error: ") and str(b) in line
+    if bad in ("malformed", "not_a_row"):
+        assert "line 2" in line
+
+
 @pytest.mark.parametrize("moved,code", [("digest", 0), ("counters", 1)])
 def test_compare_survives_a_reader_that_stops_early(tmp_path, moved, code):
     # a report far longer than a pipe buffer, read one line, as `| head -1`

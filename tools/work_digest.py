@@ -36,7 +36,9 @@ then one of each method's summed gradient evaluations, MINRES and barrier
 iterations and count of each status, in A and in B. It exits 1 when any
 work differs or the two files do not hold the same solve list, and 0
 otherwise: a digest difference alone means a change moved rounding, not
-the work done; `evals_to` does not enter it. A reader that closes the
+the work done; `evals_to` does not enter it. A file it cannot read (missing,
+a directory, or a line that is not a solve row) ends it with one `error:`
+line naming the file on stderr and exit 2. A reader that closes the
 pipe early (`| head`) cuts the report short, not the exit code; in the first
 form it ends the run, with exit 0, after the solve whose line found the pipe
 closed.
@@ -65,6 +67,8 @@ WORK_FIELDS = ("grad_evals_cum", "minres_iters_cum", "barrier_iters_cum")
 # stationarity levels by their JSON keys
 VIOLATION_TARGET = 1e-6
 EPSILONS = ("1e-2", "1e-3", "1e-4")
+# the fields `--compare` reads of every row
+ROW_KEYS = {"index", "workload", "list_seed", "method", "seed", "status"}
 
 
 def digest(outcome, skip=()) -> str:
@@ -226,14 +230,33 @@ def _count(value) -> str:
     return f"{value:,.0f}" if value == int(value) else f"{value:,.1f}"
 
 
-def compare(path_a: str, path_b: str) -> int:
-    """Print each solve whose work or digest differs; 1 on a work
-    difference or mismatched solve lists, else 0."""
-    rows = []
-    for path in (path_a, path_b):
+def read_rows(path: str) -> list:
+    """The rows of a file the first form wrote. Raises ValueError, with a
+    message naming the file, when it cannot be read or a line is not a
+    JSON object with the ROW_KEYS."""
+    try:
         with open(path) as fh:
-            rows.append([json.loads(line) for line in fh if line.strip()])
-    a, b = rows
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+    rows = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if not (isinstance(row, dict) and ROW_KEYS <= row.keys()):
+            raise ValueError(f"{path} line {number}: not a solve row")
+        rows.append(row)
+    return rows
+
+
+def compare(a: list, b: list) -> int:
+    """Print each solve whose work or digest differs between the rows of
+    two files; 1 on a work difference or mismatched solve lists, else 0."""
     # files written before rows named their problem and sampling rule
     # compare on the other keys
     key = ("workload", "list_seed", "problem", "method", "sampling", "seed")
@@ -280,8 +303,13 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
+        try:
+            rows = [read_rows(path) for path in args.compare]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         with contextlib.redirect_stdout(io.StringIO()) as report:
-            code = compare(*args.compare)
+            code = compare(*rows)
         try:
             sys.stdout.write(report.getvalue())
             sys.stdout.flush()
