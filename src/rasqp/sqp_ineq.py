@@ -2,10 +2,12 @@
 direction QP and the merit-parameter rule, in both max-norm and 1-norm
 modes. One builder writes both subproblems as the arrays (g, C, d, H) that
 `ipm.solve_program` takes, and the mode's violation is
-`sqp_eq.violation`. The driver's robust progress probe solves the two
-subproblems, and certifies an infeasible stationary point from the LP by
-the rule both solvers share, `sqp_eq.keeps_violation`;
-`robust_inner_iteration` takes the step."""
+`sqp_eq.violation`. An inequality-only feasibility LP whose minimum-norm
+linearized step fits the norm ball has objective 0, and `feasibility_step`
+returns that answer without the interior point. The driver's robust
+progress probe solves the two subproblems, and certifies an infeasible
+stationary point from the LP by the rule both solvers share,
+`sqp_eq.keeps_violation`; `robust_inner_iteration` takes the step."""
 
 from __future__ import annotations
 
@@ -40,6 +42,9 @@ def sigma_bounds(violation: float, mode: str, n: int):
 
 @dataclass
 class FeasibilityResult:
+    """The feasibility LP's step p, relaxation y and objective: the
+    interior point's answer, or the exact (p, 0, 0) of the certificate in
+    `feasibility_step`."""
     p: np.ndarray
     relaxation: np.ndarray  # per constraint, ordered (E, I); shared y in linf
     lp_objective: float
@@ -109,7 +114,22 @@ def _solve(program: tuple, what: str, counters: Optional[Counters]):
 
 def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
                      counters: Optional[Counters] = None) -> FeasibilityResult:
-    """LP minimizing the linearized constraint violation within ||p|| <= sigma_p."""
+    """LP minimizing the linearized constraint violation within ||p|| <= sigma_p.
+
+    With no equality rows, a J_I of full row rank and a min-norm solution p
+    of J_I p = -c_I inside the `mode` ball, (p, y = 0) reaches the LP's
+    lower bound 0: that answer is returned exact, with no barrier
+    iteration. Every other program goes to the interior point, equality
+    rows included, since y = 0 would leave each +-J_E pair of the
+    direction QP with no interior."""
+    if mode not in (LINF, L1):
+        raise ValueError(f"unknown norm mode {mode!r}")
+    if J_E.shape[0] == 0:
+        p, _, rank, _ = np.linalg.lstsq(J_I, -c_I, rcond=None)
+        if (rank == c_I.size and np.linalg.norm(
+                p, np.inf if mode == LINF else 1) <= sigma_p):
+            return FeasibilityResult(p=p, relaxation=np.zeros(c_I.size),
+                                     lp_objective=0.0)
     prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_p, mode)
     sol = _solve(prog, "feasibility LP", counters)
     n = J_E.shape[1]

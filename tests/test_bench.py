@@ -424,19 +424,19 @@ WORK_COUNTERS = [
                  id="synth-eq-quad-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32730, 0, 381,
+                 ("BudgetExhausted", 32730, 0, 241,
                   (32, 33, 72, 155, 404, 1241, 1682, 5000)),
                  id="synth-logreg-ineq"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="det-sqp",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 30000, 0, 42, (5000, 5000)),
+                 ("BudgetExhausted", 30000, 0, 26, (5000, 5000)),
                  id="synth-logreg-ineq-det-sqp"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
                  ("InfeasibleStationary", 64, 0, 15, (32,)),
                  id="infeasible-1d"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-l1",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31457, 0, 411,
+                 ("BudgetExhausted", 31457, 0, 275,
                   (32, 35, 66, 151, 554, 1355, 2923)),
                  id="synth-logreg-ineq-ra-sqp-l1"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-l1"),
@@ -451,6 +451,29 @@ def test_work_counters_unchanged(config, expected):
     c = out.counters
     assert (out.status, c.gradient_evals, c.minres_iters, c.barrier_iters,
             tuple(r.batch_size for r in out.trace[1:])) == expected
+
+
+def test_inequality_feasibility_lps_skip_the_interior_point(monkeypatch):
+    # every feasibility LP of this inequality-only run is certified in
+    # closed form, so only direction QPs (H given) reach the interior point;
+    # the gradient count and batches are those pinned before the certificate
+    from rasqp import sqp_ineq
+
+    solve = sqp_ineq.solve_program
+    programs = []
+
+    def spy(g, C, d, H=None, counters=None):
+        programs.append(H is not None)
+        return solve(g, C, d, H, counters=counters)
+
+    monkeypatch.setattr(sqp_ineq, "solve_program", spy)
+    out = run_config(RunConfig(problem="synth-logreg-ineq",
+                               method="ra-sqp-linf",
+                               max_gradient_evals=30000))
+    assert programs and all(programs)
+    assert (out.status, out.counters.gradient_evals,
+            tuple(r.batch_size for r in out.trace[1:])) == (
+        "BudgetExhausted", 32730, (32, 33, 72, 155, 404, 1241, 1682, 5000))
 
 
 # method -> (status, gradient evals, function evals, MINRES iterations,

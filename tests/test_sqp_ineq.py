@@ -7,7 +7,8 @@ import pytest
 
 from rasqp import driver, sqp_ineq
 from rasqp.driver import DriverConfig, _robust_progress
-from rasqp.ipm import ProgramSolution
+from rasqp.counters import Counters
+from rasqp.ipm import ProgramSolution, solve_program
 from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext,
                           keeps_violation, merit_value, violation)
 from rasqp.sqp_ineq import (direction_step, feasibility_step,
@@ -96,17 +97,108 @@ class TestFeasibilityStep:
                                                       abs=1e-6)
 
     def test_trust_region_limits_progress(self):
-        # violation 10 but p capped at 1 leaves objective near 9
+        # violation 10 but p capped at 1 leaves objective near 9; the
+        # equality row keeps this LP on the interior point
         feas = feasibility_step(np.array([-10.0]), np.zeros(0),
                                 np.array([[1.0]]), np.zeros((0, 1)),
                                 1.0, "linf")
         assert feas.lp_objective == pytest.approx(9.0, abs=1e-4)
 
 
+class TestFeasibilityCertificate:
+    """The closed-form answer y* = 0 of an inequality-only feasibility LP,
+    against the interior point it replaces."""
+
+    @staticmethod
+    def count_programs(monkeypatch):
+        calls = []
+        solve = sqp_ineq.solve_program
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sqp_ineq, "solve_program", spy)
+        return calls
+
+    @pytest.mark.parametrize("mode", [LINF, L1])
+    def test_matches_the_interior_point(self, monkeypatch, mode):
+        # wherever the certificate fires, the interior point on the same LP
+        # reaches objective 0 too, and the exact step meets every row
+        rng = np.random.default_rng(17)
+        calls = self.count_programs(monkeypatch)
+        fired = 0
+        for n in (3, 10, 30):
+            for m_I in (1, n // 2, n):
+                for shift in (-1.0, 0.0, 1.0):  # feasible, mixed, infeasible
+                    J_I = rng.standard_normal((m_I, n))
+                    c_I = rng.standard_normal(m_I) + shift
+                    sigma_p, _ = sigma_bounds(
+                        violation(np.zeros(0), c_I, mode), mode, n)
+                    counters = Counters()
+                    feas = feasibility_step(np.zeros(0), c_I,
+                                            np.zeros((0, n)), J_I, sigma_p,
+                                            mode, counters=counters)
+                    if calls:
+                        calls.clear()
+                        continue
+                    fired += 1
+                    assert counters.barrier_iters == 0
+                    assert feas.lp_objective == 0.0
+                    np.testing.assert_array_equal(feas.relaxation,
+                                                  np.zeros(m_I))
+                    assert np.all(c_I + J_I @ feas.p <= 1e-10)
+                    prog = sqp_ineq._linearized_program(
+                        np.zeros(0), c_I, np.zeros((0, n)), J_I, sigma_p,
+                        mode)
+                    sol = solve_program(*prog)
+                    assert sol.status == "optimal"
+                    # the interior point stops at a tolerance relative to
+                    # 1 + sigma_p: 1e-6 at the linf radius 100, and up to
+                    # 6.3e-6 here at the l1 radius 3,000 (n = 30)
+                    assert sol.objective <= 1e-8 * (1.0 + sigma_p)
+        assert fired == 27
+
+    @pytest.mark.parametrize("mode", [LINF, L1])
+    @pytest.mark.parametrize("case", ["zero row", "repeated row", "m_I > n",
+                                      "binding ball", "equality row"])
+    def test_fallback_reaches_the_interior_point(self, monkeypatch, mode,
+                                                 case):
+        J_I = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5]])
+        c_I = np.array([2.0, -1.0])
+        J_E, c_E = np.zeros((0, 3)), np.zeros(0)
+        sigma_p = 100.0
+        if case == "zero row":
+            J_I[1] = 0.0
+        elif case == "repeated row":
+            J_I, c_I = J_I[[0, 0]], c_I[[0, 0]]
+        elif case == "m_I > n":
+            J_I = np.vstack([J_I, np.eye(3)])
+            c_I = np.concatenate([c_I, -np.ones(3)])
+        elif case == "binding ball":
+            p = np.linalg.lstsq(J_I, -c_I, rcond=None)[0]
+            sigma_p = 0.5 * np.linalg.norm(p, np.inf if mode == LINF else 1)
+        else:
+            J_E, c_E = np.array([[0.0, 0.0, 1.0]]), np.array([0.5])
+        calls = self.count_programs(monkeypatch)
+        counters = Counters()
+        feas = feasibility_step(c_E, c_I, J_E, J_I, sigma_p, mode,
+                                counters=counters)
+        assert len(calls) == 1 and counters.barrier_iters > 0
+        assert feas.relaxation.shape == (c_E.size + c_I.size,)
+
+    def test_unknown_mode_raised_before_the_certificate(self):
+        # an inequality-only program the certificate would answer
+        with pytest.raises(ValueError, match="norm mode"):
+            feasibility_step(np.zeros(0), np.array([1.0]), np.zeros((0, 1)),
+                             np.array([[1.0]]), 100.0, "l2")
+
+
 @pytest.mark.parametrize("status", ["infeasible", "max_iter"])
 @pytest.mark.parametrize("mode", [LINF, L1])
 def test_nonoptimal_subproblem_raises(monkeypatch, status, mode):
-    # a program that ends short of optimal has no x to return
+    # a program that ends short of optimal has no x to return; the equality
+    # row keeps the LP on the interior point, past the closed-form certificate
     def solve_program(g, C, d, H=None, counters=None):
         return ProgramSolution(x=np.zeros(g.size), objective=0.0,
                                iterations=1, status=status)

@@ -264,13 +264,20 @@ def test_compare_ends_with_method_totals(tmp_path):
         ["B", "700", "0", "40", "Converged", "1"],
         ["det-sqp", "A", "0", "0", "0", "Error", "1"],
         ["B", "5,000", "16", "0", "Converged", "1"],
+        # every method summed, statuses counted over the whole list
+        ["all", "A", "4,200", "15", "40", "BudgetExhausted", "1,",
+         "Converged", "2,", "Error", "1"],
+        ["B", "8,100", "29", "40", "Converged", "4"],
     ]
 
     # equal work: exit 0, and the table still ends the report
     same = tool("--compare", a, a)
     assert same.returncode == 0
-    assert same.stdout.splitlines()[-1].split() == [
-        "B", "0", "0", "0", "Error", "1"]
+    assert [line.split() for line in same.stdout.splitlines()[-2:]] == [
+        ["all", "A", "4,200", "15", "40", "BudgetExhausted", "1,",
+         "Converged", "2,", "Error", "1"],
+        ["B", "4,200", "15", "40", "BudgetExhausted", "1,", "Converged",
+         "2,", "Error", "1"]]
 
 
 @pytest.mark.parametrize("bad", ["missing", "directory", "malformed",

@@ -33,7 +33,8 @@ whose result digest and status are equal "same results": less (or more)
 work for the same answer. It ends with a table of each method's median
 `evals_to` in A and in B (rows without the field are left out of it),
 then one of each method's summed gradient evaluations, MINRES and barrier
-iterations and count of each status, in A and in B. It exits 1 when any
+iterations and count of each status, in A and in B, and the same sums and
+counts over every method in a last row, `all`. It exits 1 when any
 work differs or the two files do not hold the same solve list, and 0
 otherwise: a digest difference alone means a change moved rounding, not
 the work done; `evals_to` does not enter it. A file it cannot read (missing,
@@ -180,23 +181,26 @@ def work(row) -> tuple:
             row.get("error"))
 
 
-def method_totals(rows) -> dict:
+def method_totals(rows, method=lambda r: r["method"]) -> dict:
     """method -> (Counter of its solves' summed counters, Counter of their
-    statuses), in order of first appearance."""
+    statuses), in order of first appearance; `method(row)` names a row's
+    group."""
     totals = {}
     for r in rows:
         work, statuses = totals.setdefault(
-            r["method"], (collections.Counter(), collections.Counter()))
+            method(r), (collections.Counter(), collections.Counter()))
         work.update(r.get("counters") or {})  # a raising solve has none
         statuses[r["status"]] += 1
     return totals
 
 
 def print_totals(a, b):
-    """The per-method work table of two files holding one solve list."""
+    """The per-method work table of two files holding one solve list,
+    ending with the row `all` that sums every method."""
     print(f"{'method':<20} {'gradient evals':>14} {'MINRES':>10} "
           f"{'barrier':>10}  statuses")
-    ta, tb = method_totals(a), method_totals(b)
+    ta, tb = ({**method_totals(rows), **method_totals(rows, lambda r: "all")}
+              for rows in (a, b))
     for method in ta:
         for side, (work, statuses) in (("A", ta[method]), ("B", tb[method])):
             counts = ", ".join(f"{s} {n}" for s, n in sorted(statuses.items()))
