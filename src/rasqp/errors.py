@@ -24,8 +24,8 @@ class NumericalFailure(RasqpError):
 
 
 class MeritCollapse(RasqpError):
-    """The merit parameter collapsed to zero; the subsampled problem is
-    locally incompatible and the inner loop must abort."""
+    """The merit parameter fell below `sqp_eq.TAU_FLOOR`; the subsampled
+    problem is locally incompatible and the inner loop must abort."""
 
 
 class InfeasibleStationary(MeritCollapse):

@@ -1,7 +1,7 @@
 """One inner iteration of the line-search SQP method for equality-constrained
-subsampled problems: KKT step (exact or truncated-MINRES) and merit-parameter
-management; and the context, merit function and line search that both SQP
-solvers share."""
+subsampled problems: KKT step (exact or truncated-MINRES) and merit plan;
+and what both SQP solvers share: the context, the merit-parameter rule
+(`trial_tau`, `update_tau`), the merit function and the line search."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ EPS_OPT = 1e-4
 # merit parameter / line search
 EPS_SIGMA = 0.5
 EPS_TAU = 0.01
+TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 # lower bound on the model curvature relative to ||d||^2; must stay below
 # the smallest Rayleigh quotient of the Hessian model or the merit parameter
 # collapses on quasi-Newton models
@@ -139,23 +140,31 @@ def compute_step(ctx: InnerContext, exact: bool,
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
               r_l1: float) -> float:
-    """Trial merit parameter; infinity when the direction is already a
-    sufficient-descent direction for the objective model."""
+    """Trial merit parameter of both solvers; infinity when the direction is
+    already a sufficient-descent direction for the objective model. The
+    robust solver passes d'd for dHd and d_norm_sq, and its linearized
+    violation decrease for c_l1 with r_l1 = 0."""
     curv = max(dHd, EPS_D * d_norm_sq)
     denom = gTd + curv
-    # the sum cancels at the step-solver residual scale when the direction
-    # is an exact minimizer of the objective model, hence a relative guard
-    if denom <= 1e-8 * (abs(gTd) + curv):
+    # the sum cancels when the direction minimizes the objective model, up
+    # to the MINRES residual or the interior-point gap (1e-6 relative),
+    # hence a relative guard above that noise
+    if denom <= 1e-5 * (abs(gTd) + curv):
         return np.inf
     return (1.0 - EPS_SIGMA) * max(c_l1 - r_l1, 0.0) / denom
 
 
 def update_tau(tau_prev: float, tau_tr: float) -> float:
-    if tau_tr == 0.0:
-        raise MeritCollapse("trial merit parameter is zero")
+    """tau_prev while it is at most tau_tr, else the smaller of
+    (1 - EPS_TAU) tau_prev and tau_tr. Raises MeritCollapse below
+    TAU_FLOOR."""
     if tau_prev <= tau_tr:
-        return tau_prev
-    return (1.0 - EPS_TAU) * tau_tr
+        tau = tau_prev
+    else:
+        tau = min((1.0 - EPS_TAU) * tau_prev, tau_tr)
+    if tau < TAU_FLOOR:
+        raise MeritCollapse(f"merit parameter collapsed to {tau:g}")
+    return tau
 
 
 def model_decrease(tau: float, gTd: float, c_l1: float, r_l1: float) -> float:

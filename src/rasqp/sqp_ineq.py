@@ -1,13 +1,14 @@
-"""The robust-SQP method for general constraints: feasibility LP,
-direction QP and the merit-parameter rule, in both max-norm and 1-norm
-modes. One builder writes both subproblems as the arrays (g, C, d, H) that
-`ipm.solve_program` takes, and the mode's violation is
-`sqp_eq.violation`. An inequality-only feasibility LP whose minimum-norm
-linearized step fits the norm ball has objective 0, and `feasibility_step`
-returns that answer without the interior point. The driver's robust
+"""The robust-SQP method for general constraints: feasibility LP and
+direction QP, in both max-norm and 1-norm modes. One builder writes both
+subproblems as the arrays (g, C, d, H) that `ipm.solve_program` takes, and
+the mode's violation is `sqp_eq.violation`. An inequality-only
+feasibility LP whose minimum-norm linearized step fits the norm ball has
+objective 0, and `feasibility_step` returns that answer without the
+interior point. The driver's robust
 progress probe solves the two subproblems, and certifies an infeasible
 stationary point from the LP by the rule both solvers share,
-`sqp_eq.keeps_violation`; `robust_inner_iteration` takes the step."""
+`sqp_eq.keeps_violation`; `robust_inner_iteration` takes the step with the
+merit-parameter rule both solvers share, `sqp_eq.trial_tau`/`update_tau`."""
 
 from __future__ import annotations
 
@@ -17,16 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .counters import Counters
-from .errors import MeritCollapse, NumericalFailure
+from .errors import NumericalFailure
 from .ipm import solve_program
-from .sqp_eq import (EPS_SIGMA, EPS_TAU, L1, LINF, Evaluator, InnerContext,
-                     line_search_step)
+from .sqp_eq import (L1, LINF, Evaluator, InnerContext, line_search_step,
+                     model_decrease, trial_tau, update_tau)
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
 # this module's names, so they stay importable until the benchmark drops them
 from .linalg import lbfgs_update  # noqa: F401
 from .sqp_eq import armijo_backtrack  # noqa: F401
-
-TAU_FLOOR = 1e-12    # a smaller merit parameter raises MeritCollapse
 
 
 def sigma_bounds(violation: float, mode: str, n: int):
@@ -151,40 +150,22 @@ def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
     return _solve(prog, "direction QP", counters).x[:J_E.shape[1]]
 
 
-def trial_tau_ineq(gTd: float, dHd: float, delta_c: float) -> float:
-    # at a feasible point the QP optimality conditions make this sum exactly
-    # zero; the interior-point solve leaves noise at the 1e-6 relative scale
-    denom = gTd + dHd
-    if denom <= 1e-5 * (abs(gTd) + abs(dHd)):
-        return np.inf
-    return (1.0 - EPS_SIGMA) * max(delta_c, 0.0) / denom
-
-
-def update_tau_ineq(tau_prev: float, tau_tr: float) -> float:
-    if tau_prev <= tau_tr:
-        tau = tau_prev
-    else:
-        tau = min((1.0 - EPS_TAU) * tau_prev, tau_tr)
-    if tau < TAU_FLOOR:
-        raise MeritCollapse(f"merit parameter collapsed to {tau:g}")
-    return tau
-
-
 def robust_inner_iteration(ctx: InnerContext, d: np.ndarray, delta_c: float,
                            evaluator: Evaluator, config,
                            counters: Optional[Counters]):
     """One robust-SQP update along the probe's direction d (its step) with
     its linearized violation decrease delta_c = max(0, violation - LP
-    objective) (its plan): the merit parameter rule, then the shared line
-    search on the `config.norm` merit, with no dual step. It solves no
-    subprogram, so `counters` goes unused. Returns (new context, alpha).
+    objective) (its plan): the shared merit-parameter rule with dHd = d'd
+    and r_l1 = 0, then the shared line search on the `config.norm` merit,
+    with no dual step. It solves no subprogram, so `counters` goes unused.
+    Returns (new context, alpha).
 
     Raises MeritCollapse or LineSearchFailure, which the outer loop treats
     as a signal to resample.
     """
     gTd = float(ctx.g_S @ d)
-    tau_tr = trial_tau_ineq(gTd, float(d @ d), delta_c)
-    tau = update_tau_ineq(ctx.tau_prev, tau_tr)
-    delta_l = -tau * gTd + delta_c
-    return line_search_step(ctx, d, 0.0, tau, delta_l, evaluator,
-                            config.norm)
+    dd = float(d @ d)
+    tau = update_tau(ctx.tau_prev, trial_tau(gTd, dd, dd, delta_c, 0.0))
+    return line_search_step(ctx, d, 0.0, tau,
+                            model_decrease(tau, gTd, delta_c, 0.0),
+                            evaluator, config.norm)

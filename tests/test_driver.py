@@ -822,6 +822,19 @@ class TestTermCauses:
         assert all(rec.inner_iters == 0 for rec in out.trace[1:])
         assert out.status == "BudgetExhausted"
 
+    def test_equality_noise_no_merit_collapse(self):
+        # at outer 5 of this geometric L-BFGS solve the MINRES noise in
+        # g'd + curv sat above a 1e-8 relative guard, so the trial merit
+        # parameter came out 0: outers 5-12 each ended in merit_collapse
+        # with zero updates and the run stalled at stationarity 1.08e-3
+        out = run_config(RunConfig(problem="synth-logreg-eq",
+                                   method="ra-sqp-dl-lbfgs", seed=0,
+                                   sampling="geometric",
+                                   max_gradient_evals=200_000, max_outer=60))
+        assert all(rec.term_cause != "merit_collapse"
+                   for rec in out.trace[1:])
+        assert out.trace[-1].updates > 0
+
     @pytest.mark.parametrize("method", ["ra-sqp-kkt", "ra-sqp-dnorm",
                                         "ra-sqp-dl", "ra-sqp-dl-lbfgs",
                                         "ra-sqp-dl-inexact", "det-sqp"])

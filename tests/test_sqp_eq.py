@@ -133,8 +133,8 @@ class TestMeritParameter:
         assert update_tau(0.1, 0.25) == pytest.approx(0.1)
 
     def test_update_shrinks_below_trial(self):
-        # (1 - EPS_TAU) * trial = 0.99 * 0.25
-        assert update_tau(1.0, 0.25) == pytest.approx(0.2475)
+        # min{(1 - EPS_TAU) * tau_prev, trial} = min{0.99, 0.25}
+        assert update_tau(1.0, 0.25) == pytest.approx(0.25)
 
     def test_update_zero_trial_raises(self):
         with pytest.raises(MeritCollapse):
@@ -142,6 +142,37 @@ class TestMeritParameter:
 
     def test_model_decrease(self):
         assert model_decrease(0.5, -2.0, 3.0, 1.0) == pytest.approx(3.0)
+
+    # the rule both solvers share, one row per branch: trial_tau(gTd, dHd,
+    # d_norm_sq, c_l1, r_l1) with EPS_SIGMA = 0.5, and update_tau(tau_prev,
+    # trial); the robust solver passes (gTd, d'd, d'd, delta_c, 0)
+    @pytest.mark.parametrize("rule, args, expected", [
+        # delta_c = 0.5 over g'd + d'd = 0.25
+        pytest.param(trial_tau, (0.0, 0.25, 0.25, 0.5, 0.0), 1.0,
+                     id="trial-hand-case"),
+        pytest.param(trial_tau, (-1.0, 0.5, 0.5, 0.5, 0.0), np.inf,
+                     id="trial-descent"),
+        # cancellation at the equality roundoff scale and at the
+        # interior-point noise scale reads as descent
+        pytest.param(trial_tau, (-4.5, 4.5 * (1 + 1e-15), 1.0, 1.0, 0.0),
+                     np.inf, id="guard-roundoff"),
+        pytest.param(trial_tau, (-1.0, 1.0 + 1e-7, 1.0 + 1e-7, 0.5, 0.0),
+                     np.inf, id="guard-noise"),
+        pytest.param(update_tau, (0.3, 0.4), 0.3, id="keep-prev"),
+        # min{0.99 tau_prev, trial} on either side
+        pytest.param(update_tau, (1.0, 0.4), 0.4, id="min-trial"),
+        pytest.param(update_tau, (1.0, 0.995), 0.99, id="min-prev"),
+        pytest.param(update_tau, (1e-12, 0.0), MeritCollapse,
+                     id="collapse-zero"),
+        pytest.param(update_tau, (1.0, 1e-13), MeritCollapse,
+                     id="collapse-below-floor"),
+    ])
+    def test_shared_rule(self, rule, args, expected):
+        if expected is MeritCollapse:
+            with pytest.raises(MeritCollapse):
+                rule(*args)
+        else:
+            assert rule(*args) == pytest.approx(expected)
 
 
 class TestInfeasibleStationary:

@@ -12,8 +12,7 @@ from rasqp.ipm import ProgramSolution, solve_program
 from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext,
                           keeps_violation, merit_value, violation)
 from rasqp.sqp_ineq import (direction_step, feasibility_step,
-                            robust_inner_iteration, sigma_bounds,
-                            trial_tau_ineq, update_tau_ineq)
+                            robust_inner_iteration, sigma_bounds)
 from rasqp.errors import InfeasibleStationary, MeritCollapse, NumericalFailure
 
 
@@ -305,28 +304,6 @@ class TestDirectionStep:
 
 
 class TestMeritParameter:
-    def test_trial_tau_hand_case(self):
-        # EPS_SIGMA = 0.5, delta_c = 0.5, gTd = 0, dHd = 0.25 -> 1.0
-        assert trial_tau_ineq(0.0, 0.25, 0.5) == pytest.approx(1.0)
-
-    def test_trial_tau_descent_infinite(self):
-        assert trial_tau_ineq(-1.0, 0.5, 0.5) == np.inf
-
-    def test_trial_tau_cancellation_guard(self):
-        # interior-point noise scale cancellation reads as descent
-        assert trial_tau_ineq(-1.0, 1.0 + 1e-7, 0.5) == np.inf
-
-    def test_update_keeps_small_tau(self):
-        assert update_tau_ineq(0.3, 0.4) == pytest.approx(0.3)
-
-    def test_update_shrinks_to_min(self):
-        # min{0.99 tau_prev, trial} = min{0.99, 0.4}
-        assert update_tau_ineq(1.0, 0.4) == pytest.approx(0.4)
-
-    def test_update_collapse_raises(self):
-        with pytest.raises(MeritCollapse):
-            update_tau_ineq(1e-12, 0.0)
-
     def test_merit_value_modes(self):
         c_E = np.array([1.0, -2.0])
         c_I = np.array([0.5])

@@ -280,6 +280,44 @@ def test_compare_ends_with_method_totals(tmp_path):
          "2,", "Error", "1"]]
 
 
+def test_compare_summarizes_a_work_difference(tmp_path):
+    # long batch-size lists that part late, and a solve that raised on one
+    # side: each side's status, counters and outers, then the first outer
+    # whose batch size differs, never the lists themselves
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    long_a = dict(solve(0, "ra-sqp-dl", 0, "BudgetExhausted", 203_514, 12),
+                  batch_sizes=[32] * 3000 + [64] * 2000)
+    long_b = dict(solve(0, "ra-sqp-dl", 0, "Converged", 201_326, 12),
+                  batch_sizes=[32] * 3000 + [128] * 1000)
+    write(a, [long_a, solve(1, "det-sqp", 0, "Converged", 5000, 16)])
+    write(b, [long_b, solve(1, "det-sqp", 0, "Error")])
+    out = tool("--compare", a, b)
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[:8] == [
+        "WORK   #0 eq-logreg seed 0 None ra-sqp-dl None solver seed 0",
+        "       A: BudgetExhausted, gradient_evals 203,514, function_evals 1,"
+        " minres_iters 12, barrier_iters 0, outers 5,000",
+        "       B: Converged, gradient_evals 201,326, function_evals 1,"
+        " minres_iters 12, barrier_iters 0, outers 4,000",
+        "       batch sizes first differ at outer 3001: 64 != 128",
+        "WORK   #1 eq-logreg seed 0 None det-sqp None solver seed 0",
+        "       A: Converged, gradient_evals 5,000, function_evals 1,"
+        " minres_iters 16, barrier_iters 0, outers 1",
+        "       B: Error: NumericalFailure: non-finite iterate",
+        "       batch sizes first differ at outer 1: 32 != -",
+    ]
+    assert lines[8].startswith("2 solves: 2 with different work")
+
+    # equal batch sizes under different counters say so
+    write(b, [dict(long_a, counters=dict(long_a["counters"],
+                                         minres_iters=13)),
+              solve(1, "det-sqp", 0, "Converged", 5000, 16)])
+    out = tool("--compare", a, b)
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[3] == "       same batch sizes"
+
+
 @pytest.mark.parametrize("bad", ["missing", "directory", "malformed",
                                  "not_a_row"])
 def test_compare_refuses_unreadable_input(tmp_path, bad):

@@ -30,7 +30,9 @@ benchmark.
 `--compare A B` lists the solves whose work (status, counters, batch sizes)
 or digest differs between two such files, and labels a work difference
 whose result digest and status are equal "same results": less (or more)
-work for the same answer. It ends with a table of each method's median
+work for the same answer. Under each work difference it prints each side's
+status, counters and number of outers (or its error), then the first outer
+whose batch size differs. It ends with a table of each method's median
 `evals_to` in A and in B (rows without the field are left out of it),
 then one of each method's summed gradient evaluations, MINRES and barrier
 iterations and count of each status, in A and in B, and the same sums and
@@ -51,6 +53,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -181,6 +184,26 @@ def work(row) -> tuple:
             row.get("error"))
 
 
+def work_summary(row) -> str:
+    """A row's status, four counters and number of outers, or its error."""
+    if "counters" not in row:
+        return f"{row['status']}: {row.get('error')}"
+    counts = ", ".join(f"{c} {row['counters'][c]:,}" for c in COUNTERS)
+    return f"{row['status']}, {counts}, outers {len(row['batch_sizes']):,}"
+
+
+def first_batch_difference(a, b) -> str:
+    """The first outer (from 1) whose batch size differs between two rows,
+    with both sizes ("-" past a side's last outer)."""
+    pairs = itertools.zip_longest(a.get("batch_sizes") or [],
+                                  b.get("batch_sizes") or [])
+    for outer, (size_a, size_b) in enumerate(pairs, 1):
+        if size_a != size_b:
+            return (f"batch sizes first differ at outer {outer}: "
+                    f"{_count(size_a)} != {_count(size_b)}")
+    return "same batch sizes"
+
+
 def method_totals(rows, method=lambda r: r["method"]) -> dict:
     """method -> (Counter of its solves' summed counters, Counter of their
     statuses), in order of first appearance; `method(row)` names a row's
@@ -280,8 +303,10 @@ def compare(a: list, b: list) -> int:
                     and ra.get("result_digest") is not None
                     and ra.get("result_digest") == rb.get("result_digest"))
             same_results += same
-            print(f"WORK   {label}{' (same results)' if same else ''}: "
-                  f"{work(ra)} != {work(rb)}")
+            print(f"WORK   {label}{' (same results)' if same else ''}")
+            for side, row in (("A", ra), ("B", rb)):
+                print(f"       {side}: {work_summary(row)}")
+            print(f"       {first_batch_difference(ra, rb)}")
         elif ra.get("digest") != rb.get("digest"):
             digest_diff += 1
             print(f"DIGEST {label}")
