@@ -177,7 +177,8 @@ class OuterRecord:
 
 @dataclass
 class SolveOutcome:
-    # Converged | InfeasibleStationary | BudgetExhausted | BatchLimit
+    # Converged | InfeasibleStationary | BudgetExhausted | BatchLimit |
+    # Stalled (an outer on a finite sum's whole data set made no update)
     status: str
     x: np.ndarray
     # equality solver: its duals; robust solver: the KKT-residual LP's
@@ -493,6 +494,11 @@ def run(problem: ProblemSpec, config: DriverConfig,
             break
         if stop_met(v, s):
             status = "Converged"
+            break
+        # no update on a finite sum's whole data set: the next outer would
+        # solve the same problem from the same point
+        if S.size == cap and updates == 0 and term_cause != "budget":
+            status = "Stalled"
             break
 
         prev_size = S.size

@@ -53,10 +53,11 @@ def solve_program(g, C, d, H=None,
     """min 1/2 x'Hx + g'x  s.t.  Cx <= d, by Mehrotra predictor-corrector
     on Cx + s = d, s >= 0.
 
-    H is symmetric PSD (None or zeros for an LP). A simple bound is a row
-    of C like any other; at least one row is required. Iterations are added
-    to the barrier counter. The status is "optimal" once the mean
-    complementarity and both residuals are within the relative tolerance.
+    H is symmetric PSD (None for an LP). A simple bound is a row of C like
+    any other; at least one row is required. Iterations are added to the
+    barrier counter. The status is "optimal" once the mean complementarity
+    and both residuals are within the relative tolerance: _TOL (1 + |g|)
+    for a QP, given H, and _TOL (1 + max(|g|, |d|)) for an LP (max norms).
     Otherwise it is "infeasible" as soon as the largest dual iterate
     exceeds _DIVERGE, a test of the duals alone (the primal residual is
     not checked), and "max_iter" after _MAX_ITER iterations.
@@ -67,6 +68,10 @@ def solve_program(g, C, d, H=None,
     n, q = len(g), C.shape[0]
     if not q:
         raise ValueError("a program needs at least one row of C")
+    # a QP's tolerance is on its gradient's scale; an LP's also on the
+    # bounds', whose dual residual carries _REG x
+    scale = np.abs(g).max() if H is not None else max(np.abs(g).max(),
+                                                       np.abs(d).max())
     H = np.zeros((n, n)) if H is None else np.asarray(H, dtype=float)
     if dpotrf is None or dpotrs is None:
         _bind_lapack()
@@ -78,7 +83,7 @@ def solve_program(g, C, d, H=None,
     s, z = v[:q], v[q:]
     step = np.empty(n + 2 * q)
     dx, dv, ds, dz = step[:n], step[n:], step[n:n + q], step[n + q:]
-    tol = _TOL * (1.0 + max(np.abs(g).max(), np.abs(d).max()))
+    tol = _TOL * (1.0 + scale)
 
     Hreg, Ct = H + _REG * np.eye(n), C.T
     status = "max_iter"

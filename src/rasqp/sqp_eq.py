@@ -141,9 +141,14 @@ def compute_step(ctx: InnerContext, exact: bool,
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
               r_l1: float) -> float:
     """Trial merit parameter of both solvers; infinity when the direction is
-    already a sufficient-descent direction for the objective model. The
+    already a sufficient-descent direction for the objective model, or a
+    descent direction (g'd < 0) that decreases no linearized violation
+    (c_l1 - r_l1 <= 0): at a feasible point, where the exact step has
+    g'd + curvature <= 0, rounding would give the ratio below as 0. The
     robust solver passes d'd for dHd and d_norm_sq, and its linearized
     violation decrease for c_l1 with r_l1 = 0."""
+    if c_l1 - r_l1 <= 0.0 and gTd < 0.0:
+        return np.inf
     curv = max(dHd, EPS_D * d_norm_sq)
     denom = gTd + curv
     # the sum cancels when the direction minimizes the objective model, up
@@ -250,12 +255,36 @@ def merit_value(F_S: float, c_E, c_I, tau: float, mode: str) -> float:
     return tau * F_S + violation(c_E, c_I, mode)
 
 
+def second_order_correction(ctx: InnerContext, d, c_E, c_I):
+    """The min-norm s = -J_W^+ (c_W(x + d) - c_W - J_W d) that takes the
+    working rows W back to their linearized values at x + d, given the
+    constraint values (c_E, c_I) there, or None when that gap is at
+    rounding level, as on linear constraints. W is every equality row and
+    each inequality row whose value at x + d exceeds both its linearized
+    value and 0."""
+    Jd_E, Jd_I = ctx.J_E @ d, ctx.J_I @ d
+    lin_I = ctx.c_I + Jd_I
+    rows = c_I > np.maximum(lin_I, 0.0)
+    gap = np.concatenate([c_E - (ctx.c_E + Jd_E), c_I[rows] - lin_I[rows]])
+    # rounding level: relative to the values the gap is the difference of
+    if not gap.size or norm(gap, np.inf) <= 1e-12 * (1.0 + norm(
+            np.concatenate([c_E, c_I, Jd_E, Jd_I]), np.inf)):
+        return None
+    return -np.linalg.lstsq(np.vstack([ctx.J_E, ctx.J_I[rows]]), gap,
+                            rcond=None)[0]
+
+
 def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
                      evaluator: Evaluator, mode: str):
     """Armijo backtracking on the merit `merit_value(., tau, mode)` along d
-    from ctx, then the update x + alpha d, lam + alpha delta, the subsampled
-    values at the new point and, with a Hessian model, its L-BFGS update
-    from Lagrangian-gradient differences. Returns (new context, alpha).
+    from ctx, first trying the unit step with its second-order correction s
+    (`second_order_correction`): x + d + s is taken at alpha 1 when it
+    passes the Armijo test there, and otherwise, or with no correction,
+    the backtrack along d runs, its unit trial reusing the constraint
+    values at x + d. Then the update x + alpha d (+ s), lam + alpha delta,
+    the subsampled values at the new point and, with a Hessian model, its
+    L-BFGS update from Lagrangian-gradient differences. Returns (new
+    context, alpha).
 
     A model decrease delta_l <= 0 (a direction at the rounding scale can
     give one) admits no Armijo step: ctx is returned with alpha 0, as for
@@ -267,17 +296,24 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     if delta_l <= 0.0:
         return ctx, 0.0
     phi0 = merit_value(ctx.F_S, ctx.c_E, ctx.c_I, tau, mode)
+    x_unit = ctx.x + d
+    unit = evaluator.constraints(x_unit)
     x_new = cons = None
 
-    def merit_eval(alpha):
+    def merit_at(x, c=None):
         nonlocal x_new, cons
-        x_new = ctx.x + alpha * d
-        cons = evaluator.constraints(x_new)
-        return merit_value(evaluator.value(x_new), cons[0], cons[1], tau, mode)
+        x_new, cons = x, evaluator.constraints(x) if c is None else c
+        return merit_value(evaluator.value(x), cons[0], cons[1], tau, mode)
 
-    # the backtrack returns right after the trial it accepts, so x_new and
-    # cons hold that trial's point and constraint values
-    alpha = armijo_backtrack(merit_eval, phi0, delta_l)
+    corr = second_order_correction(ctx, d, unit[0], unit[1])
+    if corr is not None and merit_at(x_unit + corr) <= phi0 - ETA * delta_l:
+        alpha = 1.0
+    else:
+        # the backtrack returns right after the trial it accepts, so x_new
+        # and cons hold that trial's point and constraint values
+        alpha = armijo_backtrack(
+            lambda a: (merit_at(x_unit, unit) if a == 1.0
+                       else merit_at(ctx.x + a * d)), phi0, delta_l)
 
     lam_new = ctx.lam + alpha * delta
     F_new, g_new = evaluator.value_grad(x_new)

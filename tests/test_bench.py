@@ -397,26 +397,27 @@ WORK_COUNTERS = [
     pytest.param(RunConfig(problem="synth-logreg-eq",
                            method="ra-sqp-dl-lbfgs",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32395, 552, 0, (32, 119, 595, 2975)),
+                 ("Stalled", 29396, 354, 0,
+                  (32, 44, 44, 220, 1100, 5000, 5000, 5000)),
                  id="synth-logreg-eq"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-kkt",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 33181, 161, 0,
-                  (32, 33, 74, 120, 259, 873, 3243)),
+                 ("BudgetExhausted", 30572, 125, 0,
+                  (32, 34, 46, 108, 256, 561, 781, 2109)),
                  id="synth-logreg-eq-ra-sqp-kkt"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-dnorm",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31457, 205, 0,
-                  (32, 35, 66, 151, 554, 1355, 2923)),
+                 ("BudgetExhausted", 32752, 133, 0,
+                  (32, 34, 49, 122, 459, 1077, 4898)),
                  id="synth-logreg-eq-ra-sqp-dnorm"),
     pytest.param(RunConfig(problem="synth-logreg-eq",
                            method="ra-sqp-dl-inexact",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 33664, 85, 0, (32, 160, 800, 4000)),
+                 ("BudgetExhausted", 30048, 54, 0, (32, 160, 800, 4000)),
                  id="synth-logreg-eq-ra-sqp-dl-inexact"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="det-sqp",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 30000, 16, 0, (5000, 5000)),
+                 ("BudgetExhausted", 30000, 12, 0, (5000, 5000)),
                  id="synth-logreg-eq-det-sqp"),
     pytest.param(RunConfig(problem="synth-eq-quad", method="det-sqp",
                            max_gradient_evals=50000),
@@ -424,20 +425,20 @@ WORK_COUNTERS = [
                  id="synth-eq-quad-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32730, 0, 241,
-                  (32, 33, 72, 155, 404, 1241, 1682, 5000)),
+                 ("BudgetExhausted", 32752, 0, 259,
+                  (32, 34, 49, 122, 459, 1077, 4898)),
                  id="synth-logreg-ineq"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="det-sqp",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 30000, 0, 26, (5000, 5000)),
+                 ("BudgetExhausted", 30000, 0, 30, (5000, 5000)),
                  id="synth-logreg-ineq-det-sqp"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
-                 ("InfeasibleStationary", 64, 0, 15, (32,)),
+                 ("InfeasibleStationary", 64, 0, 16, (32,)),
                  id="infeasible-1d"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-l1",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 31457, 0, 275,
-                  (32, 35, 66, 151, 554, 1355, 2923)),
+                 ("BudgetExhausted", 32752, 0, 343,
+                  (32, 34, 49, 122, 459, 1077, 4898)),
                  id="synth-logreg-ineq-ra-sqp-l1"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-l1"),
                  ("InfeasibleStationary", 32, 0, 5, (32,)),
@@ -456,7 +457,7 @@ def test_work_counters_unchanged(config, expected):
 def test_inequality_feasibility_lps_skip_the_interior_point(monkeypatch):
     # every feasibility LP of this inequality-only run is certified in
     # closed form, so only direction QPs (H given) reach the interior point;
-    # the gradient count and batches are those pinned before the certificate
+    # the gradient count and batches are the WORK_COUNTERS pin's
     from rasqp import sqp_ineq
 
     solve = sqp_ineq.solve_program
@@ -473,7 +474,7 @@ def test_inequality_feasibility_lps_skip_the_interior_point(monkeypatch):
     assert programs and all(programs)
     assert (out.status, out.counters.gradient_evals,
             tuple(r.batch_size for r in out.trace[1:])) == (
-        "BudgetExhausted", 32730, (32, 33, 72, 155, 404, 1241, 1682, 5000))
+        "BudgetExhausted", 32752, (32, 34, 49, 122, 459, 1077, 4898))
 
 
 # method -> (status, gradient evals, function evals, MINRES iterations,
@@ -495,9 +496,9 @@ INFEASIBLE_1D = {
     "ra-sqp-dl-lbfgs": ("InfeasibleStationary", 32, 32, 5, 0, EQ_CERTIFIED),
     "ra-sqp-dl-inexact": ("InfeasibleStationary", 32, 32, 5, 0,
                           EQ_CERTIFIED),
-    "ra-sqp-linf": ("InfeasibleStationary", 64, 96, 0, 15,
-                    "fb4c1b5252bcce22ea687aebb7d31754"
-                    "e0e48d6771bbc368dd12457f652b64ec"),
+    "ra-sqp-linf": ("InfeasibleStationary", 64, 96, 0, 16,
+                    "2105f8310c94fdca41a605be18f23535"
+                    "cc26841b181e4e8bc95146b61f2b870b"),
     "ra-sqp-l1": ("InfeasibleStationary", 32, 32, 0, 5,
                   "13536babb1b93d5170eaeb237fe9c728"
                   "2619324ed1849ba8de10b2dea878f929"),

@@ -158,6 +158,18 @@ class TestMeritParameter:
                      np.inf, id="guard-roundoff"),
         pytest.param(trial_tau, (-1.0, 1.0 + 1e-7, 1.0 + 1e-7, 0.5, 0.0),
                      np.inf, id="guard-noise"),
+        # no linearized violation decrease (c_l1 - r_l1 <= 0): a descent
+        # direction keeps tau (the ratio would be 0), any other gets 0
+        pytest.param(trial_tau, (-1.0, 2.0, 2.0, 0.5, 0.5), np.inf,
+                     id="trial-no-decrease-descent"),
+        pytest.param(trial_tau, (-1.0, 2.0, 2.0, 0.4, 0.5), np.inf,
+                     id="trial-increase-descent"),
+        pytest.param(trial_tau, (-1.0, 2.0, 2.0, 0.0, 0.0), np.inf,
+                     id="trial-robust-no-decrease-descent"),
+        pytest.param(trial_tau, (0.5, 1.0, 1.0, 0.5, 0.5), 0.0,
+                     id="trial-no-decrease-ascent"),
+        pytest.param(trial_tau, (0.0, 1.0, 1.0, 0.4, 0.5), 0.0,
+                     id="trial-increase-flat"),
         pytest.param(update_tau, (0.3, 0.4), 0.3, id="keep-prev"),
         # min{0.99 tau_prev, trial} on either side
         pytest.param(update_tau, (1.0, 0.4), 0.4, id="min-trial"),
@@ -349,6 +361,91 @@ class TestLineSearchStep:
         assert new.x is ctx.x
         np.testing.assert_allclose(new.lam, [2.25], atol=1e-12)
         assert np.linalg.norm(new.kkt_vector()) <= 1e-12
+
+
+class TestSecondOrderCorrection:
+    @staticmethod
+    def sphere_ctx(x, kind):
+        """ctx at x for the one constraint ||x||^2 - 1, an equality or an
+        inequality row, with its evaluator's constraint hook."""
+        def constraints(z):
+            c, J = np.array([z @ z - 1.0]), 2.0 * z[None, :]
+            none, no_J = np.zeros(0), np.zeros((0, z.size))
+            return (c, none, J, no_J) if kind == "eq" else (none, c, no_J, J)
+
+        c_E, c_I, J_E, J_I = constraints(x)
+        ctx = InnerContext(x=x, lam=np.zeros(c_E.size), F_S=0.0,
+                           g_S=np.zeros(x.size), c_E=c_E, c_I=c_I, J_E=J_E,
+                           J_I=J_I, tau_prev=TAU_BAR)
+        return ctx, constraints
+
+    @pytest.mark.parametrize("kind", ["eq", "ineq"])
+    def test_corrected_violation_is_higher_order(self, kind):
+        # a tangent step of length h from the unit sphere leaves violation
+        # h^2; the corrected step leaves h^4 / 4
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(4)
+        x /= np.linalg.norm(x)
+        t = rng.standard_normal(4)
+        t -= (t @ x) * x
+        t /= np.linalg.norm(t)
+        ctx, constraints = self.sphere_ctx(x, kind)
+        for h in (1e-1, 1e-2, 1e-3):
+            d = h * t
+            unit = constraints(x + d)
+            s = sqp_eq.second_order_correction(ctx, d, unit[0], unit[1])
+            plain = float(np.abs(np.concatenate(unit[:2])).max())
+            after = constraints(x + d + s)
+            corrected = float(np.abs(np.concatenate(after[:2])).max())
+            assert plain == pytest.approx(h * h, rel=1e-6)
+            assert corrected <= 0.3 * h * h * plain
+
+    def test_inequality_row_inside_is_not_corrected(self):
+        # a step that keeps ||x||^2 <= 1 needs no correction
+        x = np.array([0.5, 0.0])
+        ctx, constraints = self.sphere_ctx(x, "ineq")
+        d = np.array([0.0, 0.3])
+        unit = constraints(x + d)
+        assert sqp_eq.second_order_correction(ctx, d, *unit[:2]) is None
+
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
+    def test_linear_constraints_take_the_plain_backtrack(self, monkeypatch,
+                                                          scale):
+        # linear constraints meet their linearization: no correction is
+        # computed, and the update is the backtrack's along d bit for bit
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("correction computed")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            ev = quadratic_instance(rng)
+            x0 = rng.standard_normal(5)
+            F, g = ev.value_grad(x0)
+            c, c_I, J, J_I = ev.constraints(x0)
+            ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g,
+                               c_E=c, c_I=c_I, J_E=J, J_I=J_I,
+                               tau_prev=TAU_BAR)
+            step = compute_step(ctx, True)
+            tau, delta_l = merit_plan(ctx, step)
+            d = scale * step.d
+
+            def phi(a):
+                xa = x0 + a * d
+                ca = ev.constraints(xa)
+                return merit_value(ev.value(xa), ca[0], ca[1], tau, L1)
+
+            alpha = armijo_backtrack(phi, merit_value(F, c, c_I, tau, L1),
+                                     delta_l)
+            x_ref = x0 + alpha * d
+            new, got = line_search_step(ctx, d, step.delta, tau, delta_l, ev,
+                                        L1)
+            assert got == alpha
+            np.testing.assert_array_equal(new.x, x_ref)
+            np.testing.assert_array_equal(new.lam,
+                                          ctx.lam + alpha * step.delta)
+            assert (new.F_S, new.g_S.tobytes()) == (
+                ev.value_grad(x_ref)[0], ev.value_grad(x_ref)[1].tobytes())
 
 
 class TestInnerIterationInvariants:

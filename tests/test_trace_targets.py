@@ -46,11 +46,12 @@ def load_layers():
 # fresh-set prefix, the robust solver, geometric expectation batches, and
 # det-sqp's fixed whole-dataset batch, whose first inner loop ends on its
 # stopping rule before the budget; each with the trace sites (module.name) its traced solve reaches, so a
-# refactor that moves a call off a traced name fails here
+# refactor that moves a call off a traced name fails here. The logistic
+# solves take every corrected unit step the line search tries first, so
+# only the linearly constrained quadratic reaches the backtrack
 SOLVE_SITES = {"bench.run", "driver._sums_over", "driver.draw_samples",
                "driver.eval_constraints", "driver.eval_subsampled",
-               "driver.eval_subsampled_value", "driver.true_metrics",
-               "sqp_eq.armijo_backtrack"}
+               "driver.eval_subsampled_value", "driver.true_metrics"}
 LOGREG_SITES = SOLVE_SITES | {"bench.build_logreg_problem",
                               "bench.make_synthetic_dataset",
                               "driver.estimate_condition_inputs",
@@ -65,7 +66,8 @@ TRACED_SOLVES = [
                      "sqp_ineq.solve_program", "ipm.solve_program"}),
     (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                sampling="geometric", max_outer=3),
-     SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve"}),
+     SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve",
+                    "sqp_eq.armijo_backtrack"}),
     (RunConfig(problem="synth-logreg-eq", method="det-sqp",
                max_gradient_evals=30_000),
      SOLVE_SITES | {"bench.build_logreg_problem",
