@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import DriverConfig, OuterRecord, SolveOutcome, run
+from .driver import DriverConfig, OuterRecord, Schedule, SolveOutcome, run
 from .errors import ConfigError
 from .problems import (Dataset, FiniteSum, ProblemSpec,
                        build_augmented_problem, build_expectation_problem,
@@ -121,24 +121,15 @@ def build_problem(name: str, data_seed: int = 0) -> ProblemSpec:
 # run configuration
 # ------------------------------------------------------------------
 
-# the RunConfig fields that are DriverConfig fields of the same name
-DRIVER_FIELDS = ("sampling", "initial_size", "beta", "max_gradient_evals",
-                 "max_outer", "stop_violation", "stop_stationarity")
-
-
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(Schedule):
+    """One benchmark solve: a registered problem and method, the solver
+    and data seeds, and the run's `Schedule`, which its own checks cover,
+    so that a sweep fails on a bad value before its first solve."""
     problem: str = "synth-logreg-eq"
     method: str = "ra-sqp-dl"
     seed: int = 0
     data_seed: int = 0
-    sampling: str = "adaptive"          # adaptive | geometric (RA methods)
-    initial_size: int = 32
-    beta: float = 0.5
-    max_gradient_evals: int = 10 ** 6
-    max_outer: int = 10 ** 9
-    stop_violation: Optional[float] = None
-    stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
         for name in ("seed", "data_seed"):
@@ -147,12 +138,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
-        # DriverConfig checks the shared values; built here too, so that a
-        # sweep fails on a bad value before its first solve
-        DriverConfig(**self.driver_fields())
-
-    def driver_fields(self) -> dict:
-        return {name: getattr(self, name) for name in DRIVER_FIELDS}
+        super().__post_init__()
 
 
 # method -> DriverConfig fields; the termination rule picks the solver.
@@ -177,7 +163,8 @@ def method_driver_config(method: str, problem: ProblemSpec,
     the run's shared fields, overridden by the method's entry."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    fields = {**config.driver_fields(), **METHODS[method]}
+    fields = {**{f.name: getattr(config, f.name)
+                 for f in dataclasses.fields(Schedule)}, **METHODS[method]}
     if method == "det-sqp":
         fields.update(sampling="fixed", initial_size=(
             problem.mode.dataset_size if isinstance(problem.mode, FiniteSum)

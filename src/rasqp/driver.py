@@ -1,32 +1,32 @@
 """Outer loop of the retrospective-approximation solver: batch sizing,
 inner-loop termination rules, the dual warm start, budget enforcement,
 and trace recording. One flat, frozen `DriverConfig` sets a run: its
-inner stopping rule, batch schedule, budgets and solver settings.
+inner stopping rule, batch schedule, budgets and solver settings; the
+schedule, budgets and stops are a `Schedule`, which `bench.RunConfig`
+shares.
 
 Both inner solvers run under one loop, `_inner_loop`, on one context type,
 `sqp_eq.InnerContext`. The constraints are deterministic, and one context
 carries an iterate's constraint values and Jacobians from `x_init` to the
 last outer iteration, with what is computed from them alone (the
 feasibility LP, the true-problem metrics) in its `store`. Each inner
-iteration is a progress probe, the termination test, then an update, and
-a solver is one `_INNER` entry (probe, update):
-`probe(ctx, config, counters) -> (current, first, step, plan)` and
-`update(ctx, step, plan, evaluator, config, counters) -> (new ctx,
-alpha)`, each reading its own settings from the config. The probe returns
-its rule's progress measure, the value the rule compares against when this
-is the first inner iteration, and the step and merit plan (or None) the
-update reuses (the robust solver's plan is the linearized violation
-decrease). The update changes x only when alpha > 0. Either raises
-MeritCollapse or LineSearchFailure to abandon the batch, or
+iteration is a progress probe, the termination test, then the update both
+solvers share, `sqp_eq.inner_iteration(ctx, step, evaluator, config,
+counters) -> (new ctx, alpha)`. A solver is its `_INNER` probe,
+`probe(ctx, config, counters) -> (current, first, step)`, which reads its
+own settings from the config and returns its rule's progress measure, the
+value the rule compares against when this is the first inner iteration,
+and the `sqp_eq.Step` the update takes, or None for the equality KKT step
+the update solves itself. The update changes x only when alpha > 0.
+Either raises MeritCollapse or LineSearchFailure to abandon the batch, or
 InfeasibleStationary (a MeritCollapse), where `sqp_eq.keeps_violation`
-certifies an infeasible stationary point, to end the run. `run` builds each
-batch's `Evaluator` and warm-started context; on a finite sum's whole data
-set with stop thresholds set, the evaluator carries the run's stop test,
-which the loop applies after each update that moves x. `_inner_loop` and
-the adaptive estimate look the solver up in `_INNER`. The loop owns the
-budget check, the first-iteration snapshot, the stop test, the inner cap,
-the mapping of these outcomes to `OuterRecord.term_cause`, and the
-iteration counts.
+certifies an infeasible stationary point, to end the run. `run` builds
+each batch's `Evaluator` and warm-started context; on a finite sum's
+whole data set with stop thresholds set, it hands `_inner_loop` the run's
+stop test, which the loop applies after each update that moves x. The
+loop owns the budget check, the first-iteration snapshot, the stop test,
+the inner cap, the mapping of these outcomes to `OuterRecord.term_cause`,
+and the iteration counts.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .linalg import LbfgsModel, least_squares_dual, norm
 from .problems import (FiniteSum, ProblemSpec, _sums_over, after_prefix,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
-from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext,
+from .sqp_eq import (L1, LINF, TAU_BAR, Evaluator, InnerContext, Step,
                      compute_step, inner_iteration, keeps_violation,
                      merit_plan, violation)
-from .sqp_ineq import (direction_step, feasibility_step,
-                       robust_inner_iteration, sigma_bounds)
+from .sqp_ineq import direction_step, feasibility_step, sigma_bounds
 
 INNER_CAP = 500                # inner iterations per outer iteration
 MAX_BATCH = 2 ** 24            # largest expectation batch (bounds drawing time)
@@ -68,19 +67,11 @@ SOLVERS = {"kkt": "equality", "dnorm": "equality", "dl": "equality",
            "robust_dnorm": "robust"}
 
 
-@dataclass(frozen=True)
-class DriverConfig:
-    """The settable configuration of `run`: the inner stopping rule, the
-    batch schedule, the budgets and the solver settings, each checked when
-    the config is built.
-
-    Inner stopping rule: current <= gamma * snapshot0 + eps, where
-    snapshot0 is the rule's metric at the first inner iteration and eps
-    follows from the batch schedule and the stop (`termination_check`).
-    `termination` selects the metric: "kkt" (KKT error norm), "dnorm" (step
-    norm), "dl" (merit model decrease, snapshot clipped at
-    KAPPA_D * ||d0||^2), "robust_dnorm" (step norm of the robust solver).
-    It also sets gamma and the solver (`SOLVERS`).
+@dataclass(frozen=True, kw_only=True)
+class Schedule:
+    """The batch schedule, budgets and stops of a run, each checked when
+    the config is built; `DriverConfig` and `bench.RunConfig` both hold
+    them.
 
     Batch schedule: `sampling` is "adaptive" (variance-based norm test
     with growth factor BETA_HAT), "geometric" (fixed-rate growth: the
@@ -97,15 +88,11 @@ class DriverConfig:
     than the `batch_size` of its last outer record. `max_outer` is checked
     before each outer iteration only.
     """
-    termination: str = "kkt"
     sampling: str = "adaptive"
     initial_size: int = 32
     beta: float = 0.5
     max_gradient_evals: int = 10 ** 6
     max_outer: int = 10 ** 9
-    exact: bool = True                 # equality solver: exact or inexact step
-    norm: str = LINF                   # robust solver: "linf" | "l1"
-    use_lbfgs: bool = False            # equality solver only
     # optional metric-threshold stopping: both set, and both must hold, or
     # neither set, which stops on the budget only; tested at each outer exit
     # and, on a finite sum's whole data set, after each update that moves x
@@ -113,8 +100,6 @@ class DriverConfig:
     stop_stationarity: Optional[float] = None
 
     def __post_init__(self):
-        if self.termination not in SOLVERS:
-            raise ConfigError(f"unknown termination kind {self.termination!r}")
         if self.sampling not in ("adaptive", "geometric", "fixed"):
             raise ConfigError(f"unknown sampling kind {self.sampling!r}")
         if not 0.0 < self.beta < 1.0:
@@ -135,6 +120,31 @@ class DriverConfig:
             value = getattr(self, name)
             if value is not None and not value >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class DriverConfig(Schedule):
+    """The settable configuration of `run`: the inner stopping rule and
+    the solver settings here, and the `Schedule`, each checked when the
+    config is built.
+
+    Inner stopping rule: current <= gamma * snapshot0 + eps, where
+    snapshot0 is the rule's metric at the first inner iteration and eps
+    follows from the batch schedule and the stop (`termination_check`).
+    `termination` selects the metric: "kkt" (KKT error norm), "dnorm" (step
+    norm), "dl" (merit model decrease, snapshot clipped at
+    KAPPA_D * ||d0||^2), "robust_dnorm" (step norm of the robust solver).
+    It also sets gamma and the solver (`SOLVERS`).
+    """
+    termination: str = "kkt"
+    exact: bool = True                 # equality solver: exact or inexact step
+    norm: str = LINF                   # robust solver: "linf" | "l1"
+    use_lbfgs: bool = False            # equality solver only
+
+    def __post_init__(self):
+        if self.termination not in SOLVERS:
+            raise ConfigError(f"unknown termination kind {self.termination!r}")
+        super().__post_init__()
         if self.norm not in (LINF, L1):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
         # a setting the solver never reads is refused, not ignored
@@ -262,9 +272,8 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
     # least-squares warm start here shrinks the "kkt" rule's Z and grows its
     # batches (+7.8% ra-sqp-kkt gradient evaluations on eq-logreg seeds 10-19)
     ctx = replace(ctx, F_S=vsum / m, g_S=gbar, tau_prev=TAU_BAR)
-    probe = _INNER[config.solver][0]
     try:
-        Z = max(probe(ctx, config, counters)[0], 0.0)
+        Z = max(_INNER[config.solver](ctx, config, counters)[0], 0.0)
     except MeritCollapse:
         Z = 0.0
 
@@ -274,31 +283,31 @@ def estimate_condition_inputs(problem: ProblemSpec, ctx: InnerContext,
 def _eq_progress(ctx: InnerContext, config: DriverConfig,
                  counters: Counters):
     """The equality rule's progress measure at ctx: (current value, value
-    to snapshot at the first inner iteration, KKT step or None, merit plan
-    (tau, model decrease) or None). The step is solved here only when the
-    measure needs it, and the plan only for "dl", which raises MeritCollapse
-    when the merit parameter would collapse; the inner iteration reuses
-    both."""
+    to snapshot at the first inner iteration, KKT step or None). The step
+    is solved here only when the measure needs it, and its merit plan
+    (`step.plan`) only for "dl", which raises MeritCollapse when the merit
+    parameter would collapse; the update reuses both."""
     if config.termination == "kkt":
         current = norm(ctx.kkt_vector())
-        return current, current, None, None
+        return current, current, None
     step = compute_step(ctx, config.exact, counters)
     dnorm = norm(step.d)
     if config.termination == "dnorm":
-        return dnorm, dnorm, step, None
-    plan = merit_plan(ctx, step)
-    dl = plan[1]
-    return dl, min(dl, KAPPA_D * dnorm * dnorm), step, plan
+        return dnorm, dnorm, step
+    step.plan = merit_plan(ctx, step)
+    return step.plan[1], min(step.plan[1], KAPPA_D * dnorm * dnorm), step
 
 
 def _robust_progress(ctx: InnerContext, config: DriverConfig,
                      counters: Counters):
     """The robust rule's progress measure at ctx, in `_eq_progress`'s form:
-    (||d||, ||d||, direction d, linearized violation decrease delta_c) from
-    the feasibility LP and the direction QP. Raises InfeasibleStationary,
-    with no QP solved, when `keeps_violation(violation, LP objective)`
-    certifies an infeasible stationary point. The violation,
-    the norm bounds and both subprograms are in the run's one norm mode;
+    (||d||, ||d||, step) for the direction d of the feasibility LP and the
+    direction QP, as a `Step` with no dual step whose v_x is the
+    linearized violation decrease max(0, violation - LP objective) and
+    v_d 0. Raises InfeasibleStationary, with no QP solved, when
+    `keeps_violation(violation, LP objective)` certifies an infeasible
+    stationary point. The violation, the norm bounds and both subprograms
+    are in the run's one norm mode;
     the LP reads only the constraint values and that mode, so it is solved
     once per iterate and kept in the context's store. With inequality rows
     only, `feasibility_step` usually answers it in closed form (objective
@@ -316,14 +325,11 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     d = direction_step(ctx.g_S, ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
                        feas.relaxation, sigma_d, mode, counters=counters)
     dnorm = norm(d)
-    return dnorm, dnorm, d, max(0.0, v - feas.lp_objective)
+    return dnorm, dnorm, Step(d, 0.0, max(0.0, v - feas.lp_objective), 0.0)
 
 
-# solver -> (progress probe, update)
-_INNER = {
-    "equality": (_eq_progress, inner_iteration),
-    "robust": (_robust_progress, robust_inner_iteration),
-}
+# solver -> progress probe
+_INNER = {"equality": _eq_progress, "robust": _robust_progress}
 
 
 # ------------------------------------------------------------------
@@ -481,11 +487,11 @@ def run(problem: ProblemSpec, config: DriverConfig,
         evaluator = Evaluator(
             lambda xt: eval_subsampled_value(problem, xt, S, counters),
             lambda xt: eval_subsampled(problem, xt, S, counters),
-            lambda xt: eval_constraints(problem, xt),
-            stop=(stop_holds if S.size == cap
-                  and config.stop_violation is not None else None))
+            lambda xt: eval_constraints(problem, xt))
         ctx, inner_iters, updates, term_cause = _inner_loop(
-            ctx, config, evaluator, counters)
+            ctx, config, evaluator, counters,
+            stop_holds if S.size == cap and config.stop_violation is not None
+            else None)
         v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
                       term_cause)
 
@@ -511,31 +517,31 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
 
 def _inner_loop(ctx: InnerContext, config: DriverConfig,
-                evaluator: Evaluator, counters: Counters):
+                evaluator: Evaluator, counters: Counters, stop=None):
     """Probe, test and update (see the module docstring) with the config's
     solver from ctx until its termination rule fires, the probe or the
     update raises (InfeasibleStationary at a certified infeasible
-    stationary point, MeritCollapse or LineSearchFailure), the evaluator's
-    `stop` holds after an update that moves x, or the gradient budget or
-    INNER_CAP is reached. With a `stop` the rule has no floor
-    (`termination_check`).
+    stationary point, MeritCollapse or LineSearchFailure), `stop` (the
+    run's stop test on a finite sum's whole data set, or None) holds after
+    an update that moves x, or the gradient budget or INNER_CAP is
+    reached. With a `stop` the rule has no floor (`termination_check`).
 
     Returns (ctx, inner iterations, updates, term_cause).
     """
-    probe, update = _INNER[config.solver]
-    stop = evaluator.stop
+    probe = _INNER[config.solver]
     snapshot = None
     updates = 0
     for j in range(INNER_CAP):
         if counters.gradient_evals >= config.max_gradient_evals:
             return ctx, j, updates, "budget"
         try:
-            current, first, step, plan = probe(ctx, config, counters)
+            current, first, step = probe(ctx, config, counters)
             if snapshot is None:
                 snapshot = first
             if termination_check(config, snapshot, current, stop is not None):
                 return ctx, j, updates, "terminated"
-            ctx, alpha = update(ctx, step, plan, evaluator, config, counters)
+            ctx, alpha = inner_iteration(ctx, step, evaluator, config,
+                                         counters)
         except InfeasibleStationary:
             return ctx, j, updates, "infeasible_stationary"
         except MeritCollapse:

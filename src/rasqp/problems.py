@@ -10,6 +10,7 @@ this module needs numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -271,7 +272,8 @@ class Dataset:
 
     Construction checks that form (integer row pointers, feature indices
     and labels; row pointers start at 0, do not decrease and end at the
-    entry count; at least one row; labels and feature indices in range),
+    entry count; at least one row; labels and feature indices in range;
+    finite feature values),
     raising ConfigError, and derives `row_sq`, each row's squared norm,
     once. Nothing writes to the arrays, so problems may share a data set,
     as those of the memoized `bench.make_synthetic_dataset` do (read-only).
@@ -302,6 +304,8 @@ class Dataset:
         if not np.all((idx >= 0) & (idx < self.n_features)):
             raise ConfigError(f"feature indices must be in "
                               f"0..{self.n_features - 1}")
+        if not np.all(np.isfinite(self.data)):
+            raise ConfigError("feature values must be finite")
         # a per-sample logistic gradient is a multiple of its row, so its
         # squared norm needs only the row's. Summed as a CSR matrix's
         # X.multiply(X).sum(axis=1) sums: zero products dropped, then one
@@ -335,7 +339,9 @@ def parse_libsvm(stream) -> Dataset:
     """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices).
 
     Appends a constant-1 bias feature and remaps labels to 0..n_classes-1
-    in sorted order of the raw label values.
+    in sorted order of the raw label values. A malformed token, a
+    non-finite label or feature value, or a feature index that does not
+    increase raises ParseError naming the line.
     """
     if isinstance(stream, (str, bytes)):
         lines = (stream.decode() if isinstance(stream, bytes) else stream).splitlines()
@@ -354,6 +360,8 @@ def parse_libsvm(stream) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", line=lineno)
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {tokens[0]!r}", line=lineno)
         prev_idx = 0
         for tok in tokens[1:]:
             if ":" not in tok:
@@ -364,6 +372,9 @@ def parse_libsvm(stream) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"bad feature token {tok!r}", line=lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}",
+                                 line=lineno)
             if idx <= prev_idx:
                 raise ParseError(f"feature index {idx} not increasing", line=lineno)
             prev_idx = idx

@@ -1,7 +1,13 @@
-"""One inner iteration of the line-search SQP method for equality-constrained
-subsampled problems: KKT step (exact or truncated-MINRES) and merit plan;
-and what both SQP solvers share: the context, the merit-parameter rule
-(`trial_tau`, `update_tau`), the merit function and the line search."""
+"""What both SQP solvers share, and the equality solver's KKT step.
+
+Both solvers hand one update, `inner_iteration`, a `Step`: the direction
+d, the dual step, and the violation the merit plan reads at x and along
+the step's linearized model. The equality solver's step is the KKT step
+(exact or truncated-MINRES) of `compute_step`; the robust solver's comes
+from its subproblems (`driver._robust_progress`). The update takes the
+merit-parameter rule (`merit_plan`: `trial_tau`, `update_tau`) and the
+line search on the solver's merit; this module also holds the context
+and the evaluation hooks the update reads."""
 
 from __future__ import annotations
 
@@ -71,14 +77,23 @@ class InnerContext:
 
 
 @dataclass
-class EqStepResult:
+class Step:
+    """A step of either solver: the direction d, the dual step delta, and
+    the violation v_x at x and v_d of the step's linearized model that the
+    merit plan reads. The equality solver's KKT step has v_x = ||c_E||_1,
+    v_d = ||r||_1, its residual (rho, r) and MINRES's stop reason
+    `acceptance` ("exact_tol" | "max_iter" | "inexact_cond1" |
+    "inexact_cond2"); the robust solver's has delta 0, v_x its linearized
+    violation decrease and v_d 0. `plan` is the merit plan (tau, model
+    decrease) when a probe has already taken it."""
     d: np.ndarray
     delta: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
-    # MINRES's stop reason: "exact_tol" | "max_iter" | "inexact_cond1" |
-    # "inexact_cond2"
-    acceptance: str
+    v_x: float
+    v_d: float
+    rho: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
+    acceptance: str = "exact_tol"
+    plan: Optional[tuple] = None
 
 
 def _inexact_acceptance(ctx: InnerContext, T: np.ndarray) -> Callable:
@@ -117,7 +132,7 @@ def _inexact_acceptance(ctx: InnerContext, T: np.ndarray) -> Callable:
 
 
 def compute_step(ctx: InnerContext, exact: bool,
-                 counters: Optional[Counters] = None) -> EqStepResult:
+                 counters: Optional[Counters] = None) -> Step:
     """Solve the SQP KKT system [[H, J'], [J, 0]] (d, delta) = -T + (rho, r).
 
     Exact mode truncates MINRES at the relative-residual tolerance; inexact
@@ -134,8 +149,9 @@ def compute_step(ctx: InnerContext, exact: bool,
     z, resid = report.solution, report.residual
     # an accepted pass stops with the name of the condition that accepted,
     # any other with "exact_tol" or "max_iter"
-    return EqStepResult(d=z[:n], delta=z[n:], rho=-resid[:n], r=-resid[n:],
-                        acceptance=report.stop_reason)
+    r = -resid[n:]
+    return Step(d=z[:n], delta=z[n:], v_x=norm(ctx.c_E, 1), v_d=norm(r, 1),
+                rho=-resid[:n], r=r, acceptance=report.stop_reason)
 
 
 def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
@@ -145,8 +161,9 @@ def trial_tau(gTd: float, dHd: float, d_norm_sq: float, c_l1: float,
     descent direction (g'd < 0) that decreases no linearized violation
     (c_l1 - r_l1 <= 0): at a feasible point, where the exact step has
     g'd + curvature <= 0, rounding would give the ratio below as 0. The
-    robust solver passes d'd for dHd and d_norm_sq, and its linearized
-    violation decrease for c_l1 with r_l1 = 0."""
+    robust solver's step, with no Hessian model, gives d'd for dHd and
+    d_norm_sq, and its linearized violation decrease for c_l1 with
+    r_l1 = 0 (`merit_plan`)."""
     if c_l1 - r_l1 <= 0.0 and gTd < 0.0:
         return np.inf
     curv = max(dHd, EPS_D * d_norm_sq)
@@ -190,28 +207,28 @@ def keeps_violation(v: float, v_model: float) -> bool:
     return v > INFEAS_TOL_V and v - v_model <= INFEAS_TOL_V * v
 
 
-def merit_plan(ctx: InnerContext, step: EqStepResult):
+def merit_plan(ctx: InnerContext, step: Step):
     """(tau, model decrease) for `step` at ctx: the merit parameter the inner
-    iteration takes it with, and the decrease of the linear merit model.
+    iteration takes it with, and the decrease of the linear merit model,
+    from the step's violations (v_x, v_d).
 
     Raises InfeasibleStationary when the step is to set tau and
-    `keeps_violation(||c_E||_1, ||r||_1)` holds: the step keeps the
-    linearized violation, so no step can reduce the violation."""
+    `keeps_violation(v_x, v_d)` holds: the step keeps the linearized
+    violation, so no step can reduce the violation. A robust step, with
+    v_d = 0, never raises here: its probe has certified from the LP."""
     d = step.d
     gTd = float(ctx.g_S @ d)
-    c_l1 = norm(ctx.c_E, 1)
-    r_l1 = norm(step.r, 1)
     if step.acceptance == "inexact_cond1":
         # condition I certifies descent at the previous merit parameter
         tau = ctx.tau_prev
     else:
-        if keeps_violation(c_l1, r_l1):
+        if keeps_violation(step.v_x, step.v_d):
             raise InfeasibleStationary("the step keeps the linearized "
                                        "violation")
         dHd = float(d @ ctx.h_apply(d))
-        tau_tr = trial_tau(gTd, dHd, float(d @ d), c_l1, r_l1)
+        tau_tr = trial_tau(gTd, dHd, float(d @ d), step.v_x, step.v_d)
         tau = update_tau(ctx.tau_prev, tau_tr)
-    return tau, model_decrease(tau, gTd, c_l1, r_l1)
+    return tau, model_decrease(tau, gTd, step.v_x, step.v_d)
 
 
 def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
@@ -231,15 +248,11 @@ def armijo_backtrack(merit_eval: Callable[[float], float], phi0: float,
 
 @dataclass
 class Evaluator:
-    """Evaluation hooks both inner iterations need beyond the context values:
-    subsampled objective (value only, and value+gradient) and constraints.
-    `stop`, when set, is the run's stop test on an inner iterate: the driver
-    sets it on a finite sum's whole data set, where the subsampled problem
-    is the true one, and tests it after each update that moves x."""
+    """Evaluation hooks the inner iteration needs beyond the context values:
+    subsampled objective (value only, and value+gradient) and constraints."""
     value: Callable[[np.ndarray], float]
     value_grad: Callable[[np.ndarray], tuple]
     constraints: Callable[[np.ndarray], tuple]  # x -> (c_E, c_I, J_E, J_I)
-    stop: Optional[Callable[[InnerContext], bool]] = None
 
 
 def violation(c_E: np.ndarray, c_I: np.ndarray, mode: str) -> float:
@@ -331,14 +344,16 @@ def line_search_step(ctx: InnerContext, d, delta, tau: float, delta_l: float,
     return new_ctx, alpha
 
 
-def inner_iteration(ctx: InnerContext, step: Optional[EqStepResult],
-                    plan: Optional[tuple], evaluator: Evaluator, config,
+def inner_iteration(ctx: InnerContext, step: Optional[Step],
+                    evaluator: Evaluator, config,
                     counters: Optional[Counters]):
-    """One equality SQP update along the probe's KKT step with its merit
-    plan (tau, model decrease), then the shared line search and update on
-    the l1 merit tau F + ||c_E||_1. A step of None is solved here (exact
-    or inexact by `config.exact`, counted in `counters`), and a plan of
-    None is taken as merit_plan(ctx, step). Returns (new context, alpha).
+    """The one update of both solvers, along the probe's step: its merit
+    plan (`step.plan`, else merit_plan(ctx, step)), then the shared line
+    search and update on the solver's merit, tau F + ||c_E||_1 for the
+    equality solver and the `config.norm` merit for the robust one. A
+    step of None is the equality solver's KKT step, solved here (exact or
+    inexact by `config.exact`, counted in `counters`). Returns (new
+    context, alpha).
 
     A zero primal step takes the full dual step, lam + delta, at the same
     x with alpha 0; a step whose model decrease is not positive returns
@@ -353,6 +368,7 @@ def inner_iteration(ctx: InnerContext, step: Optional[EqStepResult],
     if norm(step.d) <= 1e-15 * (1.0 + norm(ctx.x)):
         return replace(ctx, lam=ctx.lam + step.delta), 0.0
 
-    tau, delta_l = merit_plan(ctx, step) if plan is None else plan
+    tau, delta_l = merit_plan(ctx, step) if step.plan is None else step.plan
     return line_search_step(ctx, step.d, step.delta, tau, delta_l, evaluator,
-                            L1)
+                            L1 if config.solver == "equality"
+                            else config.norm)

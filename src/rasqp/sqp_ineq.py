@@ -4,11 +4,11 @@ subproblems as the arrays (g, C, d, H) that `ipm.solve_program` takes, and
 the mode's violation is `sqp_eq.violation`. An inequality-only
 feasibility LP whose minimum-norm linearized step fits the norm ball has
 objective 0, and `feasibility_step` returns that answer without the
-interior point. The driver's robust
-progress probe solves the two subproblems, and certifies an infeasible
-stationary point from the LP by the rule both solvers share,
-`sqp_eq.keeps_violation`; `robust_inner_iteration` takes the step with the
-merit-parameter rule both solvers share, `sqp_eq.trial_tau`/`update_tau`."""
+interior point. The driver's robust progress probe solves the two
+subproblems, certifies an infeasible stationary point from the LP by the
+rule both solvers share, `sqp_eq.keeps_violation`, and returns the
+direction as a `sqp_eq.Step`, which the update both solvers share,
+`sqp_eq.inner_iteration`, takes."""
 
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ import numpy as np
 from .counters import Counters
 from .errors import NumericalFailure
 from .ipm import solve_program
-from .sqp_eq import (L1, LINF, Evaluator, InnerContext, line_search_step,
-                     model_decrease, trial_tau, update_tau)
+from .sqp_eq import L1, LINF
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
 # this module's names, so they stay importable until the benchmark drops them
 from .linalg import lbfgs_update  # noqa: F401
@@ -149,23 +148,3 @@ def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
                                relaxation=relaxation)
     return _solve(prog, "direction QP", counters).x[:J_E.shape[1]]
 
-
-def robust_inner_iteration(ctx: InnerContext, d: np.ndarray, delta_c: float,
-                           evaluator: Evaluator, config,
-                           counters: Optional[Counters]):
-    """One robust-SQP update along the probe's direction d (its step) with
-    its linearized violation decrease delta_c = max(0, violation - LP
-    objective) (its plan): the shared merit-parameter rule with dHd = d'd
-    and r_l1 = 0, then the shared line search on the `config.norm` merit,
-    with no dual step. It solves no subprogram, so `counters` goes unused.
-    Returns (new context, alpha).
-
-    Raises MeritCollapse or LineSearchFailure, which the outer loop treats
-    as a signal to resample.
-    """
-    gTd = float(ctx.g_S @ d)
-    dd = float(d @ d)
-    tau = update_tau(ctx.tau_prev, trial_tau(gTd, dd, dd, delta_c, 0.0))
-    return line_search_step(ctx, d, 0.0, tau,
-                            model_decrease(tau, gTd, delta_c, 0.0),
-                            evaluator, config.norm)

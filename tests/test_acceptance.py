@@ -19,8 +19,7 @@ from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
 from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
                           trial_tau, update_tau)
-from rasqp.sqp_ineq import (direction_step, robust_inner_iteration,
-                            sigma_bounds)
+from rasqp.sqp_ineq import direction_step, sigma_bounds
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -232,7 +231,7 @@ def test_criterion_4_merit_line_search_invariants():
         for _ in range(6):
             try:
                 step = compute_step(ctx, True)
-                new_ctx, alpha = inner_iteration(ctx, step, None, ev,
+                new_ctx, alpha = inner_iteration(ctx, step, ev,
                                                  DriverConfig(), None)
             except MeritCollapse:
                 break
@@ -266,17 +265,18 @@ def test_criterion_4_merit_line_search_invariants():
         taus = []
         for _ in range(6):
             try:
-                _, _, d, delta_c = _robust_progress(ctx, rob_config, None)
+                _, _, step = _robust_progress(ctx, rob_config, None)
             except InfeasibleStationary:
                 break
             try:
-                new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, ev,
-                                                        rob_config, None)
+                new_ctx, alpha = inner_iteration(ctx, step, ev, rob_config,
+                                                 None)
             except MeritCollapse:
                 break
             tau = new_ctx.tau_prev
-            gTd = float(ctx.g_S @ d)
-            dl = -tau * gTd + delta_c
+            gTd = float(ctx.g_S @ step.d)
+            # the robust step's v_x is its linearized violation decrease
+            dl = -tau * gTd + step.v_x
             if tau <= 0 or dl <= 0 or alpha <= 0:
                 violations += 1
             taus.append(tau)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rasqp.bench import (RunConfig, build_problem, method_driver_config,
                          run_config)
-from rasqp import driver, sqp_eq, sqp_ineq
+from rasqp import driver, sqp_eq
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, DriverConfig, _inner_loop,
                           adaptive_batch_size, estimate_condition_inputs,
@@ -47,7 +47,7 @@ class TestDualInitialize:
         and returns returned(ctx)."""
         starts = []
 
-        def recording(ctx, config, evaluator, counters):
+        def recording(ctx, config, evaluator, counters, stop=None):
             starts.append(ctx)
             return returned(ctx), 0, 0, "terminated"
 
@@ -648,30 +648,31 @@ def test_rank_deficient_jacobian_converges(kind, exact, use_lbfgs):
 
 class TestInnerLoop:
     """Every exit cause of the inner loop shared by both solvers, with the
-    configured solver's `_INNER` entry replaced by a fake probe and
-    update."""
+    configured solver's `_INNER` probe and the update both solvers share
+    replaced by fakes."""
 
     RULE = DriverConfig(termination="dnorm")
     # no hook is called: the fake updates evaluate nothing
     EVALUATOR = Evaluator(None, None, None)
 
     @staticmethod
-    def no_update(ctx, step, plan, evaluator, config, counters):
+    def no_update(ctx, step, evaluator, config, counters):
         raise AssertionError("no update expected")
 
     @staticmethod
     def inner_loop(monkeypatch, probe, update, ctx, config=RULE,
-                   counters=None, evaluator=EVALUATOR):
-        monkeypatch.setitem(driver._INNER, config.solver, (probe, update))
-        return _inner_loop(ctx, config, evaluator, counters or Counters())
+                   counters=None, evaluator=EVALUATOR, stop=None):
+        monkeypatch.setitem(driver._INNER, config.solver, probe)
+        monkeypatch.setattr(driver, "inner_iteration", update)
+        return _inner_loop(ctx, config, evaluator, counters or Counters(),
+                           stop)
 
     def test_line_search_failure(self, monkeypatch):
-        def update(ctx, step, plan, evaluator, config, counters):
+        def update(ctx, step, evaluator, config, counters):
             raise LineSearchFailure("stub")
 
         out = self.inner_loop(monkeypatch,
-                              lambda ctx, config, counters: (1.0, 1.0, None,
-                                                             None),
+                              lambda ctx, config, counters: (1.0, 1.0, None),
                               update, "ctx")
         assert out == ("ctx", 0, 0, "line_search_failure")
 
@@ -684,19 +685,19 @@ class TestInnerLoop:
 
     def test_inner_cap(self, monkeypatch):
         # alternately moving and not moving: only the moves count as
-        # updates; each update gets the step and plan its probe returned,
-        # and the loop's evaluator, config and counters
+        # updates; each update gets the step its probe returned, and the
+        # loop's evaluator, config and counters
         counters = Counters()
 
-        def update(ctx, step, plan, evaluator, config, counters_):
-            assert (step, plan) == (("step", ctx), ("plan", ctx))
+        def update(ctx, step, evaluator, config, counters_):
+            assert step == ("step", ctx)
             assert (evaluator, config, counters_) == (self.EVALUATOR,
                                                       self.RULE, counters)
             return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
 
         out = self.inner_loop(monkeypatch,
                               lambda ctx, config, counters: (
-                                  1.0, 1.0, ("step", ctx), ("plan", ctx)),
+                                  1.0, 1.0, ("step", ctx)),
                               update, 0, counters=counters)
         assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
 
@@ -706,8 +707,8 @@ class TestInnerLoop:
         # have fired it at ctx = 1
         out = self.inner_loop(monkeypatch,
                               lambda ctx, config, counters: (
-                                  10.0 - ctx, 10.0 + 10.0 * ctx, None, None),
-                              lambda ctx, step, plan, *rest: (ctx + 1, 1.0),
+                                  10.0 - ctx, 10.0 + 10.0 * ctx, None),
+                              lambda ctx, step, *rest: (ctx + 1, 1.0),
                               0)
         assert out == (5, 5, 5, "terminated")
 
@@ -717,10 +718,10 @@ class TestInnerLoop:
         def probe(ctx, config, counters):
             if ctx == 3:
                 raise InfeasibleStationary("stub")
-            return 1.0, 1.0, None, None
+            return 1.0, 1.0, None
 
         out = self.inner_loop(monkeypatch, probe,
-                              lambda ctx, step, plan, *rest: (ctx + 1, 1.0),
+                              lambda ctx, step, *rest: (ctx + 1, 1.0),
                               0)
         assert out == (3, 3, 3, "infeasible_stationary")
 
@@ -751,12 +752,11 @@ class TestInnerLoop:
     def test_equality_infeasible_stationary(self, monkeypatch):
         # the equality merit plan's certificate ends the loop as the robust
         # probe's does, not as the merit collapse it subclasses
-        def update(ctx, step, plan, evaluator, config, counters):
+        def update(ctx, step, evaluator, config, counters):
             raise InfeasibleStationary("stub")
 
         out = self.inner_loop(monkeypatch,
-                              lambda ctx, config, counters: (1.0, 1.0, None,
-                                                             None),
+                              lambda ctx, config, counters: (1.0, 1.0, None),
                               update, "ctx")
         assert out == ("ctx", 0, 0, "infeasible_stationary")
 
@@ -771,9 +771,9 @@ class TestInnerLoop:
 
         out = self.inner_loop(
             monkeypatch,
-            lambda ctx, config, counters: (10.0 - ctx, 10.0, None, None),
-            lambda ctx, step, plan, *rest: (ctx + 1, 1.0 if ctx % 2 else 0.0),
-            0, evaluator=Evaluator(None, None, None, stop=stop))
+            lambda ctx, config, counters: (10.0 - ctx, 10.0, None),
+            lambda ctx, step, *rest: (ctx + 1, 1.0 if ctx % 2 else 0.0),
+            0, stop=stop)
         assert out == (4, 4, 2, "converged")
         assert tested == [2, 4]
 
@@ -781,14 +781,13 @@ class TestInnerLoop:
         # a measure of 1e-7 from a first value of 0 meets the growing
         # batch's floor, but not the stop-tested loop's, which runs on
         def probe(ctx, config, counters):
-            return (1e-7 if ctx < 3 else 0.0), 0.0, None, None
+            return (1e-7 if ctx < 3 else 0.0), 0.0, None
 
-        move = lambda ctx, step, plan, *rest: (ctx + 1, 1.0)  # noqa: E731
+        move = lambda ctx, step, *rest: (ctx + 1, 1.0)  # noqa: E731
         assert self.inner_loop(monkeypatch, probe, move, 0) == (
             0, 0, 0, "terminated")
-        out = self.inner_loop(
-            monkeypatch, probe, move, 0,
-            evaluator=Evaluator(None, None, None, stop=lambda ctx: False))
+        out = self.inner_loop(monkeypatch, probe, move, 0,
+                              stop=lambda ctx: False)
         assert out == (3, 3, 3, "terminated")
 
 
@@ -803,12 +802,12 @@ class TestTermCauses:
 
     def test_robust_terminated_merit_collapse_budget(self, monkeypatch):
         # the robust solver's tenth trial merit parameter is 0, forced
-        # through the module name as in test_equality_merit_collapse: that
-        # outer ends in merit_collapse, the others terminate or hit the
-        # budget
+        # through the module name of the shared update, as in
+        # test_equality_merit_collapse: that outer ends in merit_collapse,
+        # the others terminate or hit the budget
         calls = itertools.count(1)
-        rule = sqp_ineq.trial_tau
-        monkeypatch.setattr(sqp_ineq, "trial_tau", lambda *args: (
+        rule = sqp_eq.trial_tau
+        monkeypatch.setattr(sqp_eq, "trial_tau", lambda *args: (
             0.0 if next(calls) == 10 else rule(*args)))
         out, causes = _causes("synth-logreg-ineq", "ra-sqp-linf", 60_000)
         assert {"terminated", "merit_collapse", "budget"} <= set(causes)
@@ -944,9 +943,9 @@ class TestFullBatchStop:
         handed = []
         original = driver._inner_loop
 
-        def recording(ctx, config, evaluator, counters):
-            handed.append(evaluator.stop is not None)
-            return original(ctx, config, evaluator, counters)
+        def recording(ctx, config, evaluator, counters, stop=None):
+            handed.append(stop is not None)
+            return original(ctx, config, evaluator, counters, stop)
 
         monkeypatch.setattr(driver, "_inner_loop", recording)
         return handed
@@ -1002,8 +1001,8 @@ def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
     # a record at the previous record's iterate (an outer iteration with no
     # update) reuses its metrics, which equal the metrics evaluated afresh.
     # The first line search of the third outer fails, forced through the
-    # module names both solvers call it by, so that outer has no update
-    # (the infeasible-1d solves certify at their first probe)
+    # module name the update both solvers share calls it by, so that outer
+    # has no update (the infeasible-1d solves certify at their first probe)
     seen = collections.Counter()
     original = driver.true_metrics
     search, batches = sqp_eq.line_search_step, []
@@ -1021,7 +1020,6 @@ def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
 
     monkeypatch.setattr(driver, "true_metrics", counted)
     monkeypatch.setattr(sqp_eq, "line_search_step", fail_third_batch)
-    monkeypatch.setattr(sqp_ineq, "line_search_step", fail_third_batch)
     cfg = RunConfig(problem=problem, method=method, seed=0,
                     max_gradient_evals=30000, max_outer=max_outer)
     out = run_config(cfg)

@@ -81,6 +81,18 @@ class TestParseLibsvm:
             parse_libsvm(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        # each nan label once became a class of its own: 3 classes here
+        ("nan 1:1\nnan 1:2\n1 1:3", 1),
+        ("1 1:3\ninf 1:1", 2),
+        # a non-finite value once reached the solve, which failed with
+        # "non-finite subsampled sums"
+        ("1 1:nan", 1), ("0 1:1\n1 1:inf", 2), ("0 1:-inf", 1)])
+    def test_non_finite_label_or_value_names_line(self, text, line):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("wrap", [io.StringIO,
                                       lambda t: io.BytesIO(t.encode())],
                              ids=["text", "bytes"])
@@ -589,10 +601,21 @@ class TestDatasetForm:
                      id="indices-float"),
         pytest.param(dict(indptr=[0.0, 2.0, 3.0, 5.0]), "integer dtype",
                      id="indptr-float"),
+        pytest.param(dict(data=[0.5, np.nan, 1.0, -2.0, 1.0]), "finite",
+                     id="data-nan"),
+        pytest.param(dict(data=[0.5, 1.0, np.inf, -2.0, 1.0]), "finite",
+                     id="data-inf"),
     ])
     def test_bad_form_rejected_at_construction(self, change, match):
         with pytest.raises(ConfigError, match=match):
             Dataset(**_csr_fields(**change))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dense_non_finite_rejected(self, value):
+        features = np.ones((2, 2))
+        features[1, 0] = value
+        with pytest.raises(ConfigError, match="finite"):
+            Dataset.from_dense(features, [0, 1], 2)
 
     def test_row_norms_derived_once_read_only(self):
         ds = _zeros_dataset()

@@ -9,7 +9,7 @@ from rasqp.counters import Counters
 from rasqp.driver import DriverConfig
 from rasqp.errors import InfeasibleStationary, LineSearchFailure, MeritCollapse
 from rasqp.linalg import LbfgsModel, lbfgs_update
-from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, EqStepResult,
+from rasqp.sqp_eq import (EPS_FEAS, EPS_OPT, L1, TAU_BAR, Step,
                           Evaluator, InnerContext, armijo_backtrack,
                           compute_step, inner_iteration, line_search_step,
                           merit_plan, merit_value, model_decrease, trial_tau,
@@ -49,6 +49,9 @@ class TestComputeStep:
             T = ctx.kkt_vector()
             resid = np.linalg.norm(np.concatenate([step.rho, step.r]))
             assert resid <= 1e-6 * np.linalg.norm(T) + 1e-12
+            # the merit plan's violations: ||c_E||_1 and ||r||_1
+            assert step.v_x == np.linalg.norm(ctx.c_E, 1)
+            assert step.v_d == np.linalg.norm(step.r, 1)
 
     def test_inexact_accepts_with_nonzero_residual(self):
         rng = np.random.default_rng(9)
@@ -195,9 +198,8 @@ class TestInfeasibleStationary:
     @staticmethod
     def plan(c, r):
         ctx = make_ctx([0.0], [0.0], [-1.0], [c], [[1.0]])
-        step = EqStepResult(d=np.array([0.1]), delta=np.zeros(1),
-                            rho=np.zeros(1), r=np.array([r]),
-                            acceptance="exact_tol")
+        step = Step(d=np.array([0.1]), delta=np.zeros(1), v_x=abs(c),
+                    v_d=abs(r), rho=np.zeros(1), r=np.array([r]))
         return merit_plan(ctx, step)
 
     def test_step_that_cuts_a_small_violation_is_planned(self):
@@ -277,7 +279,7 @@ def run_inner(evaluator, x0, iters, exact=True, use_lbfgs=False):
     history = []
     for _ in range(iters):
         step = compute_step(ctx, exact)
-        new_ctx, alpha = inner_iteration(ctx, step, None, evaluator,
+        new_ctx, alpha = inner_iteration(ctx, step, evaluator,
                                          DriverConfig(exact=exact), None)
         history.append((ctx, new_ctx, step, alpha))
         ctx = new_ctx
@@ -334,10 +336,10 @@ class TestLineSearchStep:
         ctx = InnerContext(x=x0, lam=np.zeros(c.size), F_S=F, g_S=g, c_E=c,
                            c_I=c_I, J_E=J, J_I=J_I, tau_prev=TAU_BAR)
         step = compute_step(ctx, True)
-        tau, _ = merit_plan(ctx, step)
-        new, alpha = inner_iteration(
-            ctx, step, (tau, -6.367665870026323e-24),
-            Evaluator(never, never, never), DriverConfig(), None)
+        step.plan = merit_plan(ctx, step)[0], -6.367665870026323e-24
+        new, alpha = inner_iteration(ctx, step,
+                                     Evaluator(never, never, never),
+                                     DriverConfig(), None)
         assert new is ctx
         assert alpha == 0.0
 
@@ -353,7 +355,7 @@ class TestLineSearchStep:
                        np.ones((1, n)))
         assert np.linalg.norm(ctx.kkt_vector()) == pytest.approx(2.5)
         step = compute_step(ctx, True)
-        new, alpha = inner_iteration(ctx, step, None,
+        new, alpha = inner_iteration(ctx, step,
                                      Evaluator(never, never, never),
                                      DriverConfig(), None)
         assert np.linalg.norm(step.d) <= 1e-15 * (1.0 + np.linalg.norm(ctx.x))

@@ -9,10 +9,11 @@ from rasqp import driver, sqp_ineq
 from rasqp.driver import DriverConfig, _robust_progress
 from rasqp.counters import Counters
 from rasqp.ipm import ProgramSolution, solve_program
-from rasqp.sqp_eq import (L1, LINF, Evaluator, InnerContext,
-                          keeps_violation, merit_value, violation)
-from rasqp.sqp_ineq import (direction_step, feasibility_step,
-                            robust_inner_iteration, sigma_bounds)
+from rasqp.sqp_eq import (INFEAS_TOL_V, L1, LINF, Evaluator, InnerContext,
+                          Step, inner_iteration, keeps_violation, merit_plan,
+                          merit_value, model_decrease, trial_tau, update_tau,
+                          violation)
+from rasqp.sqp_ineq import direction_step, feasibility_step, sigma_bounds
 from rasqp.errors import InfeasibleStationary, MeritCollapse, NumericalFailure
 
 
@@ -343,18 +344,71 @@ def make_robust_ctx(evaluator, x0, tau=1.0):
 
 def robust_iterate(ctx, evaluator, mode=LINF, stop=lambda dnorm: False):
     """One robust inner iteration as the driver runs it: the progress probe,
-    the stop test on ||d||, then the update. Returns (kind, ctx, d, alpha)
-    with kind "updated", "terminated" or "infeasible_stationary"."""
+    the stop test on ||d||, then the shared update. Returns (kind, ctx, d,
+    alpha) with kind "updated", "terminated" or "infeasible_stationary"."""
     config = DriverConfig(termination="robust_dnorm", norm=mode)
     try:
-        dnorm, _, d, delta_c = _robust_progress(ctx, config, None)
+        dnorm, _, step = _robust_progress(ctx, config, None)
     except InfeasibleStationary:
         return "infeasible_stationary", ctx, None, 0.0
     if stop(dnorm):
-        return "terminated", ctx, d, 0.0
-    new_ctx, alpha = robust_inner_iteration(ctx, d, delta_c, evaluator,
-                                            config, None)
-    return "updated", new_ctx, d, alpha
+        return "terminated", ctx, step.d, 0.0
+    new_ctx, alpha = inner_iteration(ctx, step, evaluator, config, None)
+    return "updated", new_ctx, step.d, alpha
+
+
+class TestSharedUpdate:
+    """The robust step through the merit plan and update the equality
+    solver uses."""
+
+    def test_merit_plan_is_the_robust_rule(self):
+        # trial_tau with d'd for the curvature and (delta_c, 0) for the
+        # violations, bit for bit; MeritCollapse where update_tau raises
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            n = int(rng.integers(1, 6))
+            g, d = rng.standard_normal(n), rng.standard_normal(n)
+            delta_c = float(rng.choice([0.0, rng.exponential()]))
+            tau_prev = float(10.0 ** rng.uniform(-12.5, 0.0))
+            ctx = InnerContext(x=np.zeros(n), lam=np.zeros(0), F_S=0.0,
+                               g_S=g, c_E=np.zeros(0), c_I=np.zeros(0),
+                               J_E=np.zeros((0, n)), J_I=np.zeros((0, n)),
+                               tau_prev=tau_prev)
+            gTd, dd = float(g @ d), float(d @ d)
+            try:
+                tau = update_tau(tau_prev,
+                                 trial_tau(gTd, dd, dd, delta_c, 0.0))
+            except MeritCollapse:
+                with pytest.raises(MeritCollapse):
+                    merit_plan(ctx, Step(d, 0.0, delta_c, 0.0))
+                continue
+            assert merit_plan(ctx, Step(d, 0.0, delta_c, 0.0)) == (
+                tau, model_decrease(tau, gTd, delta_c, 0.0))
+
+    def test_robust_step_never_certifies_in_the_plan(self):
+        # keeps_violation(delta_c, 0) cannot hold for delta_c >= 0: the
+        # robust probe's LP certificate is the only one
+        rng = np.random.default_rng(19)
+        values = [0.0, INFEAS_TOL_V, np.nextafter(INFEAS_TOL_V, 1.0), 1.0,
+                  1e300, *(10.0 ** rng.uniform(-20.0, 20.0, 200))]
+        assert not any(keeps_violation(v, 0.0) for v in values)
+
+    def test_zero_robust_step_stays(self):
+        # a step below 1e-15 (1 + ||x||) returns alpha 0 with x unchanged
+        # and evaluates nothing; the robust update used to run Armijo
+        # trials on it down to LineSearchFailure
+        def never(x):
+            raise AssertionError("evaluated at a zero step")
+
+        ctx = make_robust_ctx(quadratic_general_instance(
+            np.random.default_rng(23)), np.full(4, 2.0))
+        step = Step(np.full(4, 1e-16), 0.0, 0.5, 0.0)
+        new, alpha = inner_iteration(ctx, step, Evaluator(never, never, never),
+                                     DriverConfig(termination="robust_dnorm"),
+                                     None)
+        assert alpha == 0.0
+        assert new.x is ctx.x
+        np.testing.assert_array_equal(new.lam, ctx.lam)
 
 
 class TestRobustInnerIteration:
@@ -368,14 +422,15 @@ class TestRobustInnerIteration:
         spy = Evaluator(value=lambda x: calls.append(x),
                         value_grad=lambda x: calls.append(x),
                         constraints=lambda x: calls.append(x))
-        current, first, d, delta_c = _robust_progress(ctx, DriverConfig(),
-                                                       None)
-        assert current == first == float(np.linalg.norm(d)) > 0.0
-        # the plan slot carries the LP's linearized violation decrease
+        current, first, step = _robust_progress(ctx, DriverConfig(), None)
+        assert current == first == float(np.linalg.norm(step.d)) > 0.0
+        # the step carries no dual step, and the LP's linearized violation
+        # decrease as its violation at x, with 0 along the step
         v_inf = violation(ctx.c_E, ctx.c_I, LINF)
         feas = feasibility_step(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I,
                                 sigma_bounds(v_inf, LINF, 4)[0], LINF)
-        assert delta_c == max(0.0, v_inf - feas.lp_objective)
+        assert (step.delta, step.v_d) == (0.0, 0.0)
+        assert step.v_x == max(0.0, v_inf - feas.lp_objective)
         np.testing.assert_array_equal(ctx.x, before[0])
         assert (ctx.F_S, ctx.tau_prev) == before[1:]
         kind, out, _, _ = robust_iterate(ctx, spy, stop=lambda dn: True)

@@ -87,8 +87,9 @@ def test_smoke_list_digest_and_compare(tmp_path):
 
 
 def test_registry_smoke_list(tmp_path):
-    # every problem x method pair under both sampling rules; a pair the
-    # driver rejects is an Error row, and a file compares equal to itself
+    # every problem x method pair, each RA method under both sampling
+    # rules and det-sqp, whose sampling is fixed, once; a pair the driver
+    # rejects is an Error row, and a file compares equal to itself
     from rasqp.bench import METHODS, PROBLEMS
 
     a = tmp_path / "a.jsonl"
@@ -97,7 +98,8 @@ def test_registry_smoke_list(tmp_path):
     rows = [json.loads(line) for line in a.read_text().splitlines()]
     assert [(r["problem"], r["method"], r["sampling"]) for r in rows] == [
         (p, m, s) for p in PROBLEMS for m in METHODS
-        for s in ("adaptive", "geometric")]
+        for s in (("fixed",) if m == "det-sqp"
+                  else ("adaptive", "geometric"))]
     assert {r["status"] for r in rows
             if r["problem"] == "synth-logreg-ineq"
             and r["method"].startswith("ra-sqp-dl")} == {"Error"}

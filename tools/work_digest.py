@@ -7,9 +7,9 @@
 
 The first form runs every solve of `perfbench/workloads.py` `solve_list`
 for each seed, in order, or with `--workload registry` every
-`rasqp.bench.PROBLEMS` x `METHODS` pair under adaptive and geometric
-sampling at solver seed `--seed` (budget 2e5 gradient evaluations, 60
-outer iterations), or with `--workload tight` the benchmark's logistic
+`rasqp.bench.PROBLEMS` x `METHODS` pair at solver seed `--seed`, each RA
+method under adaptive and geometric sampling and `det-sqp` once (budget
+2e5 gradient evaluations, 60 outer iterations), or with `--workload tight` the benchmark's logistic
 methods at stops past the benchmark's 1e-2 (`tight_list`), and writes one
 JSON line per solve: its place in the
 list, problem, method, sampling rule and solver seed, status, the four
@@ -116,16 +116,19 @@ def evals_to(trace, bound=VIOLATION_TARGET) -> dict:
 
 
 def registry_list(seed: int, smoke: bool) -> list:
-    """Every registered problem x method pair under both RA sampling rules
-    at solver seed `seed`; `smoke` cuts each solve to 2 outer iterations.
-    A pair the driver rejects is in the list and raises when run."""
+    """Every registered problem x method pair at solver seed `seed`: each
+    RA method under both RA sampling rules, and `det-sqp`, which overrides
+    the rule with fixed sampling, once, as "fixed"; `smoke` cuts each
+    solve to 2 outer iterations. A pair the driver rejects is in the list
+    and raises when run."""
     from rasqp.bench import METHODS, PROBLEMS, RunConfig
 
     return [RunConfig(problem=problem, method=method, seed=seed,
                       sampling=sampling, max_gradient_evals=200_000,
                       max_outer=2 if smoke else 60)
             for problem in PROBLEMS for method in METHODS
-            for sampling in ("adaptive", "geometric")]
+            for sampling in (("fixed",) if method == "det-sqp"
+                             else ("adaptive", "geometric"))]
 
 
 def tight_list(seed: int, smoke: bool) -> list:
