@@ -98,6 +98,7 @@ def cmd_run(args) -> int:
     write_trace_csv(path, outcome)
     last = outcome.trace[-1]
     print(f"{cfg.problem} {cfg.method} seed={cfg.seed}: {outcome.status}, "
+          f"term_cause={last.term_cause}, outers={len(outcome.trace) - 1}, "
           f"violation={last.violation_inf:.3e}, "
           f"stationarity={last.stationarity:.3e}, "
           f"grad_evals={outcome.counters.gradient_evals}, trace={path}")

@@ -17,16 +17,17 @@ counters) -> (new ctx, alpha)`. A solver is its `_INNER` probe,
 own settings from the config and returns its rule's progress measure, the
 value the rule compares against when this is the first inner iteration,
 and the `sqp_eq.Step` the update takes, or None for the equality KKT step
-the update solves itself. The update changes x only when alpha > 0.
-Either raises MeritCollapse or LineSearchFailure to abandon the batch, or
+the update solves itself. An update with alpha 0 cannot move x and ends
+the loop, so every inner iteration counted moved x. Either raises
+MeritCollapse or LineSearchFailure to abandon the batch, or
 InfeasibleStationary (a MeritCollapse), where `sqp_eq.keeps_violation`
 certifies an infeasible stationary point, to end the run. `run` builds
 each batch's `Evaluator` and warm-started context; on a finite sum's
-whole data set with stop thresholds set, it hands `_inner_loop` the run's
-stop test, which the loop applies after each update that moves x. The
-loop owns the budget check, the first-iteration snapshot, the stop test,
-the inner cap, the mapping of these outcomes to `OuterRecord.term_cause`,
-and the iteration counts.
+whole data set it hands `_inner_loop` the run's stop test, which the loop
+applies after each update, and which never holds with no stop thresholds
+set. The loop owns the budget check, the first-iteration snapshot, the
+stop test, the inner cap, the mapping of these outcomes to
+`OuterRecord.term_cause`, and the iteration count.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Schedule:
     max_outer: int = 10 ** 9
     # optional metric-threshold stopping: both set, and both must hold, or
     # neither set, which stops on the budget only; tested at each outer exit
-    # and, on a finite sum's whole data set, after each update that moves x
+    # and, on a finite sum's whole data set, after each inner update
     stop_violation: Optional[float] = None
     stop_stationarity: Optional[float] = None
 
@@ -172,8 +173,8 @@ class DriverConfig(Schedule):
 class OuterRecord:
     k: int
     batch_size: int
-    inner_iters: int
-    updates: int                      # inner iterations that moved x
+    inner_iters: int                  # inner iterations, each moved x
+    updates: int                      # = inner_iters
     estimation_size: int              # fresh-set size used for batch sizing
     grad_evals_cum: int
     minres_iters_cum: int
@@ -207,9 +208,8 @@ def termination_check(config: DriverConfig, snapshot0: float,
     """current <= gamma * snapshot0 + eps, with eps = INNER_FLOOR while
     the batch grows, since the next batch's sampling error swamps a more
     accurate solve, and eps = 0 under fixed sampling, whose problem never
-    changes, and where the inner loop tests the run's stop (`stop_tested`,
-    a finite sum's whole data set): that solve runs to the stop, not to a
-    floor."""
+    changes, and on a finite sum's whole data set (`stop_tested`), the
+    true problem, which is solved to the run's stop, not to a floor."""
     eps = 0.0 if config.sampling == "fixed" or stop_tested else INNER_FLOOR
     return current <= config.gamma * snapshot0 + eps
 
@@ -377,7 +377,8 @@ def run(problem: ProblemSpec, config: DriverConfig,
     rule fires or a cap is hit, and records true-problem metrics. With stop
     thresholds set the run ends `Converged` once both hold at an outer
     exit, and a finite sum's whole-data-set batch also tests them after
-    each inner update that moves x (`stop_holds`). Gradient
+    each inner update (`stop_holds`). On that batch the inner rule has no
+    floor, and an outer with no update ends the run `Stalled`. Gradient
     evaluations on subsampled problems are budgeted; metric evaluations are
     not. An expectation batch larger than MAX_BATCH ends the run with status
     BatchLimit before it is drawn; under adaptive sampling the estimate's
@@ -411,12 +412,11 @@ def run(problem: ProblemSpec, config: DriverConfig,
                 (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
         return ctx.store["metrics"]
 
-    def record(ctx, k, batch_size, est_size, inner_iters, updates,
-               term_cause):
+    def record(ctx, k, batch_size, est_size, inner_iters, term_cause):
         v, s, _ = metrics(ctx)
         trace.append(OuterRecord(
             k=k, batch_size=batch_size, inner_iters=inner_iters,
-            updates=updates, estimation_size=est_size,
+            updates=inner_iters, estimation_size=est_size,
             violation_inf=v, stationarity=s,
             grad_evals_cum=counters.gradient_evals,
             minres_iters_cum=counters.minres_iters,
@@ -424,7 +424,7 @@ def run(problem: ProblemSpec, config: DriverConfig,
             tau_exit=ctx.tau_prev, term_cause=term_cause, x=ctx.x.copy()))
         return v, s
 
-    record(ctx, -1, 0, 0, 0, 0, "initial")
+    record(ctx, -1, 0, 0, 0, "initial")
 
     def stop_met(v, s):
         return (config.stop_violation is not None
@@ -433,9 +433,10 @@ def run(problem: ProblemSpec, config: DriverConfig,
 
     def stop_holds(ctx):
         # on the whole data set: the violation first, then stationarity at
-        # g_S, here the full-data gradient, confirmed by the exact metrics
+        # g_S, here the full-data gradient, confirmed by the exact metrics;
+        # never with no thresholds set
         cons = (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I)
-        return (violation(ctx.c_E, ctx.c_I, LINF) <= config.stop_violation
+        return (stop_met(violation(ctx.c_E, ctx.c_I, LINF), 0.0)
                 and stop_met(*metrics_at(ctx.g_S, cons, config.solver)[:2])
                 and stop_met(*metrics(ctx)[:2]))
 
@@ -488,12 +489,10 @@ def run(problem: ProblemSpec, config: DriverConfig,
             lambda xt: eval_subsampled_value(problem, xt, S, counters),
             lambda xt: eval_subsampled(problem, xt, S, counters),
             lambda xt: eval_constraints(problem, xt))
-        ctx, inner_iters, updates, term_cause = _inner_loop(
+        ctx, inner_iters, term_cause = _inner_loop(
             ctx, config, evaluator, counters,
-            stop_holds if S.size == cap and config.stop_violation is not None
-            else None)
-        v, s = record(ctx, k, S.size, est_size, inner_iters, updates,
-                      term_cause)
+            stop_holds if S.size == cap else None)
+        v, s = record(ctx, k, S.size, est_size, inner_iters, term_cause)
 
         if term_cause == "infeasible_stationary":
             status = "InfeasibleStationary"
@@ -503,7 +502,7 @@ def run(problem: ProblemSpec, config: DriverConfig,
             break
         # no update on a finite sum's whole data set: the next outer would
         # solve the same problem from the same point
-        if S.size == cap and updates == 0 and term_cause != "budget":
+        if S.size == cap and inner_iters == 0 and term_cause != "budget":
             status = "Stalled"
             break
 
@@ -519,36 +518,39 @@ def run(problem: ProblemSpec, config: DriverConfig,
 def _inner_loop(ctx: InnerContext, config: DriverConfig,
                 evaluator: Evaluator, counters: Counters, stop=None):
     """Probe, test and update (see the module docstring) with the config's
-    solver from ctx until its termination rule fires, the probe or the
-    update raises (InfeasibleStationary at a certified infeasible
-    stationary point, MeritCollapse or LineSearchFailure), `stop` (the
-    run's stop test on a finite sum's whole data set, or None) holds after
-    an update that moves x, or the gradient budget or INNER_CAP is
-    reached. With a `stop` the rule has no floor (`termination_check`).
+    solver from ctx until its termination rule fires or an update cannot
+    move x ("terminated": alpha 0, the subsampled problem is solved to
+    rounding), the probe or the update raises (InfeasibleStationary at a
+    certified infeasible stationary point, MeritCollapse or
+    LineSearchFailure), `stop` (the run's stop test on a finite sum's whole
+    data set, or None) holds after an update, or the gradient budget or
+    INNER_CAP is reached. With a `stop` the rule has no floor
+    (`termination_check`).
 
-    Returns (ctx, inner iterations, updates, term_cause).
+    Returns (ctx, inner iterations, term_cause); every inner iteration
+    counted moved x.
     """
     probe = _INNER[config.solver]
     snapshot = None
-    updates = 0
     for j in range(INNER_CAP):
         if counters.gradient_evals >= config.max_gradient_evals:
-            return ctx, j, updates, "budget"
+            return ctx, j, "budget"
         try:
             current, first, step = probe(ctx, config, counters)
             if snapshot is None:
                 snapshot = first
             if termination_check(config, snapshot, current, stop is not None):
-                return ctx, j, updates, "terminated"
+                return ctx, j, "terminated"
             ctx, alpha = inner_iteration(ctx, step, evaluator, config,
                                          counters)
         except InfeasibleStationary:
-            return ctx, j, updates, "infeasible_stationary"
+            return ctx, j, "infeasible_stationary"
         except MeritCollapse:
-            return ctx, j, updates, "merit_collapse"
+            return ctx, j, "merit_collapse"
         except LineSearchFailure:
-            return ctx, j, updates, "line_search_failure"
-        updates += alpha > 0.0
-        if alpha > 0.0 and stop is not None and stop(ctx):
-            return ctx, j + 1, updates, "converged"
-    return ctx, INNER_CAP, updates, "inner_cap"
+            return ctx, j, "line_search_failure"
+        if alpha == 0.0:
+            return ctx, j, "terminated"
+        if stop is not None and stop(ctx):
+            return ctx, j + 1, "converged"
+    return ctx, INNER_CAP, "inner_cap"

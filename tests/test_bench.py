@@ -397,7 +397,7 @@ WORK_COUNTERS = [
     pytest.param(RunConfig(problem="synth-logreg-eq",
                            method="ra-sqp-dl-lbfgs",
                            max_gradient_evals=30000),
-                 ("Stalled", 29396, 354, 0,
+                 ("BudgetExhausted", 34396, 354, 0,
                   (32, 44, 44, 220, 1100, 5000, 5000, 5000)),
                  id="synth-logreg-eq"),
     pytest.param(RunConfig(problem="synth-logreg-eq", method="ra-sqp-kkt",
@@ -574,12 +574,19 @@ class TestCli:
                      "ra-sqp-dl", "--seed", "0", "--max-gradient-evals",
                      "2000", "--output", str(out)])
         assert code == 0
-        assert "synth-eq-quad ra-sqp-dl" in capsys.readouterr().out
+        summary = capsys.readouterr().out
         rows = read_trace_csv(str(out))
         assert tuple(rows[0]) == TRACE_COLUMNS
         ref = run_config(RunConfig(problem="synth-eq-quad",
                                    method="ra-sqp-dl", seed=0,
                                    max_gradient_evals=2000))
+        # the summary says why the run ended: its status, the last
+        # record's term_cause and the number of outer iterations
+        assert summary.startswith(
+            f"synth-eq-quad ra-sqp-dl seed=0: {ref.status}, "
+            f"term_cause={ref.trace[-1].term_cause}, "
+            f"outers={len(ref.trace) - 1}, ")
+        assert ref.trace[-1].term_cause == "budget"
         assert len(rows) == len(ref.trace)
         for row, rec in zip(rows, ref.trace):
             assert int(row["k"]) == rec.k

@@ -49,7 +49,7 @@ class TestDualInitialize:
 
         def recording(ctx, config, evaluator, counters, stop=None):
             starts.append(ctx)
-            return returned(ctx), 0, 0, "terminated"
+            return returned(ctx), 0, "terminated"
 
         monkeypatch.setattr(driver, "_inner_loop", recording)
         run(prob, dataclasses.replace(config, sampling="fixed", max_outer=2),
@@ -674,32 +674,52 @@ class TestInnerLoop:
         out = self.inner_loop(monkeypatch,
                               lambda ctx, config, counters: (1.0, 1.0, None),
                               update, "ctx")
-        assert out == ("ctx", 0, 0, "line_search_failure")
+        assert out == ("ctx", 0, "line_search_failure")
 
     def test_merit_collapse_in_probe(self, monkeypatch):
         def probe(ctx, config, counters):
             raise MeritCollapse("stub")
 
         out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx")
-        assert out == ("ctx", 0, 0, "merit_collapse")
+        assert out == ("ctx", 0, "merit_collapse")
 
     def test_inner_cap(self, monkeypatch):
-        # alternately moving and not moving: only the moves count as
-        # updates; each update gets the step its probe returned, and the
-        # loop's evaluator, config and counters
+        # every update moves x and the rule never fires; each update gets
+        # the step its probe returned, and the loop's evaluator, config and
+        # counters
         counters = Counters()
 
         def update(ctx, step, evaluator, config, counters_):
             assert step == ("step", ctx)
             assert (evaluator, config, counters_) == (self.EVALUATOR,
                                                       self.RULE, counters)
-            return ctx + 1, 0.5 if ctx % 2 == 0 else 0.0
+            return ctx + 1, 0.5
 
         out = self.inner_loop(monkeypatch,
                               lambda ctx, config, counters: (
                                   1.0, 1.0, ("step", ctx)),
                               update, 0, counters=counters)
-        assert out == (INNER_CAP, INNER_CAP, INNER_CAP // 2, "inner_cap")
+        assert out == (INNER_CAP, INNER_CAP, "inner_cap")
+
+    @pytest.mark.parametrize("stop", [None, lambda ctx: False],
+                             ids=["no-stop", "stop"])
+    def test_update_that_cannot_move_ends_the_loop(self, monkeypatch, stop):
+        # the update at ctx = 3 returns alpha 0 (a zero primal step or no
+        # model decrease): the subsampled problem is solved to rounding, so
+        # the loop ends "terminated" with the three moves counted and no
+        # further probe, with or without the run's stop
+        probed = []
+
+        def probe(ctx, config, counters):
+            probed.append(ctx)
+            return 1.0, 1.0, None
+
+        out = self.inner_loop(
+            monkeypatch, probe,
+            lambda ctx, step, *rest: (ctx + 1, 0.0 if ctx == 3 else 1.0),
+            0, stop=stop)
+        assert out == (4, 3, "terminated")
+        assert probed == [0, 1, 2, 3]
 
     def test_snapshot_is_first_value(self, monkeypatch):
         # only the first probe's snapshot counts: the rule fires once
@@ -710,7 +730,7 @@ class TestInnerLoop:
                                   10.0 - ctx, 10.0 + 10.0 * ctx, None),
                               lambda ctx, step, *rest: (ctx + 1, 1.0),
                               0)
-        assert out == (5, 5, 5, "terminated")
+        assert out == (5, 5, "terminated")
 
     def test_infeasible_stationary(self, monkeypatch):
         # the probe's certificate ends the loop before any update at that
@@ -723,7 +743,7 @@ class TestInnerLoop:
         out = self.inner_loop(monkeypatch, probe,
                               lambda ctx, step, *rest: (ctx + 1, 1.0),
                               0)
-        assert out == (3, 3, 3, "infeasible_stationary")
+        assert out == (3, 3, "infeasible_stationary")
 
     def test_budget(self, monkeypatch):
         def probe(ctx, config, counters):
@@ -733,7 +753,7 @@ class TestInnerLoop:
                               DriverConfig(termination="dnorm",
                                            max_gradient_evals=10),
                               Counters(gradient_evals=10))
-        assert out == ("ctx", 0, 0, "budget")
+        assert out == ("ctx", 0, "budget")
 
     def test_robust_entry(self, monkeypatch):
         # the robust rule looks its own entry up, and the probe gets the
@@ -747,7 +767,7 @@ class TestInnerLoop:
 
         out = self.inner_loop(monkeypatch, probe, self.no_update, "ctx",
                               config, counters)
-        assert out == ("ctx", 0, 0, "infeasible_stationary")
+        assert out == ("ctx", 0, "infeasible_stationary")
 
     def test_equality_infeasible_stationary(self, monkeypatch):
         # the equality merit plan's certificate ends the loop as the robust
@@ -758,24 +778,23 @@ class TestInnerLoop:
         out = self.inner_loop(monkeypatch,
                               lambda ctx, config, counters: (1.0, 1.0, None),
                               update, "ctx")
-        assert out == ("ctx", 0, 0, "infeasible_stationary")
+        assert out == ("ctx", 0, "infeasible_stationary")
 
     def test_stop_after_moving_updates(self, monkeypatch):
-        # the stop is tested after each update that moves x (those from an
-        # odd ctx), and only then; the rule would fire at ctx = 5
+        # the stop is tested after each update, every one of which moves x,
+        # and only then; the rule would fire at ctx = 5
         tested = []
 
         def stop(ctx):
             tested.append(ctx)
-            return ctx == 4
+            return ctx == 3
 
         out = self.inner_loop(
             monkeypatch,
             lambda ctx, config, counters: (10.0 - ctx, 10.0, None),
-            lambda ctx, step, *rest: (ctx + 1, 1.0 if ctx % 2 else 0.0),
-            0, stop=stop)
-        assert out == (4, 4, 2, "converged")
-        assert tested == [2, 4]
+            lambda ctx, step, *rest: (ctx + 1, 1.0), 0, stop=stop)
+        assert out == (3, 3, "converged")
+        assert tested == [1, 2, 3]
 
     def test_stop_drops_the_floor(self, monkeypatch):
         # a measure of 1e-7 from a first value of 0 meets the growing
@@ -785,10 +804,10 @@ class TestInnerLoop:
 
         move = lambda ctx, step, *rest: (ctx + 1, 1.0)  # noqa: E731
         assert self.inner_loop(monkeypatch, probe, move, 0) == (
-            0, 0, 0, "terminated")
+            0, 0, "terminated")
         out = self.inner_loop(monkeypatch, probe, move, 0,
                               stop=lambda ctx: False)
-        assert out == (3, 3, 3, "terminated")
+        assert out == (3, 3, "terminated")
 
 
 def _causes(problem, method, budget, **kw):
@@ -833,19 +852,20 @@ class TestTermCauses:
     def test_equality_noise_no_merit_collapse(self):
         # this geometric L-BFGS solve meets MINRES noise in g'd + curv that
         # a narrow guard reads as a zero trial merit parameter. It reaches
-        # the whole data set at stationarity 1.28e-4, where an outer with
-        # no update would repeat exactly, so the run ends Stalled there
-        # rather than spending the budget on repeats
+        # the whole data set at stationarity 1.28e-4; with no floor there
+        # each outer moves x, and the budget ends the run below 1e-8 (with
+        # the floor, the first outer there made no update and the run
+        # ended Stalled at 1.28e-4)
         out = run_config(RunConfig(problem="synth-logreg-eq",
                                    method="ra-sqp-dl-lbfgs", seed=0,
                                    sampling="geometric",
                                    max_gradient_evals=200_000, max_outer=60))
         assert all(rec.term_cause != "merit_collapse"
                    for rec in out.trace[1:])
-        assert out.status == "Stalled"
-        repeats = [rec for rec in out.trace[1:]
-                   if rec.batch_size == 5000 and rec.updates == 0]
-        assert 1 <= len(repeats) <= 2 and repeats[-1] is out.trace[-1]
+        assert out.status == "BudgetExhausted"
+        full = [rec for rec in out.trace[1:] if rec.batch_size == 5000]
+        assert full and all(rec.updates > 0 for rec in full)
+        assert out.trace[-1].stationarity <= 1e-8
 
     @pytest.mark.parametrize("method", ["ra-sqp-kkt", "ra-sqp-dnorm",
                                         "ra-sqp-dl", "ra-sqp-dl-lbfgs",
@@ -860,7 +880,8 @@ class TestTermCauses:
 
 class TestFullBatchStop:
     """On a finite sum's whole data set the inner loop tests the run's stop
-    after each update that moves x, with no floor on the inner rule."""
+    after each update, with no floor on the inner rule, whether or not
+    stop thresholds are set."""
 
     @staticmethod
     def solve(monkeypatch, problem, method, seed, stop_v, stop_s, budget):
@@ -916,8 +937,9 @@ class TestFullBatchStop:
         ("ra-sqp-dl", (1e-5, 1e-4), 10 ** 6)])
     def test_stop_only_on_the_whole_data_set(self, monkeypatch, method,
                                              stops, budget):
-        # the evaluator carries the stop exactly when the batch is the
-        # whole data set and stop thresholds are set
+        # the inner loop gets the stop exactly when the batch is the whole
+        # data set, with or without stop thresholds (with none it never
+        # holds)
         handed = self.stops_handed(monkeypatch)
         out = run_config(RunConfig(problem="synth-logreg-eq", method=method,
                                    stop_violation=stops[0],
@@ -925,8 +947,34 @@ class TestFullBatchStop:
                                    max_gradient_evals=budget))
         sizes = [rec.batch_size for rec in out.trace[1:]]
         assert 5000 in sizes
-        assert handed == [size == 5000 and stops[0] is not None
-                          for size in sizes]
+        assert handed == [size == 5000 for size in sizes]
+        if stops[0] is None:
+            assert all(rec.term_cause != "converged"
+                       for rec in out.trace[1:])
+
+    @staticmethod
+    def registry_solve(method):
+        """A `--workload registry` solve: seed 0, no stop thresholds."""
+        return run_config(RunConfig(problem="synth-logreg-eq", method=method,
+                                    seed=0, max_gradient_evals=200_000,
+                                    max_outer=60))
+
+    def test_whole_data_set_solved_without_stop_thresholds(self):
+        # with the floor kept where no stop thresholds were set, the rule
+        # held at once on the whole data set and the run ended Stalled at
+        # stationarity 3.77e-4 with 17,592 evaluations left
+        out = self.registry_solve("ra-sqp-dl")
+        assert out.status != "Stalled"
+        assert out.trace[-1].stationarity < 3.77e-4
+
+    def test_no_repeated_probe_of_an_unmoved_iterate(self):
+        # the whole data set is solved to rounding, where an update cannot
+        # move x; that ends the inner loop, which without the alpha = 0
+        # exit probed the same iterate up to INNER_CAP (6,168 MINRES
+        # iterations against 679)
+        out = self.registry_solve("ra-sqp-dl-lbfgs")
+        assert all(rec.term_cause != "inner_cap" for rec in out.trace[1:])
+        assert out.counters.minres_iters <= 1000
 
     def test_expectation_batch_never_stop_tested(self, monkeypatch):
         handed = self.stops_handed(monkeypatch)

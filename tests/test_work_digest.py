@@ -43,6 +43,11 @@ def test_smoke_list_digest_and_compare(tmp_path):
         assert r["counters"]["gradient_evals"] > 0
         assert len(r["batch_sizes"]) > 0
         assert len(r["digest"]) == 64
+        # the last record's metrics: a converged solve meets its stops
+        assert r["final_violation"] >= 0 and r["final_stationarity"] >= 0
+        if r["status"] == "Converged":
+            assert r["final_violation"] <= 1e-5
+            assert r["final_stationarity"] <= 1e-2
 
     same = tool("--compare", a, a)
     assert same.returncode == 0
@@ -284,13 +289,16 @@ def test_compare_ends_with_method_totals(tmp_path):
 
 def test_compare_summarizes_a_work_difference(tmp_path):
     # long batch-size lists that part late, and a solve that raised on one
-    # side: each side's status, counters and outers, then the first outer
-    # whose batch size differs, never the lists themselves
+    # side: each side's status, counters, outers and final violation and
+    # stationarity ("-" in a row written without them), then the first
+    # outer whose batch size differs, never the lists themselves
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     long_a = dict(solve(0, "ra-sqp-dl", 0, "BudgetExhausted", 203_514, 12),
-                  batch_sizes=[32] * 3000 + [64] * 2000)
+                  batch_sizes=[32] * 3000 + [64] * 2000,
+                  final_violation=2.81e-13, final_stationarity=3.7712e-4)
     long_b = dict(solve(0, "ra-sqp-dl", 0, "Converged", 201_326, 12),
-                  batch_sizes=[32] * 3000 + [128] * 1000)
+                  batch_sizes=[32] * 3000 + [128] * 1000,
+                  final_violation=0.0, final_stationarity=1.99e-4)
     write(a, [long_a, solve(1, "det-sqp", 0, "Converged", 5000, 16)])
     write(b, [long_b, solve(1, "det-sqp", 0, "Error")])
     out = tool("--compare", a, b)
@@ -299,13 +307,16 @@ def test_compare_summarizes_a_work_difference(tmp_path):
     assert lines[:8] == [
         "WORK   #0 eq-logreg seed 0 None ra-sqp-dl None solver seed 0",
         "       A: BudgetExhausted, gradient_evals 203,514, function_evals 1,"
-        " minres_iters 12, barrier_iters 0, outers 5,000",
+        " minres_iters 12, barrier_iters 0, outers 5,000,"
+        " final violation 2.81e-13, final stationarity 0.000377",
         "       B: Converged, gradient_evals 201,326, function_evals 1,"
-        " minres_iters 12, barrier_iters 0, outers 4,000",
+        " minres_iters 12, barrier_iters 0, outers 4,000,"
+        " final violation 0, final stationarity 0.000199",
         "       batch sizes first differ at outer 3001: 64 != 128",
         "WORK   #1 eq-logreg seed 0 None det-sqp None solver seed 0",
         "       A: Converged, gradient_evals 5,000, function_evals 1,"
-        " minres_iters 16, barrier_iters 0, outers 1",
+        " minres_iters 16, barrier_iters 0, outers 1,"
+        " final violation -, final stationarity -",
         "       B: Error: NumericalFailure: non-finite iterate",
         "       batch sizes first differ at outer 1: 32 != -",
     ]

@@ -22,7 +22,8 @@ with violation <= the solve's bound and stationarity <= eps (0 when the
 initial record does, Infinity when none does). The bound is 1e-6, or the
 solve's `stop_violation` when that is looser, since a solve that stops at
 violation 1e-5 need never reach 1e-6; the row holds it as
-`violation_bound`. `--src` picks the `src/` tree rasqp is
+`violation_bound`, and `final_violation` and `final_stationarity`, the
+last record's `violation_inf` and `stationarity`. `--src` picks the `src/` tree rasqp is
 imported from, so this one copy of the tool also runs against another
 checkout, such as the parent commit's. BLAS runs on one thread, as in the
 benchmark.
@@ -31,7 +32,8 @@ benchmark.
 or digest differs between two such files, and labels a work difference
 whose result digest and status are equal "same results": less (or more)
 work for the same answer. Under each work difference it prints each side's
-status, counters and number of outers (or its error), then the first outer
+status, counters, number of outers and final violation and stationarity
+("-" in a row written without them), or its error, then the first outer
 whose batch size differs. It ends with a table of each method's median
 `evals_to` in A and in B (rows without the field are left out of it),
 then one of each method's summed gradient evaluations, MINRES and barrier
@@ -178,7 +180,9 @@ def solve_rows(workload: str, seeds, smoke: bool):
             batch_sizes=[rec.batch_size for rec in outcome.trace[1:]],
             digest=digest(outcome),
             result_digest=digest(outcome, skip=WORK_FIELDS),
-            evals_to=evals_to(outcome.trace, bound), violation_bound=bound)
+            evals_to=evals_to(outcome.trace, bound), violation_bound=bound,
+            final_violation=outcome.trace[-1].violation_inf,
+            final_stationarity=outcome.trace[-1].stationarity)
         yield row
 
 
@@ -188,11 +192,17 @@ def work(row) -> tuple:
 
 
 def work_summary(row) -> str:
-    """A row's status, four counters and number of outers, or its error."""
+    """A row's status, four counters, number of outers and final violation
+    and stationarity ("-" when the row has none), or its error."""
     if "counters" not in row:
         return f"{row['status']}: {row.get('error')}"
     counts = ", ".join(f"{c} {row['counters'][c]:,}" for c in COUNTERS)
-    return f"{row['status']}, {counts}, outers {len(row['batch_sizes']):,}"
+    final = ", ".join(
+        f"final {name} " + ("-" if row.get(f"final_{name}") is None
+                            else f"{row[f'final_{name}']:.3g}")
+        for name in ("violation", "stationarity"))
+    return (f"{row['status']}, {counts}, outers {len(row['batch_sizes']):,}, "
+            f"{final}")
 
 
 def first_batch_difference(a, b) -> str:
