@@ -311,7 +311,8 @@ def _robust_progress(ctx: InnerContext, config: DriverConfig,
     the LP reads only the constraint values and that mode, so it is solved
     once per iterate and kept in the context's store. With inequality rows
     only, `feasibility_step` usually answers it in closed form (objective
-    0, no barrier iteration), and only the QP reaches the interior point."""
+    0, no barrier iteration) and `direction_step` the QP exactly, so
+    neither reaches the interior point."""
     mode = config.norm
     v = violation(ctx.c_E, ctx.c_I, mode)
     sigma_p, sigma_d = sigma_bounds(v, mode, ctx.x.size)

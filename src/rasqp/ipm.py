@@ -1,7 +1,9 @@
 """Dense primal-dual interior-point solver for the LPs and convex QPs
 arising in robust-SQP subproblems and the KKT-residual metric. A program
 is min 1/2 x'Hx + g'x s.t. Cx <= d, passed to `solve_program` as its four
-arrays (g, C, d, H).
+arrays (g, C, d, H). The one QP, the robust direction QP, comes here only
+as `sqp_ineq.direction_step`'s fallback: for equality rows, a binding norm
+ball, a singular working set or its loop cap.
 
 A single Mehrotra-style predictor-corrector path handles both LPs (zero
 Hessian plus a tiny diagonal regularization) and QPs, so iteration counts

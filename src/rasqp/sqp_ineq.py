@@ -4,11 +4,13 @@ subproblems as the arrays (g, C, d, H) that `ipm.solve_program` takes, and
 the mode's violation is `sqp_eq.violation`. An inequality-only
 feasibility LP whose minimum-norm linearized step fits the norm ball has
 objective 0, and `feasibility_step` returns that answer without the
-interior point. The driver's robust progress probe solves the two
-subproblems, certifies an infeasible stationary point from the LP by the
-rule both solvers share, `sqp_eq.keeps_violation`, and returns the
-direction as a `sqp_eq.Step`, which the update both solvers share,
-`sqp_eq.inner_iteration`, takes."""
+interior point. An inequality-only direction QP is a projection, which
+`direction_step` solves exactly by a dual active-set method; the interior
+point solves it only when that answer cannot be certified. The driver's
+robust progress probe solves the two subproblems, certifies an infeasible
+stationary point from the LP by the rule both solvers share,
+`sqp_eq.keeps_violation`, and returns the direction as a `sqp_eq.Step`,
+which the update both solvers share, `sqp_eq.inner_iteration`, takes."""
 
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ from .sqp_eq import L1, LINF
 # this module's names, so they stay importable until the benchmark drops them
 from .linalg import lbfgs_update  # noqa: F401
 from .sqp_eq import armijo_backtrack  # noqa: F401
+
+_EXACT_TOL = 1e-12  # an exact direction QP's rows hold to this, relative
 
 
 def sigma_bounds(violation: float, mode: str, n: int):
@@ -137,14 +141,69 @@ def feasibility_step(c_E, c_I, J_E, J_I, sigma_p: float, mode: str,
                              lp_objective=max(0.0, sol.objective))
 
 
+def _projection(g_S, c_I, J_I, relaxation, sigma_d: float, mode: str,
+                counters: Optional[Counters]):
+    """The direction QP with no equality rows, exact, or None: d is the
+    projection of -g_S onto {d : J_I d <= r - c_I}, d = -g_S - J_I'mu for
+    the mu >= 0 minimizing mu'G mu/2 - h'mu, G = J_I J_I', h = -J_I g_S -
+    (r - c_I), by Lawson-Hanson: add the most violated row to the working
+    set W, solve G_WW z = h_W (one barrier iteration each) and, while some
+    z <= 0, step towards z until a multiplier reaches 0 and drop its row.
+    mu stays >= 0 by construction. None on a singular G_WW, at the loop
+    cap, or unless every row holds and W's rows sit at zero slack, both to
+    rounding, and d lies inside the mode's ball."""
+    m = c_I.size
+    b = np.broadcast_to(np.asarray(relaxation, dtype=float), (m,)) - c_I
+    G, h = J_I @ J_I.T, J_I @ -g_S - b
+    mu, work, add = np.zeros(m), np.zeros(m, dtype=bool), True
+    for _ in range(3 * m + 3):
+        if add:
+            free = np.where(work, -np.inf, h - G @ mu)
+            if np.max(free, initial=0.0) <= 0.0:
+                break
+            work[free.argmax()] = True
+        if counters is not None:
+            counters.barrier_iters += 1
+        try:
+            z = np.linalg.solve(G[work][:, work], h[work])
+        except np.linalg.LinAlgError:
+            return None
+        mu_W, neg = mu[work], np.flatnonzero(z <= 0.0)
+        add = not neg.size
+        if not add:
+            # towards z until the first multiplier reaches 0; drop its row
+            ratio = mu_W[neg] / np.maximum(mu_W[neg] - z[neg], 1e-300)
+            z = mu_W + ratio.min() * (z - mu_W)
+            z[neg[ratio.argmin()]] = 0.0
+        mu[work] = np.maximum(z, 0.0)
+        work &= mu > 0.0
+    else:
+        return None
+    d = -g_S - J_I.T @ mu
+    slack = J_I @ d - b
+    rounding = _EXACT_TOL * (1.0 + np.abs(b) + np.abs(J_I) @ np.abs(d))
+    if (np.all(np.where(work, np.abs(slack), slack) <= rounding)
+            and np.linalg.norm(d, np.inf if mode == LINF else 1) <= sigma_d):
+        return d
+    return None
+
+
 def direction_step(g_S, c_E, c_I, J_E, J_I, relaxation, sigma_d: float,
                    mode: str,
                    counters: Optional[Counters] = None) -> np.ndarray:
     """The step d of the QP minimizing the quadratic objective model
     g_S'd + d'd/2 subject to the relaxed linearized constraints and
     ||d|| <= sigma_d; `relaxation` is a per-constraint array or one value
-    for all."""
+    for all. With no equality rows the QP is a projection, and
+    `_projection` answers it exactly when it can certify the answer; every
+    other program, and every one it cannot certify (a binding ball, a
+    singular working set, the loop cap), goes to the interior point."""
+    if mode not in (LINF, L1):
+        raise ValueError(f"unknown norm mode {mode!r}")
+    if J_E.shape[0] == 0:
+        d = _projection(g_S, c_I, J_I, relaxation, sigma_d, mode, counters)
+        if d is not None:
+            return d
     prog = _linearized_program(c_E, c_I, J_E, J_I, sigma_d, mode, g_S=g_S,
                                relaxation=relaxation)
     return _solve(prog, "direction QP", counters).x[:J_E.shape[1]]
-

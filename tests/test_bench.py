@@ -425,19 +425,19 @@ WORK_COUNTERS = [
                  id="synth-eq-quad-det-sqp"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32752, 0, 259,
+                 ("BudgetExhausted", 32752, 0, 129,
                   (32, 34, 49, 122, 459, 1077, 4898)),
                  id="synth-logreg-ineq"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="det-sqp",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 30000, 0, 30, (5000, 5000)),
+                 ("BudgetExhausted", 30000, 0, 15, (5000, 5000)),
                  id="synth-logreg-ineq-det-sqp"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-linf"),
                  ("InfeasibleStationary", 64, 0, 16, (32,)),
                  id="infeasible-1d"),
     pytest.param(RunConfig(problem="synth-logreg-ineq", method="ra-sqp-l1",
                            max_gradient_evals=30000),
-                 ("BudgetExhausted", 32752, 0, 343,
+                 ("BudgetExhausted", 32752, 0, 129,
                   (32, 34, 49, 122, 459, 1077, 4898)),
                  id="synth-logreg-ineq-ra-sqp-l1"),
     pytest.param(RunConfig(problem="infeasible-1d", method="ra-sqp-l1"),
@@ -454,24 +454,26 @@ def test_work_counters_unchanged(config, expected):
             tuple(r.batch_size for r in out.trace[1:])) == expected
 
 
-def test_inequality_feasibility_lps_skip_the_interior_point(monkeypatch):
-    # every feasibility LP of this inequality-only run is certified in
-    # closed form, so only direction QPs (H given) reach the interior point;
-    # the gradient count and batches are the WORK_COUNTERS pin's
+def test_inequality_only_run_skips_the_interior_point(monkeypatch):
+    # every feasibility LP and every direction QP of this inequality-only
+    # run is answered exactly (the LP's certificate, the QP's projection),
+    # so no program reaches the interior point; the gradient count and
+    # batches are the WORK_COUNTERS pin's
     from rasqp import sqp_ineq
 
     solve = sqp_ineq.solve_program
     programs = []
 
     def spy(g, C, d, H=None, counters=None):
-        programs.append(H is not None)
+        programs.append("QP" if H is not None else "LP")
         return solve(g, C, d, H, counters=counters)
 
     monkeypatch.setattr(sqp_ineq, "solve_program", spy)
     out = run_config(RunConfig(problem="synth-logreg-ineq",
                                method="ra-sqp-linf",
                                max_gradient_evals=30000))
-    assert programs and all(programs)
+    assert programs == []
+    assert out.counters.barrier_iters > 0  # the projections' working sets
     assert (out.status, out.counters.gradient_evals,
             tuple(r.batch_size for r in out.trace[1:])) == (
         "BudgetExhausted", 32752, (32, 34, 49, 122, 459, 1077, 4898))

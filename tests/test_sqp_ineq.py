@@ -105,28 +105,30 @@ class TestFeasibilityStep:
         assert feas.lp_objective == pytest.approx(9.0, abs=1e-4)
 
 
+def count_programs(monkeypatch):
+    """The argument tuples of every program `sqp_ineq` sends to the
+    interior point, which still solves them."""
+    calls = []
+    solve = sqp_ineq.solve_program
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sqp_ineq, "solve_program", spy)
+    return calls
+
+
 class TestFeasibilityCertificate:
     """The closed-form answer y* = 0 of an inequality-only feasibility LP,
     against the interior point it replaces."""
-
-    @staticmethod
-    def count_programs(monkeypatch):
-        calls = []
-        solve = sqp_ineq.solve_program
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(sqp_ineq, "solve_program", spy)
-        return calls
 
     @pytest.mark.parametrize("mode", [LINF, L1])
     def test_matches_the_interior_point(self, monkeypatch, mode):
         # wherever the certificate fires, the interior point on the same LP
         # reaches objective 0 too, and the exact step meets every row
         rng = np.random.default_rng(17)
-        calls = self.count_programs(monkeypatch)
+        calls = count_programs(monkeypatch)
         fired = 0
         for n in (3, 10, 30):
             for m_I in (1, n // 2, n):
@@ -180,7 +182,7 @@ class TestFeasibilityCertificate:
             sigma_p = 0.5 * np.linalg.norm(p, np.inf if mode == LINF else 1)
         else:
             J_E, c_E = np.array([[0.0, 0.0, 1.0]]), np.array([0.5])
-        calls = self.count_programs(monkeypatch)
+        calls = count_programs(monkeypatch)
         counters = Counters()
         feas = feasibility_step(c_E, c_I, J_E, J_I, sigma_p, mode,
                                 counters=counters)
@@ -302,6 +304,121 @@ class TestDirectionStep:
             one = direction_step(*args, 0.25, 400.0, mode)
             each = direction_step(*args, np.full(3, 0.25), 400.0, mode)
             np.testing.assert_array_equal(one, each)
+
+
+class TestExactDirection:
+    """The direction QP of an inequality-only program, a projection that
+    `direction_step` answers exactly, against the interior point, and the
+    programs it leaves to the interior point."""
+
+    @pytest.mark.parametrize("mode", [LINF, L1])
+    def test_matches_the_interior_point(self, monkeypatch, mode):
+        # planted optima: d* with multipliers >= 0.5 on the active rows and
+        # slack >= 0.5 on the others. The interior point stops at a mean
+        # complementarity of 1e-9 (1 + |g_S|), so on a weakly active row
+        # its d is off by up to about 4e-5; here by at most 4.1e-7
+        rng = np.random.default_rng(45)
+        calls = count_programs(monkeypatch)
+        kinds = set()
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(m, 31))
+            J_I = rng.standard_normal((m, n))
+            active = rng.random(m) < 0.5
+            d_star = 0.5 * rng.standard_normal(n)
+            g_S = -d_star - J_I[active].T @ rng.uniform(0.5, 2.0,
+                                                         active.sum())
+            b = J_I @ d_star + np.where(active, 0.0,
+                                        rng.uniform(0.5, 2.0, m))
+            r = np.where(rng.random(m) < 0.5, 0.0, rng.exponential(size=m))
+            c_I = r - b
+            # (active at d, violated at the current point)
+            kinds.update(zip(active.tolist(), (c_I > 0).tolist()))
+            _, sigma_d = sigma_bounds(violation(np.zeros(0), c_I, mode),
+                                      mode, n)
+            counters = Counters()
+            d = direction_step(g_S, np.zeros(0), c_I, np.zeros((0, n)), J_I,
+                               r, sigma_d, mode, counters=counters)
+            assert not calls
+            # one working-set solve at least per active row
+            assert counters.barrier_iters >= active.sum()
+            slack = J_I @ d - b
+            scale = 1.0 + np.abs(b) + np.abs(J_I) @ np.abs(d)
+            assert np.all(np.abs(slack[active])
+                          <= 1e-12 * scale[active])
+            assert np.all(slack[~active] < 0.0)
+            mu = np.linalg.lstsq(J_I[active].T, -g_S - d, rcond=None)[0]
+            assert np.all(mu >= 0.0)
+            np.testing.assert_allclose(d, d_star, rtol=0, atol=1e-9)
+            sol = solve_program(*sqp_ineq._linearized_program(
+                np.zeros(0), c_I, np.zeros((0, n)), J_I, sigma_d, mode,
+                g_S=g_S, relaxation=r))
+            assert sol.status == "optimal"
+            np.testing.assert_allclose(d, sol.x[:n], rtol=0, atol=1e-6)
+        assert kinds == {(True, True), (True, False), (False, True),
+                         (False, False)}
+
+    @pytest.mark.parametrize("mode", [LINF, L1])
+    def test_feasible_point_with_active_inequalities(self, monkeypatch,
+                                                     mode):
+        # c_I = 0 on two rows and a gradient that pushes out through both:
+        # the robust probe solves its LP and its QP with no interior point,
+        # and the step stays on both rows
+        J_I = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+        c_I = np.array([0.0, 0.0, -1.0])
+        g_S = np.array([-1.0, -2.0, 0.5])
+        ctx = InnerContext(x=np.zeros(3), lam=np.zeros(3), F_S=0.0, g_S=g_S,
+                           c_E=np.zeros(0), c_I=c_I, J_E=np.zeros((0, 3)),
+                           J_I=J_I, tau_prev=1.0)
+        calls = count_programs(monkeypatch)
+        counters = Counters()
+        _, _, step = _robust_progress(
+            ctx, DriverConfig(termination="robust_dnorm", norm=mode),
+            counters)
+        assert not calls and counters.barrier_iters > 0
+        assert np.abs(J_I[:2] @ step.d).max() <= 1e-12
+        assert J_I[2] @ step.d + c_I[2] < 0.0
+        _, sigma_d = sigma_bounds(0.0, mode, 3)
+        sol = solve_program(*sqp_ineq._linearized_program(
+            np.zeros(0), c_I, np.zeros((0, 3)), J_I, sigma_d, mode, g_S=g_S,
+            relaxation=0.0))
+        np.testing.assert_allclose(step.d, sol.x[:3], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("mode,case", [
+        (LINF, "equality row"), (L1, "equality row"),
+        (LINF, "binding ball"), (L1, "binding ball"),
+        (LINF, "dependent working set"), (L1, "dependent working set")])
+    def test_fallback_reaches_the_interior_point(self, monkeypatch, mode,
+                                                 case):
+        J_E, c_E = np.zeros((0, 2)), np.zeros(0)
+        J_I, c_I = np.array([[1.0, 0.0]]), np.array([-400.0])
+        sigma_d = 200.0
+        if case == "equality row":
+            J_E, c_E = np.array([[0.0, 1.0]]), np.array([-1.0])
+            g_S = np.array([-1.0, 0.0])
+        elif case == "binding ball":
+            # -g_S meets the row but lies outside the mode's ball (the l1
+            # case inside the linf one)
+            g_S = -np.array([250.0, 0.0] if mode == LINF else [150.0, 150.0])
+        else:
+            # three rows through the vertex (0.1, 0.2): two of them fix it,
+            # and the third, active there too, reads a rounding-level
+            # violation, enters, and leaves G_WW singular
+            J_I = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            c_I, g_S = -np.array([0.1, 0.2, 0.3]), np.array([-1.0, -1.0])
+        calls = count_programs(monkeypatch)
+        counters = Counters()
+        d = direction_step(g_S, c_E, c_I, J_E, J_I, 0.0, sigma_d, mode,
+                           counters=counters)
+        assert len(calls) == 1 and counters.barrier_iters > 0
+        sol = solve_program(*calls[0])
+        np.testing.assert_array_equal(d, sol.x[:2])
+
+    def test_unknown_mode_raised_before_the_projection(self):
+        with pytest.raises(ValueError, match="norm mode"):
+            direction_step(np.ones(1), np.zeros(0), np.zeros(0),
+                           np.zeros((0, 1)), np.zeros((0, 1)), 0.0, 100.0,
+                           "l2")
 
 
 class TestMeritParameter:

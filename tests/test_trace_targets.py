@@ -46,7 +46,9 @@ def load_layers():
 # fresh-set prefix, the robust solver, geometric expectation batches, and
 # det-sqp's fixed whole-dataset batch, whose first inner loop ends on its
 # stopping rule before the budget; each with the trace sites (module.name) its traced solve reaches, so a
-# refactor that moves a call off a traced name fails here. The logistic
+# refactor that moves a call off a traced name fails here. The inequality
+# solve answers both subproblems exactly, so of the interior point only the
+# KKT-residual metric's `ipm.solve_program` is reached. The logistic
 # solves take every corrected unit step the line search tries first, so
 # only the linearly constrained quadratic reaches the backtrack
 SOLVE_SITES = {"bench.run", "driver._sums_over", "driver.draw_samples",
@@ -63,7 +65,7 @@ TRACED_SOLVES = [
     (RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                max_gradient_evals=20_000),
      LOGREG_SITES | {"driver.feasibility_step", "driver.direction_step",
-                     "sqp_ineq.solve_program", "ipm.solve_program"}),
+                     "ipm.solve_program"}),
     (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                sampling="geometric", max_outer=3),
      SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve",
