@@ -41,8 +41,8 @@ import numpy as np
 from .counters import Counters
 from .errors import (ConfigError, InfeasibleStationary, LineSearchFailure,
                      MeritCollapse)
-from .ipm import kkt_residual
-from .linalg import LbfgsModel, least_squares_dual, norm
+from .linalg import (LbfgsModel, least_squares_dual, norm,
+                     sign_constrained_qp)
 from .problems import (FiniteSum, ProblemSpec, _sums_over, after_prefix,
                        draw_samples, eval_constraints, eval_subsampled,
                        eval_subsampled_value, gradient_stats)
@@ -192,8 +192,8 @@ class SolveOutcome:
     # Stalled (an outer on a finite sum's whole data set made no update)
     status: str
     x: np.ndarray
-    # equality solver: its duals; robust solver: the KKT-residual LP's
-    # multipliers at x, equality constraints first
+    # equality solver: its duals; robust solver: the stationarity
+    # measure's multipliers at x (`metrics_at`), equality constraints first
     lam: np.ndarray
     trace: list
     counters: Counters
@@ -337,32 +337,53 @@ _INNER = {"equality": _eq_progress, "robust": _robust_progress}
 # true-problem metrics
 # ------------------------------------------------------------------
 
-def true_metrics(problem: ProblemSpec, x: np.ndarray, solver: str,
+def true_metrics(problem: ProblemSpec, x: np.ndarray, _solver=None,
                  constraints: Optional[tuple] = None):
     """(violation_inf, stationarity, multipliers) for the underlying
     problem at x: `metrics_at` with `problem.true_gradient`.
 
     `constraints` is (c_E, c_I, J_E, J_I) at x when the caller holds them;
-    otherwise they are evaluated here."""
+    otherwise they are evaluated here. The third argument is ignored: the
+    measure is the same for every solver, and it stays only because
+    perfbench/workloads.py passes the solver there."""
     return metrics_at(problem.true_gradient(x),
                       (eval_constraints(problem, x) if constraints is None
-                       else constraints), solver)
+                       else constraints))
 
 
-def metrics_at(g: np.ndarray, constraints: tuple, solver: str):
+def metrics_at(g: np.ndarray, constraints: tuple):
     """(violation_inf, stationarity, multipliers) at a point with objective
-    gradient g and constraints (c_E, c_I, J_E, J_I): the max-norm
-    `sqp_eq.violation`, and either the Lagrangian gradient norm at
-    `least_squares_dual`'s lambda_E, as in the inner solver's warm start
-    (equality), or the KKT residual at the residual LP's (lambda_E,
-    lambda_I) (robust), with those multipliers."""
+    gradient g and constraints (c_E, c_I, J_E, J_I), for every problem: the
+    max-norm `sqp_eq.violation`, and max(||g + J'lam||_inf,
+    ||lam_I c_I||_inf) at the lam = (lam_E, lam_I), lam_I >= 0, that
+    minimizes ||g + J'lam||^2 + ||lam_I c_I||^2, with that lam. One lstsq
+    of the stacked system gives it when its lam_I >= 0, and with m_I = 0
+    that is `least_squares_dual`'s lam_E. Otherwise lam_E is eliminated,
+    which leaves a least-squares problem in lam_I >= 0 alone for
+    `linalg.sign_constrained_qp`, and lam_E is the least-squares
+    multipliers for its lam_I. Where the routine gives none (a singular
+    working set or its cap), the stacked lstsq's lam_I clipped at 0 stands
+    in, so lam_I >= 0 always and the measure never reads below the least
+    max-norm over such lam."""
     c_E, c_I, J_E, J_I = constraints
-    v_inf = violation(c_E, c_I, LINF)
-    if solver == "equality":
-        # with no equality constraints lam is empty and stat is ||g||_inf
-        lam = least_squares_dual(J_E, g)
-        return v_inf, norm(g + J_E.T @ lam, np.inf), lam
-    return (v_inf, *kkt_residual(g, c_I, J_E, J_I, counters=None))
+    m_E, m_I = c_E.size, c_I.size
+    J = np.vstack([J_E, J_I])
+    A = np.vstack([J.T, np.hstack([np.zeros((m_I, m_E)), np.diag(c_I)])])
+    lam = np.linalg.lstsq(A, np.concatenate([-g, np.zeros(m_I)]),
+                          rcond=None)[0]
+    if np.any(lam[m_E:] < 0.0):
+        # g and J_I's rows less their least-squares fits by J_E's rows
+        V = np.column_stack([g, J_I.T])
+        V = V + J_E.T @ least_squares_dual(J_E, V)
+        B = np.vstack([V[:, 1:], np.diag(c_I)])
+        nnls = sign_constrained_qp(
+            B.T @ B, B.T @ np.concatenate([-V[:, 0], np.zeros(m_I)]))
+        lam_I = np.maximum(lam[m_E:], 0.0) if nnls is None else nnls[0]
+        lam = np.concatenate([least_squares_dual(J_E, g + J_I.T @ lam_I),
+                              lam_I])
+    stat = max(norm(g + J.T @ lam, np.inf),
+               float(np.abs(lam[m_E:] * c_I).max(initial=0.0)))
+    return violation(c_E, c_I, LINF), stat, lam
 
 
 # ------------------------------------------------------------------
@@ -409,8 +430,8 @@ def run(problem: ProblemSpec, config: DriverConfig,
         # update keeps the iterate, and its store
         if "metrics" not in ctx.store:
             ctx.store["metrics"] = true_metrics(
-                problem, ctx.x, config.solver,
-                (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
+                problem, ctx.x,
+                constraints=(ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I))
         return ctx.store["metrics"]
 
     def record(ctx, k, batch_size, est_size, inner_iters, term_cause):
@@ -438,7 +459,7 @@ def run(problem: ProblemSpec, config: DriverConfig,
         # never with no thresholds set
         cons = (ctx.c_E, ctx.c_I, ctx.J_E, ctx.J_I)
         return (stop_met(violation(ctx.c_E, ctx.c_I, LINF), 0.0)
-                and stop_met(*metrics_at(ctx.g_S, cons, config.solver)[:2])
+                and stop_met(*metrics_at(ctx.g_S, cons)[:2])
                 and stop_met(*metrics(ctx)[:2]))
 
     prev_size: Optional[int] = None

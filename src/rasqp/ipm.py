@@ -1,9 +1,10 @@
 """Dense primal-dual interior-point solver for the LPs and convex QPs
-arising in robust-SQP subproblems and the KKT-residual metric. A program
-is min 1/2 x'Hx + g'x s.t. Cx <= d, passed to `solve_program` as its four
-arrays (g, C, d, H). The one QP, the robust direction QP, comes here only
-as `sqp_ineq.direction_step`'s fallback: for equality rows, a binding norm
-ball, a singular working set or its loop cap.
+arising in robust-SQP subproblems, the one place rasqp reaches scipy. A
+program is min 1/2 x'Hx + g'x s.t. Cx <= d, passed to `solve_program` as
+its four arrays (g, C, d, H). The one QP, the robust direction QP, comes
+here only as `sqp_ineq.direction_step`'s fallback: for equality rows, a
+binding norm ball, a singular working set or its loop cap. The
+true-problem metrics solve no program (`driver.metrics_at`).
 
 A single Mehrotra-style predictor-corrector path handles both LPs (zero
 Hessian plus a tiny diagonal regularization) and QPs, so iteration counts
@@ -149,35 +150,3 @@ def _step_lengths(v, dv):
     np.divide(v, dv, out=ratio, where=dv < 0)
     return [min(1.0, -r) for r in ratio.reshape(2, -1).max(axis=1).tolist()]
 
-
-def kkt_residual(grad_f: np.ndarray, c_I: np.ndarray, J_E: np.ndarray,
-                 J_I: np.ndarray,
-                 counters: Optional[Counters] = None):
-    """(t, lam): the smallest t such that some multipliers put the
-    stationarity residual and the complementarity products within t in the
-    max norm, and such multipliers lam = (lambda_E, lambda_I), of shape
-    (m_E + m_I,), with lambda_I >= 0.
-
-    Solved as an LP over (t, lambda_E, lambda_I) with the max-norm
-    constraints expanded into paired inequalities. The arrays come in the
-    form `problems.eval_constraints` returns, with grad_f of shape (n,).
-    """
-    n, m_E, m_I = grad_f.size, J_E.shape[0], J_I.shape[0]
-
-    nv = 1 + m_E + m_I  # [t, lambda_E, lambda_I]
-    # |grad_f + J_E' lam_E + J_I' lam_I| <= t and |lam_I * c_I| <= t,
-    # componentwise, then t >= 0 and lambda_I >= 0; the objective is t
-    t = np.eye(1, nv)
-    stat = np.zeros((n, nv))
-    stat[:, 1:1 + m_E] = J_E.T
-    stat[:, 1 + m_E:] = J_I.T
-    comp = np.zeros((m_I, nv))
-    comp[np.arange(m_I), 1 + m_E + np.arange(m_I)] = c_I
-    bounded = np.r_[0, 1 + m_E:nv]
-    C = np.vstack([stat - t, -stat - t, comp - t, -comp - t,
-                   -np.eye(nv)[bounded]])
-    d = np.concatenate([-grad_f, grad_f, np.zeros(2 * m_I + bounded.size)])
-    sol = solve_program(t[0], C, d, counters=counters)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"KKT-residual LP ended with status {sol.status}")
-    return max(0.0, float(sol.x[0])), sol.x[1:]

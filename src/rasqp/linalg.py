@@ -1,6 +1,8 @@
 """Dense/Krylov linear-algebra primitives: vector norms, MINRES for
 symmetric indefinite systems, a limited-memory BFGS Hessian-approximation
-operator, and the least-squares multipliers of a Jacobian of any rank."""
+operator, the least-squares multipliers of a Jacobian of any rank, and
+the Lawson-Hanson loop for a QP with sign-constrained entries, which the
+robust direction QP and the stationarity measure share."""
 
 from __future__ import annotations
 
@@ -203,3 +205,40 @@ def least_squares_dual(J: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The minimum-norm lambda minimizing ||g + J' lambda||, for a J of any
     rank, with no rows included (lambda is then empty)."""
     return np.linalg.lstsq(J.T, -g, rcond=None)[0]
+
+
+def sign_constrained_qp(G: np.ndarray, h: np.ndarray,
+                        counters: Optional[Counters] = None):
+    """(z, W) minimizing z'Gz/2 - h'z subject to z >= 0, for a symmetric
+    PSD G, by Lawson and Hanson's active-set loop (Solving Least Squares
+    Problems, 1974): add the entry whose gradient h - Gz is largest, if it
+    exceeds 1e-12 (1 + |h|_inf), to the working set W, solve G_WW z_W =
+    h_W (one barrier iteration each) and, while some z_W <= 0, step
+    towards z_W until such an entry reaches 0 and drop it from W. The
+    threshold keeps an entry whose gradient is rounding, so a dependent
+    one, out of W. z >= 0 by construction. None on a singular G_WW or
+    after 3 len(h) + 3 solves."""
+    z, work, add = np.zeros(h.size), np.zeros(h.size, dtype=bool), True
+    tol = 1e-12 * (1.0 + np.abs(h).max(initial=0.0))
+    for _ in range(3 * h.size + 3):
+        if add:
+            gain = np.where(work, -np.inf, h - G @ z)
+            if np.max(gain, initial=0.0) <= tol:
+                return z, work
+            work[gain.argmax()] = True
+        if counters is not None:
+            counters.barrier_iters += 1
+        try:
+            z_W = np.linalg.solve(G[work][:, work], h[work])
+        except np.linalg.LinAlgError:
+            return None
+        old, neg = z[work], np.flatnonzero(z_W <= 0.0)
+        add = not neg.size
+        if not add:
+            # towards z_W until the first entry reaches 0; drop it
+            ratio = old[neg] / np.maximum(old[neg] - z_W[neg], 1e-300)
+            z_W = old + ratio.min() * (z_W - old)
+            z_W[neg[ratio.argmin()]] = 0.0
+        z[work] = np.maximum(z_W, 0.0)
+        work &= z > 0.0
+    return None

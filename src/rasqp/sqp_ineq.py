@@ -5,8 +5,10 @@ the mode's violation is `sqp_eq.violation`. An inequality-only
 feasibility LP whose minimum-norm linearized step fits the norm ball has
 objective 0, and `feasibility_step` returns that answer without the
 interior point. An inequality-only direction QP is a projection, which
-`direction_step` solves exactly by a dual active-set method; the interior
-point solves it only when that answer cannot be certified. The driver's
+`direction_step` solves exactly on its dual by the Lawson-Hanson loop
+`linalg.sign_constrained_qp` (the driver's stationarity measure runs the
+same loop); the interior point solves it only when that answer cannot be
+certified. The driver's
 robust progress probe solves the two subproblems, certifies an infeasible
 stationary point from the LP by the rule both solvers share,
 `sqp_eq.keeps_violation`, and returns the direction as a `sqp_eq.Step`,
@@ -22,6 +24,7 @@ import numpy as np
 from .counters import Counters
 from .errors import NumericalFailure
 from .ipm import solve_program
+from .linalg import sign_constrained_qp
 from .sqp_eq import L1, LINF
 # nothing here calls these two; perfbench/layers.py TARGETS wraps them by
 # this module's names, so they stay importable until the benchmark drops them
@@ -146,39 +149,15 @@ def _projection(g_S, c_I, J_I, relaxation, sigma_d: float, mode: str,
     """The direction QP with no equality rows, exact, or None: d is the
     projection of -g_S onto {d : J_I d <= r - c_I}, d = -g_S - J_I'mu for
     the mu >= 0 minimizing mu'G mu/2 - h'mu, G = J_I J_I', h = -J_I g_S -
-    (r - c_I), by Lawson-Hanson: add the most violated row to the working
-    set W, solve G_WW z = h_W (one barrier iteration each) and, while some
-    z <= 0, step towards z until a multiplier reaches 0 and drop its row.
-    mu stays >= 0 by construction. None on a singular G_WW, at the loop
-    cap, or unless every row holds and W's rows sit at zero slack, both to
-    rounding, and d lies inside the mode's ball."""
-    m = c_I.size
-    b = np.broadcast_to(np.asarray(relaxation, dtype=float), (m,)) - c_I
-    G, h = J_I @ J_I.T, J_I @ -g_S - b
-    mu, work, add = np.zeros(m), np.zeros(m, dtype=bool), True
-    for _ in range(3 * m + 3):
-        if add:
-            free = np.where(work, -np.inf, h - G @ mu)
-            if np.max(free, initial=0.0) <= 0.0:
-                break
-            work[free.argmax()] = True
-        if counters is not None:
-            counters.barrier_iters += 1
-        try:
-            z = np.linalg.solve(G[work][:, work], h[work])
-        except np.linalg.LinAlgError:
-            return None
-        mu_W, neg = mu[work], np.flatnonzero(z <= 0.0)
-        add = not neg.size
-        if not add:
-            # towards z until the first multiplier reaches 0; drop its row
-            ratio = mu_W[neg] / np.maximum(mu_W[neg] - z[neg], 1e-300)
-            z = mu_W + ratio.min() * (z - mu_W)
-            z[neg[ratio.argmin()]] = 0.0
-        mu[work] = np.maximum(z, 0.0)
-        work &= mu > 0.0
-    else:
+    (r - c_I), which `linalg.sign_constrained_qp` solves. None where it
+    gives none, or unless every row holds
+    and the working rows sit at zero slack, both to rounding, and d lies
+    inside the mode's ball."""
+    b = np.broadcast_to(np.asarray(relaxation, dtype=float), c_I.shape) - c_I
+    dual = sign_constrained_qp(J_I @ J_I.T, J_I @ -g_S - b, counters)
+    if dual is None:
         return None
+    mu, work = dual
     d = -g_S - J_I.T @ mu
     slack = J_I @ d - b
     rounding = _EXACT_TOL * (1.0 + np.abs(b) + np.abs(J_I) @ np.abs(d))

@@ -12,9 +12,10 @@ import pytest
 
 from rasqp.bench import (RunConfig, active_set, build_problem, jaccard,
                          run_config, success_test)
-from rasqp.driver import DriverConfig, _robust_progress, adaptive_batch_size
+from rasqp.driver import (DriverConfig, _robust_progress, adaptive_batch_size,
+                          metrics_at)
 from rasqp.errors import InfeasibleStationary, MeritCollapse
-from rasqp.ipm import kkt_residual, solve_program
+from rasqp.ipm import solve_program
 from rasqp.linalg import LbfgsModel, lbfgs_apply, lbfgs_update, minres_solve
 from rasqp.sqp_eq import (ETA, Evaluator, InnerContext,
                           compute_step, inner_iteration, model_decrease,
@@ -137,17 +138,27 @@ def test_criterion_2_subproblem_oracles():
                     / max(1.0, abs(oracle)))
         checked += 1
 
+    # the stationarity measure at planted KKT points: 20 with fewer rows
+    # than variables, 20 with more (m_E + m_I > n), and 20 whose J_E
+    # repeats a row, with either
     worst_kkt = 0.0
-    for _ in range(20):
+    for k in range(60):
         n = int(rng.integers(2, 6))
-        m_e = int(rng.integers(0, 2))
-        m_i = int(rng.integers(1, 4))
+        if k < 20:
+            m_e, m_i = int(rng.integers(0, 2)), int(rng.integers(1, 4))
+        elif k < 40:
+            m_e = int(rng.integers(0, n + 1))
+            m_i = int(rng.integers(n - m_e + 1, n + 3))
+        else:
+            m_e, m_i = 2, int(rng.integers(1, n + 2))
         J_E = rng.standard_normal((m_e, n))
         J_I = rng.standard_normal((m_i, n))
+        if k >= 40:
+            J_E[1] = J_E[0]
         lam_e = rng.standard_normal(m_e)
         lam_i = rng.uniform(0.1, 2.0, m_i)
         grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
-        t, _ = kkt_residual(grad, np.zeros(m_i), J_E, J_I)
+        _, t, _ = metrics_at(grad, (np.zeros(m_e), np.zeros(m_i), J_E, J_I))
         worst_kkt = max(worst_kkt, t)
 
     report(2, "interior-point subproblem solver matches enumeration",

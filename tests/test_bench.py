@@ -487,7 +487,8 @@ def test_inequality_only_run_skips_the_interior_point(monkeypatch):
 # solver gained its infeasibility certificate: the RA equality methods all
 # certify the infeasible stationary point at their first step, on the same
 # 32 rows. The digest hashes the record fields by position, so it is
-# re-recorded whenever a field goes. The benchmark's solve lists never use
+# re-recorded whenever a field goes, and the robust methods' digests with
+# the records' stationarity measure. The benchmark's solve lists never use
 # this problem, so this is its pin.
 EQ_CERTIFIED = ("cb5ddd0a015758648480f22f101cccd0"
                 "76ebe8bac55961a3dcca9162c31251c6")
@@ -499,11 +500,11 @@ INFEASIBLE_1D = {
     "ra-sqp-dl-inexact": ("InfeasibleStationary", 32, 32, 5, 0,
                           EQ_CERTIFIED),
     "ra-sqp-linf": ("InfeasibleStationary", 64, 96, 0, 16,
-                    "2105f8310c94fdca41a605be18f23535"
-                    "cc26841b181e4e8bc95146b61f2b870b"),
+                    "9f8de09ba875d9c847776e60f0c59bc3"
+                    "d49b5580608596863fb11d4c9ff4cea9"),
     "ra-sqp-l1": ("InfeasibleStationary", 32, 32, 0, 5,
-                  "13536babb1b93d5170eaeb237fe9c728"
-                  "2619324ed1849ba8de10b2dea878f929"),
+                  "e06aacbd596e6b680f4684fac8ba2ce2"
+                  "a1c5a8f4192bdaa4fe1f187ccc351ef2"),
     "det-sqp": ("InfeasibleStationary", 10000, 10000, 5, 0,
                 "137df8054eeabf47d5cb44a38fc7d0d5"
                 "a20d4a4a68d71fbfb857f30b08a3653c"),
@@ -842,7 +843,10 @@ class TestCli:
 class TestNumpyOnlyStart:
     def test_scipy_loads_with_the_first_interior_point_program(self):
         # a fresh interpreter: importing rasqp, building every problem and
-        # solving without an interior-point program need numpy alone
+        # solving without an interior-point program need numpy alone, the
+        # inequality-only robust solve among them (exact subproblems, and
+        # metrics with no LP); the equality rows of a robust solve on the
+        # equality problem reach the interior point
         code = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
@@ -858,8 +862,11 @@ class TestNumpyOnlyStart:
             for problem in ("synth-logreg-eq", "synth-eq-quad"):
                 run_config(RunConfig(problem=problem, method="ra-sqp-dl",
                                      max_gradient_evals=3000))
-            assert scipy_modules() == [], scipy_modules()
             run_config(RunConfig(problem="synth-logreg-ineq",
+                                 method="ra-sqp-linf",
+                                 max_gradient_evals=3000))
+            assert scipy_modules() == [], scipy_modules()
+            run_config(RunConfig(problem="synth-logreg-eq",
                                  method="ra-sqp-linf",
                                  max_gradient_evals=3000))
             assert "scipy.linalg" in sys.modules

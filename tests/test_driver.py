@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rasqp.bench import (RunConfig, build_problem, method_driver_config,
-                         run_config)
+from rasqp.bench import RunConfig, build_problem, run_config
 from rasqp import driver, sqp_eq
 from rasqp.counters import Counters
 from rasqp.driver import (INNER_CAP, DriverConfig, _inner_loop,
                           adaptive_batch_size, estimate_condition_inputs,
-                          geometric_batch_size, run, termination_check,
-                          true_metrics)
+                          geometric_batch_size, metrics_at, run,
+                          termination_check, true_metrics)
 from rasqp.errors import (ConfigError, InfeasibleStationary,
                           LineSearchFailure, MeritCollapse)
-from rasqp.linalg import least_squares_dual
+from rasqp.ipm import solve_program
+from rasqp.linalg import least_squares_dual, norm
 from rasqp.problems import (Expectation, NoiseMoments,
                             build_augmented_problem,
                             build_expectation_problem, eval_constraints)
@@ -890,9 +890,9 @@ class TestFullBatchStop:
         seen = collections.Counter()
         original = driver.true_metrics
 
-        def counted(problem, x, solver, constraints=None):
+        def counted(problem, x, constraints=None):
             seen[x.tobytes()] += 1
-            return original(problem, x, solver, constraints)
+            return original(problem, x, constraints=constraints)
 
         monkeypatch.setattr(driver, "true_metrics", counted)
         out = run_config(RunConfig(problem=problem, method=method, seed=seed,
@@ -1055,9 +1055,9 @@ def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
     original = driver.true_metrics
     search, batches = sqp_eq.line_search_step, []
 
-    def counted(problem, x, solver, constraints=None):
+    def counted(problem, x, constraints=None):
         seen[x.tobytes()] += 1
-        return original(problem, x, solver, constraints)
+        return original(problem, x, constraints=constraints)
 
     def fail_third_batch(ctx, d, delta, tau, delta_l, evaluator, mode):
         if evaluator not in batches:
@@ -1075,23 +1075,22 @@ def test_true_metrics_once_per_record_iterate(monkeypatch, problem, method,
     assert set(seen.values()) == {1}
     assert set(seen) == {r.x.tobytes() for r in out.trace}
     prob = build_problem(problem)
-    solver = method_driver_config(method, prob, cfg).solver
     for r in out.trace:
-        v, s, _ = original(prob, r.x, solver)
+        v, s, _ = original(prob, r.x)
         assert (v, s) == (r.violation_inf, r.stationarity)
 
 
 class TestTrueMetrics:
     def test_equality_quadratic_at_solution(self):
         prob = make_eq_quadratic()
-        v, s, lam = true_metrics(prob, 0.25 * np.ones(4), "equality")
+        v, s, lam = true_metrics(prob, 0.25 * np.ones(4))
         assert v <= 1e-12
         assert s <= 1e-10
         assert lam.shape == (prob.m_E,)
 
     def test_violation_reported(self):
         prob = make_eq_quadratic()
-        v, _, _ = true_metrics(prob, np.zeros(4), "equality")
+        v, _, _ = true_metrics(prob, np.zeros(4))
         assert v == pytest.approx(1.0)
 
     def test_unconstrained_stationarity_is_gradient_norm(self):
@@ -1104,7 +1103,7 @@ class TestTrueMetrics:
                                    np.zeros((0, n)), np.zeros((0, n))),
             m_E=0, m_I=0, x_init=np.zeros(n), noise_level=0.1)
         x = np.array([0.3, -2.0, 0.5])
-        v, s, lam = true_metrics(prob, x, "equality")
+        v, s, lam = true_metrics(prob, x)
         assert v == 0.0 and lam.shape == (0,)
         assert s == np.linalg.norm(2.0 * x - 1.0, np.inf)
 
@@ -1114,11 +1113,11 @@ class TestTrueMetrics:
         bare = dataclasses.replace(prob, true_gradient=None)
         rng = np.random.default_rng(5)
         for x in (prob.x_init, 0.3 * rng.standard_normal(prob.n)):
-            v, s, lam = true_metrics(prob, x, "equality")
-            v_b, s_b, lam_b = true_metrics(bare, x, "equality")
+            v, s, lam = true_metrics(prob, x)
+            v_b, s_b, lam_b = true_metrics(bare, x)
             # the caller's constraint values at x give the same metrics
-            again = true_metrics(prob, x, "equality",
-                                 eval_constraints(prob, x))
+            again = true_metrics(prob, x,
+                                 constraints=eval_constraints(prob, x))
             assert again[:2] == (v, s) and np.array_equal(again[2], lam)
             assert v_b == v
             assert s_b == pytest.approx(s, rel=1e-12, abs=1e-12)
@@ -1133,17 +1132,217 @@ class TestTrueMetrics:
 
     @pytest.mark.parametrize("method", ["ra-sqp-linf", "ra-sqp-l1"])
     def test_robust_outcome_multipliers(self, method):
-        # the robust solver's multipliers are the KKT-residual LP's at the
-        # final iterate: (lambda_E, lambda_I) with lambda_I >= 0, whose
+        # the robust solver's multipliers are the stationarity measure's at
+        # the final iterate: (lambda_E, lambda_I) with lambda_I >= 0, whose
         # Lagrangian gradient is within the last record's stationarity
         out = run_config(RunConfig(problem="synth-logreg-ineq", method=method,
                                    seed=0, max_gradient_evals=30000))
         prob = build_problem("synth-logreg-ineq")
         lam, last = out.lam, out.trace[-1]
         assert lam.shape == (prob.m_E + prob.m_I,)
-        assert lam[prob.m_E:].min() >= -1e-9
+        assert lam[prob.m_E:].min() >= 0.0
         assert np.array_equal(last.x, out.x)
-        _, _, J_E, J_I = eval_constraints(prob, out.x)
+        _, c_I, J_E, J_I = eval_constraints(prob, out.x)
         res = (prob.true_gradient(out.x) + J_E.T @ lam[:prob.m_E]
                + J_I.T @ lam[prob.m_E:])
-        assert np.abs(res).max() <= last.stationarity * (1.0 + 1e-6)
+        assert np.abs(res).max() <= last.stationarity * (1.0 + 1e-12)
+        assert (np.abs(lam[prob.m_E:] * c_I).max()
+                <= last.stationarity * (1.0 + 1e-12))
+
+
+def kkt_lp(g, c_I, J_E, J_I):
+    """The least t such that some (lambda_E, lambda_I >= 0) puts every
+    entry of g + J'lambda and of lambda_I c_I within t, as an LP over (t,
+    lambda) solved by the interior point, or None unless it ends optimal."""
+    n, m_E, m_I = g.size, J_E.shape[0], J_I.shape[0]
+    nv = 1 + m_E + m_I
+    t = np.eye(1, nv)
+    stat = np.hstack([np.zeros((n, 1)), J_E.T, J_I.T])
+    comp = np.zeros((m_I, nv))
+    comp[np.arange(m_I), 1 + m_E + np.arange(m_I)] = c_I
+    signed = np.r_[0, 1 + m_E:nv]
+    C = np.vstack([stat - t, -stat - t, comp - t, -comp - t,
+                   -np.eye(nv)[signed]])
+    d = np.concatenate([-g, g, np.zeros(2 * m_I + signed.size)])
+    sol = solve_program(t[0], C, d)
+    return sol.x[0] if sol.status == "optimal" else None
+
+
+def random_point(rng, m_E_max=2, m_I_max=4):
+    """(g, (c_E, c_I, J_E, J_I)) with a J_E of full row rank, some c_I
+    entries exactly 0 (active), and g anywhere."""
+    n = int(rng.integers(1, 6))
+    m_E = int(rng.integers(0, min(m_E_max, n) + 1))
+    m_I = int(rng.integers(1, m_I_max + 1))
+    c_I = rng.standard_normal(m_I) * (rng.random(m_I) < 0.6)
+    return rng.standard_normal(n), (np.zeros(m_E), c_I,
+                                    rng.standard_normal((m_E, n)),
+                                    rng.standard_normal((m_I, n)))
+
+
+def measure_at(g, constraints, lam):
+    """max(|g + J'lam|_inf, |lam_I c_I|_inf), the stationarity measure."""
+    c_E, c_I, J_E, J_I = constraints
+    m_E = c_E.size
+    return max(np.abs(g + J_E.T @ lam[:m_E] + J_I.T @ lam[m_E:]).max(),
+               np.abs(lam[m_E:] * c_I).max(initial=0.0))
+
+
+class TestStationarityMeasure:
+    """`metrics_at`'s stationarity: the max-norm of the Lagrangian gradient
+    and the complementarity products at the sign-constrained least-squares
+    multipliers, for every problem."""
+
+    def test_stationary_point(self):
+        # min x1^2 + x2^2 s.t. x1 + x2 = 2 at (1,1): grad (2,2), J_E (1,1)
+        _, s, lam = metrics_at(np.array([2.0, 2.0]), (
+            np.zeros(1), np.zeros(0), np.array([[1.0, 1.0]]),
+            np.zeros((0, 2))))
+        assert s <= 1e-15
+        np.testing.assert_allclose(lam, [-2.0], rtol=1e-15)
+
+    def test_unconstrained_nonstationary(self):
+        _, s, lam = metrics_at(np.array([1.0]), (
+            np.zeros(0), np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1))))
+        assert s == 1.0 and lam.shape == (0,)
+
+    def test_active_inequality_cancels(self):
+        # min x s.t. -x <= 0 at x = 0: grad 1, J_I = [-1], lambda = 1
+        _, s, lam = metrics_at(np.array([1.0]), (
+            np.zeros(0), np.array([0.0]), np.zeros((0, 1)),
+            np.array([[-1.0]])))
+        assert s <= 1e-15
+        np.testing.assert_allclose(lam, [1.0], rtol=1e-15)
+
+    def test_inactive_inequality_complementarity(self):
+        # strictly feasible c_I = -1: lambda minimizes (1 - lambda)^2 +
+        # lambda^2, so both terms read 1/2, as the LP's balance does
+        _, s, lam = metrics_at(np.array([1.0]), (
+            np.zeros(0), np.array([-1.0]), np.zeros((0, 1)),
+            np.array([[-1.0]])))
+        assert s == pytest.approx(0.5, rel=1e-15)
+        np.testing.assert_allclose(lam, [0.5], rtol=1e-15)
+
+    def test_wrong_signed_multiplier_is_held_at_zero(self):
+        # min -x s.t. x <= 0 pushed the wrong way: grad 1, J_I = [1]; the
+        # unsigned least squares give lambda = -1, the measure lambda = 0
+        _, s, lam = metrics_at(np.array([1.0]), (
+            np.zeros(0), np.array([0.0]), np.zeros((0, 1)),
+            np.array([[1.0]])))
+        assert s == 1.0 and lam.tolist() == [0.0]
+
+    def test_constructed_kkt_points(self):
+        # planted KKT points, more rows than variables among them: the
+        # measure reads rounding, at multipliers with lambda_I >= 0
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            m_e = int(rng.integers(0, n + 1))
+            m_i = int(rng.integers(1, n + 3))
+            J_E = rng.standard_normal((m_e, n))
+            J_I = rng.standard_normal((m_i, n))
+            grad = -(J_E.T @ rng.standard_normal(m_e)
+                     + J_I.T @ rng.uniform(0.1, 2.0, m_i))
+            cons = (np.zeros(m_e), np.zeros(m_i), J_E, J_I)
+            _, s, lam = metrics_at(grad, cons)
+            assert s <= 1e-12 * (1.0 + np.abs(grad).max())
+            assert lam.shape == (m_e + m_i,) and lam[m_e:].min() >= 0.0
+            assert s == pytest.approx(measure_at(grad, cons, lam), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_enumeration_oracle(self, seed):
+        # the least ||g + J'lam||^2 + ||lam_I c_I||^2 over lam_I >= 0, by
+        # enumerating which lam_I entries are free of their bound; its
+        # residual is unique, so the measure is too
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            g, cons = random_point(rng)
+            c_E, c_I, J_E, J_I = cons
+            m_E, m_I = c_E.size, c_I.size
+            A = np.vstack([np.vstack([J_E, J_I]).T,
+                           np.hstack([np.zeros((m_I, m_E)), np.diag(c_I)])])
+            b = np.concatenate([-g, np.zeros(m_I)])
+            best, oracle = np.inf, None
+            for r in range(m_I + 1):
+                for rows in itertools.combinations(range(m_I), r):
+                    cols = list(range(m_E)) + [m_E + i for i in rows]
+                    lam = np.zeros(m_E + m_I)
+                    lam[cols] = np.linalg.lstsq(A[:, cols], b,
+                                                rcond=None)[0]
+                    resid = A @ lam - b
+                    if lam[m_E:].min() >= 0.0 and resid @ resid < best:
+                        best, oracle = resid @ resid, measure_at(g, cons,
+                                                                 lam)
+            _, s, lam = metrics_at(g, cons)
+            assert lam[m_E:].min() >= 0.0
+            assert abs(s - oracle) <= 1e-12 * (1.0 + np.abs(g).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_below_the_lp(self, seed):
+        # the LP's t is the least max-norm over lam_I >= 0, and the measure
+        # is the max-norm at one such lam; the least 2-norm bounds it above
+        # by sqrt(n + m_I) t. Rank-deficient J_E and more rows than
+        # variables included
+        rng = np.random.default_rng(100 + seed)
+        checked = 0
+        while checked < 50:
+            g, cons = random_point(rng, m_E_max=3)
+            c_E, c_I, J_E, J_I = cons
+            t = kkt_lp(g, c_I, J_E, J_I)
+            if t is None:
+                continue
+            checked += 1
+            _, s, lam = metrics_at(g, cons)
+            assert lam[c_E.size:].min() >= 0.0
+            assert s >= t - 1e-6
+            assert s <= math.sqrt(g.size + c_I.size) * t + 1e-6
+
+    @pytest.mark.parametrize("m_E", range(5))
+    def test_bit_identical_to_least_squares_dual_without_inequalities(
+            self, m_E):
+        # a repeated row from m_E = 2 on, and more rows than variables
+        rng = np.random.default_rng(m_E)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            J_E = rng.standard_normal((m_E, n))
+            if m_E >= 2:
+                J_E[1] = J_E[0]
+            g = rng.standard_normal(n)
+            _, s, lam = metrics_at(g, (np.zeros(m_E), np.zeros(0), J_E,
+                                       np.zeros((0, n))))
+            lam_ls = least_squares_dual(J_E, g)
+            assert lam.tobytes() == lam_ls.tobytes()
+            assert s == norm(g + J_E.T @ lam_ls, np.inf)
+
+    def test_repeated_equality_row(self):
+        # the unsigned least squares give lambda = -1/3 (1, 1, 1); lambda_E
+        # is eliminated before the sign-constrained solve, so the repeated
+        # row leaves it no singular working set: lambda_I = 0, and the
+        # least-squares lambda_E for it is exact
+        cons = (np.zeros(2), np.array([0.0]), np.array([[1.0], [1.0]]),
+                np.array([[1.0]]))
+        _, s, lam = metrics_at(np.array([1.0]), cons)
+        assert lam[2] == 0.0 and s <= 1e-15
+        np.testing.assert_allclose(lam[:2], [-0.5, -0.5], rtol=1e-15)
+
+    def test_fallback_when_the_routine_gives_none(self, monkeypatch):
+        # with the routine giving none (a singular working set or its cap),
+        # every point still reads at a lam with lam_I >= 0, so never below
+        # the LP
+        calls = []
+        monkeypatch.setattr(driver, "sign_constrained_qp",
+                            lambda *args: calls.append(args))
+        rng = np.random.default_rng(7)
+        fell_back = 0
+        while fell_back < 30:
+            g, cons = random_point(rng)
+            c_E, c_I, J_E, J_I = cons
+            t = kkt_lp(g, c_I, J_E, J_I)
+            asked = len(calls)
+            _, s, lam = metrics_at(g, cons)
+            if t is None or len(calls) == asked:
+                continue
+            fell_back += 1
+            assert lam[c_E.size:].min() >= 0.0
+            assert s == pytest.approx(measure_at(g, cons, lam), rel=1e-14)
+            assert s >= t - 1e-6

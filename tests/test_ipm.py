@@ -1,5 +1,5 @@
 """Interior-point LP/QP solver tests against brute-force enumeration
-oracles, and the KKT-residual metric."""
+oracles."""
 
 import hashlib
 import itertools
@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dpotrf
 from rasqp import ipm
 from rasqp.counters import Counters
 from rasqp.errors import NumericalFailure
-from rasqp.ipm import kkt_residual, solve_program
+from rasqp.ipm import solve_program
 from rasqp.sqp_eq import L1, LINF, violation
 from rasqp.sqp_ineq import _linearized_program, feasibility_step, sigma_bounds
 
@@ -192,77 +192,12 @@ def test_stacked_ratio_test_matches_each_half_at_random():
                 [max_step(v[:q], dv[:q]), max_step(v[q:], dv[q:])]).tobytes()
 
 
-class TestKktResidual:
-    def test_stationary_point(self):
-        # min x1^2 + x2^2 s.t. x1 + x2 = 2 at (1,1): grad (2,2), J_E (1,1)
-        t, lam = kkt_residual(np.array([2.0, 2.0]),
-                              np.zeros(0), np.array([[1.0, 1.0]]),
-                              np.zeros((0, 2)))
-        assert t <= 1e-6
-        np.testing.assert_allclose(lam, [-2.0], atol=1e-6)
-
-    def test_unconstrained_nonstationary(self):
-        t, lam = kkt_residual(np.array([1.0]), np.zeros(0),
-                              np.zeros((0, 1)), np.zeros((0, 1)))
-        np.testing.assert_allclose(t, 1.0, atol=1e-7)
-        assert lam.shape == (0,)
-
-    def test_active_inequality_cancels(self):
-        # min x s.t. -x <= 0 at x = 0: grad 1, J_I = [-1], lambda = 1 -> t = 0
-        t, lam = kkt_residual(np.array([1.0]), np.array([0.0]),
-                              np.zeros((0, 1)), np.array([[-1.0]]))
-        assert t <= 1e-6
-        np.testing.assert_allclose(lam, [1.0], atol=1e-6)
-
-    def test_inactive_inequality_complementarity(self):
-        # strictly feasible c_I = -1: any multiplier mass costs |lam| in the
-        # complementarity rows, so the optimum balances both terms
-        t, lam = kkt_residual(np.array([1.0]), np.array([-1.0]),
-                              np.zeros((0, 1)), np.array([[-1.0]]))
-        np.testing.assert_allclose(t, 0.5, atol=1e-6)
-        np.testing.assert_allclose(lam, [0.5], atol=1e-6)
-
-    def test_constructed_kkt_points(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            m_e = int(rng.integers(0, 2))
-            m_i = int(rng.integers(1, 4))
-            J_E = rng.standard_normal((m_e, n))
-            J_I = rng.standard_normal((m_i, n))
-            lam_e = rng.standard_normal(m_e)
-            lam_i = rng.uniform(0.1, 2.0, m_i)
-            # choose the gradient so stationarity holds exactly and make all
-            # inequalities active so complementarity is free
-            grad = -(J_E.T @ lam_e + J_I.T @ lam_i)
-            c_I = np.zeros(m_i)
-            t, lam = kkt_residual(grad, c_I, J_E, J_I)
-            assert t <= 1e-6
-            # the multipliers returned attain t: (lambda_E, lambda_I) with
-            # lambda_I >= 0 and the stationarity residual within t
-            assert lam.shape == (m_e + m_i,)
-            assert lam[m_e:].min() >= 0.0
-            res = grad + J_E.T @ lam[:m_e] + J_I.T @ lam[m_e:]
-            assert np.abs(res).max() <= t * (1.0 + 1e-6) + 1e-12
-
-
-def test_kkt_residual_nonoptimal_lp_raises(monkeypatch):
-    def nonoptimal(g, C, d, H=None, counters=None):
-        return ipm.ProgramSolution(x=np.zeros(g.size), objective=0.0,
-                                   iterations=1, status="max_iter")
-
-    monkeypatch.setattr(ipm, "solve_program", nonoptimal)
-    with pytest.raises(NumericalFailure, match="KKT-residual LP"):
-        kkt_residual(np.array([1.0]), np.zeros(0), np.zeros((0, 1)),
-                     np.zeros((0, 1)))
-
-
 def regression_set():
     """(iterations, status) of solve_program on a fixed seeded set:
     feasibility LPs and direction QPs from sqp_ineq._linearized_program in
     both norm modes (some with c_E entries exactly 0, some at feasible
     points), each QP relaxed by its LP's solution and half of them given a
-    non-identity Hessian block, plus KKT-residual LPs."""
+    non-identity Hessian block."""
     rng = np.random.default_rng(11)
     out = {}
     for k in range(12):
@@ -290,22 +225,6 @@ def regression_set():
             prog[3][:n, :n] = H
         qp = solve_program(*prog)
         out[f"qp-{mode}-{k}"] = (qp.iterations, qp.status)
-    for k in range(6):
-        n = (3, 10, 30)[k % 3]
-        m_E, m_I = k % 2, 1 + k % 3
-        J_E = rng.standard_normal((m_E, n))
-        J_I = rng.standard_normal((m_I, n))
-        c_I = -rng.uniform(0.0, 1.0, m_I)
-        c_I[0] = 0.0
-        grad = rng.standard_normal(n)
-        if k >= 3:
-            # near a KKT point
-            grad = 1e-3 * grad - (J_E.T @ rng.standard_normal(m_E)
-                                  + J_I.T @ rng.uniform(0.1, 2.0, m_I))
-        ct = Counters()
-        # kkt_residual raises on any status but "optimal"
-        kkt_residual(grad, c_I, J_E, J_I, counters=ct)
-        out[f"kkt-{k}"] = (ct.barrier_iters, "optimal")
     return out
 
 
@@ -327,9 +246,6 @@ PINNED = {
     "lp-l1-9": (8, "optimal"), "qp-l1-9": (9, "optimal"),
     "lp-linf-10": (4, "optimal"), "qp-linf-10": (5, "optimal"),
     "lp-l1-11": (4, "optimal"), "qp-l1-11": (8, "optimal"),
-    "kkt-0": (6, "optimal"), "kkt-1": (7, "optimal"),
-    "kkt-2": (8, "optimal"), "kkt-3": (8, "optimal"),
-    "kkt-4": (7, "optimal"), "kkt-5": (9, "optimal"),
 }
 
 
@@ -354,9 +270,6 @@ PINNED_ROWS = {
     "lp-l1-9": "47860f5e192e2206", "qp-l1-9": "f89592af84b5b6b9",
     "lp-linf-10": "65a224c1c598ef79", "qp-linf-10": "a04d75e016b0ff15",
     "lp-l1-11": "0676067cd8cdb645", "qp-l1-11": "978d79ad900fcdc9",
-    "kkt-0": "5c2afb4ac3b187ab", "kkt-1": "bf2bc223878d7c40",
-    "kkt-2": "c95256cf25b8dd24", "kkt-3": "acf0f8a232842ab4",
-    "kkt-4": "8fc59ca2c5cbfb83", "kkt-5": "8a486c80b46c4ed4",
 }
 
 
@@ -372,9 +285,8 @@ def test_program_rows_pinned(monkeypatch):
         digests.append(h.hexdigest()[:16])
         return solve(g, C, d, H, counters=counters)
 
-    # the programs regression_set solves itself and those kkt_residual
-    # solves; feasibility_step's LP, a repeat of the one before it, is not
-    # recorded
+    # the programs regression_set solves itself; feasibility_step's LP, a
+    # repeat of the one before it, is not recorded
     monkeypatch.setitem(globals(), "solve_program", recording)
     monkeypatch.setattr(ipm, "solve_program", recording)
     regression_set()

@@ -1,14 +1,17 @@
-"""MINRES, L-BFGS operator, and least-squares dual tests against dense
-linear-algebra oracles."""
+"""MINRES, L-BFGS operator, least-squares dual and sign-constrained QP
+tests against dense linear-algebra oracles."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rasqp.counters import Counters
 from rasqp.errors import NumericalFailure
 from rasqp.linalg import (LbfgsModel, lbfgs_apply, lbfgs_update,
                           least_squares_dual, make_kkt_operator, minres_solve,
-                          norm)
+                          norm, sign_constrained_qp)
 
 
 def random_symmetric(rng, n):
@@ -257,3 +260,67 @@ class TestLeastSquaresDual:
         resid = g + J.T @ lam
         # stationarity of the least-squares problem: J r = 0
         np.testing.assert_allclose(J @ resid, np.zeros(m), atol=1e-8)
+
+
+def sign_constrained_oracle(G, h):
+    """The least z'Gz/2 - h'z over z >= 0, by enumerating which entries
+    are free of their bound: each support's stationary point that keeps
+    its entries >= 0 is a candidate."""
+    m = h.size
+    best = np.inf
+    for r in range(m + 1):
+        for S in itertools.combinations(range(m), r):
+            z = np.zeros(m)
+            z[list(S)] = np.linalg.lstsq(G[np.ix_(S, S)], h[list(S)],
+                                         rcond=None)[0]
+            if z.min() >= -1e-12:
+                best = min(best, 0.5 * z @ G @ z - h @ z)
+    return best
+
+
+class TestSignConstrainedQp:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_enumeration_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            m = int(rng.integers(1, 7))
+            A = rng.standard_normal((m + 2, m))
+            G, h = A.T @ A, A.T @ rng.standard_normal(m + 2)
+            z, work = sign_constrained_qp(G, h)
+            # only working entries are nonzero, and none is negative
+            assert z.min() >= 0.0 and not z[~work].any()
+            best = sign_constrained_oracle(G, h)
+            value = 0.5 * z @ G @ z - h @ z
+            assert abs(value - best) <= 1e-12 * (1.0 + abs(best))
+
+    def test_barrier_counter_counts_working_set_solves(self):
+        # two entries, the second pushed to its bound: one solve adds entry
+        # 0, then the loop stops with entry 1's gradient negative
+        ct = Counters()
+        z, work = sign_constrained_qp(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                                      np.array([2.0, -1.0]), ct)
+        np.testing.assert_array_equal(z, [1.0, 0.0])
+        assert work.tolist() == [True, False]
+        assert ct.barrier_iters == 1
+
+    def test_dependent_entry_stays_out(self):
+        # two equal columns fit the right-hand side exactly with one
+        # entry, after which the other's gradient is rounding: the
+        # threshold keeps it out, where it would make G_WW singular (with
+        # a threshold of 0, 10 of these 200 give None)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            a = rng.standard_normal(4)
+            A = np.column_stack([a, a, rng.standard_normal(4)])
+            rhs = A @ np.array([rng.uniform(0.1, 2.0), 0.0, 0.0])
+            out = sign_constrained_qp(A.T @ A, A.T @ rhs)
+            assert out is not None
+            z, work = out
+            assert not work[:2].all()
+            assert np.abs(A @ z - rhs).max() <= 1e-12 * (1 + np.abs(rhs).max())
+
+    def test_singular_working_set_gives_none(self):
+        # the dual of x <= -1 and -x <= -1, which no x meets: both entries
+        # gain, and together they make G_WW singular
+        assert sign_constrained_qp(np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                   np.ones(2)) is None

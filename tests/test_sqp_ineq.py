@@ -401,11 +401,11 @@ class TestExactDirection:
             # case inside the linf one)
             g_S = -np.array([250.0, 0.0] if mode == LINF else [150.0, 150.0])
         else:
-            # three rows through the vertex (0.1, 0.2): two of them fix it,
-            # and the third, active there too, reads a rounding-level
-            # violation, enters, and leaves G_WW singular
-            J_I = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-            c_I, g_S = -np.array([0.1, 0.2, 0.3]), np.array([-1.0, -1.0])
+            # the third row is half the sum of the first two: those two
+            # enter first, and at their vertex (0.1, 0.2) the third reads a
+            # violation of 0.025, enters, and leaves G_WW singular
+            J_I = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+            c_I, g_S = -np.array([0.1, 0.2, 0.125]), np.array([-1.0, -1.0])
         calls = count_programs(monkeypatch)
         counters = Counters()
         d = direction_step(g_S, c_E, c_I, J_E, J_I, 0.0, sigma_d, mode,
@@ -413,6 +413,19 @@ class TestExactDirection:
         assert len(calls) == 1 and counters.barrier_iters > 0
         sol = solve_program(*calls[0])
         np.testing.assert_array_equal(d, sol.x[:2])
+
+    @pytest.mark.parametrize("mode", [LINF, L1])
+    def test_rounding_level_row_stays_out(self, monkeypatch, mode):
+        # three rows through the vertex (0.1, 0.2): two of them fix it, and
+        # the third, active there too, reads a rounding-level violation,
+        # which the routine's threshold keeps out of the working set
+        J_I = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        c_I, g_S = -np.array([0.1, 0.2, 0.3]), np.array([-1.0, -1.0])
+        calls = count_programs(monkeypatch)
+        d = direction_step(g_S, np.zeros(0), c_I, np.zeros((0, 2)), J_I, 0.0,
+                           200.0, mode)
+        assert not calls
+        np.testing.assert_allclose(d, [0.1, 0.2], rtol=0, atol=1e-15)
 
     def test_unknown_mode_raised_before_the_projection(self):
         with pytest.raises(ValueError, match="norm mode"):

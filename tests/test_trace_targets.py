@@ -47,8 +47,8 @@ def load_layers():
 # det-sqp's fixed whole-dataset batch, whose first inner loop ends on its
 # stopping rule before the budget; each with the trace sites (module.name) its traced solve reaches, so a
 # refactor that moves a call off a traced name fails here. The inequality
-# solve answers both subproblems exactly, so of the interior point only the
-# KKT-residual metric's `ipm.solve_program` is reached. The logistic
+# solve answers both subproblems exactly, and its metrics solve no program,
+# so it reaches no interior point. The logistic
 # solves take every corrected unit step the line search tries first, so
 # only the linearly constrained quadratic reaches the backtrack
 SOLVE_SITES = {"bench.run", "driver._sums_over", "driver.draw_samples",
@@ -64,8 +64,7 @@ TRACED_SOLVES = [
      LOGREG_SITES | {"driver.compute_step", "sqp_eq.minres_solve"}),
     (RunConfig(problem="synth-logreg-ineq", method="ra-sqp-linf",
                max_gradient_evals=20_000),
-     LOGREG_SITES | {"driver.feasibility_step", "driver.direction_step",
-                     "ipm.solve_program"}),
+     LOGREG_SITES | {"driver.feasibility_step", "driver.direction_step"}),
     (RunConfig(problem="synth-eq-quad", method="ra-sqp-dl",
                sampling="geometric", max_outer=3),
      SOLVE_SITES | {"driver.compute_step", "sqp_eq.minres_solve",
